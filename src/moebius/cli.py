@@ -94,15 +94,16 @@ def parse_aut_spec(G: FiniteGroup, lattice: SubgroupLattice, text: str):
     if spec.startswith("maps:"):
         path = spec[len("maps:"):]
         gens, images = [], []
-        for line in open(path, encoding="utf-8"):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            src, _, dst = line.partition("->")
-            gperm = parse_cycles(src.strip(), degree=G.degree)
-            iperm = parse_cycles(dst.strip(), degree=G.degree)
-            gens.append(G.index[gperm.images])
-            images.append(G.index[iperm.images])
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                src, _, dst = line.partition("->")
+                gperm = parse_cycles(src.strip(), degree=G.degree)
+                iperm = parse_cycles(dst.strip(), degree=G.degree)
+                gens.append(G.index[gperm.images])
+                images.append(G.index[iperm.images])
         seed = automorphism_from_images(G, gens, images)
         return close_automorphisms(G, [seed])
     raise ValueError(f"unknown automorphism spec {text!r}")

@@ -409,17 +409,6 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     return mask
 
 
-def cyclic_mask(G: FiniteGroup, x: int) -> int:
-    mt = G.table
-    n = G.order
-    mask = 1 << G.identity
-    y = x
-    while not (mask >> y) & 1:
-        mask |= 1 << y
-        y = mt[y * n + x]
-    return mask
-
-
 def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
     """Bitset of g^-1 * H * g."""
     mt = G.table
@@ -433,6 +422,28 @@ def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
 
 def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
     return all(conjugate_mask(G, mask, g) == mask for g in G.gens)
+
+
+def normalizer_of(G: FiniteGroup, mask: int, gens) -> int:
+    """Bitset of N_G(H) for H = <gens> with the given bitset.
+
+    g normalizes H exactly when it conjugates each generator of H into H,
+    so the test costs |gens| table reads per element of G."""
+    mt = G.table
+    n = G.order
+    inv = G.inverse
+    # normal: G's generators already normalize H
+    if all((mask >> mt[mt[inv[g] * n + h] * n + g]) & 1 for g in G.gens for h in gens):
+        return G.full_mask()
+    out = 0
+    for g in range(n):
+        gi = inv[g] * n
+        for h in gens:
+            if not (mask >> mt[mt[gi + h] * n + g]) & 1:
+                break
+        else:
+            out |= 1 << g
+    return out
 
 
 def normal_closure_mask(G: FiniteGroup, seed_idxs) -> tuple[int, list[int]]:

@@ -1,17 +1,22 @@
 """Full subgroup lattice enumeration and lattice-theoretic primitives.
 
-Enumeration is layered cyclic extension: seed with every cyclic
-subgroup, then repeatedly join known subgroups with cyclic subgroups not
-already contained in them, deduplicating by bitset.  Every subgroup is a
-join of cyclic ones, so the process is complete; the small-order test
-oracle re-derives the same lattice independently.
+Enumeration is Neubueser's cyclic extension over conjugacy classes.
+Every subgroup is generated by zuppos, the cyclic subgroups of
+prime-power order, so it is reached from 1 by joining one zuppo at a
+time.  Only one representative H per class is extended: H is joined
+with one zuppo from each N_G(H)-orbit of the zuppos outside H, and every
+new subgroup enters with its whole conjugacy orbit, deduplicated by
+bitset.  The small-order test oracle re-derives the same lattice
+independently.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import BudgetExceeded, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, conjugate_mask, cyclic_mask,
-                     extend_closure, is_normal_mask)
+from .groups import (FiniteGroup, Subgroup, bits, conjugate_mask, extend_closure,
+                     is_normal_mask, normalizer_of)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -166,16 +171,7 @@ class SubgroupLattice:
         cached = self._normalizer.get(i)
         if cached is not None:
             return cached
-        G = self.group
-        sub = self.subgroups[i]
-        if is_normal_mask(G, sub.mask):
-            out = G.full_mask()
-        else:
-            m = sub.mask
-            out = 0
-            for g in range(G.order):
-                if conjugate_mask(G, m, g) == m:
-                    out |= 1 << g
+        out = normalizer_of(self.group, self.subgroups[i].mask, self.witness(i))
         self._normalizer[i] = out
         return out
 
@@ -303,131 +299,114 @@ def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-_CLASS_METHOD_THRESHOLD = 400
-
-
-def enumerate_subgroups(G: FiniteGroup, budget: int = DEFAULT_SUBGROUP_BUDGET,
-                        method: str = "auto") -> SubgroupLattice:
-    """Enumerate every subgroup of G by layered cyclic extension.
-
-    method 'plain' joins every known subgroup with every cyclic subgroup;
-    'classes' performs the same extension on conjugacy-class
-    representatives only and expands each new class to its full orbit
-    (identical output, far fewer joins).  'auto' picks by group order.
-    """
-    if method == "auto":
-        method = "classes" if G.order > _CLASS_METHOD_THRESHOLD else "plain"
-    if method == "classes":
-        seen = _enumerate_by_classes(G, budget)
-    elif method == "plain":
-        seen = _enumerate_plain(G, budget)
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
-    subs = [Subgroup(m, gens=g) for m, g in seen.items()]
-    subs.sort(key=lambda s: (s.order, s.mask))
-    return SubgroupLattice(G, subs)
-
-
-def _cyclic_subgroups(G: FiniteGroup) -> list[tuple[int, int]]:
-    """(mask, generator) for every nontrivial cyclic subgroup."""
+def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int]]:
+    """(zuppo_of, zgens): zuppo_of[x] is the id of the cyclic prime-power
+    subgroup that x generates (negative when x is 1 or its order is not a
+    prime power), and zgens[id] is one generator of that zuppo."""
+    mt = G.table
+    n = G.order
     e = G.identity
-    out = []
-    seen = set()
-    for x in range(G.order):
-        if x == e:
+    zuppo_of = [-1] * n     # -1 until the powers of x are walked
+    zuppo_of[e] = -2
+    zgens: list[int] = []
+    for x in range(n):
+        if zuppo_of[x] != -1:
             continue
-        m = cyclic_mask(G, x)
-        if m not in seen:
-            seen.add(m)
-            out.append((m, x))
-    return out
-
-
-def _enumerate_plain(G: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]]:
-    triv = 1 << G.identity
-    seen: dict[int, tuple[int, ...]] = {triv: ()}
-    cyclics = _cyclic_subgroups(G)
-    for m, x in cyclics:
-        seen.setdefault(m, (x,))
-    queue = list(seen)
-    while queue:
-        h = queue.pop()
-        h_gens = seen[h]
-        h_elems = list(bits(h))
-        for cm, cx in cyclics:
-            if cm & ~h == 0:
-                continue
-            t = extend_closure(G, h, h_elems, h_gens, cx)
-            if t not in seen:
-                seen[t] = h_gens + (cx,)
-                if len(seen) > budget:
-                    raise BudgetExceeded(len(seen), budget, "subgroup enumeration")
-                queue.append(t)
-    return seen
+        powers = [x]
+        y = mt[x * n + x]
+        while y != e:
+            powers.append(y)
+            y = mt[y * n + x]
+        k = len(powers) + 1
+        z = -2
+        if _is_prime_power(k):
+            z = len(zgens)
+            zgens.append(x)
+        # the generators of <x> are its powers prime to its order
+        for j, y in enumerate(powers, 1):
+            if gcd(j, k) == 1:
+                zuppo_of[y] = z
+    return zuppo_of, zgens
 
 
 def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
-def _enumerate_by_classes(G: FiniteGroup, budget: int) -> dict[int, tuple[int, ...]]:
-    """Cyclic extension over class representatives with orbit expansion.
+def enumerate_subgroups(G: FiniteGroup,
+                        budget: int = DEFAULT_SUBGROUP_BUDGET) -> SubgroupLattice:
+    """Enumerate every subgroup of G by cyclic extension over classes.
 
-    Any subgroup K satisfies K^g = <rep, z> for the representative of a
-    smaller class and a cyclic prime-power subgroup z, so joining
-    representatives against all prime-power cyclics and conjugating the
-    results reaches every class."""
+    Every subgroup is a chain of joins with zuppos starting from 1, and
+    a join of a conjugate H^g is the conjugate of a join of H, so it is
+    enough to join class representatives with zuppos and to insert the
+    whole conjugacy orbit of each new subgroup.  For n in N_G(H),
+    <H, z^n> = <H, z>^n, so one zuppo per N_G(H)-orbit suffices."""
     mt = G.table
     n = G.order
     inv = G.inverse
-    gens_of_G = G.gens
+    center = G.center_mask
+    # conjugation by a central element is the identity
+    movers = [g for g in G.gens if not (center >> g) & 1]
+    full = G.full_mask()
     triv = 1 << G.identity
-    seen: dict[int, tuple[int, ...]] = {triv: ()}
-    worklist: list[int] = []
+    seen: dict[int, tuple[int, ...]] = {}
+
+    def insert(mask: int, witness: tuple[int, ...]):
+        seen[mask] = witness
+        if len(seen) > budget:
+            raise BudgetExceeded(len(seen), budget, "subgroup enumeration")
 
     def expand_orbit(mask: int, witness: tuple[int, ...]):
         """Insert the whole conjugacy orbit of a new subgroup."""
-        seen[mask] = witness
+        insert(mask, witness)
         queue = [(mask, witness)]
         while queue:
             m, w = queue.pop()
-            for g in gens_of_G:
-                gi = inv[g]
+            for g in movers:
+                gi = inv[g] * n
                 c = 0
                 for x in bits(m):
-                    c |= 1 << mt[mt[gi * n + x] * n + g]
+                    c |= 1 << mt[mt[gi + x] * n + g]
                 if c not in seen:
-                    cw = tuple(mt[mt[gi * n + x] * n + g] for x in w)
-                    seen[c] = cw
-                    if len(seen) > budget:
-                        raise BudgetExceeded(len(seen), budget,
-                                             "subgroup enumeration")
+                    cw = tuple(mt[mt[gi + x] * n + g] for x in w)
+                    insert(c, cw)
                     queue.append((c, cw))
 
-    cyclics = _cyclic_subgroups(G)
-    zuppos = [(m, x) for m, x in cyclics if _is_prime_power(m.bit_count())]
-    for m, x in cyclics:
-        if m not in seen:
-            expand_orbit(m, (x,))
-            worklist.append(m)
+    zuppo_of, zgens = _zuppos(G)
+    expand_orbit(triv, ())
+    worklist = [triv]
     while worklist:
         h = worklist.pop()
         h_gens = seen[h]
         h_elems = list(bits(h))
-        for zm, zx in zuppos:
-            if zm & ~h == 0:
+        norm = normalizer_of(G, h, h_gens)
+        if norm == full:
+            n_gens = movers
+        else:
+            n_gens = [g for g in find_witness(G, norm) if not (center >> g) & 1]
+        done = bytearray(len(zgens))
+        for z, zx in enumerate(zgens):
+            if done[z] or (h >> zx) & 1:
                 continue
+            # walk the N_G(H)-orbit of this zuppo; only its first member is joined
+            done[z] = 1
+            stack = [zx]
+            while stack:
+                x = stack.pop()
+                for g in n_gens:
+                    y = mt[mt[inv[g] * n + x] * n + g]
+                    k = zuppo_of[y]
+                    if not done[k]:
+                        done[k] = 1
+                        stack.append(y)
             t = extend_closure(G, h, h_elems, h_gens, zx)
             if t not in seen:
                 expand_orbit(t, h_gens + (zx,))
                 worklist.append(t)
-    return seen
+    subs = [Subgroup(m, gens=g) for m, g in seen.items()]
+    subs.sort(key=lambda s: (s.order, s.mask))
+    return SubgroupLattice(G, subs)

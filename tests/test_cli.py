@@ -1,6 +1,8 @@
 import json
 import warnings
 
+import pytest
+
 from moebius import cli
 from moebius.cache import cache_path
 
@@ -133,6 +135,9 @@ def test_aut_selector_variants(capsys):
     assert json.loads(out)["value"] == "6"
 
 
+# an unclosed maps file warns from a finalizer, which pytest reports as unraisable
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 def test_aut_maps_file(capsys, tmp_path):
     path = tmp_path / "maps.txt"
     # C5: generator -> its square generates a 4-element automorphism group

@@ -10,13 +10,20 @@ from moebius.verify import independent_small_lattice
 @pytest.mark.parametrize("spec,count", [
     ("S:4", 30), ("A:5", 59), ("C:12", 6), ("A:4", 10), ("Q:8", 6),
     ("D:7", 10), ("S:3", 6), ("C:2xC:2xC:2", 16),
+    ("S:5", 156), ("A:6", 501), ("S:6", 1455),
 ])
 def test_subgroup_counts(spec, count):
     assert len(lattice(spec)) == count
 
 
+@pytest.mark.parametrize("spec,classes", [("S:5", 19), ("A:6", 22), ("S:6", 56)])
+def test_class_counts(spec, classes):
+    assert len(lattice(spec).class_representatives()) == classes
+
+
 @pytest.mark.parametrize("spec", ["S:4", "A:4", "C:12", "D:7", "Q:8",
-                                  "C:2xC:2xC:2", "C:2xD:3", "S:3xC:4"])
+                                  "C:2xC:2xC:2", "C:2xD:3", "S:3xC:4",
+                                  "D:12", "S:3xC:3", "D:4xC:2", "Q:8xC:3"])
 def test_completeness_against_independent_oracle(spec):
     lat = lattice(spec)
     oracle = independent_small_lattice(lat.group)
@@ -42,9 +49,11 @@ def test_witnesses_generate(spec):
         assert closure_mask(lat.group, find_witness(lat.group, s.mask)) == s.mask
 
 
-def test_budget_exceeded():
+@pytest.mark.parametrize("spec", ["S:4", "C:2xC:2xC:2", "C:2xC:2xC:120"])
+def test_budget_exceeded(spec):
+    # in an abelian group every subgroup is its own conjugacy orbit
     with pytest.raises(BudgetExceeded):
-        enumerate_subgroups(group("S:4"), budget=5)
+        enumerate_subgroups(group(spec), budget=5)
 
 
 def test_normalizer_examples():
