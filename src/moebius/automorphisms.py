@@ -1,15 +1,18 @@
-"""Subgroups of Aut(G) as fully enumerated element-index maps.
+"""Subgroups of Aut(G), held by generator maps on element indices.
 
 An automorphism is stored as the tuple of images of element indices, so
-acting on a subgroup bitset is a bit remap.  Groups of automorphisms are
-deduplicated, closed lists; origin tags record how they were built.
+acting on a subgroup bitset is a bit remap.  A group of automorphisms
+keeps only its generators: an orbit is closed under the group exactly
+when it is closed under the generators, so orbits never need the other
+elements, and the full list is closed from the generators only when
+it is read.  Origin tags record how a group was built.
 """
 
 from __future__ import annotations
 
 from .errors import (BoundExceeded, ImageNotInLattice, NotAHomomorphism,
                      NotBijective, NotInvariant)
-from .groups import FiniteGroup, Subgroup, bits, closure_mask
+from .groups import FiniteGroup, Subgroup, bits, find_witness
 
 FULL_AUT_DEFAULT_BOUND = 64
 
@@ -51,15 +54,37 @@ class Automorphism:
 
 
 class AutomorphismGroup:
-    """A deduplicated, composition-closed list of automorphisms of one group."""
+    """The group of automorphisms of one group generated by `gens`.
 
-    __slots__ = ("group", "maps", "origin", "_key")
+    Identity and repeated generators are dropped.  `maps`, `len`,
+    iteration and `key` close the full list on first use; `maps` may be
+    passed in when the caller already holds the whole group."""
 
-    def __init__(self, group: FiniteGroup, maps, origin: str):
+    __slots__ = ("group", "gens", "origin", "_maps", "_key")
+
+    def __init__(self, group: FiniteGroup, gens, origin: str, maps=None):
         self.group = group
-        self.maps = sorted(set(maps), key=lambda a: a.map)
+        self.gens = tuple({a.map: a for a in gens if not a.is_identity()}.values())
         self.origin = origin
+        self._maps = None if maps is None else sorted(set(maps), key=lambda a: a.map)
         self._key = None
+
+    @property
+    def maps(self) -> list[Automorphism]:
+        """Every element of the group, sorted by map."""
+        if self._maps is None:
+            ident = Automorphism(range(self.group.order))
+            maps = {ident.map: ident}
+            queue = [ident]
+            while queue:
+                a = queue.pop()
+                for s in self.gens:
+                    c = a * s
+                    if c.map not in maps:
+                        maps[c.map] = c
+                        queue.append(c)
+            self._maps = sorted(maps.values(), key=lambda a: a.map)
+        return self._maps
 
     def __len__(self):
         return len(self.maps)
@@ -69,7 +94,7 @@ class AutomorphismGroup:
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.maps) == 1
+        return not self.gens
 
     @property
     def key(self) -> tuple:
@@ -80,11 +105,12 @@ class AutomorphismGroup:
         return self._key
 
     def mask_orbit(self, mask: int) -> set[int]:
+        """Bitsets of the orbit of one subgroup bitset (BFS over the generators)."""
         seen = {mask}
         queue = [mask]
         while queue:
             m = queue.pop()
-            for a in self.maps:
+            for a in self.gens:
                 c = a.apply_mask(m)
                 if c not in seen:
                     seen.add(c)
@@ -92,41 +118,41 @@ class AutomorphismGroup:
         return seen
 
     def __repr__(self):
-        return f"AutomorphismGroup({self.origin}, size={len(self.maps)})"
+        return f"AutomorphismGroup({self.origin}, gens={len(self.gens)})"
 
 
 def trivial_automorphisms(G: FiniteGroup) -> AutomorphismGroup:
-    return AutomorphismGroup(G, [Automorphism(range(G.order))], "trivial")
+    return AutomorphismGroup(G, (), "trivial")
 
 
-def inner_automorphisms(G: FiniteGroup, K: Subgroup | None = None) -> AutomorphismGroup:
-    """Conjugation maps by the elements of K (all of G when K is None)."""
+def conjugation_action(G: FiniteGroup, elems, origin: str) -> AutomorphismGroup:
+    """The group generated by conjugation with the given elements; central
+    elements conjugate trivially and are skipped."""
     mt = G.table
     n = G.order
     inv = G.inverse
-    elems = K.elements() if K is not None else range(n)
-    maps = set()
+    center = G.center_mask
+    maps = []
     for k in elems:
-        ik = inv[k]
-        maps.add(Automorphism(tuple(mt[mt[ik * n + x] * n + k] for x in range(n))))
-    origin = "inner" if K is None or K.order == n else f"inner-by-{K.order}"
+        if not (center >> k) & 1:
+            ik = inv[k]
+            maps.append(Automorphism(tuple(mt[mt[ik * n + x] * n + k] for x in range(n))))
     return AutomorphismGroup(G, maps, origin)
 
 
+def inner_automorphisms(G: FiniteGroup, K: Subgroup | None = None) -> AutomorphismGroup:
+    """Conjugation by the elements of K (all of G when K is None), held as
+    the conjugations by generators of K."""
+    if K is None:
+        return conjugation_action(G, G.gens, "inner")
+    gens = K.gens if K.gens is not None else find_witness(G, K.mask)
+    origin = "inner" if K.order == G.order else f"inner-by-{K.order}"
+    return conjugation_action(G, gens, origin)
+
+
 def close_automorphisms(G: FiniteGroup, seeds, origin="explicit-generated") -> AutomorphismGroup:
-    """Close a set of automorphisms under composition."""
-    ident = Automorphism(range(G.order))
-    maps = {ident.map: ident}
-    queue = [ident]
-    seeds = list(seeds)
-    while queue:
-        a = queue.pop()
-        for s in seeds:
-            c = a * s
-            if c.map not in maps:
-                maps[c.map] = c
-                queue.append(c)
-    return AutomorphismGroup(G, maps.values(), origin)
+    """The group of automorphisms generated by the seeds."""
+    return AutomorphismGroup(G, seeds, origin)
 
 
 def automorphism_from_images(G: FiniteGroup, gens, images,
@@ -208,26 +234,6 @@ def _partial_extend(G: FiniteGroup, gens, images) -> Automorphism | None:
     return Automorphism(tuple(known[i] for i in range(n)))
 
 
-def generating_sequence(G: FiniteGroup) -> list[int]:
-    """A short generating list: greedily add highest-order elements."""
-    e = G.identity
-    if G.order == 1:
-        return []
-    orders = G.element_orders
-    candidates = sorted((x for x in range(G.order) if x != e),
-                        key=lambda x: (-orders[x], x))
-    gens: list[int] = []
-    cur = 1 << e
-    for x in candidates:
-        if (cur >> x) & 1:
-            continue
-        gens.append(x)
-        cur = closure_mask(G, gens)
-        if cur == G.full_mask():
-            return gens
-    raise AssertionError("exhausted elements without generating the group")
-
-
 def full_automorphism_group(G: FiniteGroup,
                             bound: int = FULL_AUT_DEFAULT_BOUND) -> AutomorphismGroup:
     """All automorphisms, by backtracking over generator images.
@@ -239,7 +245,7 @@ def full_automorphism_group(G: FiniteGroup,
         raise BoundExceeded(f"|G| = {G.order} exceeds the brute-force bound {bound}")
     if G.order == 1:
         return trivial_automorphisms(G)
-    gens = generating_sequence(G)
+    gens = find_witness(G, G.full_mask())
     orders = G.element_orders
     candidates = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
     found = []
@@ -262,14 +268,14 @@ def full_automorphism_group(G: FiniteGroup,
             # until every generator is placed
 
     descend(0)
-    return AutomorphismGroup(G, found, "full-aut")
+    return AutomorphismGroup(G, found, "full-aut", maps=found)
 
 
 def subgroup_orbit(A: AutomorphismGroup, H: Subgroup, lattice) -> list[int]:
-    """Lattice ids of the A-orbit of H (H included)."""
-    orbit = A.mask_orbit(H.mask)
+    """Lattice ids of the A-orbit of H (H included), ascending."""
+    index = lattice.index
     try:
-        return sorted(lattice.index[m] for m in orbit)
+        return sorted(index[m] for m in A.mask_orbit(H.mask))
     except KeyError as exc:
         raise ImageNotInLattice(
             "an automorphism image is missing from the lattice") from exc
@@ -277,8 +283,9 @@ def subgroup_orbit(A: AutomorphismGroup, H: Subgroup, lattice) -> list[int]:
 
 def induced_quotient_action(A: AutomorphismGroup, N: Subgroup,
                             quotient: FiniteGroup, projection: list[int]) -> AutomorphismGroup:
-    """The automorphisms of G/N induced by A (N must be A-invariant)."""
-    for a in A.maps:
+    """The automorphisms of G/N induced by A (N must be A-invariant, which
+    holds exactly when every generator of A fixes N)."""
+    for a in A.gens:
         if a.apply_mask(N.mask) != N.mask:
             raise NotInvariant("the normal subgroup is moved by the action")
     # one preimage per quotient element
@@ -286,7 +293,7 @@ def induced_quotient_action(A: AutomorphismGroup, N: Subgroup,
     for g, q in enumerate(projection):
         if pre[q] < 0:
             pre[q] = g
-    maps = {Automorphism(tuple(projection[a.map[pre[q]]]
+    gens = [Automorphism(tuple(projection[a.map[pre[q]]]
                                for q in range(quotient.order)))
-            for a in A.maps}
-    return AutomorphismGroup(quotient, maps, "induced")
+            for a in A.gens]
+    return AutomorphismGroup(quotient, gens, "induced")

@@ -9,7 +9,7 @@ formulas consume.
 
 from __future__ import annotations
 
-from .automorphisms import AutomorphismGroup
+from .automorphisms import AutomorphismGroup, subgroup_orbit
 from .errors import NotAClosureMap
 from .groups import FiniteGroup, Subgroup, bits, is_normal_mask
 from .lattice import SubgroupLattice
@@ -131,81 +131,37 @@ class ClassPoset:
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
     """Partition the lattice into A-orbits and order the orbit classes."""
-    nsub = len(lattice.subgroups)
     if aut.is_trivial:
-        classes = [(i, (i,)) for i in range(nsub)]
-        class_of = list(range(nsub))
-        return ClassPoset(lattice, aut, classes, class_of)
-    class_of = [-1] * nsub
-    classes = []
-    for i in range(nsub):
-        if class_of[i] >= 0:
-            continue
-        orbit_masks = aut.mask_orbit(lattice.subgroups[i].mask)
-        orbit = sorted(lattice.index[m] for m in orbit_masks)
-        c = len(classes)
-        classes.append((orbit[0], tuple(orbit)))
-        for j in orbit:
-            class_of[j] = c
-    # classes already follow (order, mask) of their smallest member because
-    # lattice ids do; re-sorting keeps ids canonical even so
-    perm = sorted(range(len(classes)),
-                  key=lambda c: (lattice.subgroups[classes[c][0]].order,
-                                 lattice.subgroups[classes[c][0]].mask))
-    classes = [classes[c] for c in perm]
-    renumber = {old: new for new, old in enumerate(perm)}
-    class_of = [renumber[c] for c in class_of]
-    return ClassPoset(lattice, aut, classes, class_of)
-
-
-class ConjugationAction:
-    """Stand-in for Inn(G) that never materializes the element maps.
-
-    Orbits come from conjugation by group generators, which is what the
-    lattice's conjugacy machinery already does; this keeps conjugacy
-    class posets cheap for large groups.
-    """
-
-    __slots__ = ("group", "origin")
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.origin = "inner"
-
-    @property
-    def key(self):
-        return ("conjugation", self.group.spec or id(self.group))
-
-    def mask_orbit(self, mask: int) -> set[int]:
-        from .groups import conjugate_mask
-        G = self.group
-        seen = {mask}
-        queue = [mask]
-        while queue:
-            m = queue.pop()
-            for g in G.gens:
-                c = conjugate_mask(G, m, g)
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return seen
+        return _orbit_poset(lattice, aut, lambda i: (i,))
+    subs = lattice.subgroups
+    return _orbit_poset(lattice, aut,
+                        lambda i: tuple(subgroup_orbit(aut, subs[i], lattice)))
 
 
 def conjugation_poset(lattice: SubgroupLattice) -> ClassPoset:
     """The class poset under conjugation, built from lattice orbits."""
+    return _orbit_poset(lattice, lattice.conjugation, lattice.conjugacy_orbit)
+
+
+def _orbit_poset(lattice: SubgroupLattice, aut: AutomorphismGroup,
+                 orbit_of) -> ClassPoset:
+    """Classes from orbit_of(i), the ascending ids of the orbit of i.
+
+    Each new class starts at the smallest id not yet classed, so that id
+    is its representative and classes follow the (order, mask) order of
+    their representatives."""
     nsub = len(lattice.subgroups)
     class_of = [-1] * nsub
     classes = []
     for i in range(nsub):
         if class_of[i] >= 0:
             continue
-        orbit = lattice.conjugacy_orbit(i)
+        orbit = orbit_of(i)
         c = len(classes)
-        classes.append((orbit[0], orbit))
+        classes.append((i, orbit))
         for j in orbit:
             class_of[j] = c
-    return ClassPoset(lattice, ConjugationAction(lattice.group),
-                      classes, class_of)
+    return ClassPoset(lattice, aut, classes, class_of)
 
 
 def lambda_poset(G: FiniteGroup, lattice: SubgroupLattice) -> ClassPoset:

@@ -426,6 +426,9 @@ def main(argv=None) -> int:
     except (EngineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - exit 1 is kept for property verdicts
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -409,6 +409,28 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     return mask
 
 
+def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:
+    """A short generator list for the subgroup with the given bitset."""
+    e = G.identity
+    elems = [x for x in bits(mask) if x != e]
+    if not elems:
+        return ()
+    orders = G.element_orders
+    elems.sort(key=lambda x: (-orders[x], x))
+    gens = []
+    cur = 1 << e
+    for x in elems:
+        if (cur >> x) & 1:
+            continue
+        cur = extend_closure(G, cur, list(bits(cur)), gens, x)
+        gens.append(x)
+        if cur == mask:
+            break
+    if cur != mask:
+        raise ValueError("mask is not closed under multiplication")
+    return tuple(gens)
+
+
 def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
     """Bitset of g^-1 * H * g."""
     mt = G.table

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from math import gcd
 
+from .automorphisms import AutomorphismGroup, conjugation_action, subgroup_orbit
 from .errors import BudgetExceeded, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, conjugate_mask, extend_closure,
+from .groups import (FiniteGroup, Subgroup, bits, extend_closure, find_witness,
                      is_normal_mask, normalizer_of)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
@@ -43,6 +44,7 @@ class SubgroupLattice:
         self._maximals = None
         self._mu_top = None
         self._normalizer = {}
+        self._conjugation = None
         self._conj_orbit = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
@@ -180,22 +182,19 @@ class SubgroupLattice:
         mask = self.normalizer_mask(i)
         return self.subgroups[self.index[mask]]
 
+    @property
+    def conjugation(self) -> AutomorphismGroup:
+        """Inn(G), held as the conjugations by G's non-central generators."""
+        if self._conjugation is None:
+            self._conjugation = conjugation_action(self.group, self.group.gens, "inner")
+        return self._conjugation
+
     def conjugacy_orbit(self, i: int) -> tuple[int, ...]:
-        """Ids of all conjugates of subgroup i (BFS over group generators)."""
+        """Ids of all conjugates of subgroup i, ascending."""
         cached = self._conj_orbit.get(i)
         if cached is not None:
             return cached
-        G = self.group
-        seen = {self.subgroups[i].mask}
-        queue = [self.subgroups[i].mask]
-        while queue:
-            m = queue.pop()
-            for g in G.gens:
-                c = conjugate_mask(G, m, g)
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        orbit = tuple(sorted(self.index[m] for m in seen))
+        orbit = tuple(subgroup_orbit(self.conjugation, self.subgroups[i], self))
         for j in orbit:
             self._conj_orbit[j] = orbit
         return orbit
@@ -275,28 +274,6 @@ class SubgroupLattice:
             vals[i] = self.sigma(i) ** t - sum(vals[j] for j in down[i])
         self._gamma_exact[t] = vals
         return vals
-
-
-def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:
-    """A short generator list for the subgroup with the given bitset."""
-    e = G.identity
-    elems = [x for x in bits(mask) if x != e]
-    if not elems:
-        return ()
-    orders = G.element_orders
-    elems.sort(key=lambda x: (-orders[x], x))
-    gens = []
-    cur = 1 << e
-    for x in elems:
-        if (cur >> x) & 1:
-            continue
-        cur = extend_closure(G, cur, list(bits(cur)), gens, x)
-        gens.append(x)
-        if cur == mask:
-            break
-    if cur != mask:
-        raise ValueError("mask is not closed under multiplication")
-    return tuple(gens)
 
 
 def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int]]:

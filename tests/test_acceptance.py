@@ -330,6 +330,9 @@ def test_criterion_11_psu33():
     assert counting.phi_via_classes(an.poset, 1) == 0
     assert sorted(G.order // lat.subgroups[m].order for m in lat.maximals) \
         == [28] * 28 + [36] * 36 + [63] * 126
+    # Inn(G) acts by its two generator maps, never by 6048 element maps
+    inner = build_class_poset(lat, inner_automorphisms(G))
+    assert len(an.poset.classes) == 36 and inner.classes == an.poset.classes
     # phi(G,2) certified against an independent conjugacy-weighted literal
     # generation scan (see the build notes): 33675264 ordered pairs
     assert counting.phi_hall(lat, 2) == 33675264

@@ -202,3 +202,39 @@ def test_induced_quotient_action_not_invariant():
     Q, proj = quotient_group(G, moved)
     with pytest.raises(NotInvariant):
         induced_quotient_action(A, moved, Q, proj)
+
+
+def _exactness_actions(spec):
+    """inn, every inn:K with K containing G', aut for |G| <= 64, and a
+    group generated by one seed map, as the CLI's maps: spec builds it."""
+    from moebius.groups import commutator_subgroup
+    lat = lattice(spec)
+    G = lat.group
+    d = commutator_subgroup(G).mask
+    actions = [inner_automorphisms(G)]
+    actions += [inner_automorphisms(G, K) for K in lat.subgroups if d & ~K.mask == 0]
+    if G.order <= 64:
+        full = full_automorphism_group(G)
+        actions.append(full)
+        actions.append(close_automorphisms(G, [full.maps[-1]]))
+    return actions
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:4", "Q:8", "A:4", "S:3xC:3",
+                                  "D:12xC:2", "Q:8xS:3"])
+def test_generator_orbits_are_exact(spec):
+    lat = lattice(spec)
+    for A in _exactness_actions(spec):
+        maps = A.maps
+        for s in lat.subgroups:
+            assert A.mask_orbit(s.mask) == {a.apply_mask(s.mask) for a in maps}
+
+
+def test_inner_holds_generator_maps_only():
+    for spec in ("S:4", "A:5", "D:12xC:2", "C:2xC:2xC:2xC:2xC:2xC:2"):
+        G = group(spec)
+        assert len(inner_automorphisms(G).gens) <= len(G.gens)
+    for spec in ("C:12", "C:2xC:2xC:2xC:2xC:2xC:2"):
+        A = inner_automorphisms(group(spec))
+        assert A.is_trivial
+        assert A._maps is None  # the full list was never closed

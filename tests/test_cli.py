@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from moebius import cli
-from moebius.cache import cache_path
+from moebius.cache import cache_path, mask_to_hex
 
 
 def run_cli(capsys, *argv):
@@ -224,3 +224,32 @@ def test_cache_clear(capsys, tmp_cache):
     run_cli(capsys, "cache", "build", "C:6", "--cache-dir", str(tmp_cache))
     code, out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_cache))
     assert json.loads(out)["cleared"] == 2
+
+
+def test_corrupt_cache_exits_2(capsys, tmp_cache):
+    # a cache missing one non-normal subgroup of order 2 breaks the orbits
+    from helpers import group, lattice
+    from moebius.groups import is_normal_mask
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    path = cache_path(tmp_cache, "S:4")
+    payload = json.loads(path.read_text())
+    G, lat = group("S:4"), lattice("S:4")
+    drop = next(s for s in lat.subgroups
+                if s.order == 2 and not is_normal_mask(G, s.mask))
+    payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
+    path.write_text(json.dumps(payload))
+    for argv in (["table", "S:4"],
+                 ["phi", "S:4", "--t", "2", "--via", "classes", "--aut", "inn"],
+                 ["check-mu-lambda", "S:4"],
+                 ["sigma-table", "S:4"]):
+        code = cli.main(argv + ["--cache-dir", str(tmp_cache)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:"), argv
+
+
+def test_unexpected_error_exits_2(capsys, monkeypatch):
+    def boom(args):
+        raise KeyError(3)
+    monkeypatch.setattr(cli, "cmd_table", boom)
+    assert cli.main(["table", "S:4"]) == 2
+    assert capsys.readouterr().err == "error: KeyError: 3\n"
