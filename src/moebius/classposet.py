@@ -131,8 +131,6 @@ class ClassPoset:
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
     """Partition the lattice into A-orbits and order the orbit classes."""
-    if aut.is_trivial:
-        return _orbit_poset(lattice, aut, lambda i: (i,))
     subs = lattice.subgroups
     return _orbit_poset(lattice, aut,
                         lambda i: tuple(subgroup_orbit(aut, subs[i], lattice)))
