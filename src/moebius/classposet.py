@@ -30,6 +30,7 @@ class ClassPoset:
         self._up_sets = None
         self._mu_top = None
         self._mu_memo: dict[tuple[int, int], int] = {}
+        self._downset: dict[int, list[int]] = {}   # class id -> counting._downset_ids
         self._orbit_masks = [tuple(lattice.subgroups[i].mask for i in orbit)
                              for _, orbit in classes]
 

@@ -96,26 +96,15 @@ def can_generate(G: FiniteGroup, t: int) -> bool:
 # -- class-poset counts ----------------------------------------------------
 
 def _downset_ids(poset: ClassPoset, c: int) -> list[int]:
-    """Lattice ids K with K contained in some orbit member of class c."""
-    cache = getattr(poset, "_downset_cache", None)
-    if cache is None:
-        cache = poset._downset_cache = {}
-    out = cache.get(c)
-    if out is not None:
-        return out
-    lat = poset.lattice
-    omasks = poset._orbit_masks[c]
-    oc = poset.rep_order(c)
-    out = []
-    for i, s in enumerate(lat.subgroups):
-        if oc % s.order:
-            continue
-        m = s.mask
-        for om in omasks:
-            if m & ~om == 0:
-                out.append(i)
-                break
-    cache[c] = out
+    """Lattice ids K with K contained in some orbit member of class c,
+    ascending: the orbit members and their lattice down-sets."""
+    out = poset._downset.get(c)
+    if out is None:
+        down = poset.lattice.down
+        ids = set(poset.orbit(c))
+        for m in poset.orbit(c):
+            ids.update(down[m])
+        out = poset._downset[c] = sorted(ids)
     return out
 
 

@@ -468,14 +468,19 @@ def normalizer_of(G: FiniteGroup, mask: int, gens) -> int:
     return out
 
 
-def normal_closure_mask(G: FiniteGroup, seed_idxs) -> tuple[int, list[int]]:
-    """Smallest normal subgroup containing the seeds, plus a witness list."""
+def normal_closure_mask(G: FiniteGroup, seed_idxs, by=None) -> tuple[int, list[int]]:
+    """Smallest subgroup containing the seeds and normalized by the
+    elements `by` (G's generators by default), plus a witness list.
+
+    With `by` the generators of a subgroup H containing the seeds, this
+    is the normal closure of the seeds inside H."""
     gens = list(seed_idxs)
     mask = closure_mask(G, gens)
     queue = list(gens)
+    by = G.gens if by is None else tuple(by)
     while queue:
         x = queue.pop()
-        for g in G.gens:
+        for g in by:
             y = G.conj(x, g)
             if not (mask >> y) & 1:
                 mask = extend_closure(G, mask, list(bits(mask)), gens, y)

@@ -10,15 +10,27 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import combinations
 
 from . import counting
 from .classposet import ClassPoset, kappa
-from .groups import closure_mask
+from .groups import (FiniteGroup, Subgroup, bits, extend_closure,
+                     normal_closure_mask)
 from .lattice import SubgroupLattice
 
 
 def name_subgroup(lattice: SubgroupLattice, i: int, pair_limit: int = 72) -> str:
-    """Canonical generator word: shortest, then lexicographic by index."""
+    """Canonical generator word: shortest, then lexicographic by index.
+
+    A word has at most three generators and is looked for only when
+    |H| <= pair_limit (any cyclic H gets its one-generator word); any
+    other subgroup is named `order=N#k`, its selector.  The searches are
+    pruned without changing the word found: x generates H exactly when
+    its order is |H|, a tuple extending a prefix by an element of the
+    prefix's closure is skipped (a shorter tuple already failed), and
+    tuple lengths below the lower bound of `_min_generators` are not
+    tried at all.
+    """
     if i == lattice.trivial_id:
         return "1"
     if i == lattice.top_id:
@@ -26,23 +38,74 @@ def name_subgroup(lattice: SubgroupLattice, i: int, pair_limit: int = 72) -> str
     G = lattice.group
     s = lattice.subgroups[i]
     elems = [x for x in s.elements() if x != G.identity]
-    cyc = G.permutation
-    for x in elems:
-        if closure_mask(G, (x,)) == s.mask:
-            return f"<{cyc(x).cycle_string()}>"
-    if s.order <= pair_limit:
-        for a in range(len(elems)):
-            for b in range(a + 1, len(elems)):
-                if closure_mask(G, (elems[a], elems[b])) == s.mask:
-                    return f"<{cyc(elems[a]).cycle_string()},{cyc(elems[b]).cycle_string()}>"
-        for a in range(len(elems)):
-            for b in range(a + 1, len(elems)):
-                for c in range(b + 1, len(elems)):
-                    gens = (elems[a], elems[b], elems[c])
-                    if closure_mask(G, gens) == s.mask:
-                        return "<" + ",".join(cyc(x).cycle_string() for x in gens) + ">"
+    orders = G.element_orders
+    gens = next(((x,) for x in elems if orders[x] == s.order), None)
+    if gens is None and s.order <= pair_limit:
+        least = _min_generators(G, s, lattice.witness(i))
+        for k in range(max(2, least), 4):
+            gens = _generating_subset(G, s.mask, elems, k)
+            if gens is not None:
+                break
+    if gens is not None:
+        return "<" + ",".join(G.permutation(x).cycle_string() for x in gens) + ">"
     k = lattice.by_order[s.order].index(i)
     return f"order={s.order}#{k}"
+
+
+def _min_generators(G: FiniteGroup, s: Subgroup, witness) -> int:
+    """A lower bound on the number of generators of H: the largest r
+    with p^r = [H : H'H^p] over the primes p dividing |H|, since H'H^p
+    is the smallest normal subgroup of H with elementary abelian
+    quotient.  H'H^p is the normal closure in H of the p-th powers and
+    the commutators of H's witness generators."""
+    mt = G.table
+    n = G.order
+    inv = G.inverse
+    comms = [mt[mt[mt[inv[a] * n + inv[b]] * n + a] * n + b]
+             for a, b in combinations(witness, 2)]
+    primes = [p for p in range(2, s.order + 1)
+              if s.order % p == 0 and all(p % q for q in range(2, p))]
+    best = 0
+    for p in primes:
+        seeds = list(comms)
+        for x in witness:
+            y = x
+            for _ in range(p - 1):
+                y = mt[y * n + x]
+            seeds.append(y)
+        index = s.order // normal_closure_mask(G, seeds, witness)[0].bit_count()
+        r = 0
+        while index > 1:
+            index //= p
+            r += 1
+        best = max(best, r)
+    return best
+
+
+def _generating_subset(G: FiniteGroup, mask: int, elems: list[int], k: int):
+    """The first k-subset of elems, lexicographic by position, that
+    generates the subgroup `mask`, or None.  Closures of prefixes are
+    built once each with `extend_closure`; an element already in its
+    prefix's closure is skipped, because that tuple generates what a
+    shorter tuple does, and no shorter tuple generates the subgroup."""
+
+    def search(start: int, cur: int, cur_elems: list[int], prefix: tuple):
+        last = len(prefix) == k - 1
+        for j in range(start, len(elems)):
+            x = elems[j]
+            if (cur >> x) & 1:
+                continue
+            nxt = extend_closure(G, cur, cur_elems, prefix, x)
+            if last:
+                if nxt == mask:
+                    return prefix + (x,)
+            else:
+                found = search(j + 1, nxt, list(bits(nxt)), prefix + (x,))
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, 1 << G.identity, [G.identity], ())
 
 
 def display_order(poset: ClassPoset) -> list[int]:
@@ -74,14 +137,7 @@ def class_table(poset: ClassPoset, include_omega2: bool = False) -> tuple[list[s
 
 def lattice_mu_table(lattice: SubgroupLattice) -> tuple[list[str], list[list[str]]]:
     """Per-conjugacy-class mu / kappa / sigma table (plain lattice Moebius)."""
-    seen = set()
-    entries = []
-    for i in range(len(lattice.subgroups)):
-        if i in seen:
-            continue
-        orbit = lattice.conjugacy_orbit(i)
-        seen.update(orbit)
-        entries.append(orbit[0])
+    entries = lattice.class_representatives()
     entries.sort(key=lambda i: (-lattice.subgroups[i].order, lattice.subgroups[i].mask))
     cols = ["class", "mu", "kappa", "sigma"]
     rows = []

@@ -93,6 +93,19 @@ def test_omega_singleton_orbit_equality():
             assert om > pos.rep_order(c) ** 2
 
 
+@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])
+@pytest.mark.parametrize("aut", ["inn", "1", "aut", ("inn", 4, 0)])
+def test_downset_ids_match_mask_scan(spec, aut):
+    """The down-set read off the lattice equals a scan of every subgroup
+    against every orbit mask of the class."""
+    pos = poset(spec, aut)
+    subs = pos.lattice.subgroups
+    for c in range(len(pos.classes)):
+        scan = [i for i, s in enumerate(subs)
+                if any(s.mask & ~om == 0 for om in pos._orbit_masks[c])]
+        assert counting._downset_ids(pos, c) == scan
+
+
 def test_psi_inversion_relation():
     """sum of psi over classes below [H] recovers omega."""
     for spec in ("S:4", "A:5"):
