@@ -155,6 +155,36 @@ def close_automorphisms(G: FiniteGroup, seeds, origin="explicit-generated") -> A
     return AutomorphismGroup(G, seeds, origin)
 
 
+def _extend_images(G: FiniteGroup, gens, images) -> dict[int, int]:
+    """The map on <gens> that sends each generator to its image.
+
+    Raises NotAHomomorphism when two words for one element get different
+    images and NotBijective as soon as two elements share an image."""
+    mt = G.table
+    n = G.order
+    e = G.identity
+    known = {e: e}
+    values = {e}
+    queue = [e]
+    while queue:
+        x = queue.pop()
+        bx = x * n
+        bfx = known[x] * n
+        for g, h in zip(gens, images):
+            y = mt[bx + g]
+            z = mt[bfx + h]
+            fy = known.get(y)
+            if fy is None:
+                if z in values:
+                    raise NotBijective("extension is not injective")
+                known[y] = z
+                values.add(z)
+                queue.append(y)
+            elif fy != z:
+                raise NotAHomomorphism("generator images are inconsistent")
+    return known
+
+
 def automorphism_from_images(G: FiniteGroup, gens, images,
                              check_full: bool = False) -> Automorphism:
     """Extend generator images to the unique automorphism, if there is one.
@@ -168,70 +198,18 @@ def automorphism_from_images(G: FiniteGroup, gens, images,
     images = list(images)
     if len(gens) != len(images):
         raise ValueError("generator and image lists differ in length")
-    mt = G.table
+    known = _extend_images(G, gens, images)
     n = G.order
-    e = G.identity
-    known = {e: e}
-    queue = [e]
-    while queue:
-        x = queue.pop()
-        fx = known[x]
-        bx = x * n
-        bfx = fx * n
-        for g, h in zip(gens, images):
-            y = mt[bx + g]
-            z = mt[bfx + h]
-            fy = known.get(y)
-            if fy is None:
-                known[y] = z
-                queue.append(y)
-            elif fy != z:
-                raise NotAHomomorphism("generator images are inconsistent")
     if len(known) != n:
         raise ValueError("the given elements do not generate the group")
     amap = tuple(known[i] for i in range(n))
-    if len(set(amap)) != n:
-        raise NotBijective("extension is not injective")
     if check_full:
+        mt = G.table
         for a in range(n):
             for b in range(n):
                 if amap[mt[a * n + b]] != mt[amap[a] * n + amap[b]]:
                     raise NotAHomomorphism(f"map breaks at pair ({a}, {b})")
     return Automorphism(amap)
-
-
-def _partial_extend(G: FiniteGroup, gens, images) -> Automorphism | None:
-    """Extend images over <gens>; None when the prefix does not yet cover G.
-
-    Raises NotAHomomorphism on inconsistency, NotBijective when the
-    partial map already collapses two elements.
-    """
-    mt = G.table
-    n = G.order
-    e = G.identity
-    known = {e: e}
-    values = {e}
-    queue = [e]
-    while queue:
-        x = queue.pop()
-        fx = known[x]
-        bx = x * n
-        bfx = fx * n
-        for g, h in zip(gens, images):
-            y = mt[bx + g]
-            z = mt[bfx + h]
-            fy = known.get(y)
-            if fy is None:
-                if z in values:
-                    raise NotBijective("partial map is not injective")
-                known[y] = z
-                values.add(z)
-                queue.append(y)
-            elif fy != z:
-                raise NotAHomomorphism("generator images are inconsistent")
-    if len(known) != n:
-        return None
-    return Automorphism(tuple(known[i] for i in range(n)))
 
 
 def full_automorphism_group(G: FiniteGroup,
@@ -256,13 +234,13 @@ def full_automorphism_group(G: FiniteGroup,
         for c in candidates[k]:
             images[k] = c
             try:
-                a = _partial_extend(G, gens[:k + 1], images[:k + 1])
+                known = _extend_images(G, gens[:k + 1], images[:k + 1])
             except (NotAHomomorphism, NotBijective):
                 continue
-            if a is not None and last:
-                found.append(a)
-            elif not last:
+            if not last:
                 descend(k + 1)
+            elif len(known) == G.order:
+                found.append(Automorphism(known[i] for i in range(G.order)))
             # a complete map before the last slot is impossible: each gens[k]
             # lies outside <gens[:k]>, so an injective image cannot cover G
             # until every generator is placed

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from array import array
+from operator import itemgetter
+from struct import Struct
 
 from .errors import ClosureExceedsCap, NotNormal, ParseError
 from .perm import Permutation, parse_cycles
@@ -58,30 +60,36 @@ class FiniteGroup:
 
     @property
     def table(self) -> array:
-        """Flat multiplication table: index of x*y at [x*order + y]."""
+        """Flat multiplication table: index of x*y at [x*order + y].
+
+        Only generators s are composed with elements, (s*b)[i] = b[s[i]]; the
+        row of x*s is the row of x gathered at s*b, as (x*s)*b = x*(s*b)."""
         if self._table is None:
             n = self.order
             els = self.elements
+            idx = self.index
             mt = array("i", bytes(4 * n * n))
-            if self.degree <= 255:
-                # compose via bytes.translate: (x*y)[i] = y[x[i]]
-                els_b = [bytes(p) for p in els]
-                idx_b = {b: i for i, b in enumerate(els_b)}
-                pad = bytes(range(256))
-                tables = [b + pad[self.degree:] for b in els_b]
-                for a in range(n):
-                    pa = els_b[a]
-                    base = a * n
-                    for b in range(n):
-                        mt[base + b] = idx_b[pa.translate(tables[b])]
-            else:
-                idx = self.index
-                for a in range(n):
-                    pa = els[a]
-                    base = a * n
-                    for b in range(n):
-                        pb = els[b]
-                        mt[base + b] = idx[tuple(map(pb.__getitem__, pa))]
+            e = self.identity
+            mt[e * n:(e + 1) * n] = array("i", range(n))
+            steps = []
+            for s in dict.fromkeys(self.gens):
+                if s != e:
+                    compose = itemgetter(*els[s])  # image tuple of b -> that of s*b
+                    steps.append((s, itemgetter(*[idx[compose(pb)] for pb in els])))
+            pack_row = Struct(f"{n}i").pack_into
+            seen = bytearray(n)
+            seen[e] = 1
+            todo = [e]
+            for x in todo:
+                row_x = mt[x * n:(x + 1) * n].tolist()
+                for s, left in steps:
+                    y = row_x[s]
+                    if not seen[y]:
+                        seen[y] = 1
+                        todo.append(y)
+                        pack_row(mt, 4 * y * n, *left(row_x))
+            if len(todo) != n:
+                raise ValueError("the generators do not generate the elements")
             self._table = mt
         return self._table
 
@@ -389,24 +397,34 @@ def closure_mask(G: FiniteGroup, gen_idxs) -> int:
     return mask
 
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
-    """Bitset of <H, x> given H's elements; fills whole cosets of H at once."""
+    """Bitset of <H, x> given H's elements; fills whole cosets of H at once.
+
+    Members are bytes, one per element, read into a bitset once at the
+    end.  The left coset r*H is row r of the table read at H's elements;
+    cosets are walked by left multiplication, s*(r*H) = (s*r)*H."""
     if (h_mask >> x) & 1:
         return h_mask
     mt = G.table
     n = G.order
-    mask = h_mask
+    member = bytearray(n)
+    for h in h_elems:
+        member[h] = 1
     step_gens = tuple(h_gens) + (x,)
     todo = [x]
     while todo:
         r = todo.pop()
-        if (mask >> r) & 1:
+        if member[r]:
             continue
+        base = r * n
         for h in h_elems:
-            mask |= 1 << mt[h * n + r]
+            member[mt[base + h]] = 1
         for s in step_gens:
-            todo.append(mt[r * n + s])
-    return mask
+            todo.append(mt[s * n + r])
+    return int(member[::-1].translate(_BINARY_DIGITS), 2)
 
 
 def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:

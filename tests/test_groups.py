@@ -2,8 +2,9 @@ import pytest
 
 from helpers import group, lattice
 from moebius.errors import ClosureExceedsCap, NotNormal, ParseError
-from moebius.groups import (build_from_spec, commutator_mask, commutator_subgroup,
-                            derived_series, generate_group, is_nilpotent,
+from moebius.groups import (FiniteGroup, bits, build_from_spec, closure_mask,
+                            commutator_mask, commutator_subgroup, derived_series,
+                            extend_closure, generate_group, is_nilpotent,
                             is_solvable, quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
@@ -98,8 +99,42 @@ def test_table_closure_and_inverses(spec):
             assert mt[a * n + b] in idx
 
 
+@pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3", "D:12xC:2", "A:6", "C:1", "C:300",
+                                  "perm:[(1,2,3);(1,2,3);(1,2)]", "perm:[(1)]"])
+def test_table_matches_composed_images(spec):
+    # every entry against the composed image tuples, (x*y)[i] = y[x[i]]
+    G = build_from_spec(spec, cap=400)
+    n = G.order
+    els = G.elements
+    mt = G.table
+    assert len(mt) == n * n
+    for a, pa in enumerate(els):
+        for b, pb in enumerate(els):
+            assert mt[a * n + b] == G.index[tuple(pb[i] for i in pa)]
+
+
+def test_table_rejects_generators_that_miss_elements():
+    # rows are reached from the identity through the generators only
+    G = FiniteGroup([(0, 1), (1, 0)], gens=())
+    with pytest.raises(ValueError):
+        G.table
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3"])
+def test_extend_closure_matches_generator_closure(spec):
+    # <H, x> filled by cosets against a BFS over H's witness and x, for
+    # every subgroup H (the trivial one included) and every x (in H or not)
+    G = group(spec)
+    lat = lattice(spec)
+    for i, H in enumerate(lat.subgroups):
+        w = lat.witness(i)
+        h_elems = list(bits(H.mask))
+        for x in range(G.order):
+            assert extend_closure(G, H.mask, h_elems, w, x) == closure_mask(G, w + (x,))
+
+
 def test_large_degree_table_path():
-    # degree above one byte falls back to tuple composition
+    # degree above 255: the same table path as for every other degree
     G = build_from_spec("C:300", cap=400)
     assert G.degree == 300
     mt = G.table
@@ -122,7 +157,6 @@ def test_center():
 
 
 def brute_commutator_mask(G):
-    from moebius.groups import closure_mask
     n = G.order
     seeds = set()
     for a in range(n):
