@@ -1,10 +1,12 @@
 """Posets of A-conjugacy classes of subgroups and their Moebius functions.
 
 Classes are A-orbits of lattice subgroups; [H] <= [K] iff some orbit
-member of [H] is contained in the representative of [K].  The lattice
-itself is the special case of a trivial action.  Moebius values are
-exact ints, memoized; the column at the top class is what the counting
-formulas consume.
+member of [H] is contained in the representative of [K], that is, iff
+the representative of [H] lies in some orbit member of [K].  So the
+classes above [H] are read off the lattice up-set of its representative.
+The lattice itself is the special case of a trivial action.  Moebius
+values are exact ints, memoized; the column at the top class is what the
+counting formulas consume.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from .automorphisms import AutomorphismGroup, subgroup_orbit
 from .errors import NotAClosureMap
 from .groups import FiniteGroup, Subgroup, bits, is_normal_mask
-from .lattice import SubgroupLattice
+from .lattice import SubgroupLattice, mu_column
 
 
 class ClassPoset:
@@ -29,10 +31,8 @@ class ClassPoset:
         self._up = None
         self._up_sets = None
         self._mu_top = None
-        self._mu_memo: dict[tuple[int, int], int] = {}
+        self._mu_memo: dict[frozenset[int] | None, dict[tuple[int, int], int]] = {}
         self._downset: dict[int, list[int]] = {}   # class id -> counting._downset_ids
-        self._orbit_masks = [tuple(lattice.subgroups[i].mask for i in orbit)
-                             for _, orbit in classes]
 
     def __len__(self):
         return len(self.classes)
@@ -57,22 +57,12 @@ class ClassPoset:
                 # every orbit is a singleton: the poset is the lattice
                 self._up = lat.up
             else:
-                ncls = len(self.classes)
-                up = [[] for _ in range(ncls)]
-                omasks = self._orbit_masks
-                for d in range(ncls):
-                    rep_mask = self.rep(d).mask
-                    od = self.rep(d).order
-                    for c in range(d):
-                        if od % self.rep_order(c):
-                            continue
-                        if c == d:
-                            continue
-                        for m in omasks[c]:
-                            if m & ~rep_mask == 0:
-                                up[c].append(d)
-                                break
-                self._up = up
+                # H^a <= K iff H <= K^(a^-1): the classes above [H] are the
+                # classes of the proper supergroups of its representative
+                class_of = self.class_of
+                reps = [r for r, _ in self.classes]
+                self._up = [sorted({class_of[j] for j in bits(u) if j != r})
+                            for r, u in zip(reps, lat.upeq(reps))]
         return self._up
 
     @property
@@ -97,33 +87,29 @@ class ClassPoset:
     def mu_top(self) -> list[int]:
         """mu_A(H, G) for every class id, computed in one descending sweep."""
         if self._mu_top is None:
-            n = len(self.classes)
-            mu = [0] * n
-            mu[self.top] = 1
-            up = self.up
-            order = sorted(range(n), key=self.rep_order, reverse=True)
-            for c in order:
-                if c != self.top:
-                    mu[c] = -sum(mu[d] for d in up[c])
-            self._mu_top = mu
+            self._mu_top = mu_column(self.up, self.top)
         return self._mu_top
 
-    def mu(self, x: int, y: int) -> int:
-        """mu_A on an arbitrary pair of classes (defining recursion, memoized)."""
+    def mu(self, x: int, y: int, within: frozenset[int] | None = None) -> int:
+        """mu_A on an arbitrary pair of classes (defining recursion, memoized).
+
+        With `within`, the Moebius function of the subposet of those
+        classes: only they may lie strictly between x and y."""
         if x == y:
             return 1
         if not self.less(x, y):
             return 0
+        memo = self._mu_memo.setdefault(within, {})
         key = (x, y)
-        cached = self._mu_memo.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
         total = 1  # z = x
         for z in self.up[x]:
-            if z != y and self.less(z, y):
-                total += self.mu(x, z)
+            if z != y and self.less(z, y) and (within is None or z in within):
+                total += self.mu(x, z, within)
         val = -total
-        self._mu_memo[key] = val
+        memo[key] = val
         return val
 
     def mu_at_top(self, sub: Subgroup) -> int:
@@ -200,44 +186,22 @@ def validate_closure_map(poset: ClassPoset, cl: list[int]) -> None:
             raise NotAClosureMap("c", f"not idempotent at {x}")
 
 
-class _ClosedSubposet:
-    """Moebius function of the subposet of closed classes."""
-
-    def __init__(self, poset: ClassPoset, cl: list[int]):
-        self.poset = poset
-        self.closed = sorted(x for x in range(len(poset.classes)) if cl[x] == x)
-        self._memo: dict[tuple[int, int], int] = {}
-
-    def mu(self, x: int, y: int) -> int:
-        if x == y:
-            return 1
-        if not self.poset.less(x, y):
-            return 0
-        key = (x, y)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        total = 1
-        for z in self.closed:
-            if z != x and z != y and self.poset.less(x, z) and self.poset.less(z, y):
-                total += self.mu(x, z)
-        val = -total
-        self._memo[key] = val
-        return val
-
-
 def crapo_check(poset: ClassPoset, cl: list[int], x: int, y: int) -> bool:
     """Closure-theorem identity at one pair (y must be closed)."""
     validate_closure_map(poset, cl)
     if cl[y] != y:
         raise ValueError("y must be a closed class")
-    return _crapo_pair(poset, cl, _ClosedSubposet(poset, cl), x, y)
+    return _crapo_pair(poset, cl, _closed_classes(cl), x, y)
 
 
-def _crapo_pair(poset, cl, sub, x, y):
+def _closed_classes(cl: list[int]) -> frozenset[int]:
+    return frozenset(x for x in range(len(cl)) if cl[x] == x)
+
+
+def _crapo_pair(poset, cl, closed, x, y):
     lhs = sum(poset.mu(x, z) for z in range(len(poset.classes)) if cl[z] == y)
     if cl[x] == x:
-        rhs = sub.mu(x, y) if poset.leq(x, y) else 0
+        rhs = poset.mu(x, y, closed) if poset.leq(x, y) else 0
     else:
         rhs = 0
     return lhs == rhs
@@ -246,12 +210,12 @@ def _crapo_pair(poset, cl, sub, x, y):
 def crapo_check_all(poset: ClassPoset, cl: list[int]) -> list[tuple[int, int]]:
     """All (x, y) pairs violating the closure-theorem identity (none expected)."""
     validate_closure_map(poset, cl)
-    sub = _ClosedSubposet(poset, cl)
+    closed = _closed_classes(cl)
     bad = []
     n = len(poset.classes)
-    for y in sub.closed:
+    for y in sorted(closed):
         for x in range(n):
-            if not _crapo_pair(poset, cl, sub, x, y):
+            if not _crapo_pair(poset, cl, closed, x, y):
                 bad.append((x, y))
     return bad
 

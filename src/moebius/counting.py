@@ -119,7 +119,8 @@ def omega_inclusion_exclusion(poset: ClassPoset, c: int, t: int,
                               max_orbit: int = 20) -> int:
     """Independent cross-check of omega via inclusion-exclusion on the orbit."""
     _require_t(t)
-    omasks = poset._orbit_masks[c]
+    subs = poset.lattice.subgroups
+    omasks = [subs[i].mask for i in poset.orbit(c)]
     k = len(omasks)
     if k > max_orbit:
         raise ValueError(f"orbit of size {k} too large for inclusion-exclusion")
@@ -295,11 +296,6 @@ def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, lifts, t: int,
 
 
 # -- subgroup-tuple counts ---------------------------------------------------
-
-def sigma(lattice: SubgroupLattice, sub: Subgroup) -> int:
-    """Number of subgroups of the given subgroup."""
-    return lattice.sigma(lattice.index[sub.mask])
-
 
 def sigma_tuples(poset: ClassPoset, c: int, t: int) -> int:
     """Number of subgroup t-tuples whose join lies in some orbit member."""

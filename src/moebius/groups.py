@@ -400,6 +400,11 @@ def closure_mask(G: FiniteGroup, gen_idxs) -> int:
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
+def flags_to_mask(flags: bytearray) -> int:
+    """The bitset whose bit i is flags[i] (each flag 0 or 1)."""
+    return int(flags[::-1].translate(_BINARY_DIGITS), 2)
+
+
 def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     """Bitset of <H, x> given H's elements; fills whole cosets of H at once.
 

@@ -8,6 +8,10 @@ with one zuppo from each N_G(H)-orbit of the zuppos outside H, and every
 new subgroup enters with its whole conjugacy orbit, deduplicated by
 bitset.  The small-order test oracle re-derives the same lattice
 independently.
+
+Inclusion is read off int bitsets over subgroup ids: K contains H iff K
+holds every element of H's witness, so the subgroups above H are the AND
+of the bitsets of the subgroups holding each witness element.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from math import gcd
 from .automorphisms import AutomorphismGroup, conjugation_action, subgroup_orbit
 from .errors import BudgetExceeded, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, extend_closure, find_witness,
-                     is_normal_mask, normalizer_of)
+                     flags_to_mask, is_normal_mask, normalizer_of)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -39,6 +43,7 @@ class SubgroupLattice:
             self.by_order.setdefault(s.order, []).append(i)
         self.trivial_id = self.index[1 << group.identity]
         self.top_id = self.index[group.full_mask()]
+        self._upeq: dict[int, int] = {}
         self._up = None
         self._down = None
         self._maximals = None
@@ -68,41 +73,62 @@ class SubgroupLattice:
 
     # -- inclusion structure --------------------------------------------
 
+    def upeq(self, ids) -> list[int]:
+        """The bitset over subgroup ids of the subgroups containing i, i
+        included, for each i in ids, cached."""
+        rows = self._upeq
+        missing = [i for i in ids if i not in rows]
+        if missing:
+            rows.update(zip(missing, self._containing(missing)))
+        return [rows[i] for i in ids]
+
+    def _containing(self, ids) -> list[int]:
+        """upeq rows, uncached, in one pass over the lattice: the AND, over
+        the witness of i, of the bitsets of the subgroups holding each
+        witness element."""
+        subs = self.subgroups
+        rows = [(1 << len(subs)) - 1] * len(ids)
+        wanted: dict[int, list[int]] = {}   # element -> rows whose witness has it
+        for k, i in enumerate(ids):
+            for x in self.witness(i):
+                wanted.setdefault(x, []).append(k)
+        used = 0
+        for x in wanted:
+            used |= 1 << x
+        holding: dict[int, list[int]] = {x: [] for x in wanted}
+        for j, s in enumerate(subs):
+            for x in bits(s.mask & used):
+                holding[x].append(j)
+        while holding:
+            # one column at a time: the subgroups holding x, as a bitset
+            x, holders = holding.popitem()
+            column = bytearray(len(subs))
+            for j in holders:
+                column[j] = 1
+            holders_x = flags_to_mask(column)
+            for k in wanted[x]:
+                rows[k] &= holders_x
+        return rows
+
     @property
     def up(self) -> list[list[int]]:
         """up[i] = ids of proper supergroups of i, ascending."""
         if self._up is None:
-            self._compute_relation()
+            ids = list(range(len(self.subgroups)))   # one int object per id
+            self._up = [[ids[j] for j in bits(u) if j != i]
+                        for i, u in enumerate(self._containing(ids))]
         return self._up
 
     @property
     def down(self) -> list[list[int]]:
         """down[i] = ids of proper subgroups of i, ascending."""
         if self._down is None:
-            self._compute_relation()
+            down = [[] for _ in self.subgroups]
+            for i, above in enumerate(self.up):
+                for j in above:
+                    down[j].append(i)
+            self._down = down
         return self._down
-
-    def _compute_relation(self):
-        subs = self.subgroups
-        n = len(subs)
-        up = [[] for _ in range(n)]
-        down = [[] for _ in range(n)]
-        orders = sorted(self.by_order)
-        for oj in orders:
-            for j in self.by_order[oj]:
-                mj = subs[j].mask
-                dj = down[j]
-                for oi in orders:
-                    if oi >= oj:
-                        break
-                    if oj % oi:
-                        continue
-                    for i in self.by_order[oi]:
-                        if subs[i].mask & ~mj == 0:
-                            up[i].append(j)
-                            dj.append(i)
-        self._up = up
-        self._down = down
 
     def leq(self, i: int, j: int) -> bool:
         return self.subgroups[i].mask & ~self.subgroups[j].mask == 0
@@ -119,20 +145,24 @@ class SubgroupLattice:
 
     @property
     def mu_top(self) -> list[int]:
-        """mu(H, G) for every subgroup id H, on the full lattice."""
+        """mu(H, G) for every subgroup id H, on the full lattice.
+
+        mu is constant on conjugacy classes, so the sweep runs over
+        classes: above a class stands the class of every proper
+        supergroup of its representative, repeated once per supergroup."""
         if self._mu_top is None:
-            n = len(self.subgroups)
             reps = self.class_representatives()
-            if self._up is None and 4 * len(reps) <= n:
-                self._mu_top = self._mu_top_by_classes(reps)
+            if len(reps) == len(self.subgroups):
+                # every class is a singleton: the classes are the subgroups
+                self._mu_top = mu_column(self.up, self.top_id)
             else:
-                mu = [0] * n
-                mu[self.top_id] = 1
-                up = self.up
-                # descending lattice order: everything above is already done
-                for i in range(n - 2, -1, -1):
-                    mu[i] = -sum(mu[j] for j in up[i])
-                self._mu_top = mu
+                position = {r: c for c, r in enumerate(reps)}
+                class_of = [position[self.conjugacy_orbit(i)[0]]
+                            for i in range(len(self.subgroups))]
+                above = [[class_of[j] for j in bits(u) if j != r]
+                         for r, u in zip(reps, self.upeq(reps))]
+                mu = mu_column(above, len(reps) - 1)
+                self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
     def class_representatives(self) -> list[int]:
@@ -143,29 +173,6 @@ class SubgroupLattice:
             if orbit[0] == i:
                 reps.append(i)
         return reps
-
-    def _mu_top_by_classes(self, reps: list[int]) -> list[int]:
-        """The Moebius column via class representatives: mu is constant on
-        conjugacy classes, so one superset scan per class suffices."""
-        subs = self.subgroups
-        mu_rep: dict[int, int] = {}
-        orders = sorted(self.by_order)
-        for i in sorted(reps, key=lambda i: -subs[i].order):
-            if i == self.top_id:
-                mu_rep[i] = 1
-                continue
-            mask = subs[i].mask
-            o = subs[i].order
-            total = 0
-            for oj in orders:
-                if oj <= o or oj % o:
-                    continue
-                for j in self.by_order[oj]:
-                    if mask & ~subs[j].mask == 0:
-                        total += mu_rep[self.conjugacy_orbit(j)[0]]
-            mu_rep[i] = -total
-        return [mu_rep[self.conjugacy_orbit(i)[0]]
-                for i in range(len(subs))]
 
     # -- classical primitives ---------------------------------------------
 
@@ -274,6 +281,18 @@ class SubgroupLattice:
             vals[i] = self.sigma(i) ** t - sum(vals[j] for j in down[i])
         self._gamma_exact[t] = vals
         return vals
+
+
+def mu_column(up: list[list[int]], top: int) -> list[int]:
+    """mu(x, top) for every x of a finite poset, from up[x], the ids
+    strictly above x (an id listed k times counts k times).  Ids must
+    extend the order (x below y implies x < y), so one descending sweep
+    meets every y in up[x] before x, and no x > top lies below top."""
+    mu = [0] * len(up)
+    mu[top] = 1
+    for x in range(top - 1, -1, -1):
+        mu[x] = -sum(mu[y] for y in up[x])
+    return mu
 
 
 def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int]]:

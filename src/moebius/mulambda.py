@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from . import counting
 from .classposet import lambda_poset
-from .groups import (FiniteGroup, Subgroup, commutator_subgroup, is_nilpotent,
-                     is_normal_mask)
+from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 
@@ -293,24 +292,3 @@ def _rank(rows: list[list[Fraction]]) -> int:
         rank += 1
     return rank
 
-
-# -- spec-level convenience wrappers ----------------------------------------
-
-def check_mu_lambda(G: FiniteGroup, lattice: SubgroupLattice | None = None) -> MuLambdaReport:
-    return MuLambdaAnalyzer(G, lattice).report()
-
-
-def mu_star(G: FiniteGroup, H: Subgroup, lattice: SubgroupLattice | None = None) -> int:
-    an = MuLambdaAnalyzer(G, lattice)
-    return an.mu_star(an.poset.class_of_subgroup(H))
-
-
-def tau_question_scan(an: MuLambdaAnalyzer) -> dict:
-    """Empirical evidence for the open tau question: reports whether the
-    spectrum vanishes identically while T is nonempty.  No stance taken."""
-    spectrum = an.tau_spectrum()
-    return {
-        "t_set_size": len(an.t_set()),
-        "tau_all_zero": all(v == 0 for v in spectrum.values()),
-        "spectrum": spectrum,
-    }

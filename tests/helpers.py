@@ -73,3 +73,48 @@ def class_by(poset_, order=None, lam=None, mu=None, normal=None):
         hits.append(c)
     assert len(hits) == 1, f"signature matched {len(hits)} classes"
     return hits[0]
+
+
+# -- brute oracles for the inclusion relation ----------------------------------
+
+def brute_relation(lat):
+    """(up, down) of the lattice by testing every pair of subgroup masks.
+
+    Ids follow (order, mask), so a proper subgroup always has the smaller id."""
+    subs = lat.subgroups
+    up = [[] for _ in subs]
+    down = [[] for _ in subs]
+    for j, k in enumerate(subs):
+        for i in range(j):
+            if subs[i].mask & ~k.mask == 0:
+                up[i].append(j)
+                down[j].append(i)
+    return up, down
+
+
+def brute_class_up(pos):
+    """up of a class poset: d is above c when some orbit member of c lies
+    in the representative of d, tested mask against mask."""
+    subs = pos.lattice.subgroups
+    n = len(pos.classes)
+    up = [[] for _ in range(n)]
+    for c in range(n):
+        omasks = [subs[m].mask for m in pos.orbit(c)]
+        for d in range(n):
+            rep_mask = pos.rep(d).mask
+            if d != c and any(m & ~rep_mask == 0 for m in omasks):
+                up[c].append(d)
+    return up
+
+
+def brute_mu_top(up, top):
+    """mu(x, top) from the defining sum over the strict up-sets, by memoized
+    recursion on x."""
+    memo = {top: 1}
+
+    def mu(x):
+        if x not in memo:
+            memo[x] = -sum(mu(y) for y in up[x])
+        return memo[x]
+
+    return [mu(x) for x in range(len(up))]

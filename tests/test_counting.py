@@ -101,8 +101,9 @@ def test_downset_ids_match_mask_scan(spec, aut):
     pos = poset(spec, aut)
     subs = pos.lattice.subgroups
     for c in range(len(pos.classes)):
+        omasks = [subs[m].mask for m in pos.orbit(c)]
         scan = [i for i, s in enumerate(subs)
-                if any(s.mask & ~om == 0 for om in pos._orbit_masks[c])]
+                if any(s.mask & ~om == 0 for om in omasks)]
         assert counting._downset_ids(pos, c) == scan
 
 
@@ -225,11 +226,11 @@ def test_phi_relative_via_classes_errors():
 
 def test_sigma_values():
     lat = lattice("A:5")
-    assert counting.sigma(lat, lat.subgroups[lat.top_id]) == 59
-    assert counting.sigma(lat, subgroups_of_order("A:5", 12)[0]) == 10
-    assert counting.sigma(lat, subgroups_of_order("A:5", 6)[0]) == 6
-    assert counting.sigma(lat, subgroups_of_order("A:5", 10)[0]) == 8
-    assert counting.sigma(lat, subgroups_of_order("A:5", 1)[0]) == 1
+    assert lat.sigma(lat.top_id) == 59
+    assert lat.sigma(lat.by_order[12][0]) == 10
+    assert lat.sigma(lat.by_order[6][0]) == 6
+    assert lat.sigma(lat.by_order[10][0]) == 8
+    assert lat.sigma(lat.by_order[1][0]) == 1
 
 
 def test_sigma_tuples_trivial_action_is_power():

@@ -1,10 +1,13 @@
 import pytest
 
-from helpers import group, lattice, subgroups_of_order
+from helpers import brute_mu_top, brute_relation, group, lattice, subgroups_of_order
+from moebius.cache import load_lattice, save_lattice
 from moebius.errors import BudgetExceeded, NotNormal
 from moebius.groups import closure_mask, conjugate_mask, is_normal_mask
-from moebius.lattice import enumerate_subgroups, find_witness
+from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
 from moebius.verify import independent_small_lattice
+
+RELATION_SPECS = ["S:4", "D:12xC:2", "Q:8xS:3", "S:5", "A:6", "C:2xC:2xC:2xC:2"]
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -198,3 +201,23 @@ def test_lattice_mu_column():
     # D7: mu(1, G) = |G'| since lambda(1) = 1
     lat7 = lattice("D:7")
     assert lat7.mu_top[lat7.trivial_id] == 7
+
+
+@pytest.mark.parametrize("source", ["enumerated", "cached"])
+@pytest.mark.parametrize("spec", RELATION_SPECS)
+def test_relation_matches_pairwise_scan(spec, source, tmp_path):
+    """The inclusion bitsets give what testing every pair of masks gives,
+    also on a lattice read back from the cache, which has no witnesses."""
+    enumerated = lattice(spec)
+    if source == "cached":
+        save_lattice(enumerated, tmp_path)
+        lat = load_lattice(enumerated.group, tmp_path)
+        assert all(s.gens is None for s in lat.subgroups)
+    else:
+        lat = SubgroupLattice(enumerated.group, list(enumerated.subgroups))
+    up, down = brute_relation(lat)
+    assert lat.up == up
+    assert lat.down == down
+    assert lat.maximals == [i for i, u in enumerate(up) if u == [lat.top_id]]
+    assert [lat.sigma(i) for i in range(len(lat))] == [len(d) + 1 for d in down]
+    assert lat.mu_top == brute_mu_top(up, lat.top_id)

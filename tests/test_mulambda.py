@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from helpers import analyzer, group, lattice
+from moebius import cli
 from moebius.groups import is_solvable
-from moebius.mulambda import check_mu_lambda, mu_star, tau_question_scan
+from moebius.mulambda import MuLambdaAnalyzer
 
 # the six A5 beta vectors, keyed by representative order of the C* class
 A5_BETA_BY_ORDER = {
@@ -38,8 +41,9 @@ def test_mu_star_abelian_equals_mu():
 
 def test_mu_star_function_wrapper():
     lat = lattice("S:4")
-    triv = lat.subgroups[lat.trivial_id]
-    assert mu_star(group("S:4"), triv, lat) == -12  # |A4| * lambda(1,G) = 12 * -1
+    an = MuLambdaAnalyzer(group("S:4"), lat)
+    c = an.poset.class_of_subgroup(lat.subgroups[lat.trivial_id])
+    assert an.mu_star(c) == -12  # |A4| * lambda(1,G) = 12 * -1
 
 
 def test_report_rows_s4():
@@ -145,10 +149,11 @@ def test_solvable_extension_consistency(spec):
 
 
 def test_check_mu_lambda_wrapper():
-    report = check_mu_lambda(group("S:4"), lattice("S:4"))
+    report = MuLambdaAnalyzer(group("S:4"), lattice("S:4")).report()
     assert report.passed and len(report.rows) == 11
 
 
-def test_tau_question_scan_shape():
-    out = tau_question_scan(analyzer("S:4"))
+def test_tau_question_scan_shape(capsys):
+    assert cli.main(["tau", "S:4"]) == 0
+    out = json.loads(capsys.readouterr().out)
     assert out["t_set_size"] == 0 and out["tau_all_zero"]
