@@ -56,9 +56,9 @@ class Automorphism:
 class AutomorphismGroup:
     """The group of automorphisms of one group generated by `gens`.
 
-    Identity and repeated generators are dropped.  `maps`, `len`,
-    iteration and `key` close the full list on first use; `maps` may be
-    passed in when the caller already holds the whole group."""
+    Identity and repeated generators are dropped.  `maps`, `len` and
+    `key` close the full list on first use; `maps` may be passed in when
+    the caller already holds the whole group."""
 
     __slots__ = ("group", "gens", "origin", "_maps", "_key")
 
@@ -73,24 +73,23 @@ class AutomorphismGroup:
     def maps(self) -> list[Automorphism]:
         """Every element of the group, sorted by map."""
         if self._maps is None:
-            ident = Automorphism(range(self.group.order))
-            maps = {ident.map: ident}
+            ident = tuple(range(self.group.order))
+            maps = {ident}
             queue = [ident]
+            # a * s maps x to s.map[a.map[x]]
+            steps = [s.map.__getitem__ for s in self.gens]
             while queue:
                 a = queue.pop()
-                for s in self.gens:
-                    c = a * s
-                    if c.map not in maps:
-                        maps[c.map] = c
+                for step in steps:
+                    c = tuple(map(step, a))
+                    if c not in maps:
+                        maps.add(c)
                         queue.append(c)
-            self._maps = sorted(maps.values(), key=lambda a: a.map)
+            self._maps = [Automorphism(m) for m in sorted(maps)]
         return self._maps
 
     def __len__(self):
         return len(self.maps)
-
-    def __iter__(self):
-        return iter(self.maps)
 
     @property
     def is_trivial(self) -> bool:
@@ -150,9 +149,9 @@ def inner_automorphisms(G: FiniteGroup, K: Subgroup | None = None) -> Automorphi
     return conjugation_action(G, gens, origin)
 
 
-def close_automorphisms(G: FiniteGroup, seeds, origin="explicit-generated") -> AutomorphismGroup:
+def close_automorphisms(G: FiniteGroup, seeds) -> AutomorphismGroup:
     """The group of automorphisms generated by the seeds."""
-    return AutomorphismGroup(G, seeds, origin)
+    return AutomorphismGroup(G, seeds, "explicit-generated")
 
 
 def _extend_images(G: FiniteGroup, gens, images) -> dict[int, int]:
@@ -217,7 +216,10 @@ def full_automorphism_group(G: FiniteGroup,
     """All automorphisms, by backtracking over generator images.
 
     Candidate images are constrained to elements of matching order; each
-    complete assignment is validated by multiplicative extension.
+    complete assignment is validated by multiplicative extension.  A
+    found map is kept as a generator only when it lies outside the group
+    generated by the maps kept before it, so orbits apply a handful of
+    maps rather than all of them.
     """
     if G.order > bound:
         raise BoundExceeded(f"|G| = {G.order} exceeds the brute-force bound {bound}")
@@ -246,7 +248,13 @@ def full_automorphism_group(G: FiniteGroup,
             # until every generator is placed
 
     descend(0)
-    return AutomorphismGroup(G, found, "full-aut", maps=found)
+    kept = []
+    generated = {tuple(range(G.order))}
+    for a in found:
+        if a.map not in generated:
+            kept.append(a)
+            generated = {b.map for b in AutomorphismGroup(G, kept, "full-aut").maps}
+    return AutomorphismGroup(G, kept, "full-aut", maps=found)
 
 
 def subgroup_orbit(A: AutomorphismGroup, H: Subgroup, lattice) -> list[int]:

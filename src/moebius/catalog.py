@@ -9,8 +9,6 @@ constructible space up to spelling duplicates of isomorphic groups.
 
 from __future__ import annotations
 
-from .groups import build_from_spec
-
 
 def atom_specs(max_order: int) -> list[tuple[str, int]]:
     """(spec, order) for every atom of order <= max_order."""
@@ -41,9 +39,3 @@ def family_specs(max_order: int, max_factors: int = 8) -> list[str]:
     extend(0, 1, ())
     results.sort()
     return [s for _, s in results]
-
-
-def family_groups(max_order: int, cap: int | None = None):
-    """Yield (spec, FiniteGroup) over the canonical family."""
-    for spec in family_specs(max_order):
-        yield spec, build_from_spec(spec, cap=cap or max(10000, max_order))

@@ -112,9 +112,6 @@ class ClassPoset:
         memo[key] = val
         return val
 
-    def mu_at_top(self, sub: Subgroup) -> int:
-        return self.mu_top[self.class_of_subgroup(sub)]
-
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
     """Partition the lattice into A-orbits and order the orbit classes."""

@@ -18,6 +18,8 @@ from .groups import (FiniteGroup, Subgroup, bits, closure_mask, extend_closure,
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
+# inclusion-exclusion sums 2^k - 1 terms over an orbit of k subgroups
+INCLUSION_EXCLUSION_MAX_ORBIT = 20
 
 
 def phi_hall(lattice: SubgroupLattice, t: int) -> int:
@@ -115,14 +117,13 @@ def omega(poset: ClassPoset, c: int, t: int) -> int:
     return sum(phi_exact[k] for k in _downset_ids(poset, c))
 
 
-def omega_inclusion_exclusion(poset: ClassPoset, c: int, t: int,
-                              max_orbit: int = 20) -> int:
+def omega_inclusion_exclusion(poset: ClassPoset, c: int, t: int) -> int:
     """Independent cross-check of omega via inclusion-exclusion on the orbit."""
     _require_t(t)
     subs = poset.lattice.subgroups
     omasks = [subs[i].mask for i in poset.orbit(c)]
     k = len(omasks)
-    if k > max_orbit:
+    if k > INCLUSION_EXCLUSION_MAX_ORBIT:
         raise ValueError(f"orbit of size {k} too large for inclusion-exclusion")
     total = 0
     for j in range(1, 1 << k):
@@ -333,29 +334,16 @@ def phi_star_bruteforce(lattice: SubgroupLattice, t: int,
     nsub = len(lattice.subgroups)
     if nsub ** t > budget:
         raise BudgetExceeded(nsub ** t, budget, "subgroup tuple scan")
-    G = lattice.group
-    full = G.full_mask()
-    memo: dict[tuple[int, int], int] = {}
+    order = lattice.group.order
+    subs = lattice.subgroups
+    join = lattice.join
 
-    def join_step(mask: int, j: int) -> int:
-        key = (mask, j)
-        out = memo.get(key)
-        if out is None:
-            out = mask
-            gens = list(lattice.witness(lattice.index[mask]))
-            for x in lattice.witness(j):
-                if not (out >> x) & 1:
-                    out = extend_closure(G, out, list(bits(out)), gens, x)
-                    gens.append(x)
-            memo[key] = out
-        return out
-
-    def rec(mask, depth):
+    def rec(h, depth):
         if depth == t:
-            return 1 if mask == full else 0
-        return sum(rec(join_step(mask, j), depth + 1) for j in range(nsub))
+            return 1 if h.order == order else 0
+        return sum(rec(join(h, k), depth + 1) for k in subs)
 
-    return rec(1 << G.identity, 0)
+    return rec(subs[lattice.trivial_id], 0)
 
 
 # -- probabilities -----------------------------------------------------------

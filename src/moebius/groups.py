@@ -38,7 +38,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("degree", "elements", "index", "order", "identity", "gens",
-                 "spec", "_table", "_inv", "_elt_orders", "_abelian", "_center")
+                 "spec", "_table", "_inv", "_elt_orders", "_center")
 
     def __init__(self, elements, gens, spec=None):
         self.elements = list(elements)
@@ -53,7 +53,6 @@ class FiniteGroup:
         self._table = None
         self._inv = None
         self._elt_orders = None
-        self._abelian = None
         self._center = None
 
     # -- lazy tables ---------------------------------------------------
@@ -131,13 +130,6 @@ class FiniteGroup:
 
     def permutation(self, a: int) -> Permutation:
         return Permutation(self.elements[a])
-
-    @property
-    def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = all(self.mul(a, b) == self.mul(b, a)
-                                for a in self.gens for b in self.gens)
-        return self._abelian
 
     @property
     def center_mask(self) -> int:
@@ -365,9 +357,6 @@ class Subgroup:
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & ~self.mask == 0
 
-    def __contains__(self, elt: int) -> bool:
-        return (self.mask >> elt) & 1 == 1
-
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self.mask == other.mask
 
@@ -512,44 +501,34 @@ def normal_closure_mask(G: FiniteGroup, seed_idxs, by=None) -> tuple[int, list[i
     return mask, gens
 
 
-def commutator_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:
-    """Bitset of [A, B] = <a^-1 b^-1 a b>, closed normally in <A, B>... here
-    taken literally as the subgroup generated by all commutators of the two
-    element sets (sufficient for derived and lower central series)."""
+def commutator_closure(G: FiniteGroup, xs, ys, within, extra=()) -> tuple[int, list[int]]:
+    """Normal closure in <within> of the commutators [x, y] = x^-1 y^-1 x y
+    over x in xs and y in ys, and of the `extra` seeds, plus a witness list.
+
+    For H = <xs> = <ys> = <within> this is [H, H]; for G = <xs> = <within>
+    and N = <ys> normal in G it is [G, N]."""
     mt = G.table
     n = G.order
     inv = G.inverse
-    seeds = set()
-    for a in bits(a_mask):
-        ia = inv[a]
-        for b in bits(b_mask):
-            c = mt[mt[mt[ia * n + inv[b]] * n + a] * n + b]
-            seeds.add(c)
-    return closure_mask(G, seeds)
+    seeds = {mt[mt[mt[inv[x] * n + inv[y]] * n + x] * n + y] for x in xs for y in ys}
+    seeds.update(extra)
+    seeds.discard(G.identity)
+    return normal_closure_mask(G, sorted(seeds), by=within)
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """Derived subgroup G' as a bitset; normal in G by construction."""
-    mt = G.table
-    n = G.order
-    inv = G.inverse
-    seeds = set()
-    for a in G.gens:
-        ia = inv[a]
-        for b in G.gens:
-            seeds.add(mt[mt[mt[ia * n + inv[b]] * n + a] * n + b])
-    seeds.discard(G.identity)
-    if not seeds:
-        return Subgroup(1 << G.identity, gens=())
-    mask, witness = normal_closure_mask(G, sorted(seeds))
+    mask, witness = commutator_closure(G, G.gens, G.gens, G.gens)
     return Subgroup(mask, gens=witness)
 
 
 def derived_series(G: FiniteGroup) -> list[int]:
-    """Masks G >= G' >= G'' >= ..., stopping when stable."""
+    """Masks G >= G' >= G'' >= ..., stopping when stable; each term is
+    [H, H] over the witness of the term H before it."""
     series = [G.full_mask()]
+    witness = G.gens
     while True:
-        nxt = commutator_mask(G, series[-1], series[-1])
+        nxt, witness = commutator_closure(G, witness, witness, witness)
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -561,11 +540,12 @@ def is_solvable(G: FiniteGroup) -> bool:
 
 
 def is_nilpotent(G: FiniteGroup) -> bool:
-    """Lower central series reaches the trivial subgroup."""
-    full = G.full_mask()
-    cur = full
+    """Lower central series G >= [G, G] >= [[G, G], G] >= ... reaches the
+    trivial subgroup."""
+    cur = G.full_mask()
+    witness = G.gens
     while True:
-        nxt = commutator_mask(G, full, cur)
+        nxt, witness = commutator_closure(G, G.gens, witness, G.gens)
         if nxt == cur:
             return cur == 1 << G.identity
         cur = nxt

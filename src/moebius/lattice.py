@@ -53,15 +53,10 @@ class SubgroupLattice:
         self._conj_orbit = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
+        self._join: dict[tuple[int, int], int] = {}
 
     def __len__(self):
         return len(self.subgroups)
-
-    def subgroup_id(self, sub: Subgroup) -> int:
-        return self.index[sub.mask]
-
-    def id_for_mask(self, mask: int) -> int:
-        return self.index[mask]
 
     def witness(self, i: int) -> tuple[int, ...]:
         """Generator witness for subgroup i, recomputed if absent."""
@@ -214,14 +209,18 @@ class SubgroupLattice:
         return self.subgroups[self.index[h.mask & k.mask]]
 
     def join(self, h: Subgroup, k: Subgroup) -> Subgroup:
-        mask = h.mask
-        i = self.index[h.mask]
-        gens = list(self.witness(i))
-        for x in self.witness(self.index[k.mask]):
-            if not (mask >> x) & 1:
-                mask = extend_closure(self.group, mask, list(bits(mask)), gens, x)
-                gens.append(x)
-        return self.subgroups[self.index[mask]]
+        """<H, K>: H's witness extended by K's, memoized by id pair."""
+        key = (self.index[h.mask], self.index[k.mask])
+        j = self._join.get(key)
+        if j is None:
+            mask = h.mask
+            gens = list(self.witness(key[0]))
+            for x in self.witness(key[1]):
+                if not (mask >> x) & 1:
+                    mask = extend_closure(self.group, mask, list(bits(mask)), gens, x)
+                    gens.append(x)
+            j = self._join[key] = self.index[mask]
+        return self.subgroups[j]
 
     def closure_in_maximals(self, h: Subgroup) -> Subgroup:
         """Intersection of the maximal subgroups containing h (G if none)."""

@@ -10,20 +10,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import combinations
 
 from . import counting
 from .classposet import ClassPoset, kappa
-from .groups import (FiniteGroup, Subgroup, bits, extend_closure,
-                     normal_closure_mask)
+from .groups import (FiniteGroup, Subgroup, bits, commutator_closure,
+                     extend_closure)
 from .lattice import SubgroupLattice
 
 
-def name_subgroup(lattice: SubgroupLattice, i: int, pair_limit: int = 72) -> str:
+# the largest order of a subgroup whose generator word is searched for
+WORD_ORDER_LIMIT = 72
+
+
+def name_subgroup(lattice: SubgroupLattice, i: int) -> str:
     """Canonical generator word: shortest, then lexicographic by index.
 
     A word has at most three generators and is looked for only when
-    |H| <= pair_limit (any cyclic H gets its one-generator word); any
+    |H| <= WORD_ORDER_LIMIT (any cyclic H gets its one-generator word); any
     other subgroup is named `order=N#k`, its selector.  The searches are
     pruned without changing the word found: x generates H exactly when
     its order is |H|, a tuple extending a prefix by an element of the
@@ -40,7 +43,7 @@ def name_subgroup(lattice: SubgroupLattice, i: int, pair_limit: int = 72) -> str
     elems = [x for x in s.elements() if x != G.identity]
     orders = G.element_orders
     gens = next(((x,) for x in elems if orders[x] == s.order), None)
-    if gens is None and s.order <= pair_limit:
+    if gens is None and s.order <= WORD_ORDER_LIMIT:
         least = _min_generators(G, s, lattice.witness(i))
         for k in range(max(2, least), 4):
             gens = _generating_subset(G, s.mask, elems, k)
@@ -60,20 +63,18 @@ def _min_generators(G: FiniteGroup, s: Subgroup, witness) -> int:
     the commutators of H's witness generators."""
     mt = G.table
     n = G.order
-    inv = G.inverse
-    comms = [mt[mt[mt[inv[a] * n + inv[b]] * n + a] * n + b]
-             for a, b in combinations(witness, 2)]
     primes = [p for p in range(2, s.order + 1)
               if s.order % p == 0 and all(p % q for q in range(2, p))]
     best = 0
     for p in primes:
-        seeds = list(comms)
+        powers = []
         for x in witness:
             y = x
             for _ in range(p - 1):
                 y = mt[y * n + x]
-            seeds.append(y)
-        index = s.order // normal_closure_mask(G, seeds, witness)[0].bit_count()
+            powers.append(y)
+        closure = commutator_closure(G, witness, witness, witness, powers)[0]
+        index = s.order // closure.bit_count()
         r = 0
         while index > 1:
             index //= p

@@ -9,8 +9,9 @@ over whole families of groups.
 from __future__ import annotations
 
 from . import counting
-from .automorphisms import (AutomorphismGroup, full_automorphism_group,
-                            inner_automorphisms, trivial_automorphisms)
+from .automorphisms import (FULL_AUT_DEFAULT_BOUND, AutomorphismGroup,
+                            full_automorphism_group, inner_automorphisms,
+                            trivial_automorphisms)
 from .classposet import (ClassPoset, build_class_poset, conjugation_poset,
                          crapo_check_all, maximal_closure_map,
                          minimal_normal_subgroup_ids, nonzero_implies_closed)
@@ -19,11 +20,8 @@ from .groups import FiniteGroup, commutator_subgroup, is_solvable
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
-FULL_AUT_VERIFY_BOUND = 64
-
 
 def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice,
-                         aut_bound: int = FULL_AUT_VERIFY_BOUND,
                          include_full_aut: bool = True):
     """The acting subgroups exercised by the battery: trivial, inner,
     inner-by-K for every K containing G', and (small groups) full Aut.
@@ -45,8 +43,8 @@ def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice,
         if dmask & ~s.mask == 0:
             add(f"A=inn:order={s.order}#{lattice.by_order[s.order].index(i)}",
                 inner_automorphisms(G, s))
-    if include_full_aut and G.order <= aut_bound:
-        add("A=aut", full_automorphism_group(G, bound=aut_bound))
+    if include_full_aut and G.order <= FULL_AUT_DEFAULT_BOUND:
+        add("A=aut", full_automorphism_group(G))
     return choices
 
 
@@ -89,7 +87,6 @@ def independent_small_lattice(G: FiniteGroup) -> set[int]:
     then close the set under pairwise joins by brute product closure."""
     masks = {1 << G.identity}
     n = G.order
-    mt = G.table
     for x in range(n):
         for y in range(x, n):
             masks.add(_brute_closure(G, (x, y)))
@@ -130,8 +127,7 @@ def _brute_closure_mask(G, mask):
 
 def run_battery(G: FiniteGroup, t_max: int = 2,
                 lattice: SubgroupLattice | None = None,
-                tuple_budget: int = 10 ** 6,
-                include_full_aut: bool = True) -> list[dict]:
+                tuple_budget: int = 10 ** 6) -> list[dict]:
     """All identity checks on one group; returns [{name, ok, detail}, ...]."""
     checks: list[dict] = []
 
@@ -165,8 +161,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
     record("sum-mu-sigma-is-1", sum_mu_sigma == 1, str(sum_mu_sigma))
 
     noncyclic = not G.is_cyclic()
-    for label, aut in automorphism_choices(G, lattice,
-                                           include_full_aut=include_full_aut):
+    for label, aut in automorphism_choices(G, lattice):
         poset = build_class_poset(lattice, aut)
         bad = poset_axiom_violations(poset)
         record(f"poset-axioms[{label}]", not bad, "; ".join(bad[:3]))

@@ -7,6 +7,7 @@ from moebius.automorphisms import (automorphism_from_images, close_automorphisms
                                    full_automorphism_group, induced_quotient_action,
                                    inner_automorphisms, subgroup_orbit,
                                    trivial_automorphisms)
+from moebius.catalog import family_specs
 from moebius.errors import (BoundExceeded, NotAHomomorphism, NotBijective,
                             NotInvariant)
 from moebius.groups import is_normal_mask, quotient_group
@@ -104,6 +105,15 @@ def test_full_aut_bound():
     with pytest.raises(BoundExceeded):
         full_automorphism_group(group("C:100"))
     assert len(full_automorphism_group(group("C:100"), bound=128)) == 40
+
+
+def test_full_aut_small_generating_set():
+    # a found map is kept only outside the group of those kept before it;
+    # the kept maps still generate every automorphism found
+    for spec in family_specs(24):
+        A = full_automorphism_group(group(spec))
+        assert len(A.gens) <= 6, spec
+        assert close_automorphisms(A.group, A.gens).maps == A.maps, spec
 
 
 def test_close_automorphisms():

@@ -3,9 +3,9 @@ import pytest
 from helpers import group, lattice
 from moebius.errors import ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, bits, build_from_spec, closure_mask,
-                            commutator_mask, commutator_subgroup, derived_series,
-                            extend_closure, generate_group, is_nilpotent,
-                            is_solvable, quotient_group)
+                            commutator_subgroup, derived_series, extend_closure,
+                            generate_group, is_nilpotent, is_solvable,
+                            quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
 
@@ -156,11 +156,11 @@ def test_center():
     assert group("C:12").center_mask.bit_count() == 12
 
 
-def brute_commutator_mask(G):
-    n = G.order
+def brute_commutator_mask(G, a_mask, b_mask):
+    """<[a, b] : a in A, b in B> from all |A|*|B| commutators."""
     seeds = set()
-    for a in range(n):
-        for b in range(n):
+    for a in bits(a_mask):
+        for b in bits(b_mask):
             ia, ib = G.inverse[a], G.inverse[b]
             seeds.add(G.mul(G.mul(G.mul(ia, ib), a), b))
     return closure_mask(G, seeds)
@@ -173,7 +173,7 @@ def test_commutator_subgroup(spec, dorder):
     G = group(spec)
     d = commutator_subgroup(G)
     assert d.order == dorder
-    assert d.mask == brute_commutator_mask(G)
+    assert d.mask == brute_commutator_mask(G, G.full_mask(), G.full_mask())
     from moebius.groups import is_normal_mask
     assert is_normal_mask(G, d.mask)
 
@@ -212,5 +212,22 @@ def test_quotient_not_normal():
 def test_lower_central_vs_derived():
     G = group("D:4")
     full = G.full_mask()
-    d1 = commutator_mask(G, full, full)
+    d1 = brute_commutator_mask(G, full, full)
     assert d1.bit_count() == 2  # [D4, D4] = C2
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "Q:8xS:3", "D:12xC:2", "D:4xC:2",
+                                  "A:4xC:3", "C:2xC:2xC:2xC:2"])
+def test_series_match_all_pairs_oracle(spec):
+    # derived and lower central series by normal closure of generator
+    # commutators, against the subgroups generated by all commutators
+    G = group(spec)
+    full = G.full_mask()
+    series = [full]
+    while (nxt := brute_commutator_mask(G, series[-1], series[-1])) != series[-1]:
+        series.append(nxt)
+    assert derived_series(G) == series
+    lower = full
+    while (nxt := brute_commutator_mask(G, full, lower)) != lower:
+        lower = nxt
+    assert is_nilpotent(G) == (lower == 1 << G.identity)
