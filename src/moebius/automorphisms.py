@@ -25,17 +25,6 @@ class Automorphism:
     def __init__(self, map_):
         self.map = tuple(map_)
 
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        # apply self first, then other
-        o = other.map
-        return Automorphism(tuple(o[i] for i in self.map))
-
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.map)
-        for i, j in enumerate(self.map):
-            inv[j] = i
-        return Automorphism(inv)
-
     def apply_mask(self, mask: int) -> int:
         out = 0
         m = self.map
@@ -57,16 +46,15 @@ class AutomorphismGroup:
     """The group of automorphisms of one group generated by `gens`.
 
     Identity and repeated generators are dropped.  `maps`, `len` and
-    `key` close the full list on first use; `maps` may be passed in when
-    the caller already holds the whole group."""
+    `key` close the full list from the generators on first use."""
 
     __slots__ = ("group", "gens", "origin", "_maps", "_key")
 
-    def __init__(self, group: FiniteGroup, gens, origin: str, maps=None):
+    def __init__(self, group: FiniteGroup, gens, origin: str):
         self.group = group
         self.gens = tuple({a.map: a for a in gens if not a.is_identity()}.values())
         self.origin = origin
-        self._maps = None if maps is None else sorted(set(maps), key=lambda a: a.map)
+        self._maps = None
         self._key = None
 
     @property
@@ -213,48 +201,50 @@ def automorphism_from_images(G: FiniteGroup, gens, images,
 
 def full_automorphism_group(G: FiniteGroup,
                             bound: int = FULL_AUT_DEFAULT_BOUND) -> AutomorphismGroup:
-    """All automorphisms, by backtracking over generator images.
+    """Generators of Aut(G), found level by level down a stabilizer chain.
 
-    Candidate images are constrained to elements of matching order; each
-    complete assignment is validated by multiplicative extension.  A
-    found map is kept as a generator only when it lies outside the group
-    generated by the maps kept before it, so orbits apply a handful of
-    maps rather than all of them.
+    With gens = g_0, ..., g_{r-1} generating G, level k looks for maps
+    that fix gens[:k].  For each image c of g_k of the same order that is
+    not yet in the orbit of g_k under the maps kept so far, a depth-first
+    search over the images of the later generators keeps the first such
+    automorphism sending g_k to c, if there is one.  Levels run from the
+    last generator to the first, and a map kept at level j fixes gens[:j];
+    so by orbit-stabilizer, once level k is done the kept maps generate
+    the pointwise stabilizer of gens[:k], and after level 0 all of Aut(G).
     """
     if G.order > bound:
-        raise BoundExceeded(f"|G| = {G.order} exceeds the brute-force bound {bound}")
+        raise BoundExceeded(f"|G| = {G.order} exceeds the full-Aut bound {bound}")
     if G.order == 1:
         return trivial_automorphisms(G)
     gens = find_witness(G, G.full_mask())
     orders = G.element_orders
     candidates = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
-    found = []
-    images = [0] * len(gens)
 
-    def descend(k: int):
-        last = k == len(gens) - 1
+    def first_extension(images):
+        # an automorphism whose generator images begin with `images`, or None
+        k = len(images)
+        try:
+            known = _extend_images(G, gens[:k], images)
+        except (NotAHomomorphism, NotBijective):
+            return None
+        if k == len(gens):
+            return Automorphism(known[i] for i in range(G.order))
         for c in candidates[k]:
-            images[k] = c
-            try:
-                known = _extend_images(G, gens[:k + 1], images[:k + 1])
-            except (NotAHomomorphism, NotBijective):
-                continue
-            if not last:
-                descend(k + 1)
-            elif len(known) == G.order:
-                found.append(Automorphism(known[i] for i in range(G.order)))
-            # a complete map before the last slot is impossible: each gens[k]
-            # lies outside <gens[:k]>, so an injective image cannot cover G
-            # until every generator is placed
+            a = first_extension(images + (c,))
+            if a is not None:
+                return a
+        return None
 
-    descend(0)
     kept = []
-    generated = {tuple(range(G.order))}
-    for a in found:
-        if a.map not in generated:
-            kept.append(a)
-            generated = {b.map for b in AutomorphismGroup(G, kept, "full-aut").maps}
-    return AutomorphismGroup(G, kept, "full-aut", maps=found)
+    for k in reversed(range(len(gens))):
+        orbit = {1 << gens[k]}
+        for c in candidates[k]:
+            if 1 << c not in orbit:
+                a = first_extension(gens[:k] + (c,))
+                if a is not None:
+                    kept.append(a)
+                    orbit = AutomorphismGroup(G, kept, "full-aut").mask_orbit(1 << gens[k])
+    return AutomorphismGroup(G, kept, "full-aut")
 
 
 def subgroup_orbit(A: AutomorphismGroup, H: Subgroup, lattice) -> list[int]:

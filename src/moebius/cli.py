@@ -59,7 +59,7 @@ def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
         ids = lattice.by_order.get(order, [])
         if sel.startswith("normal-order="):
             ids = [i for i in ids if is_normal_mask(G, lattice.subgroups[i].mask)]
-        if k >= len(ids):
+        if not 0 <= k < len(ids):
             raise ValueError(f"no subgroup matches selector {selector!r}")
         return lattice.subgroups[ids[k]]
     if sel.startswith("gens=[") and sel.endswith("]"):
@@ -332,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec=True):
-        if spec:
-            sp.add_argument("spec", help="group spec, e.g. S:4 or C:2xD:5")
+    def common(sp):
+        sp.add_argument("spec", help="group spec, e.g. S:4 or C:2xD:5")
         sp.add_argument("--format", choices=["markdown", "csv", "json"],
                         default="markdown")
         sp.add_argument("--cache-dir", default=default_cache_dir())

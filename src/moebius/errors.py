@@ -31,7 +31,7 @@ class BudgetExceeded(EngineError):
 
 
 class BoundExceeded(EngineError):
-    """Group too large for brute-force automorphism search."""
+    """Group larger than the order bound of the full automorphism search."""
 
 
 class NotNormal(EngineError):

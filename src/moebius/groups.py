@@ -480,16 +480,15 @@ def normalizer_of(G: FiniteGroup, mask: int, gens) -> int:
     return out
 
 
-def normal_closure_mask(G: FiniteGroup, seed_idxs, by=None) -> tuple[int, list[int]]:
+def normal_closure_mask(G: FiniteGroup, seed_idxs, by) -> tuple[int, list[int]]:
     """Smallest subgroup containing the seeds and normalized by the
-    elements `by` (G's generators by default), plus a witness list.
+    elements `by`, plus a witness list.
 
     With `by` the generators of a subgroup H containing the seeds, this
     is the normal closure of the seeds inside H."""
     gens = list(seed_idxs)
     mask = closure_mask(G, gens)
     queue = list(gens)
-    by = G.gens if by is None else tuple(by)
     while queue:
         x = queue.pop()
         for g in by:

@@ -1,9 +1,11 @@
 """Shared per-session caches so test modules reuse heavy lattices."""
 
 from moebius import build_from_spec, enumerate_subgroups
-from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
-                                   trivial_automorphisms)
+from moebius.automorphisms import (Automorphism, _extend_images, full_automorphism_group,
+                                   inner_automorphisms, trivial_automorphisms)
 from moebius.classposet import build_class_poset
+from moebius.errors import NotAHomomorphism, NotBijective
+from moebius.groups import find_witness
 from moebius.mulambda import MuLambdaAnalyzer
 
 _groups = {}
@@ -118,3 +120,34 @@ def brute_mu_top(up, top):
         return memo[x]
 
     return [mu(x) for x in range(len(up))]
+
+
+# -- brute oracle for the full automorphism group ------------------------------
+
+def brute_automorphisms(G):
+    """Every automorphism of G, sorted by map, by backtracking over the
+    images of a generator list: each image has its generator's order, and
+    every complete assignment must extend to a bijective homomorphism."""
+    gens = find_witness(G, G.full_mask())
+    orders = G.element_orders
+    candidates = [[x for x in range(G.order) if orders[x] == orders[g]] for g in gens]
+    found = []
+    images = [0] * len(gens)
+
+    def descend(k):
+        for c in candidates[k]:
+            images[k] = c
+            try:
+                known = _extend_images(G, gens[:k + 1], images[:k + 1])
+            except (NotAHomomorphism, NotBijective):
+                continue
+            if k + 1 < len(gens):
+                descend(k + 1)
+            elif len(known) == G.order:
+                found.append(Automorphism(known[i] for i in range(G.order)))
+
+    if gens:
+        descend(0)
+    else:
+        found.append(Automorphism(range(G.order)))
+    return sorted(found, key=lambda a: a.map)

@@ -3,7 +3,7 @@ import pytest
 from helpers import (brute_class_up, brute_mu_top, class_by, group, lattice, poset,
                      subgroups_of_order)
 from moebius import counting
-from moebius.automorphisms import inner_automorphisms
+from moebius.automorphisms import full_automorphism_group, inner_automorphisms
 from moebius.classposet import (build_class_poset, complement_class_count,
                                 conjunctive_identity_violations, crapo_check,
                                 crapo_check_all, divisibility_scan, kappa,
@@ -158,19 +158,29 @@ def test_poset_axioms_and_mobius_equations(spec, aut):
     assert mobius_equation_violations(pos) == []
 
 
-# Full Aut is built only for |G| <= 64; Aut(C:2^4) = GL(4,2) is left out
-# because its orbits walk all 20159 found maps (seconds per poset).
+# Full Aut is built only for |G| <= 64.
 @pytest.mark.parametrize("spec,aut", [
     (spec, aut)
     for spec in ("S:4", "D:12xC:2", "Q:8xS:3", "S:5", "A:6", "C:2xC:2xC:2xC:2")
     for aut in ("inn", "1", "aut")
-    if aut != "aut" or spec in ("S:4", "D:12xC:2", "Q:8xS:3")
+    if aut != "aut" or spec in ("S:4", "D:12xC:2", "Q:8xS:3", "C:2xC:2xC:2xC:2")
 ] + [("S:4", ("inn", 4, 0)), ("Q:8xS:3", ("inn", 4, 0))])
 def test_class_relation_matches_orbit_mask_scan(spec, aut):
     pos = poset(spec, aut)
     up = brute_class_up(pos)
     assert pos.up == up
     assert pos.mu_top == brute_mu_top(up, pos.top)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_full_aut_classes_of_elementary_abelian(n):
+    # GL(n,2) is transitive on the subspaces of each dimension of C:2^n, so
+    # the class poset has one class per dimension; |GL(6,2)| is about 2e10,
+    # so the full list of maps must never be closed
+    spec = "x".join(["C:2"] * n)
+    A = full_automorphism_group(group(spec))
+    assert len(build_class_poset(lattice(spec), A).classes) == n + 1
+    assert A._maps is None
 
 
 def test_mu_pairs_match_column():

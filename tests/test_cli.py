@@ -121,6 +121,8 @@ def test_error_exit_code(capsys):
     assert cli.main(["phi", "Z:9", "--t", "1"]) == 2
     assert cli.main(["table", "S:4", "--aut", "bogus"]) == 2
     assert cli.main(["phi-rel", "S:3", "--normal", "order=2", "--t", "1"]) == 2
+    assert cli.main(["table", "S:4", "--aut", "inn:order=2#-1"]) == 2
+    assert cli.main(["phi-rel", "S:4", "--normal", "normal-order=4#-1", "--t", "2"]) == 2
 
 
 def test_aut_selector_variants(capsys):
