@@ -6,7 +6,12 @@ prime-power order, so it is reached from 1 by joining one zuppo at a
 time.  Only one representative H per class is extended: H is joined
 with one zuppo from each N_G(H)-orbit of the zuppos outside H, and every
 new subgroup enters with its whole conjugacy orbit, deduplicated by
-bitset.  The small-order test oracle re-derives the same lattice
+bitset.  A join also decides a whole left coset: <H, z*h> = <H, z> for
+h in H, so once H is joined with z, every zuppo generated by an element
+of z*H is known to give the same subgroup, and an N_G(H)-orbit of
+zuppos holding such a zuppo is skipped.  The enumerator keeps the
+conjugacy orbits and the normalizers of the representatives it has
+built.  The small-order test oracle re-derives the same lattice
 independently.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
@@ -32,9 +37,12 @@ class SubgroupLattice:
     Subgroup ids index the `subgroups` list.  Inclusion structure, the
     Moebius column at the top, normalizers and per-subgroup counting data
     are computed lazily and cached; the lattice itself is immutable.
+    `orbits` (ascending id tuples of conjugacy orbits) and `normalizers`
+    (id -> N_G bitset) seed those caches with what enumeration found.
     """
 
-    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup]):
+    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup],
+                 orbits=(), normalizers=()):
         self.group = group
         self.subgroups = subgroups
         self.index = {s.mask: i for i, s in enumerate(subgroups)}
@@ -48,9 +56,9 @@ class SubgroupLattice:
         self._down = None
         self._maximals = None
         self._mu_top = None
-        self._normalizer = {}
+        self._normalizer = dict(normalizers)
         self._conjugation = None
-        self._conj_orbit = {}
+        self._conj_orbit = {i: orbit for orbit in orbits for i in orbit}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
         self._join: dict[tuple[int, int], int] = {}
@@ -339,7 +347,19 @@ def enumerate_subgroups(G: FiniteGroup,
     a join of a conjugate H^g is the conjugate of a join of H, so it is
     enough to join class representatives with zuppos and to insert the
     whole conjugacy orbit of each new subgroup.  For n in N_G(H),
-    <H, z^n> = <H, z>^n, so one zuppo per N_G(H)-orbit suffices."""
+    <H, z^n> = <H, z>^n, so one zuppo per N_G(H)-orbit suffices.
+
+    Coset rule: y in z*H gives <H, y> = <H, z>, since y and z differ by
+    an element of H.  So after H is joined with z, every zuppo generated
+    by an element of z*H (row z of the table read at H's elements) is
+    known.  An N_G(H)-orbit that meets a known zuppo joins to conjugates
+    of a subgroup whose orbit is already inserted; its walk is finished,
+    so none of its members is joined, and no closure is made.  Skipped
+    joins would only find known subgroups, so the subgroups, witnesses
+    and their order are those of joining one zuppo per orbit.
+
+    The conjugacy orbits inserted here and the normalizers of the
+    representatives are handed to the lattice."""
     mt = G.table
     n = G.order
     inv = G.inverse
@@ -349,6 +369,8 @@ def enumerate_subgroups(G: FiniteGroup,
     full = G.full_mask()
     triv = 1 << G.identity
     seen: dict[int, tuple[int, ...]] = {}
+    orbits: list[list[int]] = []
+    normalizers: dict[int, int] = {}
 
     def insert(mask: int, witness: tuple[int, ...]):
         seen[mask] = witness
@@ -358,6 +380,7 @@ def enumerate_subgroups(G: FiniteGroup,
     def expand_orbit(mask: int, witness: tuple[int, ...]):
         """Insert the whole conjugacy orbit of a new subgroup."""
         insert(mask, witness)
+        orbit = [mask]
         queue = [(mask, witness)]
         while queue:
             m, w = queue.pop()
@@ -369,7 +392,9 @@ def enumerate_subgroups(G: FiniteGroup,
                 if c not in seen:
                     cw = tuple(mt[mt[gi + x] * n + g] for x in w)
                     insert(c, cw)
+                    orbit.append(c)
                     queue.append((c, cw))
+        orbits.append(orbit)
 
     zuppo_of, zgens = _zuppos(G)
     expand_orbit(triv, ())
@@ -378,17 +403,20 @@ def enumerate_subgroups(G: FiniteGroup,
         h = worklist.pop()
         h_gens = seen[h]
         h_elems = list(bits(h))
-        norm = normalizer_of(G, h, h_gens)
+        norm = normalizers[h] = normalizer_of(G, h, h_gens)
         if norm == full:
             n_gens = movers
         else:
             n_gens = [g for g in find_witness(G, norm) if not (center >> g) & 1]
         done = bytearray(len(zgens))
+        known = bytearray(len(zgens))   # zuppos whose join with H is found
         for z, zx in enumerate(zgens):
             if done[z] or (h >> zx) & 1:
                 continue
-            # walk the N_G(H)-orbit of this zuppo; only its first member is joined
+            # walk the N_G(H)-orbit of this zuppo; only its first member is
+            # joined, and none is when the orbit meets a known zuppo
             done[z] = 1
+            decided = known[z]
             stack = [zx]
             while stack:
                 x = stack.pop()
@@ -397,11 +425,23 @@ def enumerate_subgroups(G: FiniteGroup,
                     k = zuppo_of[y]
                     if not done[k]:
                         done[k] = 1
+                        decided |= known[k]
                         stack.append(y)
+            if decided:
+                continue
             t = extend_closure(G, h, h_elems, h_gens, zx)
+            base = zx * n
+            for x in h_elems:
+                k = zuppo_of[mt[base + x]]
+                if k >= 0:
+                    known[k] = 1
             if t not in seen:
                 expand_orbit(t, h_gens + (zx,))
                 worklist.append(t)
     subs = [Subgroup(m, gens=g) for m, g in seen.items()]
     subs.sort(key=lambda s: (s.order, s.mask))
-    return SubgroupLattice(G, subs)
+    position = {s.mask: i for i, s in enumerate(subs)}
+    return SubgroupLattice(
+        G, subs,
+        orbits=[tuple(sorted(position[m] for m in orbit)) for orbit in orbits],
+        normalizers={position[m]: norm for m, norm in normalizers.items()})

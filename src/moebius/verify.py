@@ -25,14 +25,18 @@ def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice,
                          include_full_aut: bool = True):
     """The acting subgroups exercised by the battery: trivial, inner,
     inner-by-K for every K containing G', and (small groups) full Aut.
-    Duplicate map sets are listed once."""
+    Duplicate map sets are listed once.  Equal groups have equal orbits
+    on the subgroups, so `key`, which closes every map, is compared only
+    between groups that partition the subgroup ids alike."""
     choices: list[tuple[str, AutomorphismGroup]] = []
-    seen: dict[tuple, str] = {}
+    by_partition: dict[tuple, list[AutomorphismGroup]] = {}
 
     def add(label: str, aut: AutomorphismGroup):
-        if aut.key in seen:
+        partition = tuple(build_class_poset(lattice, aut).classes)
+        alike = by_partition.setdefault(partition, [])
+        if any(aut.key == other.key for other in alike):
             return
-        seen[aut.key] = label
+        alike.append(aut)
         choices.append((label, aut))
 
     add("A=1", trivial_automorphisms(G))

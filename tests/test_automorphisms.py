@@ -7,10 +7,13 @@ from moebius.automorphisms import (automorphism_from_images, close_automorphisms
                                    full_automorphism_group, induced_quotient_action,
                                    inner_automorphisms, subgroup_orbit,
                                    trivial_automorphisms)
+from moebius.cache import load_lattice, save_lattice
 from moebius.catalog import family_specs
+from moebius.classposet import lambda_poset
 from moebius.errors import (BoundExceeded, NotAHomomorphism, NotBijective,
                             NotInvariant)
-from moebius.groups import is_normal_mask, quotient_group
+from moebius.groups import is_normal_mask, normalizer_of, quotient_group
+from moebius.lattice import enumerate_subgroups
 
 
 def totient(n):
@@ -170,11 +173,27 @@ def test_derived_subgroup_is_characteristic(spec):
         assert a.apply_mask(d.mask) == d.mask
 
 
-def test_inner_orbits_match_conjugacy_classes():
-    lat = lattice("S:4")
-    A = inner_automorphisms(lat.group)
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "A:6", "D:12xC:2", "Q:8xS:3"])
+def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
+    # a fresh lattice holds the orbits and normalizers enumeration built,
+    # one normalizer per class; recompute both
+    G = group(spec)
+    lat = enumerate_subgroups(G)
+    seeded = dict(lat._normalizer)
+    assert len(seeded) == len(lat.class_representatives())
+    for i, mask in seeded.items():
+        assert mask == normalizer_of(G, lat.subgroups[i].mask, lat.witness(i))
+    A = inner_automorphisms(G)
     for i, s in enumerate(lat.subgroups):
         assert tuple(subgroup_orbit(A, s, lat)) == lat.conjugacy_orbit(i)
+        assert lat.normalizer_mask(i) == normalizer_of(G, s.mask, lat.witness(i))
+    # a lattice read back from the cache holds neither and finds the same
+    save_lattice(lat, tmp_path)
+    cached = load_lattice(G, tmp_path)
+    assert not cached._conj_orbit and not cached._normalizer
+    assert cached.class_representatives() == lat.class_representatives()
+    assert cached.mu_top == lat.mu_top
+    assert lambda_poset(G, cached).mu_top == lambda_poset(G, lat).mu_top
 
 
 def test_induced_quotient_action():

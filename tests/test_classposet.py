@@ -13,7 +13,8 @@ from moebius.classposet import (build_class_poset, complement_class_count,
 from moebius.errors import NotAClosureMap
 from moebius.groups import is_normal_mask, quotient_group, subgroup_image_mask
 from moebius.automorphisms import induced_quotient_action
-from moebius.verify import mobius_equation_violations, poset_axiom_violations
+from moebius.verify import (automorphism_choices, mobius_equation_violations,
+                            poset_axiom_violations)
 
 
 def test_trivial_action_poset_mirrors_lattice():
@@ -182,6 +183,16 @@ def test_full_aut_classes_of_elementary_abelian(n):
     A = full_automorphism_group(group(spec))
     assert len(build_class_poset(lattice(spec), A).classes) == n + 1
     assert A._maps is None
+
+
+def test_automorphism_choices_leave_full_aut_unclosed():
+    # GL(5,2) has about 1e7 maps; its orbits on the subgroups of C:2^5
+    # differ from those of every inner action (all trivial), so the dedup
+    # never compares its key and never closes its list of maps
+    spec = "x".join(["C:2"] * 5)
+    choices = automorphism_choices(group(spec), lattice(spec))
+    assert [label for label, _ in choices] == ["A=1", "A=aut"]
+    assert dict(choices)["A=aut"]._maps is None
 
 
 def test_mu_pairs_match_column():

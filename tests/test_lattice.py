@@ -1,5 +1,6 @@
 import pytest
 
+import moebius.lattice as lattice_module
 from helpers import brute_mu_top, brute_relation, group, lattice, subgroups_of_order
 from moebius.cache import load_lattice, save_lattice
 from moebius.errors import BudgetExceeded, NotNormal
@@ -57,6 +58,27 @@ def test_budget_exceeded(spec):
     # in an abelian group every subgroup is its own conjugacy orbit
     with pytest.raises(BudgetExceeded):
         enumerate_subgroups(group(spec), budget=5)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_joins_match_covering_pairs(n, monkeypatch):
+    # In C:2^n every zuppo is its own N_G(H)-orbit and <H, x> covers H for
+    # x outside H, so the coset rule leaves one join per coset xH other
+    # than H, that is one per cover of H.  In a 2-group H < K is a cover
+    # exactly when [K : H] = 2.
+    calls = [0]
+    closure = lattice_module.extend_closure
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(lattice_module, "extend_closure", counted)
+    lat = enumerate_subgroups(group("x".join(["C:2"] * n)))
+    subs = lat.subgroups
+    covers = sum(1 for i, above in enumerate(lat.up) for j in above
+                 if subs[j].order == 2 * subs[i].order)
+    assert calls[0] == covers
 
 
 def test_normalizer_examples():
