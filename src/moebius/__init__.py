@@ -22,4 +22,3 @@ from .automorphisms import (Automorphism, AutomorphismGroup,
                             inner_automorphisms, induced_quotient_action,
                             subgroup_orbit)
 from .classposet import ClassPoset, build_class_poset
-from . import counting, mulambda

@@ -24,10 +24,7 @@ from .errors import EngineError
 from .groups import (FiniteGroup, Subgroup, build_from_spec, closure_mask,
                      commutator_subgroup, is_normal_mask)
 from .lattice import SubgroupLattice, enumerate_subgroups
-from .mulambda import MuLambdaAnalyzer
 from .perm import parse_cycles
-from .tables import class_table, lattice_mu_table, name_subgroup, render
-from .verify import run_battery
 
 
 def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
@@ -136,6 +133,7 @@ def _frac_str(f: Fraction) -> str:
 # -- subcommands ---------------------------------------------------------
 
 def cmd_table(args) -> int:
+    from .tables import class_table, render
     G, lattice = _load_group_and_lattice(args)
     aut = parse_aut_spec(G, lattice, args.aut)
     poset = build_class_poset(lattice, aut)
@@ -145,6 +143,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_sigma_table(args) -> int:
+    from .tables import lattice_mu_table, render
     _, lattice = _load_group_and_lattice(args)
     cols, rows = lattice_mu_table(lattice)
     _print(render(cols, rows, args.format))
@@ -207,6 +206,8 @@ def cmd_prob(args) -> int:
 
 
 def cmd_check_mu_lambda(args) -> int:
+    from .mulambda import MuLambdaAnalyzer
+    from .tables import name_subgroup, render
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     report = an.report()
@@ -236,6 +237,8 @@ def cmd_check_mu_lambda(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    from .mulambda import MuLambdaAnalyzer
+    from .tables import name_subgroup
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     vectors = {t: an.beta_vector(t) for t in range(1, args.t_max + 1)}
@@ -252,6 +255,8 @@ def cmd_beta(args) -> int:
 
 
 def cmd_tau(args) -> int:
+    from .mulambda import MuLambdaAnalyzer
+    from .tables import name_subgroup
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     spectrum = an.tau_spectrum()
@@ -269,6 +274,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_strana(args) -> int:
+    from .mulambda import MuLambdaAnalyzer
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     z = an.zero_sum_check(args.t)
@@ -284,6 +290,7 @@ def cmd_strana(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_battery
     G, lattice = _load_group_and_lattice(args)
     checks = run_battery(G, t_max=args.t_max, lattice=lattice,
                          tuple_budget=min(args.tuple_budget, 10 ** 6))

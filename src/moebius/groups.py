@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from functools import lru_cache
 from operator import itemgetter
 from struct import Struct
 
@@ -399,7 +400,11 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
 
     Members are bytes, one per element, read into a bitset once at the
     end.  The left coset r*H is row r of the table read at H's elements;
-    cosets are walked by left multiplication, s*(r*H) = (s*r)*H."""
+    cosets are walked by left multiplication, s*(r*H) = (s*r)*H.
+
+    Lagrange stop: [<H, x> : H] divides [G : H], so once more cosets are
+    found than the largest proper divisor of [G : H], <H, x> is all of G
+    and G is returned without filling the rest."""
     if (h_mask >> x) & 1:
         return h_mask
     mt = G.table
@@ -407,18 +412,34 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     member = bytearray(n)
     for h in h_elems:
         member[h] = 1
+    # cosets beyond H itself that may be filled before <H, x> must be G
+    room = _largest_proper_divisor(n // len(h_elems)) - 1
     step_gens = tuple(h_gens) + (x,)
     todo = [x]
     while todo:
         r = todo.pop()
         if member[r]:
             continue
+        if not room:
+            return (1 << n) - 1
+        room -= 1
         base = r * n
         for h in h_elems:
             member[mt[base + h]] = 1
         for s in step_gens:
             todo.append(mt[s * n + r])
     return int(member[::-1].translate(_BINARY_DIGITS), 2)
+
+
+@lru_cache(maxsize=None)
+def _largest_proper_divisor(m: int) -> int:
+    """m over its smallest prime factor (1 for m = 1)."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            return m // p
+        p += 1
+    return 1
 
 
 def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:
@@ -458,26 +479,46 @@ def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
     return all(conjugate_mask(G, mask, g) == mask for g in G.gens)
 
 
-def normalizer_of(G: FiniteGroup, mask: int, gens) -> int:
-    """Bitset of N_G(H) for H = <gens> with the given bitset.
+def normalizer_of(G: FiniteGroup, mask: int, gens) -> tuple[int, tuple[int, ...]]:
+    """N_G(H) for H = <gens> with the given bitset, as (bitset, generators).
 
-    g normalizes H exactly when it conjugates each generator of H into H,
-    so the test costs |gens| table reads per element of G."""
+    g normalizes H exactly when it conjugates each generator of H into H.
+    N is grown from H by closure, so the generators are H's plus every
+    element that joined N.  Members of N are never tested, and when g
+    fails, so does every element g*k of its left coset g*N (k normalizes
+    H, so g*k does exactly when g does): the coset is marked and skipped.
+    A test costs at most |gens| conjugations, and a failure |N| table
+    reads to mark its coset."""
     mt = G.table
     n = G.order
     inv = G.inverse
     # normal: G's generators already normalize H
     if all((mask >> mt[mt[inv[g] * n + h] * n + g]) & 1 for g in G.gens for h in gens):
-        return G.full_mask()
-    out = 0
+        return G.full_mask(), G.gens
+    norm = mask
+    norm_elems = list(bits(mask))
+    norm_gens = list(gens)
+    decided = bytearray(n)      # in N, or in a coset known to fail
+    for x in norm_elems:
+        decided[x] = 1
     for g in range(n):
+        if decided[g]:
+            continue
         gi = inv[g] * n
         for h in gens:
             if not (mask >> mt[mt[gi + h] * n + g]) & 1:
                 break
         else:
-            out |= 1 << g
-    return out
+            norm = extend_closure(G, norm, norm_elems, norm_gens, g)
+            norm_gens.append(g)
+            norm_elems = list(bits(norm))
+            for x in norm_elems:
+                decided[x] = 1
+            continue
+        base = g * n
+        for x in norm_elems:
+            decided[mt[base + x]] = 1
+    return norm, tuple(norm_gens)
 
 
 def normal_closure_mask(G: FiniteGroup, seed_idxs, by) -> tuple[int, list[int]]:

@@ -6,13 +6,26 @@ prime-power order, so it is reached from 1 by joining one zuppo at a
 time.  Only one representative H per class is extended: H is joined
 with one zuppo from each N_G(H)-orbit of the zuppos outside H, and every
 new subgroup enters with its whole conjugacy orbit, deduplicated by
-bitset.  A join also decides a whole left coset: <H, z*h> = <H, z> for
-h in H, so once H is joined with z, every zuppo generated by an element
-of z*H is known to give the same subgroup, and an N_G(H)-orbit of
-zuppos holding such a zuppo is skipped.  The enumerator keeps the
-conjugacy orbits and the normalizers of the representatives it has
-built.  The small-order test oracle re-derives the same lattice
-independently.
+bitset.  Four rules skip work whose answer is already decided, and none
+changes the subgroups found (`enumerate_subgroups` gives the proofs):
+
+- coset rule: <H, z*h> = <H, z> for h in H, so once H is joined with z,
+  an N_G(H)-orbit holding a zuppo generated by an element of z*H is
+  skipped;
+- Lagrange stop: [<H, z> : H] divides [G : H], so a join that has
+  filled more cosets of H than the largest proper divisor of [G : H]
+  is G;
+- orbit-stabilizer stop: a class has [G : N_G(H)] members, so its walk
+  ends there, and the member with the smallest bitset is extended with
+  its conjugated normalizer;
+- only joins that can be new: H is joined with z only if z normalizes H
+  and z^p lies in H, or if both lie in the solvable residue R; every
+  non-perfect subgroup is such a prime-index extension, and every
+  perfect one lies in R.
+
+The enumerator keeps the conjugacy orbits and the normalizers of the
+representatives it has built.  The small-order test oracle re-derives
+the same lattice independently.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
@@ -25,8 +38,9 @@ from math import gcd
 
 from .automorphisms import AutomorphismGroup, conjugation_action, subgroup_orbit
 from .errors import BudgetExceeded, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, extend_closure, find_witness,
-                     flags_to_mask, is_normal_mask, normalizer_of)
+from .groups import (FiniteGroup, Subgroup, bits, conjugate_mask, derived_series,
+                     extend_closure, find_witness, flags_to_mask, is_normal_mask,
+                     normalizer_of)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -183,7 +197,7 @@ class SubgroupLattice:
         cached = self._normalizer.get(i)
         if cached is not None:
             return cached
-        out = normalizer_of(self.group, self.subgroups[i].mask, self.witness(i))
+        out = normalizer_of(self.group, self.subgroups[i].mask, self.witness(i))[0]
         self._normalizer[i] = out
         return out
 
@@ -302,16 +316,19 @@ def mu_column(up: list[list[int]], top: int) -> list[int]:
     return mu
 
 
-def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int]]:
-    """(zuppo_of, zgens): zuppo_of[x] is the id of the cyclic prime-power
-    subgroup that x generates (negative when x is 1 or its order is not a
-    prime power), and zgens[id] is one generator of that zuppo."""
+def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """(zuppo_of, zgens, by_power): zuppo_of[x] is the id of the cyclic
+    prime-power subgroup that x generates (negative when x is 1 or its
+    order is not a prime power), zgens[id] is one generator of that
+    zuppo, and by_power[y] lists, ascending, the zuppos Z of order p^a
+    whose index-p subgroup Z^p is generated by y (y = 1 when a = 1)."""
     mt = G.table
     n = G.order
     e = G.identity
     zuppo_of = [-1] * n     # -1 until the powers of x are walked
     zuppo_of[e] = -2
     zgens: list[int] = []
+    by_power: dict[int, list[int]] = {}
     for x in range(n):
         if zuppo_of[x] != -1:
             continue
@@ -321,22 +338,25 @@ def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int]]:
             powers.append(y)
             y = mt[y * n + x]
         k = len(powers) + 1
+        p = _prime_of_power(k)
         z = -2
-        if _is_prime_power(k):
+        if p:
             z = len(zgens)
             zgens.append(x)
+            by_power.setdefault(powers[p - 1] if p < k else e, []).append(z)
         # the generators of <x> are its powers prime to its order
         for j, y in enumerate(powers, 1):
             if gcd(j, k) == 1:
                 zuppo_of[y] = z
-    return zuppo_of, zgens
+    return zuppo_of, zgens, by_power
 
 
-def _is_prime_power(n: int) -> bool:
+def _prime_of_power(n: int) -> int:
+    """p when n is a power of the prime p, else 0."""
     p = next(d for d in range(2, n + 1) if n % d == 0)
     while n % p == 0:
         n //= p
-    return n == 1
+    return p if n == 1 else 0
 
 
 def enumerate_subgroups(G: FiniteGroup,
@@ -347,19 +367,41 @@ def enumerate_subgroups(G: FiniteGroup,
     a join of a conjugate H^g is the conjugate of a join of H, so it is
     enough to join class representatives with zuppos and to insert the
     whole conjugacy orbit of each new subgroup.  For n in N_G(H),
-    <H, z^n> = <H, z>^n, so one zuppo per N_G(H)-orbit suffices.
+    <H, z^n> = <H, z>^n, so one zuppo per N_G(H)-orbit suffices.  Four
+    rules cut the work; none changes the subgroups found.
 
     Coset rule: y in z*H gives <H, y> = <H, z>, since y and z differ by
     an element of H.  So after H is joined with z, every zuppo generated
     by an element of z*H (row z of the table read at H's elements) is
     known.  An N_G(H)-orbit that meets a known zuppo joins to conjugates
     of a subgroup whose orbit is already inserted; its walk is finished,
-    so none of its members is joined, and no closure is made.  Skipped
-    joins would only find known subgroups, so the subgroups, witnesses
-    and their order are those of joining one zuppo per orbit.
+    so none of its members is joined, and no closure is made.
 
-    The conjugacy orbits inserted here and the normalizers of the
-    representatives are handed to the lattice."""
+    Lagrange stop (in `extend_closure`): [<H, z> : H] divides [G : H],
+    so a join that has filled more cosets of H than the largest proper
+    divisor of [G : H] is G.
+
+    Orbit-stabilizer stop (in `expand_orbit`): the class of a new H has
+    [G : N_G(H)] members, so its walk ends when it has that many.  The
+    member with the smallest bitset, the one `class_representatives`
+    reports, is extended, with N_G(H) and its generators conjugated
+    along the walk; those normalizers are handed to the lattice.
+
+    Only joins that can be new: H is joined with a zuppo generator z of
+    p-power order only if z normalizes H and z^p lies in H, or if H and
+    z both lie in R, the last term of the derived series.  This still
+    reaches every subgroup K, by induction on |K|.  If K is not perfect
+    it has a normal subgroup M of prime index p; for k in K outside M of
+    order p^a*m with m prime to p, z = k^m is a p-element outside M with
+    z^p in M, so K = <M, z> and z passes the first test.  If K is
+    perfect it lies in R, and joining its zuppos one at a time builds K
+    through subgroups of R, each join passing the second test.  Both
+    tests are invariant under conjugation of H and z together, so they
+    hold at the class representative, on whole N_G(H)-orbits, and agree
+    with the orbit walk and the coset rule.
+
+    Witnesses depend on which members are extended, but the subgroups,
+    their order and the conjugacy orbits do not."""
     mt = G.table
     n = G.order
     inv = G.inverse
@@ -368,9 +410,11 @@ def enumerate_subgroups(G: FiniteGroup,
     movers = [g for g in G.gens if not (center >> g) & 1]
     full = G.full_mask()
     triv = 1 << G.identity
+    residue = derived_series(G)[-1]
     seen: dict[int, tuple[int, ...]] = {}
     orbits: list[list[int]] = []
     normalizers: dict[int, int] = {}
+    worklist: list[tuple[int, int, tuple[int, ...]]] = []
 
     def insert(mask: int, witness: tuple[int, ...]):
         seen[mask] = witness
@@ -378,12 +422,18 @@ def enumerate_subgroups(G: FiniteGroup,
             raise BudgetExceeded(len(seen), budget, "subgroup enumeration")
 
     def expand_orbit(mask: int, witness: tuple[int, ...]):
-        """Insert the whole conjugacy orbit of a new subgroup."""
+        """Insert the conjugacy orbit of a new subgroup H and queue its
+        smallest member.  The walk carries, for each member c, an a with
+        c = H^a; it stops at [G : N_G(H)] members, all of the orbit.
+        N_G(H^a) = N_G(H)^a, generated by the conjugated generators."""
+        norm, norm_gens = normalizer_of(G, mask, witness)
+        size = n // norm.bit_count()
         insert(mask, witness)
         orbit = [mask]
-        queue = [(mask, witness)]
-        while queue:
-            m, w = queue.pop()
+        least, carrier = mask, G.identity
+        queue = [(mask, witness, G.identity)]
+        while len(orbit) < size:
+            m, w, a = queue.pop()
             for g in movers:
                 gi = inv[g] * n
                 c = 0
@@ -393,24 +443,44 @@ def enumerate_subgroups(G: FiniteGroup,
                     cw = tuple(mt[mt[gi + x] * n + g] for x in w)
                     insert(c, cw)
                     orbit.append(c)
-                    queue.append((c, cw))
+                    ag = mt[a * n + g]     # c = H^(a*g)
+                    if c < least:
+                        least, carrier = c, ag
+                    if len(orbit) == size:
+                        break
+                    queue.append((c, cw, ag))
         orbits.append(orbit)
+        if least != mask:
+            norm = conjugate_mask(G, norm, carrier)
+            norm_gens = tuple(G.conj(x, carrier) for x in norm_gens)
+        normalizers[least] = norm
+        worklist.append((least, norm, norm_gens))
 
-    zuppo_of, zgens = _zuppos(G)
+    zuppo_of, zgens, by_power = _zuppos(G)
+    in_residue = [z for z, zx in enumerate(zgens) if (residue >> zx) & 1]
+    powers = 0
+    for y in by_power:
+        powers |= 1 << y
     expand_orbit(triv, ())
-    worklist = [triv]
     while worklist:
-        h = worklist.pop()
+        h, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
         h_elems = list(bits(h))
-        norm = normalizers[h] = normalizer_of(G, h, h_gens)
+        # the zuppos Z with Z^p in H, then those normalizing H
+        cands = [z for y in bits(h & powers) for z in by_power[y]]
         if norm == full:
             n_gens = movers
         else:
-            n_gens = [g for g in find_witness(G, norm) if not (center >> g) & 1]
+            n_gens = [g for g in norm_gens if not (center >> g) & 1]
+            cands = [z for z in cands if (norm >> zgens[z]) & 1]
+        if h & ~residue == 0:
+            cands = sorted(set(cands).union(in_residue))
+        else:
+            cands.sort()
         done = bytearray(len(zgens))
         known = bytearray(len(zgens))   # zuppos whose join with H is found
-        for z, zx in enumerate(zgens):
+        for z in cands:
+            zx = zgens[z]
             if done[z] or (h >> zx) & 1:
                 continue
             # walk the N_G(H)-orbit of this zuppo; only its first member is
@@ -437,7 +507,6 @@ def enumerate_subgroups(G: FiniteGroup,
                     known[k] = 1
             if t not in seen:
                 expand_orbit(t, h_gens + (zx,))
-                worklist.append(t)
     subs = [Subgroup(m, gens=g) for m, g in seen.items()]
     subs.sort(key=lambda s: (s.order, s.mask))
     position = {s.mask: i for i, s in enumerate(subs)}

@@ -25,13 +25,20 @@ def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice,
                          include_full_aut: bool = True):
     """The acting subgroups exercised by the battery: trivial, inner,
     inner-by-K for every K containing G', and (small groups) full Aut.
-    Duplicate map sets are listed once.  Equal groups have equal orbits
-    on the subgroups, so `key`, which closes every map, is compared only
-    between groups that partition the subgroup ids alike."""
+    Duplicate map sets are listed once.  Equal generator sets give equal
+    groups, so such a candidate is dropped before any class poset is
+    built.  Otherwise, since equal groups have equal orbits on the
+    subgroups, `key`, which closes every map, is compared only between
+    groups that partition the subgroup ids alike."""
     choices: list[tuple[str, AutomorphismGroup]] = []
     by_partition: dict[tuple, list[AutomorphismGroup]] = {}
+    generator_sets: set[frozenset] = set()
 
     def add(label: str, aut: AutomorphismGroup):
+        gens = frozenset(a.map for a in aut.gens)
+        if gens in generator_sets:
+            return
+        generator_sets.add(gens)
         partition = tuple(build_class_poset(lattice, aut).classes)
         alike = by_partition.setdefault(partition, [])
         if any(aut.key == other.key for other in alike):

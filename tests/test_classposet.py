@@ -1,5 +1,7 @@
 import pytest
 
+import moebius.verify as verify_module
+
 from helpers import (brute_class_up, brute_mu_top, class_by, group, lattice, poset,
                      subgroups_of_order)
 from moebius import counting
@@ -193,6 +195,24 @@ def test_automorphism_choices_leave_full_aut_unclosed():
     choices = automorphism_choices(group(spec), lattice(spec))
     assert [label for label, _ in choices] == ["A=1", "A=aut"]
     assert dict(choices)["A=aut"]._maps is None
+
+
+def test_automorphism_choices_skip_equal_generator_sets(monkeypatch):
+    # on an abelian group every inner-by-K action has no generators, so it
+    # equals A=1 before any class poset is built: one poset for A=1 and
+    # one for A=aut
+    builds = [0]
+    build = verify_module.build_class_poset
+
+    def counted(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(verify_module, "build_class_poset", counted)
+    spec = "x".join(["C:2"] * 5)
+    choices = automorphism_choices(group(spec), lattice(spec))
+    assert [label for label, _ in choices] == ["A=1", "A=aut"]
+    assert builds[0] <= 2
 
 
 def test_mu_pairs_match_column():

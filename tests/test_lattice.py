@@ -4,7 +4,8 @@ import moebius.lattice as lattice_module
 from helpers import brute_mu_top, brute_relation, group, lattice, subgroups_of_order
 from moebius.cache import load_lattice, save_lattice
 from moebius.errors import BudgetExceeded, NotNormal
-from moebius.groups import closure_mask, conjugate_mask, is_normal_mask
+from moebius.groups import (closure_mask, conjugate_mask, derived_series, is_normal_mask,
+                            normalizer_of)
 from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
 from moebius.verify import independent_small_lattice
 
@@ -79,6 +80,45 @@ def test_joins_match_covering_pairs(n, monkeypatch):
     covers = sum(1 for i, above in enumerate(lat.up) for j in above
                  if subs[j].order == 2 * subs[i].order)
     assert calls[0] == covers
+
+
+@pytest.mark.parametrize("spec", ["S:4", "S:5", "S:6", "D:12xC:2", "Q:8xS:3",
+                                  "C:2xC:2xC:2xC:2"])
+def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch):
+    # a join <H, z> with H outside R, the last term of the derived series,
+    # is made only when z normalizes H and z^p lies in H: H is normal of
+    # prime index in the result
+    joins = []
+    closure = lattice_module.extend_closure
+
+    def recorded(G, h_mask, h_elems, h_gens, x):
+        out = closure(G, h_mask, h_elems, h_gens, x)
+        joins.append((h_mask, out))
+        return out
+
+    monkeypatch.setattr(lattice_module, "extend_closure", recorded)
+    G = group(spec)
+    residue = derived_series(G)[-1]
+    lat = enumerate_subgroups(G)
+    assert len(lat) == len(lattice(spec))
+    outside = [(h, k) for h, k in joins if h & ~residue]
+    assert outside
+    for h, k in outside:
+        index = k.bit_count() // h.bit_count()
+        assert h & ~k == 0 and index > 1
+        assert all(index % d for d in range(2, index))
+        gens = lat.witness(lat.index[k])
+        assert all(conjugate_mask(G, h, g) == h for g in gens)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3", "C:2xC:2xC:2"])
+def test_normalizer_generators_generate_the_normalizer(spec):
+    lat = lattice(spec)
+    G = lat.group
+    for i, s in enumerate(lat.subgroups):
+        mask, gens = normalizer_of(G, s.mask, lat.witness(i))
+        assert mask == lat.normalizer_mask(i)
+        assert closure_mask(G, gens) == mask
 
 
 def test_normalizer_examples():
