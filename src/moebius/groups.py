@@ -63,7 +63,14 @@ class FiniteGroup:
         """Flat multiplication table: index of x*y at [x*order + y].
 
         Only generators s are composed with elements, (s*b)[i] = b[s[i]]; the
-        row of x*s is the row of x gathered at s*b, as (x*s)*b = x*(s*b)."""
+        row of x*s is the row of x gathered at s*b, as (x*s)*b = x*(s*b).
+
+        Rows are filled one left coset r<t> at a time, t the generator of
+        largest order: the row of r*t^(i+1) is gathered from the row of
+        r*t^i still in hand, so a row is read back from the table once per
+        coset, not once per element.  The first row met in a new coset,
+        y = x*s for another generator s, marks the whole coset: y*t^i is
+        that row read at t^i.  Row x holds x itself at the identity."""
         if self._table is None:
             n = self.order
             els = self.elements
@@ -77,18 +84,34 @@ class FiniteGroup:
                     compose = itemgetter(*els[s])  # image tuple of b -> that of s*b
                     steps.append((s, itemgetter(*[idx[compose(pb)] for pb in els])))
             pack_row = Struct(f"{n}i").pack_into
+            powers = [e]                # t^0, t^1, ... t^(k-1)
+            if steps:
+                steps.sort(key=lambda step: -Permutation(els[step[0]]).order())
+                t, left_t = steps.pop(0)
+                compose = itemgetter(*els[t])
+                y = t
+                while y != e:
+                    powers.append(y)
+                    y = idx[compose(els[y])]
             seen = bytearray(n)
-            seen[e] = 1
-            todo = [e]
-            for x in todo:
-                row_x = mt[x * n:(x + 1) * n].tolist()
-                for s, left in steps:
-                    y = row_x[s]
-                    if not seen[y]:
-                        seen[y] = 1
-                        todo.append(y)
-                        pack_row(mt, 4 * y * n, *left(row_x))
-            if len(todo) != n:
+            for y in powers:
+                seen[y] = 1
+            todo = [e]                  # the first row met in each coset
+            for r in todo:
+                row_x = mt[r * n:(r + 1) * n].tolist()
+                for i in range(len(powers)):
+                    if i:               # x*t from x = r*t^(i-1)
+                        row_x = left_t(row_x)
+                        pack_row(mt, 4 * row_x[e] * n, *row_x)
+                    for s, left in steps:
+                        y = row_x[s]
+                        if not seen[y]:
+                            row_y = left(row_x)
+                            pack_row(mt, 4 * y * n, *row_y)
+                            for p in powers:
+                                seen[row_y[p]] = 1
+                            todo.append(y)
+            if len(todo) * len(powers) != n:
                 raise ValueError("the generators do not generate the elements")
             self._table = mt
         return self._table

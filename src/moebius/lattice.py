@@ -408,6 +408,9 @@ def enumerate_subgroups(G: FiniteGroup,
     center = G.center_mask
     # conjugation by a central element is the identity
     movers = [g for g in G.gens if not (center >> g) & 1]
+    # x -> g^-1 x g for each mover g, read once per element
+    conjugations = [(g, [mt[mt[inv[g] * n + x] * n + g] for x in range(n)])
+                    for g in movers]
     full = G.full_mask()
     triv = 1 << G.identity
     residue = derived_series(G)[-1]
@@ -423,24 +426,26 @@ def enumerate_subgroups(G: FiniteGroup,
 
     def expand_orbit(mask: int, witness: tuple[int, ...]):
         """Insert the conjugacy orbit of a new subgroup H and queue its
-        smallest member.  The walk carries, for each member c, an a with
-        c = H^a; it stops at [G : N_G(H)] members, all of the orbit.
+        smallest member.  The walk carries, for each member c, its
+        elements and an a with c = H^a, and conjugates elements through
+        one map per mover; it stops at [G : N_G(H)] members, all of the
+        orbit.
         N_G(H^a) = N_G(H)^a, generated by the conjugated generators."""
         norm, norm_gens = normalizer_of(G, mask, witness)
         size = n // norm.bit_count()
         insert(mask, witness)
         orbit = [mask]
         least, carrier = mask, G.identity
-        queue = [(mask, witness, G.identity)]
+        queue = [(list(bits(mask)), witness, G.identity)] if size > 1 else []
         while len(orbit) < size:
-            m, w, a = queue.pop()
-            for g in movers:
-                gi = inv[g] * n
+            m_elems, w, a = queue.pop()
+            for g, x_to_xg in conjugations:
+                c_elems = [x_to_xg[x] for x in m_elems]
                 c = 0
-                for x in bits(m):
-                    c |= 1 << mt[mt[gi + x] * n + g]
+                for y in c_elems:
+                    c |= 1 << y
                 if c not in seen:
-                    cw = tuple(mt[mt[gi + x] * n + g] for x in w)
+                    cw = tuple(x_to_xg[x] for x in w)
                     insert(c, cw)
                     orbit.append(c)
                     ag = mt[a * n + g]     # c = H^(a*g)
@@ -448,7 +453,7 @@ def enumerate_subgroups(G: FiniteGroup,
                         least, carrier = c, ag
                     if len(orbit) == size:
                         break
-                    queue.append((c, cw, ag))
+                    queue.append((c_elems, cw, ag))
         orbits.append(orbit)
         if least != mask:
             norm = conjugate_mask(G, norm, carrier)

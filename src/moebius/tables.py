@@ -86,24 +86,41 @@ def _min_generators(G: FiniteGroup, s: Subgroup, witness) -> int:
 def _generating_subset(G: FiniteGroup, mask: int, elems: list[int], k: int):
     """The first k-subset of elems, lexicographic by position, that
     generates the subgroup `mask`, or None.  Closures of prefixes are
-    built once each with `extend_closure`; an element already in its
-    prefix's closure is skipped, because that tuple generates what a
-    shorter tuple does, and no shorter tuple generates the subgroup."""
+    built once each with `extend_closure`.  Three prunes skip only
+    tuples that cannot generate the subgroup, so the tuple found is the
+    same:
+    - an element already in its prefix's closure is skipped, because
+      that tuple generates what a shorter tuple does, and no shorter
+      tuple generates the subgroup;
+    - for the last element, every x in a join <P, y> that fell short is
+      skipped, P the prefix's closure: <P, x> lies inside it;
+    - a (k-1)-prefix whose closure J an earlier one had is skipped.  The
+      earlier one found no last element after it, and any before it
+      would complete a tuple that comes earlier still, all of which
+      failed, so no x at all gives <J, x> the whole subgroup."""
+    dead: set[int] = set()      # closures of (k-1)-prefixes that failed
 
     def search(start: int, cur: int, cur_elems: list[int], prefix: tuple):
         last = len(prefix) == k - 1
+        before_last = len(prefix) == k - 2
+        short = cur
         for j in range(start, len(elems)):
             x = elems[j]
-            if (cur >> x) & 1:
+            if (short >> x) & 1:
                 continue
             nxt = extend_closure(G, cur, cur_elems, prefix, x)
             if last:
                 if nxt == mask:
                     return prefix + (x,)
-            else:
-                found = search(j + 1, nxt, list(bits(nxt)), prefix + (x,))
-                if found is not None:
-                    return found
+                short |= nxt
+                continue
+            if before_last and nxt in dead:
+                continue
+            found = search(j + 1, nxt, list(bits(nxt)), prefix + (x,))
+            if found is not None:
+                return found
+            if before_last:
+                dead.add(nxt)
         return None
 
     return search(0, 1 << G.identity, [G.identity], ())

@@ -120,6 +120,15 @@ def test_table_rejects_generators_that_miss_elements():
         G.table
 
 
+def test_table_rejects_generators_of_a_proper_subgroup():
+    # the rows of <(1,2,3)> fill one coset of it; S_3 has two
+    S3 = build_from_spec("S:3")
+    rot = S3.element_orders.index(3)
+    G = FiniteGroup(S3.elements, gens=(rot,))
+    with pytest.raises(ValueError):
+        G.table
+
+
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3"])
 def test_extend_closure_matches_generator_closure(spec):
     # <H, x> filled by cosets against a BFS over H's witness and x, for
