@@ -114,16 +114,16 @@ def trivial_automorphisms(G: FiniteGroup) -> AutomorphismGroup:
 
 def conjugation_action(G: FiniteGroup, elems, origin: str) -> AutomorphismGroup:
     """The group generated by conjugation with the given elements; central
-    elements conjugate trivially and are skipped."""
-    mt = G.table
-    n = G.order
-    inv = G.inverse
+    elements conjugate trivially and are skipped, and G's generators use
+    the maps the group keeps."""
+    kept = dict(G.conjugations)
     center = G.center_mask
     maps = []
     for k in elems:
         if not (center >> k) & 1:
-            ik = inv[k]
-            maps.append(Automorphism(tuple(mt[mt[ik * n + x] * n + k] for x in range(n))))
+            x_to_xk = kept.get(k)
+            maps.append(Automorphism(x_to_xk if x_to_xk is not None
+                                     else G.conjugation_map(k)))
     return AutomorphismGroup(G, maps, origin)
 
 

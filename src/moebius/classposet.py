@@ -29,6 +29,7 @@ class ClassPoset:
         self.top = class_of[lattice.top_id]
         self.bottom = class_of[lattice.trivial_id]
         self._up = None
+        self._rows = None
         self._up_sets = None
         self._mu_top = None
         self._mu_memo: dict[frozenset[int] | None, dict[tuple[int, int], int]] = {}
@@ -49,21 +50,39 @@ class ClassPoset:
     # -- order relation ----------------------------------------------------
 
     @property
+    def singletons(self) -> bool:
+        """Every orbit is a singleton: the poset is the lattice, and class
+        ids are subgroup ids."""
+        return len(self.classes) == len(self.lattice.subgroups)
+
+    @property
     def up(self) -> list[list[int]]:
         """up[c] = class ids strictly above c, ascending."""
         if self._up is None:
-            lat = self.lattice
-            if len(self.classes) == len(lat.subgroups):
-                # every orbit is a singleton: the poset is the lattice
-                self._up = lat.up
+            if self.singletons:
+                self._up = self.lattice.up
             else:
-                # H^a <= K iff H <= K^(a^-1): the classes above [H] are the
-                # classes of the proper supergroups of its representative
-                class_of = self.class_of
-                reps = [r for r, _ in self.classes]
-                self._up = [sorted({class_of[j] for j in bits(u) if j != r})
-                            for r, u in zip(reps, lat.upeq(reps))]
+                self._up = [list(bits(row & ~(1 << c)))
+                            for c, row in enumerate(self.rows())]
         return self._up
+
+    def rows(self) -> list[int]:
+        """The bitset over class ids of the classes at or above c, for each
+        class c, read from the lattice inclusion bitsets.
+
+        H^a <= K iff H <= K^(a^-1): the classes above [H] are the classes
+        of the supergroups of its representative."""
+        if self._rows is None:
+            class_of = self.class_of
+            reps = [r for r, _ in self.classes]
+            rows = []
+            for u in self.lattice.upeq(reps):
+                row = 0
+                for j in bits(u):
+                    row |= 1 << class_of[j]
+                rows.append(row)
+            self._rows = rows
+        return self._rows
 
     @property
     def up_sets(self) -> list[set[int]]:
@@ -85,9 +104,13 @@ class ClassPoset:
 
     @property
     def mu_top(self) -> list[int]:
-        """mu_A(H, G) for every class id, computed in one descending sweep."""
+        """mu_A(H, G) for every class id, computed in one descending sweep;
+        a poset of singleton classes reads the lattice column."""
         if self._mu_top is None:
-            self._mu_top = mu_column(self.up, self.top)
+            if self.singletons:
+                self._mu_top = list(self.lattice.mu_top)
+            else:
+                self._mu_top = mu_column(self.rows(), self.top)
         return self._mu_top
 
     def mu(self, x: int, y: int, within: frozenset[int] | None = None) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from array import array
 from functools import lru_cache
+from math import gcd
 from operator import itemgetter
 from struct import Struct
 
@@ -39,7 +40,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("degree", "elements", "index", "order", "identity", "gens",
-                 "spec", "_table", "_inv", "_elt_orders", "_center")
+                 "spec", "_table", "_inv", "_elt_orders", "_center", "_conjugations")
 
     def __init__(self, elements, gens, spec=None):
         self.elements = list(elements)
@@ -55,6 +56,7 @@ class FiniteGroup:
         self._inv = None
         self._elt_orders = None
         self._center = None
+        self._conjugations = None
 
     # -- lazy tables ---------------------------------------------------
 
@@ -119,24 +121,40 @@ class FiniteGroup:
     @property
     def inverse(self) -> list[int]:
         if self._inv is None:
-            idx = self.index
-            inv = [0] * self.order
-            for i, p in enumerate(self.elements):
-                q = [0] * self.degree
-                for a, b in enumerate(p):
-                    q[b] = a
-                inv[i] = idx[tuple(q)]
-            self._inv = inv
+            self._walk_powers()
         return self._inv
 
     @property
     def element_orders(self) -> list[int]:
         if self._elt_orders is None:
-            orders = []
-            for p in self.elements:
-                orders.append(Permutation(p).order())
-            self._elt_orders = orders
+            self._walk_powers()
         return self._elt_orders
+
+    def _walk_powers(self):
+        """Inverses and element orders read off the table: the powers of
+        each element x not yet met are walked once, and for x of order k,
+        x^j has order k/gcd(j, k) and inverse x^(k-j)."""
+        mt = self.table
+        n = self.order
+        e = self.identity
+        orders = [0] * n
+        inv = [0] * n
+        orders[e] = 1
+        inv[e] = e
+        for x in range(n):
+            if orders[x]:
+                continue
+            powers = [x]            # x^1 .. x^(k-1)
+            y = mt[x * n + x]
+            while y != e:
+                powers.append(y)
+                y = mt[y * n + x]
+            k = len(powers) + 1
+            for j, y in enumerate(powers, 1):
+                orders[y] = k // gcd(j, k)
+                inv[y] = powers[k - j - 1]
+        self._elt_orders = orders
+        self._inv = inv
 
     # -- element arithmetic --------------------------------------------
 
@@ -151,6 +169,23 @@ class FiniteGroup:
         mt = self.table
         n = self.order
         return mt[mt[self.inverse[g] * n + x] * n + g]
+
+    def conjugation_map(self, g: int) -> list[int]:
+        """x -> g^-1 * x * g for every element x."""
+        mt = self.table
+        n = self.order
+        gi = self.inverse[g] * n
+        return [mt[mt[gi + x] * n + g] for x in range(n)]
+
+    @property
+    def conjugations(self) -> list[tuple[int, list[int]]]:
+        """(g, conjugation_map(g)) for each distinct non-central generator g,
+        built once; conjugation by a central element is the identity."""
+        if self._conjugations is None:
+            center = self.center_mask
+            self._conjugations = [(g, self.conjugation_map(g))
+                                  for g in dict.fromkeys(self.gens) if not (center >> g) & 1]
+        return self._conjugations
 
     def permutation(self, a: int) -> Permutation:
         return Permutation(self.elements[a])
@@ -419,19 +454,42 @@ def flags_to_mask(flags: bytearray) -> int:
 
 
 def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
-    """Bitset of <H, x> given H's elements; fills whole cosets of H at once.
+    """Bitset of <H, x> given H's elements and generators h_gens; fills
+    whole cosets of H at once.  The left coset r*H is row r of the table
+    read at H's elements.
 
-    Members are bytes, one per element, read into a bitset once at the
-    end.  The left coset r*H is row r of the table read at H's elements;
-    cosets are walked by left multiplication, s*(r*H) = (s*r)*H.
+    When x normalizes H (x^-1*h*x lies in H for each generator h), <H, x>
+    is the union of the cosets x^i*H, i = 0 .. k-1, with x^k the first
+    power of x in H; they are filled straight into the bitset, and when
+    k*|H| = |G| the answer is G without filling any.
 
-    Lagrange stop: [<H, x> : H] divides [G : H], so once more cosets are
-    found than the largest proper divisor of [G : H], <H, x> is all of G
-    and G is returned without filling the rest."""
+    Otherwise members are bytes, one per element, read into a bitset once
+    at the end, and cosets are walked by left multiplication, s*(r*H) =
+    (s*r)*H.  Lagrange stop: [<H, x> : H] divides [G : H], so once more
+    cosets are found than the largest proper divisor of [G : H], <H, x>
+    is all of G and G is returned without filling the rest."""
     if (h_mask >> x) & 1:
         return h_mask
     mt = G.table
     n = G.order
+    xi = G.inverse[x] * n
+    for h in h_gens:
+        if not (h_mask >> mt[mt[xi + h] * n + x]) & 1:
+            break
+    else:
+        reps = []
+        r = x
+        while not (h_mask >> r) & 1:
+            reps.append(r)
+            r = mt[r * n + x]
+        if (len(reps) + 1) * len(h_elems) == n:
+            return (1 << n) - 1
+        mask = h_mask
+        for r in reps:
+            base = r * n
+            for h in h_elems:
+                mask |= 1 << mt[base + h]
+        return mask
     member = bytearray(n)
     for h in h_elems:
         member[h] = 1
@@ -502,8 +560,10 @@ def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
     return all(conjugate_mask(G, mask, g) == mask for g in G.gens)
 
 
-def normalizer_of(G: FiniteGroup, mask: int, gens) -> tuple[int, tuple[int, ...]]:
-    """N_G(H) for H = <gens> with the given bitset, as (bitset, generators).
+def normalizer_of(G: FiniteGroup, mask: int, gens,
+                  elems=None) -> tuple[int, tuple[int, ...]]:
+    """N_G(H) for H = <gens> with the given bitset, as (bitset, generators);
+    `elems`, H's elements in any order, spares decoding the bitset.
 
     g normalizes H exactly when it conjugates each generator of H into H.
     N is grown from H by closure, so the generators are H's plus every
@@ -512,14 +572,14 @@ def normalizer_of(G: FiniteGroup, mask: int, gens) -> tuple[int, tuple[int, ...]
     H, so g*k does exactly when g does): the coset is marked and skipped.
     A test costs at most |gens| conjugations, and a failure |N| table
     reads to mark its coset."""
+    # normal: G's non-central generators already normalize H
+    if all((mask >> x_to_xg[h]) & 1 for _, x_to_xg in G.conjugations for h in gens):
+        return G.full_mask(), G.gens
     mt = G.table
     n = G.order
     inv = G.inverse
-    # normal: G's generators already normalize H
-    if all((mask >> mt[mt[inv[g] * n + h] * n + g]) & 1 for g in G.gens for h in gens):
-        return G.full_mask(), G.gens
     norm = mask
-    norm_elems = list(bits(mask))
+    norm_elems = list(bits(mask)) if elems is None else elems
     norm_gens = list(gens)
     decided = bytearray(n)      # in N, or in a coset known to fail
     for x in norm_elems:

@@ -23,13 +23,27 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
   non-perfect subgroup is such a prime-index extension, and every
   perfect one lies in R.
 
-The enumerator keeps the conjugacy orbits and the normalizers of the
-representatives it has built.  The small-order test oracle re-derives
-the same lattice independently.
+Each join outside R is by an element that normalizes H, so
+`extend_closure` fills its cosets straight off the table rows.  The
+enumerator carries each representative's element list from its orbit
+walk to its joins and to `normalizer_of`, conjugates through the maps
+the group keeps for its non-central generators, and walks N_G(H)-orbits
+of zuppos as permutations of zuppo ids, one per conjugating element,
+built once per enumeration.  It keeps the conjugacy orbits and the
+normalizers of the representatives it has built.  The small-order test
+oracle re-derives the same lattice independently.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
 of the bitsets of the subgroups holding each witness element.
+
+One Moebius routine, `mu_column`, serves the lattice and every class
+poset.  It sweeps down bitset rows and keeps S_v, the ids already
+valued v, so mu(x) = -sum over v of v * popcount(row_x & S_v).  The
+lattice column runs over classes, with the upeq rows of their
+representatives, so no up-set is decoded; a class poset runs over rows
+of class ids, or reads the lattice column when every class is a
+singleton.
 """
 
 from __future__ import annotations
@@ -165,20 +179,24 @@ class SubgroupLattice:
         """mu(H, G) for every subgroup id H, on the full lattice.
 
         mu is constant on conjugacy classes, so the sweep runs over
-        classes: above a class stands the class of every proper
-        supergroup of its representative, repeated once per supergroup."""
+        classes: the row of a class is the upeq bitset of its
+        representative, and a valued class stands for its whole orbit."""
         if self._mu_top is None:
             reps = self.class_representatives()
             if len(reps) == len(self.subgroups):
-                # every class is a singleton: the classes are the subgroups
-                self._mu_top = mu_column(self.up, self.top_id)
+                # every class is a singleton: the classes are the
+                # subgroups, and their rows, one per subgroup, are not kept
+                self._mu_top = mu_column(self._containing(reps), self.top_id)
             else:
-                position = {r: c for c, r in enumerate(reps)}
-                class_of = [position[self.conjugacy_orbit(i)[0]]
-                            for i in range(len(self.subgroups))]
-                above = [[class_of[j] for j in bits(u) if j != r]
-                         for r, u in zip(reps, self.upeq(reps))]
-                mu = mu_column(above, len(reps) - 1)
+                class_of = [0] * len(self.subgroups)
+                blocks = []
+                for c, r in enumerate(reps):
+                    block = 0
+                    for j in self.conjugacy_orbit(r):
+                        class_of[j] = c
+                        block |= 1 << j
+                    blocks.append(block)
+                mu = mu_column(self.upeq(reps), len(reps) - 1, blocks)
                 self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
@@ -304,15 +322,27 @@ class SubgroupLattice:
         return vals
 
 
-def mu_column(up: list[list[int]], top: int) -> list[int]:
-    """mu(x, top) for every x of a finite poset, from up[x], the ids
-    strictly above x (an id listed k times counts k times).  Ids must
-    extend the order (x below y implies x < y), so one descending sweep
-    meets every y in up[x] before x, and no x > top lies below top."""
-    mu = [0] * len(up)
+def mu_column(rows: list[int], top: int, blocks: list[int] | None = None) -> list[int]:
+    """mu(x, top) for every item x of a finite poset, from bitset rows.
+
+    Each item owns a set of ids: blocks[x], a bitset (a whole conjugacy
+    class of subgroup ids, say), or x alone when blocks is None.  rows[x]
+    holds the ids owned by the items at or above x, and the defining sum
+    mu(x) = -sum of mu(y) over the items y above x counts y once for each
+    of its ids in rows[x].  Items must extend the order (x below y implies
+    x < y), so one descending sweep values every item above x before x;
+    with S_v the ids of the items already valued v, mu(x) is
+    -sum over v of v * popcount(rows[x] & S_v).  No item x > top lies
+    below top."""
+    mu = [0] * len(rows)
     mu[top] = 1
+    valued = {1: 1 << top if blocks is None else blocks[top]}  # v -> S_v, v != 0
     for x in range(top - 1, -1, -1):
-        mu[x] = -sum(mu[y] for y in up[x])
+        row = rows[x]
+        v = -sum([v * (row & ids).bit_count() for v, ids in valued.items()])
+        if v:
+            mu[x] = v
+            valued[v] = valued.get(v, 0) | (1 << x if blocks is None else blocks[x])
     return mu
 
 
@@ -400,24 +430,30 @@ def enumerate_subgroups(G: FiniteGroup,
     hold at the class representative, on whole N_G(H)-orbits, and agree
     with the orbit walk and the coset rule.
 
+    Work per subgroup: a join outside R is by a z that normalizes H, so
+    `extend_closure` fills the cosets z^i*H off the table rows without a
+    coset search.  The extended member's element list comes from its
+    orbit walk and serves its joins, the coset rule and `normalizer_of`.
+    N_G(H)-orbits of zuppos are walked as permutations of zuppo ids, one
+    per conjugating element, built on first use and kept for the whole
+    enumeration; those of G's non-central generators are read off the
+    conjugation maps the group keeps.
+
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
     mt = G.table
     n = G.order
     inv = G.inverse
     center = G.center_mask
-    # conjugation by a central element is the identity
-    movers = [g for g in G.gens if not (center >> g) & 1]
-    # x -> g^-1 x g for each mover g, read once per element
-    conjugations = [(g, [mt[mt[inv[g] * n + x] * n + g] for x in range(n)])
-                    for g in movers]
+    # x -> g^-1 x g for each non-central generator g
+    conjugations = G.conjugations
     full = G.full_mask()
     triv = 1 << G.identity
     residue = derived_series(G)[-1]
     seen: dict[int, tuple[int, ...]] = {}
     orbits: list[list[int]] = []
     normalizers: dict[int, int] = {}
-    worklist: list[tuple[int, int, tuple[int, ...]]] = []
+    worklist: list[tuple[int, list[int], int, tuple[int, ...]]] = []
 
     def insert(mask: int, witness: tuple[int, ...]):
         seen[mask] = witness
@@ -426,17 +462,18 @@ def enumerate_subgroups(G: FiniteGroup,
 
     def expand_orbit(mask: int, witness: tuple[int, ...]):
         """Insert the conjugacy orbit of a new subgroup H and queue its
-        smallest member.  The walk carries, for each member c, its
-        elements and an a with c = H^a, and conjugates elements through
-        one map per mover; it stops at [G : N_G(H)] members, all of the
-        orbit.
+        smallest member with that member's elements.  The walk carries,
+        for each member c, its elements and an a with c = H^a, and
+        conjugates elements through one map per mover; it stops at
+        [G : N_G(H)] members, all of the orbit.
         N_G(H^a) = N_G(H)^a, generated by the conjugated generators."""
-        norm, norm_gens = normalizer_of(G, mask, witness)
+        elems = list(bits(mask))
+        norm, norm_gens = normalizer_of(G, mask, witness, elems)
         size = n // norm.bit_count()
         insert(mask, witness)
         orbit = [mask]
-        least, carrier = mask, G.identity
-        queue = [(list(bits(mask)), witness, G.identity)] if size > 1 else []
+        least, least_elems, carrier = mask, elems, G.identity
+        queue = [(elems, witness, G.identity)] if size > 1 else []
         while len(orbit) < size:
             m_elems, w, a = queue.pop()
             for g, x_to_xg in conjugations:
@@ -450,7 +487,7 @@ def enumerate_subgroups(G: FiniteGroup,
                     orbit.append(c)
                     ag = mt[a * n + g]     # c = H^(a*g)
                     if c < least:
-                        least, carrier = c, ag
+                        least, least_elems, carrier = c, c_elems, ag
                     if len(orbit) == size:
                         break
                     queue.append((c_elems, cw, ag))
@@ -459,24 +496,35 @@ def enumerate_subgroups(G: FiniteGroup,
             norm = conjugate_mask(G, norm, carrier)
             norm_gens = tuple(G.conj(x, carrier) for x in norm_gens)
         normalizers[least] = norm
-        worklist.append((least, norm, norm_gens))
+        worklist.append((least, least_elems, norm, norm_gens))
 
     zuppo_of, zgens, by_power = _zuppos(G)
     in_residue = [z for z, zx in enumerate(zgens) if (residue >> zx) & 1]
     powers = 0
     for y in by_power:
         powers |= 1 << y
+    # g -> the permutation of zuppo ids by conjugation with g, built on
+    # first use; those of the non-central generators from the group's maps
+    zuppo_maps = {g: [zuppo_of[x_to_xg[zx]] for zx in zgens] for g, x_to_xg in conjugations}
+    mover_maps = list(zuppo_maps.values())
+
+    def zuppo_map(g: int) -> list[int]:
+        z_to_zg = zuppo_maps.get(g)
+        if z_to_zg is None:
+            gi = inv[g] * n
+            z_to_zg = zuppo_maps[g] = [zuppo_of[mt[mt[gi + zx] * n + g]] for zx in zgens]
+        return z_to_zg
+
     expand_orbit(triv, ())
     while worklist:
-        h, norm, norm_gens = worklist.pop()
+        h, h_elems, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
-        h_elems = list(bits(h))
         # the zuppos Z with Z^p in H, then those normalizing H
         cands = [z for y in bits(h & powers) for z in by_power[y]]
         if norm == full:
-            n_gens = movers
+            n_maps = mover_maps
         else:
-            n_gens = [g for g in norm_gens if not (center >> g) & 1]
+            n_maps = [zuppo_map(g) for g in norm_gens if not (center >> g) & 1]
             cands = [z for z in cands if (norm >> zgens[z]) & 1]
         if h & ~residue == 0:
             cands = sorted(set(cands).union(in_residue))
@@ -492,16 +540,15 @@ def enumerate_subgroups(G: FiniteGroup,
             # joined, and none is when the orbit meets a known zuppo
             done[z] = 1
             decided = known[z]
-            stack = [zx]
+            stack = [z]
             while stack:
-                x = stack.pop()
-                for g in n_gens:
-                    y = mt[mt[inv[g] * n + x] * n + g]
-                    k = zuppo_of[y]
+                y = stack.pop()
+                for z_to_zg in n_maps:
+                    k = z_to_zg[y]
                     if not done[k]:
                         done[k] = 1
                         decided |= known[k]
-                        stack.append(y)
+                        stack.append(k)
             if decided:
                 continue
             t = extend_closure(G, h, h_elems, h_gens, zx)

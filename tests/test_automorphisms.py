@@ -264,3 +264,25 @@ def test_inner_holds_generator_maps_only():
         A = inner_automorphisms(group(spec))
         assert A.is_trivial
         assert A._maps is None  # the full list was never closed
+
+
+@pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3", "D:12xC:2"])
+def test_one_conjugation_map_per_non_central_generator(spec):
+    G = group(spec)
+    lat = lattice(spec)
+    center = G.center_mask
+    movers = [g for g in dict.fromkeys(G.gens) if not (center >> g) & 1]
+    assert G.conjugations is G.conjugations     # built once
+    assert [g for g, _ in G.conjugations] == movers
+    for g, x_to_xg in G.conjugations:
+        assert x_to_xg == [G.conj(x, g) for x in range(G.order)]
+    if spec == "D:12xC:2":
+        # the C:2 factor's generator is central and gets no map
+        assert len(movers) < len(set(G.gens))
+    maps = list(dict.fromkeys(tuple(x_to_xg) for _, x_to_xg in G.conjugations))
+    assert [a.map for a in inner_automorphisms(G).gens] == maps
+    assert [a.map for a in lat.conjugation.gens] == maps
+    for i, s in enumerate(lat.subgroups):
+        # the enumerator hands its element lists over in no fixed order
+        w = lat.witness(i)
+        assert normalizer_of(G, s.mask, w, s.elements()[::-1]) == normalizer_of(G, s.mask, w)

@@ -142,6 +142,15 @@ def test_extend_closure_matches_generator_closure(spec):
             assert extend_closure(G, H.mask, h_elems, w, x) == closure_mask(G, w + (x,))
 
 
+@pytest.mark.parametrize("spec", ["C:1", "S:4", "Q:8xS:3", "D:12xC:2", "A:6", "C:300"])
+def test_orders_and_inverses_match_the_permutations(spec):
+    # read off the table's power walks, against each element's cycles
+    G = build_from_spec(spec, cap=400)
+    perms = [Permutation(p) for p in G.elements]
+    assert G.element_orders == [p.order() for p in perms]
+    assert G.inverse == [G.index[p.inverse().images] for p in perms]
+
+
 def test_large_degree_table_path():
     # degree above 255: the same table path as for every other degree
     G = build_from_spec("C:300", cap=400)

@@ -1,8 +1,10 @@
 import pytest
 
 import moebius.lattice as lattice_module
-from helpers import brute_mu_top, brute_relation, group, lattice, subgroups_of_order
+from helpers import (brute_class_up, brute_mu_top, brute_relation, group, lattice,
+                     subgroups_of_order)
 from moebius.cache import load_lattice, save_lattice
+from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
 from moebius.groups import (closure_mask, conjugate_mask, derived_series, is_normal_mask,
                             normalizer_of)
@@ -283,3 +285,20 @@ def test_relation_matches_pairwise_scan(spec, source, tmp_path):
     assert lat.maximals == [i for i, u in enumerate(up) if u == [lat.top_id]]
     assert [lat.sigma(i) for i in range(len(lat))] == [len(d) + 1 for d in down]
     assert lat.mu_top == brute_mu_top(up, lat.top_id)
+
+
+@pytest.mark.parametrize("source", ["enumerated", "cached"])
+@pytest.mark.parametrize("spec", ["C:2xC:2xC:2xC:2xC:2", "Q:8xC:2", "S:4", "D:12xC:2", "A:5"])
+def test_mu_columns_match_defining_sums(spec, source, tmp_path):
+    """Both Moebius columns against the defining sums over the pairwise
+    relations: abelian and Hamiltonian groups (every class a singleton)
+    and groups with larger classes, also on a lattice read back from the
+    cache, which has no orbits and no witnesses."""
+    lat = enumerate_subgroups(group(spec))
+    if source == "cached":
+        save_lattice(lat, tmp_path)
+        lat = load_lattice(lat.group, tmp_path)
+        assert all(s.gens is None for s in lat.subgroups) and not lat._conj_orbit
+    assert lat.mu_top == brute_mu_top(brute_relation(lat)[0], lat.top_id)
+    pos = conjugation_poset(lat)
+    assert pos.mu_top == brute_mu_top(brute_class_up(pos), pos.top)
