@@ -19,6 +19,5 @@ from .groups import (FiniteGroup, Subgroup, build_from_spec, commutator_subgroup
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .automorphisms import (Automorphism, AutomorphismGroup,
                             automorphism_from_images, full_automorphism_group,
-                            inner_automorphisms, induced_quotient_action,
-                            subgroup_orbit)
+                            inner_automorphisms, induced_quotient_action)
 from .classposet import ClassPoset, build_class_poset

@@ -10,9 +10,8 @@ it is read.  Origin tags record how a group was built.
 
 from __future__ import annotations
 
-from .errors import (BoundExceeded, ImageNotInLattice, NotAHomomorphism,
-                     NotBijective, NotInvariant)
-from .groups import FiniteGroup, Subgroup, bits, find_witness
+from .errors import BoundExceeded, NotAHomomorphism, NotBijective, NotInvariant
+from .groups import FiniteGroup, Subgroup, find_witness, subgroup_image_mask
 
 FULL_AUT_DEFAULT_BOUND = 64
 
@@ -26,11 +25,7 @@ class Automorphism:
         self.map = tuple(map_)
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        m = self.map
-        for x in bits(mask):
-            out |= 1 << m[x]
-        return out
+        return subgroup_image_mask(self.map, mask)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.map))
@@ -92,7 +87,8 @@ class AutomorphismGroup:
         return self._key
 
     def mask_orbit(self, mask: int) -> set[int]:
-        """Bitsets of the orbit of one subgroup bitset (BFS over the generators)."""
+        """Bitsets of the orbit of one bitset (BFS over the generators); on
+        subgroup ids, `SubgroupLattice.orbits` walks the orbits."""
         seen = {mask}
         queue = [mask]
         while queue:
@@ -245,16 +241,6 @@ def full_automorphism_group(G: FiniteGroup,
                     kept.append(a)
                     orbit = AutomorphismGroup(G, kept, "full-aut").mask_orbit(1 << gens[k])
     return AutomorphismGroup(G, kept, "full-aut")
-
-
-def subgroup_orbit(A: AutomorphismGroup, H: Subgroup, lattice) -> list[int]:
-    """Lattice ids of the A-orbit of H (H included), ascending."""
-    index = lattice.index
-    try:
-        return sorted(index[m] for m in A.mask_orbit(H.mask))
-    except KeyError as exc:
-        raise ImageNotInLattice(
-            "an automorphism image is missing from the lattice") from exc
 
 
 def induced_quotient_action(A: AutomorphismGroup, N: Subgroup,

@@ -1,6 +1,8 @@
 """Posets of A-conjugacy classes of subgroups and their Moebius functions.
 
-Classes are A-orbits of lattice subgroups; [H] <= [K] iff some orbit
+Classes are A-orbits of lattice subgroups, as `SubgroupLattice.orbits`
+walks them over the generator maps of A; the poset under conjugation
+reads the lattice's own conjugacy classes.  [H] <= [K] iff some orbit
 member of [H] is contained in the representative of [K], that is, iff
 the representative of [H] lies in some orbit member of [K].  So the
 classes above [H] are read off the lattice up-set of its representative.
@@ -11,7 +13,7 @@ counting formulas consume.
 
 from __future__ import annotations
 
-from .automorphisms import AutomorphismGroup, subgroup_orbit
+from .automorphisms import AutomorphismGroup, conjugation_action
 from .errors import NotAClosureMap
 from .groups import FiniteGroup, Subgroup, bits, is_normal_mask
 from .lattice import SubgroupLattice, mu_column
@@ -138,35 +140,15 @@ class ClassPoset:
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
     """Partition the lattice into A-orbits and order the orbit classes."""
-    subs = lattice.subgroups
-    return _orbit_poset(lattice, aut,
-                        lambda i: tuple(subgroup_orbit(aut, subs[i], lattice)))
+    return ClassPoset(lattice, aut, *lattice.orbits([a.map for a in aut.gens]))
 
 
 def conjugation_poset(lattice: SubgroupLattice) -> ClassPoset:
-    """The class poset under conjugation, built from lattice orbits."""
-    return _orbit_poset(lattice, lattice.conjugation, lattice.conjugacy_orbit)
-
-
-def _orbit_poset(lattice: SubgroupLattice, aut: AutomorphismGroup,
-                 orbit_of) -> ClassPoset:
-    """Classes from orbit_of(i), the ascending ids of the orbit of i.
-
-    Each new class starts at the smallest id not yet classed, so that id
-    is its representative and classes follow the (order, mask) order of
-    their representatives."""
-    nsub = len(lattice.subgroups)
-    class_of = [-1] * nsub
-    classes = []
-    for i in range(nsub):
-        if class_of[i] >= 0:
-            continue
-        orbit = orbit_of(i)
-        c = len(classes)
-        classes.append((i, orbit))
-        for j in orbit:
-            class_of[j] = c
-    return ClassPoset(lattice, aut, classes, class_of)
+    """The class poset under conjugation: the lattice's conjugacy classes,
+    acted on by Inn(G) held as the conjugations by G's generators."""
+    G = lattice.group
+    return ClassPoset(lattice, conjugation_action(G, G.gens, "inner"),
+                      *lattice.conjugacy_classes)
 
 
 def lambda_poset(G: FiniteGroup, lattice: SubgroupLattice) -> ClassPoset:
@@ -291,15 +273,8 @@ def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[
 def complement_class_count(poset: ClassPoset, n_sub: Subgroup,
                            h: Subgroup) -> int:
     """Number of A-classes of complements of N in G containing H."""
-    comps = poset.lattice.complements(n_sub, h)
-    remaining = {k.mask for k in comps}
-    count = 0
-    while remaining:
-        m = next(iter(remaining))
-        orbit = poset.aut.mask_orbit(m)
-        remaining -= orbit
-        count += 1
-    return count
+    return len({poset.class_of_subgroup(k)
+                for k in poset.lattice.complements(n_sub, h)})
 
 
 def minimal_normal_subgroup_ids(lattice: SubgroupLattice) -> list[int]:

@@ -18,8 +18,6 @@ from .groups import (FiniteGroup, Subgroup, bits, closure_mask, extend_closure,
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
-# inclusion-exclusion sums 2^k - 1 terms over an orbit of k subgroups
-INCLUSION_EXCLUSION_MAX_ORBIT = 20
 
 
 def phi_hall(lattice: SubgroupLattice, t: int) -> int:
@@ -117,31 +115,6 @@ def omega(poset: ClassPoset, c: int, t: int) -> int:
     return sum(phi_exact[k] for k in _downset_ids(poset, c))
 
 
-def omega_inclusion_exclusion(poset: ClassPoset, c: int, t: int) -> int:
-    """Independent cross-check of omega via inclusion-exclusion on the orbit."""
-    _require_t(t)
-    subs = poset.lattice.subgroups
-    omasks = [subs[i].mask for i in poset.orbit(c)]
-    k = len(omasks)
-    if k > INCLUSION_EXCLUSION_MAX_ORBIT:
-        raise ValueError(f"orbit of size {k} too large for inclusion-exclusion")
-    total = 0
-    for j in range(1, 1 << k):
-        inter = -1
-        jj = j
-        idx = 0
-        nbits = 0
-        while jj:
-            if jj & 1:
-                inter &= omasks[idx]
-                nbits += 1
-            jj >>= 1
-            idx += 1
-        card = inter.bit_count() ** t
-        total += card if nbits % 2 else -card
-    return total
-
-
 def psi(poset: ClassPoset, c: int, t: int) -> int:
     """Number of t-tuples generating exactly some orbit member of class c."""
     _require_t(t)
@@ -237,7 +210,7 @@ def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
     G = lat.group
     if not is_normal_mask(G, N.mask):
         raise NotNormal("relative count needs a normal subgroup")
-    if poset.aut.mask_orbit(N.mask) != {N.mask}:
+    if len(poset.orbit(poset.class_of_subgroup(N))) != 1:
         raise NotInvariant("N is not invariant under the acting subgroup")
     lifts = tuple(lifts)
     if len(lifts) != t:

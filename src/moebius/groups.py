@@ -557,7 +557,9 @@ def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
 
 
 def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
-    return all(conjugate_mask(G, mask, g) == mask for g in G.gens)
+    """Whether every element of G conjugates the set into itself: it is
+    enough that G's non-central generators do, through the kept maps."""
+    return all(subgroup_image_mask(x_to_xg, mask) == mask for _, x_to_xg in G.conjugations)
 
 
 def normalizer_of(G: FiniteGroup, mask: int, gens,
@@ -711,9 +713,10 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     return Q, projection
 
 
-def subgroup_image_mask(proj: list[int], mask: int) -> int:
-    """Push a subgroup bitset through a quotient projection."""
+def subgroup_image_mask(images, mask: int) -> int:
+    """The bitset of the image of a bitset under a map of element indices
+    (a quotient projection, an automorphism, a conjugation)."""
     out = 0
     for x in bits(mask):
-        out |= 1 << proj[x]
+        out |= 1 << images[x]
     return out

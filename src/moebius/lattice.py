@@ -33,6 +33,11 @@ built once per enumeration.  It keeps the conjugacy orbits and the
 normalizers of the representatives it has built.  The small-order test
 oracle re-derives the same lattice independently.
 
+One routine, `SubgroupLattice.orbits`, splits the subgroup ids into the
+orbits of generator maps, and every class partition reads it; the
+conjugacy classes are the enumerator's orbits or, on a lattice read
+from the cache, the orbits of G's conjugation maps.
+
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
 of the bitsets of the subgroups holding each witness element.
@@ -50,11 +55,10 @@ from __future__ import annotations
 
 from math import gcd
 
-from .automorphisms import AutomorphismGroup, conjugation_action, subgroup_orbit
-from .errors import BudgetExceeded, NotNormal
+from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, conjugate_mask, derived_series,
                      extend_closure, find_witness, flags_to_mask, is_normal_mask,
-                     normalizer_of)
+                     normalizer_of, subgroup_image_mask)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -65,7 +69,7 @@ class SubgroupLattice:
     Subgroup ids index the `subgroups` list.  Inclusion structure, the
     Moebius column at the top, normalizers and per-subgroup counting data
     are computed lazily and cached; the lattice itself is immutable.
-    `orbits` (ascending id tuples of conjugacy orbits) and `normalizers`
+    `orbits` (ascending id tuples of all conjugacy orbits) and `normalizers`
     (id -> N_G bitset) seed those caches with what enumeration found.
     """
 
@@ -85,8 +89,15 @@ class SubgroupLattice:
         self._maximals = None
         self._mu_top = None
         self._normalizer = dict(normalizers)
-        self._conjugation = None
-        self._conj_orbit = {i: orbit for orbit in orbits for i in orbit}
+        self._classes = None
+        if orbits:
+            orbits = sorted(orbits)
+            class_of = [0] * len(subgroups)
+            for c, orbit in enumerate(orbits):
+                for j in orbit:
+                    class_of[j] = c
+            self._classes = [(orbit[0], orbit) for orbit in orbits], class_of
+        self._conj_orbit: dict[int, tuple[int, ...]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
         self._join: dict[tuple[int, int], int] = {}
@@ -182,32 +193,71 @@ class SubgroupLattice:
         classes: the row of a class is the upeq bitset of its
         representative, and a valued class stands for its whole orbit."""
         if self._mu_top is None:
-            reps = self.class_representatives()
+            classes, class_of = self.conjugacy_classes
+            reps = [r for r, _ in classes]
             if len(reps) == len(self.subgroups):
                 # every class is a singleton: the classes are the
                 # subgroups, and their rows, one per subgroup, are not kept
                 self._mu_top = mu_column(self._containing(reps), self.top_id)
             else:
-                class_of = [0] * len(self.subgroups)
-                blocks = []
-                for c, r in enumerate(reps):
-                    block = 0
-                    for j in self.conjugacy_orbit(r):
-                        class_of[j] = c
-                        block |= 1 << j
-                    blocks.append(block)
+                blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
                 mu = mu_column(self.upeq(reps), len(reps) - 1, blocks)
                 self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
+    # -- orbits on subgroup ids -------------------------------------------
+
+    def orbits(self, maps) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
+        """(classes, class_of) for the orbits on subgroup ids of the group
+        generated by `maps`, automorphisms as element image lists: class c
+        is (its smallest id, its ids ascending), classes in that order.
+
+        Each id not yet classed starts a class, closed under the
+        generators by the ids of its members' images.  An image outside
+        the lattice raises ImageNotInLattice."""
+        subs = self.subgroups
+        index = self.index
+        class_of = [-1] * len(subs)
+        classes = []
+        try:
+            for i in range(len(subs)):
+                if class_of[i] >= 0:
+                    continue
+                c = class_of[i] = len(classes)
+                orbit = [i]
+                for j in orbit:     # grows while it is walked
+                    mask = subs[j].mask
+                    for x_to_ax in maps:
+                        k = index[subgroup_image_mask(x_to_ax, mask)]
+                        if class_of[k] < 0:
+                            class_of[k] = c
+                            orbit.append(k)
+                orbit.sort()
+                classes.append((i, tuple(orbit)))
+        except KeyError as exc:
+            raise ImageNotInLattice(
+                "an automorphism image is missing from the lattice") from exc
+        return classes, class_of
+
+    @property
+    def conjugacy_classes(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
+        """`orbits` of conjugation: those enumeration kept, else those of
+        the maps G keeps for its non-central generators."""
+        if self._classes is None:
+            self._classes = self.orbits([x_to_xg for _, x_to_xg in self.group.conjugations])
+        return self._classes
+
     def class_representatives(self) -> list[int]:
         """One subgroup id per conjugacy class (the smallest in each orbit)."""
-        reps = []
-        for i in range(len(self.subgroups)):
-            orbit = self.conjugacy_orbit(i)
-            if orbit[0] == i:
-                reps.append(i)
-        return reps
+        return [r for r, _ in self.conjugacy_classes[0]]
+
+    def conjugacy_orbit(self, i: int) -> tuple[int, ...]:
+        """Ids of all conjugates of subgroup i, ascending."""
+        orbit = self._conj_orbit.get(i)
+        if orbit is None:
+            classes, class_of = self.conjugacy_classes
+            orbit = self._conj_orbit[i] = classes[class_of[i]][1]
+        return orbit
 
     # -- classical primitives ---------------------------------------------
 
@@ -223,23 +273,6 @@ class SubgroupLattice:
         i = self.index[sub.mask]
         mask = self.normalizer_mask(i)
         return self.subgroups[self.index[mask]]
-
-    @property
-    def conjugation(self) -> AutomorphismGroup:
-        """Inn(G), held as the conjugations by G's non-central generators."""
-        if self._conjugation is None:
-            self._conjugation = conjugation_action(self.group, self.group.gens, "inner")
-        return self._conjugation
-
-    def conjugacy_orbit(self, i: int) -> tuple[int, ...]:
-        """Ids of all conjugates of subgroup i, ascending."""
-        cached = self._conj_orbit.get(i)
-        if cached is not None:
-            return cached
-        orbit = tuple(subgroup_orbit(self.conjugation, self.subgroups[i], self))
-        for j in orbit:
-            self._conj_orbit[j] = orbit
-        return orbit
 
     def sigma(self, i: int) -> int:
         """Number of subgroups of subgroup i (including 1 and itself)."""

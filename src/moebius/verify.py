@@ -21,8 +21,7 @@ from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
 
-def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice,
-                         include_full_aut: bool = True):
+def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice):
     """The acting subgroups exercised by the battery: trivial, inner,
     inner-by-K for every K containing G', and (small groups) full Aut.
     Duplicate map sets are listed once.  Equal generator sets give equal
@@ -54,7 +53,7 @@ def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice,
         if dmask & ~s.mask == 0:
             add(f"A=inn:order={s.order}#{lattice.by_order[s.order].index(i)}",
                 inner_automorphisms(G, s))
-    if include_full_aut and G.order <= FULL_AUT_DEFAULT_BOUND:
+    if G.order <= FULL_AUT_DEFAULT_BOUND:
         add("A=aut", full_automorphism_group(G))
     return choices
 
@@ -172,7 +171,8 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
     record("sum-mu-sigma-is-1", sum_mu_sigma == 1, str(sum_mu_sigma))
 
     noncyclic = not G.is_cyclic()
-    for label, aut in automorphism_choices(G, lattice):
+    choices = automorphism_choices(G, lattice)
+    for label, aut in choices:
         poset = build_class_poset(lattice, aut)
         bad = poset_axiom_violations(poset)
         record(f"poset-axioms[{label}]", not bad, "; ".join(bad[:3]))
@@ -239,7 +239,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
 
     if solvable:
         lam_col = an.poset
-        for label, aut in automorphism_choices(G, lattice, include_full_aut=False):
+        for label, aut in choices:
             if not label.startswith("A=inn:"):
                 continue
             poset = build_class_poset(lattice, aut)

@@ -122,6 +122,37 @@ def brute_mu_top(up, top):
     return [mu(x) for x in range(len(up))]
 
 
+# -- inclusion-exclusion oracle for omega -------------------------------------
+
+# inclusion-exclusion sums 2^k - 1 terms over an orbit of k subgroups
+INCLUSION_EXCLUSION_MAX_ORBIT = 20
+
+
+def omega_inclusion_exclusion(pos, c, t):
+    """omega(pos, c, t), the size of the union over the orbit of class c of
+    the t-th cartesian powers, by inclusion-exclusion on the orbit."""
+    subs = pos.lattice.subgroups
+    omasks = [subs[i].mask for i in pos.orbit(c)]
+    k = len(omasks)
+    if k > INCLUSION_EXCLUSION_MAX_ORBIT:
+        raise ValueError(f"orbit of size {k} too large for inclusion-exclusion")
+    total = 0
+    for j in range(1, 1 << k):
+        inter = -1
+        jj = j
+        idx = 0
+        nbits = 0
+        while jj:
+            if jj & 1:
+                inter &= omasks[idx]
+                nbits += 1
+            jj >>= 1
+            idx += 1
+        card = inter.bit_count() ** t
+        total += card if nbits % 2 else -card
+    return total
+
+
 # -- brute oracle for the full automorphism group ------------------------------
 
 def brute_automorphisms(G):

@@ -5,11 +5,10 @@ import pytest
 from helpers import brute_automorphisms, group, lattice, subgroups_of_order
 from moebius.automorphisms import (automorphism_from_images, close_automorphisms,
                                    full_automorphism_group, induced_quotient_action,
-                                   inner_automorphisms, subgroup_orbit,
-                                   trivial_automorphisms)
+                                   inner_automorphisms, trivial_automorphisms)
 from moebius.cache import load_lattice, save_lattice
 from moebius.catalog import family_specs
-from moebius.classposet import lambda_poset
+from moebius.classposet import build_class_poset, conjugation_poset, lambda_poset
 from moebius.errors import (BoundExceeded, NotAHomomorphism, NotBijective,
                             NotInvariant)
 from moebius.groups import is_normal_mask, normalizer_of, quotient_group
@@ -123,19 +122,25 @@ def test_close_automorphisms():
     assert len(close_automorphisms(G, [a])) == 3  # 2 has order 3 mod 7
 
 
+def orbit_ids(lat, A, s):
+    """Lattice ids of the A-orbit of s, ascending, from `lat.orbits`."""
+    classes, class_of = lat.orbits([a.map for a in A.gens])
+    return classes[class_of[lat.index[s.mask]]][1]
+
+
 def test_subgroup_orbits():
     lat = lattice("A:5")
     A = trivial_automorphisms(lat.group)
     c3 = subgroups_of_order("A:5", 3)[0]
-    assert subgroup_orbit(A, c3, lat) == [lat.index[c3.mask]]
+    assert orbit_ids(lat, A, c3) == (lat.index[c3.mask],)
     A = inner_automorphisms(lat.group)
-    assert len(subgroup_orbit(A, c3, lat)) == 10
+    assert len(orbit_ids(lat, A, c3)) == 10
 
     latA4 = lattice("A:4")
     v4 = subgroups_of_order("A:4", 4)[0]
     A = inner_automorphisms(latA4.group, v4)
     for c2 in subgroups_of_order("A:4", 2):
-        assert len(subgroup_orbit(A, c2, latA4)) == 1
+        assert len(orbit_ids(latA4, A, c2)) == 1
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "Q:8", "C:2xC:2xC:2"])
@@ -153,13 +158,13 @@ def test_lattice_stable_under_automorphisms(spec):
 def test_orbits_partition_and_divide(spec):
     lat = lattice(spec)
     A = full_automorphism_group(lat.group)
+    classes, class_of = lat.orbits([a.map for a in A.gens])
     seen = set()
-    for s in lat.subgroups:
-        orbit = subgroup_orbit(A, s, lat)
+    for c, (rep, orbit) in enumerate(classes):
+        assert rep == orbit[0] and list(orbit) == sorted(orbit)
         assert len(A) % len(orbit) == 0
-        if orbit[0] in seen:
-            continue
-        assert not (set(orbit) & seen) or set(orbit) <= seen
+        assert all(class_of[j] == c for j in orbit)
+        assert not set(orbit) & seen
         seen |= set(orbit)
     assert seen == set(range(len(lat.subgroups)))
 
@@ -184,14 +189,14 @@ def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
     assert sorted(seeded) == lat.class_representatives()
     for i, mask in seeded.items():
         assert mask == normalizer_of(G, lat.subgroups[i].mask, lat.witness(i))[0]
-    A = inner_automorphisms(G)
+    classes, class_of = lat.orbits([a.map for a in inner_automorphisms(G).gens])
     for i, s in enumerate(lat.subgroups):
-        assert tuple(subgroup_orbit(A, s, lat)) == lat.conjugacy_orbit(i)
+        assert classes[class_of[i]][1] == lat.conjugacy_orbit(i)
         assert lat.normalizer_mask(i) == normalizer_of(G, s.mask, lat.witness(i))[0]
     # a lattice read back from the cache holds neither and finds the same
     save_lattice(lat, tmp_path)
     cached = load_lattice(G, tmp_path)
-    assert not cached._conj_orbit and not cached._normalizer
+    assert cached._classes is None and not cached._normalizer
     assert cached.class_representatives() == lat.class_representatives()
     assert cached.mu_top == lat.mu_top
     assert lambda_poset(G, cached).mu_top == lambda_poset(G, lat).mu_top
@@ -256,6 +261,26 @@ def test_generator_orbits_are_exact(spec):
             assert A.mask_orbit(s.mask) == {a.apply_mask(s.mask) for a in maps}
 
 
+@pytest.mark.parametrize("spec", ["S:4", "D:4", "Q:8", "A:4", "S:3xC:3",
+                                  "D:12xC:2", "Q:8xS:3"])
+def test_lattice_orbits_are_the_orbits_of_every_map(spec, tmp_path):
+    # the generator walk over ids gives the orbits of the closed list of
+    # maps, on an enumerated lattice and on one read back from the cache
+    lat = lattice(spec)
+    save_lattice(lat, tmp_path)
+    cached = load_lattice(lat.group, tmp_path)
+    for L in (lat, cached):
+        for A in _exactness_actions(spec):
+            maps = A.maps
+            expected = sorted({tuple(sorted({L.index[a.apply_mask(s.mask)] for a in maps}))
+                               for s in L.subgroups})
+            classes, class_of = L.orbits([a.map for a in A.gens])
+            assert classes == [(orbit[0], orbit) for orbit in expected]
+            assert all(i in classes[class_of[i]][1] for i in range(len(L)))
+        assert conjugation_poset(L).classes == \
+            build_class_poset(L, inner_automorphisms(L.group)).classes
+
+
 def test_inner_holds_generator_maps_only():
     for spec in ("S:4", "A:5", "D:12xC:2", "C:2xC:2xC:2xC:2xC:2xC:2"):
         G = group(spec)
@@ -281,7 +306,6 @@ def test_one_conjugation_map_per_non_central_generator(spec):
         assert len(movers) < len(set(G.gens))
     maps = list(dict.fromkeys(tuple(x_to_xg) for _, x_to_xg in G.conjugations))
     assert [a.map for a in inner_automorphisms(G).gens] == maps
-    assert [a.map for a in lat.conjugation.gens] == maps
     for i, s in enumerate(lat.subgroups):
         # the enumerator hands its element lists over in no fixed order
         w = lat.witness(i)

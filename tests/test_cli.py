@@ -249,6 +249,27 @@ def test_corrupt_cache_exits_2(capsys, tmp_cache):
         assert code == 2 and err.startswith("error:"), argv
 
 
+def test_cache_missing_a_conjugate_exits_2(capsys, tmp_cache):
+    # a cache missing one of the four S_3 of S:4: the orbit walk meets a
+    # conjugate outside the lattice before anything is printed
+    from helpers import group, lattice
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    path = cache_path(tmp_cache, "S:4")
+    payload = json.loads(path.read_text())
+    G, lat = group("S:4"), lattice("S:4")
+    drop = lat.subgroups[lat.by_order[6][0]]
+    payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
+    path.write_text(json.dumps(payload))
+    for argv in (["table", "S:4", "--aut", "inn"],
+                 ["check-mu-lambda", "S:4"],
+                 ["phi", "S:4", "--t", "2"]):
+        code = cli.main(argv + ["--cache-dir", str(tmp_cache)])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert "missing from the lattice" in captured.err, argv
+        assert captured.out == "", argv
+
+
 def test_unexpected_error_exits_2(capsys, monkeypatch):
     def boom(args):
         raise KeyError(3)
