@@ -6,9 +6,11 @@ reads the lattice's own conjugacy classes.  [H] <= [K] iff some orbit
 member of [H] is contained in the representative of [K], that is, iff
 the representative of [H] lies in some orbit member of [K].  So the
 classes above [H] are read off the lattice up-set of its representative.
-The lattice itself is the special case of a trivial action.  Moebius
-values are exact ints, memoized; the column at the top class is what the
-counting formulas consume.
+The lattice itself is the special case of a trivial action.  Every
+Moebius value is read from a column, mu(., y) for one class y, which
+`mu_column` sweeps over the class rows; the column at the top class is
+what the counting formulas consume, and the closure-theorem checks sum
+whole columns.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ class ClassPoset:
         self.bottom = class_of[lattice.trivial_id]
         self._up = None
         self._rows = None
-        self._up_sets = None
         self._mu_top = None
-        self._mu_memo: dict[frozenset[int] | None, dict[tuple[int, int], int]] = {}
-        self._downset: dict[int, list[int]] = {}   # class id -> counting._downset_ids
+        self._columns: dict[tuple[int, frozenset[int] | None], list[int]] = {}
+        self._downset: dict[int, list[int]] = {}   # class id -> downset_ids
 
     def __len__(self):
         return len(self.classes)
@@ -86,18 +87,24 @@ class ClassPoset:
             self._rows = rows
         return self._rows
 
-    @property
-    def up_sets(self) -> list[set[int]]:
-        if self._up_sets is None:
-            self._up_sets = [set(u) for u in self.up]
-        return self._up_sets
-
     def less(self, c: int, d: int) -> bool:
         """Strict class order c < d."""
-        return d in self.up_sets[c]
+        return c != d and self.leq(c, d)
 
     def leq(self, c: int, d: int) -> bool:
-        return c == d or d in self.up_sets[c]
+        return (self.rows()[c] >> d) & 1 == 1
+
+    def downset_ids(self, c: int) -> list[int]:
+        """Lattice ids K with K contained in some orbit member of class c,
+        ascending: the orbit members and their lattice down-sets."""
+        out = self._downset.get(c)
+        if out is None:
+            down = self.lattice.down
+            ids = set(self.orbit(c))
+            for m in self.orbit(c):
+                ids.update(down[m])
+            out = self._downset[c] = sorted(ids)
+        return out
 
     def class_of_subgroup(self, sub: Subgroup) -> int:
         return self.class_of[self.lattice.index[sub.mask]]
@@ -115,27 +122,30 @@ class ClassPoset:
                 self._mu_top = mu_column(self.rows(), self.top)
         return self._mu_top
 
-    def mu(self, x: int, y: int, within: frozenset[int] | None = None) -> int:
-        """mu_A on an arbitrary pair of classes (defining recursion, memoized).
+    def column(self, y: int, within: frozenset[int] | None = None) -> list[int]:
+        """mu_A(x, y) for every class id x, one `mu_column` sweep over the
+        class rows, memoized per (y, within); the top column is `mu_top`.
 
         With `within`, the Moebius function of the subposet of those
-        classes: only they may lie strictly between x and y."""
-        if x == y:
-            return 1
-        if not self.less(x, y):
-            return 0
-        memo = self._mu_memo.setdefault(within, {})
-        key = (x, y)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 1  # z = x
-        for z in self.up[x]:
-            if z != y and self.less(z, y) and (within is None or z in within):
-                total += self.mu(x, z, within)
-        val = -total
-        memo[key] = val
-        return val
+        classes and y: every row is cut to them, so only they may lie
+        strictly between x and y."""
+        if y == self.top and within is None:
+            return self.mu_top
+        key = (y, within)
+        col = self._columns.get(key)
+        if col is None:
+            rows = self.rows()
+            if within is not None:
+                keep = 1 << y
+                for z in within:
+                    keep |= 1 << z
+                rows = [row & keep for row in rows]
+            col = self._columns[key] = mu_column(rows, y)
+        return col
+
+    def mu(self, x: int, y: int, within: frozenset[int] | None = None) -> int:
+        """mu_A on an arbitrary pair of classes, read off the column at y."""
+        return self.column(y, within)[x]
 
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
@@ -193,32 +203,31 @@ def crapo_check(poset: ClassPoset, cl: list[int], x: int, y: int) -> bool:
     validate_closure_map(poset, cl)
     if cl[y] != y:
         raise ValueError("y must be a closed class")
-    return _crapo_pair(poset, cl, _closed_classes(cl), x, y)
-
-
-def _closed_classes(cl: list[int]) -> frozenset[int]:
-    return frozenset(x for x in range(len(cl)) if cl[x] == x)
-
-
-def _crapo_pair(poset, cl, closed, x, y):
-    lhs = sum(poset.mu(x, z) for z in range(len(poset.classes)) if cl[z] == y)
-    if cl[x] == x:
-        rhs = poset.mu(x, y, closed) if poset.leq(x, y) else 0
-    else:
-        rhs = 0
-    return lhs == rhs
+    return (x, y) not in _crapo_violations(poset, cl, [y])
 
 
 def crapo_check_all(poset: ClassPoset, cl: list[int]) -> list[tuple[int, int]]:
     """All (x, y) pairs violating the closure-theorem identity (none expected)."""
     validate_closure_map(poset, cl)
-    closed = _closed_classes(cl)
+    return _crapo_violations(poset, cl, [y for y, c in enumerate(cl) if c == y])
+
+
+def _crapo_violations(poset: ClassPoset, cl: list[int],
+                      ys: list[int]) -> list[tuple[int, int]]:
+    """The pairs (x, y), y in ys (closed) and x any class, where the sum of
+    mu(x, z) over the classes z with closure y differs from mu(x, y) in the
+    subposet of closed classes when x is closed, and from 0 otherwise.
+    The left side at y sums the columns of y's closure group."""
+    group: dict[int, list[int]] = {}
+    for z, c in enumerate(cl):
+        group.setdefault(c, []).append(z)
+    closed = frozenset(group)   # the closure values: the closed classes
     bad = []
-    n = len(poset.classes)
-    for y in sorted(closed):
-        for x in range(n):
-            if not _crapo_pair(poset, cl, closed, x, y):
-                bad.append((x, y))
+    for y in ys:
+        lhs = [sum(vals) for vals in zip(*(poset.column(z) for z in group[y]))]
+        rhs = poset.column(y, closed)
+        bad.extend((x, y) for x, (left, right) in enumerate(zip(lhs, rhs))
+                   if left != (right if cl[x] == x else 0))
     return bad
 
 
@@ -264,7 +273,7 @@ def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[
         hn = product_mask(G, h.mask, n_sub.mask)
         if hn == h.mask or hn == full:
             continue
-        rhs = -sum(poset.mu(c, d) for d in over if poset.leq(c, d))
+        rhs = -sum(poset.mu(c, d) for d in over)
         if poset.mu_top[c] != rhs:
             bad.append(c)
     return bad

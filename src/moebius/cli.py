@@ -21,9 +21,9 @@ from .automorphisms import (close_automorphisms, automorphism_from_images,
 from .cache import cache_path, default_cache_dir, load_lattice, save_lattice
 from .classposet import build_class_poset
 from .errors import EngineError
-from .groups import (FiniteGroup, Subgroup, build_from_spec, closure_mask,
-                     commutator_subgroup, is_normal_mask)
-from .lattice import SubgroupLattice, enumerate_subgroups
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, build_from_spec,
+                     closure_mask, commutator_subgroup, is_normal_mask)
+from .lattice import DEFAULT_SUBGROUP_BUDGET, SubgroupLattice, enumerate_subgroups
 from .perm import parse_cycles
 
 
@@ -239,6 +239,8 @@ def cmd_check_mu_lambda(args) -> int:
 def cmd_beta(args) -> int:
     from .mulambda import MuLambdaAnalyzer
     from .tables import name_subgroup
+    if args.t_max < 1:
+        raise ValueError("t_max must be a positive integer")
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     vectors = {t: an.beta_vector(t) for t in range(1, args.t_max + 1)}
@@ -339,14 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("spec", help="group spec, e.g. S:4 or C:2xD:5")
+    def common(sp, spec_nargs=None):
+        sp.add_argument("spec", nargs=spec_nargs,
+                        help="group spec, e.g. S:4 or C:2xD:5")
         sp.add_argument("--format", choices=["markdown", "csv", "json"],
                         default="markdown")
         sp.add_argument("--cache-dir", default=default_cache_dir())
-        sp.add_argument("--order-cap", type=int, default=10000)
-        sp.add_argument("--subgroup-budget", type=int, default=200000)
-        sp.add_argument("--tuple-budget", type=int, default=10 ** 8)
+        sp.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+        sp.add_argument("--subgroup-budget", type=int,
+                        default=DEFAULT_SUBGROUP_BUDGET)
+        sp.add_argument("--tuple-budget", type=int,
+                        default=counting.DEFAULT_TUPLE_BUDGET)
 
     sp = sub.add_parser("table", help="class table: mu_A, omega, kappa, sigma")
     common(sp)
@@ -412,13 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cache", help="build/inspect/clear lattice caches")
     sp.add_argument("action", choices=["build", "info", "clear"])
-    sp.add_argument("spec", nargs="?")
-    sp.add_argument("--format", choices=["markdown", "csv", "json"],
-                    default="json")
-    sp.add_argument("--cache-dir", default=default_cache_dir())
-    sp.add_argument("--order-cap", type=int, default=10000)
-    sp.add_argument("--subgroup-budget", type=int, default=200000)
-    sp.add_argument("--tuple-budget", type=int, default=10 ** 8)
+    common(sp, spec_nargs="?")
     sp.set_defaults(func=cmd_cache)
 
     return p

@@ -95,24 +95,11 @@ def can_generate(G: FiniteGroup, t: int) -> bool:
 
 # -- class-poset counts ----------------------------------------------------
 
-def _downset_ids(poset: ClassPoset, c: int) -> list[int]:
-    """Lattice ids K with K contained in some orbit member of class c,
-    ascending: the orbit members and their lattice down-sets."""
-    out = poset._downset.get(c)
-    if out is None:
-        down = poset.lattice.down
-        ids = set(poset.orbit(c))
-        for m in poset.orbit(c):
-            ids.update(down[m])
-        out = poset._downset[c] = sorted(ids)
-    return out
-
-
 def omega(poset: ClassPoset, c: int, t: int) -> int:
     """Size of the union over the orbit of H of the t-th cartesian powers."""
     _require_t(t)
     phi_exact = poset.lattice.phi_exact(t)
-    return sum(phi_exact[k] for k in _downset_ids(poset, c))
+    return sum(phi_exact[k] for k in poset.downset_ids(c))
 
 
 def psi(poset: ClassPoset, c: int, t: int) -> int:
@@ -275,7 +262,7 @@ def sigma_tuples(poset: ClassPoset, c: int, t: int) -> int:
     """Number of subgroup t-tuples whose join lies in some orbit member."""
     _require_t(t)
     gamma_exact = poset.lattice.gamma_exact(t)
-    return sum(gamma_exact[k] for k in _downset_ids(poset, c))
+    return sum(gamma_exact[k] for k in poset.downset_ids(c))
 
 
 def gamma_tuples(poset: ClassPoset, c: int, t: int) -> int:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import counting
 from .classposet import lambda_poset
+from .errors import EngineError
 from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
 from .lattice import SubgroupLattice, enumerate_subgroups
 
@@ -194,7 +195,8 @@ class MuLambdaAnalyzer:
         entries = []
         for c in ids:
             b = self.beta(c, t)
-            assert b.denominator == 1, "beta must be integral on C*"
+            if b.denominator != 1:
+                raise EngineError(f"beta of class {c} at t={t} is {b}, not an integer")
             entries.append(int(b))
         return BetaVector(t=t, class_ids=tuple(ids), entries=tuple(entries))
 

@@ -16,7 +16,7 @@ from .classposet import (ClassPoset, build_class_poset, conjugation_poset,
                          crapo_check_all, maximal_closure_map,
                          minimal_normal_subgroup_ids, nonzero_implies_closed)
 from .errors import LiftNotGenerating
-from .groups import FiniteGroup, commutator_subgroup, is_solvable
+from .groups import FiniteGroup, bits, commutator_subgroup, is_solvable
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
@@ -59,37 +59,29 @@ def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice):
 
 
 def poset_axiom_violations(poset: ClassPoset) -> list[str]:
-    """Antisymmetry and transitivity of the class order (reflexivity is
-    implicit in the strict up-sets)."""
+    """Antisymmetry and transitivity of the class order, read as bits of
+    the class rows (reflexivity is implicit in the strict up-sets)."""
     out = []
-    ups = poset.up_sets
-    n = len(poset.classes)
-    for c in range(n):
-        if c in ups[c]:
+    rows = poset.rows()
+    for c, up in enumerate(poset.up):
+        if c in up:
             out.append(f"irreflexivity broken at {c}")
-        for d in ups[c]:
-            if c in ups[d]:
+        for d in up:
+            if (rows[d] >> c) & 1:
                 out.append(f"antisymmetry broken at ({c},{d})")
-            for e in ups[d]:
-                if e not in ups[c]:
-                    out.append(f"transitivity broken at ({c},{d},{e})")
+            for e in bits(rows[d] & ~rows[c]):
+                out.append(f"transitivity broken at ({c},{d},{e})")
     return out
 
 
 def mobius_equation_violations(poset: ClassPoset) -> list[int]:
-    """Defining-equation check for every (x, top) pair, plus agreement of
-    the general pair recursion with the fast top column."""
-    out = []
+    """Classes x below the top where the top column breaks its defining
+    equation against the order: mu(x, top) + sum of mu(z, top) over the
+    classes z above x is 0."""
+    mu = poset.mu_top
     top = poset.top
-    for x in range(len(poset.classes)):
-        if x == top:
-            continue
-        total = 1 + sum(poset.mu(x, z) for z in poset.up[x])
-        if total != 0:
-            out.append(x)
-        if poset.mu(x, top) != poset.mu_top[x]:
-            out.append(x)
-    return out
+    return [x for x, up in enumerate(poset.up)
+            if x != top and mu[x] + sum(mu[z] for z in up) != 0]
 
 
 def independent_small_lattice(G: FiniteGroup) -> set[int]:
@@ -139,6 +131,8 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
                 lattice: SubgroupLattice | None = None,
                 tuple_budget: int = 10 ** 6) -> list[dict]:
     """All identity checks on one group; returns [{name, ok, detail}, ...]."""
+    if t_max < 1:
+        raise ValueError("t_max must be a positive integer")
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str = ""):
@@ -231,7 +225,8 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
     dmask = an.derived.mask
     betas_ok = True
     for t in range(1, min(t_max, 3) + 1):
-        for c, b in zip(an.beta_vector(t).class_ids, an.beta_vector(t).entries):
+        vec = an.beta_vector(t)
+        for c, b in zip(vec.class_ids, vec.entries):
             contains_derived = dmask & ~an.poset.rep(c).mask == 0
             if b < 0 or (b == 0) != contains_derived:
                 betas_ok = False

@@ -122,6 +122,32 @@ def brute_mu_top(up, top):
     return [mu(x) for x in range(len(up))]
 
 
+_pair_memo = {}   # (poset, within) -> (strict up-sets, {(x, y): mu})
+
+
+def recursive_mu(pos, x, y, within=None):
+    """mu(x, y) of a class poset by the defining recursion along the strict
+    up-sets, mu(x, y) = -sum of mu(x, z) over x <= z < y, memoized per
+    poset and `within`.  With `within`, the Moebius function of the
+    subposet of those classes: only they may lie strictly between x and y."""
+    key = (pos, within)
+    if key not in _pair_memo:
+        _pair_memo[key] = ([set(u) for u in pos.up], {})
+    ups, memo = _pair_memo[key]
+
+    def mu(x, y):
+        if x == y:
+            return 1
+        if y not in ups[x]:
+            return 0
+        if (x, y) not in memo:
+            memo[x, y] = -1 - sum(mu(x, z) for z in ups[x]
+                                  if y in ups[z] and (within is None or z in within))
+        return memo[x, y]
+
+    return mu(x, y)
+
+
 # -- inclusion-exclusion oracle for omega -------------------------------------
 
 # inclusion-exclusion sums 2^k - 1 terms over an orbit of k subgroups

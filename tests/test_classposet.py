@@ -3,9 +3,10 @@ import pytest
 import moebius.verify as verify_module
 
 from helpers import (brute_class_up, brute_mu_top, class_by, group, lattice, poset,
-                     subgroups_of_order)
-from moebius import counting
-from moebius.automorphisms import full_automorphism_group, inner_automorphisms
+                     recursive_mu, subgroups_of_order)
+from moebius import counting, enumerate_subgroups
+from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
+                                   trivial_automorphisms)
 from moebius.classposet import (build_class_poset, complement_class_count,
                                 conjunctive_identity_violations, crapo_check,
                                 crapo_check_all, divisibility_scan, kappa,
@@ -223,6 +224,39 @@ def test_mu_pairs_match_column():
     c6 = class_by(pos, order=6)
     c10 = class_by(pos, order=10)
     assert pos.mu(c6, c10) == 0 and pos.mu(c10, c6) == 0
+
+
+@pytest.mark.parametrize("spec,aut", [
+    ("S:4", "1"), ("S:4", "inn"), ("S:4", "aut"), ("A:5", "inn"),
+    ("D:12xC:2", "inn"), ("Q:8xS:3", ("inn", 4, 0)), ("C:2xC:2xC:2xC:2", "1"),
+])
+def test_columns_match_pair_recursion(spec, aut):
+    """mu on every pair, and every column of the subposet of closed
+    classes, read off `column`, equal the defining recursion along the
+    strict up-sets."""
+    pos = poset(spec, aut)
+    n = len(pos.classes)
+    for y in range(n):
+        assert [pos.mu(x, y) for x in range(n)] == \
+            [recursive_mu(pos, x, y) for x in range(n)], y
+    cl = maximal_closure_map(pos)
+    closed = frozenset(c for c in range(n) if cl[c] == c)
+    for y in sorted(closed):
+        assert pos.column(y, closed) == \
+            [recursive_mu(pos, x, y, closed) for x in range(n)], y
+
+
+def test_top_column_reads_the_lattice_column():
+    """A poset of singleton classes takes its top column from the lattice,
+    not from a second sweep: a tampered lattice column shows through."""
+    G = group("S:4")
+    lat = enumerate_subgroups(G)
+    tampered = [7] * len(lat)
+    lat._mu_top = tampered
+    pos = build_class_poset(lat, trivial_automorphisms(G))
+    assert pos.singletons
+    assert pos.column(pos.top) == tampered
+    assert all(pos.mu(x, pos.top) == 7 for x in range(len(pos.classes)))
 
 
 def test_refinement_between_actions():

@@ -117,6 +117,17 @@ def test_verify_product_group(capsys):
     assert json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "C:1", "--t-max", "0"],
+    ["beta", "S:3", "--t-max", "0"],
+])
+def test_t_max_below_one_is_a_usage_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "t_max must be a positive integer" in captured.err
+
+
 def test_error_exit_code(capsys):
     assert cli.main(["phi", "Z:9", "--t", "1"]) == 2
     assert cli.main(["table", "S:4", "--aut", "bogus"]) == 2

@@ -105,7 +105,7 @@ def test_downset_ids_match_mask_scan(spec, aut):
         omasks = [subs[m].mask for m in pos.orbit(c)]
         scan = [i for i, s in enumerate(subs)
                 if any(s.mask & ~om == 0 for om in omasks)]
-        assert counting._downset_ids(pos, c) == scan
+        assert pos.downset_ids(c) == scan
 
 
 def test_psi_inversion_relation():

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from helpers import analyzer, group, lattice
 from moebius import cli
+from moebius.errors import EngineError
 from moebius.groups import is_solvable
 from moebius.mulambda import MuLambdaAnalyzer
 
@@ -86,6 +88,13 @@ def test_beta_s3_constant():
     an = analyzer("S:3")
     for t in range(1, 6):
         assert an.beta_vector(t).entries == (0, 2, 2)
+
+
+def test_beta_vector_rejects_a_fraction(monkeypatch):
+    an = MuLambdaAnalyzer(group("S:3"), lattice("S:3"))
+    monkeypatch.setattr(an, "beta", lambda c, t: Fraction(1, 2))
+    with pytest.raises(EngineError, match="not an integer"):
+        an.beta_vector(1)
 
 
 @pytest.mark.parametrize("spec", ["C:12", "Q:8", "C:2xC:2xC:2", "C:9"])
