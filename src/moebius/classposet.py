@@ -9,8 +9,8 @@ classes above [H] are read off the lattice up-set of its representative.
 The lattice itself is the special case of a trivial action.  Every
 Moebius value is read from a column, mu(., y) for one class y, which
 `mu_column` sweeps over the class rows; the column at the top class is
-what the counting formulas consume, and the closure-theorem checks sum
-whole columns.
+what the counting formulas consume, and the closure-theorem checks read
+the sum of the columns over a closure group off one seeded sweep.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class ClassPoset:
             if self.singletons:
                 self._mu_top = list(self.lattice.mu_top)
             else:
-                self._mu_top = mu_column(self.rows(), self.top)
+                self._mu_top = mu_column(self.rows(), [self.top])
         return self._mu_top
 
     def column(self, y: int, within: frozenset[int] | None = None) -> list[int]:
@@ -140,7 +140,7 @@ class ClassPoset:
                 for z in within:
                     keep |= 1 << z
                 rows = [row & keep for row in rows]
-            col = self._columns[key] = mu_column(rows, y)
+            col = self._columns[key] = mu_column(rows, [y])
         return col
 
     def mu(self, x: int, y: int, within: frozenset[int] | None = None) -> int:
@@ -217,14 +217,16 @@ def _crapo_violations(poset: ClassPoset, cl: list[int],
     """The pairs (x, y), y in ys (closed) and x any class, where the sum of
     mu(x, z) over the classes z with closure y differs from mu(x, y) in the
     subposet of closed classes when x is closed, and from 0 otherwise.
-    The left side at y sums the columns of y's closure group."""
+    The left side at y is one `mu_column` sweep seeded with y's closure
+    group."""
     group: dict[int, list[int]] = {}
     for z, c in enumerate(cl):
         group.setdefault(c, []).append(z)
     closed = frozenset(group)   # the closure values: the closed classes
+    rows = poset.rows()
     bad = []
     for y in ys:
-        lhs = [sum(vals) for vals in zip(*(poset.column(z) for z in group[y]))]
+        lhs = mu_column(rows, group[y])
         rhs = poset.column(y, closed)
         bad.extend((x, y) for x, (left, right) in enumerate(zip(lhs, rhs))
                    if left != (right if cl[x] == x else 0))

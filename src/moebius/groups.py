@@ -219,6 +219,12 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
                    spec: str | None = None) -> FiniteGroup:
     """Close a generator list under multiplication (BFS from the identity).
 
+    Elements are listed in the order they are met: each element x in
+    turn, times each generator g in the given order, x*g appended when
+    new.  That order fixes every element index downstream, so it must not
+    change.  (x*g)[i] = g[x[i]], so one `itemgetter(*x)` per element reads
+    every x*g off the generators' image tuples.
+
     An empty generator list yields the trivial group on `degree` points
     (default 1).  Raises ClosureExceedsCap when the closure passes `cap`.
     """
@@ -234,13 +240,15 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     e = tuple(range(degree))
     elements = [e]
     index = {e: 0}
-    gen_tuples = [g.images for g in gens]
+    # on one point every permutation is the identity (and itemgetter with
+    # one index would return a point, not a tuple)
+    gen_tuples = [g.images for g in gens] if degree > 1 else []
     i = 0
     while i < len(elements):
-        x = elements[i]
+        compose = itemgetter(*elements[i])  # image tuple of g -> that of x*g
         i += 1
         for gt in gen_tuples:
-            y = tuple(map(gt.__getitem__, x))
+            y = compose(gt)
             if y not in index:
                 index[y] = len(elements)
                 elements.append(y)

@@ -11,7 +11,8 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
 
 - coset rule: <H, z*h> = <H, z> for h in H, so once H is joined with z,
   an N_G(H)-orbit holding a zuppo generated by an element of z*H is
-  skipped;
+  skipped; when [<H, z> : H] is prime, so is one holding a zuppo
+  generated by any element of <H, z>;
 - Lagrange stop: [<H, z> : H] divides [G : H], so a join that has
   filled more cosets of H than the largest proper divisor of [G : H]
   is G;
@@ -29,9 +30,13 @@ enumerator carries each representative's element list from its orbit
 walk to its joins and to `normalizer_of`, conjugates through the maps
 the group keeps for its non-central generators, and walks N_G(H)-orbits
 of zuppos as permutations of zuppo ids, one per conjugating element,
-built once per enumeration.  It keeps the conjugacy orbits and the
-normalizers of the representatives it has built.  The small-order test
-oracle re-derives the same lattice independently.
+built once per enumeration.  A representative's candidates, and the
+zuppos its joins have decided, are int bitsets over the elements that
+designate the zuppos, so an orbit is struck off in one AND-NOT; for a
+normal H the orbits are G-classes, walked once per enumeration.  It
+keeps the conjugacy orbits and the normalizers of the representatives
+it has built.  The small-order test oracle re-derives the same lattice
+independently.
 
 One routine, `SubgroupLattice.orbits`, splits the subgroup ids into the
 orbits of generator maps, and every class partition reads it; the
@@ -44,7 +49,9 @@ of the bitsets of the subgroups holding each witness element.
 
 One Moebius routine, `mu_column`, serves the lattice and every class
 poset.  It sweeps down bitset rows and keeps S_v, the ids already
-valued v, so mu(x) = -sum over v of v * popcount(row_x & S_v).  The
+valued v, so mu(x) = -sum over v of v * popcount(row_x & S_v); seeded
+with a set Z instead of the top, one sweep gives the sum of mu(x, z)
+over z in Z.  The
 lattice column runs over classes, with the upeq rows of their
 representatives, so no up-set is decoded; a class poset runs over rows
 of class ids, or reads the lattice column when every class is a
@@ -53,6 +60,7 @@ singleton.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
@@ -198,10 +206,10 @@ class SubgroupLattice:
             if len(reps) == len(self.subgroups):
                 # every class is a singleton: the classes are the
                 # subgroups, and their rows, one per subgroup, are not kept
-                self._mu_top = mu_column(self._containing(reps), self.top_id)
+                self._mu_top = mu_column(self._containing(reps), [self.top_id])
             else:
                 blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
-                mu = mu_column(self.upeq(reps), len(reps) - 1, blocks)
+                mu = mu_column(self.upeq(reps), [len(reps) - 1], blocks)
                 self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
@@ -355,24 +363,27 @@ class SubgroupLattice:
         return vals
 
 
-def mu_column(rows: list[int], top: int, blocks: list[int] | None = None) -> list[int]:
-    """mu(x, top) for every item x of a finite poset, from bitset rows.
+def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[int]:
+    """The sum of mu(x, z) over the items z in `seeds`, for every item x of
+    a finite poset, from bitset rows; seeds [top] give the column mu(x, top).
 
     Each item owns a set of ids: blocks[x], a bitset (a whole conjugacy
     class of subgroup ids, say), or x alone when blocks is None.  rows[x]
-    holds the ids owned by the items at or above x, and the defining sum
-    mu(x) = -sum of mu(y) over the items y above x counts y once for each
-    of its ids in rows[x].  Items must extend the order (x below y implies
-    x < y), so one descending sweep values every item above x before x;
-    with S_v the ids of the items already valued v, mu(x) is
-    -sum over v of v * popcount(rows[x] & S_v).  No item x > top lies
-    below top."""
+    holds the ids owned by the items at or above x.  With Z the seeds,
+    f(x) = sum of mu(x, z) over z in Z satisfies f(x) = [x in Z] - sum of
+    f(y) over the items y above x, counting y once for each of its ids in
+    rows[x] (sum the defining equation mu(x, z) = [x = z] - sum of
+    mu(y, z) over x < y <= z over Z).  Items must extend the order (x
+    below y implies x < y), so one descending sweep values every item
+    above x before x; with S_v the ids of the items already valued v,
+    f(x) is [x in Z] - sum over v of v * popcount(rows[x] & S_v).  No
+    item x > max(Z) lies below a seed, so the sweep starts there."""
+    seeds = set(seeds)
     mu = [0] * len(rows)
-    mu[top] = 1
-    valued = {1: 1 << top if blocks is None else blocks[top]}  # v -> S_v, v != 0
-    for x in range(top - 1, -1, -1):
+    valued: dict[int, int] = {}   # v -> S_v, v != 0
+    for x in range(max(seeds), -1, -1):
         row = rows[x]
-        v = -sum([v * (row & ids).bit_count() for v, ids in valued.items()])
+        v = (x in seeds) - sum([v * (row & ids).bit_count() for v, ids in valued.items()])
         if v:
             mu[x] = v
             valued[v] = valued.get(v, 0) | (1 << x if blocks is None else blocks[x])
@@ -414,6 +425,7 @@ def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], dict[int, list[int]]]
     return zuppo_of, zgens, by_power
 
 
+@lru_cache(maxsize=None)
 def _prime_of_power(n: int) -> int:
     """p when n is a power of the prime p, else 0."""
     p = next(d for d in range(2, n + 1) if n % d == 0)
@@ -436,9 +448,15 @@ def enumerate_subgroups(G: FiniteGroup,
     Coset rule: y in z*H gives <H, y> = <H, z>, since y and z differ by
     an element of H.  So after H is joined with z, every zuppo generated
     by an element of z*H (row z of the table read at H's elements) is
-    known.  An N_G(H)-orbit that meets a known zuppo joins to conjugates
-    of a subgroup whose orbit is already inserted; its walk is finished,
-    so none of its members is joined, and no closure is made.
+    known.  When T = <H, z> has prime index over H, more is known: for y
+    in T outside H, H < <H, y> <= T and [<H, y> : H] divides the prime
+    [T : H], so <H, y> = T, and every zuppo generated by an element of T
+    is known (those inside H are never candidates).  A join by the first
+    test below has index p, as z normalizes H and z^p lies in H; one by
+    the second may have composite index, and then marks z*H only.  An
+    N_G(H)-orbit that meets a known zuppo joins to conjugates of a
+    subgroup whose orbit is already inserted; its walk is finished, so
+    none of its members is joined, and no closure is made.
 
     Lagrange stop (in `extend_closure`): [<H, z> : H] divides [G : H],
     so a join that has filled more cosets of H than the largest proper
@@ -471,6 +489,18 @@ def enumerate_subgroups(G: FiniteGroup,
     per conjugating element, built on first use and kept for the whole
     enumeration; those of G's non-central generators are read off the
     conjugation maps the group keeps.
+
+    Bitsets: each zuppo is designated by one generator, zgens[id], and
+    zgens ascends, so an int bitset over elements whose bits are such
+    generators lists zuppos in id order by its low bits.  H's candidates
+    are one: the zuppos Z with Z^p in H (an OR over the elements of H),
+    ANDed with N_G(H), ORed with R's zuppos when H lies in R, with H's
+    own cleared.  The lowest candidate is joined, its orbit is cleared
+    with one AND-NOT, and the known zuppos are a bitset too, so an orbit
+    meets them in one AND.  For a normal H, N_G(H) = G and the orbit of
+    a zuppo is its G-class, which does not depend on H: each G-class is
+    walked once per enumeration and kept under each of its members.  For
+    any other H the N_G(H)-orbit is walked anew.
 
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
@@ -532,14 +562,20 @@ def enumerate_subgroups(G: FiniteGroup,
         worklist.append((least, least_elems, norm, norm_gens))
 
     zuppo_of, zgens, by_power = _zuppos(G)
-    in_residue = [z for z, zx in enumerate(zgens) if (residue >> zx) & 1]
+    zbit = [1 << zx for zx in zgens]
+    # y -> the designated generators of the zuppos Z with Z^p = <y>
+    power_cands = {}
     powers = 0
-    for y in by_power:
+    for y, zs in by_power.items():
         powers |= 1 << y
+        power_cands[y] = sum(zbit[z] for z in zs)
+    in_residue = residue & sum(zbit)
     # g -> the permutation of zuppo ids by conjugation with g, built on
     # first use; those of the non-central generators from the group's maps
     zuppo_maps = {g: [zuppo_of[x_to_xg[zx]] for zx in zgens] for g, x_to_xg in conjugations}
     mover_maps = list(zuppo_maps.values())
+    # designated generator -> its zuppo's G-class, kept once walked
+    g_classes: dict[int, int] = {}
 
     def zuppo_map(g: int) -> list[int]:
         z_to_zg = zuppo_maps.get(g)
@@ -548,48 +584,65 @@ def enumerate_subgroups(G: FiniteGroup,
             z_to_zg = zuppo_maps[g] = [zuppo_of[mt[mt[gi + zx] * n + g]] for zx in zgens]
         return z_to_zg
 
+    def zuppo_orbit(zx: int, maps) -> int:
+        """The orbit of zuppo_of[zx] under `maps`, as designated generators."""
+        orbit = [zuppo_of[zx]]
+        met = set(orbit)
+        for y in orbit:     # grows while it is walked
+            for z_to_zg in maps:
+                k = z_to_zg[y]
+                if k not in met:
+                    met.add(k)
+                    orbit.append(k)
+        return sum(zbit[k] for k in orbit)
+
     expand_orbit(triv, ())
     while worklist:
         h, h_elems, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
-        # the zuppos Z with Z^p in H, then those normalizing H
-        cands = [z for y in bits(h & powers) for z in by_power[y]]
-        if norm == full:
+        # designated generators of the zuppos Z with Z^p in H, then of
+        # those normalizing H, then of those in R when H is
+        cands = 0
+        for y in bits(h & powers):
+            cands |= power_cands[y]
+        normal = norm == full
+        if normal:
             n_maps = mover_maps
         else:
             n_maps = [zuppo_map(g) for g in norm_gens if not (center >> g) & 1]
-            cands = [z for z in cands if (norm >> zgens[z]) & 1]
+            cands &= norm
         if h & ~residue == 0:
-            cands = sorted(set(cands).union(in_residue))
-        else:
-            cands.sort()
-        done = bytearray(len(zgens))
-        known = bytearray(len(zgens))   # zuppos whose join with H is found
-        for z in cands:
-            zx = zgens[z]
-            if done[z] or (h >> zx) & 1:
-                continue
-            # walk the N_G(H)-orbit of this zuppo; only its first member is
+            cands |= in_residue
+        cands &= ~h
+        known = 0   # designated generators of zuppos whose join with H is found
+        while cands:
+            # the N_G(H)-orbit of the lowest candidate; only that zuppo is
             # joined, and none is when the orbit meets a known zuppo
-            done[z] = 1
-            decided = known[z]
-            stack = [z]
-            while stack:
-                y = stack.pop()
-                for z_to_zg in n_maps:
-                    k = z_to_zg[y]
-                    if not done[k]:
-                        done[k] = 1
-                        decided |= known[k]
-                        stack.append(k)
-            if decided:
+            zx = (cands & -cands).bit_length() - 1
+            if not n_maps:
+                orbit = 1 << zx
+            elif normal:
+                orbit = g_classes.get(zx)
+                if orbit is None:
+                    orbit = zuppo_orbit(zx, mover_maps)
+                    for y in bits(orbit):
+                        g_classes[y] = orbit
+            else:
+                orbit = zuppo_orbit(zx, n_maps)
+            cands &= ~orbit
+            if orbit & known:
                 continue
             t = extend_closure(G, h, h_elems, h_gens, zx)
-            base = zx * n
-            for x in h_elems:
-                k = zuppo_of[mt[base + x]]
-                if k >= 0:
-                    known[k] = 1
+            index = t.bit_count() // len(h_elems)
+            if _prime_of_power(index) == index:
+                # <H, y> = <H, z> for every y in <H, z> outside H
+                known |= t
+            else:
+                base = zx * n
+                for x in h_elems:
+                    k = zuppo_of[mt[base + x]]
+                    if k >= 0:
+                        known |= zbit[k]
             if t not in seen:
                 expand_orbit(t, h_gens + (zx,))
     subs = [Subgroup(m, gens=g) for m, g in seen.items()]

@@ -21,15 +21,17 @@ from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
 
-def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice):
-    """The acting subgroups exercised by the battery: trivial, inner,
+def automorphism_choices(G: FiniteGroup,
+                         lattice: SubgroupLattice) -> list[tuple[str, ClassPoset]]:
+    """The acting subgroups exercised by the battery, as (label, class
+    poset) pairs, the group being the poset's `aut`: trivial, inner,
     inner-by-K for every K containing G', and (small groups) full Aut.
     Duplicate map sets are listed once.  Equal generator sets give equal
     groups, so such a candidate is dropped before any class poset is
     built.  Otherwise, since equal groups have equal orbits on the
     subgroups, `key`, which closes every map, is compared only between
     groups that partition the subgroup ids alike."""
-    choices: list[tuple[str, AutomorphismGroup]] = []
+    choices: list[tuple[str, ClassPoset]] = []
     by_partition: dict[tuple, list[AutomorphismGroup]] = {}
     generator_sets: set[frozenset] = set()
 
@@ -38,12 +40,12 @@ def automorphism_choices(G: FiniteGroup, lattice: SubgroupLattice):
         if gens in generator_sets:
             return
         generator_sets.add(gens)
-        partition = tuple(build_class_poset(lattice, aut).classes)
-        alike = by_partition.setdefault(partition, [])
+        poset = build_class_poset(lattice, aut)
+        alike = by_partition.setdefault(tuple(poset.classes), [])
         if any(aut.key == other.key for other in alike):
             return
         alike.append(aut)
-        choices.append((label, aut))
+        choices.append((label, poset))
 
     add("A=1", trivial_automorphisms(G))
     add("A=inn", inner_automorphisms(G))
@@ -166,8 +168,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
 
     noncyclic = not G.is_cyclic()
     choices = automorphism_choices(G, lattice)
-    for label, aut in choices:
-        poset = build_class_poset(lattice, aut)
+    for label, poset in choices:
         bad = poset_axiom_violations(poset)
         record(f"poset-axioms[{label}]", not bad, "; ".join(bad[:3]))
         bad = mobius_equation_violations(poset)
@@ -234,10 +235,9 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
 
     if solvable:
         lam_col = an.poset
-        for label, aut in choices:
+        for label, poset in choices:
             if not label.startswith("A=inn:"):
                 continue
-            poset = build_class_poset(lattice, aut)
             agrees = all(lam_col.mu_top[lam_col.class_of[i]]
                          == poset.mu_top[poset.class_of[i]]
                          for i in range(len(lattice.subgroups)))

@@ -148,6 +148,31 @@ def recursive_mu(pos, x, y, within=None):
     return mu(x, y)
 
 
+def summed_columns(pos, zs):
+    """The sum of the columns mu(., z) of a class poset over the classes z
+    in zs, added up column by column."""
+    return [sum(vals) for vals in zip(*(pos.column(z) for z in zs))]
+
+
+# -- reference BFS for the element order ----------------------------------------
+
+def reference_elements(gen_images, degree):
+    """The element list of the permutation group generated by the image
+    tuples: BFS from the identity, each element x in turn times each
+    generator g in the given order, (x*g)[i] = g[x[i]], appended when new.
+    Every element index of the engine follows this order."""
+    e = tuple(range(degree))
+    elements = [e]
+    met = {e}
+    for x in elements:      # grows while it is walked
+        for gt in gen_images:
+            y = tuple(map(gt.__getitem__, x))
+            if y not in met:
+                met.add(y)
+                elements.append(y)
+    return elements
+
+
 # -- inclusion-exclusion oracle for omega -------------------------------------
 
 # inclusion-exclusion sums 2^k - 1 terms over an orbit of k subgroups

@@ -3,7 +3,7 @@ import pytest
 import moebius.verify as verify_module
 
 from helpers import (brute_class_up, brute_mu_top, class_by, group, lattice, poset,
-                     recursive_mu, subgroups_of_order)
+                     recursive_mu, subgroups_of_order, summed_columns)
 from moebius import counting, enumerate_subgroups
 from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
                                    trivial_automorphisms)
@@ -15,6 +15,7 @@ from moebius.classposet import (build_class_poset, complement_class_count,
                                 validate_closure_map)
 from moebius.errors import NotAClosureMap
 from moebius.groups import is_normal_mask, quotient_group, subgroup_image_mask
+from moebius.lattice import mu_column
 from moebius.automorphisms import induced_quotient_action
 from moebius.verify import (automorphism_choices, mobius_equation_violations,
                             poset_axiom_violations)
@@ -195,7 +196,7 @@ def test_automorphism_choices_leave_full_aut_unclosed():
     spec = "x".join(["C:2"] * 5)
     choices = automorphism_choices(group(spec), lattice(spec))
     assert [label for label, _ in choices] == ["A=1", "A=aut"]
-    assert dict(choices)["A=aut"]._maps is None
+    assert dict(choices)["A=aut"].aut._maps is None
 
 
 def test_automorphism_choices_skip_equal_generator_sets(monkeypatch):
@@ -284,6 +285,45 @@ def test_crapo_all_pairs(spec, aut):
     cl = maximal_closure_map(pos)
     validate_closure_map(pos, cl)
     assert crapo_check_all(pos, cl) == []
+
+
+@pytest.mark.parametrize("spec,aut", [
+    ("S:4", "inn"), ("S:4", "aut"), ("A:5", "1"), ("D:12xC:2", "inn"),
+    ("Q:8xS:3", ("inn", 4, 0)),
+])
+def test_seeded_sweep_sums_columns(spec, aut):
+    """One `mu_column` sweep seeded with a set Z of classes gives the sum
+    of the columns mu(., z) over Z: on every closure group of the closure
+    by maximal subgroups, which the Crapo check reads, and on all classes."""
+    pos = poset(spec, aut)
+    groups = {}
+    for z, c in enumerate(maximal_closure_map(pos)):
+        groups.setdefault(c, []).append(z)
+    assert any(len(zs) > 1 for zs in groups.values())
+    for zs in list(groups.values()) + [list(range(len(pos.classes)))]:
+        assert mu_column(pos.rows(), zs) == summed_columns(pos, zs), zs
+
+
+def test_battery_builds_each_class_poset_once(monkeypatch):
+    """`run_battery` reuses the class poset `automorphism_choices` built
+    for each action, in its main loop and in lambda-equals-mu: it builds
+    no more posets than choosing the actions does."""
+    builds = [0]
+    build = verify_module.build_class_poset
+
+    def counted(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(verify_module, "build_class_poset", counted)
+    spec = "D:12xC:2"
+    choices = automorphism_choices(group(spec), lattice(spec))
+    chosen, builds[0] = builds[0], 0
+    checks = verify_module.run_battery(group(spec), t_max=1, lattice=lattice(spec))
+    actions = [c["name"] for c in checks if c["name"].startswith("poset-axioms[")]
+    assert len(actions) == len(choices) > 2
+    assert any(c["name"].startswith("lambda-equals-mu[") for c in checks)
+    assert builds[0] == chosen
 
 
 def test_crapo_identity_closure():

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import group, lattice
+from helpers import group, lattice, reference_elements
+from moebius.catalog import family_specs
 from moebius.errors import ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, bits, build_from_spec, closure_mask,
                             commutator_subgroup, derived_series, extend_closure,
@@ -34,6 +35,19 @@ def test_generate_group_matches_naive_closure():
     G = generate_group(gens)
     assert G.order == 60
     assert G.order == len(naive_mulclose(gens))
+
+
+def test_element_order_matches_reference_bfs():
+    """Every element index downstream follows the BFS order of
+    `generate_group`: the sweep's groups, two large ones, the one-point
+    group, a transposition and a repeated generator keep it."""
+    specs = family_specs(100) + ["A:7", "S:6", "perm:[(1)]", "perm:[(1,2)]",
+                                 "perm:[(1,2,3);(1,2,3);(1,2)]"]
+    for spec in specs:
+        G = build_from_spec(spec)
+        assert G.elements == reference_elements([G.elements[g] for g in G.gens],
+                                                 G.degree), spec
+    assert generate_group([], degree=3).elements == [(0, 1, 2)]
 
 
 def test_sym3_from_transposition_and_cycle():
