@@ -87,10 +87,6 @@ class ClassPoset:
             self._rows = rows
         return self._rows
 
-    def less(self, c: int, d: int) -> bool:
-        """Strict class order c < d."""
-        return c != d and self.leq(c, d)
-
     def leq(self, c: int, d: int) -> bool:
         return (self.rows()[c] >> d) & 1 == 1
 

@@ -22,7 +22,7 @@ from .cache import cache_path, default_cache_dir, load_lattice, save_lattice
 from .classposet import build_class_poset
 from .errors import EngineError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, build_from_spec,
-                     closure_mask, commutator_subgroup, is_normal_mask)
+                     closure, commutator_subgroup, is_normal_mask)
 from .lattice import DEFAULT_SUBGROUP_BUDGET, SubgroupLattice, enumerate_subgroups
 from .perm import parse_cycles
 
@@ -65,7 +65,7 @@ def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
         for w in words:
             p = parse_cycles(w, degree=G.degree)
             idxs.append(G.index[p.images])
-        mask = closure_mask(G, idxs)
+        mask, _ = closure(G, idxs)
         return lattice.subgroups[lattice.index[mask]]
     raise ValueError(f"unknown subgroup selector {selector!r}")
 
@@ -341,38 +341,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec_nargs=None):
+    def common(sp, spec_nargs=None, tables=False, tuples=False):
+        """The spec and the flags every handler reads, plus --format for
+        the handlers that render tables and --tuple-budget for those that
+        scan tuples."""
         sp.add_argument("spec", nargs=spec_nargs,
                         help="group spec, e.g. S:4 or C:2xD:5")
-        sp.add_argument("--format", choices=["markdown", "csv", "json"],
-                        default="markdown")
+        if tables:
+            sp.add_argument("--format", choices=["markdown", "csv", "json"],
+                            default="markdown")
         sp.add_argument("--cache-dir", default=default_cache_dir())
         sp.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
         sp.add_argument("--subgroup-budget", type=int,
                         default=DEFAULT_SUBGROUP_BUDGET)
-        sp.add_argument("--tuple-budget", type=int,
-                        default=counting.DEFAULT_TUPLE_BUDGET)
+        if tuples:
+            sp.add_argument("--tuple-budget", type=int,
+                            default=counting.DEFAULT_TUPLE_BUDGET)
 
     sp = sub.add_parser("table", help="class table: mu_A, omega, kappa, sigma")
-    common(sp)
+    common(sp, tables=True)
     sp.add_argument("--aut", default="inn")
     sp.add_argument("--omega2", action="store_true",
                     help="include the omega(H,2) column")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("sigma-table", help="lattice mu / kappa / sigma table")
-    common(sp)
+    common(sp, tables=True)
     sp.set_defaults(func=cmd_sigma_table)
 
     sp = sub.add_parser("phi", help="number of generating t-tuples of elements")
-    common(sp)
+    common(sp, tuples=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes", "brute"], default="hall")
     sp.add_argument("--aut", default="1")
     sp.set_defaults(func=cmd_phi)
 
     sp = sub.add_parser("phi-rel", help="generating tuples over a quotient tuple")
-    common(sp)
+    common(sp, tuples=True)
     sp.add_argument("--normal", required=True, help="subgroup selector for N")
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes"], default="hall")
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_phi_rel)
 
     sp = sub.add_parser("phi-star", help="number of generating t-tuples of subgroups")
-    common(sp)
+    common(sp, tuples=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes", "brute"], default="hall")
     sp.add_argument("--aut", default="1")
@@ -392,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_prob)
 
     sp = sub.add_parser("check-mu-lambda", help="(mu,lambda)-property report")
-    common(sp)
+    common(sp, tables=True)
     sp.set_defaults(func=cmd_check_mu_lambda)
 
     sp = sub.add_parser("beta", help="beta vectors over C*(G)")
@@ -411,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_strana)
 
     sp = sub.add_parser("verify", help="run the identity battery on one group")
-    common(sp)
+    common(sp, tuples=True)
     sp.add_argument("--t-max", type=int, default=2)
     sp.set_defaults(func=cmd_verify)
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .classposet import ClassPoset
 from .errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, closure_mask, extend_closure,
-                     is_normal_mask, quotient_group)
+from .groups import FiniteGroup, Subgroup, closure, is_normal_mask, quotient_group
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
@@ -45,9 +44,8 @@ class _ExtendMemo:
         key = (mask, g)
         out = self.memo.get(key)
         if out is None:
-            gens = self.witness[mask]
-            out = extend_closure(self.G, mask, list(bits(mask)), gens, g)
-            self.witness.setdefault(out, gens + (g,))
+            out, gens = closure(self.G, (g,), mask, self.witness[mask])
+            self.witness.setdefault(out, tuple(gens))
             self.memo[key] = out
         return out
 
@@ -202,7 +200,7 @@ def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
     lifts = tuple(lifts)
     if len(lifts) != t:
         raise ValueError("need exactly t lift elements")
-    lift_mask = closure_mask(G, lifts)
+    lift_mask, _ = closure(G, lifts)
     if not _product_covers(G, lift_mask, N.mask):
         raise LiftNotGenerating("the fixed tuple does not generate modulo N")
     if N.order ** t > budget:

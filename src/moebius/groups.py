@@ -434,25 +434,6 @@ class Subgroup:
         return f"Subgroup(order={self.order})"
 
 
-def closure_mask(G: FiniteGroup, gen_idxs) -> int:
-    """Bitset of the subgroup generated by the given element indices."""
-    mt = G.table
-    n = G.order
-    e = G.identity
-    mask = 1 << e
-    todo = [e]
-    gen_idxs = list(gen_idxs)
-    while todo:
-        x = todo.pop()
-        base = x * n
-        for g in gen_idxs:
-            y = mt[base + g]
-            if not (mask >> y) & 1:
-                mask |= 1 << y
-                todo.append(y)
-    return mask
-
-
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -531,23 +512,26 @@ def _largest_proper_divisor(m: int) -> int:
     return 1
 
 
+def closure(G: FiniteGroup, xs, mask: int | None = None,
+            gens=()) -> tuple[int, list[int]]:
+    """(bitset, generators) of <K, xs>, K = <gens> with bitset `mask`
+    (the trivial subgroup by default): each x outside the subgroup so far
+    joins it through `extend_closure` and is appended to the generators."""
+    if mask is None:
+        mask = 1 << G.identity
+    gens = list(gens)
+    for x in xs:
+        if not (mask >> x) & 1:
+            mask = extend_closure(G, mask, list(bits(mask)), gens, x)
+            gens.append(x)
+    return mask, gens
+
+
 def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:
-    """A short generator list for the subgroup with the given bitset."""
-    e = G.identity
-    elems = [x for x in bits(mask) if x != e]
-    if not elems:
-        return ()
+    """A short generator list for the subgroup with the given bitset: the
+    closure of its elements taken by decreasing order."""
     orders = G.element_orders
-    elems.sort(key=lambda x: (-orders[x], x))
-    gens = []
-    cur = 1 << e
-    for x in elems:
-        if (cur >> x) & 1:
-            continue
-        cur = extend_closure(G, cur, list(bits(cur)), gens, x)
-        gens.append(x)
-        if cur == mask:
-            break
+    cur, gens = closure(G, sorted(bits(mask), key=lambda x: (-orders[x], x)))
     if cur != mask:
         raise ValueError("mask is not closed under multiplication")
     return tuple(gens)
@@ -614,39 +598,27 @@ def normalizer_of(G: FiniteGroup, mask: int, gens,
     return norm, tuple(norm_gens)
 
 
-def normal_closure_mask(G: FiniteGroup, seed_idxs, by) -> tuple[int, list[int]]:
-    """Smallest subgroup containing the seeds and normalized by the
-    elements `by`, plus a witness list.
-
-    With `by` the generators of a subgroup H containing the seeds, this
-    is the normal closure of the seeds inside H."""
-    gens = list(seed_idxs)
-    mask = closure_mask(G, gens)
-    queue = list(gens)
-    while queue:
-        x = queue.pop()
-        for g in by:
-            y = G.conj(x, g)
-            if not (mask >> y) & 1:
-                mask = extend_closure(G, mask, list(bits(mask)), gens, y)
-                gens.append(y)
-                queue.append(y)
-    return mask, gens
-
-
 def commutator_closure(G: FiniteGroup, xs, ys, within, extra=()) -> tuple[int, list[int]]:
     """Normal closure in <within> of the commutators [x, y] = x^-1 y^-1 x y
     over x in xs and y in ys, and of the `extra` seeds, plus a witness list.
 
     For H = <xs> = <ys> = <within> this is [H, H]; for G = <xs> = <within>
-    and N = <ys> normal in G it is [G, N]."""
+    and N = <ys> normal in G it is [G, N].  The seeds' closure grows until
+    each generator's conjugates by `within` lie in it; a conjugate that
+    does not joins the generators, and its own conjugates are checked."""
     mt = G.table
     n = G.order
     inv = G.inverse
     seeds = {mt[mt[mt[inv[x] * n + inv[y]] * n + x] * n + y] for x in xs for y in ys}
     seeds.update(extra)
-    seeds.discard(G.identity)
-    return normal_closure_mask(G, sorted(seeds), by=within)
+    mask, gens = closure(G, sorted(seeds))
+    queue = list(gens)
+    while queue:
+        x = queue.pop()
+        known = len(gens)
+        mask, gens = closure(G, [G.conj(x, g) for g in within], mask, gens)
+        queue.extend(gens[known:])
+    return mask, gens
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:

@@ -64,7 +64,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, conjugate_mask, derived_series,
+from .groups import (FiniteGroup, Subgroup, bits, closure, conjugate_mask, derived_series,
                      extend_closure, find_witness, flags_to_mask, is_normal_mask,
                      normalizer_of, subgroup_image_mask)
 
@@ -294,12 +294,7 @@ class SubgroupLattice:
         key = (self.index[h.mask], self.index[k.mask])
         j = self._join.get(key)
         if j is None:
-            mask = h.mask
-            gens = list(self.witness(key[0]))
-            for x in self.witness(key[1]):
-                if not (mask >> x) & 1:
-                    mask = extend_closure(self.group, mask, list(bits(mask)), gens, x)
-                    gens.append(x)
+            mask, _ = closure(self.group, self.witness(key[1]), h.mask, self.witness(key[0]))
             j = self._join[key] = self.index[mask]
         return self.subgroups[j]
 
@@ -340,26 +335,22 @@ class SubgroupLattice:
 
     def phi_exact(self, t: int) -> list[int]:
         """phi_exact[K] = number of t-tuples of elements generating exactly K."""
-        cached = self._phi_exact.get(t)
-        if cached is not None:
-            return cached
-        down = self.down
-        vals = [0] * len(self.subgroups)
-        for i, s in enumerate(self.subgroups):
-            vals[i] = s.order ** t - sum(vals[j] for j in down[i])
-        self._phi_exact[t] = vals
-        return vals
+        return self._exact_counts(self._phi_exact, t, lambda i: self.subgroups[i].order)
 
     def gamma_exact(self, t: int) -> list[int]:
         """gamma_exact[K] = number of t-tuples of subgroups joining exactly to K."""
-        cached = self._gamma_exact.get(t)
-        if cached is not None:
-            return cached
-        down = self.down
-        vals = [0] * len(self.subgroups)
-        for i in range(len(self.subgroups)):
-            vals[i] = self.sigma(i) ** t - sum(vals[j] for j in down[i])
-        self._gamma_exact[t] = vals
+        return self._exact_counts(self._gamma_exact, t, self.sigma)
+
+    def _exact_counts(self, memo: dict[int, list[int]], t: int, size) -> list[int]:
+        """Moebius inversion of size(K)^t down the lattice, memoized per t:
+        vals[K] = size(K)^t - sum of vals[J] over the proper subgroups J of K."""
+        vals = memo.get(t)
+        if vals is None:
+            down = self.down
+            vals = [0] * len(self.subgroups)
+            for i in range(len(vals)):
+                vals[i] = size(i) ** t - sum(vals[j] for j in down[i])
+            memo[t] = vals
         return vals
 
 

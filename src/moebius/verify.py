@@ -15,8 +15,8 @@ from .automorphisms import (FULL_AUT_DEFAULT_BOUND, AutomorphismGroup,
 from .classposet import (ClassPoset, build_class_poset, conjugation_poset,
                          crapo_check_all, maximal_closure_map,
                          minimal_normal_subgroup_ids, nonzero_implies_closed)
-from .errors import LiftNotGenerating
-from .groups import FiniteGroup, bits, commutator_subgroup, is_solvable
+from .errors import ImageNotInLattice, LiftNotGenerating
+from .groups import FiniteGroup, bits, closure, commutator_subgroup, is_solvable
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
@@ -129,6 +129,33 @@ def _brute_closure_mask(G, mask):
         mask = new
 
 
+def completeness_gaps(G: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
+    """Why the lattice may lack a subgroup of G; empty when it cannot.
+
+    Every subgroup is reached from 1 by joining one zuppo (cyclic subgroup
+    of prime-power order) at a time, and <H^g, z> = <H, z^(g^-1)>^g.  So a
+    lattice closed under G's conjugation maps that holds <H, z> for every
+    class representative H and every zuppo z holds every subgroup.  The
+    zuppos are read off G's element orders: one x of prime-power order for
+    each cyclic subgroup <x>."""
+    try:
+        classes, _ = lattice.orbits([x_to_xg for _, x_to_xg in G.conjugations])
+    except ImageNotInLattice:
+        return ["not closed under conjugation"]
+    zuppos: dict[int, int] = {}   # bitset of <x> -> x
+    for x, k in enumerate(G.element_orders):
+        p = next((d for d in range(2, k + 1) if k % d == 0), 0)    # k's least prime
+        if p and pow(p, k.bit_length(), k) == 0:                   # k is a power of p
+            zuppos.setdefault(closure(G, (x,))[0], x)
+    gaps = []
+    for r, _ in classes:
+        mask, witness = lattice.subgroups[r].mask, lattice.witness(r)
+        for z in zuppos.values():
+            if not (mask >> z) & 1 and closure(G, (z,), mask, witness)[0] not in lattice.index:
+                gaps.append(f"<{r}, {z}>")
+    return gaps
+
+
 def run_battery(G: FiniteGroup, t_max: int = 2,
                 lattice: SubgroupLattice | None = None,
                 tuple_budget: int = 10 ** 6) -> list[dict]:
@@ -154,6 +181,8 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
         record("lattice-completeness-oracle",
                oracle == {s.mask for s in lattice.subgroups},
                f"{len(oracle)} subgroups")
+    gaps = completeness_gaps(G, lattice)
+    record("lattice-completeness-zuppos", not gaps, "; ".join(gaps[:3]))
 
     phis = {t: counting.phi_hall(lattice, t) for t in range(1, t_max + 1)}
     for t in range(1, t_max + 1):

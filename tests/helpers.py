@@ -154,6 +154,30 @@ def summed_columns(pos, zs):
     return [sum(vals) for vals in zip(*(pos.column(z) for z in zs))]
 
 
+# -- reference BFS for subgroup closure -----------------------------------------
+
+def closure_mask(G, gen_idxs):
+    """Bitset of the subgroup generated by the given element indices: BFS
+    from the identity over right multiplication by the generators.  The
+    engine grows subgroups by cosets (`groups.closure`); this is the
+    independent reference its tests compare against."""
+    mt = G.table
+    n = G.order
+    e = G.identity
+    mask = 1 << e
+    todo = [e]
+    gen_idxs = list(gen_idxs)
+    while todo:
+        x = todo.pop()
+        base = x * n
+        for g in gen_idxs:
+            y = mt[base + g]
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                todo.append(y)
+    return mask
+
+
 # -- reference BFS for the element order ----------------------------------------
 
 def reference_elements(gen_images, degree):

@@ -128,6 +128,42 @@ def test_t_max_below_one_is_a_usage_error(capsys, argv):
     assert "t_max must be a positive integer" in captured.err
 
 
+# each subcommand's required arguments, with whether its handler reads
+# --format and --tuple-budget
+SUBCOMMAND_FLAGS = {
+    ("table", "S:4"): (True, False),
+    ("sigma-table", "S:4"): (True, False),
+    ("phi", "S:4", "--t", "1"): (False, True),
+    ("phi-rel", "S:4", "--normal", "full", "--t", "1"): (False, True),
+    ("phi-star", "S:4", "--t", "1"): (False, True),
+    ("prob", "S:4", "--t", "1"): (False, False),
+    ("check-mu-lambda", "S:4"): (True, False),
+    ("beta", "S:4"): (False, False),
+    ("tau", "S:4"): (False, False),
+    ("strana", "S:4", "--t", "1"): (False, False),
+    ("verify", "S:4"): (False, True),
+    ("cache", "info", "S:4"): (False, False),
+}
+
+
+@pytest.mark.parametrize("argv,reads", SUBCOMMAND_FLAGS.items(),
+                         ids=[argv[0] for argv in SUBCOMMAND_FLAGS])
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, argv, reads):
+    # a flag the handler would ignore is a usage error before any work:
+    # `phi S:4 --t 1 --format csv` printed JSON and exited 0 when accepted
+    parser = cli.build_parser()
+    parser.parse_args(list(argv))
+    for flag, value, read in (("--format", "csv", reads[0]),
+                              ("--tuple-budget", "10", reads[1])):
+        if read:
+            parser.parse_args([*argv, flag, value])
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, flag, value])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
+
 def test_error_exit_code(capsys):
     assert cli.main(["phi", "Z:9", "--t", "1"]) == 2
     assert cli.main(["table", "S:4", "--aut", "bogus"]) == 2

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (class_by, group, lattice, omega_inclusion_exclusion, poset,
-                     subgroups_of_order)
+from helpers import (class_by, closure_mask, group, lattice, omega_inclusion_exclusion,
+                     poset, subgroups_of_order)
 from moebius import counting
 from moebius.automorphisms import full_automorphism_group
 from moebius.classposet import build_class_poset
 from moebius.errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from moebius.groups import closure_mask, is_normal_mask
+from moebius.groups import is_normal_mask
 
 
 def test_phi_paper_values():

@@ -1,12 +1,11 @@
 import pytest
 
-from helpers import group, lattice, reference_elements
+from helpers import closure_mask, group, lattice, reference_elements
 from moebius.catalog import family_specs
 from moebius.errors import ClosureExceedsCap, NotNormal, ParseError
-from moebius.groups import (FiniteGroup, bits, build_from_spec, closure_mask,
-                            commutator_subgroup, derived_series, extend_closure,
-                            generate_group, is_nilpotent, is_solvable,
-                            quotient_group)
+from moebius.groups import (FiniteGroup, bits, build_from_spec, closure, commutator_subgroup,
+                            derived_series, extend_closure, generate_group, is_nilpotent,
+                            is_solvable, quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
 
@@ -154,6 +153,24 @@ def test_extend_closure_matches_generator_closure(spec):
         h_elems = list(bits(H.mask))
         for x in range(G.order):
             assert extend_closure(G, H.mask, h_elems, w, x) == closure_mask(G, w + (x,))
+
+
+@pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3"])
+def test_closure_folds_elements_into_a_subgroup(spec):
+    # <H, x, y> for every subgroup H and a spread of element pairs, against
+    # a BFS; the generators returned are H's witness plus the elements that
+    # joined, and generate the bitset
+    G = group(spec)
+    lat = lattice(spec)
+    pairs = [(x, (7 * x + 3) % G.order) for x in range(G.order)]
+    assert closure(G, ()) == (1 << G.identity, [])
+    for i, H in enumerate(lat.subgroups):
+        w = lat.witness(i)
+        for xs in pairs:
+            mask, gens = closure(G, xs, H.mask, w)
+            assert mask == closure_mask(G, w + xs)
+            assert gens[:len(w)] == list(w) and set(gens[len(w):]) <= set(xs)
+            assert closure_mask(G, gens) == mask
 
 
 @pytest.mark.parametrize("spec", ["C:1", "S:4", "Q:8xS:3", "D:12xC:2", "A:6", "C:300"])

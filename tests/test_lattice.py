@@ -1,15 +1,14 @@
 import pytest
 
 import moebius.lattice as lattice_module
-from helpers import (brute_class_up, brute_mu_top, brute_relation, group, lattice,
-                     subgroups_of_order)
+from helpers import (brute_class_up, brute_mu_top, brute_relation, closure_mask, group,
+                     lattice, subgroups_of_order)
 from moebius.cache import load_lattice, save_lattice
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
-from moebius.groups import (closure_mask, conjugate_mask, derived_series, is_normal_mask,
-                            normalizer_of)
+from moebius.groups import conjugate_mask, derived_series, is_normal_mask, normalizer_of
 from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
-from moebius.verify import independent_small_lattice
+from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
 
 RELATION_SPECS = ["S:4", "D:12xC:2", "Q:8xS:3", "S:5", "A:6", "C:2xC:2xC:2xC:2"]
 
@@ -35,6 +34,25 @@ def test_completeness_against_independent_oracle(spec):
     lat = lattice(spec)
     oracle = independent_small_lattice(lat.group)
     assert {s.mask for s in lat.subgroups} == oracle
+
+
+@pytest.mark.parametrize("spec", ["S:4", "S:5", "A:6", "D:4xD:4", "C:2xC:2xC:2xC:2xC:2"])
+def test_completeness_certificate_holds_on_enumerated_lattices(spec):
+    assert completeness_gaps(group(spec), lattice(spec)) == []
+
+
+def test_battery_reports_a_missing_conjugacy_class():
+    # S:5 without its six Frobenius subgroups of order 20: every other
+    # check of the battery still passes, the zuppo joins do not
+    G, lat = group("S:5"), lattice("S:5")
+    (orbit,) = {lat.conjugacy_orbit(i) for i in lat.by_order[20]}
+    broken = SubgroupLattice(G, [s for i, s in enumerate(lat.subgroups) if i not in orbit])
+    checks = {c["name"]: c for c in run_battery(G, t_max=1, lattice=broken)}
+    assert not checks["lattice-completeness-zuppos"]["ok"]
+    assert [name for name, c in checks.items() if not c["ok"]] == ["lattice-completeness-zuppos"]
+    # a conjugate left out breaks closure under conjugation instead
+    one_short = SubgroupLattice(G, [s for i, s in enumerate(lat.subgroups) if i != orbit[0]])
+    assert completeness_gaps(G, one_short) == ["not closed under conjugation"]
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "Q:8", "C:12"])

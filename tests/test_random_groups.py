@@ -9,10 +9,11 @@ import random
 
 import pytest
 
+from helpers import closure_mask
 from moebius import counting
 from moebius.automorphisms import trivial_automorphisms
 from moebius.classposet import build_class_poset, conjugation_poset
-from moebius.groups import closure_mask, generate_group
+from moebius.groups import generate_group
 from moebius.lattice import enumerate_subgroups, mu_column
 from moebius.perm import Permutation
 from moebius.verify import independent_small_lattice

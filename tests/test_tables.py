@@ -5,9 +5,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import lattice
+from helpers import closure_mask, lattice
 from moebius import cli
-from moebius.groups import closure_mask
 from moebius.tables import name_subgroup
 
 
