@@ -40,17 +40,16 @@ class Automorphism:
 class AutomorphismGroup:
     """The group of automorphisms of one group generated by `gens`.
 
-    Identity and repeated generators are dropped.  `maps`, `len` and
-    `key` close the full list from the generators on first use."""
+    Identity and repeated generators are dropped.  `maps` and `len`
+    close the full list from the generators on first use."""
 
-    __slots__ = ("group", "gens", "origin", "_maps", "_key")
+    __slots__ = ("group", "gens", "origin", "_maps")
 
     def __init__(self, group: FiniteGroup, gens, origin: str):
         self.group = group
         self.gens = tuple({a.map: a for a in gens if not a.is_identity()}.values())
         self.origin = origin
         self._maps = None
-        self._key = None
 
     @property
     def maps(self) -> list[Automorphism]:
@@ -78,14 +77,6 @@ class AutomorphismGroup:
     def is_trivial(self) -> bool:
         return not self.gens
 
-    @property
-    def key(self) -> tuple:
-        """Canonical identity of the underlying set of maps (for memoizing
-        poset construction across equal automorphism groups)."""
-        if self._key is None:
-            self._key = tuple(a.map for a in self.maps)
-        return self._key
-
     def mask_orbit(self, mask: int) -> set[int]:
         """Bitsets of the orbit of one bitset (BFS over the generators); on
         subgroup ids, `SubgroupLattice.orbits` walks the orbits."""
@@ -108,29 +99,14 @@ def trivial_automorphisms(G: FiniteGroup) -> AutomorphismGroup:
     return AutomorphismGroup(G, (), "trivial")
 
 
-def conjugation_action(G: FiniteGroup, elems, origin: str) -> AutomorphismGroup:
-    """The group generated by conjugation with the given elements; central
-    elements conjugate trivially and are skipped, and G's generators use
-    the maps the group keeps."""
-    kept = dict(G.conjugations)
-    center = G.center_mask
-    maps = []
-    for k in elems:
-        if not (center >> k) & 1:
-            x_to_xk = kept.get(k)
-            maps.append(Automorphism(x_to_xk if x_to_xk is not None
-                                     else G.conjugation_map(k)))
-    return AutomorphismGroup(G, maps, origin)
-
-
 def inner_automorphisms(G: FiniteGroup, K: Subgroup | None = None) -> AutomorphismGroup:
-    """Conjugation by the elements of K (all of G when K is None), held as
-    the conjugations by generators of K."""
+    """Conjugation by the elements of K, held as the conjugations by K's
+    generators; for all of G (K is None), G's kept conjugation maps."""
     if K is None:
-        return conjugation_action(G, G.gens, "inner")
+        return AutomorphismGroup(G, [Automorphism(m) for _, m in G.conjugations], "inner")
     gens = K.gens if K.gens is not None else find_witness(G, K.mask)
     origin = "inner" if K.order == G.order else f"inner-by-{K.order}"
-    return conjugation_action(G, gens, origin)
+    return AutomorphismGroup(G, [Automorphism(G.conjugation_map(k)) for k in gens], origin)
 
 
 def close_automorphisms(G: FiniteGroup, seeds) -> AutomorphismGroup:

@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
     from .verify import run_battery
     G, lattice = _load_group_and_lattice(args)
     checks = run_battery(G, t_max=args.t_max, lattice=lattice,
-                         tuple_budget=min(args.tuple_budget, 10 ** 6))
+                         tuple_budget=args.tuple_budget)
     ok = all(c["ok"] for c in checks)
     _json_out({"group": args.spec, "passed": ok, "checks": checks})
     return 0 if ok else 1
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the identity battery on one group")
     common(sp, tuples=True)
     sp.add_argument("--t-max", type=int, default=2)
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func=cmd_verify, tuple_budget=10 ** 6)
 
     sp = sub.add_parser("cache", help="build/inspect/clear lattice caches")
     sp.add_argument("action", choices=["build", "info", "clear"])

@@ -179,12 +179,13 @@ class FiniteGroup:
 
     @property
     def conjugations(self) -> list[tuple[int, list[int]]]:
-        """(g, conjugation_map(g)) for each distinct non-central generator g,
-        built once; conjugation by a central element is the identity."""
+        """(g, conjugation_map(g)) for each distinct generator g whose map
+        is not the identity, built once; these maps are all of Inn(G)'s
+        generators and also give the centre."""
         if self._conjugations is None:
-            center = self.center_mask
-            self._conjugations = [(g, self.conjugation_map(g))
-                                  for g in dict.fromkeys(self.gens) if not (center >> g) & 1]
+            ident = list(range(self.order))
+            self._conjugations = [(g, x_to_xg) for g in dict.fromkeys(self.gens)
+                                  if (x_to_xg := self.conjugation_map(g)) != ident]
         return self._conjugations
 
     def permutation(self, a: int) -> Permutation:
@@ -192,14 +193,13 @@ class FiniteGroup:
 
     @property
     def center_mask(self) -> int:
+        """Z(G): x is central exactly when it commutes with every
+        generator, that is, when every kept conjugation map fixes it."""
         if self._center is None:
-            mt = self.table
-            n = self.order
-            m = 0
-            for x in range(n):
-                if all(mt[x * n + g] == mt[g * n + x] for g in self.gens):
-                    m |= 1 << x
-            self._center = m
+            fixed = range(self.order)
+            for _, x_to_xg in self.conjugations:
+                fixed = [x for x in fixed if x_to_xg[x] == x]
+            self._center = sum(1 << x for x in fixed)
         return self._center
 
     def is_cyclic(self) -> bool:

@@ -9,14 +9,14 @@ over whole families of groups.
 from __future__ import annotations
 
 from . import counting
-from .automorphisms import (FULL_AUT_DEFAULT_BOUND, AutomorphismGroup,
-                            full_automorphism_group, inner_automorphisms,
-                            trivial_automorphisms)
+from .automorphisms import (FULL_AUT_DEFAULT_BOUND, full_automorphism_group,
+                            inner_automorphisms, trivial_automorphisms)
 from .classposet import (ClassPoset, build_class_poset, conjugation_poset,
                          crapo_check_all, maximal_closure_map,
                          minimal_normal_subgroup_ids, nonzero_implies_closed)
 from .errors import ImageNotInLattice, LiftNotGenerating
-from .groups import FiniteGroup, bits, closure, commutator_subgroup, is_solvable
+from .groups import (FiniteGroup, bits, closure, commutator_subgroup, find_witness,
+                     is_solvable)
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
@@ -26,37 +26,40 @@ def automorphism_choices(G: FiniteGroup,
     """The acting subgroups exercised by the battery, as (label, class
     poset) pairs, the group being the poset's `aut`: trivial, inner,
     inner-by-K for every K containing G', and (small groups) full Aut.
-    Duplicate map sets are listed once.  Equal generator sets give equal
-    groups, so such a candidate is dropped before any class poset is
-    built.  Otherwise, since equal groups have equal orbits on the
-    subgroups, `key`, which closes every map, is compared only between
-    groups that partition the subgroup ids alike."""
+    Equal groups are listed once, under the first label: each candidate
+    has an exact key, and a class poset is built only for a new key.
+
+    Conjugation by the elements of K is the image of K in Inn(G) =
+    G/Z(G), which is also the image of KZ(G), and two subgroups containing
+    Z(G) have equal images only when they are equal.  So two inner
+    actions are equal exactly when their KZ(G) are, and the bitset of
+    KZ(G) is the key (Z(G) for A=1, G for A=inn).  Full Aut contains
+    Inn(G), so it equals an inner action exactly when it is Inn(G), that
+    is, when every generator is a conjugation; it is then keyed by G, and
+    otherwise by a key no inner action has.  No list of maps is closed."""
     choices: list[tuple[str, ClassPoset]] = []
-    by_partition: dict[tuple, list[AutomorphismGroup]] = {}
-    generator_sets: set[frozenset] = set()
+    keys: set = set()
 
-    def add(label: str, aut: AutomorphismGroup):
-        gens = frozenset(a.map for a in aut.gens)
-        if gens in generator_sets:
-            return
-        generator_sets.add(gens)
-        poset = build_class_poset(lattice, aut)
-        alike = by_partition.setdefault(tuple(poset.classes), [])
-        if any(aut.key == other.key for other in alike):
-            return
-        alike.append(aut)
-        choices.append((label, poset))
+    def add(label: str, key, action):
+        if key not in keys:
+            keys.add(key)
+            choices.append((label, build_class_poset(lattice, action())))
 
-    add("A=1", trivial_automorphisms(G))
-    add("A=inn", inner_automorphisms(G))
-    derived = commutator_subgroup(G)
-    dmask = derived.mask
+    center = G.center_mask
+    center_gens = find_witness(G, center)
+    add("A=1", center, lambda: trivial_automorphisms(G))
+    add("A=inn", G.full_mask(), lambda: inner_automorphisms(G))
+    dmask = commutator_subgroup(G).mask
     for i, s in enumerate(lattice.subgroups):
         if dmask & ~s.mask == 0:
             add(f"A=inn:order={s.order}#{lattice.by_order[s.order].index(i)}",
-                inner_automorphisms(G, s))
+                closure(G, lattice.witness(i), center, center_gens)[0],
+                lambda: inner_automorphisms(G, lattice.subgroups[i]))
     if G.order <= FULL_AUT_DEFAULT_BOUND:
-        add("A=aut", full_automorphism_group(G))
+        full = full_automorphism_group(G)
+        conjugations = {tuple(G.conjugation_map(g)) for g in range(G.order)}
+        add("A=aut", G.full_mask() if all(a.map in conjugations for a in full.gens)
+            else "aut", lambda: full)
     return choices
 
 

@@ -178,6 +178,14 @@ def closure_mask(G, gen_idxs):
     return mask
 
 
+# -- reference centre -----------------------------------------------------------
+
+def brute_center_mask(G):
+    """Z(G) = {x : xg = gx for all g in G}, by comparing both products."""
+    return sum(1 << x for x in range(G.order)
+               if all(G.mul(x, g) == G.mul(g, x) for g in range(G.order)))
+
+
 # -- reference BFS for the element order ----------------------------------------
 
 def reference_elements(gen_images, degree):

@@ -100,7 +100,7 @@ def _actions(G, lat):
         named.append(full_automorphism_group(G))
     distinct = {}
     for a in named:
-        distinct.setdefault(a.key, a)
+        distinct.setdefault(frozenset(b.map for b in a.maps), a)
     return list(distinct.values())
 
 
@@ -206,14 +206,15 @@ def test_criterion_6_inner_by_k_matches_lambda():
             if derived.mask & ~K.mask:
                 continue
             aut = inner_automorphisms(G, K)
+            key = frozenset(a.map for a in aut.maps)
             checked += 1
-            if aut.key in by_key:
-                ok = by_key[aut.key]
+            if key in by_key:
+                ok = by_key[key]
             else:
                 pos = build_class_poset(lat, aut)
                 ok = all(pos.mu_top[pos.class_of[i]] == lam_col[i]
                          for i in range(len(lat.subgroups)))
-                by_key[aut.key] = ok
+                by_key[key] = ok
             if not ok:
                 bad.append((spec, K.order))
     # the worked example: A4 with A = inner-by-V4 splits the order-2

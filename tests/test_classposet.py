@@ -190,9 +190,9 @@ def test_full_aut_classes_of_elementary_abelian(n):
 
 
 def test_automorphism_choices_leave_full_aut_unclosed():
-    # GL(5,2) has about 1e7 maps; its orbits on the subgroups of C:2^5
-    # differ from those of every inner action (all trivial), so the dedup
-    # never compares its key and never closes its list of maps
+    # GL(5,2) has about 1e7 maps; on the abelian C:2^5 every inner action
+    # is trivial, and full Aut, having a generator that is no conjugation,
+    # gets a key of its own without its list of maps being closed
     spec = "x".join(["C:2"] * 5)
     choices = automorphism_choices(group(spec), lattice(spec))
     assert [label for label, _ in choices] == ["A=1", "A=aut"]
@@ -200,9 +200,9 @@ def test_automorphism_choices_leave_full_aut_unclosed():
 
 
 def test_automorphism_choices_skip_equal_generator_sets(monkeypatch):
-    # on an abelian group every inner-by-K action has no generators, so it
-    # equals A=1 before any class poset is built: one poset for A=1 and
-    # one for A=aut
+    # on an abelian group K.Z(G) = G for every K, so every inner action
+    # has the key of A=1 and no class poset is built for it: one poset
+    # for A=1 and one for A=aut
     builds = [0]
     build = verify_module.build_class_poset
 
@@ -215,6 +215,31 @@ def test_automorphism_choices_skip_equal_generator_sets(monkeypatch):
     choices = automorphism_choices(group(spec), lattice(spec))
     assert [label for label, _ in choices] == ["A=1", "A=aut"]
     assert builds[0] <= 2
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "D:4xD:4", "Q:8xS:3"])
+def test_automorphism_choices_close_no_map_list(spec, monkeypatch):
+    # the oracle dedups the same candidates, in the same order, by their
+    # closed sets of maps; the battery's keys must keep the same labels
+    # without closing any list
+    from moebius.automorphisms import AutomorphismGroup
+    from moebius.groups import commutator_subgroup
+    G, lat = group(spec), lattice(spec)
+    d = commutator_subgroup(G).mask
+    candidates = [("A=1", trivial_automorphisms(G)), ("A=inn", inner_automorphisms(G))]
+    candidates += [(f"A=inn:order={s.order}#{lat.by_order[s.order].index(i)}",
+                    inner_automorphisms(G, s))
+                   for i, s in enumerate(lat.subgroups) if d & ~s.mask == 0]
+    candidates.append(("A=aut", full_automorphism_group(G)))
+    oracle = {}
+    for label, A in candidates:
+        oracle.setdefault(frozenset(a.map for a in A.maps), label)
+
+    def closed(self):
+        raise AssertionError("a list of maps was closed")
+
+    monkeypatch.setattr(AutomorphismGroup, "maps", property(closed))
+    assert [label for label, _ in automorphism_choices(G, lat)] == list(oracle.values())
 
 
 def test_mu_pairs_match_column():

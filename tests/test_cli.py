@@ -117,6 +117,21 @@ def test_verify_product_group(capsys):
     assert json.loads(out)["passed"]
 
 
+@pytest.mark.parametrize("flags,budget", [(["--tuple-budget", "5000000"], 5 * 10 ** 6),
+                                          ([], 10 ** 6)])
+def test_verify_passes_its_tuple_budget_through(capsys, monkeypatch, flags, budget):
+    import moebius.verify as verify_module
+    seen = []
+
+    def battery(G, t_max, lattice, tuple_budget):
+        seen.append(tuple_budget)
+        return []
+
+    monkeypatch.setattr(verify_module, "run_battery", battery)
+    code, _ = run_cli(capsys, "verify", "S:3", *flags)
+    assert code == 0 and seen == [budget]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "C:1", "--t-max", "0"],
     ["beta", "S:3", "--t-max", "0"],

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import closure_mask, group, lattice, reference_elements
+from helpers import brute_center_mask, closure_mask, group, lattice, reference_elements
 from moebius.catalog import family_specs
 from moebius.errors import ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, bits, build_from_spec, closure, commutator_subgroup,
@@ -203,6 +203,9 @@ def test_center():
     assert group("Q:8").center_mask.bit_count() == 2
     assert group("S:3").center_mask.bit_count() == 1
     assert group("C:12").center_mask.bit_count() == 12
+    for spec in family_specs(48):
+        G = build_from_spec(spec)
+        assert G.center_mask == brute_center_mask(G), spec
 
 
 def brute_commutator_mask(G, a_mask, b_mask):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from helpers import closure_mask
+from helpers import brute_center_mask, closure_mask
 from moebius import counting
 from moebius.automorphisms import trivial_automorphisms
 from moebius.classposet import build_class_poset, conjugation_poset
@@ -60,6 +60,7 @@ def test_random_group_laws(seed):
             for c, x in cyclic.items():
                 if c & ~h:
                     assert closure_mask(G, gens + [x]) in masks, (r, x)
+    assert G.center_mask == brute_center_mask(G)
     if G.order > 1:
         assert sum(lat.mu_top) == 0
     assert counting.phi_hall(lat, 2) == counting.phi_via_classes(conjugation_poset(lat), 2)
