@@ -1,7 +1,9 @@
 """Lattice cache files: JSON keyed by spec string and engine version.
 
 Subgroup bitsets are stored as lowercase hex of their little-endian byte
-form (padded to 8-byte words).  Writes are deterministic, so rebuilding
+form (padded to 8-byte words).  Each file is sealed by a SHA-256 of its
+canonical payload, so a truncated, bit-flipped or hand-edited file is
+recomputed instead of trusted.  Writes are deterministic, so rebuilding
 a cache yields byte-identical files.
 """
 
@@ -43,6 +45,13 @@ def payload_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def seal(payload: dict) -> dict:
+    """The payload with its "sha256" field set to the digest of the
+    canonical bytes of the payload without that field."""
+    body = {k: v for k, v in payload.items() if k != "sha256"}
+    return {**body, "sha256": hashlib.sha256(payload_bytes(body)).hexdigest()}
+
+
 def cache_path(cache_dir: str | Path, spec: str) -> Path:
     slug = "".join(ch if ch.isalnum() else "_" for ch in spec)[:60]
     digest = hashlib.sha256(spec.encode()).hexdigest()[:12]
@@ -54,12 +63,19 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
         raise ValueError("only groups built from a spec string can be cached")
     path = cache_path(cache_dir, lattice.group.spec)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(payload_bytes(lattice_payload(lattice)))
+    # a reader sees the old file or the whole new one, never a partial write
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload_bytes(seal(lattice_payload(lattice))))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
 def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | None:
-    """Load a cached lattice; any mismatch or corruption warns and returns None."""
+    """Load a cached lattice; any mismatch or corruption, a missing or wrong
+    seal included, warns and returns None."""
     if G.spec is None:
         return None
     path = cache_path(cache_dir, G.spec)
@@ -73,6 +89,8 @@ def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | Non
             warnings.warn(f"cache {path} was written by engine "
                           f"{payload['engine_version']}; recomputing", stacklevel=2)
             return None
+        if seal(payload)["sha256"] != payload.get("sha256"):
+            raise ValueError("missing or wrong sha256 seal")
         if payload["element_count"] != G.order:
             raise ValueError("element count mismatch")
         masks = [hex_to_mask(h) for h in payload["subgroups"]]

@@ -217,18 +217,22 @@ def _crapo_violations(poset: ClassPoset, cl: list[int],
     mu(x, z) over the classes z with closure y differs from mu(x, y) in the
     subposet of closed classes when x is closed, and from 0 otherwise.
     The left side at y is one `mu_column` sweep seeded with y's closure
-    group."""
+    group; the right side is one sweep over the closed classes' rows
+    alone, cut to the closed classes."""
     group: dict[int, list[int]] = {}
     for z, c in enumerate(cl):
         group.setdefault(c, []).append(z)
-    closed = frozenset(group)   # the closure values: the closed classes
+    closed = sorted(group)      # the closure values: the closed classes
+    blocks = [1 << c for c in closed]
+    keep = sum(blocks)
     rows = poset.rows()
+    closed_rows = [rows[c] & keep for c in closed]
+    position = {c: i for i, c in enumerate(closed)}
     bad = []
     for y in ys:
         lhs = mu_column(rows, group[y])
-        rhs = poset.column(y, closed)
-        bad.extend((x, y) for x, (left, right) in enumerate(zip(lhs, rhs))
-                   if left != (right if cl[x] == x else 0))
+        rhs = dict(zip(closed, mu_column(closed_rows, [position[y]], blocks)))
+        bad.extend((x, y) for x, left in enumerate(lhs) if left != rhs.get(x, 0))
     return bad
 
 

@@ -15,12 +15,15 @@ from math import gcd
 from operator import itemgetter
 from struct import Struct
 
-from .errors import ClosureExceedsCap, NotNormal, ParseError
+from .errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
 from .perm import Permutation, parse_cycles
 
 _CYCLE_POINTS = re.compile(r"\d+")
 
 DEFAULT_ORDER_CAP = 10000
+# The multiplication table stores element indices as 2-byte "H" entries,
+# so it can hold groups of at most 65 536 elements (indices 0..65 535).
+MAX_TABLE_ORDER = 1 << 16
 
 
 def bits(mask: int):
@@ -62,7 +65,10 @@ class FiniteGroup:
 
     @property
     def table(self) -> array:
-        """Flat multiplication table: index of x*y at [x*order + y].
+        """Flat multiplication table: index of x*y at [x*order + y], one
+        2-byte unsigned entry each, so 2*|G|^2 bytes in all.  A group of
+        more than MAX_TABLE_ORDER elements has indices that do not fit in
+        2 bytes; it raises BudgetExceeded before anything is allocated.
 
         Only generators s are composed with elements, (s*b)[i] = b[s[i]]; the
         row of x*s is the row of x gathered at s*b, as (x*s)*b = x*(s*b).
@@ -75,17 +81,20 @@ class FiniteGroup:
         that row read at t^i.  Row x holds x itself at the identity."""
         if self._table is None:
             n = self.order
+            if n > MAX_TABLE_ORDER:
+                raise BudgetExceeded(n, MAX_TABLE_ORDER,
+                                     "group order for the 2-byte multiplication table")
             els = self.elements
             idx = self.index
-            mt = array("i", bytes(4 * n * n))
+            mt = array("H", bytes(2 * n * n))
             e = self.identity
-            mt[e * n:(e + 1) * n] = array("i", range(n))
+            mt[e * n:(e + 1) * n] = array("H", range(n))
             steps = []
             for s in dict.fromkeys(self.gens):
                 if s != e:
                     compose = itemgetter(*els[s])  # image tuple of b -> that of s*b
                     steps.append((s, itemgetter(*[idx[compose(pb)] for pb in els])))
-            pack_row = Struct(f"{n}i").pack_into
+            pack_row = Struct(f"{n}H").pack_into
             powers = [e]                # t^0, t^1, ... t^(k-1)
             if steps:
                 steps.sort(key=lambda step: -Permutation(els[step[0]]).order())
@@ -104,12 +113,12 @@ class FiniteGroup:
                 for i in range(len(powers)):
                     if i:               # x*t from x = r*t^(i-1)
                         row_x = left_t(row_x)
-                        pack_row(mt, 4 * row_x[e] * n, *row_x)
+                        pack_row(mt, 2 * row_x[e] * n, *row_x)
                     for s, left in steps:
                         y = row_x[s]
                         if not seen[y]:
                             row_y = left(row_x)
-                            pack_row(mt, 4 * y * n, *row_y)
+                            pack_row(mt, 2 * y * n, *row_y)
                             for p in powers:
                                 seen[row_y[p]] = 1
                             todo.append(y)

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The PSU(3,3) target is
-marked `stretch` and excluded from the default profile (enable with
-`pytest -m stretch`).
+Run with `pytest tests/test_acceptance.py -v -s`.  The PSU(3,3) and M11
+targets are marked `stretch` and excluded from the default profile
+(enable with `pytest -m stretch`).
 """
 
 import time
@@ -361,3 +361,31 @@ def test_criterion_11_psu33():
     _verdict(11, ok, "PSU(3,3) fails in exactly the four reference classes "
              "(modulo their transposed mu columns); the restricted identity "
              "vanishes only at t=1", t0, 1800)
+
+
+# -- criterion 12 (stretch): M11 -----------------------------------------------
+
+# The Mathieu group M11 (order 7920) on 11 points, from its standard pair
+# of generators: an 11-cycle and an element of order 4
+M11_SPEC = "perm:[(1,2,3,4,5,6,7,8,9,10,11);(3,7,11,8)(4,10,5,6)]"
+
+
+@pytest.mark.stretch
+def test_criterion_12_m11():
+    t0 = time.time()
+    G = build_from_spec(M11_SPEC)
+    assert G.order == 7920
+    an = MuLambdaAnalyzer(G)
+    lat = an.lattice
+    # the published counts: 8651 subgroups in 39 conjugacy classes, and the
+    # five classes of maximal subgroups M10, L2(11), M9:2, S5 and M8:S3 of
+    # index 11, 12, 55, 66 and 165, each self-normalizing (index conjugates)
+    ok = len(lat) == 8651 and len(an.poset.classes) == 39
+    ok = ok and sorted(G.order // lat.subgroups[m].order for m in lat.maximals) \
+        == [11] * 11 + [12] * 12 + [55] * 55 + [66] * 66 + [165] * 165
+    ok = ok and sum(m * lat.sigma(i) for i, m in enumerate(lat.mu_top) if m) == 1
+    ok = ok and counting.phi_hall(lat, 2) == 51305760
+    ok = ok and counting.phi_via_classes(an.poset, 2) == 51305760
+    _verdict(12, ok, "M11: 8651 subgroups in 39 classes, maximal indices "
+             "11, 12, 55, 66, 165, phi(G,2) = 51305760 by Hall and by classes",
+             t0, 600)

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from moebius import cli
-from moebius.cache import cache_path, mask_to_hex
+from moebius.cache import cache_path, mask_to_hex, payload_bytes, seal
 
 
 def run_cli(capsys, *argv):
@@ -301,7 +301,7 @@ def test_corrupt_cache_exits_2(capsys, tmp_cache):
     drop = next(s for s in lat.subgroups
                 if s.order == 2 and not is_normal_mask(G, s.mask))
     payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
-    path.write_text(json.dumps(payload))
+    path.write_bytes(payload_bytes(seal(payload)))   # re-sealed: reaches the orbit walk
     for argv in (["table", "S:4"],
                  ["phi", "S:4", "--t", "2", "--via", "classes", "--aut", "inn"],
                  ["check-mu-lambda", "S:4"],
@@ -321,7 +321,7 @@ def test_cache_missing_a_conjugate_exits_2(capsys, tmp_cache):
     G, lat = group("S:4"), lattice("S:4")
     drop = lat.subgroups[lat.by_order[6][0]]
     payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
-    path.write_text(json.dumps(payload))
+    path.write_bytes(payload_bytes(seal(payload)))   # re-sealed: reaches the orbit walk
     for argv in (["table", "S:4", "--aut", "inn"],
                  ["check-mu-lambda", "S:4"],
                  ["phi", "S:4", "--t", "2"]):
@@ -330,6 +330,51 @@ def test_cache_missing_a_conjugate_exits_2(capsys, tmp_cache):
         assert code == 2, argv
         assert "missing from the lattice" in captured.err, argv
         assert captured.out == "", argv
+
+
+def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
+    # the four S_3 of S:4 deleted by hand, seal left as it was: a whole
+    # conjugacy class gone passes every cheap check, so only the seal tells;
+    # phi(S_4, 2) is 216, not the 288 of the edited lattice
+    from helpers import lattice
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    path = cache_path(tmp_cache, "S:4")
+    sealed = path.read_bytes()
+    payload = json.loads(sealed)
+    lat = lattice("S:4")
+    for i in lat.by_order[6]:
+        payload["subgroups"].remove(mask_to_hex(lat.subgroups[i].mask, 24))
+    path.write_bytes(payload_bytes(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, "phi", "S:4", "--t", "2", "--cache-dir", str(tmp_cache))
+    assert code == 0 and json.loads(out)["value"] == "216"
+    assert any("sha256 seal" in str(w.message) for w in caught)
+    assert path.read_bytes() == sealed      # recomputed and rewritten
+
+
+@pytest.mark.parametrize("seal_field", [None, "0" * 64], ids=["unsealed", "wrong seal"])
+def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, seal_field):
+    # masks intact, seal missing or wrong: ignored with a warning, and the
+    # next query rewrites the sealed file
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    path = cache_path(tmp_cache, "S:4")
+    sealed = path.read_bytes()
+    payload = json.loads(sealed)
+    assert payload == seal(payload)
+    del payload["sha256"]
+    if seal_field:
+        payload["sha256"] = seal_field
+    path.write_bytes(payload_bytes(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, "cache", "info", "S:4", "--cache-dir", str(tmp_cache))
+    assert code == 0 and json.loads(out)["cached"] is False
+    assert any("sha256 seal" in str(w.message) for w in caught)
+    with pytest.warns(UserWarning, match="sha256 seal"):
+        code, _ = run_cli(capsys, "table", "S:4", "--cache-dir", str(tmp_cache))
+    assert code == 0 and path.read_bytes() == sealed
+    assert [p.name for p in tmp_cache.iterdir()] == [path.name]
 
 
 def test_unexpected_error_exits_2(capsys, monkeypatch):

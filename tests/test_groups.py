@@ -1,8 +1,9 @@
 import pytest
 
 from helpers import brute_center_mask, closure_mask, group, lattice, reference_elements
+from moebius import cli, groups
 from moebius.catalog import family_specs
-from moebius.errors import ClosureExceedsCap, NotNormal, ParseError
+from moebius.errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, bits, build_from_spec, closure, commutator_subgroup,
                             derived_series, extend_closure, generate_group, is_nilpotent,
                             is_solvable, quotient_group)
@@ -140,6 +141,24 @@ def test_table_rejects_generators_of_a_proper_subgroup():
     G = FiniteGroup(S3.elements, gens=(rot,))
     with pytest.raises(ValueError):
         G.table
+
+
+def test_table_order_limit_refuses_before_allocating(monkeypatch, capsys):
+    # with the limit below |S_4| = 24 the table raises before any buffer is
+    # made, and the CLI reports one error line and prints nothing
+    def no_allocation(*args):
+        raise AssertionError("table buffer allocated above the order limit")
+
+    monkeypatch.setattr(groups, "MAX_TABLE_ORDER", 23)
+    monkeypatch.setattr(groups, "array", no_allocation)
+    G = build_from_spec("S:4")
+    with pytest.raises(BudgetExceeded, match="24 > 23"):
+        G.table
+    assert cli.main(["sigma-table", "S:4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "24 > 23" in captured.err
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3"])
