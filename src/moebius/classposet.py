@@ -35,7 +35,7 @@ class ClassPoset:
         self._up = None
         self._rows = None
         self._mu_top = None
-        self._columns: dict[tuple[int, frozenset[int] | None], list[int]] = {}
+        self._columns: dict[int, list[int]] = {}
         self._downset: dict[int, list[int]] = {}   # class id -> downset_ids
 
     def __len__(self):
@@ -118,30 +118,19 @@ class ClassPoset:
                 self._mu_top = mu_column(self.rows(), [self.top])
         return self._mu_top
 
-    def column(self, y: int, within: frozenset[int] | None = None) -> list[int]:
+    def column(self, y: int) -> list[int]:
         """mu_A(x, y) for every class id x, one `mu_column` sweep over the
-        class rows, memoized per (y, within); the top column is `mu_top`.
-
-        With `within`, the Moebius function of the subposet of those
-        classes and y: every row is cut to them, so only they may lie
-        strictly between x and y."""
-        if y == self.top and within is None:
+        class rows, memoized per y; the top column is `mu_top`."""
+        if y == self.top:
             return self.mu_top
-        key = (y, within)
-        col = self._columns.get(key)
+        col = self._columns.get(y)
         if col is None:
-            rows = self.rows()
-            if within is not None:
-                keep = 1 << y
-                for z in within:
-                    keep |= 1 << z
-                rows = [row & keep for row in rows]
-            col = self._columns[key] = mu_column(rows, [y])
+            col = self._columns[y] = mu_column(self.rows(), [y])
         return col
 
-    def mu(self, x: int, y: int, within: frozenset[int] | None = None) -> int:
+    def mu(self, x: int, y: int) -> int:
         """mu_A on an arbitrary pair of classes, read off the column at y."""
-        return self.column(y, within)[x]
+        return self.column(y)[x]
 
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:

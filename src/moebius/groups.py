@@ -9,6 +9,7 @@ on subgroup bitsets (Python ints, bit i = element i).
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from functools import lru_cache
 from math import gcd
@@ -43,9 +44,10 @@ class FiniteGroup:
     """
 
     __slots__ = ("degree", "elements", "index", "order", "identity", "gens",
-                 "spec", "_table", "_inv", "_elt_orders", "_center", "_conjugations")
+                 "spec", "_rights", "_table", "_inv", "_elt_orders", "_center",
+                 "_conjugations")
 
-    def __init__(self, elements, gens, spec=None):
+    def __init__(self, elements, gens, spec=None, rights=None):
         self.elements = list(elements)
         self.order = len(self.elements)
         self.degree = len(self.elements[0])
@@ -55,6 +57,9 @@ class FiniteGroup:
         self.identity = self.index[tuple(range(self.degree))]
         self.gens = tuple(gens)
         self.spec = spec
+        # {g: [x*g for every element x]} per generator g, kept by the BFS
+        # for the table's column fill; None to compose them from elements
+        self._rights = rights
         self._table = None
         self._inv = None
         self._elt_orders = None
@@ -70,62 +75,111 @@ class FiniteGroup:
         more than MAX_TABLE_ORDER elements has indices that do not fit in
         2 bytes; it raises BudgetExceeded before anything is allocated.
 
-        Only generators s are composed with elements, (s*b)[i] = b[s[i]]; the
-        row of x*s is the row of x gathered at s*b, as (x*s)*b = x*(s*b).
+        Two fills, chosen by order, give the same entries.  A group of at
+        most 256 elements has one-byte indices, so a column is a `bytes`
+        of length |G| and a right-multiplication map R_g[x] = x*g is a
+        `bytes.translate` table: the column of y*g is the column of y
+        translated through R_g, as x*(y*g) = (x*y)*g.  The columns are
+        walked from the identity's, bytes(range(n)), along the generators
+        and stored in the entries' low bytes, one strided store each.
+        Larger indices do not fit a 256-entry translate table.
 
-        Rows are filled one left coset r<t> at a time, t the generator of
-        largest order: the row of r*t^(i+1) is gathered from the row of
-        r*t^i still in hand, so a row is read back from the table once per
-        coset, not once per element.  The first row met in a new coset,
-        y = x*s for another generator s, marks the whole coset: y*t^i is
-        that row read at t^i.  Row x holds x itself at the identity."""
+        Above 256 elements the rows are gathered.  Only generators s are
+        composed with elements, (s*b)[i] = b[s[i]]; the row of x*s is the
+        row of x gathered at s*b, as (x*s)*b = x*(s*b).  Rows are filled
+        one left coset r<t> at a time, t the generator of largest order:
+        the row of r*t^(i+1) is gathered from the row of r*t^i still in
+        hand, so a row is read back from the table once per coset, not
+        once per element.  The first row met in a new coset, y = x*s for
+        another generator s, marks the whole coset: y*t^i is that row
+        read at t^i.  Row x holds x itself at the identity.
+
+        Either fill raises ValueError when the generators do not reach
+        every element.  The right maps the BFS kept are dropped once the
+        table is built."""
         if self._table is None:
             n = self.order
             if n > MAX_TABLE_ORDER:
                 raise BudgetExceeded(n, MAX_TABLE_ORDER,
                                      "group order for the 2-byte multiplication table")
-            els = self.elements
-            idx = self.index
-            mt = array("H", bytes(2 * n * n))
-            e = self.identity
-            mt[e * n:(e + 1) * n] = array("H", range(n))
-            steps = []
-            for s in dict.fromkeys(self.gens):
-                if s != e:
-                    compose = itemgetter(*els[s])  # image tuple of b -> that of s*b
-                    steps.append((s, itemgetter(*[idx[compose(pb)] for pb in els])))
-            pack_row = Struct(f"{n}H").pack_into
-            powers = [e]                # t^0, t^1, ... t^(k-1)
-            if steps:
-                steps.sort(key=lambda step: -Permutation(els[step[0]]).order())
-                t, left_t = steps.pop(0)
-                compose = itemgetter(*els[t])
-                y = t
-                while y != e:
-                    powers.append(y)
-                    y = idx[compose(els[y])]
-            seen = bytearray(n)
-            for y in powers:
-                seen[y] = 1
-            todo = [e]                  # the first row met in each coset
-            for r in todo:
-                row_x = mt[r * n:(r + 1) * n].tolist()
-                for i in range(len(powers)):
-                    if i:               # x*t from x = r*t^(i-1)
-                        row_x = left_t(row_x)
-                        pack_row(mt, 2 * row_x[e] * n, *row_x)
-                    for s, left in steps:
-                        y = row_x[s]
-                        if not seen[y]:
-                            row_y = left(row_x)
-                            pack_row(mt, 2 * y * n, *row_y)
-                            for p in powers:
-                                seen[row_y[p]] = 1
-                            todo.append(y)
-            if len(todo) * len(powers) != n:
-                raise ValueError("the generators do not generate the elements")
+            mt = self._fill_columns() if n <= 256 else self._fill_rows()
+            self._rights = None
             self._table = mt
         return self._table
+
+    def _fill_columns(self) -> array:
+        n = self.order
+        e = self.identity
+        rights = self._rights
+        if rights is None:
+            els = self.elements
+            idx = self.index
+            rights = {g: [idx[tuple(els[g][i] for i in p)] for p in els]
+                      for g in self.gens}
+        pad = bytes(256 - n)
+        steps = [(r_g, bytes(r_g) + pad) for g, r_g in rights.items() if g != e]
+        mt = array("H", bytes(2 * n * n))
+        stride = 2 * n
+        low = 0 if sys.byteorder == "little" else 1
+        cols = [None] * n
+        cols[e] = bytes(range(n))
+        todo = [e]
+        with memoryview(mt).cast("B") as raw:
+            for y in todo:
+                col = cols[y]
+                raw[low + 2 * y::stride] = col
+                for r_g, through_g in steps:
+                    z = r_g[y]          # y*g
+                    if cols[z] is None:
+                        cols[z] = col.translate(through_g)
+                        todo.append(z)
+        if len(todo) != n:
+            raise ValueError("the generators do not generate the elements")
+        return mt
+
+    def _fill_rows(self) -> array:
+        n = self.order
+        els = self.elements
+        idx = self.index
+        mt = array("H", bytes(2 * n * n))
+        e = self.identity
+        mt[e * n:(e + 1) * n] = array("H", range(n))
+        steps = []
+        for s in dict.fromkeys(self.gens):
+            if s != e:
+                compose = itemgetter(*els[s])  # image tuple of b -> that of s*b
+                steps.append((s, itemgetter(*[idx[compose(pb)] for pb in els])))
+        pack_row = Struct(f"{n}H").pack_into
+        powers = [e]                # t^0, t^1, ... t^(k-1)
+        if steps:
+            steps.sort(key=lambda step: -Permutation(els[step[0]]).order())
+            t, left_t = steps.pop(0)
+            compose = itemgetter(*els[t])
+            y = t
+            while y != e:
+                powers.append(y)
+                y = idx[compose(els[y])]
+        seen = bytearray(n)
+        for y in powers:
+            seen[y] = 1
+        todo = [e]                  # the first row met in each coset
+        for r in todo:
+            row_x = mt[r * n:(r + 1) * n].tolist()
+            for i in range(len(powers)):
+                if i:               # x*t from x = r*t^(i-1)
+                    row_x = left_t(row_x)
+                    pack_row(mt, 2 * row_x[e] * n, *row_x)
+                for s, left in steps:
+                    y = row_x[s]
+                    if not seen[y]:
+                        row_y = left(row_x)
+                        pack_row(mt, 2 * y * n, *row_y)
+                        for p in powers:
+                            seen[row_y[p]] = 1
+                        todo.append(y)
+        if len(todo) * len(powers) != n:
+            raise ValueError("the generators do not generate the elements")
+        return mt
 
     @property
     def inverse(self) -> list[int]:
@@ -232,7 +286,9 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     turn, times each generator g in the given order, x*g appended when
     new.  That order fixes every element index downstream, so it must not
     change.  (x*g)[i] = g[x[i]], so one `itemgetter(*x)` per element reads
-    every x*g off the generators' image tuples.
+    every x*g off the generators' image tuples.  The index of each x*g is
+    kept as the right-multiplication map of g, which the table's column
+    fill walks.
 
     An empty generator list yields the trivial group on `degree` points
     (default 1).  Raises ClosureExceedsCap when the closure passes `cap`.
@@ -251,19 +307,23 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     index = {e: 0}
     # on one point every permutation is the identity (and itemgetter with
     # one index would return a point, not a tuple)
-    gen_tuples = [g.images for g in gens] if degree > 1 else []
-    i = 0
-    while i < len(elements):
-        compose = itemgetter(*elements[i])  # image tuple of g -> that of x*g
-        i += 1
-        for gt in gen_tuples:
+    steps = [(g.images, []) for g in gens] if degree > 1 else []
+    add = index.setdefault
+    n = 1
+    for x in elements:
+        compose = itemgetter(*x)    # image tuple of g -> that of x*g
+        for gt, right in steps:
             y = compose(gt)
-            if y not in index:
-                index[y] = len(elements)
+            j = add(y, n)
+            if j == n:
                 elements.append(y)
-                if len(elements) > cap:
+                n += 1
+                if n > cap:
                     raise ClosureExceedsCap(cap)
-    return FiniteGroup(elements, (index[g.images] for g in gens), spec=spec)
+            right.append(j)
+    gen_ids = [index[g.images] for g in gens]
+    rights = {g: right for g, (_, right) in zip(gen_ids, steps)}
+    return FiniteGroup(elements, gen_ids, spec=spec, rights=rights)
 
 
 def _sym_gens(n):

@@ -257,19 +257,24 @@ def test_mu_pairs_match_column():
     ("D:12xC:2", "inn"), ("Q:8xS:3", ("inn", 4, 0)), ("C:2xC:2xC:2xC:2", "1"),
 ])
 def test_columns_match_pair_recursion(spec, aut):
-    """mu on every pair, and every column of the subposet of closed
-    classes, read off `column`, equal the defining recursion along the
-    strict up-sets."""
+    """mu on every pair, read off `column`, and every column of the
+    subposet of closed classes, one `mu_column` sweep over the closed
+    classes' rows cut to them as the Crapo check runs it, equal the
+    defining recursion along the strict up-sets."""
     pos = poset(spec, aut)
     n = len(pos.classes)
     for y in range(n):
         assert [pos.mu(x, y) for x in range(n)] == \
             [recursive_mu(pos, x, y) for x in range(n)], y
     cl = maximal_closure_map(pos)
-    closed = frozenset(c for c in range(n) if cl[c] == c)
-    for y in sorted(closed):
-        assert pos.column(y, closed) == \
-            [recursive_mu(pos, x, y, closed) for x in range(n)], y
+    closed = [c for c in range(n) if cl[c] == c]
+    blocks = [1 << c for c in closed]
+    keep = sum(blocks)
+    closed_rows = [pos.rows()[c] & keep for c in closed]
+    within = frozenset(closed)
+    for i, y in enumerate(closed):
+        assert mu_column(closed_rows, [i], blocks) == \
+            [recursive_mu(pos, x, y, within) for x in closed], y
 
 
 def test_top_column_reads_the_lattice_column():

@@ -377,6 +377,54 @@ def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, seal_f
     assert [p.name for p in tmp_cache.iterdir()] == [path.name]
 
 
+# one mutation per cheap rule of `load_lattice`, each re-sealed, so only
+# the rule itself can refuse the file
+CHEAP_RULE_MUTATIONS = {
+    "spec": ("spec mismatch", lambda p: p.update(spec="S:5")),
+    "element count": ("element count mismatch", lambda p: p.update(element_count=25)),
+    "duplicate": ("duplicate subgroups",
+                  lambda p: p["subgroups"].append(p["subgroups"][1])),
+    # S:4's identity is element 0, so its trivial subgroup is the mask 1
+    "no trivial": ("missing trivial or full subgroup",
+                   lambda p: p["subgroups"].remove(mask_to_hex(1, 24))),
+    "no full": ("missing trivial or full subgroup",
+                lambda p: p["subgroups"].remove(mask_to_hex((1 << 24) - 1, 24))),
+    # 3 elements, a divisor of 24, two of them past the last element
+    "bit outside G": ("invalid subgroup bitset",
+                      lambda p: p["subgroups"].append(mask_to_hex(1 | 3 << 24, 24))),
+    # elements 0..4, inside G, but 5 does not divide 24
+    "size": ("invalid subgroup bitset",
+             lambda p: p["subgroups"].append(mask_to_hex((1 << 5) - 1, 24))),
+}
+
+
+@pytest.mark.parametrize("rule", list(CHEAP_RULE_MUTATIONS))
+def test_resealed_cache_failing_a_cheap_rule_is_recomputed(capsys, tmp_path, rule):
+    # a sealed S:4 file broken in one rule and sealed again: ignored with
+    # a warning naming the rule, the query prints what a cold run prints,
+    # and the file is rewritten as freshly sealed
+    argv = ["table", "S:4", "--aut", "inn"]
+    cold_dir, cache_dir = tmp_path / "cold", tmp_path / "cache"
+    code, cold = run_cli(capsys, *argv, "--cache-dir", str(cold_dir))
+    assert code == 0
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(cache_dir))
+    path = cache_path(cache_dir, "S:4")
+    sealed = path.read_bytes()
+    message, mutate = CHEAP_RULE_MUTATIONS[rule]
+    payload = json.loads(sealed)
+    del payload["sha256"]
+    mutate(payload)
+    path.write_bytes(payload_bytes(seal(payload)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 0 and out == cold
+    assert [str(w.message) for w in caught] == \
+        [f"ignoring unusable cache {path}: {message}"]
+    assert path.read_bytes() == sealed
+    assert path.read_bytes() == cache_path(cold_dir, "S:4").read_bytes()
+
+
 def test_unexpected_error_exits_2(capsys, monkeypatch):
     def boom(args):
         raise KeyError(3)

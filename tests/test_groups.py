@@ -114,9 +114,11 @@ def test_table_closure_and_inverses(spec):
 
 
 @pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3", "D:12xC:2", "A:6", "C:1", "C:300",
+                                  "C:256", "C:257",
                                   "perm:[(1,2,3);(1,2,3);(1,2)]", "perm:[(1)]"])
 def test_table_matches_composed_images(spec):
-    # every entry against the composed image tuples, (x*y)[i] = y[x[i]]
+    # every entry against the composed image tuples, (x*y)[i] = y[x[i]];
+    # C:256 is the largest group filled by columns, C:257 the smallest by rows
     G = build_from_spec(spec, cap=400)
     n = G.order
     els = G.elements
@@ -125,6 +127,9 @@ def test_table_matches_composed_images(spec):
     for a, pa in enumerate(els):
         for b, pb in enumerate(els):
             assert mt[a * n + b] == G.index[tuple(pb[i] for i in pa)]
+    # built without the BFS's right-multiplication maps, the group
+    # composes them from its elements and fills the same table
+    assert FiniteGroup(els, G.gens).table == mt
 
 
 def test_table_rejects_generators_that_miss_elements():
@@ -134,11 +139,13 @@ def test_table_rejects_generators_that_miss_elements():
         G.table
 
 
-def test_table_rejects_generators_of_a_proper_subgroup():
-    # the rows of <(1,2,3)> fill one coset of it; S_3 has two
-    S3 = build_from_spec("S:3")
-    rot = S3.element_orders.index(3)
-    G = FiniteGroup(S3.elements, gens=(rot,))
+@pytest.mark.parametrize("spec", ["S:3", "A:6"])
+def test_table_rejects_generators_of_a_proper_subgroup(spec):
+    # one generator of order 3 reaches the columns of <g> only (S_3, filled
+    # by columns), or fills the rows of one coset of it (A_6, filled by rows)
+    full = build_from_spec(spec)
+    g = full.element_orders.index(3)
+    G = FiniteGroup(full.elements, gens=(g,))
     with pytest.raises(ValueError):
         G.table
 
@@ -202,7 +209,8 @@ def test_orders_and_inverses_match_the_permutations(spec):
 
 
 def test_large_degree_table_path():
-    # degree above 255: the same table path as for every other degree
+    # degree above 255: the fill is chosen by order, not by degree, so
+    # C_300 takes the same row fill as every other group of order above 256
     G = build_from_spec("C:300", cap=400)
     assert G.degree == 300
     mt = G.table
