@@ -224,9 +224,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a * self.order + b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
         mt = self.table
@@ -490,9 +487,6 @@ class Subgroup:
     def elements(self) -> list[int]:
         return list(bits(self.mask))
 
-    def contains(self, other: "Subgroup") -> bool:
-        return other.mask & ~self.mask == 0
-
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self.mask == other.mask
 
@@ -623,48 +617,52 @@ def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
     return all(subgroup_image_mask(x_to_xg, mask) == mask for _, x_to_xg in G.conjugations)
 
 
-def normalizer_of(G: FiniteGroup, mask: int, gens,
-                  elems=None) -> tuple[int, tuple[int, ...]]:
-    """N_G(H) for H = <gens> with the given bitset, as (bitset, generators);
-    `elems`, H's elements in any order, spares decoding the bitset.
+def orbit_and_normalizer(G: FiniteGroup, mask: int, gens) -> tuple[list, int, tuple[int, ...]]:
+    """(members, N_G(H) bitset, its generators) for H = <gens> with the
+    given bitset.  The members are H's conjugacy class, each as (bitset,
+    elements, witness, a) with member H^a and witness gens^a; H is first.
 
-    g normalizes H exactly when it conjugates each generator of H into H.
-    N is grown from H by closure, so the generators are H's plus every
-    element that joined N.  Members of N are never tested, and when g
-    fails, so does every element g*k of its left coset g*N (k normalizes
-    H, so g*k does exactly when g does): the coset is marked and skipped.
-    A test costs at most |gens| conjugations, and a failure |N| table
-    reads to mark its coset."""
-    # normal: G's non-central generators already normalize H
-    if all((mask >> x_to_xg[h]) & 1 for _, x_to_xg in G.conjugations for h in gens):
-        return G.full_mask(), G.gens
+    When every kept conjugation map sends H's generators into H, H is
+    normal: the class is [H] and N = G.  Otherwise the class is walked
+    through the maps of G's non-central generators, last member in first
+    out, with N grown by Schreier's lemma.  N starts as <H, G's central
+    generators>, which fix every member; when H^(a*g) is a member H^b met
+    before, a*g*b^-1 lies in N_G(H) and joins N if outside it.  The class
+    and N only grow towards H's class and N_G(H), and |class| * |N_G(H)|
+    = |G|, so the walk stops when |members| * |N| = |G|."""
+    conjugations = G.conjugations
+    e = G.identity
+    members = [(mask, list(bits(mask)), tuple(gens), e)]
+    if all((mask >> x_to_xg[h]) & 1 for _, x_to_xg in conjugations for h in gens):
+        return members, G.full_mask(), G.gens
     mt = G.table
     n = G.order
     inv = G.inverse
-    norm = mask
-    norm_elems = list(bits(mask)) if elems is None else elems
-    norm_gens = list(gens)
-    decided = bytearray(n)      # in N, or in a coset known to fail
-    for x in norm_elems:
-        decided[x] = 1
-    for g in range(n):
-        if decided[g]:
-            continue
-        gi = inv[g] * n
-        for h in gens:
-            if not (mask >> mt[mt[gi + h] * n + g]) & 1:
+    movers = {g for g, _ in conjugations}
+    norm, norm_gens = closure(G, [g for g in G.gens if g not in movers], mask, gens)
+    carrier = {mask: e}    # member bitset -> a with member = H^a
+    queue = members[:]
+    while len(members) * norm.bit_count() < n:
+        _, m_elems, w, a = queue.pop()
+        for g, x_to_xg in conjugations:
+            c_elems = [x_to_xg[x] for x in m_elems]
+            c = 0
+            for y in c_elems:
+                c |= 1 << y
+            ag = mt[a * n + g]      # c = H^(a*g)
+            b = carrier.get(c)
+            if b is None:
+                carrier[c] = ag
+                member = (c, c_elems, tuple(x_to_xg[x] for x in w), ag)
+                members.append(member)
+                queue.append(member)
+            else:
+                s = mt[ag * n + inv[b]]     # a*g*b^-1 normalizes H
+                if not (norm >> s) & 1:
+                    norm, norm_gens = closure(G, (s,), norm, norm_gens)
+            if len(members) * norm.bit_count() == n:
                 break
-        else:
-            norm = extend_closure(G, norm, norm_elems, norm_gens, g)
-            norm_gens.append(g)
-            norm_elems = list(bits(norm))
-            for x in norm_elems:
-                decided[x] = 1
-            continue
-        base = g * n
-        for x in norm_elems:
-            decided[mt[base + x]] = 1
-    return norm, tuple(norm_gens)
+    return members, norm, tuple(norm_gens)
 
 
 def commutator_closure(G: FiniteGroup, xs, ys, within, extra=()) -> tuple[int, list[int]]:

@@ -16,9 +16,10 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
 - Lagrange stop: [<H, z> : H] divides [G : H], so a join that has
   filled more cosets of H than the largest proper divisor of [G : H]
   is G;
-- orbit-stabilizer stop: a class has [G : N_G(H)] members, so its walk
-  ends there, and the member with the smallest bitset is extended with
-  its conjugated normalizer;
+- orbit-stabilizer stop: one walk, `groups.orbit_and_normalizer`, finds
+  a new H's class and N_G(H) together and ends at |class| * |N| = |G|;
+  the member with the smallest bitset is extended with its conjugated
+  normalizer;
 - only joins that can be new: H is joined with z only if z normalizes H
   and z^p lies in H, or if both lie in the solvable residue R; every
   non-perfect subgroup is such a prime-index extension, and every
@@ -27,21 +28,20 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
 Each join outside R is by an element that normalizes H, so
 `extend_closure` fills its cosets straight off the table rows.  The
 enumerator carries each representative's element list from its orbit
-walk to its joins and to `normalizer_of`, conjugates through the maps
-the group keeps for its non-central generators, and walks N_G(H)-orbits
-of zuppos as permutations of zuppo ids, one per conjugating element,
-built once per enumeration.  A representative's candidates, and the
-zuppos its joins have decided, are int bitsets over the elements that
-designate the zuppos, so an orbit is struck off in one AND-NOT; for a
-normal H the orbits are G-classes, walked once per enumeration.  It
-keeps the conjugacy orbits and the normalizers of the representatives
-it has built.  The small-order test oracle re-derives the same lattice
-independently.
+walk to its joins, and walks N_G(H)-orbits of zuppos as permutations of
+zuppo ids, one per conjugating element, built once per enumeration.  A
+representative's candidates, and the zuppos its joins have decided, are
+int bitsets over the elements that designate the zuppos, so an orbit is
+struck off in one AND-NOT; for a normal H the orbits are G-classes,
+walked once per enumeration.  It keeps the conjugacy orbits and the
+normalizers of the representatives it has built.  The small-order test
+oracle re-derives the same lattice independently.
 
 One routine, `SubgroupLattice.orbits`, splits the subgroup ids into the
-orbits of generator maps, and every class partition reads it; the
-conjugacy classes are the enumerator's orbits or, on a lattice read
-from the cache, the orbits of G's conjugation maps.
+orbits of generator maps for the class posets.  The conjugacy classes
+are the enumerator's orbits or, on a lattice read from the cache, one
+`orbit_and_normalizer` walk per class, which also gives the normalizer
+of each member.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
@@ -66,7 +66,7 @@ from math import gcd
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, closure, conjugate_mask, derived_series,
                      extend_closure, find_witness, flags_to_mask, is_normal_mask,
-                     normalizer_of, subgroup_image_mask)
+                     orbit_and_normalizer, subgroup_image_mask)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -97,15 +97,9 @@ class SubgroupLattice:
         self._maximals = None
         self._mu_top = None
         self._normalizer = dict(normalizers)
-        self._classes = None
-        if orbits:
-            orbits = sorted(orbits)
-            class_of = [0] * len(subgroups)
-            for c, orbit in enumerate(orbits):
-                for j in orbit:
-                    class_of[j] = c
-            self._classes = [(orbit[0], orbit) for orbit in orbits], class_of
+        self._classes = _partition(orbits, len(subgroups)) if orbits else None
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
+        self._walked: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
         self._join: dict[tuple[int, int], int] = {}
@@ -180,9 +174,6 @@ class SubgroupLattice:
             self._down = down
         return self._down
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.subgroups[i].mask & ~self.subgroups[j].mask == 0
-
     @property
     def maximals(self) -> list[int]:
         if self._maximals is None:
@@ -249,10 +240,11 @@ class SubgroupLattice:
 
     @property
     def conjugacy_classes(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
-        """`orbits` of conjugation: those enumeration kept, else those of
-        the maps G keeps for its non-central generators."""
+        """`orbits` of conjugation: those enumeration kept, else each class
+        walked once from its smallest id by `_class_walk`."""
         if self._classes is None:
-            self._classes = self.orbits([x_to_xg for _, x_to_xg in self.group.conjugations])
+            orbits = [self._class_walk(i)[2] for i in range(len(self.subgroups))]
+            self._classes = _partition([o for i, o in enumerate(orbits) if o[0] == i], len(orbits))
         return self._classes
 
     def class_representatives(self) -> list[int]:
@@ -267,14 +259,33 @@ class SubgroupLattice:
             orbit = self._conj_orbit[i] = classes[class_of[i]][1]
         return orbit
 
+    def _class_walk(self, i: int) -> tuple[int, int, tuple[int, ...]]:
+        """(N_G(H), a, class ids ascending) for subgroup i = H^a: the class
+        of the first subgroup H asked for is walked once by
+        `orbit_and_normalizer`, and this is kept for each member."""
+        walked = self._walked.get(i)
+        if walked is None:
+            members, norm, _ = orbit_and_normalizer(
+                self.group, self.subgroups[i].mask, self.witness(i))
+            try:
+                ids = [self.index[c] for c, _, _, _ in members]
+            except KeyError as exc:
+                raise ImageNotInLattice("a conjugate is missing from the lattice") from exc
+            orbit = tuple(sorted(ids))
+            for j, (_, _, _, a) in zip(ids, members):
+                self._walked[j] = (norm, a, orbit)
+            walked = self._walked[i]
+        return walked
+
     # -- classical primitives ---------------------------------------------
 
     def normalizer_mask(self, i: int) -> int:
-        cached = self._normalizer.get(i)
-        if cached is not None:
-            return cached
-        out = normalizer_of(self.group, self.subgroups[i].mask, self.witness(i))[0]
-        self._normalizer[i] = out
+        """N_G(H^a) = N_G(H)^a, off i's class walk."""
+        out = self._normalizer.get(i)
+        if out is None:
+            norm, a, _ = self._class_walk(i)
+            out = norm if a == self.group.identity else conjugate_mask(self.group, norm, a)
+            self._normalizer[i] = out
         return out
 
     def normalizer(self, sub: Subgroup) -> Subgroup:
@@ -352,6 +363,18 @@ class SubgroupLattice:
                 vals[i] = size(i) ** t - sum(vals[j] for j in down[i])
             memo[t] = vals
         return vals
+
+
+def _partition(orbits, count: int) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
+    """(classes, class_of) for orbits, ascending id tuples that partition
+    range(count): class c is (its smallest id, its ids), classes in that
+    order."""
+    orbits = sorted(orbits)
+    class_of = [0] * count
+    for c, orbit in enumerate(orbits):
+        for j in orbit:
+            class_of[j] = c
+    return [(orbit[0], orbit) for orbit in orbits], class_of
 
 
 def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[int]:
@@ -453,11 +476,12 @@ def enumerate_subgroups(G: FiniteGroup,
     so a join that has filled more cosets of H than the largest proper
     divisor of [G : H] is G.
 
-    Orbit-stabilizer stop (in `expand_orbit`): the class of a new H has
-    [G : N_G(H)] members, so its walk ends when it has that many.  The
-    member with the smallest bitset, the one `class_representatives`
-    reports, is extended, with N_G(H) and its generators conjugated
-    along the walk; those normalizers are handed to the lattice.
+    Orbit-stabilizer stop (in `orbit_and_normalizer`): the class of a
+    new H and N_G(H) are grown in one walk, and |class| * |N_G(H)| =
+    |G|, so the walk ends when |members| * |N| = |G|.  The member with
+    the smallest bitset, the one `class_representatives` reports, is
+    extended, with N_G(H) and its generators conjugated along the walk;
+    those normalizers are handed to the lattice.
 
     Only joins that can be new: H is joined with a zuppo generator z of
     p-power order only if z normalizes H and z^p lies in H, or if H and
@@ -475,7 +499,7 @@ def enumerate_subgroups(G: FiniteGroup,
     Work per subgroup: a join outside R is by a z that normalizes H, so
     `extend_closure` fills the cosets z^i*H off the table rows without a
     coset search.  The extended member's element list comes from its
-    orbit walk and serves its joins, the coset rule and `normalizer_of`.
+    orbit walk and serves its joins and the coset rule.
     N_G(H)-orbits of zuppos are walked as permutations of zuppo ids, one
     per conjugating element, built on first use and kept for the whole
     enumeration; those of G's non-central generators are read off the
@@ -515,38 +539,15 @@ def enumerate_subgroups(G: FiniteGroup,
             raise BudgetExceeded(len(seen), budget, "subgroup enumeration")
 
     def expand_orbit(mask: int, witness: tuple[int, ...]):
-        """Insert the conjugacy orbit of a new subgroup H and queue its
-        smallest member with that member's elements.  The walk carries,
-        for each member c, its elements and an a with c = H^a, and
-        conjugates elements through one map per mover; it stops at
-        [G : N_G(H)] members, all of the orbit.
-        N_G(H^a) = N_G(H)^a, generated by the conjugated generators."""
-        elems = list(bits(mask))
-        norm, norm_gens = normalizer_of(G, mask, witness, elems)
-        size = n // norm.bit_count()
-        insert(mask, witness)
-        orbit = [mask]
-        least, least_elems, carrier = mask, elems, G.identity
-        queue = [(elems, witness, G.identity)] if size > 1 else []
-        while len(orbit) < size:
-            m_elems, w, a = queue.pop()
-            for g, x_to_xg in conjugations:
-                c_elems = [x_to_xg[x] for x in m_elems]
-                c = 0
-                for y in c_elems:
-                    c |= 1 << y
-                if c not in seen:
-                    cw = tuple(x_to_xg[x] for x in w)
-                    insert(c, cw)
-                    orbit.append(c)
-                    ag = mt[a * n + g]     # c = H^(a*g)
-                    if c < least:
-                        least, least_elems, carrier = c, c_elems, ag
-                    if len(orbit) == size:
-                        break
-                    queue.append((c_elems, cw, ag))
-        orbits.append(orbit)
-        if least != mask:
+        """Insert the conjugacy class of a new subgroup H and queue its
+        smallest member H^a with its elements and N_G(H^a) = N_G(H)^a,
+        generated by the conjugated generators."""
+        members, norm, norm_gens = orbit_and_normalizer(G, mask, witness)
+        for c, _, w, _ in members:
+            insert(c, w)
+        orbits.append([c for c, _, _, _ in members])
+        least, least_elems, _, carrier = min(members)
+        if carrier != G.identity:
             norm = conjugate_mask(G, norm, carrier)
             norm_gens = tuple(G.conj(x, carrier) for x in norm_gens)
         normalizers[least] = norm

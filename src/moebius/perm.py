@@ -50,9 +50,6 @@ class Permutation:
             inv[j] = i
         return Permutation(inv)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 

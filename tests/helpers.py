@@ -5,7 +5,7 @@ from moebius.automorphisms import (Automorphism, _extend_images, full_automorphi
                                    inner_automorphisms, trivial_automorphisms)
 from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
-from moebius.groups import find_witness
+from moebius.groups import conjugate_mask, find_witness
 from moebius.mulambda import MuLambdaAnalyzer
 
 _groups = {}
@@ -176,6 +176,13 @@ def closure_mask(G, gen_idxs):
                 mask |= 1 << y
                 todo.append(y)
     return mask
+
+
+# -- reference normalizer -------------------------------------------------------
+
+def brute_normalizer(G, mask):
+    """N_G(H) = {g : g^-1 H g = H}, by conjugating H by every element."""
+    return sum(1 << g for g in range(G.order) if conjugate_mask(G, mask, g) == mask)
 
 
 # -- reference centre -----------------------------------------------------------

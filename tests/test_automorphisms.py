@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from helpers import brute_automorphisms, group, lattice, subgroups_of_order
+from helpers import brute_automorphisms, brute_normalizer, group, lattice, subgroups_of_order
 from moebius.automorphisms import (automorphism_from_images, close_automorphisms,
                                    full_automorphism_group, induced_quotient_action,
                                    inner_automorphisms, trivial_automorphisms)
@@ -11,7 +11,7 @@ from moebius.catalog import family_specs
 from moebius.classposet import build_class_poset, conjugation_poset, lambda_poset
 from moebius.errors import (BoundExceeded, NotAHomomorphism, NotBijective,
                             NotInvariant)
-from moebius.groups import is_normal_mask, normalizer_of, quotient_group
+from moebius.groups import conjugate_mask, find_witness, is_normal_mask, quotient_group
 from moebius.lattice import enumerate_subgroups
 
 
@@ -194,11 +194,15 @@ def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
     seeded = dict(lat._normalizer)
     assert sorted(seeded) == lat.class_representatives()
     for i, mask in seeded.items():
-        assert mask == normalizer_of(G, lat.subgroups[i].mask, lat.witness(i))[0]
+        assert mask == brute_normalizer(G, lat.subgroups[i].mask)
     classes, class_of = lat.orbits([a.map for a in inner_automorphisms(G).gens])
     for i, s in enumerate(lat.subgroups):
-        assert classes[class_of[i]][1] == lat.conjugacy_orbit(i)
-        assert lat.normalizer_mask(i) == normalizer_of(G, s.mask, lat.witness(i))[0]
+        orbit = classes[class_of[i]][1]
+        assert orbit == lat.conjugacy_orbit(i)
+        # N_G(H) is the subgroup of order |G : class| whose generators normalize H
+        norm = lat.normalizer_mask(i)
+        assert norm.bit_count() * len(orbit) == G.order
+        assert all(conjugate_mask(G, s.mask, x) == s.mask for x in find_witness(G, norm))
     # a lattice read back from the cache holds neither and finds the same
     save_lattice(lat, tmp_path)
     cached = load_lattice(G, tmp_path)
@@ -300,7 +304,6 @@ def test_inner_holds_generator_maps_only():
 @pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3", "D:12xC:2"])
 def test_one_conjugation_map_per_non_central_generator(spec):
     G = group(spec)
-    lat = lattice(spec)
     movers = [g for g in dict.fromkeys(G.gens)
               if any(G.mul(x, g) != G.mul(g, x) for x in range(G.order))]
     assert G.conjugations is G.conjugations     # built once
@@ -312,7 +315,3 @@ def test_one_conjugation_map_per_non_central_generator(spec):
         assert len(movers) < len(set(G.gens))
     maps = list(dict.fromkeys(tuple(x_to_xg) for _, x_to_xg in G.conjugations))
     assert [a.map for a in inner_automorphisms(G).gens] == maps
-    for i, s in enumerate(lat.subgroups):
-        # the enumerator hands its element lists over in no fixed order
-        w = lat.witness(i)
-        assert normalizer_of(G, s.mask, w, s.elements()[::-1]) == normalizer_of(G, s.mask, w)

@@ -1,12 +1,13 @@
 import pytest
 
 import moebius.lattice as lattice_module
-from helpers import (brute_class_up, brute_mu_top, brute_relation, closure_mask, group,
-                     lattice, subgroups_of_order)
+from helpers import (brute_class_up, brute_mu_top, brute_normalizer, brute_relation,
+                     closure_mask, group, lattice, subgroups_of_order)
 from moebius.cache import load_lattice, save_lattice
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
-from moebius.groups import conjugate_mask, derived_series, is_normal_mask, normalizer_of
+from moebius.groups import (conjugate_mask, derived_series, is_normal_mask,
+                            orbit_and_normalizer)
 from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
 from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
 
@@ -133,12 +134,35 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3", "C:2xC:2xC:2"])
 def test_normalizer_generators_generate_the_normalizer(spec):
+    # the walk from each subgroup H gives N_G(H), generated by the returned
+    # generators, and H's class, each member H^a with its witness conjugated
     lat = lattice(spec)
     G = lat.group
     for i, s in enumerate(lat.subgroups):
-        mask, gens = normalizer_of(G, s.mask, lat.witness(i))
-        assert mask == lat.normalizer_mask(i)
+        w = lat.witness(i)
+        members, mask, gens = orbit_and_normalizer(G, s.mask, w)
+        assert mask == brute_normalizer(G, s.mask)
         assert closure_mask(G, gens) == mask
+        assert members[0][0] == s.mask
+        assert tuple(sorted(lat.index[c] for c, _, _, _ in members)) == lat.conjugacy_orbit(i)
+        for c, elems, cw, a in members:
+            assert c == conjugate_mask(G, s.mask, a) == sum(1 << x for x in elems)
+            assert cw == tuple(G.conj(x, a) for x in w)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3"])
+@pytest.mark.parametrize("source", ["enumerated", "cached"])
+def test_normalizer_masks_match_brute_scan(spec, source, tmp_path):
+    # a cache-loaded lattice walks each class from the first id asked for,
+    # here the largest, so most answers are conjugated off a non-representative;
+    # D:12xC:2 has a central generator, which starts every normalizer
+    lat = lattice(spec)
+    if source == "cached":
+        save_lattice(lat, tmp_path)
+        lat = load_lattice(group(spec), tmp_path)
+    G = lat.group
+    for i in reversed(range(len(lat))):
+        assert lat.normalizer_mask(i) == brute_normalizer(G, lat.subgroups[i].mask)
 
 
 def test_normalizer_examples():
@@ -158,10 +182,7 @@ def test_normalizer_against_conjugation_scan():
     lat = lattice("S:4")
     G = lat.group
     for s in lat.subgroups:
-        brute = 0
-        for g in range(G.order):
-            if conjugate_mask(G, s.mask, g) == s.mask:
-                brute |= 1 << g
+        brute = brute_normalizer(G, s.mask)
         assert lat.normalizer(s).mask == brute
         assert s.mask & ~brute == 0  # N_G(H) contains H
         # |G : N| equals the number of distinct conjugates

@@ -9,10 +9,10 @@ def test_identity_and_composition():
     q = parse_cycles("(1,2,3)", degree=3)
     assert (p * p).is_identity()
     # apply p first, then q: 0 -> 1 -> 2
-    assert (p * q)(0) == 2
+    assert (p * q).images[0] == 2
     # apply q first, then p: 0 -> 1 -> 0
-    assert (q * p)(0) == 0
-    assert (q * p)(1) == 2
+    assert (q * p).images[0] == 0
+    assert (q * p).images[1] == 2
 
 
 def test_inverse_and_order():
