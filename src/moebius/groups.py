@@ -47,13 +47,17 @@ class FiniteGroup:
                  "spec", "_rights", "_table", "_inv", "_elt_orders", "_center",
                  "_conjugations")
 
-    def __init__(self, elements, gens, spec=None, rights=None):
+    def __init__(self, elements, gens, spec=None, rights=None, index=None):
         self.elements = list(elements)
         self.order = len(self.elements)
         self.degree = len(self.elements[0])
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        if len(self.index) != self.order:
-            raise ValueError("duplicate elements")
+        # `index` is the BFS's own dict, which holds each element once;
+        # any other element list is inverted here and checked
+        if index is None:
+            index = {p: i for i, p in enumerate(self.elements)}
+            if len(index) != self.order:
+                raise ValueError("duplicate elements")
+        self.index = index
         self.identity = self.index[tuple(range(self.degree))]
         self.gens = tuple(gens)
         self.spec = spec
@@ -285,7 +289,7 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     change.  (x*g)[i] = g[x[i]], so one `itemgetter(*x)` per element reads
     every x*g off the generators' image tuples.  The index of each x*g is
     kept as the right-multiplication map of g, which the table's column
-    fill walks.
+    fill walks, and the dict of indices becomes the group's `index`.
 
     An empty generator list yields the trivial group on `degree` points
     (default 1).  Raises ClosureExceedsCap when the closure passes `cap`.
@@ -320,7 +324,7 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
             right.append(j)
     gen_ids = [index[g.images] for g in gens]
     rights = {g: right for g, (_, right) in zip(gen_ids, steps)}
-    return FiniteGroup(elements, gen_ids, spec=spec, rights=rights)
+    return FiniteGroup(elements, gen_ids, spec=spec, rights=rights, index=index)
 
 
 def _sym_gens(n):
@@ -505,15 +509,41 @@ def flags_to_mask(flags: bytearray) -> int:
     return int(flags[::-1].translate(_BINARY_DIGITS), 2)
 
 
+def fill_cosets(G: FiniteGroup, h_mask: int, h_elems, x: int) -> tuple[int, list[int] | range]:
+    """(bitset, elements) of <H, x> for an x outside H that normalizes H,
+    given H's elements: the union of the cosets x^i*H, i = 0 .. k-1, with
+    x^k the first power of x in H.  The left coset r*H is row r of the
+    table read at H's elements; the elements are H's, then each coset's
+    in turn.  When k*|H| = |G| the answer is G, with elements range(|G|),
+    and no coset is filled."""
+    mt = G.table
+    n = G.order
+    reps = []
+    r = x
+    while not (h_mask >> r) & 1:
+        reps.append(r)
+        r = mt[r * n + x]
+    if (len(reps) + 1) * len(h_elems) == n:
+        return (1 << n) - 1, range(n)
+    mask = h_mask
+    elems = list(h_elems)
+    append = elems.append
+    for r in reps:
+        base = r * n
+        for h in h_elems:
+            y = mt[base + h]
+            mask |= 1 << y
+            append(y)
+    return mask, elems
+
+
 def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     """Bitset of <H, x> given H's elements and generators h_gens; fills
     whole cosets of H at once.  The left coset r*H is row r of the table
     read at H's elements.
 
     When x normalizes H (x^-1*h*x lies in H for each generator h), <H, x>
-    is the union of the cosets x^i*H, i = 0 .. k-1, with x^k the first
-    power of x in H; they are filled straight into the bitset, and when
-    k*|H| = |G| the answer is G without filling any.
+    is filled coset by coset by `fill_cosets`.
 
     Otherwise members are bytes, one per element, read into a bitset once
     at the end, and cosets are walked by left multiplication, s*(r*H) =
@@ -529,19 +559,7 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
         if not (h_mask >> mt[mt[xi + h] * n + x]) & 1:
             break
     else:
-        reps = []
-        r = x
-        while not (h_mask >> r) & 1:
-            reps.append(r)
-            r = mt[r * n + x]
-        if (len(reps) + 1) * len(h_elems) == n:
-            return (1 << n) - 1
-        mask = h_mask
-        for r in reps:
-            base = r * n
-            for h in h_elems:
-                mask |= 1 << mt[base + h]
-        return mask
+        return fill_cosets(G, h_mask, h_elems, x)[0]
     member = bytearray(n)
     for h in h_elems:
         member[h] = 1
@@ -617,10 +635,12 @@ def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
     return all(subgroup_image_mask(x_to_xg, mask) == mask for _, x_to_xg in G.conjugations)
 
 
-def orbit_and_normalizer(G: FiniteGroup, mask: int, gens) -> tuple[list, int, tuple[int, ...]]:
+def orbit_and_normalizer(G: FiniteGroup, mask: int, gens,
+                         elems=None) -> tuple[list, int, tuple[int, ...]]:
     """(members, N_G(H) bitset, its generators) for H = <gens> with the
-    given bitset.  The members are H's conjugacy class, each as (bitset,
-    elements, witness, a) with member H^a and witness gens^a; H is first.
+    given bitset and, if given, its elements in any order.  The members
+    are H's conjugacy class, each as (bitset, elements, witness, a) with
+    member H^a and witness gens^a; H is first, with `elems` when given.
 
     When every kept conjugation map sends H's generators into H, H is
     normal: the class is [H] and N = G.  Otherwise the class is walked
@@ -632,7 +652,7 @@ def orbit_and_normalizer(G: FiniteGroup, mask: int, gens) -> tuple[list, int, tu
     = |G|, so the walk stops when |members| * |N| = |G|."""
     conjugations = G.conjugations
     e = G.identity
-    members = [(mask, list(bits(mask)), tuple(gens), e)]
+    members = [(mask, list(bits(mask)) if elems is None else elems, tuple(gens), e)]
     if all((mask >> x_to_xg[h]) & 1 for _, x_to_xg in conjugations for h in gens):
         return members, G.full_mask(), G.gens
     mt = G.table

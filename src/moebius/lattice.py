@@ -25,15 +25,18 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
   non-perfect subgroup is such a prime-index extension, and every
   perfect one lies in R.
 
-Each join outside R is by an element that normalizes H, so
-`extend_closure` fills its cosets straight off the table rows.  The
-enumerator carries each representative's element list from its orbit
-walk to its joins, and walks N_G(H)-orbits of zuppos as permutations of
-zuppo ids, one per conjugating element, built once per enumeration.  A
-representative's candidates, and the zuppos its joins have decided, are
-int bitsets over the elements that designate the zuppos, so an orbit is
-struck off in one AND-NOT; for a normal H the orbits are G-classes,
-walked once per enumeration.  It keeps the conjugacy orbits and the
+Each join outside R is by an element z that normalizes H with z^p in
+H, so `groups.fill_cosets` fills the p cosets z^i*H straight off the
+table rows, with no closure search, and lists the elements as it goes;
+a new subgroup's class walk starts from that list.  Any other join lies
+inside R and goes through `extend_closure`.  The enumerator carries
+each representative's element list from its orbit walk to its joins,
+and walks N_G(H)-orbits of zuppos as permutations of zuppo ids, one per
+conjugating element, built once per enumeration.  A representative's
+candidates, and the zuppos its joins have decided, are int bitsets over
+the elements that designate the zuppos, so an orbit, or every zuppo a
+join has decided, is struck off in one AND-NOT; for a normal H the
+orbits are G-classes, walked once per enumeration.  It keeps the conjugacy orbits and the
 normalizers of the representatives it has built.  The small-order test
 oracle re-derives the same lattice independently.
 
@@ -65,8 +68,8 @@ from math import gcd
 
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, closure, conjugate_mask, derived_series,
-                     extend_closure, find_witness, flags_to_mask, is_normal_mask,
-                     orbit_and_normalizer, subgroup_image_mask)
+                     extend_closure, fill_cosets, find_witness, flags_to_mask,
+                     is_normal_mask, orbit_and_normalizer, subgroup_image_mask)
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -160,7 +163,7 @@ class SubgroupLattice:
         if self._up is None:
             ids = list(range(len(self.subgroups)))   # one int object per id
             self._up = [[ids[j] for j in bits(u) if j != i]
-                        for i, u in enumerate(self._containing(ids))]
+                        for i, u in enumerate(self.upeq(ids))]
         return self._up
 
     @property
@@ -194,14 +197,12 @@ class SubgroupLattice:
         if self._mu_top is None:
             classes, class_of = self.conjugacy_classes
             reps = [r for r, _ in classes]
-            if len(reps) == len(self.subgroups):
-                # every class is a singleton: the classes are the
-                # subgroups, and their rows, one per subgroup, are not kept
-                self._mu_top = mu_column(self._containing(reps), [self.top_id])
-            else:
-                blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
-                mu = mu_column(self.upeq(reps), [len(reps) - 1], blocks)
-                self._mu_top = [mu[c] for c in class_of]
+            # G's class, a singleton, comes last; when every class is a
+            # singleton the classes are the subgroups, ids and all
+            singletons = len(reps) == len(self.subgroups)
+            blocks = None if singletons else [sum(1 << j for j in orbit) for _, orbit in classes]
+            mu = mu_column(self.upeq(reps), [len(reps) - 1], blocks)
+            self._mu_top = mu if singletons else [mu[c] for c in class_of]
         return self._mu_top
 
     # -- orbits on subgroup ids -------------------------------------------
@@ -472,9 +473,10 @@ def enumerate_subgroups(G: FiniteGroup,
     subgroup whose orbit is already inserted; its walk is finished, so
     none of its members is joined, and no closure is made.
 
-    Lagrange stop (in `extend_closure`): [<H, z> : H] divides [G : H],
-    so a join that has filled more cosets of H than the largest proper
-    divisor of [G : H] is G.
+    Lagrange stop (in `extend_closure` and `fill_cosets`): [<H, z> : H]
+    divides [G : H], so a join that has filled more cosets of H than the
+    largest proper divisor of [G : H] is G; a first-test join of index p
+    = [G : H] is G before any coset is filled.
 
     Orbit-stabilizer stop (in `orbit_and_normalizer`): the class of a
     new H and N_G(H) are grown in one walk, and |class| * |N_G(H)| =
@@ -496,10 +498,14 @@ def enumerate_subgroups(G: FiniteGroup,
     hold at the class representative, on whole N_G(H)-orbits, and agree
     with the orbit walk and the coset rule.
 
-    Work per subgroup: a join outside R is by a z that normalizes H, so
-    `extend_closure` fills the cosets z^i*H off the table rows without a
-    coset search.  The extended member's element list comes from its
-    orbit walk and serves its joins and the coset rule.
+    Work per join: a first-test join is known to have index p, so
+    `fill_cosets` fills the cosets z^i*H off the table rows, without
+    testing again that z normalizes H or that the index is prime, and
+    lists the elements of <H, z> coset by coset; a new <H, z> hands that
+    list to its orbit walk instead of decoding its bitset.  Joins by the
+    second test go through `extend_closure`.  The extended member's
+    element list comes from its orbit walk and serves its joins and the
+    coset rule.
     N_G(H)-orbits of zuppos are walked as permutations of zuppo ids, one
     per conjugating element, built on first use and kept for the whole
     enumeration; those of G's non-central generators are read off the
@@ -512,10 +518,14 @@ def enumerate_subgroups(G: FiniteGroup,
     ANDed with N_G(H), ORed with R's zuppos when H lies in R, with H's
     own cleared.  The lowest candidate is joined, its orbit is cleared
     with one AND-NOT, and the known zuppos are a bitset too, so an orbit
-    meets them in one AND.  For a normal H, N_G(H) = G and the orbit of
-    a zuppo is its G-class, which does not depend on H: each G-class is
-    walked once per enumeration and kept under each of its members.  For
-    any other H the N_G(H)-orbit is walked anew.
+    meets them in one AND.  After each join the known zuppos are struck
+    from the candidates in bulk: a known candidate would only be walked
+    to an orbit that meets them and skipped, so the joins, their order
+    and the witnesses do not change, and the loop runs about once per
+    join instead of once per candidate.  For a normal H, N_G(H) = G and
+    the orbit of a zuppo is its G-class, which does not depend on H:
+    each G-class is walked once per enumeration and kept under each of
+    its members.  For any other H the N_G(H)-orbit is walked anew.
 
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
@@ -538,11 +548,12 @@ def enumerate_subgroups(G: FiniteGroup,
         if len(seen) > budget:
             raise BudgetExceeded(len(seen), budget, "subgroup enumeration")
 
-    def expand_orbit(mask: int, witness: tuple[int, ...]):
-        """Insert the conjugacy class of a new subgroup H and queue its
-        smallest member H^a with its elements and N_G(H^a) = N_G(H)^a,
-        generated by the conjugated generators."""
-        members, norm, norm_gens = orbit_and_normalizer(G, mask, witness)
+    def expand_orbit(mask: int, witness: tuple[int, ...], elems=None):
+        """Insert the conjugacy class of a new subgroup H, given its
+        elements when known, and queue its smallest member H^a with its
+        elements and N_G(H^a) = N_G(H)^a, generated by the conjugated
+        generators."""
+        members, norm, norm_gens = orbit_and_normalizer(G, mask, witness, elems)
         for c, _, w, _ in members:
             insert(c, w)
         orbits.append([c for c, _, _, _ in members])
@@ -593,19 +604,18 @@ def enumerate_subgroups(G: FiniteGroup,
         h, h_elems, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
         # designated generators of the zuppos Z with Z^p in H, then of
-        # those normalizing H, then of those in R when H is
-        cands = 0
+        # those normalizing H (the first test), then of those in R when H is
+        first = 0
         for y in bits(h & powers):
-            cands |= power_cands[y]
+            first |= power_cands[y]
         normal = norm == full
         if normal:
             n_maps = mover_maps
         else:
             n_maps = [zuppo_map(g) for g in norm_gens if not (center >> g) & 1]
-            cands &= norm
-        if h & ~residue == 0:
-            cands |= in_residue
-        cands &= ~h
+            first &= norm
+        first &= ~h
+        cands = first | (in_residue & ~h) if h & ~residue == 0 else first
         known = 0   # designated generators of zuppos whose join with H is found
         while cands:
             # the N_G(H)-orbit of the lowest candidate; only that zuppo is
@@ -624,19 +634,28 @@ def enumerate_subgroups(G: FiniteGroup,
             cands &= ~orbit
             if orbit & known:
                 continue
-            t = extend_closure(G, h, h_elems, h_gens, zx)
-            index = t.bit_count() // len(h_elems)
-            if _prime_of_power(index) == index:
+            if (first >> zx) & 1:
+                # z normalizes H and z^p lies in H: [<H, z> : H] = p, and
                 # <H, y> = <H, z> for every y in <H, z> outside H
+                t, t_elems = fill_cosets(G, h, h_elems, zx)
                 known |= t
             else:
-                base = zx * n
-                for x in h_elems:
-                    k = zuppo_of[mt[base + x]]
-                    if k >= 0:
-                        known |= zbit[k]
+                t = extend_closure(G, h, h_elems, h_gens, zx)
+                t_elems = None
+                index = t.bit_count() // len(h_elems)
+                if _prime_of_power(index) == index:     # as above
+                    known |= t
+                else:
+                    base = zx * n
+                    for x in h_elems:
+                        k = zuppo_of[mt[base + x]]
+                        if k >= 0:
+                            known |= zbit[k]
+            # an orbit that meets a known zuppo is skipped, so the known
+            # candidates need no walk
+            cands &= ~known
             if t not in seen:
-                expand_orbit(t, h_gens + (zx,))
+                expand_orbit(t, h_gens + (zx,), t_elems)
     subs = [Subgroup(m, gens=g) for m, g in seen.items()]
     subs.sort(key=lambda s: (s.order, s.mask))
     position = {s.mask: i for i, s in enumerate(subs)}

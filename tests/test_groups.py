@@ -5,8 +5,8 @@ from moebius import cli, groups
 from moebius.catalog import family_specs
 from moebius.errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, bits, build_from_spec, closure, commutator_subgroup,
-                            derived_series, extend_closure, generate_group, is_nilpotent,
-                            is_solvable, quotient_group)
+                            conjugate_mask, derived_series, extend_closure, fill_cosets,
+                            generate_group, is_nilpotent, is_solvable, quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
 
@@ -179,6 +179,39 @@ def test_extend_closure_matches_generator_closure(spec):
         h_elems = list(bits(H.mask))
         for x in range(G.order):
             assert extend_closure(G, H.mask, h_elems, w, x) == closure_mask(G, w + (x,))
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])
+def test_fill_cosets_lists_the_join(spec):
+    # for every subgroup H and every x outside H that normalizes it, the
+    # coset fill gives <H, x> against a BFS, and its elements: H's first,
+    # in H's order, then the other cosets, each element once
+    G = group(spec)
+    lat = lattice(spec)
+    filled = 0
+    for i, H in enumerate(lat.subgroups):
+        w = lat.witness(i)
+        h_elems = list(bits(H.mask))
+        for x in range(G.order):
+            if (H.mask >> x) & 1 or conjugate_mask(G, H.mask, x) != H.mask:
+                continue
+            mask, elems = fill_cosets(G, H.mask, h_elems, x)
+            assert mask == closure_mask(G, w + (x,))
+            assert sorted(elems) == list(bits(mask))
+            if mask != G.full_mask():
+                assert list(elems[:len(h_elems)]) == h_elems
+            filled += 1
+    assert filled
+
+
+def test_bfs_index_inverts_the_element_list():
+    # generate_group hands its BFS dict to the group as `index`; a group
+    # built from a bare element list inverts it and refuses duplicates
+    G = build_from_spec("S:4")
+    assert G.index == {p: i for i, p in enumerate(G.elements)}
+    assert FiniteGroup(G.elements, G.gens).index == G.index
+    with pytest.raises(ValueError, match="duplicate"):
+        FiniteGroup(G.elements + G.elements[:1], G.gens)
 
 
 @pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3"])

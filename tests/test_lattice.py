@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import moebius.lattice as lattice_module
@@ -6,7 +8,7 @@ from helpers import (brute_class_up, brute_mu_top, brute_normalizer, brute_relat
 from moebius.cache import load_lattice, save_lattice
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
-from moebius.groups import (conjugate_mask, derived_series, is_normal_mask,
+from moebius.groups import (bits, conjugate_mask, derived_series, is_normal_mask,
                             orbit_and_normalizer)
 from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
 from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
@@ -89,13 +91,16 @@ def test_joins_match_covering_pairs(n, monkeypatch):
     # than H, that is one per cover of H.  In a 2-group H < K is a cover
     # exactly when [K : H] = 2.
     calls = [0]
-    closure = lattice_module.extend_closure
+    # the enumerator joins through the coset fill (first test) and the
+    # general closure step (second test)
+    for name in ("fill_cosets", "extend_closure"):
+        join = getattr(lattice_module, name)
 
-    def counted(*args):
-        calls[0] += 1
-        return closure(*args)
+        def counted(*args, join=join):
+            calls[0] += 1
+            return join(*args)
 
-    monkeypatch.setattr(lattice_module, "extend_closure", counted)
+        monkeypatch.setattr(lattice_module, name, counted)
     lat = enumerate_subgroups(group("x".join(["C:2"] * n)))
     subs = lat.subgroups
     covers = sum(1 for i, above in enumerate(lat.up) for j in above
@@ -111,13 +116,20 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
     # prime index in the result
     joins = []
     closure = lattice_module.extend_closure
+    fill = lattice_module.fill_cosets
 
     def recorded(G, h_mask, h_elems, h_gens, x):
         out = closure(G, h_mask, h_elems, h_gens, x)
         joins.append((h_mask, out))
         return out
 
+    def recorded_fill(G, h_mask, h_elems, x):
+        out = fill(G, h_mask, h_elems, x)
+        joins.append((h_mask, out[0]))
+        return out
+
     monkeypatch.setattr(lattice_module, "extend_closure", recorded)
+    monkeypatch.setattr(lattice_module, "fill_cosets", recorded_fill)
     G = group(spec)
     residue = derived_series(G)[-1]
     lat = enumerate_subgroups(G)
@@ -148,6 +160,29 @@ def test_normalizer_generators_generate_the_normalizer(spec):
         for c, elems, cw, a in members:
             assert c == conjugate_mask(G, s.mask, a) == sum(1 << x for x in elems)
             assert cw == tuple(G.conj(x, a) for x in w)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])
+def test_orbit_walk_takes_the_elements_in_any_order(spec):
+    # the enumerator hands a new subgroup's elements to the walk in the
+    # order its cosets were filled; shuffled, they give the same members,
+    # witnesses, carriers, N_G(H) and generators as the walk's own list,
+    # and every member's element list holds exactly its bitset's elements
+    lat = lattice(spec)
+    G = lat.group
+    rng = random.Random(spec)
+    for i, s in enumerate(lat.subgroups):
+        w = lat.witness(i)
+        elems = list(bits(s.mask))
+        rng.shuffle(elems)
+        members, norm, gens = orbit_and_normalizer(G, s.mask, w, elems)
+        own_members, own_norm, own_gens = orbit_and_normalizer(G, s.mask, w)
+        assert members[0][1] is elems
+        assert [(c, cw, a) for c, _, cw, a in members] == \
+            [(c, cw, a) for c, _, cw, a in own_members]
+        assert (norm, gens) == (own_norm, own_gens)
+        for c, c_elems, _, _ in members:
+            assert sorted(c_elems) == list(bits(c))
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3"])
