@@ -5,13 +5,15 @@ acting on a subgroup bitset is a bit remap.  A group of automorphisms
 keeps only its generators: an orbit is closed under the group exactly
 when it is closed under the generators, so orbits never need the other
 elements, and the full list is closed from the generators only when
-it is read.  Origin tags record how a group was built.
+it is read.  Every walk over the generators, of maps, element bitsets or
+elements, is one `perm.orbit`.  Origin tags record how a group was built.
 """
 
 from __future__ import annotations
 
 from .errors import BoundExceeded, NotAHomomorphism, NotBijective, NotInvariant
 from .groups import FiniteGroup, Subgroup, find_witness, subgroup_image_mask
+from .perm import orbit
 
 FULL_AUT_DEFAULT_BOUND = 64
 
@@ -53,20 +55,12 @@ class AutomorphismGroup:
 
     @property
     def maps(self) -> list[Automorphism]:
-        """Every element of the group, sorted by map."""
+        """Every element of the group, sorted by map: the `orbit` of the
+        identity map under right composition with the generators."""
         if self._maps is None:
-            ident = tuple(range(self.group.order))
-            maps = {ident}
-            queue = [ident]
             # a * s maps x to s.map[a.map[x]]
-            steps = [s.map.__getitem__ for s in self.gens]
-            while queue:
-                a = queue.pop()
-                for step in steps:
-                    c = tuple(map(step, a))
-                    if c not in maps:
-                        maps.add(c)
-                        queue.append(c)
+            steps = [lambda a, s=s.map.__getitem__: tuple(map(s, a)) for s in self.gens]
+            maps = orbit(tuple(range(self.group.order)), steps)
             self._maps = [Automorphism(m) for m in sorted(maps)]
         return self._maps
 
@@ -78,18 +72,9 @@ class AutomorphismGroup:
         return not self.gens
 
     def mask_orbit(self, mask: int) -> set[int]:
-        """Bitsets of the orbit of one bitset (BFS over the generators); on
-        subgroup ids, `SubgroupLattice.orbits` walks the orbits."""
-        seen = {mask}
-        queue = [mask]
-        while queue:
-            m = queue.pop()
-            for a in self.gens:
-                c = a.apply_mask(m)
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        return seen
+        """Bitsets of the orbit of one bitset, one `orbit` walk over the
+        generators; orbits on subgroup ids are `SubgroupLattice.orbits`."""
+        return set(orbit(mask, [a.apply_mask for a in self.gens]))
 
     def __repr__(self):
         return f"AutomorphismGroup({self.origin}, gens={len(self.gens)})"
@@ -199,13 +184,13 @@ def full_automorphism_group(G: FiniteGroup,
 
     kept = []
     for k in reversed(range(len(gens))):
-        orbit = {1 << gens[k]}
+        met = {gens[k]}     # the orbit of g_k under the kept maps
         for c in candidates[k]:
-            if 1 << c not in orbit:
+            if c not in met:
                 a = first_extension(gens[:k] + (c,))
                 if a is not None:
                     kept.append(a)
-                    orbit = AutomorphismGroup(G, kept, "full-aut").mask_orbit(1 << gens[k])
+                    met = set(orbit(gens[k], [b.map.__getitem__ for b in kept]))
     return AutomorphismGroup(G, kept, "full-aut")
 
 

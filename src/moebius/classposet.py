@@ -186,14 +186,6 @@ def validate_closure_map(poset: ClassPoset, cl: list[int]) -> None:
             raise NotAClosureMap("c", f"not idempotent at {x}")
 
 
-def crapo_check(poset: ClassPoset, cl: list[int], x: int, y: int) -> bool:
-    """Closure-theorem identity at one pair (y must be closed)."""
-    validate_closure_map(poset, cl)
-    if cl[y] != y:
-        raise ValueError("y must be a closed class")
-    return (x, y) not in _crapo_violations(poset, cl, [y])
-
-
 def crapo_check_all(poset: ClassPoset, cl: list[int]) -> list[tuple[int, int]]:
     """All (x, y) pairs violating the closure-theorem identity (none expected)."""
     validate_closure_map(poset, cl)

@@ -27,6 +27,16 @@ from .lattice import DEFAULT_SUBGROUP_BUDGET, SubgroupLattice, enumerate_subgrou
 from .perm import parse_cycles
 
 
+def _element_index(G: FiniteGroup, text: str) -> int:
+    """The index in G of the permutation written in 1-based cycles;
+    ValueError, naming it, when it is not an element of G."""
+    p = parse_cycles(text, degree=G.degree)
+    try:
+        return G.index[p.images]
+    except KeyError:
+        raise ValueError(f"the permutation {p.cycle_string()} is not in the group") from None
+
+
 def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
     """Resolve a subgroup selector.
 
@@ -61,11 +71,7 @@ def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
         return lattice.subgroups[ids[k]]
     if sel.startswith("gens=[") and sel.endswith("]"):
         words = [w for w in sel[len("gens=["):-1].split(";") if w.strip()]
-        idxs = []
-        for w in words:
-            p = parse_cycles(w, degree=G.degree)
-            idxs.append(G.index[p.images])
-        mask, _ = closure(G, idxs)
+        mask, _ = closure(G, [_element_index(G, w) for w in words])
         return lattice.subgroups[lattice.index[mask]]
     raise ValueError(f"unknown subgroup selector {selector!r}")
 
@@ -97,10 +103,8 @@ def parse_aut_spec(G: FiniteGroup, lattice: SubgroupLattice, text: str):
                 if not line or line.startswith("#"):
                     continue
                 src, _, dst = line.partition("->")
-                gperm = parse_cycles(src.strip(), degree=G.degree)
-                iperm = parse_cycles(dst.strip(), degree=G.degree)
-                gens.append(G.index[gperm.images])
-                images.append(G.index[iperm.images])
+                gens.append(_element_index(G, src))
+                images.append(_element_index(G, dst))
         seed = automorphism_from_images(G, gens, images)
         return close_automorphisms(G, [seed])
     raise ValueError(f"unknown automorphism spec {text!r}")

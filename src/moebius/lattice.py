@@ -40,11 +40,12 @@ orbits are G-classes, walked once per enumeration.  It keeps the conjugacy orbit
 normalizers of the representatives it has built.  The small-order test
 oracle re-derives the same lattice independently.
 
-One routine, `SubgroupLattice.orbits`, splits the subgroup ids into the
-orbits of generator maps for the class posets.  The conjugacy classes
-are the enumerator's orbits or, on a lattice read from the cache, one
-`orbit_and_normalizer` walk per class, which also gives the normalizer
-of each member.
+Every orbit is walked by one routine, `perm.orbit`: the enumerator's
+N_G(H)-orbits of zuppos, and, in `SubgroupLattice.orbits`, the orbits on
+subgroup ids of generator maps for the class posets.  The conjugacy
+classes are the enumerator's orbits or, on a lattice read from the
+cache, one `orbit_and_normalizer` walk per class, the one walk that also
+builds a stabilizer, the normalizer of each member.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
@@ -70,6 +71,7 @@ from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, closure, conjugate_mask, derived_series,
                      extend_closure, fill_cosets, find_witness, flags_to_mask,
                      is_normal_mask, orbit_and_normalizer, subgroup_image_mask)
+from .perm import orbit
 
 DEFAULT_SUBGROUP_BUDGET = 200000
 
@@ -212,32 +214,25 @@ class SubgroupLattice:
         generated by `maps`, automorphisms as element image lists: class c
         is (its smallest id, its ids ascending), classes in that order.
 
-        Each id not yet classed starts a class, closed under the
-        generators by the ids of its members' images.  An image outside
-        the lattice raises ImageNotInLattice."""
+        Each id not yet met starts an `orbit` walk, which steps from an id
+        to the ids of its images.  An image outside the lattice raises
+        ImageNotInLattice."""
         subs = self.subgroups
         index = self.index
-        class_of = [-1] * len(subs)
-        classes = []
+        steps = [lambda j, m=m: index[subgroup_image_mask(m, subs[j].mask)] for m in maps]
+        met = bytearray(len(subs))
+        orbits = []
         try:
             for i in range(len(subs)):
-                if class_of[i] >= 0:
-                    continue
-                c = class_of[i] = len(classes)
-                orbit = [i]
-                for j in orbit:     # grows while it is walked
-                    mask = subs[j].mask
-                    for x_to_ax in maps:
-                        k = index[subgroup_image_mask(x_to_ax, mask)]
-                        if class_of[k] < 0:
-                            class_of[k] = c
-                            orbit.append(k)
-                orbit.sort()
-                classes.append((i, tuple(orbit)))
+                if not met[i]:
+                    ids = orbit(i, steps)
+                    for j in ids:
+                        met[j] = 1
+                    orbits.append(tuple(sorted(ids)))
         except KeyError as exc:
             raise ImageNotInLattice(
                 "an automorphism image is missing from the lattice") from exc
-        return classes, class_of
+        return _partition(orbits, len(subs))
 
     @property
     def conjugacy_classes(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
@@ -576,7 +571,7 @@ def enumerate_subgroups(G: FiniteGroup,
     # g -> the permutation of zuppo ids by conjugation with g, built on
     # first use; those of the non-central generators from the group's maps
     zuppo_maps = {g: [zuppo_of[x_to_xg[zx]] for zx in zgens] for g, x_to_xg in conjugations}
-    mover_maps = list(zuppo_maps.values())
+    mover_steps = [z_to_zg.__getitem__ for z_to_zg in zuppo_maps.values()]
     # designated generator -> its zuppo's G-class, kept once walked
     g_classes: dict[int, int] = {}
 
@@ -587,17 +582,9 @@ def enumerate_subgroups(G: FiniteGroup,
             z_to_zg = zuppo_maps[g] = [zuppo_of[mt[mt[gi + zx] * n + g]] for zx in zgens]
         return z_to_zg
 
-    def zuppo_orbit(zx: int, maps) -> int:
-        """The orbit of zuppo_of[zx] under `maps`, as designated generators."""
-        orbit = [zuppo_of[zx]]
-        met = set(orbit)
-        for y in orbit:     # grows while it is walked
-            for z_to_zg in maps:
-                k = z_to_zg[y]
-                if k not in met:
-                    met.add(k)
-                    orbit.append(k)
-        return sum(zbit[k] for k in orbit)
+    def zuppo_orbit(zx: int, steps) -> int:
+        """The orbit of zuppo_of[zx] under `steps`, as designated generators."""
+        return sum(zbit[k] for k in orbit(zuppo_of[zx], steps))
 
     expand_orbit(triv, ())
     while worklist:
@@ -610,9 +597,9 @@ def enumerate_subgroups(G: FiniteGroup,
             first |= power_cands[y]
         normal = norm == full
         if normal:
-            n_maps = mover_maps
+            n_steps = mover_steps
         else:
-            n_maps = [zuppo_map(g) for g in norm_gens if not (center >> g) & 1]
+            n_steps = [zuppo_map(g).__getitem__ for g in norm_gens if not (center >> g) & 1]
             first &= norm
         first &= ~h
         cands = first | (in_residue & ~h) if h & ~residue == 0 else first
@@ -621,18 +608,18 @@ def enumerate_subgroups(G: FiniteGroup,
             # the N_G(H)-orbit of the lowest candidate; only that zuppo is
             # joined, and none is when the orbit meets a known zuppo
             zx = (cands & -cands).bit_length() - 1
-            if not n_maps:
-                orbit = 1 << zx
+            if not n_steps:
+                z_orbit = 1 << zx
             elif normal:
-                orbit = g_classes.get(zx)
-                if orbit is None:
-                    orbit = zuppo_orbit(zx, mover_maps)
-                    for y in bits(orbit):
-                        g_classes[y] = orbit
+                z_orbit = g_classes.get(zx)
+                if z_orbit is None:
+                    z_orbit = zuppo_orbit(zx, mover_steps)
+                    for y in bits(z_orbit):
+                        g_classes[y] = z_orbit
             else:
-                orbit = zuppo_orbit(zx, n_maps)
-            cands &= ~orbit
-            if orbit & known:
+                z_orbit = zuppo_orbit(zx, n_steps)
+            cands &= ~z_orbit
+            if z_orbit & known:
                 continue
             if (first >> zx) & 1:
                 # z normalizes H and z^p lies in H: [<H, z> : H] = p, and

@@ -1,4 +1,5 @@
-"""Permutations on points 0..n-1, with 1-based cycle syntax for I/O."""
+"""Permutations on points 0..n-1, with 1-based cycle syntax for I/O, and
+`orbit`, the one orbit walk for every action the engine uses."""
 
 from __future__ import annotations
 
@@ -6,6 +7,22 @@ import re
 from math import lcm
 
 from .errors import ParseError
+
+
+def orbit(x, steps) -> list:
+    """The orbit of x under the group generated by the callables `steps`,
+    in the order met: x first, then the new images of each point met, in
+    turn.  Each step is a bijection of finite order, so a set closed under
+    the steps is closed under their inverses too."""
+    met = {x}
+    out = [x]
+    for y in out:   # grows while it is walked
+        for step in steps:
+            z = step(y)
+            if z not in met:
+                met.add(z)
+                out.append(z)
+    return out
 
 
 class Permutation:
@@ -59,20 +76,16 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
-        seen = [False] * len(self.images)
+        step = [self.images.__getitem__]
+        seen = bytearray(len(self.images))
         out = []
         for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            p = self.images[start]
-            while p != start:
-                seen[p] = True
-                cyc.append(p)
-                p = self.images[p]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+            if not seen[start]:
+                cyc = orbit(start, step)
+                for p in cyc:
+                    seen[p] = 1
+                if len(cyc) > 1:
+                    out.append(tuple(cyc))
         return out
 
     def cycle_string(self) -> str:

@@ -8,8 +8,8 @@ from moebius import counting, enumerate_subgroups
 from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
                                    trivial_automorphisms)
 from moebius.classposet import (build_class_poset, complement_class_count,
-                                conjunctive_identity_violations, crapo_check,
-                                crapo_check_all, divisibility_scan, kappa,
+                                conjunctive_identity_violations, crapo_check_all,
+                                divisibility_scan, kappa,
                                 maximal_closure_map, minimal_normal_subgroup_ids,
                                 nonzero_implies_closed, product_mask,
                                 validate_closure_map)
@@ -360,7 +360,6 @@ def test_crapo_identity_closure():
     pos = poset("S:4")
     ident = list(range(len(pos.classes)))
     assert crapo_check_all(pos, ident) == []
-    assert crapo_check(pos, ident, pos.bottom, pos.top)
 
 
 def test_crapo_rejects_non_closure():

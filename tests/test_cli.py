@@ -211,6 +211,22 @@ def test_aut_maps_file(capsys, tmp_path):
     assert code == 0 and json.loads(out)["value"] == "4"
 
 
+@pytest.mark.parametrize("argv, maps_line, named", [
+    (["phi-rel", "C:4", "--normal", "gens=[(1,3)]", "--t", "1"], None, "(1,3)"),
+    (["table", "C:4"], "(1,2,3,4) -> (1,3,2,4)\n", "(1,3,2,4)"),
+])
+def test_permutation_outside_the_group_exits_2(capsys, tmp_path, argv, maps_line, named):
+    # a gens= selector or a maps: line naming a permutation that is not in G
+    if maps_line is not None:
+        path = tmp_path / "maps.txt"
+        path.write_text(maps_line)
+        argv = [*argv, "--aut", f"maps:{path}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the permutation {named} is not in the group\n"
+
+
 def test_gens_selector(capsys):
     code, out = run_cli(capsys, "phi-rel", "S:4", "--normal",
                         "gens=[(1,2)(3,4);(1,3)(2,4)]", "--t", "2")

@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 
 from helpers import brute_center_mask, closure_mask, group, lattice, reference_elements
@@ -124,9 +126,12 @@ def test_table_matches_composed_images(spec):
     els = G.elements
     mt = G.table
     assert len(mt) == n * n
+    index = G.index
     for a, pa in enumerate(els):
-        for b, pb in enumerate(els):
-            assert mt[a * n + b] == G.index[tuple(pb[i] for i in pa)]
+        # row a at once: the image tuple of b -> that of a*b; on one point
+        # itemgetter would return the point, not a tuple
+        compose = itemgetter(*pa) if G.degree > 1 else tuple
+        assert mt[a * n:(a + 1) * n].tolist() == [index[compose(pb)] for pb in els]
     # built without the BFS's right-multiplication maps, the group
     # composes them from its elements and fills the same table
     assert FiniteGroup(els, G.gens).table == mt
