@@ -104,19 +104,17 @@ def _extend_images(G: FiniteGroup, gens, images) -> dict[int, int]:
 
     Raises NotAHomomorphism when two words for one element get different
     images and NotBijective as soon as two elements share an image."""
-    mt = G.table
-    n = G.order
+    mul = G.mul
     e = G.identity
     known = {e: e}
     values = {e}
     queue = [e]
     while queue:
         x = queue.pop()
-        bx = x * n
-        bfx = known[x] * n
+        fx = known[x]
         for g, h in zip(gens, images):
-            y = mt[bx + g]
-            z = mt[bfx + h]
+            y = mul(x, g)
+            z = mul(fx, h)
             fy = known.get(y)
             if fy is None:
                 if z in values:

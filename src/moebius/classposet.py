@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .automorphisms import Automorphism, AutomorphismGroup
 from .errors import NotAClosureMap
-from .groups import FiniteGroup, Subgroup, bits, is_normal_mask
+from .groups import FiniteGroup, Subgroup, bits, is_normal_mask, product_mask
 from .lattice import SubgroupLattice, mu_column
 
 
@@ -227,19 +227,6 @@ def nonzero_implies_closed(poset: ClassPoset) -> list[int]:
 
 
 # -- instance checkers for the structural lemmas ----------------------------
-
-def product_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:
-    """Bitset of the product set AB (a subgroup when either factor is normal)."""
-    mt = G.table
-    n = G.order
-    out = 0
-    b_elems = list(bits(b_mask))
-    for a in bits(a_mask):
-        base = a * n
-        for b in b_elems:
-            out |= 1 << mt[base + b]
-    return out
-
 
 def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[int]:
     """For an A-invariant normal N, check on every class [H] with

@@ -98,11 +98,14 @@ def parse_aut_spec(G: FiniteGroup, lattice: SubgroupLattice, text: str):
         path = spec[len("maps:"):]
         gens, images = [], []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                src, _, dst = line.partition("->")
+                src, arrow, dst = line.partition("->")
+                if not (arrow and src.strip() and dst.strip()):
+                    raise ValueError(f"maps line {lineno} is not "
+                                     f"'<permutation> -> <permutation>': {line!r}")
                 gens.append(_element_index(G, src))
                 images.append(_element_index(G, dst))
         seed = automorphism_from_images(G, gens, images)

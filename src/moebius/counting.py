@@ -206,8 +206,7 @@ def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
     if N.order ** t > budget:
         raise BudgetExceeded(N.order ** t, budget, "relative tuple scan")
     n_elems = N.elements()
-    mt = G.table
-    n = G.order
+    cosets = [G.coset(g, n_elems) for g in lifts]     # g*N for each lift g
     ext = _ExtendMemo(G)
     counts: dict[int, int] = {}
     class_of = poset.class_of
@@ -218,10 +217,8 @@ def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
             c = class_of[index[mask]]
             counts[c] = counts.get(c, 0) + 1
             return
-        g = lifts[depth]
-        base = g * n
-        for x in n_elems:
-            rec(ext.step(mask, mt[base + x]), depth + 1)
+        for y in cosets[depth]:
+            rec(ext.step(mask, y), depth + 1)
 
     rec(1 << G.identity, 0)
     return counts

@@ -4,6 +4,14 @@ Every group is materialized as an ordered element list (BFS from the
 identity, generators in the given order) so that indices are reproducible
 across runs.  All heavy machinery downstream works on element indices and
 on subgroup bitsets (Python ints, bit i = element i).
+
+The multiplication table's layout is read only in this module.  Every
+other module multiplies through its primitives: `FiniteGroup.mul`,
+`powers` (x, x^2, ...), `coset` (r*h for each h), `conjugates` (g^-1*x*g
+for each x), `conjugation_map`, and `product_mask` (the product set AB).
+The hot loops here (`fill_cosets`, `extend_closure`,
+`orbit_and_normalizer`, `commutator_closure`, `quotient_group`) read the
+table inline.
 """
 
 from __future__ import annotations
@@ -198,10 +206,9 @@ class FiniteGroup:
         return self._elt_orders
 
     def _walk_powers(self):
-        """Inverses and element orders read off the table: the powers of
-        each element x not yet met are walked once, and for x of order k,
-        x^j has order k/gcd(j, k) and inverse x^(k-j)."""
-        mt = self.table
+        """Inverses and element orders: the powers of each element x not
+        yet met are walked once, and for x of order k, x^j has order
+        k/gcd(j, k) and inverse x^(k-j)."""
         n = self.order
         e = self.identity
         orders = [0] * n
@@ -211,11 +218,7 @@ class FiniteGroup:
         for x in range(n):
             if orders[x]:
                 continue
-            powers = [x]            # x^1 .. x^(k-1)
-            y = mt[x * n + x]
-            while y != e:
-                powers.append(y)
-                y = mt[y * n + x]
+            powers = self.powers(x)
             k = len(powers) + 1
             for j, y in enumerate(powers, 1):
                 orders[y] = k // gcd(j, k)
@@ -228,18 +231,38 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a * self.order + b]
 
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 * x * g."""
+    def powers(self, x: int) -> list[int]:
+        """x, x^2, ..., x^(k-1) for x of order k (empty for the identity)."""
         mt = self.table
         n = self.order
-        return mt[mt[self.inverse[g] * n + x] * n + g]
+        e = self.identity
+        out = []
+        y = x
+        while y != e:
+            out.append(y)
+            y = mt[y * n + x]
+        return out
 
-    def conjugation_map(self, g: int) -> list[int]:
-        """x -> g^-1 * x * g for every element x."""
+    def coset(self, r: int, elems) -> list[int]:
+        """r*h for each h in elems: the left coset r*H when elems lists H."""
+        mt = self.table
+        base = r * self.order
+        return [mt[base + h] for h in elems]
+
+    def conjugates(self, xs, g: int) -> list[int]:
+        """g^-1 * x * g for each x in xs."""
         mt = self.table
         n = self.order
         gi = self.inverse[g] * n
-        return [mt[mt[gi + x] * n + g] for x in range(n)]
+        return [mt[mt[gi + x] * n + g] for x in xs]
+
+    def conj(self, x: int, g: int) -> int:
+        """g^-1 * x * g."""
+        return self.conjugates((x,), g)[0]
+
+    def conjugation_map(self, g: int) -> list[int]:
+        """x -> g^-1 * x * g for every element x."""
+        return self.conjugates(range(self.order), g)
 
     @property
     def conjugations(self) -> list[tuple[int, list[int]]]:
@@ -620,12 +643,19 @@ def find_witness(G: FiniteGroup, mask: int) -> tuple[int, ...]:
 
 def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
     """Bitset of g^-1 * H * g."""
-    mt = G.table
-    n = G.order
-    gi = G.inverse[g]
     out = 0
-    for x in bits(mask):
-        out |= 1 << mt[mt[gi * n + x] * n + g]
+    for y in G.conjugates(bits(mask), g):
+        out |= 1 << y
+    return out
+
+
+def product_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:
+    """Bitset of the product set AB (a subgroup when either factor is normal)."""
+    out = 0
+    b_elems = list(bits(b_mask))
+    for a in bits(a_mask):
+        for y in G.coset(a, b_elems):
+            out |= 1 << y
     return out
 
 

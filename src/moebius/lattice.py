@@ -406,7 +406,6 @@ def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], dict[int, list[int]]]
     order is not a prime power), zgens[id] is one generator of that
     zuppo, and by_power[y] lists, ascending, the zuppos Z of order p^a
     whose index-p subgroup Z^p is generated by y (y = 1 when a = 1)."""
-    mt = G.table
     n = G.order
     e = G.identity
     zuppo_of = [-1] * n     # -1 until the powers of x are walked
@@ -416,11 +415,7 @@ def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], dict[int, list[int]]]
     for x in range(n):
         if zuppo_of[x] != -1:
             continue
-        powers = [x]
-        y = mt[x * n + x]
-        while y != e:
-            powers.append(y)
-            y = mt[y * n + x]
+        powers = G.powers(x)
         k = len(powers) + 1
         p = _prime_of_power(k)
         z = -2
@@ -457,7 +452,7 @@ def enumerate_subgroups(G: FiniteGroup,
 
     Coset rule: y in z*H gives <H, y> = <H, z>, since y and z differ by
     an element of H.  So after H is joined with z, every zuppo generated
-    by an element of z*H (row z of the table read at H's elements) is
+    by an element of z*H (`G.coset` of z at H's elements) is
     known.  When T = <H, z> has prime index over H, more is known: for y
     in T outside H, H < <H, y> <= T and [<H, y> : H] divides the prime
     [T : H], so <H, y> = T, and every zuppo generated by an element of T
@@ -494,7 +489,7 @@ def enumerate_subgroups(G: FiniteGroup,
     with the orbit walk and the coset rule.
 
     Work per join: a first-test join is known to have index p, so
-    `fill_cosets` fills the cosets z^i*H off the table rows, without
+    `fill_cosets` fills the cosets z^i*H, without
     testing again that z normalizes H or that the index is prime, and
     lists the elements of <H, z> coset by coset; a new <H, z> hands that
     list to its orbit walk instead of decoding its bitset.  Joins by the
@@ -524,9 +519,6 @@ def enumerate_subgroups(G: FiniteGroup,
 
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
-    mt = G.table
-    n = G.order
-    inv = G.inverse
     center = G.center_mask
     # x -> g^-1 x g for each non-central generator g
     conjugations = G.conjugations
@@ -555,7 +547,7 @@ def enumerate_subgroups(G: FiniteGroup,
         least, least_elems, _, carrier = min(members)
         if carrier != G.identity:
             norm = conjugate_mask(G, norm, carrier)
-            norm_gens = tuple(G.conj(x, carrier) for x in norm_gens)
+            norm_gens = tuple(G.conjugates(norm_gens, carrier))
         normalizers[least] = norm
         worklist.append((least, least_elems, norm, norm_gens))
 
@@ -578,8 +570,7 @@ def enumerate_subgroups(G: FiniteGroup,
     def zuppo_map(g: int) -> list[int]:
         z_to_zg = zuppo_maps.get(g)
         if z_to_zg is None:
-            gi = inv[g] * n
-            z_to_zg = zuppo_maps[g] = [zuppo_of[mt[mt[gi + zx] * n + g]] for zx in zgens]
+            z_to_zg = zuppo_maps[g] = [zuppo_of[y] for y in G.conjugates(zgens, g)]
         return z_to_zg
 
     def zuppo_orbit(zx: int, steps) -> int:
@@ -633,9 +624,8 @@ def enumerate_subgroups(G: FiniteGroup,
                 if _prime_of_power(index) == index:     # as above
                     known |= t
                 else:
-                    base = zx * n
-                    for x in h_elems:
-                        k = zuppo_of[mt[base + x]]
+                    for y in G.coset(zx, h_elems):
+                        k = zuppo_of[y]
                         if k >= 0:
                             known |= zbit[k]
             # an orbit that meets a known zuppo is skipped, so the known

@@ -61,18 +61,13 @@ def _min_generators(G: FiniteGroup, s: Subgroup, witness) -> int:
     is the smallest normal subgroup of H with elementary abelian
     quotient.  H'H^p is the normal closure in H of the p-th powers and
     the commutators of H's witness generators."""
-    mt = G.table
-    n = G.order
     primes = [p for p in range(2, s.order + 1)
               if s.order % p == 0 and all(p % q for q in range(2, p))]
+    # x^0 .. x^(k-1) for each witness generator x of order k
+    cycles = [[G.identity] + G.powers(x) for x in witness]
     best = 0
     for p in primes:
-        powers = []
-        for x in witness:
-            y = x
-            for _ in range(p - 1):
-                y = mt[y * n + x]
-            powers.append(y)
+        powers = [c[p % len(c)] for c in cycles]
         closure = commutator_closure(G, witness, witness, witness, powers)[0]
         index = s.order // closure.bit_count()
         r = 0

@@ -16,7 +16,7 @@ from .classposet import (ClassPoset, build_class_poset, conjugation_poset,
                          minimal_normal_subgroup_ids, nonzero_implies_closed)
 from .errors import ImageNotInLattice, LiftNotGenerating
 from .groups import (FiniteGroup, bits, closure, commutator_subgroup, find_witness,
-                     is_solvable)
+                     is_solvable, product_mask)
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .mulambda import MuLambdaAnalyzer
 
@@ -118,15 +118,8 @@ def _brute_closure(G, seed):
 
 
 def _brute_closure_mask(G, mask):
-    mt = G.table
-    n = G.order
     while True:
-        new = mask
-        elems = [i for i in range(n) if (mask >> i) & 1]
-        for a in elems:
-            base = a * n
-            for b in elems:
-                new |= 1 << mt[base + b]
+        new = mask | product_mask(G, mask, mask)
         if new == mask:
             return mask
         mask = new

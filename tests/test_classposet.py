@@ -11,10 +11,9 @@ from moebius.classposet import (build_class_poset, complement_class_count,
                                 conjunctive_identity_violations, crapo_check_all,
                                 divisibility_scan, kappa,
                                 maximal_closure_map, minimal_normal_subgroup_ids,
-                                nonzero_implies_closed, product_mask,
-                                validate_closure_map)
+                                nonzero_implies_closed, validate_closure_map)
 from moebius.errors import NotAClosureMap
-from moebius.groups import is_normal_mask, quotient_group, subgroup_image_mask
+from moebius.groups import is_normal_mask, product_mask, quotient_group, subgroup_image_mask
 from moebius.lattice import mu_column
 from moebius.automorphisms import induced_quotient_action
 from moebius.verify import (automorphism_choices, mobius_equation_violations,

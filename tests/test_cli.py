@@ -227,6 +227,19 @@ def test_permutation_outside_the_group_exits_2(capsys, tmp_path, argv, maps_line
     assert captured.err == f"error: the permutation {named} is not in the group\n"
 
 
+@pytest.mark.parametrize("line", ["(1,3)(2,4)", "(1,2,3,4) -> ", "-> (1,2,3,4)"])
+def test_maps_line_without_both_sides_exits_2(capsys, tmp_path, line):
+    # a maps: line needs a permutation on each side of "->"; a missing side
+    # is refused by line number, not read as the identity
+    path = tmp_path / "maps.txt"
+    path.write_text(f"# C4\n{line}\n")
+    assert cli.main(["table", "C:4", "--aut", f"maps:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: maps line 2 is not '<permutation> -> <permutation>': "
+                            f"{line.strip()!r}\n")
+
+
 def test_gens_selector(capsys):
     code, out = run_cli(capsys, "phi-rel", "S:4", "--normal",
                         "gens=[(1,2)(3,4);(1,3)(2,4)]", "--t", "2")

@@ -1,4 +1,6 @@
+import ast
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,8 @@ from moebius.catalog import family_specs
 from moebius.errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, bits, build_from_spec, closure, commutator_subgroup,
                             conjugate_mask, derived_series, extend_closure, fill_cosets,
-                            generate_group, is_nilpotent, is_solvable, quotient_group)
+                            generate_group, is_nilpotent, is_solvable, product_mask,
+                            quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
 
@@ -244,6 +247,41 @@ def test_orders_and_inverses_match_the_permutations(spec):
     perms = [Permutation(p) for p in G.elements]
     assert G.element_orders == [p.order() for p in perms]
     assert G.inverse == [G.index[p.inverse().images] for p in perms]
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3", "D:129"])
+def test_multiplication_primitives_match_the_permutations(spec):
+    # powers, cosets, conjugates and product sets against Permutation
+    # arithmetic; D:129 has 258 elements, so its table is row-filled
+    G = group(spec)
+    n = G.order
+    perms = [Permutation(p) for p in G.elements]
+    index = {p: i for i, p in enumerate(perms)}
+    for x, p in enumerate(perms):
+        walk, y = [], p
+        while not y.is_identity():
+            walk.append(index[y])
+            y = y * p
+        assert G.powers(x) == walk
+    spread = range(0, n, 1 + n // 24)
+    for g in spread:
+        pg = perms[g]
+        assert G.coset(g, range(n)) == [index[pg * q] for q in perms]
+        assert G.conjugates(range(n), g) == [index[pg.inverse() * q * pg] for q in perms]
+    thirds = range(1, n, 3)
+    products = {index[perms[a] * perms[b]] for a in spread for b in thirds}
+    assert product_mask(G, sum(1 << a for a in spread), sum(1 << b for b in thirds)) \
+        == sum(1 << y for y in products)
+
+
+def test_only_groups_reads_the_table():
+    # the table's layout is private to groups.py: every other module
+    # multiplies through its primitives
+    readers = [path.name for path in sorted(Path(groups.__file__).parent.glob("*.py"))
+               if path.name != "groups.py"
+               and any(isinstance(node, ast.Attribute) and node.attr == "table"
+                       for node in ast.walk(ast.parse(path.read_text())))]
+    assert readers == []
 
 
 def test_large_degree_table_path():
