@@ -4,7 +4,8 @@ Subgroup bitsets are stored as lowercase hex of their little-endian byte
 form (padded to 8-byte words).  Each file is sealed by a SHA-256 of its
 canonical payload, so a truncated, bit-flipped or hand-edited file is
 recomputed instead of trusted.  Writes are deterministic, so rebuilding
-a cache yields byte-identical files.
+a cache yields byte-identical files, and streamed: a file is hashed and
+written piece by piece, never held whole in memory.
 """
 
 from __future__ import annotations
@@ -32,17 +33,31 @@ def hex_to_mask(text: str) -> int:
 
 
 def lattice_payload(lattice: SubgroupLattice) -> dict:
-    G = lattice.group
-    return {
-        "spec": G.spec,
-        "engine_version": __version__,
-        "element_count": G.order,
-        "subgroups": [mask_to_hex(s.mask, G.order) for s in lattice.subgroups],
-    }
+    return {**_head(lattice.group), "subgroups": list(_hexes(lattice))}
+
+
+def _head(G: FiniteGroup) -> dict:
+    return {"spec": G.spec, "engine_version": __version__, "element_count": G.order}
+
+
+def _hexes(lattice: SubgroupLattice):
+    order = lattice.group.order
+    return (mask_to_hex(s.mask, order) for s in lattice.subgroups)
 
 
 def payload_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _payload_pieces(head: dict, hexes):
+    """payload_bytes of head plus a "subgroups" list of the hex strings,
+    in pieces: every key of head sorts before "subgroups", so the list
+    comes last, and hex digits need no JSON escaping."""
+    text = payload_bytes({**head, "subgroups": []})
+    yield text[:-len(b"]}\n")]
+    for i, h in enumerate(hexes):
+        yield f'{"," if i else ""}"{h}"'.encode()
+    yield b"]}\n"
 
 
 def seal(payload: dict) -> dict:
@@ -65,8 +80,16 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     # a reader sees the old file or the whole new one, never a partial write
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    # the bytes of payload_bytes(seal(lattice_payload(lattice))), hashed and
+    # written piece by piece, so the file is never held whole in memory
+    head = _head(lattice.group)
+    digest = hashlib.sha256()
+    for piece in _payload_pieces(head, _hexes(lattice)):
+        digest.update(piece)
     try:
-        tmp.write_bytes(payload_bytes(seal(lattice_payload(lattice))))
+        with open(tmp, "wb") as fh:
+            fh.writelines(_payload_pieces({**head, "sha256": digest.hexdigest()},
+                                          _hexes(lattice)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -5,13 +5,13 @@ identity, generators in the given order) so that indices are reproducible
 across runs.  All heavy machinery downstream works on element indices and
 on subgroup bitsets (Python ints, bit i = element i).
 
-The multiplication table's layout is read only in this module.  Every
-other module multiplies through its primitives: `FiniteGroup.mul`,
-`powers` (x, x^2, ...), `coset` (r*h for each h), `conjugates` (g^-1*x*g
-for each x), `conjugation_map`, and `product_mask` (the product set AB).
-The hot loops here (`fill_cosets`, `extend_closure`,
-`orbit_and_normalizer`, `commutator_closure`, `quotient_group`) read the
-table inline.
+Products come only from this module's primitives: `FiniteGroup.mul`,
+`products` (x*y for zipped pairs), `powers` (x, x^2, ...), `coset` and
+`cosets` (r*h for each h), `conjugates` (g^-1*x*g for each x),
+`conjugation_map`, and `product_mask` (the product set AB), read off
+the multiplication table up to 256 elements and composed from image
+words above, one comprehension per call.  The hot loops here call one
+primitive per coset, wave of cosets, power walk or orbit member.
 """
 
 from __future__ import annotations
@@ -20,19 +20,22 @@ import re
 import sys
 from array import array
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
-from struct import Struct
 
 from .errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
-from .perm import Permutation, parse_cycles
+from .perm import Permutation, orbit, parse_cycles
 
 _CYCLE_POINTS = re.compile(r"\d+")
 
-DEFAULT_ORDER_CAP = 10000
-# The multiplication table stores element indices as 2-byte "H" entries,
-# so it can hold groups of at most 65 536 elements (indices 0..65 535).
-MAX_TABLE_ORDER = 1 << 16
+DEFAULT_ORDER_CAP = 20160
+# The BFS stops past this many elements whatever the order cap allows:
+# the subgroup lattice of a larger group is out of reach.
+MAX_GROUP_ORDER = 1 << 16
+# The most elements a group with a multiplication table has; its indices
+# fit in one byte, so the table's columns are filled by `bytes.translate`.
+TABLE_ORDER = 256
 
 
 def bits(mask: int):
@@ -47,12 +50,13 @@ class FiniteGroup:
     """An enumerated permutation group.
 
     Elements are image tuples; `index` inverts the element list.  The
-    multiplication table, inverse table and element orders are built
-    lazily and cached.  Instances are immutable after construction.
+    multiplication table (at most 256 elements) or the image words
+    (above), the inverses and the element orders are built lazily and
+    cached.  Instances are immutable after construction.
     """
 
     __slots__ = ("degree", "elements", "index", "order", "identity", "gens",
-                 "spec", "_rights", "_table", "_inv", "_elt_orders", "_center",
+                 "spec", "_rights", "_table", "_words", "_inv", "_elt_orders", "_center",
                  "_conjugations")
 
     def __init__(self, elements, gens, spec=None, rights=None, index=None):
@@ -70,9 +74,11 @@ class FiniteGroup:
         self.gens = tuple(gens)
         self.spec = spec
         # {g: [x*g for every element x]} per generator g, kept by the BFS
-        # for the table's column fill; None to compose them from elements
+        # for the table's column fill; None to compose them from elements,
+        # and above 256 elements, where there is no table
         self._rights = rights
         self._table = None
+        self._words = None
         self._inv = None
         self._elt_orders = None
         self._center = None
@@ -82,41 +88,23 @@ class FiniteGroup:
 
     @property
     def table(self) -> array:
-        """Flat multiplication table: index of x*y at [x*order + y], one
-        2-byte unsigned entry each, so 2*|G|^2 bytes in all.  A group of
-        more than MAX_TABLE_ORDER elements has indices that do not fit in
-        2 bytes; it raises BudgetExceeded before anything is allocated.
+        """Flat multiplication table of a group of at most 256 elements:
+        index of x*y at [x*order + y], one 2-byte unsigned entry each, so
+        2*|G|^2 bytes in all.  A larger group has none (ValueError); its
+        primitives compose image words instead (`_composer`).
 
-        Two fills, chosen by order, give the same entries.  A group of at
-        most 256 elements has one-byte indices, so a column is a `bytes`
-        of length |G| and a right-multiplication map R_g[x] = x*g is a
-        `bytes.translate` table: the column of y*g is the column of y
-        translated through R_g, as x*(y*g) = (x*y)*g.  The columns are
-        walked from the identity's, bytes(range(n)), along the generators
-        and stored in the entries' low bytes, one strided store each.
-        Larger indices do not fit a 256-entry translate table.
-
-        Above 256 elements the rows are gathered.  Only generators s are
-        composed with elements, (s*b)[i] = b[s[i]]; the row of x*s is the
-        row of x gathered at s*b, as (x*s)*b = x*(s*b).  Rows are filled
-        one left coset r<t> at a time, t the generator of largest order:
-        the row of r*t^(i+1) is gathered from the row of r*t^i still in
-        hand, so a row is read back from the table once per coset, not
-        once per element.  The first row met in a new coset, y = x*s for
-        another generator s, marks the whole coset: y*t^i is that row
-        read at t^i.  Row x holds x itself at the identity.
-
-        Either fill raises ValueError when the generators do not reach
-        every element.  The right maps the BFS kept are dropped once the
-        table is built."""
+        An index fits in one byte, so a column is a `bytes` of length |G|
+        and a right-multiplication map R_g[x] = x*g is a `bytes.translate`
+        table: the column of y*g is the column of y translated through
+        R_g, as x*(y*g) = (x*y)*g.  The columns are walked from the
+        identity's, bytes(range(n)), along the generators and stored in
+        the entries' low bytes, one strided store each; ValueError when
+        they miss an element.  The BFS's right maps are then dropped."""
         if self._table is None:
-            n = self.order
-            if n > MAX_TABLE_ORDER:
-                raise BudgetExceeded(n, MAX_TABLE_ORDER,
-                                     "group order for the 2-byte multiplication table")
-            mt = self._fill_columns() if n <= 256 else self._fill_rows()
+            if self.order > TABLE_ORDER:
+                raise ValueError(f"no multiplication table above {TABLE_ORDER} elements")
+            self._table = self._fill_columns()
             self._rights = None
-            self._table = mt
         return self._table
 
     def _fill_columns(self) -> array:
@@ -149,49 +137,29 @@ class FiniteGroup:
             raise ValueError("the generators do not generate the elements")
         return mt
 
-    def _fill_rows(self) -> array:
-        n = self.order
-        els = self.elements
-        idx = self.index
-        mt = array("H", bytes(2 * n * n))
-        e = self.identity
-        mt[e * n:(e + 1) * n] = array("H", range(n))
-        steps = []
-        for s in dict.fromkeys(self.gens):
-            if s != e:
-                compose = itemgetter(*els[s])  # image tuple of b -> that of s*b
-                steps.append((s, itemgetter(*[idx[compose(pb)] for pb in els])))
-        pack_row = Struct(f"{n}H").pack_into
-        powers = [e]                # t^0, t^1, ... t^(k-1)
-        if steps:
-            steps.sort(key=lambda step: -Permutation(els[step[0]]).order())
-            t, left_t = steps.pop(0)
-            compose = itemgetter(*els[t])
-            y = t
-            while y != e:
-                powers.append(y)
-                y = idx[compose(els[y])]
-        seen = bytearray(n)
-        for y in powers:
-            seen[y] = 1
-        todo = [e]                  # the first row met in each coset
-        for r in todo:
-            row_x = mt[r * n:(r + 1) * n].tolist()
-            for i in range(len(powers)):
-                if i:               # x*t from x = r*t^(i-1)
-                    row_x = left_t(row_x)
-                    pack_row(mt, 2 * row_x[e] * n, *row_x)
-                for s, left in steps:
-                    y = row_x[s]
-                    if not seen[y]:
-                        row_y = left(row_x)
-                        pack_row(mt, 2 * y * n, *row_y)
-                        for p in powers:
-                            seen[row_y[p]] = 1
-                        todo.append(y)
-        if len(todo) * len(powers) != n:
-            raise ValueError("the generators do not generate the elements")
-        return mt
+    @property
+    def _composer(self) -> tuple:
+        """(compose, keys, words, index) of a group above 256 elements:
+        compose(keys[a], words[b]) is keys[a*b], and index[keys[c]] = c.
+        Up to degree 256 a key is an element's image bytes and a word the
+        same bytes padded to a `bytes.translate` table, (a*b)[i] = b[a[i]];
+        above, both are the image tuples, composed by one `itemgetter`.
+        ValueError when the generators do not reach every element."""
+        if self._words is None:
+            els = self.elements
+            if self.degree <= 256:
+                pad = bytes(256 - self.degree)
+                keys = [bytes(p) for p in els]
+                composer = (bytes.translate, keys, [k + pad for k in keys],
+                            {k: i for i, k in enumerate(keys)})
+            else:
+                composer = (lambda a, b: itemgetter(*a)(b), els, els, self.index)
+            compose, keys, words, index = composer
+            steps = [lambda y, w=words[g]: index[compose(keys[y], w)] for g in self.gens]
+            if len(orbit(self.identity, steps)) != self.order:
+                raise ValueError("the generators do not generate the elements")
+            self._words = composer
+        return self._words
 
     @property
     def inverse(self) -> list[int]:
@@ -229,36 +197,61 @@ class FiniteGroup:
     # -- element arithmetic --------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a * self.order + b]
+        # the table, built on first use, up to 256 elements; False above
+        mt = self._table or self.order <= TABLE_ORDER and self.table
+        return mt[a * self.order + b] if mt else self.products((a,), (b,))[0]
+
+    def products(self, xs, ys) -> list[int]:
+        """x*y for each x in xs and the y at the same place in ys; an
+        `itertools.repeat` holds one factor fixed."""
+        mt = self._table or self.order <= TABLE_ORDER and self.table
+        if mt:
+            n = self.order
+            return [mt[x * n + y] for x, y in zip(xs, ys)]
+        compose, keys, words, index = self._words or self._composer
+        return [index[compose(keys[x], words[y])] for x, y in zip(xs, ys)]
 
     def powers(self, x: int) -> list[int]:
         """x, x^2, ..., x^(k-1) for x of order k (empty for the identity)."""
-        mt = self.table
-        n = self.order
         e = self.identity
+        n = self.order
+        mt = self._table or n <= TABLE_ORDER and self.table
+        if not mt:
+            compose, keys, words, index = self._words or self._composer
+            word_x = words[x]
         out = []
         y = x
         while y != e:
             out.append(y)
-            y = mt[y * n + x]
+            y = mt[y * n + x] if mt else index[compose(keys[y], word_x)]
         return out
 
     def coset(self, r: int, elems) -> list[int]:
         """r*h for each h in elems: the left coset r*H when elems lists H."""
-        mt = self.table
-        base = r * self.order
-        return [mt[base + h] for h in elems]
+        return self.cosets((r,), elems)
+
+    def cosets(self, rs, elems) -> list[int]:
+        """r*h for each r in rs and h in elems, r by r: the left cosets r*H,
+        one after the other, when elems lists H."""
+        mt = self._table or self.order <= TABLE_ORDER and self.table
+        if mt:
+            n = self.order
+            return [mt[r * n + h] for r in rs for h in elems]
+        compose, keys, words, index = self._words or self._composer
+        elem_words = [words[h] for h in elems]
+        return [index[compose(keys[r], w)] for r in rs for w in elem_words]
 
     def conjugates(self, xs, g: int) -> list[int]:
         """g^-1 * x * g for each x in xs."""
-        mt = self.table
-        n = self.order
-        gi = self.inverse[g] * n
-        return [mt[mt[gi + x] * n + g] for x in xs]
-
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 * x * g."""
-        return self.conjugates((x,), g)[0]
+        gi = (self._inv or self.inverse)[g]
+        mt = self._table or self.order <= TABLE_ORDER and self.table
+        if mt:
+            n = self.order
+            gi *= n
+            return [mt[mt[gi + x] * n + g] for x in xs]
+        compose, keys, words, index = self._words or self._composer
+        key_gi, word_g = keys[gi], words[g]
+        return [index[compose(compose(key_gi, words[x]), word_g)] for x in xs]
 
     def conjugation_map(self, g: int) -> list[int]:
         """x -> g^-1 * x * g for every element x."""
@@ -310,12 +303,14 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     turn, times each generator g in the given order, x*g appended when
     new.  That order fixes every element index downstream, so it must not
     change.  (x*g)[i] = g[x[i]], so one `itemgetter(*x)` per element reads
-    every x*g off the generators' image tuples.  The index of each x*g is
-    kept as the right-multiplication map of g, which the table's column
-    fill walks, and the dict of indices becomes the group's `index`.
+    every x*g off the generators' image tuples.  Up to 256 elements the
+    index of each x*g is kept as the right-multiplication map of g, which
+    the table's column fill walks; the dict of indices becomes the
+    group's `index`.
 
     An empty generator list yields the trivial group on `degree` points
-    (default 1).  Raises ClosureExceedsCap when the closure passes `cap`.
+    (default 1).  Raises ClosureExceedsCap when the closure passes `cap`,
+    and BudgetExceeded as soon as it passes MAX_GROUP_ORDER elements.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -333,6 +328,7 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     # one index would return a point, not a tuple)
     steps = [(g.images, []) for g in gens] if degree > 1 else []
     add = index.setdefault
+    limit = min(cap, MAX_GROUP_ORDER)
     n = 1
     for x in elements:
         compose = itemgetter(*x)    # image tuple of g -> that of x*g
@@ -342,11 +338,12 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
             if j == n:
                 elements.append(y)
                 n += 1
-                if n > cap:
-                    raise ClosureExceedsCap(cap)
+                if n > limit:
+                    raise ClosureExceedsCap(cap) if n > cap else \
+                        BudgetExceeded(n, MAX_GROUP_ORDER, "group order")
             right.append(j)
     gen_ids = [index[g.images] for g in gens]
-    rights = {g: right for g, (_, right) in zip(gen_ids, steps)}
+    rights = {g: right for g, (_, right) in zip(gen_ids, steps)} if n <= TABLE_ORDER else None
     return FiniteGroup(elements, gen_ids, spec=spec, rights=rights, index=index)
 
 
@@ -532,76 +529,72 @@ def flags_to_mask(flags: bytearray) -> int:
     return int(flags[::-1].translate(_BINARY_DIGITS), 2)
 
 
-def fill_cosets(G: FiniteGroup, h_mask: int, h_elems, x: int) -> tuple[int, list[int] | range]:
+def fill_cosets(G: FiniteGroup, h_mask: int, h_elems, powers) -> tuple[int, list[int] | range]:
     """(bitset, elements) of <H, x> for an x outside H that normalizes H,
-    given H's elements: the union of the cosets x^i*H, i = 0 .. k-1, with
-    x^k the first power of x in H.  The left coset r*H is row r of the
-    table read at H's elements; the elements are H's, then each coset's
-    in turn.  When k*|H| = |G| the answer is G, with elements range(|G|),
-    and no coset is filled."""
-    mt = G.table
+    given H's elements and x's powers x, x^2, ... (`G.powers(x)`): the
+    union of the cosets x^i*H, i = 0 .. k-1, with x^k the first power of
+    x in H, read by one `cosets` call.  The elements are H's, then each
+    coset's.  When k*|H| = |G| the answer is G, elements range(|G|)."""
     n = G.order
     reps = []
-    r = x
-    while not (h_mask >> r) & 1:
+    for r in powers:
+        if (h_mask >> r) & 1:
+            break
         reps.append(r)
-        r = mt[r * n + x]
     if (len(reps) + 1) * len(h_elems) == n:
         return (1 << n) - 1, range(n)
+    found = G.cosets(reps, h_elems)
     mask = h_mask
-    elems = list(h_elems)
-    append = elems.append
-    for r in reps:
-        base = r * n
-        for h in h_elems:
-            y = mt[base + h]
-            mask |= 1 << y
-            append(y)
-    return mask, elems
+    for y in found:
+        mask |= 1 << y
+    return mask, [*h_elems, *found]
 
 
 def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     """Bitset of <H, x> given H's elements and generators h_gens; fills
-    whole cosets of H at once.  The left coset r*H is row r of the table
-    read at H's elements.
+    whole left cosets r*H of H at once.
 
     When x normalizes H (x^-1*h*x lies in H for each generator h), <H, x>
     is filled coset by coset by `fill_cosets`.
 
     Otherwise members are bytes, one per element, read into a bitset once
     at the end, and cosets are walked by left multiplication, s*(r*H) =
-    (s*r)*H.  Lagrange stop: [<H, x> : H] divides [G : H], so once more
-    cosets are found than the largest proper divisor of [G : H], <H, x>
-    is all of G and G is returned without filling the rest."""
+    (s*r)*H, in waves: one `cosets` call fills the wave's new cosets and
+    one more gives the next wave, s*r for each generator s and each new
+    representative r.  Lagrange stop: [<H, x> : H] divides [G : H], so
+    once more cosets are found than the largest proper divisor of
+    [G : H], <H, x> is all of G and G is returned without filling the
+    rest."""
     if (h_mask >> x) & 1:
         return h_mask
-    mt = G.table
-    n = G.order
-    xi = G.inverse[x] * n
-    for h in h_gens:
-        if not (h_mask >> mt[mt[xi + h] * n + x]) & 1:
+    for y in G.conjugates(h_gens, x):
+        if not (h_mask >> y) & 1:
             break
     else:
-        return fill_cosets(G, h_mask, h_elems, x)[0]
+        return fill_cosets(G, h_mask, h_elems, G.powers(x))[0]
+    n = G.order
     member = bytearray(n)
     for h in h_elems:
         member[h] = 1
     # cosets beyond H itself that may be filled before <H, x> must be G
     room = _largest_proper_divisor(n // len(h_elems)) - 1
     step_gens = tuple(h_gens) + (x,)
-    todo = [x]
-    while todo:
-        r = todo.pop()
-        if member[r]:
-            continue
-        if not room:
-            return (1 << n) - 1
-        room -= 1
-        base = r * n
-        for h in h_elems:
-            member[mt[base + h]] = 1
-        for s in step_gens:
-            todo.append(mt[s * n + r])
+    k = len(h_elems)
+    wave = [x]
+    while wave:
+        reps = [r for r in dict.fromkeys(wave) if not member[r]]
+        found = G.cosets(reps, h_elems)
+        filled = []
+        for i, r in enumerate(reps):
+            if member[r]:       # in the coset of a representative before it
+                continue
+            if not room:
+                return (1 << n) - 1
+            room -= 1
+            filled.append(r)
+            for y in found[i * k:(i + 1) * k]:
+                member[y] = 1
+        wave = G.cosets(step_gens, filled)
     return int(member[::-1].translate(_BINARY_DIGITS), 2)
 
 
@@ -679,39 +672,45 @@ def orbit_and_normalizer(G: FiniteGroup, mask: int, gens,
     generators>, which fix every member; when H^(a*g) is a member H^b met
     before, a*g*b^-1 lies in N_G(H) and joins N if outside it.  The class
     and N only grow towards H's class and N_G(H), and |class| * |N_G(H)|
-    = |G|, so the walk stops when |members| * |N| = |G|."""
+    = |G|, so the walk stops when |members| * |N| = |G|.  Per member, one
+    `cosets` call gives a*g for every map, and one `products` call the
+    a*g*b^-1 once its maps are walked.  They join N in the order met, as
+    they would one map at a time; those an earlier stop would have
+    skipped lie in N = N_G(H) and join nothing."""
     conjugations = G.conjugations
     e = G.identity
     members = [(mask, list(bits(mask)) if elems is None else elems, tuple(gens), e)]
     if all((mask >> x_to_xg[h]) & 1 for _, x_to_xg in conjugations for h in gens):
         return members, G.full_mask(), G.gens
-    mt = G.table
     n = G.order
     inv = G.inverse
-    movers = {g for g, _ in conjugations}
+    movers = [g for g, _ in conjugations]
     norm, norm_gens = closure(G, [g for g in G.gens if g not in movers], mask, gens)
     carrier = {mask: e}    # member bitset -> a with member = H^a
     queue = members[:]
     while len(members) * norm.bit_count() < n:
         _, m_elems, w, a = queue.pop()
-        for g, x_to_xg in conjugations:
+        met, met_inv = [], []   # a*g and b^-1 for each H^(a*g) = H^b met before
+        for (_, x_to_xg), ag in zip(conjugations, G.cosets((a,), movers) if a != e else movers):
             c_elems = [x_to_xg[x] for x in m_elems]
             c = 0
             for y in c_elems:
                 c |= 1 << y
-            ag = mt[a * n + g]      # c = H^(a*g)
-            b = carrier.get(c)
+            b = carrier.get(c)      # c = H^(a*g)
             if b is None:
                 carrier[c] = ag
                 member = (c, c_elems, tuple(x_to_xg[x] for x in w), ag)
                 members.append(member)
                 queue.append(member)
+                if len(members) * norm.bit_count() == n:
+                    break
             else:
-                s = mt[ag * n + inv[b]]     # a*g*b^-1 normalizes H
-                if not (norm >> s) & 1:
-                    norm, norm_gens = closure(G, (s,), norm, norm_gens)
-            if len(members) * norm.bit_count() == n:
-                break
+                met.append(ag)
+                met_inv.append(inv[b])
+        # a*g*b^-1 normalizes H; once N is N_G(H) none is outside it
+        for s in G.products(met, met_inv) if met else ():
+            if not (norm >> s) & 1:
+                norm, norm_gens = closure(G, (s,), norm, norm_gens)
     return members, norm, tuple(norm_gens)
 
 
@@ -723,17 +722,18 @@ def commutator_closure(G: FiniteGroup, xs, ys, within, extra=()) -> tuple[int, l
     and N = <ys> normal in G it is [G, N].  The seeds' closure grows until
     each generator's conjugates by `within` lie in it; a conjugate that
     does not joins the generators, and its own conjugates are checked."""
-    mt = G.table
-    n = G.order
     inv = G.inverse
-    seeds = {mt[mt[mt[inv[x] * n + inv[y]] * n + x] * n + y] for x in xs for y in ys}
-    seeds.update(extra)
+    seeds = set(extra)
+    for y in ys:    # x^-1 * (y^-1*x*y) for each x
+        seeds.update(G.products([inv[x] for x in xs], G.conjugates(xs, y)))
     mask, gens = closure(G, sorted(seeds))
+    within_invs = [inv[g] for g in within]
     queue = list(gens)
     while queue:
         x = queue.pop()
         known = len(gens)
-        mask, gens = closure(G, [G.conj(x, g) for g in within], mask, gens)
+        # g^-1*x*g for each g in within
+        mask, gens = closure(G, G.products(G.products(within_invs, repeat(x)), within), mask, gens)
         queue.extend(gens[known:])
     return mask, gens
 
@@ -782,7 +782,6 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     """
     if not is_normal_mask(G, N.mask):
         raise NotNormal("subgroup is not normal")
-    mt = G.table
     n = G.order
     n_elems = N.elements()
     coset_of = [-1] * n
@@ -792,21 +791,18 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
             continue
         c = len(reps)
         reps.append(x)
-        for h in n_elems:
-            coset_of[mt[h * n + x]] = c
+        for y in G.coset(x, n_elems):   # x*N = N*x
+            coset_of[y] = c
     k = len(reps)
-    # right-multiplication action on cosets: coset(r) -> coset(r*g)
-    proj_gens = []
-    for g in G.gens:
-        images = tuple(coset_of[mt[r * n + g]] for r in reps)
-        proj_gens.append(Permutation(images))
+
+    def on_cosets(g: int) -> tuple[int, ...]:   # coset(r) -> coset(r*g)
+        return tuple(map(coset_of.__getitem__, G.products(reps, repeat(g))))
+
+    proj_gens = [Permutation(on_cosets(g)) for g in G.gens]
     Q = generate_group(proj_gens, cap=k, degree=k,
                        spec=f"({G.spec})/N{N.order}" if G.spec else None)
     # map each coset-permutation back to a Q element index
-    projection = [0] * n
-    for x in range(n):
-        images = tuple(coset_of[mt[r * n + x]] for r in reps)
-        projection[x] = Q.index[images]
+    projection = [Q.index[on_cosets(x)] for x in range(n)]
     return Q, projection
 
 

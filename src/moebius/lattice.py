@@ -26,8 +26,8 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
   perfect one lies in R.
 
 Each join outside R is by an element z that normalizes H with z^p in
-H, so `groups.fill_cosets` fills the p cosets z^i*H straight off the
-table rows, with no closure search, and lists the elements as it goes;
+H, so `groups.fill_cosets` fills the p cosets z^i*H, with z's powers
+kept from the zuppo walk and no closure search, and lists the elements;
 a new subgroup's class walk starts from that list.  Any other join lies
 inside R and goes through `extend_closure`.  The enumerator carries
 each representative's element list from its orbit walk to its joins,
@@ -400,17 +400,20 @@ def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[i
     return mu
 
 
-def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], dict[int, list[int]]]:
-    """(zuppo_of, zgens, by_power): zuppo_of[x] is the id of the cyclic
-    prime-power subgroup that x generates (negative when x is 1 or its
-    order is not a prime power), zgens[id] is one generator of that
-    zuppo, and by_power[y] lists, ascending, the zuppos Z of order p^a
-    whose index-p subgroup Z^p is generated by y (y = 1 when a = 1)."""
+def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]],
+                                     dict[int, list[int]]]:
+    """(zuppo_of, zgens, zpowers, by_power): zuppo_of[x] is the id of the
+    cyclic prime-power subgroup that x generates (negative when x is 1 or
+    its order is not a prime power), zgens[id] is one generator of that
+    zuppo and zpowers[id] its powers (`G.powers`), and by_power[y] lists,
+    ascending, the zuppos Z of order p^a whose index-p subgroup Z^p is
+    generated by y (y = 1 when a = 1)."""
     n = G.order
     e = G.identity
     zuppo_of = [-1] * n     # -1 until the powers of x are walked
     zuppo_of[e] = -2
     zgens: list[int] = []
+    zpowers: list[list[int]] = []
     by_power: dict[int, list[int]] = {}
     for x in range(n):
         if zuppo_of[x] != -1:
@@ -422,12 +425,13 @@ def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], dict[int, list[int]]]
         if p:
             z = len(zgens)
             zgens.append(x)
+            zpowers.append(powers)
             by_power.setdefault(powers[p - 1] if p < k else e, []).append(z)
         # the generators of <x> are its powers prime to its order
         for j, y in enumerate(powers, 1):
             if gcd(j, k) == 1:
                 zuppo_of[y] = z
-    return zuppo_of, zgens, by_power
+    return zuppo_of, zgens, zpowers, by_power
 
 
 @lru_cache(maxsize=None)
@@ -551,7 +555,7 @@ def enumerate_subgroups(G: FiniteGroup,
         normalizers[least] = norm
         worklist.append((least, least_elems, norm, norm_gens))
 
-    zuppo_of, zgens, by_power = _zuppos(G)
+    zuppo_of, zgens, zpowers, by_power = _zuppos(G)
     zbit = [1 << zx for zx in zgens]
     # y -> the designated generators of the zuppos Z with Z^p = <y>
     power_cands = {}
@@ -615,7 +619,7 @@ def enumerate_subgroups(G: FiniteGroup,
             if (first >> zx) & 1:
                 # z normalizes H and z^p lies in H: [<H, z> : H] = p, and
                 # <H, y> = <H, z> for every y in <H, z> outside H
-                t, t_elems = fill_cosets(G, h, h_elems, zx)
+                t, t_elems = fill_cosets(G, h, h_elems, zpowers[zuppo_of[zx]])
                 known |= t
             else:
                 t = extend_closure(G, h, h_elems, h_gens, zx)

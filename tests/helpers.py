@@ -7,6 +7,7 @@ from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
 from moebius.groups import conjugate_mask, find_witness
 from moebius.mulambda import MuLambdaAnalyzer
+from moebius.perm import Permutation
 
 _groups = {}
 _lattices = {}
@@ -160,18 +161,30 @@ def closure_mask(G, gen_idxs):
     """Bitset of the subgroup generated by the given element indices: BFS
     from the identity over right multiplication by the generators.  The
     engine grows subgroups by cosets (`groups.closure`); this is the
-    independent reference its tests compare against."""
-    mt = G.table
+    independent reference its tests compare against.  Products are read
+    off the table, or above 256 elements, where the group has none,
+    composed as Permutations, never through the group's primitives."""
     n = G.order
     e = G.identity
     mask = 1 << e
     todo = [e]
     gen_idxs = list(gen_idxs)
+    if n <= 256:
+        mt = G.table
+
+        def right_products(x):
+            base = x * n
+            return [mt[base + g] for g in gen_idxs]
+    else:
+        els = G.elements
+        gen_perms = [Permutation(els[g]) for g in gen_idxs]
+
+        def right_products(x):
+            px = Permutation(els[x])
+            return [G.index[(px * pg).images] for pg in gen_perms]
     while todo:
         x = todo.pop()
-        base = x * n
-        for g in gen_idxs:
-            y = mt[base + g]
+        for y in right_products(x):
             if not (mask >> y) & 1:
                 mask |= 1 << y
                 todo.append(y)

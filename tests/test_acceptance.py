@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a verdict line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The PSU(3,3) and M11
-targets are marked `stretch` and excluded from the default profile
-(enable with `pytest -m stretch`).
+Run with `pytest tests/test_acceptance.py -v -s`.  The PSU(3,3), M11
+and A:8 targets are marked `stretch` and excluded from the default
+profile (enable with `pytest -m stretch`).
 """
 
 import time
@@ -388,4 +388,29 @@ def test_criterion_12_m11():
     ok = ok and counting.phi_via_classes(an.poset, 2) == 51305760
     _verdict(12, ok, "M11: 8651 subgroups in 39 classes, maximal indices "
              "11, 12, 55, 66, 165, phi(G,2) = 51305760 by Hall and by classes",
+             t0, 600)
+
+
+# -- criterion 13 (stretch): A:8 -----------------------------------------------
+
+@pytest.mark.stretch
+def test_criterion_13_a8():
+    t0 = time.time()
+    # at the default order cap, with no multiplication table
+    G = build_from_spec("A:8")
+    assert G.order == 20160
+    an = MuLambdaAnalyzer(G)
+    lat = an.lattice
+    # 48337 subgroups in 137 classes; the maximal subgroups A7, two classes
+    # of 2^3:L3(2), S6, 2^4:(S3xS3) and (A5x3):2, of index 8, 15, 15, 28,
+    # 35 and 56, each self-normalizing (index conjugates)
+    ok = len(lat) == 48337 and len(an.poset.classes) == 137
+    ok = ok and sorted(G.order // lat.subgroups[m].order for m in lat.maximals) \
+        == [8] * 8 + [15] * 30 + [28] * 28 + [35] * 35 + [56] * 56
+    ok = ok and sum(m * lat.sigma(i) for i, m in enumerate(lat.mu_top) if m) == 1
+    ok = ok and counting.phi_hall(lat, 2) == 300303360
+    ok = ok and counting.phi_via_classes(an.poset, 2) == 300303360
+    ok = ok and G._table is None
+    _verdict(13, ok, "A:8: 48337 subgroups in 137 classes, maximal indices "
+             "8, 15, 15, 28, 35, 56, phi(G,2) = 300303360 by Hall and by classes",
              t0, 600)

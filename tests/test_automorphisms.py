@@ -309,7 +309,7 @@ def test_one_conjugation_map_per_non_central_generator(spec):
     assert G.conjugations is G.conjugations     # built once
     assert [g for g, _ in G.conjugations] == movers
     for g, x_to_xg in G.conjugations:
-        assert x_to_xg == [G.conj(x, g) for x in range(G.order)]
+        assert x_to_xg == [G.mul(G.mul(G.inverse[g], x), g) for x in range(G.order)]
     if spec == "D:12xC:2":
         # the C:2 factor's generator is central and gets no map
         assert len(movers) < len(set(G.gens))

@@ -3,8 +3,10 @@ import warnings
 
 import pytest
 
+from helpers import lattice
 from moebius import cli
-from moebius.cache import cache_path, mask_to_hex, payload_bytes, seal
+from moebius.cache import (cache_path, lattice_payload, mask_to_hex, payload_bytes, save_lattice,
+                           seal)
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +270,16 @@ def test_cache_build_rebuild_identical(capsys, tmp_cache):
     first = path.read_bytes()
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("spec", ["S:4", "S:5", "A:6", "D:12xC:2", "Q:8xS:3",
+                                  "C:2xC:2xC:2xC:2xC:2xC:2"])
+def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
+    # the file is hashed and written in pieces, and holds exactly the
+    # canonical bytes of the sealed payload
+    lat = lattice(spec)
+    path = save_lattice(lat, tmp_cache)
+    assert path.read_bytes() == payload_bytes(seal(lattice_payload(lat)))
 
 
 def test_cache_info_and_use(capsys, tmp_cache):

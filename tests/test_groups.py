@@ -122,22 +122,32 @@ def test_table_closure_and_inverses(spec):
                                   "C:256", "C:257",
                                   "perm:[(1,2,3);(1,2,3);(1,2)]", "perm:[(1)]"])
 def test_table_matches_composed_images(spec):
-    # every entry against the composed image tuples, (x*y)[i] = y[x[i]];
-    # C:256 is the largest group filled by columns, C:257 the smallest by rows
+    # every product against the composed image tuples, (x*y)[i] = y[x[i]]:
+    # read off the table up to 256 elements (C:256 is the largest group
+    # with one), composed from image words above, where the group builds
+    # no table (A:6 from image bytes, C:257 and C:300 from image tuples)
     G = build_from_spec(spec, cap=400)
     n = G.order
     els = G.elements
-    mt = G.table
-    assert len(mt) == n * n
     index = G.index
+    rows = []
     for a, pa in enumerate(els):
         # row a at once: the image tuple of b -> that of a*b; on one point
         # itemgetter would return the point, not a tuple
         compose = itemgetter(*pa) if G.degree > 1 else tuple
-        assert mt[a * n:(a + 1) * n].tolist() == [index[compose(pb)] for pb in els]
+        rows.append([index[compose(pb)] for pb in els])
+        assert G.coset(a, range(n)) == rows[a]
     # built without the BFS's right-multiplication maps, the group
-    # composes them from its elements and fills the same table
-    assert FiniteGroup(els, G.gens).table == mt
+    # composes them from its elements and gives the same products
+    H = FiniteGroup(els, G.gens)
+    if n <= 256:
+        assert G.table.tolist() == [y for row in rows for y in row]
+        assert H.table == G.table
+    else:
+        assert [H.coset(a, range(n)) for a in range(0, n, 7)] == rows[::7]
+        with pytest.raises(ValueError, match="no multiplication table"):
+            G.table
+        assert G._table is None and H._table is None
 
 
 def test_table_rejects_generators_that_miss_elements():
@@ -149,26 +159,28 @@ def test_table_rejects_generators_that_miss_elements():
 
 @pytest.mark.parametrize("spec", ["S:3", "A:6"])
 def test_table_rejects_generators_of_a_proper_subgroup(spec):
-    # one generator of order 3 reaches the columns of <g> only (S_3, filled
-    # by columns), or fills the rows of one coset of it (A_6, filled by rows)
+    # one generator of order 3 reaches the columns of <g> only (S_3, with
+    # a table) or the elements of <g> only (A_6, whose image words are
+    # walked from the identity along the generators); either raises before
+    # the centre is read off that generator's map alone
     full = build_from_spec(spec)
     g = full.element_orders.index(3)
     G = FiniteGroup(full.elements, gens=(g,))
+    with pytest.raises(ValueError, match="do not generate"):
+        G.center_mask
     with pytest.raises(ValueError):
-        G.table
+        G.table if G.order <= 256 else G.coset(g, range(G.order))
 
 
-def test_table_order_limit_refuses_before_allocating(monkeypatch, capsys):
-    # with the limit below |S_4| = 24 the table raises before any buffer is
-    # made, and the CLI reports one error line and prints nothing
-    def no_allocation(*args):
-        raise AssertionError("table buffer allocated above the order limit")
-
-    monkeypatch.setattr(groups, "MAX_TABLE_ORDER", 23)
-    monkeypatch.setattr(groups, "array", no_allocation)
-    G = build_from_spec("S:4")
+def test_order_limit_stops_the_bfs(monkeypatch, capsys):
+    # with the limit below |S_4| = 24 the BFS stops at the 24th element,
+    # whatever the order cap allows, and the CLI reports one error line
+    # and prints nothing
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 23)
     with pytest.raises(BudgetExceeded, match="24 > 23"):
-        G.table
+        build_from_spec("S:4", cap=1000)
+    with pytest.raises(ClosureExceedsCap):
+        build_from_spec("S:4", cap=20)
     assert cli.main(["sigma-table", "S:4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -203,7 +215,7 @@ def test_fill_cosets_lists_the_join(spec):
         for x in range(G.order):
             if (H.mask >> x) & 1 or conjugate_mask(G, H.mask, x) != H.mask:
                 continue
-            mask, elems = fill_cosets(G, H.mask, h_elems, x)
+            mask, elems = fill_cosets(G, H.mask, h_elems, G.powers(x))
             assert mask == closure_mask(G, w + (x,))
             assert sorted(elems) == list(bits(mask))
             if mask != G.full_mask():
@@ -249,29 +261,35 @@ def test_orders_and_inverses_match_the_permutations(spec):
     assert G.inverse == [G.index[p.inverse().images] for p in perms]
 
 
-@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3", "D:129"])
+@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3", "D:129", "A:6", "C:300"])
 def test_multiplication_primitives_match_the_permutations(spec):
-    # powers, cosets, conjugates and product sets against Permutation
-    # arithmetic; D:129 has 258 elements, so its table is row-filled
-    G = group(spec)
+    # powers, products, cosets, conjugates and product sets against
+    # Permutation arithmetic; D:129 (258 elements) and A:6 compose image
+    # bytes, C:300 (degree 300) image tuples, and none of them has a table
+    G = build_from_spec(spec, cap=400)
     n = G.order
     perms = [Permutation(p) for p in G.elements]
     index = {p: i for i, p in enumerate(perms)}
-    for x, p in enumerate(perms):
-        walk, y = [], p
+    # Permutation arithmetic on 300 points is slow: walk every fourth
+    # element's powers there, every element's elsewhere
+    for x in range(0, n, 4 if G.degree > 256 else 1):
+        walk, y = [], perms[x]
         while not y.is_identity():
             walk.append(index[y])
-            y = y * p
+            y = y * perms[x]
         assert G.powers(x) == walk
     spread = range(0, n, 1 + n // 24)
     for g in spread:
         pg = perms[g]
         assert G.coset(g, range(n)) == [index[pg * q] for q in perms]
+        assert G.products(range(n), [g] * n) == [index[q * pg] for q in perms]
         assert G.conjugates(range(n), g) == [index[pg.inverse() * q * pg] for q in perms]
+        assert [G.mul(g, y) for y in spread] == [index[pg * perms[y]] for y in spread]
     thirds = range(1, n, 3)
     products = {index[perms[a] * perms[b]] for a in spread for b in thirds}
     assert product_mask(G, sum(1 << a for a in spread), sum(1 << b for b in thirds)) \
         == sum(1 << y for y in products)
+    assert (G._table is None) == (n > 256)
 
 
 def test_only_groups_reads_the_table():
@@ -284,22 +302,38 @@ def test_only_groups_reads_the_table():
     assert readers == []
 
 
-def test_large_degree_table_path():
-    # degree above 255: the fill is chosen by order, not by degree, so
-    # C_300 takes the same row fill as every other group of order above 256
+@pytest.mark.parametrize("spec", ["D:129", "A:6"])
+def test_queries_above_256_elements_build_no_table(spec, monkeypatch, capsys):
+    # a whole check-mu-lambda run on a group above 256 elements multiplies
+    # through composed image words only
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(build_from_spec(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_from_spec", recorded)
+    assert cli.main(["check-mu-lambda", spec]) in (0, 1)
+    assert capsys.readouterr().out
+    assert [G.order > 256 and G._table is None for G in built] == [True]
+
+
+def test_large_degree_composed_path():
+    # degree above 256: no image bytes, so C_300 composes image tuples
+    # with one itemgetter per product, like no other group
     G = build_from_spec("C:300", cap=400)
     assert G.degree == 300
-    mt = G.table
     g = G.gens[0]
-    assert mt[g * G.order + g] == G.index[tuple((i + 2) % 300 for i in range(300))]
+    assert G.mul(g, g) == G.index[tuple((i + 2) % 300 for i in range(300))]
     assert G.element_orders[g] == 300
+    assert G._table is None
 
 
 def test_dihedral_relation():
     G = group("D:7")
     rot, refl = G.gens
     # a^b = a^-1
-    assert G.conj(rot, refl) == G.inverse[rot]
+    assert G.conjugates([rot], refl) == [G.inverse[rot]]
 
 
 def test_center():

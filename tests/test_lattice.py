@@ -159,7 +159,7 @@ def test_normalizer_generators_generate_the_normalizer(spec):
         assert tuple(sorted(lat.index[c] for c, _, _, _ in members)) == lat.conjugacy_orbit(i)
         for c, elems, cw, a in members:
             assert c == conjugate_mask(G, s.mask, a) == sum(1 << x for x in elems)
-            assert cw == tuple(G.conj(x, a) for x in w)
+            assert cw == tuple(G.mul(G.mul(G.inverse[a], x), a) for x in w)
 
 
 @pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])

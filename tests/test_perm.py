@@ -65,7 +65,7 @@ def test_orbit_under_generators_is_the_orbit_of_the_closed_group(spec):
     n = G.order
     actions = [
         ([x_to_xg.__getitem__ for _, x_to_xg in G.conjugations],
-         [[G.conj(x, g) for x in range(n)] for g in range(n)]),
+         [[G.mul(G.mul(G.inverse[g], x), g) for x in range(n)] for g in range(n)]),
         ([a.map.__getitem__ for a in full_automorphism_group(G).gens],
          [a.map for a in brute_automorphisms(G)]),
     ]
