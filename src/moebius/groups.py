@@ -550,21 +550,30 @@ def fill_cosets(G: FiniteGroup, h_mask: int, h_elems, powers) -> tuple[int, list
     return mask, [*h_elems, *found]
 
 
-def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
+def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int,
+                   within: int | None = None) -> int:
     """Bitset of <H, x> given H's elements and generators h_gens; fills
-    whole left cosets r*H of H at once.
+    whole left cosets r*H of H at once.  `within`, when given, is the
+    bitset of a perfect subgroup W that holds H and x.
 
     When x normalizes H (x^-1*h*x lies in H for each generator h), <H, x>
     is filled coset by coset by `fill_cosets`.
 
     Otherwise members are bytes, one per element, read into a bitset once
     at the end, and cosets are walked by left multiplication, s*(r*H) =
-    (s*r)*H, in waves: one `cosets` call fills the wave's new cosets and
-    one more gives the next wave, s*r for each generator s and each new
-    representative r.  Lagrange stop: [<H, x> : H] divides [G : H], so
-    once more cosets are found than the largest proper divisor of
-    [G : H], <H, x> is all of G and G is returned without filling the
-    rest."""
+    (s*r)*H, in waves: `cosets` calls fill the wave's new cosets and one
+    more gives the next wave, s*r for each generator s and each new
+    representative r.  Lagrange stop: [<H, x> : H] divides [T : H], T
+    the top (W, or G when no W is given), and a proper subgroup of T has
+    index at least `least` in T: 2 in G, and 5 in a perfect W, since a
+    subgroup of index n < 5 would give a nontrivial perfect quotient of
+    W inside S_n, and S_2, S_3 and S_4 are solvable.  So once more
+    cosets are found than the largest divisor d of [T : H] with
+    [T : H]/d >= least (`_room`), <H, x> is T, and T is returned without
+    filling the rest.  A wave's cosets are composed at most `room`
+    representatives at a time, room the cosets still allowed below the
+    stop: the first representative outside the members always starts a
+    new coset, so no coset past the stop is composed."""
     if (h_mask >> x) & 1:
         return h_mask
     for y in G.conjugates(h_gens, x):
@@ -573,40 +582,40 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int) -> int:
     else:
         return fill_cosets(G, h_mask, h_elems, G.powers(x))[0]
     n = G.order
+    k = len(h_elems)
+    top, least = ((1 << n) - 1, 2) if within is None else (within, 5)
+    # cosets beyond H itself that may be filled before <H, x> must be the top
+    room = _room(top.bit_count() // k, least) - 1
     member = bytearray(n)
     for h in h_elems:
         member[h] = 1
-    # cosets beyond H itself that may be filled before <H, x> must be G
-    room = _largest_proper_divisor(n // len(h_elems)) - 1
     step_gens = tuple(h_gens) + (x,)
-    k = len(h_elems)
     wave = [x]
     while wave:
         reps = [r for r in dict.fromkeys(wave) if not member[r]]
-        found = G.cosets(reps, h_elems)
         filled = []
-        for i, r in enumerate(reps):
-            if member[r]:       # in the coset of a representative before it
-                continue
-            if not room:
-                return (1 << n) - 1
-            room -= 1
-            filled.append(r)
-            for y in found[i * k:(i + 1) * k]:
-                member[y] = 1
+        while reps:
+            if room <= 0:
+                return top
+            chunk, reps = reps[:room], reps[room:]
+            found = G.cosets(chunk, h_elems)
+            for i, r in enumerate(chunk):
+                if member[r]:       # in the coset of a representative before it
+                    continue
+                room -= 1
+                filled.append(r)
+                for y in found[i * k:(i + 1) * k]:
+                    member[y] = 1
+            reps = [r for r in reps if not member[r]]
         wave = G.cosets(step_gens, filled)
     return int(member[::-1].translate(_BINARY_DIGITS), 2)
 
 
 @lru_cache(maxsize=None)
-def _largest_proper_divisor(m: int) -> int:
-    """m over its smallest prime factor (1 for m = 1)."""
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            return m // p
-        p += 1
-    return 1
+def _room(index: int, least: int) -> int:
+    """The largest divisor d of index with index/d >= least, 0 if none:
+    index over its least divisor from `least` up."""
+    return next((index // e for e in range(least, index + 1) if index % e == 0), 0)
 
 
 def closure(G: FiniteGroup, xs, mask: int | None = None,

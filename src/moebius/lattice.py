@@ -15,7 +15,8 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
   generated by any element of <H, z>;
 - Lagrange stop: [<H, z> : H] divides [G : H], so a join that has
   filled more cosets of H than the largest proper divisor of [G : H]
-  is G;
+  is G; a join inside the perfect residue R is R once it has filled
+  more than the largest divisor d of [R : H] with [R : H]/d >= 5;
 - orbit-stabilizer stop: one walk, `groups.orbit_and_normalizer`, finds
   a new H's class and N_G(H) together and ends at |class| * |N| = |G|;
   the member with the smallest bitset is extended with its conjugated
@@ -29,9 +30,9 @@ Each join outside R is by an element z that normalizes H with z^p in
 H, so `groups.fill_cosets` fills the p cosets z^i*H, with z's powers
 kept from the zuppo walk and no closure search, and lists the elements;
 a new subgroup's class walk starts from that list.  Any other join lies
-inside R and goes through `extend_closure`.  The enumerator carries
-each representative's element list from its orbit walk to its joins,
-and walks N_G(H)-orbits of zuppos as permutations of zuppo ids, one per
+inside R and goes through `extend_closure`, which stops at R.  The
+enumerator carries each representative's element list from its orbit
+walk to its joins, and walks N_G(H)-orbits of zuppos as permutations of zuppo ids, one per
 conjugating element, built once per enumeration.  A representative's
 candidates, and the zuppos its joins have decided, are int bitsets over
 the elements that designate the zuppos, so an orbit, or every zuppo a
@@ -470,7 +471,15 @@ def enumerate_subgroups(G: FiniteGroup,
     Lagrange stop (in `extend_closure` and `fill_cosets`): [<H, z> : H]
     divides [G : H], so a join that has filled more cosets of H than the
     largest proper divisor of [G : H] is G; a first-test join of index p
-    = [G : H] is G before any coset is filled.
+    = [G : H] is G before any coset is filled.  A second-test join lies
+    in R, and R is perfect (R' = R), so it is given R as the top, where
+    the least index of a proper subgroup is 5, not 2: if K < R has index
+    n, R acts on the n cosets of K, transitively, so through a
+    nontrivial quotient of R inside S_n; a quotient of a perfect group
+    is perfect, and S_2, S_3 and S_4 are solvable, so n >= 5.  Hence
+    [R : <H, z>] >= 5 unless <H, z> = R, and a join that has filled more
+    cosets of H than the largest divisor d of [R : H] with [R : H]/d >= 5
+    is R.
 
     Orbit-stabilizer stop (in `orbit_and_normalizer`): the class of a
     new H and N_G(H) are grown in one walk, and |class| * |N_G(H)| =
@@ -497,9 +506,9 @@ def enumerate_subgroups(G: FiniteGroup,
     testing again that z normalizes H or that the index is prime, and
     lists the elements of <H, z> coset by coset; a new <H, z> hands that
     list to its orbit walk instead of decoding its bitset.  Joins by the
-    second test go through `extend_closure`.  The extended member's
-    element list comes from its orbit walk and serves its joins and the
-    coset rule.
+    second test go through `extend_closure`, with R as the top.  The
+    extended member's element list comes from its orbit walk and serves
+    its joins and the coset rule.
     N_G(H)-orbits of zuppos are walked as permutations of zuppo ids, one
     per conjugating element, built on first use and kept for the whole
     enumeration; those of G's non-central generators are read off the
@@ -622,7 +631,7 @@ def enumerate_subgroups(G: FiniteGroup,
                 t, t_elems = fill_cosets(G, h, h_elems, zpowers[zuppo_of[zx]])
                 known |= t
             else:
-                t = extend_closure(G, h, h_elems, h_gens, zx)
+                t = extend_closure(G, h, h_elems, h_gens, zx, residue)
                 t_elems = None
                 index = t.bit_count() // len(h_elems)
                 if _prime_of_power(index) == index:     # as above

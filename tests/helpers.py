@@ -1,5 +1,7 @@
 """Shared per-session caches so test modules reuse heavy lattices."""
 
+from operator import itemgetter
+
 from moebius import build_from_spec, enumerate_subgroups
 from moebius.automorphisms import (Automorphism, _extend_images, full_automorphism_group,
                                    inner_automorphisms, trivial_automorphisms)
@@ -7,7 +9,6 @@ from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
 from moebius.groups import conjugate_mask, find_witness
 from moebius.mulambda import MuLambdaAnalyzer
-from moebius.perm import Permutation
 
 _groups = {}
 _lattices = {}
@@ -163,7 +164,8 @@ def closure_mask(G, gen_idxs):
     engine grows subgroups by cosets (`groups.closure`); this is the
     independent reference its tests compare against.  Products are read
     off the table, or above 256 elements, where the group has none,
-    composed as Permutations, never through the group's primitives."""
+    composed from image tuples (`composed`), never through the group's
+    primitives."""
     n = G.order
     e = G.identity
     mask = 1 << e
@@ -176,12 +178,8 @@ def closure_mask(G, gen_idxs):
             base = x * n
             return [mt[base + g] for g in gen_idxs]
     else:
-        els = G.elements
-        gen_perms = [Permutation(els[g]) for g in gen_idxs]
-
         def right_products(x):
-            px = Permutation(els[x])
-            return [G.index[(px * pg).images] for pg in gen_perms]
+            return composed(G, x, gen_idxs)
     while todo:
         x = todo.pop()
         for y in right_products(x):
@@ -189,6 +187,15 @@ def closure_mask(G, gen_idxs):
                 mask |= 1 << y
                 todo.append(y)
     return mask
+
+
+def composed(G, x, ys):
+    """x*y for each y in ys (x applied first), composed from the elements'
+    image tuples and looked up in G.index: the left coset x*H when ys
+    lists H."""
+    els = G.elements
+    x_then = itemgetter(*els[x])
+    return [G.index[x_then(els[y])] for y in ys]
 
 
 # -- reference normalizer -------------------------------------------------------

@@ -4,14 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import brute_center_mask, closure_mask, group, lattice, reference_elements
+from helpers import brute_center_mask, closure_mask, composed, group, lattice, reference_elements
 from moebius import cli, groups
 from moebius.catalog import family_specs
 from moebius.errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
-from moebius.groups import (FiniteGroup, bits, build_from_spec, closure, commutator_subgroup,
-                            conjugate_mask, derived_series, extend_closure, fill_cosets,
-                            generate_group, is_nilpotent, is_solvable, product_mask,
-                            quotient_group)
+from moebius.groups import (FiniteGroup, _room, bits, build_from_spec, closure,
+                            commutator_subgroup, conjugate_mask, derived_series, extend_closure,
+                            fill_cosets, generate_group, is_nilpotent, is_solvable,
+                            product_mask, quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
 
@@ -188,17 +188,44 @@ def test_order_limit_stops_the_bfs(monkeypatch, capsys):
     assert "24 > 23" in captured.err
 
 
-@pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3"])
+@pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3", "S:5", "A:6"])
 def test_extend_closure_matches_generator_closure(spec):
     # <H, x> filled by cosets against a BFS over H's witness and x, for
-    # every subgroup H (the trivial one included) and every x (in H or not)
+    # every subgroup H (the trivial one included; class representatives
+    # only on A:6) and every x (in H or not); and, given R, the last term
+    # of the derived series, as the perfect subgroup holding both, for
+    # every such H <= R and x in R
     G = group(spec)
     lat = lattice(spec)
-    for i, H in enumerate(lat.subgroups):
+    residue = derived_series(G)[-1]
+    ids = range(len(lat)) if G.order <= 120 else lat.class_representatives()
+    for i in ids:
+        H = lat.subgroups[i]
         w = lat.witness(i)
         h_elems = list(bits(H.mask))
+        joins = {}
         for x in range(G.order):
-            assert extend_closure(G, H.mask, h_elems, w, x) == closure_mask(G, w + (x,))
+            want = joins.get(x)
+            if want is None:
+                want = closure_mask(G, w + (x,))
+                # <H, x*h> = <H, x> for h in H
+                joins.update(dict.fromkeys(composed(G, x, h_elems), want))
+            assert extend_closure(G, H.mask, h_elems, w, x) == want
+            if H.mask & ~residue == 0 and (residue >> x) & 1:
+                assert extend_closure(G, H.mask, h_elems, w, x, residue) == want
+
+
+def test_room_is_the_largest_divisor_below_the_least_index():
+    # _room(index, least): the most cosets of H a proper subgroup of the
+    # top may hold, when proper subgroups have index >= least in it
+    for least in (2, 5):
+        for index in range(1, 200):
+            assert _room(index, least) == max(
+                (d for d in range(1, index + 1) if index % d == 0 and index // d >= least),
+                default=0)
+    assert [_room(index, 5) for index in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    assert _room(1260, 5) == 252
+    assert _room(15, 2) == 5
 
 
 @pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])

@@ -118,8 +118,8 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
     closure = lattice_module.extend_closure
     fill = lattice_module.fill_cosets
 
-    def recorded(G, h_mask, h_elems, h_gens, x):
-        out = closure(G, h_mask, h_elems, h_gens, x)
+    def recorded(G, h_mask, h_elems, h_gens, x, within=None):
+        out = closure(G, h_mask, h_elems, h_gens, x, within)
         joins.append((h_mask, out))
         return out
 
@@ -142,6 +142,33 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
         assert all(index % d for d in range(2, index))
         gens = lat.witness(lat.index[k])
         assert all(conjugate_mask(G, h, g) == h for g in gens)
+
+
+@pytest.mark.parametrize("spec", ["S:5", "A:6", "S:6"])
+def test_joins_inside_the_residue_stop_at_index_5(spec, monkeypatch):
+    # every second-test join <H, z> lies in the perfect residue R and is
+    # given R, so it stops once it must be R; what it returns is R or a
+    # subgroup of index at least 5 in R, and equals <witness of H, z>
+    joins = []
+    closure = lattice_module.extend_closure
+
+    def recorded(G, h_mask, h_elems, h_gens, x, within=None):
+        out = closure(G, h_mask, h_elems, h_gens, x, within)
+        joins.append((h_gens, x, within, out))
+        return out
+
+    monkeypatch.setattr(lattice_module, "extend_closure", recorded)
+    G = group(spec)
+    residue = derived_series(G)[-1]
+    lat = enumerate_subgroups(G)
+    assert len(lat) == len(lattice(spec))
+    assert any(k == residue for _, _, _, k in joins)
+    assert any(k != residue for _, _, _, k in joins)
+    for h_gens, x, within, k in joins:
+        assert within == residue
+        assert k & ~residue == 0
+        assert k == residue or residue.bit_count() // k.bit_count() >= 5
+        assert k == closure_mask(G, h_gens + (x,))
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3", "C:2xC:2xC:2"])
