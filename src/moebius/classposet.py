@@ -1,11 +1,12 @@
 """Posets of A-conjugacy classes of subgroups and their Moebius functions.
 
 Classes are A-orbits of lattice subgroups, as `SubgroupLattice.orbits`
-walks them over the generator maps of A; the poset under conjugation
-reads the lattice's own conjugacy classes.  [H] <= [K] iff some orbit
-member of [H] is contained in the representative of [K], that is, iff
-the representative of [H] lies in some orbit member of [K].  So the
-classes above [H] are read off the lattice up-set of its representative.
+walks them over the generator maps of A; a poset under all of Inn(G)
+reads the lattice's own conjugacy classes instead.  [H] <= [K] iff some
+orbit member of [H] is contained in the representative of [K], that
+is, iff the representative of [H] lies in some orbit member of [K].  So
+the classes above [H] are read off the lattice up-set of its
+representative.
 The lattice itself is the special case of a trivial action.  Every
 Moebius value is read from a column, mu(., y) for one class y, which
 `mu_column` sweeps over the class rows; the column at the top class is
@@ -134,7 +135,11 @@ class ClassPoset:
 
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
-    """Partition the lattice into A-orbits and order the orbit classes."""
+    """Partition the lattice into A-orbits and order the orbit classes.
+    The orbits of all of Inn(G) (origin "inner") are the lattice's
+    conjugacy classes, read as kept; any other action's are walked."""
+    if aut.origin == "inner":
+        return ClassPoset(lattice, aut, *lattice.conjugacy_classes)
     return ClassPoset(lattice, aut, *lattice.orbits([a.map for a in aut.gens]))
 
 

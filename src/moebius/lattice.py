@@ -22,9 +22,11 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
   the member with the smallest bitset is extended with its conjugated
   normalizer;
 - only joins that can be new: H is joined with z only if z normalizes H
-  and z^p lies in H, or if both lie in the solvable residue R; every
-  non-perfect subgroup is such a prime-index extension, and every
-  perfect one lies in R.
+  and z^p lies in H, or if both lie in the solvable residue R, z is a
+  pi'-zuppo and H is generated by its own pi'-zuppos, pi the two primes
+  with the most zuppos in R; every non-perfect subgroup is such a
+  prime-index extension, and every perfect one lies in R and, by
+  Burnside's p^a q^b theorem, is generated by its pi'-zuppos.
 
 Each join outside R is by an element z that normalizes H with z^p in
 H, so `groups.fill_cosets` fills the p cosets z^i*H, with z's powers
@@ -65,6 +67,7 @@ singleton.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -237,11 +240,17 @@ class SubgroupLattice:
 
     @property
     def conjugacy_classes(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
-        """`orbits` of conjugation: those enumeration kept, else each class
-        walked once from its smallest id by `_class_walk`."""
+        """`orbits` of conjugation: those enumeration kept, singletons when
+        G is abelian (no generator moves anything), else each class walked
+        once from its smallest id by `_class_walk`."""
         if self._classes is None:
-            orbits = [self._class_walk(i)[2] for i in range(len(self.subgroups))]
-            self._classes = _partition([o for i, o in enumerate(orbits) if o[0] == i], len(orbits))
+            n = len(self.subgroups)
+            if self.group.conjugations:
+                orbits = [self._class_walk(i)[2] for i in range(n)]
+                orbits = [o for i, o in enumerate(orbits) if o[0] == i]
+            else:
+                orbits = [(i,) for i in range(n)]
+            self._classes = _partition(orbits, n)
         return self._classes
 
     def class_representatives(self) -> list[int]:
@@ -444,6 +453,14 @@ def _prime_of_power(n: int) -> int:
     return p if n == 1 else 0
 
 
+def _dropped_primes(primes) -> set[int]:
+    """pi, the two primes that occur most often in `primes`, the prime of
+    each zuppo of R (ties go to the smaller prime); second-test joins
+    never take a zuppo of a prime in pi."""
+    counts = Counter(primes)
+    return set(sorted(counts, key=lambda p: (-counts[p], p))[:2])
+
+
 def enumerate_subgroups(G: FiniteGroup,
                         budget: int = DEFAULT_SUBGROUP_BUDGET) -> SubgroupLattice:
     """Enumerate every subgroup of G by cyclic extension over classes.
@@ -489,17 +506,30 @@ def enumerate_subgroups(G: FiniteGroup,
     those normalizers are handed to the lattice.
 
     Only joins that can be new: H is joined with a zuppo generator z of
-    p-power order only if z normalizes H and z^p lies in H, or if H and
-    z both lie in R, the last term of the derived series.  This still
-    reaches every subgroup K, by induction on |K|.  If K is not perfect
-    it has a normal subgroup M of prime index p; for k in K outside M of
-    order p^a*m with m prime to p, z = k^m is a p-element outside M with
-    z^p in M, so K = <M, z> and z passes the first test.  If K is
-    perfect it lies in R, and joining its zuppos one at a time builds K
-    through subgroups of R, each join passing the second test.  Both
-    tests are invariant under conjugation of H and z together, so they
-    hold at the class representative, on whole N_G(H)-orbits, and agree
-    with the orbit walk and the coset rule.
+    p-power order only if z normalizes H and z^p lies in H (the first
+    test), or if H and z both lie in R, the last term of the derived
+    series, p is not in pi and H is generated by its own pi'-zuppos (the
+    second test).  Here pi is the set of the two primes with the most
+    zuppos in R (`_dropped_primes`), and a pi'-zuppo is a zuppo of R of
+    any other prime; a nontrivial perfect R has at least three prime
+    divisors, by Burnside's p^a q^b theorem, so some are left.  This
+    still reaches every subgroup K, by induction on |K|.  If K is not
+    perfect it has a normal subgroup M of prime index p; for k in K
+    outside M of order p^a*m with m prime to p, z = k^m is a p-element
+    outside M with z^p in M, so K = <M, z> and z passes the first test.
+    If K is perfect it lies in R and is generated by its pi'-zuppos:
+    with O^pi(K) the subgroup its pi'-elements generate, K/O^pi(K) is a
+    pi-group, so solvable by Burnside's theorem, and perfect as a
+    quotient of K, so trivial; and a pi'-element is the product of
+    powers of itself of prime-power order outside pi.  Join those zuppos
+    one at a time: the last join that grows the subgroup is K = <H, z>,
+    with H < K generated by pi'-zuppos and z a pi'-zuppo outside H, and
+    z passes the second test.  Both tests are invariant under
+    conjugation of H and z together, so they hold at the class
+    representative, on whole N_G(H)-orbits, and agree with the orbit
+    walk and the coset rule.  Whether H is generated by its pi'-zuppos is
+    one `closure` of those it holds, made only when a pi'-zuppo outside
+    H is left; H = 1 is.
 
     Work per join: a first-test join is known to have index p, so
     `fill_cosets` fills the cosets z^i*H, without
@@ -518,17 +548,18 @@ def enumerate_subgroups(G: FiniteGroup,
     zgens ascends, so an int bitset over elements whose bits are such
     generators lists zuppos in id order by its low bits.  H's candidates
     are one: the zuppos Z with Z^p in H (an OR over the elements of H),
-    ANDed with N_G(H), ORed with R's zuppos when H lies in R, with H's
-    own cleared.  The lowest candidate is joined, its orbit is cleared
-    with one AND-NOT, and the known zuppos are a bitset too, so an orbit
-    meets them in one AND.  After each join the known zuppos are struck
-    from the candidates in bulk: a known candidate would only be walked
-    to an orbit that meets them and skipped, so the joins, their order
-    and the witnesses do not change, and the loop runs about once per
-    join instead of once per candidate.  For a normal H, N_G(H) = G and
-    the orbit of a zuppo is its G-class, which does not depend on H:
-    each G-class is walked once per enumeration and kept under each of
-    its members.  For any other H the N_G(H)-orbit is walked anew.
+    ANDed with N_G(H), ORed with the pi'-zuppos when the second test
+    holds, with H's own cleared.  The lowest candidate is joined, its
+    orbit is cleared with one AND-NOT, and the known zuppos are a bitset
+    too, so an orbit meets them in one AND.  After each join the known
+    zuppos are struck from the candidates in bulk: a known candidate
+    would only be walked to an orbit that meets them and skipped, so the
+    joins, their order and the witnesses do not change, and the loop
+    runs about once per join instead of once per candidate.  For a
+    normal H, N_G(H) = G and the orbit of a zuppo is its G-class, which
+    does not depend on H: each G-class is walked once per enumeration
+    and kept under each of its members.  For any other H the
+    N_G(H)-orbit is walked anew.
 
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
@@ -572,7 +603,14 @@ def enumerate_subgroups(G: FiniteGroup,
     for y, zs in by_power.items():
         powers |= 1 << y
         power_cands[y] = sum(zbit[z] for z in zs)
-    in_residue = residue & sum(zbit)
+    # designated generators of the pi'-zuppos: those in R whose prime is
+    # not one of the two, pi, with the most zuppos in R
+    pi_zuppos = 0
+    if residue != triv:
+        prime = {zx: _prime_of_power(len(zpowers[zuppo_of[zx]]) + 1)
+                 for zx in bits(residue & sum(zbit))}
+        pi = _dropped_primes(prime.values())
+        pi_zuppos = sum(1 << zx for zx, p in prime.items() if p not in pi)
     # g -> the permutation of zuppo ids by conjugation with g, built on
     # first use; those of the non-central generators from the group's maps
     zuppo_maps = {g: [zuppo_of[x_to_xg[zx]] for zx in zgens] for g, x_to_xg in conjugations}
@@ -595,7 +633,7 @@ def enumerate_subgroups(G: FiniteGroup,
         h, h_elems, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
         # designated generators of the zuppos Z with Z^p in H, then of
-        # those normalizing H (the first test), then of those in R when H is
+        # those normalizing H (the first test)
         first = 0
         for y in bits(h & powers):
             first |= power_cands[y]
@@ -606,7 +644,13 @@ def enumerate_subgroups(G: FiniteGroup,
             n_steps = [zuppo_map(g).__getitem__ for g in norm_gens if not (center >> g) & 1]
             first &= norm
         first &= ~h
-        cands = first | (in_residue & ~h) if h & ~residue == 0 else first
+        cands = first
+        if h & ~residue == 0:
+            # the second test: pi'-zuppos, when H lies in R and is
+            # generated by its own pi'-zuppos
+            second = pi_zuppos & ~h
+            if second and closure(G, bits(h & pi_zuppos))[0] == h:
+                cands |= second
         known = 0   # designated generators of zuppos whose join with H is found
         while cands:
             # the N_G(H)-orbit of the lowest candidate; only that zuppo is

@@ -11,8 +11,8 @@ holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import counting
 from .classposet import lambda_poset
@@ -21,8 +21,7 @@ from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_ma
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class ClassRow(NamedTuple):
     class_id: int
     rep_id: int
     order: int
@@ -37,8 +36,7 @@ class ClassRow:
         return self.mu == self.mu_star
 
 
-@dataclass(frozen=True)
-class MuLambdaReport:
+class MuLambdaReport(NamedTuple):
     group: str
     rows: tuple[ClassRow, ...]
     violations: tuple[int, ...]
@@ -48,15 +46,13 @@ class MuLambdaReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class BetaVector:
+class BetaVector(NamedTuple):
     t: int
     class_ids: tuple[int, ...]
     entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ZeroSumResult:
+class ZeroSumResult(NamedTuple):
     """Exact evaluation of the two equivalent consequence identities."""
     t: int
     full_sum: Fraction          # sum of lambda * (alpha - omega) over all classes
@@ -68,8 +64,7 @@ class ZeroSumResult:
         return self.full_sum == 0
 
 
-@dataclass(frozen=True)
-class BetaSweepVerdict:
+class BetaSweepVerdict(NamedTuple):
     constant: bool
     nilpotent: bool
     frobenius_primitive_cyclic: bool

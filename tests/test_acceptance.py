@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import moebius.lattice as lattice_module
 from helpers import class_by, group, lattice, poset
 from moebius import counting
 from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
@@ -371,12 +372,19 @@ M11_SPEC = "perm:[(1,2,3,4,5,6,7,8,9,10,11);(3,7,11,8)(4,10,5,6)]"
 
 
 @pytest.mark.stretch
-def test_criterion_12_m11():
+def test_criterion_12_m11(monkeypatch):
     t0 = time.time()
     G = build_from_spec(M11_SPEC)
     assert G.order == 7920
+    # M11 has more zuppos of orders 5 (396) than of 3 (220) and 11 (144),
+    # so second-test joins drop pi = {2, 5}, not {2, 3}
+    dropped = []
+    drop = lattice_module._dropped_primes
+    monkeypatch.setattr(lattice_module, "_dropped_primes",
+                        lambda primes: dropped.append(drop(primes)) or dropped[-1])
     an = MuLambdaAnalyzer(G)
     lat = an.lattice
+    assert dropped == [{2, 5}]
     # the published counts: 8651 subgroups in 39 conjugacy classes, and the
     # five classes of maximal subgroups M10, L2(11), M9:2, S5 and M8:S3 of
     # index 11, 12, 55, 66 and 165, each self-normalizing (index conjugates)

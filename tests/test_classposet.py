@@ -5,8 +5,9 @@ import moebius.verify as verify_module
 from helpers import (brute_class_up, brute_mu_top, class_by, group, lattice, poset,
                      recursive_mu, subgroups_of_order, summed_columns)
 from moebius import counting, enumerate_subgroups
-from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
-                                   trivial_automorphisms)
+from moebius.automorphisms import (AutomorphismGroup, full_automorphism_group,
+                                   inner_automorphisms, trivial_automorphisms)
+from moebius.cache import load_lattice, save_lattice
 from moebius.classposet import (build_class_poset, complement_class_count,
                                 conjunctive_identity_violations, crapo_check_all,
                                 divisibility_scan, kappa,
@@ -18,6 +19,30 @@ from moebius.lattice import mu_column
 from moebius.automorphisms import induced_quotient_action
 from moebius.verify import (automorphism_choices, mobius_equation_violations,
                             poset_axiom_violations)
+
+
+@pytest.mark.parametrize("source", ["enumerated", "cached"])
+@pytest.mark.parametrize("spec", ["S:5", "A:6", "D:12xC:2", "Q:8xS:3", "C:2xC:4xC:4"])
+def test_inner_poset_reads_the_conjugacy_classes(spec, source, tmp_path):
+    # under all of Inn(G) the classes are read from the lattice, kept by
+    # the enumerator, or on a cached lattice walked (singletons when G is
+    # abelian, as C:2xC:4xC:4 is); they equal the orbits walked over the
+    # generators' conjugation maps, and any other origin still walks the
+    # orbits of its generators
+    lat = lattice(spec)
+    if source == "cached":
+        save_lattice(lat, tmp_path)
+        lat = load_lattice(group(spec), tmp_path)
+    G = lat.group
+    inner = inner_automorphisms(G)
+    walked = lat.orbits([a.map for a in inner.gens])
+    pos = build_class_poset(lat, inner)
+    assert (pos.classes, pos.class_of) == walked
+    assert pos.classes is lat.conjugacy_classes[0]
+    same_gens = AutomorphismGroup(G, inner.gens, "explicit-generated")
+    other = build_class_poset(lat, same_gens)
+    assert (other.classes, other.class_of) == walked
+    assert other.classes is not lat.conjugacy_classes[0]
 
 
 def test_trivial_action_poset_mirrors_lattice():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +9,8 @@ from helpers import (brute_class_up, brute_mu_top, brute_normalizer, brute_relat
 from moebius.cache import load_lattice, save_lattice
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
-from moebius.groups import (bits, conjugate_mask, derived_series, is_normal_mask,
-                            orbit_and_normalizer)
+from moebius.groups import (bits, commutator_closure, conjugate_mask, derived_series,
+                            is_normal_mask, orbit_and_normalizer)
 from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
 from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
 
@@ -144,31 +145,104 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
         assert all(conjugate_mask(G, h, g) == h for g in gens)
 
 
-@pytest.mark.parametrize("spec", ["S:5", "A:6", "S:6"])
+@pytest.mark.parametrize("spec", ["S:5", "A:6", "S:6", "A:7"])
 def test_joins_inside_the_residue_stop_at_index_5(spec, monkeypatch):
     # every second-test join <H, z> lies in the perfect residue R and is
     # given R, so it stops once it must be R; what it returns is R or a
-    # subgroup of index at least 5 in R, and equals <witness of H, z>
+    # subgroup of index at least 5 in R, and equals <witness of H, z>; z
+    # is a pi'-zuppo.  S:5 only joins C5 up to A5, so only A:6, S:6 and
+    # A:7 also make joins that return a proper subgroup of R
     joins = []
+    dropped = []
     closure = lattice_module.extend_closure
+    drop = lattice_module._dropped_primes
 
     def recorded(G, h_mask, h_elems, h_gens, x, within=None):
         out = closure(G, h_mask, h_elems, h_gens, x, within)
-        joins.append((h_gens, x, within, out))
+        joins.append((h_mask, h_gens, x, within, out))
         return out
 
+    def recorded_drop(primes):
+        dropped.append(drop(primes))
+        return dropped[-1]
+
+    count = len(lattice(spec))
     monkeypatch.setattr(lattice_module, "extend_closure", recorded)
+    monkeypatch.setattr(lattice_module, "_dropped_primes", recorded_drop)
     G = group(spec)
     residue = derived_series(G)[-1]
-    lat = enumerate_subgroups(G)
-    assert len(lat) == len(lattice(spec))
-    assert any(k == residue for _, _, _, k in joins)
-    assert any(k != residue for _, _, _, k in joins)
-    for h_gens, x, within, k in joins:
+    assert len(enumerate_subgroups(G)) == count
+    assert dropped == [{2, 3}]
+    assert any(k == residue for *_, k in joins)
+    assert any(k != residue for *_, k in joins) == (spec != "S:5")
+    for h, h_gens, x, within, k in joins:
         assert within == residue
         assert k & ~residue == 0
         assert k == residue or residue.bit_count() // k.bit_count() >= 5
         assert k == closure_mask(G, h_gens + (x,))
+        assert _prime_divisors(G.element_orders[x]).isdisjoint(dropped[0])
+        assert _pi_prime_closure(G, h, dropped[0]) == h
+
+
+def _prime_divisors(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))}
+
+
+def _pi_prime_closure(G, mask, pi):
+    """`closure_mask` of the elements of the subgroup `mask` of prime-power
+    order outside pi, joined one at a time when outside the closure so far."""
+    closed, gens = 1 << G.identity, []
+    for x in bits(mask):
+        ps = _prime_divisors(G.element_orders[x])
+        if len(ps) == 1 and ps.isdisjoint(pi) and not (closed >> x) & 1:
+            gens.append(x)
+            closed = closure_mask(G, gens)
+    return closed
+
+
+@pytest.mark.parametrize("spec", ["A:5", "A:6", "S:6", "A:7", "A:5xA:5"])
+def test_perfect_subgroups_are_generated_by_their_pi_prime_zuppos(spec):
+    # the lemma second-test joins rest on: for a perfect K and any two
+    # primes pi, K/O^pi(K) is a pi-group, solvable by Burnside's p^a q^b
+    # theorem and perfect, so trivial, and K is generated by its elements
+    # of prime-power order outside pi.  A perfect K != 1 has at least
+    # three prime divisors (Burnside again), so only those are tested for
+    # K' = K
+    lat = lattice(spec)
+    G = lat.group
+    residue = derived_series(G)[-1]
+    perfect = []
+    for i, s in enumerate(lat.subgroups):
+        if s.mask & ~residue == 0 and (s.order == 1 or len(_prime_divisors(s.order)) >= 3):
+            w = lat.witness(i)
+            if commutator_closure(G, w, w, w)[0] == s.mask:
+                perfect.append(s.mask)
+    assert {1 << G.identity, residue} <= set(perfect)
+    for pi in combinations(sorted(_prime_divisors(residue.bit_count())), 2):
+        for k in perfect:
+            assert _pi_prime_closure(G, k, pi) == k
+
+
+def test_dropping_three_primes_loses_subgroups(monkeypatch):
+    # a planted unsound narrowing: with pi = {2, 3, 5} on A:7 only 7-zuppos
+    # are second-test candidates, and A5 and A6, generated by none of
+    # them, are lost
+    count = len(lattice("A:7"))
+    monkeypatch.setattr(lattice_module, "_dropped_primes", lambda primes: {2, 3, 5})
+    lat = enumerate_subgroups(group("A:7"))
+    assert len(lat) < count == 3786
+    assert 60 not in lat.by_order and 360 not in lat.by_order
+
+
+@pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "C:2xC:2xC:2"])
+def test_solvable_groups_skip_the_pi_bookkeeping(spec, monkeypatch):
+    # R = 1: no second-test join, so pi is never chosen
+    def fail(primes):
+        raise AssertionError("pi chosen for a solvable group")
+
+    count = len(lattice(spec))
+    monkeypatch.setattr(lattice_module, "_dropped_primes", fail)
+    assert len(enumerate_subgroups(group(spec))) == count
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3", "C:2xC:2xC:2"])
