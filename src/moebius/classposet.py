@@ -5,8 +5,8 @@ walks them over the generator maps of A; a poset under all of Inn(G)
 reads the lattice's own conjugacy classes instead.  [H] <= [K] iff some
 orbit member of [H] is contained in the representative of [K], that
 is, iff the representative of [H] lies in some orbit member of [K].  So
-the classes above [H] are read off the lattice up-set of its
-representative.
+the classes above [H] are read off the upeq row of its representative
+(`SubgroupLattice.class_rows`).
 The lattice itself is the special case of a trivial action.  Every
 Moebius value is read from a column, mu(., y) for one class y, which
 `mu_column` sweeps over the class rows; the column at the top class is
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .automorphisms import Automorphism, AutomorphismGroup
 from .errors import NotAClosureMap
-from .groups import FiniteGroup, Subgroup, bits, is_normal_mask, product_mask
-from .lattice import SubgroupLattice, mu_column
+from .groups import FiniteGroup, Subgroup, bits, product_mask
+from .lattice import SubgroupLattice, mu_column, transposed
 
 
 class ClassPoset:
@@ -35,9 +35,9 @@ class ClassPoset:
         self.bottom = class_of[lattice.trivial_id]
         self._up = None
         self._rows = None
+        self._downs = None
         self._mu_top = None
         self._columns: dict[int, list[int]] = {}
-        self._downset: dict[int, list[int]] = {}   # class id -> downset_ids
 
     def __len__(self):
         return len(self.classes)
@@ -63,11 +63,8 @@ class ClassPoset:
     def up(self) -> list[list[int]]:
         """up[c] = class ids strictly above c, ascending."""
         if self._up is None:
-            if self.singletons:
-                self._up = self.lattice.up
-            else:
-                self._up = [list(bits(row & ~(1 << c)))
-                            for c, row in enumerate(self.rows())]
+            self._up = [list(bits(row & ~(1 << c)))
+                        for c, row in enumerate(self.rows())]
         return self._up
 
     def rows(self) -> list[int]:
@@ -77,31 +74,21 @@ class ClassPoset:
         H^a <= K iff H <= K^(a^-1): the classes above [H] are the classes
         of the supergroups of its representative."""
         if self._rows is None:
-            class_of = self.class_of
-            reps = [r for r, _ in self.classes]
-            rows = []
-            for u in self.lattice.upeq(reps):
-                row = 0
-                for j in bits(u):
-                    row |= 1 << class_of[j]
-                rows.append(row)
-            self._rows = rows
+            self._rows = self.lattice.class_rows(self.classes, self.class_of)
         return self._rows
+
+    def downs(self) -> list[list[int]]:
+        """downs[c] = the class ids at or below c, ascending: `rows`
+        transposed, built once, or the lattice's `incidence` lists."""
+        if self._downs is None:
+            if self.aut.origin == "inner":
+                self._downs = [below for below, _ in self.lattice.incidence]
+            else:
+                self._downs = transposed(self.rows())
+        return self._downs
 
     def leq(self, c: int, d: int) -> bool:
         return (self.rows()[c] >> d) & 1 == 1
-
-    def downset_ids(self, c: int) -> list[int]:
-        """Lattice ids K with K contained in some orbit member of class c,
-        ascending: the orbit members and their lattice down-sets."""
-        out = self._downset.get(c)
-        if out is None:
-            down = self.lattice.down
-            ids = set(self.orbit(c))
-            for m in self.orbit(c):
-                ids.update(down[m])
-            out = self._downset[c] = sorted(ids)
-        return out
 
     def class_of_subgroup(self, sub: Subgroup) -> int:
         return self.class_of[self.lattice.index[sub.mask]]
@@ -170,6 +157,7 @@ def kappa(lattice: SubgroupLattice, sub: Subgroup) -> int:
 def maximal_closure_map(poset: ClassPoset) -> list[int]:
     """Class-level map [H] -> [intersection of maximals over H]."""
     lat = poset.lattice
+    lat.upeq([r for r, _ in poset.classes])     # every row in one pass
     out = []
     for c in range(len(poset.classes)):
         closed = lat.closure_in_maximals(poset.rep(c))
@@ -265,17 +253,15 @@ def complement_class_count(poset: ClassPoset, n_sub: Subgroup,
 
 
 def minimal_normal_subgroup_ids(lattice: SubgroupLattice) -> list[int]:
-    G = lattice.group
-    normal = [i for i in range(len(lattice.subgroups))
-              if i != lattice.trivial_id
-              and is_normal_mask(G, lattice.subgroups[i].mask)]
-    normal_set = set(normal)
-    out = []
-    for i in normal:
-        if not any(j in normal_set for j in lattice.down[i]
-                   if j != lattice.trivial_id):
-            out.append(i)
-    return out
+    """Ids of the minimal normal subgroups, ascending.  The nontrivial
+    normal subgroups are the singleton conjugacy classes but 1, and one is
+    minimal when the upeq row of no other one holds it."""
+    normal = [r for r, orbit in lattice.conjugacy_classes[0]
+              if len(orbit) == 1 and r != lattice.trivial_id]
+    above = 0
+    for i, row in zip(normal, lattice.upeq(normal)):
+        above |= row & ~(1 << i)
+    return [i for i in normal if not above >> i & 1]
 
 
 def divisibility_scan(poset: ClassPoset, n_sub: Subgroup) -> list[int]:

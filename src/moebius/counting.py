@@ -96,8 +96,16 @@ def can_generate(G: FiniteGroup, t: int) -> bool:
 def omega(poset: ClassPoset, c: int, t: int) -> int:
     """Size of the union over the orbit of H of the t-th cartesian powers."""
     _require_t(t)
-    phi_exact = poset.lattice.phi_exact(t)
-    return sum(phi_exact[k] for k in poset.downset_ids(c))
+    return _downset_sum(poset, c, poset.lattice.phi_exact(t))
+
+
+def _downset_sum(poset: ClassPoset, c: int, exact: list[int]) -> int:
+    """The sum of exact[K] over the subgroups K inside some orbit member
+    of class c: over the classes d <= c, |orbit(d)| times the value at d's
+    representative.  Exact counts are invariant under Aut(G), so they are
+    constant on the orbits of any A."""
+    classes = poset.classes
+    return sum([len(classes[d][1]) * exact[classes[d][0]] for d in poset.downs()[c]])
 
 
 def psi(poset: ClassPoset, c: int, t: int) -> int:
@@ -256,8 +264,7 @@ def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, lifts, t: int,
 def sigma_tuples(poset: ClassPoset, c: int, t: int) -> int:
     """Number of subgroup t-tuples whose join lies in some orbit member."""
     _require_t(t)
-    gamma_exact = poset.lattice.gamma_exact(t)
-    return sum(gamma_exact[k] for k in poset.downset_ids(c))
+    return _downset_sum(poset, c, poset.lattice.gamma_exact(t))
 
 
 def gamma_tuples(poset: ClassPoset, c: int, t: int) -> int:

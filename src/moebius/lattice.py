@@ -52,7 +52,15 @@ builds a stabilizer, the normalizer of each member.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
-of the bitsets of the subgroups holding each witness element.
+of the bitsets of the subgroups holding each witness element.  Only
+class representatives' rows are read: every relation number comes from
+the class form of Burnside's table of marks (Theory of Groups of Finite
+Order, 1911; G. Pfeiffer, Experiment. Math. 6, 1997), m(c, d) = the
+members of class d inside rep_c = |d| * popcount(upeq(rep_d) & block_c)
+/ |c| (count the pairs D <= C, D in d, C in c, both ways), with its
+support the conjugation poset's rows.  sigma(c) is the sum of m(c, d),
+a class is maximal when its rep's row is {rep, top}, and the exact
+counts are swept up the classes.
 
 One Moebius routine, `mu_column`, serves the lattice and every class
 poset.  It sweeps down bitset rows and keeps S_v, the ids already
@@ -103,6 +111,7 @@ class SubgroupLattice:
         self._upeq: dict[int, int] = {}
         self._up = None
         self._down = None
+        self._incidence = None
         self._maximals = None
         self._mu_top = None
         self._normalizer = dict(normalizers)
@@ -176,19 +185,56 @@ class SubgroupLattice:
     def down(self) -> list[list[int]]:
         """down[i] = ids of proper subgroups of i, ascending."""
         if self._down is None:
-            down = [[] for _ in self.subgroups]
-            for i, above in enumerate(self.up):
-                for j in above:
-                    down[j].append(i)
-            self._down = down
+            below = transposed(self.upeq(range(len(self.subgroups))))
+            self._down = [ids[:-1] for ids in below]    # i itself comes last
         return self._down
+
+    def class_rows(self, classes, class_of) -> list[int]:
+        """The rows of the poset of orbits (classes, class_of) of a group
+        acting on the lattice, as `orbits` gives them: for each class, the
+        bitset over class ids of the classes meeting its representative's
+        upeq row.  Each step takes the class of the lowest id left and
+        strikes all its ids off; singleton classes' rows are upeq rows."""
+        rows = self.upeq([r for r, _ in classes])
+        if len(classes) < len(self.subgroups):
+            blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
+            for k, u in enumerate(rows):
+                rows[k] = 0
+                while u:
+                    c = class_of[(u & -u).bit_length() - 1]
+                    rows[k] |= 1 << c
+                    u &= ~blocks[c]
+        return rows
+
+    @property
+    def incidence(self) -> list[tuple[list[int], list[int]]]:
+        """The class-incidence table: for each conjugacy class c, the
+        classes d <= c ascending, the conjugation poset's `class_rows`
+        transposed, and m(c, d) for each (1 when every class is a
+        singleton)."""
+        if self._incidence is None:
+            classes, class_of = self.conjugacy_classes
+            below = transposed(self.class_rows(classes, class_of))
+            if len(classes) == len(self.subgroups):
+                marks = [[1] * len(ds) for ds in below]
+            else:
+                blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
+                size = [len(orbit) for _, orbit in classes]
+                upeq = self.upeq([r for r, _ in classes])
+                marks = [[size[d] * (upeq[d] & blocks[c]).bit_count() // size[c] for d in ds]
+                         for c, ds in enumerate(below)]
+            self._incidence = list(zip(below, marks))
+        return self._incidence
 
     @property
     def maximals(self) -> list[int]:
+        """Ids of the maximal subgroups, ascending."""
         if self._maximals is None:
+            classes, _ = self.conjugacy_classes
             top = self.top_id
-            self._maximals = [i for i in range(len(self.subgroups))
-                              if self.up[i] == [top]]
+            upeq = self.upeq([r for r, _ in classes])
+            self._maximals = sorted(j for (r, orbit), u in zip(classes, upeq)
+                                    if r != top and u == (1 << r) | (1 << top) for j in orbit)
         return self._maximals
 
     # -- Moebius column ---------------------------------------------------
@@ -301,7 +347,7 @@ class SubgroupLattice:
 
     def sigma(self, i: int) -> int:
         """Number of subgroups of subgroup i (including 1 and itself)."""
-        return len(self.down[i]) + 1
+        return sum(self.incidence[self.conjugacy_classes[1][i]][1])
 
     def intersect(self, h: Subgroup, k: Subgroup) -> Subgroup:
         return self.subgroups[self.index[h.mask & k.mask]]
@@ -317,21 +363,15 @@ class SubgroupLattice:
 
     def closure_in_maximals(self, h: Subgroup) -> Subgroup:
         """Intersection of the maximal subgroups containing h (G if none)."""
-        i = self.index[h.mask]
-        if i == self.top_id:
-            return self.subgroups[self.top_id]
+        row = self.upeq([self.index[h.mask]])[0]
         mask = self.group.full_mask()
-        ups = set(self.up[i])
         for m in self.maximals:
-            if m == i or m in ups:
+            if row >> m & 1:
                 mask &= self.subgroups[m].mask
         return self.subgroups[self.index[mask]]
 
     def frattini(self) -> Subgroup:
-        mask = self.group.full_mask()
-        for m in self.maximals:
-            mask &= self.subgroups[m].mask
-        return self.subgroups[self.index[mask]]
+        return self.closure_in_maximals(self.subgroups[self.trivial_id])
 
     def complements(self, n_sub: Subgroup, h: Subgroup | None = None) -> list[Subgroup]:
         """All K with KN = G, K meet N = 1, and (optionally) H <= K."""
@@ -359,16 +399,18 @@ class SubgroupLattice:
         return self._exact_counts(self._gamma_exact, t, self.sigma)
 
     def _exact_counts(self, memo: dict[int, list[int]], t: int, size) -> list[int]:
-        """Moebius inversion of size(K)^t down the lattice, memoized per t:
-        vals[K] = size(K)^t - sum of vals[J] over the proper subgroups J of K."""
-        vals = memo.get(t)
-        if vals is None:
-            down = self.down
-            vals = [0] * len(self.subgroups)
-            for i in range(len(vals)):
-                vals[i] = size(i) ** t - sum(vals[j] for j in down[i])
-            memo[t] = vals
-        return vals
+        """Moebius inversion of size(K)^t up the conjugacy classes, memoized
+        per t: vals[c] = size(rep_c)^t - the sum of m(c, d) * vals[d] over
+        the d < c (c's own term reads vals[c] while it is still 0)."""
+        out = memo.get(t)
+        if out is None:
+            classes, class_of = self.conjugacy_classes
+            vals = [0] * len(classes)
+            for c, (below, marks) in enumerate(self.incidence):
+                vals[c] = size(classes[c][0]) ** t - sum(
+                    [m * vals[d] for d, m in zip(below, marks)])
+            out = memo[t] = [vals[c] for c in class_of]
+        return out
 
 
 def _partition(orbits, count: int) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
@@ -381,6 +423,16 @@ def _partition(orbits, count: int) -> tuple[list[tuple[int, tuple[int, ...]]], l
         for j in orbit:
             class_of[j] = c
     return [(orbit[0], orbit) for orbit in orbits], class_of
+
+
+def transposed(rows: list[int]) -> list[list[int]]:
+    """The transpose of bitset rows over the row ids: for each id c, the
+    ids of the rows holding c, ascending."""
+    cols = [[] for _ in rows]
+    for d, row in enumerate(rows):
+        for c in bits(row):
+            cols[c].append(d)
+    return cols
 
 
 def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[int]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import counting
-from .classposet import lambda_poset
+from .classposet import lambda_poset, minimal_normal_subgroup_ids
 from .errors import EngineError
 from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
 from .lattice import SubgroupLattice, enumerate_subgroups
@@ -83,7 +83,6 @@ class MuLambdaAnalyzer:
         self.poset = lambda_poset(G, self.lattice)
         self.derived = commutator_subgroup(G)
         self._rows = None
-        self._omega_cache: dict[tuple[int, int], int] = {}
 
     # -- per-class data ---------------------------------------------------
 
@@ -107,14 +106,6 @@ class MuLambdaAnalyzer:
 
     def normalizer_order(self, c: int) -> int:
         return self.lattice.normalizer_mask(self.poset.classes[c][0]).bit_count()
-
-    def omega(self, c: int, t: int) -> int:
-        key = (c, t)
-        out = self._omega_cache.get(key)
-        if out is None:
-            out = counting.omega(self.poset, c, t)
-            self._omega_cache[key] = out
-        return out
 
     # -- report -------------------------------------------------------------
 
@@ -176,7 +167,7 @@ class MuLambdaAnalyzer:
         return Fraction(h.order ** (t - 1) * G.order * dh, dn)
 
     def beta(self, c: int, t: int) -> Fraction:
-        return self.alpha(c, t) - self.omega(c, t)
+        return self.alpha(c, t) - counting.omega(self.poset, c, t)
 
     def cstar_classes(self) -> list[int]:
         """Proper classes with nonzero lambda, largest representatives first."""
@@ -210,7 +201,7 @@ class MuLambdaAnalyzer:
         for c in range(len(self.poset.classes)):
             lam = self.lam(c)
             if lam:
-                full += lam * (self.alpha(c, t) - self.omega(c, t))
+                full += lam * self.beta(c, t)
         viol = Fraction(0)
         for r in self.rows:
             if not r.ok:
@@ -239,6 +230,7 @@ class MuLambdaAnalyzer:
         triv = 1 << G.identity
         full = G.full_mask()
         orders = G.element_orders
+        minimal = set(minimal_normal_subgroup_ids(lat))
         for m in lat.maximals:
             msub = lat.subgroups[m]
             if is_normal_mask(G, msub.mask):
@@ -253,18 +245,8 @@ class MuLambdaAnalyzer:
             for j in orbit:
                 union |= lat.subgroups[j].mask
             kernel = (full & ~union) | triv
-            kid = lat.index.get(kernel)
-            if kid is None:
-                continue
-            if kernel.bit_count() * msub.order != G.order:
-                continue
-            if not is_normal_mask(G, kernel):
-                continue
-            # minimality: no proper nontrivial subgroup of the kernel is normal
-            if any(is_normal_mask(G, lat.subgroups[j].mask)
-                   for j in lat.down[kid] if j != lat.trivial_id):
-                continue
-            return True
+            if kernel.bit_count() * msub.order == G.order and lat.index.get(kernel) in minimal:
+                return True
         return False
 
 

@@ -96,6 +96,15 @@ def brute_relation(lat):
     return up, down
 
 
+def brute_exact_counts(down, sizes, t):
+    """vals[K] = sizes[K]^t - the sum of vals[J] over the proper subgroups
+    J of K, K ascending, from the pairwise `down` lists."""
+    vals = []
+    for k, below in enumerate(down):
+        vals.append(sizes[k] ** t - sum(vals[j] for j in below))
+    return vals
+
+
 def brute_class_up(pos):
     """up of a class poset: d is above c when some orbit member of c lies
     in the representative of d, tested mask against mask."""

@@ -3,10 +3,12 @@ import warnings
 
 import pytest
 
+import moebius.lattice as lattice_module
 from helpers import lattice
 from moebius import cli
 from moebius.cache import (cache_path, lattice_payload, mask_to_hex, payload_bytes, save_lattice,
                            seal)
+from moebius.lattice import SubgroupLattice
 
 
 def run_cli(capsys, *argv):
@@ -472,3 +474,75 @@ def test_unexpected_error_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_table", boom)
     assert cli.main(["table", "S:4"]) == 2
     assert capsys.readouterr().err == "error: KeyError: 3\n"
+
+
+# -- relation reads ------------------------------------------------------------
+
+# Every command that reads lattice numbers: sigma, maximals, exact counts,
+# down-set sums and Moebius columns.
+RELATION_COMMANDS = [
+    ("check-mu-lambda",),
+    ("table", "--aut", "inn"),
+    ("sigma-table",),
+    ("prob", "--t", "2"),
+    ("phi", "--t", "2", "--via", "hall"),
+    ("phi", "--t", "2", "--via", "classes", "--aut", "inn"),
+    ("phi-star", "--t", "2", "--via", "classes", "--aut", "inn"),
+    ("beta", "--t-max", "2"),
+]
+
+
+def _assert_class_rows_only(lat):
+    assert lat._up is None and lat._down is None
+    assert set(lat._upeq) <= set(lat.class_representatives())
+
+
+@pytest.mark.parametrize("argv", RELATION_COMMANDS, ids=" ".join)
+def test_commands_read_only_class_representative_rows(capsys, monkeypatch, argv):
+    """No engine path decodes the relation of every subgroup: after each
+    command on A:7 the lattice has built neither `up` nor `down`, and upeq
+    rows of class representatives alone."""
+    enumerated = lattice("A:7")
+    G = enumerated.group
+    loaded = []
+
+    def load(args):
+        lat = SubgroupLattice(G, list(enumerated.subgroups),
+                              [orbit for _, orbit in enumerated.conjugacy_classes[0]])
+        loaded.append(lat)
+        return G, lat
+
+    monkeypatch.setattr(cli, "_load_group_and_lattice", load)
+    code, _ = run_cli(capsys, argv[0], "A:7", *argv[1:])
+    assert code == 0
+    [lat] = loaded
+    _assert_class_rows_only(lat)
+
+
+def test_cached_lattice_finds_one_witness_per_class(capsys, monkeypatch, tmp_cache):
+    """A lattice read from the cache has no witnesses; the commands search
+    one for each class representative and for no other subgroup."""
+    enumerated = lattice("A:7")
+    save_lattice(enumerated, tmp_cache)
+    classes = len(enumerated.conjugacy_classes[0])
+    calls = [0]
+    loaded = []
+    find_witness, load = lattice_module.find_witness, cli.load_lattice
+
+    def counted(*args):
+        calls[0] += 1
+        return find_witness(*args)
+
+    def kept(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(lattice_module, "find_witness", counted)
+    monkeypatch.setattr(cli, "load_lattice", kept)
+    for argv in RELATION_COMMANDS:
+        calls[0] = 0
+        code, _ = run_cli(capsys, argv[0], "A:7", *argv[1:], "--cache-dir", str(tmp_cache))
+        assert code == 0
+        assert calls[0] <= classes, argv
+        _assert_class_rows_only(loaded[-1])
+    assert len(loaded) == len(RELATION_COMMANDS)

@@ -97,15 +97,19 @@ def test_omega_singleton_orbit_equality():
 @pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])
 @pytest.mark.parametrize("aut", ["inn", "1", "aut", ("inn", 4, 0)])
 def test_downset_ids_match_mask_scan(spec, aut):
-    """The down-set read off the lattice equals a scan of every subgroup
-    against every orbit mask of the class."""
+    """omega and sigma_tuples, summed over the classes below c in the
+    class rows, equal the exact counts summed over a scan of every
+    subgroup against every orbit mask of the class."""
     pos = poset(spec, aut)
-    subs = pos.lattice.subgroups
+    lat = pos.lattice
+    subs = lat.subgroups
     for c in range(len(pos.classes)):
         omasks = [subs[m].mask for m in pos.orbit(c)]
         scan = [i for i, s in enumerate(subs)
                 if any(s.mask & ~om == 0 for om in omasks)]
-        assert pos.downset_ids(c) == scan
+        for t in (1, 2):
+            assert counting.omega(pos, c, t) == sum(lat.phi_exact(t)[i] for i in scan)
+            assert counting.sigma_tuples(pos, c, t) == sum(lat.gamma_exact(t)[i] for i in scan)
 
 
 def test_psi_inversion_relation():

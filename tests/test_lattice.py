@@ -4,9 +4,11 @@ from itertools import combinations
 import pytest
 
 import moebius.lattice as lattice_module
-from helpers import (brute_class_up, brute_mu_top, brute_normalizer, brute_relation,
-                     closure_mask, group, lattice, subgroups_of_order)
+from helpers import (brute_class_up, brute_exact_counts, brute_mu_top, brute_normalizer,
+                     brute_relation, closure_mask, group, lattice, subgroups_of_order)
+from moebius import build_from_spec
 from moebius.cache import load_lattice, save_lattice
+from moebius.catalog import family_specs
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
 from moebius.groups import (bits, commutator_closure, conjugate_mask, derived_series,
@@ -460,6 +462,49 @@ def test_relation_matches_pairwise_scan(spec, source, tmp_path):
     assert lat.maximals == [i for i, u in enumerate(up) if u == [lat.top_id]]
     assert [lat.sigma(i) for i in range(len(lat))] == [len(d) + 1 for d in down]
     assert lat.mu_top == brute_mu_top(up, lat.top_id)
+
+
+def _check_class_incidence(lat):
+    """Every m(c, d) of `incidence` against a mask scan, #{K in orbit(d) :
+    K <= rep_c}, zeros included; then sigma, the maximals and the exact
+    counts it gives against the pairwise relation."""
+    classes, _ = lat.conjugacy_classes
+    subs = lat.subgroups
+    for c, (below, marks) in enumerate(lat.incidence):
+        rep_mask = subs[classes[c][0]].mask
+        table = dict(zip(below, marks))
+        for d, (_, orbit) in enumerate(classes):
+            scan = sum(1 for k in orbit if subs[k].mask & ~rep_mask == 0)
+            assert table.get(d, 0) == scan, (c, d)
+    up, down = brute_relation(lat)
+    sigma = [len(below) + 1 for below in down]
+    assert [lat.sigma(i) for i in range(len(lat))] == sigma
+    assert lat.maximals == [i for i, u in enumerate(up) if u == [lat.top_id]]
+    orders = [s.order for s in subs]
+    for t in (1, 2, 3):
+        assert lat.phi_exact(t) == brute_exact_counts(down, orders, t)
+    assert lat.gamma_exact(2) == brute_exact_counts(down, sigma, 2)
+
+
+@pytest.mark.parametrize("source", ["enumerated", "cached"])
+@pytest.mark.parametrize("spec", ["S:5", "A:6"])
+def test_class_incidence_matches_mask_scan(spec, source, tmp_path):
+    """The class-incidence table and what the engine reads off it, also on
+    a lattice read back from the cache, which has no orbits and no
+    witnesses."""
+    enumerated = lattice(spec)
+    if source == "cached":
+        save_lattice(enumerated, tmp_path)
+        lat = load_lattice(enumerated.group, tmp_path)
+    else:
+        lat = SubgroupLattice(enumerated.group, list(enumerated.subgroups),
+                              [orbit for _, orbit in enumerated.conjugacy_classes[0]])
+    _check_class_incidence(lat)
+
+
+def test_class_incidence_matches_mask_scan_up_to_order_24():
+    for spec in family_specs(24):
+        _check_class_incidence(enumerate_subgroups(build_from_spec(spec)))
 
 
 @pytest.mark.parametrize("source", ["enumerated", "cached"])
