@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .classposet import ClassPoset
 from .errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from .groups import FiniteGroup, Subgroup, closure, is_normal_mask, quotient_group
+from .groups import (FiniteGroup, Subgroup, bits, closure, coset_map, is_normal_mask,
+                     quotient_group, subgroup_image_mask)
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
@@ -70,27 +71,6 @@ def phi_bruteforce(G: FiniteGroup, t: int,
     return rec(triv, 0)
 
 
-def can_generate(G: FiniteGroup, t: int) -> bool:
-    """Whether some t-tuple of elements generates G."""
-    _require_t(t)
-    full = G.full_mask()
-    if G.order == 1:
-        return True
-    ext = _ExtendMemo(G)
-    seen = set()
-
-    def rec(mask: int, remaining: int) -> bool:
-        if mask == full:
-            return True
-        if remaining == 0 or (mask, remaining) in seen:
-            return False
-        seen.add((mask, remaining))
-        return any(rec(ext.step(mask, g), remaining - 1)
-                   for g in range(G.order) if not (mask >> g) & 1)
-
-    return rec(1 << G.identity, t)
-
-
 # -- class-poset counts ----------------------------------------------------
 
 def omega(poset: ClassPoset, c: int, t: int) -> int:
@@ -128,19 +108,18 @@ def phi_via_classes(poset: ClassPoset, t: int) -> int:
 def phi_relative(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     """Generating t-tuples over a fixed generating tuple of G/N.
 
-    When G/N cannot be generated by t elements there is no such tuple to
-    lift; the engine warns and returns 0.
+    When G/N cannot be generated by t elements (`generating_lift` finds
+    no lift) there is no such tuple to lift; the engine warns and
+    returns 0.
     """
-    _require_t(t)
-    G = lattice.group
-    if not is_normal_mask(G, N.mask):
-        raise NotNormal("relative count needs a normal subgroup")
-    if not _quotient_generable(lattice, N, t):
+    try:
+        generating_lift(lattice, N, t)
+    except LiftNotGenerating:
         warnings.warn("quotient needs more generators than t; returning 0",
                       stacklevel=2)
         return 0
     mu = lattice.mu_top
-    gorder = G.order
+    gorder = lattice.group.order
     total = 0
     for m, s in zip(mu, lattice.subgroups):
         if not m:
@@ -151,35 +130,40 @@ def phi_relative(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     return total
 
 
-def _quotient_generable(lattice: SubgroupLattice, N: Subgroup, t: int) -> bool:
-    if N.order == lattice.group.order:
-        return True
-    if N.order == 1:
-        return can_generate(lattice.group, t)
-    Q, _ = quotient_group(lattice.group, N)
-    return can_generate(Q, t)
-
-
 def generating_lift(lattice: SubgroupLattice, N: Subgroup, t: int) -> tuple[int, ...]:
-    """Some t-tuple of elements with <tuple> N = G, in lattice order."""
+    """Some t-tuple of elements with <tuple> N = G, for a normal N: the
+    engine's one search for a generating tuple (N = 1 asks for one of G).
+
+    A depth-first search that composes in G but branches, at each depth,
+    only over the least element of each coset of N that the closure so
+    far misses (`coset_map`).  Whether a state can still be completed
+    depends only on its image in G/N, the coset ids it meets, so a failed
+    state is marked dead by (image, depth) and the states searched are
+    those of G/N; no quotient group is built.  Any lift serves the
+    relative count, which does not depend on the lifted tuple of G/N
+    (Gaschuetz's lemma).  Raises LiftNotGenerating when no t-tuple generates G
+    modulo N.
+    """
     _require_t(t)
     G = lattice.group
+    if not is_normal_mask(G, N.mask):
+        raise NotNormal("relative count needs a normal subgroup")
+    coset_of, reps = coset_map(G, N)
+    every_coset = (1 << len(reps)) - 1
     ext = _ExtendMemo(G)
-    nmask = N.mask
     dead: set[tuple[int, int]] = set()
 
     def rec(mask, chosen):
-        if _product_covers(G, mask, nmask):
+        image = subgroup_image_mask(coset_of, mask)
+        if image == every_coset:
             return tuple(chosen) + (G.identity,) * (t - len(chosen))
-        if len(chosen) == t or (mask, len(chosen)) in dead:
+        if len(chosen) == t or (image, len(chosen)) in dead:
             return None
-        for g in range(G.order):
-            if (mask >> g) & 1:
-                continue
-            got = rec(ext.step(mask, g), chosen + [g])
+        for c in bits(every_coset & ~image):
+            got = rec(ext.step(mask, reps[c]), chosen + [reps[c]])
             if got is not None:
                 return got
-        dead.add((mask, len(chosen)))
+        dead.add((image, len(chosen)))
         return None
 
     got = rec(1 << G.identity, [])

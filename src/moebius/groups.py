@@ -608,7 +608,7 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int,
                     member[y] = 1
             reps = [r for r in reps if not member[r]]
         wave = G.cosets(step_gens, filled)
-    return int(member[::-1].translate(_BINARY_DIGITS), 2)
+    return flags_to_mask(member)
 
 
 @lru_cache(maxsize=None)
@@ -791,17 +791,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     """
     if not is_normal_mask(G, N.mask):
         raise NotNormal("subgroup is not normal")
-    n = G.order
-    n_elems = N.elements()
-    coset_of = [-1] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for y in G.coset(x, n_elems):   # x*N = N*x
-            coset_of[y] = c
+    coset_of, reps = coset_map(G, N)
     k = len(reps)
 
     def on_cosets(g: int) -> tuple[int, ...]:   # coset(r) -> coset(r*g)
@@ -811,8 +801,24 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     Q = generate_group(proj_gens, cap=k, degree=k,
                        spec=f"({G.spec})/N{N.order}" if G.spec else None)
     # map each coset-permutation back to a Q element index
-    projection = [Q.index[on_cosets(x)] for x in range(n)]
+    projection = [Q.index[on_cosets(x)] for x in range(G.order)]
     return Q, projection
+
+
+def coset_map(G: FiniteGroup, N: Subgroup) -> tuple[list[int], list[int]]:
+    """(coset_of, reps) for the left cosets x*N of N: reps[c] is the least
+    element of coset c, ids ascending with it, and coset_of[x] is the id
+    of the coset that holds x.  For a normal N these are the elements of
+    G/N and their least lifts."""
+    coset_of = [-1] * G.order
+    reps: list[int] = []
+    n_elems = N.elements()
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            for y in G.coset(x, n_elems):
+                coset_of[y] = len(reps)
+            reps.append(x)
+    return coset_of, reps
 
 
 def subgroup_image_mask(images, mask: int) -> int:

@@ -248,13 +248,10 @@ class SubgroupLattice:
         representative, and a valued class stands for its whole orbit."""
         if self._mu_top is None:
             classes, class_of = self.conjugacy_classes
-            reps = [r for r, _ in classes]
-            # G's class, a singleton, comes last; when every class is a
-            # singleton the classes are the subgroups, ids and all
-            singletons = len(reps) == len(self.subgroups)
-            blocks = None if singletons else [sum(1 << j for j in orbit) for _, orbit in classes]
-            mu = mu_column(self.upeq(reps), [len(reps) - 1], blocks)
-            self._mu_top = mu if singletons else [mu[c] for c in class_of]
+            # G's class, a singleton, comes last
+            blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
+            mu = mu_column(self.upeq([r for r, _ in classes]), [len(classes) - 1], blocks)
+            self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
     # -- orbits on subgroup ids -------------------------------------------

@@ -64,14 +64,14 @@ def automorphism_choices(G: FiniteGroup,
 
 
 def poset_axiom_violations(poset: ClassPoset) -> list[str]:
-    """Antisymmetry and transitivity of the class order, read as bits of
-    the class rows (reflexivity is implicit in the strict up-sets)."""
+    """Reflexivity, antisymmetry and transitivity of the class order, read
+    as bits of the class rows (row c holds the classes at or above c)."""
     out = []
     rows = poset.rows()
-    for c, up in enumerate(poset.up):
-        if c in up:
-            out.append(f"irreflexivity broken at {c}")
-        for d in up:
+    for c, row in enumerate(rows):
+        if not (row >> c) & 1:
+            out.append(f"reflexivity broken at {c}")
+        for d in bits(row & ~(1 << c)):
             if (rows[d] >> c) & 1:
                 out.append(f"antisymmetry broken at ({c},{d})")
             for e in bits(rows[d] & ~rows[c]):

@@ -1,5 +1,6 @@
 """Shared per-session caches so test modules reuse heavy lattices."""
 
+from itertools import product
 from operator import itemgetter
 
 from moebius import build_from_spec, enumerate_subgroups
@@ -7,7 +8,7 @@ from moebius.automorphisms import (Automorphism, _extend_images, full_automorphi
                                    inner_automorphisms, trivial_automorphisms)
 from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
-from moebius.groups import conjugate_mask, find_witness
+from moebius.groups import conjugate_mask, find_witness, quotient_group
 from moebius.mulambda import MuLambdaAnalyzer
 
 _groups = {}
@@ -166,6 +167,14 @@ def summed_columns(pos, zs):
 
 
 # -- reference BFS for subgroup closure -----------------------------------------
+
+def brute_quotient_generable(G, N, t):
+    """Whether some t-tuple generates G/N: a scan of every t-tuple of
+    elements of `quotient_group`'s Q, each closed by `closure_mask`."""
+    Q, _ = quotient_group(G, N)
+    full = Q.full_mask()
+    return any(closure_mask(Q, gens) == full for gens in product(range(Q.order), repeat=t))
+
 
 def closure_mask(G, gen_idxs):
     """Bitset of the subgroup generated by the given element indices: BFS

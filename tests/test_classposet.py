@@ -187,6 +187,16 @@ def test_poset_axioms_and_mobius_equations(spec, aut):
     assert mobius_equation_violations(pos) == []
 
 
+def test_poset_axioms_catch_a_missing_diagonal():
+    # a class row that lacks its own class breaks reflexivity; the strict
+    # up-sets read off the rows cannot show it (a fresh lattice, so the
+    # planted row reaches no other test)
+    lat = enumerate_subgroups(group("S:4"))
+    pos = build_class_poset(lat, inner_automorphisms(lat.group))
+    pos.rows()[3] &= ~(1 << 3)
+    assert poset_axiom_violations(pos) == ["reflexivity broken at 3"]
+
+
 # Full Aut is built only for |G| <= 64.
 @pytest.mark.parametrize("spec,aut", [
     (spec, aut)

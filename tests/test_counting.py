@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (class_by, closure_mask, group, lattice, omega_inclusion_exclusion,
-                     poset, subgroups_of_order)
+from helpers import (brute_quotient_generable, class_by, closure_mask, group, lattice,
+                     omega_inclusion_exclusion, poset, subgroups_of_order)
 from moebius import counting
 from moebius.automorphisms import full_automorphism_group
+from moebius.catalog import family_specs
 from moebius.classposet import build_class_poset
 from moebius.errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from moebius.groups import is_normal_mask
+from moebius.groups import is_normal_mask, quotient_group
 
 
 def test_phi_paper_values():
@@ -188,6 +189,9 @@ def test_phi_relative_not_normal():
     c2 = subgroups_of_order("S:3", 2)[0]
     with pytest.raises(NotNormal):
         counting.phi_relative(lat, c2, 2)
+    # checked before the search, which finds no lift of length 1 here
+    with pytest.raises(NotNormal, match="relative count needs a normal subgroup"):
+        counting.generating_lift(lat, c2, 1)
 
 
 def test_phi_relative_via_classes_s4_v4():
@@ -225,6 +229,73 @@ def test_phi_relative_via_classes_errors():
     lifts = counting.generating_lift(lat2, moved, 2)
     with pytest.raises(NotInvariant):
         counting.phi_relative_via_classes(pos2, moved, lifts, 2)
+
+
+def normal_subgroup_cases(max_order):
+    for spec in family_specs(max_order):
+        lat = lattice(spec)
+        for N in lat.subgroups:
+            if is_normal_mask(lat.group, N.mask):
+                yield spec, lat, N
+
+
+def test_generation_modulo_n_builds_no_quotient_group(monkeypatch):
+    # phi_relative and generating_lift decide generation modulo N by one
+    # search in G over coset representatives
+    def refuse(*args):
+        raise AssertionError("a quotient group was built")
+
+    monkeypatch.setattr(counting, "quotient_group", refuse)
+    for spec, lat, N in normal_subgroup_cases(24):
+        for t in (1, 2):
+            try:
+                lifts = counting.generating_lift(lat, N, t)
+            except LiftNotGenerating:
+                lifts = None
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = counting.phi_relative(lat, N, t)
+            assert bool(caught) == (lifts is None), (spec, N.order, t)
+            if lifts is None:
+                assert value == 0
+            else:
+                assert counting.phi_relative_via_classes(poset(spec), N, lifts, t) == value
+
+
+def test_generating_lift_matches_a_quotient_tuple_scan():
+    for spec, lat, N in normal_subgroup_cases(24):
+        G = lat.group
+        Q, proj = quotient_group(G, N)
+        for t in (1, 2):
+            generable = brute_quotient_generable(G, N, t)
+            if not generable:
+                with pytest.raises(LiftNotGenerating):
+                    counting.generating_lift(lat, N, t)
+                continue
+            lifts = counting.generating_lift(lat, N, t)
+            assert len(lifts) == t
+            assert closure_mask(Q, [proj[g] for g in lifts]) == Q.full_mask(), (spec, N.order, t)
+
+
+def test_failed_lift_search_walks_only_quotient_states(monkeypatch):
+    # (A5 x C2^3)/A5 = C2^3 needs three generators; a dead state is keyed
+    # by its image in G/N, so at most |G/N| * (|G/N| + 1) = 72 steps are
+    # taken
+    calls = 0
+    step = counting._ExtendMemo.step
+
+    def counted(self, mask, g):
+        nonlocal calls
+        calls += 1
+        return step(self, mask, g)
+
+    monkeypatch.setattr(counting._ExtendMemo, "step", counted)
+    lat = lattice("A:5xC:2xC:2xC:2")
+    a5 = subgroups_of_order("A:5xC:2xC:2xC:2", 60)
+    assert len(a5) == 1 and is_normal_mask(lat.group, a5[0].mask)
+    with pytest.raises(LiftNotGenerating):
+        counting.generating_lift(lat, a5[0], 2)
+    assert 0 < calls <= 72
 
 
 # -- subgroup tuples -----------------------------------------------------------
