@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .automorphisms import Automorphism, AutomorphismGroup
 from .errors import NotAClosureMap
-from .groups import FiniteGroup, Subgroup, bits, product_mask
+from .groups import FiniteGroup, Subgroup, bits, product_covers, product_mask
 from .lattice import SubgroupLattice, mu_column, transposed
 
 
@@ -227,13 +227,10 @@ def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[
     [H] <= [Y] < [G] and YN = G.  Returns offending class ids."""
     lat = poset.lattice
     G = lat.group
-    gorder = G.order
     full = G.full_mask()
     bad = []
     over = [d for d in range(len(poset.classes))
-            if d != poset.top
-            and poset.rep(d).order * n_sub.order
-            == gorder * (poset.rep(d).mask & n_sub.mask).bit_count()]
+            if d != poset.top and product_covers(G, poset.rep(d).mask, n_sub.mask)]
     for c in range(len(poset.classes)):
         h = poset.rep(c)
         hn = product_mask(G, h.mask, n_sub.mask)

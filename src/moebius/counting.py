@@ -8,13 +8,12 @@ ints or Fractions.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 from .classposet import ClassPoset
 from .errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, closure, coset_map, is_normal_mask,
-                     quotient_group, subgroup_image_mask)
+from .groups import (FiniteGroup, Subgroup, bits, closure, coset_map, extend_closure,
+                     is_normal_mask, product_covers, quotient_group, subgroup_image_mask)
 from .lattice import SubgroupLattice, enumerate_subgroups
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
@@ -108,74 +107,106 @@ def phi_via_classes(poset: ClassPoset, t: int) -> int:
 def phi_relative(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     """Generating t-tuples over a fixed generating tuple of G/N.
 
-    When G/N cannot be generated by t elements (`generating_lift` finds
-    no lift) there is no such tuple to lift; the engine warns and
-    returns 0.
+    Raises LiftNotGenerating when G/N cannot be generated by t elements
+    (`generating_lift` finds no lift): there is no such tuple to lift.
     """
-    try:
-        generating_lift(lattice, N, t)
-    except LiftNotGenerating:
-        warnings.warn("quotient needs more generators than t; returning 0",
-                      stacklevel=2)
-        return 0
-    mu = lattice.mu_top
-    gorder = lattice.group.order
-    total = 0
-    for m, s in zip(mu, lattice.subgroups):
-        if not m:
-            continue
-        inter = (s.mask & N.mask).bit_count()
-        if s.order * N.order == gorder * inter:
-            total += m * inter ** t
-    return total
+    generating_lift(lattice, N, t)
+    return hall_relative_sum(lattice, N, t)
+
+
+def hall_relative_sum(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
+    """The sum of mu(H,G)|H meet N|^t over the H with HN = G (P. Hall):
+    the number of lifts that generate G of a t-tuple that generates G
+    modulo N, the same for every such tuple (Gaschuetz's lemma).  The
+    caller knows that one exists (`generating_lift`)."""
+    G = lattice.group
+    return sum(m * (s.mask & N.mask).bit_count() ** t
+               for m, s in zip(lattice.mu_top, lattice.subgroups)
+               if m and product_covers(G, s.mask, N.mask))
 
 
 def generating_lift(lattice: SubgroupLattice, N: Subgroup, t: int) -> tuple[int, ...]:
     """Some t-tuple of elements with <tuple> N = G, for a normal N: the
-    engine's one search for a generating tuple (N = 1 asks for one of G).
-
-    A depth-first search that composes in G but branches, at each depth,
-    only over the least element of each coset of N that the closure so
-    far misses (`coset_map`).  Whether a state can still be completed
-    depends only on its image in G/N, the coset ids it meets, so a failed
-    state is marked dead by (image, depth) and the states searched are
-    those of G/N; no quotient group is built.  Any lift serves the
-    relative count, which does not depend on the lifted tuple of G/N
-    (Gaschuetz's lemma).  Raises LiftNotGenerating when no t-tuple generates G
-    modulo N.
+    first tuple `first_generating_tuple` finds over the cosets of N,
+    padded with the identity.  Any lift serves the relative count, which
+    does not depend on the lifted tuple of G/N (Gaschuetz's lemma).
+    Raises LiftNotGenerating when no t-tuple generates G modulo N.
     """
     _require_t(t)
     G = lattice.group
     if not is_normal_mask(G, N.mask):
         raise NotNormal("relative count needs a normal subgroup")
-    coset_of, reps = coset_map(G, N)
-    every_coset = (1 << len(reps)) - 1
-    ext = _ExtendMemo(G)
-    dead: set[tuple[int, int]] = set()
-
-    def rec(mask, chosen):
-        image = subgroup_image_mask(coset_of, mask)
-        if image == every_coset:
-            return tuple(chosen) + (G.identity,) * (t - len(chosen))
-        if len(chosen) == t or (image, len(chosen)) in dead:
-            return None
-        for c in bits(every_coset & ~image):
-            got = rec(ext.step(mask, reps[c]), chosen + [reps[c]])
-            if got is not None:
-                return got
-        dead.add((image, len(chosen)))
-        return None
-
-    got = rec(1 << G.identity, [])
+    cosets = coset_map(G, N)
+    got = first_generating_tuple(G, (1 << len(cosets[1])) - 1, t, cosets)
     if got is None:
         raise LiftNotGenerating("no t-tuple generates the group modulo N")
-    return got
+    return got + (G.identity,) * (t - len(got))
 
 
-def _product_covers(G: FiniteGroup, a_mask: int, n_mask: int) -> bool:
-    a = a_mask.bit_count()
-    n = n_mask.bit_count()
-    return a * n == G.order * (a_mask & n_mask).bit_count()
+def first_generating_tuple(G: FiniteGroup, target: int, t: int,
+                           cosets: tuple[list[int], list[int]] | None = None):
+    """The first tuple of at most t elements, in the order of a
+    depth-first search, whose closure has image `target`, or None: the
+    engine's one search for a generating tuple.
+
+    Given `cosets` = `coset_map(G, N)` for a normal N, the image of a
+    closure is the bitset of the ids of the cosets of N it meets, and a
+    target of every coset asks for a tuple that generates G modulo N; no
+    quotient group is built.  With no cosets (N = 1) the image is the
+    closure itself, and the target is the bitset of a subgroup H.  A
+    state is the closure S of the tuple so far.  It branches, in
+    increasing order, over the least element of each coset in the target
+    that its skip set misses, joined to S by `extend_closure`, and the
+    search returns as soon as a join's image is the target.  A state's
+    element list is built only when the state is expanded.  Whether S
+    can be completed with r more elements depends only on its image,
+    since the image of <S, y> is <image(S), yN>.  Two prunes cut only
+    branches that fail, so the tuple found is the one a search without
+    them finds first:
+
+    - dead states: a state that failed is marked dead by (image, depth),
+      and a later state with the same image and depth is not expanded;
+    - skip sets: a state's skip set holds its own image, the images of
+      the sibling joins that already failed, and its parent's skip set.
+      If J = <S, c1> cannot be completed with r more elements, then for
+      y with its coset in J's image, <S, c2, y> has its image inside
+      that of <J, c2>, which cannot be completed with r - 1 more; so
+      neither can <S, c2, y>, nor any state below <S, c2> that takes y
+      (nor <S, y>, which lies in J).
+
+    For N = 1 and t the least number of generators of H, the tuple found
+    is increasing: were x_i > x_(i+1), swapping them would give an
+    earlier tuple that generates H, since x_i lies outside
+    <x_1, .., x_(i-1), x_(i+1)> (else t - 1 elements would generate H).
+    So it is the lexicographically first generating t-subset of H.
+    """
+    coset_of, reps = cosets if cosets is not None else (None, None)
+    dead: set[tuple[int, int]] = set()
+
+    def search(mask, chosen, skip):
+        elems = list(bits(mask))
+        depth = len(chosen) + 1
+        for c in bits(target & ~skip):
+            if (skip >> c) & 1:         # in a sibling join that failed
+                continue
+            x = c if reps is None else reps[c]
+            join = extend_closure(G, mask, elems, chosen, x)
+            image = join if coset_of is None else subgroup_image_mask(coset_of, join)
+            if image == target:
+                return chosen + (x,)
+            if depth < t and (image, depth) not in dead:
+                found = search(join, chosen + (x,), skip | image)
+                if found is not None:
+                    return found
+                dead.add((image, depth))
+            skip |= image
+        return None
+
+    start = 1 << G.identity
+    image = start if coset_of is None else subgroup_image_mask(coset_of, start)
+    if image == target:
+        return ()
+    return search(start, (), image)
 
 
 def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
@@ -193,7 +224,7 @@ def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
     if len(lifts) != t:
         raise ValueError("need exactly t lift elements")
     lift_mask, _ = closure(G, lifts)
-    if not _product_covers(G, lift_mask, N.mask):
+    if not product_covers(G, lift_mask, N.mask):
         raise LiftNotGenerating("the fixed tuple does not generate modulo N")
     if N.order ** t > budget:
         raise BudgetExceeded(N.order ** t, budget, "relative tuple scan")
@@ -236,7 +267,7 @@ def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, lifts, t: int,
     for c in range(len(poset.classes)):
         if not mu[c]:
             continue
-        if not _product_covers(G, poset.rep(c).mask, N.mask):
+        if not product_covers(G, poset.rep(c).mask, N.mask):
             continue
         w = sum(v for k, v in counts.items() if poset.leq(k, c))
         total += mu[c] * w

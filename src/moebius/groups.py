@@ -661,6 +661,12 @@ def product_mask(G: FiniteGroup, a_mask: int, b_mask: int) -> int:
     return out
 
 
+def product_covers(G: FiniteGroup, a_mask: int, n_mask: int) -> bool:
+    """Whether AN = G, for a subgroup A and a normal subgroup N:
+    |A||N| = |G||A meet N|."""
+    return a_mask.bit_count() * n_mask.bit_count() == G.order * (a_mask & n_mask).bit_count()
+
+
 def is_normal_mask(G: FiniteGroup, mask: int) -> bool:
     """Whether every element of G conjugates the set into itself: it is
     enough that G's non-central generators do, through the kept maps."""

@@ -13,8 +13,7 @@ import json
 
 from . import counting
 from .classposet import ClassPoset, kappa
-from .groups import (FiniteGroup, Subgroup, bits, commutator_closure,
-                     extend_closure)
+from .groups import FiniteGroup, Subgroup, commutator_closure
 from .lattice import SubgroupLattice
 
 
@@ -27,12 +26,11 @@ def name_subgroup(lattice: SubgroupLattice, i: int) -> str:
 
     A word has at most three generators and is looked for only when
     |H| <= WORD_ORDER_LIMIT (any cyclic H gets its one-generator word); any
-    other subgroup is named `order=N#k`, its selector.  The searches are
-    pruned without changing the word found: x generates H exactly when
-    its order is |H|, a tuple extending a prefix by an element of the
-    prefix's closure is skipped (a shorter tuple already failed), and
-    tuple lengths below the lower bound of `_min_generators` are not
-    tried at all.
+    other subgroup is named `order=N#k`, its selector.  x generates H
+    exactly when its order is |H|.  Longer words come from the engine's
+    one search, `counting.first_generating_tuple`, which for the least
+    length that generates H finds the lexicographically first k-subset;
+    lengths below the lower bound of `_min_generators` are not tried.
     """
     if i == lattice.trivial_id:
         return "1"
@@ -40,13 +38,12 @@ def name_subgroup(lattice: SubgroupLattice, i: int) -> str:
         return "G"
     G = lattice.group
     s = lattice.subgroups[i]
-    elems = [x for x in s.elements() if x != G.identity]
     orders = G.element_orders
-    gens = next(((x,) for x in elems if orders[x] == s.order), None)
+    gens = next(((x,) for x in s.elements() if orders[x] == s.order), None)
     if gens is None and s.order <= WORD_ORDER_LIMIT:
         least = _min_generators(G, s, lattice.witness(i))
         for k in range(max(2, least), 4):
-            gens = _generating_subset(G, s.mask, elems, k)
+            gens = counting.first_generating_tuple(G, s.mask, k)
             if gens is not None:
                 break
     if gens is not None:
@@ -76,49 +73,6 @@ def _min_generators(G: FiniteGroup, s: Subgroup, witness) -> int:
             r += 1
         best = max(best, r)
     return best
-
-
-def _generating_subset(G: FiniteGroup, mask: int, elems: list[int], k: int):
-    """The first k-subset of elems, lexicographic by position, that
-    generates the subgroup `mask`, or None.  Closures of prefixes are
-    built once each with `extend_closure`.  Three prunes skip only
-    tuples that cannot generate the subgroup, so the tuple found is the
-    same:
-    - an element already in its prefix's closure is skipped, because
-      that tuple generates what a shorter tuple does, and no shorter
-      tuple generates the subgroup;
-    - for the last element, every x in a join <P, y> that fell short is
-      skipped, P the prefix's closure: <P, x> lies inside it;
-    - a (k-1)-prefix whose closure J an earlier one had is skipped.  The
-      earlier one found no last element after it, and any before it
-      would complete a tuple that comes earlier still, all of which
-      failed, so no x at all gives <J, x> the whole subgroup."""
-    dead: set[int] = set()      # closures of (k-1)-prefixes that failed
-
-    def search(start: int, cur: int, cur_elems: list[int], prefix: tuple):
-        last = len(prefix) == k - 1
-        before_last = len(prefix) == k - 2
-        short = cur
-        for j in range(start, len(elems)):
-            x = elems[j]
-            if (short >> x) & 1:
-                continue
-            nxt = extend_closure(G, cur, cur_elems, prefix, x)
-            if last:
-                if nxt == mask:
-                    return prefix + (x,)
-                short |= nxt
-                continue
-            if before_last and nxt in dead:
-                continue
-            found = search(j + 1, nxt, list(bits(nxt)), prefix + (x,))
-            if found is not None:
-                return found
-            if before_last:
-                dead.add(nxt)
-        return None
-
-    return search(0, 1 << G.identity, [G.identity], ())
 
 
 def display_order(poset: ClassPoset) -> list[int]:

@@ -221,7 +221,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
             lifts = counting.generating_lift(lattice, n_sub, t)
         except LiftNotGenerating:
             continue
-        direct = counting.phi_relative(lattice, n_sub, t)
+        direct = counting.hall_relative_sum(lattice, n_sub, t)
         if inn_poset is None:
             inn_poset = conjugation_poset(lattice)
         via = counting.phi_relative_via_classes(inn_poset, n_sub, lifts, t,

@@ -80,6 +80,16 @@ def test_phi_rel(capsys):
     assert json.loads(out)["value"] == "6"
 
 
+def test_phi_rel_reports_no_lift_one_way(capsys):
+    # (C2 x C2)/1 needs two generators: both routes exit 2 with one error line
+    for via in ("hall", "classes"):
+        code = cli.main(["phi-rel", "C:2xC:2", "--normal", "order=1", "--t", "1",
+                         "--via", via])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: no t-tuple generates the group modulo N\n"
+
+
 def test_check_mu_lambda_exit_code(capsys):
     code, out = run_cli(capsys, "check-mu-lambda", "S:4", "--format", "json")
     assert code == 0

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from helpers import closure_mask, lattice
-from moebius import cli
+from moebius import cli, counting
 from moebius.tables import name_subgroup
 
 
@@ -46,6 +46,28 @@ def test_names_match_exhaustive_search(spec):
     lat = lattice(spec)
     for i in range(len(lat)):
         assert name_subgroup(lat, i) == exhaustive_name(lat, i)
+
+
+def test_names_go_through_the_one_search(monkeypatch):
+    # every word longer than one generator comes from the search that also
+    # lifts tuples modulo N; in A6 that is every non-cyclic proper subgroup
+    lat = lattice("A:6")
+    expected = [name_subgroup(lat, i) for i in range(len(lat))]
+    search = counting.first_generating_tuple
+    targets = set()
+
+    def recorded(G, target, t, cosets=None):
+        assert cosets is None
+        targets.add(target)
+        return search(G, target, t, cosets)
+
+    monkeypatch.setattr(counting, "first_generating_tuple", recorded)
+    assert [name_subgroup(lat, i) for i in range(len(lat))] == expected
+    G = lat.group
+    noncyclic = {s.mask for s in lat.subgroups
+                 if s.order not in (1, G.order)
+                 and all(G.element_orders[x] != s.order for x in s.elements())}
+    assert noncyclic and targets == noncyclic
 
 
 def _shape(name):
