@@ -1,11 +1,16 @@
-"""Lattice cache files: JSON keyed by spec string and engine version.
+"""Lattice cache files: lines of text keyed by spec string and engine version.
 
-Subgroup bitsets are stored as lowercase hex of their little-endian byte
-form (padded to 8-byte words).  Each file is sealed by a SHA-256 of its
-canonical payload, so a truncated, bit-flipped or hand-edited file is
-recomputed instead of trusted.  Writes are deterministic, so rebuilding
-a cache yields byte-identical files, and streamed: a file is hashed and
-written piece by piece, never held whole in memory.
+Line 1, the head, is the canonical JSON (sorted keys, no spaces) of the
+spec, the engine version and the element count.  Then comes one line per
+subgroup, in lattice order: the lowercase hex of its bitset's
+little-endian bytes (padded to 8-byte words).  The last line is
+``sha256 <digest>``, the SHA-256 of every byte before it, so a
+truncated, bit-flipped or hand-edited file is recomputed instead of
+trusted; the prefix tells it from a mask, which is also 64 hex digits
+for orders 193-256.  `file_lines` gives every line of a file: a write
+streams them into place, a load reads and hashes one line at a time, so
+neither holds a file whole.  Writes are deterministic, so rebuilding a
+cache yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import hashlib
 import json
 import os
 import warnings
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -21,6 +28,7 @@ from .groups import FiniteGroup, Subgroup
 from .lattice import SubgroupLattice
 
 ENV_CACHE_DIR = "MOEBIUS_CACHE_DIR"
+SEAL_PREFIX = b"sha256 "
 
 
 def mask_to_hex(mask: int, order: int) -> str:
@@ -32,39 +40,15 @@ def hex_to_mask(text: str) -> int:
     return int.from_bytes(bytes.fromhex(text), "little")
 
 
-def lattice_payload(lattice: SubgroupLattice) -> dict:
-    return {**_head(lattice.group), "subgroups": list(_hexes(lattice))}
-
-
-def _head(G: FiniteGroup) -> dict:
-    return {"spec": G.spec, "engine_version": __version__, "element_count": G.order}
-
-
-def _hexes(lattice: SubgroupLattice):
-    order = lattice.group.order
-    return (mask_to_hex(s.mask, order) for s in lattice.subgroups)
-
-
-def payload_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
-def _payload_pieces(head: dict, hexes):
-    """payload_bytes of head plus a "subgroups" list of the hex strings,
-    in pieces: every key of head sorts before "subgroups", so the list
-    comes last, and hex digits need no JSON escaping."""
-    text = payload_bytes({**head, "subgroups": []})
-    yield text[:-len(b"]}\n")]
-    for i, h in enumerate(hexes):
-        yield f'{"," if i else ""}"{h}"'.encode()
-    yield b"]}\n"
-
-
-def seal(payload: dict) -> dict:
-    """The payload with its "sha256" field set to the digest of the
-    canonical bytes of the payload without that field."""
-    body = {k: v for k, v in payload.items() if k != "sha256"}
-    return {**body, "sha256": hashlib.sha256(payload_bytes(body)).hexdigest()}
+def file_lines(head: dict, hexes: Iterable[str]) -> Iterator[bytes]:
+    """The lines of a cache file: the head's canonical JSON, one hex
+    bitset per subgroup, and the seal line over all the bytes before it."""
+    digest = hashlib.sha256()
+    for text in chain([json.dumps(head, sort_keys=True, separators=(",", ":"))], hexes):
+        line = f"{text}\n".encode()
+        digest.update(line)
+        yield line
+    yield SEAL_PREFIX + f"{digest.hexdigest()}\n".encode()
 
 
 def cache_path(cache_dir: str | Path, spec: str) -> Path:
@@ -74,22 +58,18 @@ def cache_path(cache_dir: str | Path, spec: str) -> Path:
 
 
 def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
-    if lattice.group.spec is None:
+    G = lattice.group
+    if G.spec is None:
         raise ValueError("only groups built from a spec string can be cached")
-    path = cache_path(cache_dir, lattice.group.spec)
+    path = cache_path(cache_dir, G.spec)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a reader sees the old file or the whole new one, never a partial write
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    # the bytes of payload_bytes(seal(lattice_payload(lattice))), hashed and
-    # written piece by piece, so the file is never held whole in memory
-    head = _head(lattice.group)
-    digest = hashlib.sha256()
-    for piece in _payload_pieces(head, _hexes(lattice)):
-        digest.update(piece)
+    head = {"spec": G.spec, "engine_version": __version__, "element_count": G.order}
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines(_payload_pieces({**head, "sha256": digest.hexdigest()},
-                                          _hexes(lattice)))
+            fh.writelines(file_lines(head, (mask_to_hex(s.mask, G.order)
+                                            for s in lattice.subgroups)))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -97,26 +77,42 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
 
 
 def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | None:
-    """Load a cached lattice; any mismatch or corruption, a missing or wrong
-    seal included, warns and returns None."""
+    """Load a cached lattice, one line at a time; any mismatch or
+    corruption, a missing or wrong seal included, warns and returns None."""
     if G.spec is None:
         return None
     path = cache_path(cache_dir, G.spec)
     if not path.exists():
         return None
     try:
-        payload = json.loads(path.read_text())
-        if payload["spec"] != G.spec:
-            raise ValueError("spec mismatch")
-        if payload["engine_version"] != __version__:
-            warnings.warn(f"cache {path} was written by engine "
-                          f"{payload['engine_version']}; recomputing", stacklevel=2)
-            return None
-        if seal(payload)["sha256"] != payload.get("sha256"):
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            head = json.loads(line)
+            if head["spec"] != G.spec:
+                raise ValueError("spec mismatch")
+            if head["engine_version"] != __version__:
+                warnings.warn(f"cache {path} was written by engine "
+                              f"{head['engine_version']}; recomputing", stacklevel=2)
+                return None
+            digest, masks, unparsed, seal = hashlib.sha256(line), [], None, None
+            for line in fh:
+                if seal is not None:        # nothing may follow the seal line
+                    seal = None
+                    break
+                if line.startswith(SEAL_PREFIX):
+                    seal = line
+                    continue
+                digest.update(line)
+                try:
+                    masks.append(hex_to_mask(line.decode()))
+                except ValueError as exc:   # raised in its turn, after the seal
+                    unparsed = unparsed or exc
+        if seal != SEAL_PREFIX + f"{digest.hexdigest()}\n".encode():
             raise ValueError("missing or wrong sha256 seal")
-        if payload["element_count"] != G.order:
+        if head["element_count"] != G.order:
             raise ValueError("element count mismatch")
-        masks = [hex_to_mask(h) for h in payload["subgroups"]]
+        if unparsed is not None:
+            raise unparsed
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate subgroups")
         full = G.full_mask()

@@ -147,9 +147,8 @@ def lambda_poset(G: FiniteGroup, lattice: SubgroupLattice) -> ClassPoset:
 
 
 def kappa(lattice: SubgroupLattice, sub: Subgroup) -> int:
-    """Number of conjugates of the subgroup: |G : N_G(H)|."""
-    i = lattice.index[sub.mask]
-    return lattice.group.order // lattice.normalizer_mask(i).bit_count()
+    """|G : N_G(H)|, the size of H's conjugacy class by orbit-stabilizer."""
+    return len(lattice.conjugacy_orbit(lattice.index[sub.mask]))
 
 
 # -- closure maps and the closure-theorem checker ---------------------------

@@ -1,13 +1,15 @@
+import hashlib
 import json
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
 import moebius.lattice as lattice_module
 from helpers import lattice
-from moebius import cli
-from moebius.cache import (cache_path, lattice_payload, mask_to_hex, payload_bytes, save_lattice,
-                           seal)
+from moebius import __version__, cli
+from moebius.cache import cache_path, file_lines, load_lattice, mask_to_hex, save_lattice
 from moebius.lattice import SubgroupLattice
 
 
@@ -274,6 +276,20 @@ def test_normal_order_selector(capsys):
 
 # -- cache ---------------------------------------------------------------
 
+def read_cache(path) -> dict:
+    """A cache file's head fields, plus a "subgroups" list of its hex lines."""
+    head, *hexes, seal = path.read_text().splitlines()
+    assert seal.startswith("sha256 ")
+    return {**json.loads(head), "subgroups": hexes}
+
+
+def cache_lines(payload: dict) -> list[bytes]:
+    """The lines `file_lines` gives for a payload as `read_cache` returns
+    it, the seal line last."""
+    head = {k: v for k, v in payload.items() if k != "subgroups"}
+    return list(file_lines(head, payload["subgroups"]))
+
+
 def test_cache_build_rebuild_identical(capsys, tmp_cache):
     code, out = run_cli(capsys, "cache", "build", "S:4",
                         "--cache-dir", str(tmp_cache))
@@ -287,11 +303,65 @@ def test_cache_build_rebuild_identical(capsys, tmp_cache):
 @pytest.mark.parametrize("spec", ["S:4", "S:5", "A:6", "D:12xC:2", "Q:8xS:3",
                                   "C:2xC:2xC:2xC:2xC:2xC:2"])
 def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
-    # the file is hashed and written in pieces, and holds exactly the
-    # canonical bytes of the sealed payload
+    # the file is streamed through `file_lines`: the canonical JSON head,
+    # one hex bitset per subgroup in lattice order, and a seal line
+    # holding the SHA-256 of every byte before it
     lat = lattice(spec)
-    path = save_lattice(lat, tmp_cache)
-    assert path.read_bytes() == payload_bytes(seal(lattice_payload(lat)))
+    order = lat.group.order
+    head = {"element_count": order, "engine_version": __version__, "spec": spec}
+    data = save_lattice(lat, tmp_cache).read_bytes()
+    assert data == b"".join(file_lines(head, (mask_to_hex(s.mask, order)
+                                              for s in lat.subgroups)))
+    *body, last = data.splitlines(keepends=True)
+    assert body[0] == json.dumps(head, separators=(",", ":")).encode() + b"\n"
+    assert len(body) == 1 + len(lat)
+    assert last == f"sha256 {hashlib.sha256(b''.join(body)).hexdigest()}\n".encode()
+
+
+def test_cache_load_is_streamed(tmp_cache, monkeypatch):
+    # the load reads one line at a time: never the file whole, and at its
+    # peak it holds less than the file (A:7's is 2.4 MB)
+    lat = lattice("A:7")
+    size = save_lattice(lat, tmp_cache).stat().st_size
+
+    def whole(path, *args, **kwargs):
+        raise AssertionError(f"{path} read whole")
+    monkeypatch.setattr(Path, "read_text", whole)
+    monkeypatch.setattr(Path, "read_bytes", whole)
+    tracemalloc.start()
+    try:
+        loaded = load_lattice(lat.group, tmp_cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded is not None
+    assert [s.mask for s in loaded.subgroups] == [s.mask for s in lat.subgroups]
+    assert peak < size
+
+
+def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
+    # a file in the earlier format, one JSON line holding the subgroups
+    # and its own "sha256" field, has no seal line: one seal warning, the
+    # output of a cold run, and the file rewritten in the line format
+    argv = ["table", "S:4", "--aut", "inn"]
+    cold_dir, cache_dir = tmp_path / "cold", tmp_path / "cache"
+    code, cold = run_cli(capsys, *argv, "--cache-dir", str(cold_dir))
+    assert code == 0
+
+    def canonical(payload):
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    payload = read_cache(cache_path(cold_dir, "S:4"))
+    payload["sha256"] = hashlib.sha256(canonical(payload).encode()).hexdigest()
+    cache_dir.mkdir()
+    path = cache_path(cache_dir, "S:4")
+    path.write_text(canonical(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 0 and out == cold
+    assert [str(w.message) for w in caught] == \
+        [f"ignoring unusable cache {path}: missing or wrong sha256 seal"]
+    assert path.read_bytes() == cache_path(cold_dir, "S:4").read_bytes()
 
 
 def test_cache_info_and_use(capsys, tmp_cache):
@@ -323,12 +393,11 @@ def test_cache_corruption_recovers(capsys, tmp_cache):
 
 
 def test_cache_version_mismatch(capsys, tmp_cache):
-    import json as _json
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
-    payload = _json.loads(path.read_text())
+    payload = read_cache(path)
     payload["engine_version"] = "0.0.0"
-    path.write_text(_json.dumps(payload))
+    path.write_bytes(b"".join(cache_lines(payload)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_cli(capsys, "table", "S:4", "--cache-dir", str(tmp_cache))
@@ -349,12 +418,12 @@ def test_corrupt_cache_exits_2(capsys, tmp_cache):
     from moebius.groups import is_normal_mask
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
-    payload = json.loads(path.read_text())
+    payload = read_cache(path)
     G, lat = group("S:4"), lattice("S:4")
     drop = next(s for s in lat.subgroups
                 if s.order == 2 and not is_normal_mask(G, s.mask))
     payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
-    path.write_bytes(payload_bytes(seal(payload)))   # re-sealed: reaches the orbit walk
+    path.write_bytes(b"".join(cache_lines(payload)))   # re-sealed: reaches the orbit walk
     for argv in (["table", "S:4"],
                  ["phi", "S:4", "--t", "2", "--via", "classes", "--aut", "inn"],
                  ["check-mu-lambda", "S:4"],
@@ -370,11 +439,11 @@ def test_cache_missing_a_conjugate_exits_2(capsys, tmp_cache):
     from helpers import group, lattice
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
-    payload = json.loads(path.read_text())
+    payload = read_cache(path)
     G, lat = group("S:4"), lattice("S:4")
     drop = lat.subgroups[lat.by_order[6][0]]
     payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
-    path.write_bytes(payload_bytes(seal(payload)))   # re-sealed: reaches the orbit walk
+    path.write_bytes(b"".join(cache_lines(payload)))   # re-sealed: reaches the orbit walk
     for argv in (["table", "S:4", "--aut", "inn"],
                  ["check-mu-lambda", "S:4"],
                  ["phi", "S:4", "--t", "2"]):
@@ -393,11 +462,12 @@ def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
     sealed = path.read_bytes()
-    payload = json.loads(sealed)
+    payload = read_cache(path)
     lat = lattice("S:4")
     for i in lat.by_order[6]:
         payload["subgroups"].remove(mask_to_hex(lat.subgroups[i].mask, 24))
-    path.write_bytes(payload_bytes(payload))
+    old_seal = sealed.splitlines(keepends=True)[-1]
+    path.write_bytes(b"".join(cache_lines(payload)[:-1] + [old_seal]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(capsys, "phi", "S:4", "--t", "2", "--cache-dir", str(tmp_cache))
@@ -406,19 +476,21 @@ def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
     assert path.read_bytes() == sealed      # recomputed and rewritten
 
 
-@pytest.mark.parametrize("seal_field", [None, "0" * 64], ids=["unsealed", "wrong seal"])
-def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, seal_field):
-    # masks intact, seal missing or wrong: ignored with a warning, and the
-    # next query rewrites the sealed file
+@pytest.mark.parametrize("mutate", [
+    lambda lines: lines.pop(),
+    lambda lines: lines.__setitem__(-1, f"sha256 {'0' * 64}\n".encode()),
+    lambda lines: lines.append(lines[-1]),
+], ids=["unsealed", "wrong seal", "line after the seal"])
+def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, mutate):
+    # masks intact, seal missing or wrong, or a line after it: ignored with
+    # a warning, and the next query rewrites the sealed file
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
     sealed = path.read_bytes()
-    payload = json.loads(sealed)
-    assert payload == seal(payload)
-    del payload["sha256"]
-    if seal_field:
-        payload["sha256"] = seal_field
-    path.write_bytes(payload_bytes(payload))
+    lines = cache_lines(read_cache(path))
+    assert b"".join(lines) == sealed
+    mutate(lines)
+    path.write_bytes(b"".join(lines))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(capsys, "cache", "info", "S:4", "--cache-dir", str(tmp_cache))
@@ -464,10 +536,9 @@ def test_resealed_cache_failing_a_cheap_rule_is_recomputed(capsys, tmp_path, rul
     path = cache_path(cache_dir, "S:4")
     sealed = path.read_bytes()
     message, mutate = CHEAP_RULE_MUTATIONS[rule]
-    payload = json.loads(sealed)
-    del payload["sha256"]
+    payload = read_cache(path)
     mutate(payload)
-    path.write_bytes(payload_bytes(seal(payload)))
+    path.write_bytes(b"".join(cache_lines(payload)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
