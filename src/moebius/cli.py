@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__, counting
 from .automorphisms import (close_automorphisms, automorphism_from_images,
@@ -178,9 +179,7 @@ def cmd_phi_rel(args) -> int:
     if args.via == "classes":
         aut = parse_aut_spec(G, lattice, args.aut)
         poset = build_class_poset(lattice, aut)
-        lifts = counting.generating_lift(lattice, N, args.t)
-        value = counting.phi_relative_via_classes(poset, N, lifts, args.t,
-                                                  budget=args.tuple_budget)
+        value = counting.phi_relative_via_classes(poset, N, args.t)
     else:
         value = counting.phi_relative(lattice, N, args.t)
     _json_out({"group": args.spec, "A": args.aut, "normal": args.normal,
@@ -312,11 +311,9 @@ def cmd_cache(args) -> int:
     if not args.cache_dir:
         raise ValueError("cache commands need --cache-dir or MOEBIUS_CACHE_DIR")
     if args.action == "clear":
-        import glob
-        import os
         removed = 0
-        for f in glob.glob(f"{args.cache_dir}/lattice_*.json"):
-            os.remove(f)
+        for f in Path(args.cache_dir).glob("lattice_*.json"):
+            f.unlink()
             removed += 1
         _json_out({"cleared": removed})
         return 0
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_phi)
 
     sp = sub.add_parser("phi-rel", help="generating tuples over a quotient tuple")
-    common(sp, tuples=True)
+    common(sp)
     sp.add_argument("--normal", required=True, help="subgroup selector for N")
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes"], default="hall")

@@ -81,8 +81,9 @@ def omega(poset: ClassPoset, c: int, t: int) -> int:
 def _downset_sum(poset: ClassPoset, c: int, exact: list[int]) -> int:
     """The sum of exact[K] over the subgroups K inside some orbit member
     of class c: over the classes d <= c, |orbit(d)| times the value at d's
-    representative.  Exact counts are invariant under Aut(G), so they are
-    constant on the orbits of any A."""
+    representative.  Exact counts are invariant under Aut(G), relative
+    ones under the automorphisms fixing N, so they are constant on the
+    orbits of any A (of any A fixing N, for relative ones)."""
     classes = poset.classes
     return sum([len(classes[d][1]) * exact[classes[d][0]] for d in poset.downs()[c]])
 
@@ -94,12 +95,18 @@ def psi(poset: ClassPoset, c: int, t: int) -> int:
     return sum(phi_exact[k] for k in poset.orbit(c))
 
 
+def _class_sum(poset: ClassPoset, exact: list[int]) -> int:
+    """The sum over the classes c of mu_A(c, G) times the down-set sum of
+    exact at c: exact at G, by Moebius inversion over the class poset."""
+    mu = poset.mu_top
+    return sum(mu[c] * _downset_sum(poset, c, exact)
+               for c in range(len(poset.classes)) if mu[c])
+
+
 def phi_via_classes(poset: ClassPoset, t: int) -> int:
     """Generating t-tuples via the class-poset Moebius sum."""
     _require_t(t)
-    mu = poset.mu_top
-    return sum(mu[c] * omega(poset, c, t)
-               for c in range(len(poset.classes)) if mu[c])
+    return _class_sum(poset, poset.lattice.phi_exact(t))
 
 
 # -- relative (lift-counting) versions ---------------------------------------
@@ -209,69 +216,27 @@ def first_generating_tuple(G: FiniteGroup, target: int, t: int,
     return search(start, (), image)
 
 
-def relative_exact_counts(poset: ClassPoset, N: Subgroup, lifts, t: int,
-                          budget: int = DEFAULT_TUPLE_BUDGET) -> dict[int, int]:
-    """Per-class counts of tuples (n_1..n_t) in N^t by the class of
-    <g_1 n_1, ..., g_t n_t>."""
-    _require_t(t)
-    lat = poset.lattice
-    G = lat.group
-    if not is_normal_mask(G, N.mask):
-        raise NotNormal("relative count needs a normal subgroup")
+def _relative_exact(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
+    """`relative_exact(N, t)` of the poset's lattice, once N is known to
+    be normal (NotNormal), G/N to be generated by t elements
+    (LiftNotGenerating) and N to be invariant under the acting group
+    (NotInvariant), in that order."""
+    generating_lift(poset.lattice, N, t)
     if len(poset.orbit(poset.class_of_subgroup(N))) != 1:
         raise NotInvariant("N is not invariant under the acting subgroup")
-    lifts = tuple(lifts)
-    if len(lifts) != t:
-        raise ValueError("need exactly t lift elements")
-    lift_mask, _ = closure(G, lifts)
-    if not product_covers(G, lift_mask, N.mask):
-        raise LiftNotGenerating("the fixed tuple does not generate modulo N")
-    if N.order ** t > budget:
-        raise BudgetExceeded(N.order ** t, budget, "relative tuple scan")
-    n_elems = N.elements()
-    cosets = [G.coset(g, n_elems) for g in lifts]     # g*N for each lift g
-    ext = _ExtendMemo(G)
-    counts: dict[int, int] = {}
-    class_of = poset.class_of
-    index = lat.index
-
-    def rec(mask, depth):
-        if depth == t:
-            c = class_of[index[mask]]
-            counts[c] = counts.get(c, 0) + 1
-            return
-        for y in cosets[depth]:
-            rec(ext.step(mask, y), depth + 1)
-
-    rec(1 << G.identity, 0)
-    return counts
+    return poset.lattice.relative_exact(N, t)
 
 
-def omega_relative(poset: ClassPoset, c: int, N: Subgroup, lifts, t: int,
-                   budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Number of N-tuples whose shifted closure lands inside some orbit
-    member of class c."""
-    counts = relative_exact_counts(poset, N, lifts, t, budget)
-    return sum(v for k, v in counts.items() if poset.leq(k, c))
+def omega_relative(poset: ClassPoset, c: int, N: Subgroup, t: int) -> int:
+    """Number of t-tuples in g_1N x .. x g_tN, for any g with <g>N = G,
+    whose closure lies inside some orbit member of class c."""
+    return _downset_sum(poset, c, _relative_exact(poset, N, t))
 
 
-def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, lifts, t: int,
-                             budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Relative count through the class-poset Moebius sum over classes
-    with HN = G."""
-    counts = relative_exact_counts(poset, N, lifts, t, budget)
-    lat = poset.lattice
-    G = lat.group
-    mu = poset.mu_top
-    total = 0
-    for c in range(len(poset.classes)):
-        if not mu[c]:
-            continue
-        if not product_covers(G, poset.rep(c).mask, N.mask):
-            continue
-        w = sum(v for k, v in counts.items() if poset.leq(k, c))
-        total += mu[c] * w
-    return total
+def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, t: int) -> int:
+    """Relative count through the class-poset Moebius sum (the classes
+    with HN != G add 0)."""
+    return _class_sum(poset, _relative_exact(poset, N, t))
 
 
 # -- subgroup-tuple counts ---------------------------------------------------
@@ -292,9 +257,7 @@ def gamma_tuples(poset: ClassPoset, c: int, t: int) -> int:
 def phi_star(poset: ClassPoset, t: int) -> int:
     """Subgroup t-tuples generating G, via the class-poset Moebius sum."""
     _require_t(t)
-    mu = poset.mu_top
-    return sum(mu[c] * sigma_tuples(poset, c, t)
-               for c in range(len(poset.classes)) if mu[c])
+    return _class_sum(poset, poset.lattice.gamma_exact(t))
 
 
 def phi_star_hall(lattice: SubgroupLattice, t: int) -> int:

@@ -82,7 +82,8 @@ from math import gcd
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, closure, conjugate_mask, derived_series,
                      extend_closure, fill_cosets, find_witness, flags_to_mask,
-                     is_normal_mask, orbit_and_normalizer, subgroup_image_mask)
+                     is_normal_mask, orbit_and_normalizer, product_covers,
+                     subgroup_image_mask)
 from .perm import orbit
 
 DEFAULT_SUBGROUP_BUDGET = 200000
@@ -120,6 +121,7 @@ class SubgroupLattice:
         self._walked: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
+        self._relative_exact: dict[int, dict[int, list[int]]] = {}
         self._join: dict[tuple[int, int], int] = {}
 
     def __len__(self):
@@ -394,6 +396,20 @@ class SubgroupLattice:
     def gamma_exact(self, t: int) -> list[int]:
         """gamma_exact[K] = number of t-tuples of subgroups joining exactly to K."""
         return self._exact_counts(self._gamma_exact, t, self.sigma)
+
+    def relative_exact(self, N: Subgroup, t: int) -> list[int]:
+        """relative_exact[K] = number of t-tuples in g_1N x .. x g_tN
+        generating exactly K, for a normal N and any g with <g>N = G.
+        Such tuples lie in K in number |K meet N|^t when KN = G and 0
+        otherwise (if each g_iN meets K, then KN >= <g>N = G), whatever g
+        is; conjugation fixes N, so that size is constant on classes."""
+        G, n_mask = self.group, N.mask
+
+        def size(i):
+            mask = self.subgroups[i].mask
+            return (mask & n_mask).bit_count() if product_covers(G, mask, n_mask) else 0
+
+        return self._exact_counts(self._relative_exact.setdefault(n_mask, {}), t, size)
 
     def _exact_counts(self, memo: dict[int, list[int]], t: int, size) -> list[int]:
         """Moebius inversion of size(K)^t up the conjugacy classes, memoized

@@ -211,21 +211,15 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
         record(f"nonzero-implies-closed[{label}]",
                not nonzero_implies_closed(poset))
 
-    inn_poset = None
+    inn_poset = conjugation_poset(lattice)
     for n_id in minimal_normal_subgroup_ids(lattice)[:2]:
         n_sub = lattice.subgroups[n_id]
         t = min(t_max, 2)
-        if n_sub.order ** t > tuple_budget:
-            continue
         try:
-            lifts = counting.generating_lift(lattice, n_sub, t)
+            via = counting.phi_relative_via_classes(inn_poset, n_sub, t)
         except LiftNotGenerating:
             continue
         direct = counting.hall_relative_sum(lattice, n_sub, t)
-        if inn_poset is None:
-            inn_poset = conjugation_poset(lattice)
-        via = counting.phi_relative_via_classes(inn_poset, n_sub, lifts, t,
-                                                budget=tuple_budget)
         record(f"phi-relative-N{n_sub.order}-t{t}", via == direct,
                f"{via} vs {direct}")
 

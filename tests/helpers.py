@@ -1,5 +1,6 @@
 """Shared per-session caches so test modules reuse heavy lattices."""
 
+from collections import Counter
 from itertools import product
 from operator import itemgetter
 
@@ -164,6 +165,20 @@ def summed_columns(pos, zs):
     """The sum of the columns mu(., z) of a class poset over the classes z
     in zs, added up column by column."""
     return [sum(vals) for vals in zip(*(pos.column(z) for z in zs))]
+
+
+def brute_relative_counts(lat, N, lifts, t):
+    """The literal scan behind the relative counts: over every (n_1..n_t)
+    in N^t, the closure <g_1 n_1, .., g_t n_t> by `closure_mask`, counted
+    by its bitset, for the lifts g of a tuple generating G modulo N."""
+    G = lat.group
+    return Counter(closure_mask(G, [G.mul(g, x) for g, x in zip(lifts, ns)])
+                   for ns in product(N.elements(), repeat=t))
+
+
+def brute_lift_scan(lat, N, lifts, t):
+    """The number of the scanned lifted tuples that generate G."""
+    return brute_relative_counts(lat, N, lifts, t)[lat.group.full_mask()]
 
 
 # -- reference BFS for subgroup closure -----------------------------------------

@@ -133,6 +133,16 @@ def test_verify_product_group(capsys):
     assert json.loads(out)["passed"]
 
 
+def test_verify_tuple_budget_gates_only_the_element_scan(capsys):
+    # no tuple of S4 fits a budget of 1, but the relative check scans none
+    code, out = run_cli(capsys, "verify", "S:4", "--t-max", "2", "--tuple-budget", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"]
+    names = [c["name"] for c in payload["checks"]]
+    assert len(names) == 36 and not any(n.startswith("phi-brute") for n in names)
+    assert {"name": "phi-relative-N4-t2", "ok": True, "detail": "12 vs 12"} in payload["checks"]
+
+
 @pytest.mark.parametrize("flags,budget", [(["--tuple-budget", "5000000"], 5 * 10 ** 6),
                                           ([], 10 ** 6)])
 def test_verify_passes_its_tuple_budget_through(capsys, monkeypatch, flags, budget):
@@ -165,7 +175,7 @@ SUBCOMMAND_FLAGS = {
     ("table", "S:4"): (True, False),
     ("sigma-table", "S:4"): (True, False),
     ("phi", "S:4", "--t", "1"): (False, True),
-    ("phi-rel", "S:4", "--normal", "full", "--t", "1"): (False, True),
+    ("phi-rel", "S:4", "--normal", "full", "--t", "1"): (False, False),
     ("phi-star", "S:4", "--t", "1"): (False, True),
     ("prob", "S:4", "--t", "1"): (False, False),
     ("check-mu-lambda", "S:4"): (True, False),
@@ -410,6 +420,17 @@ def test_cache_clear(capsys, tmp_cache):
     run_cli(capsys, "cache", "build", "C:6", "--cache-dir", str(tmp_cache))
     code, out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_cache))
     assert json.loads(out)["cleared"] == 2
+
+
+def test_cache_clear_in_a_dir_named_like_a_glob(capsys, tmp_path):
+    # "[1]" is a glob character class: the path is matched literally
+    cache_dir = str(tmp_path / "d[1]")
+    run_cli(capsys, "cache", "build", "S:3", "--cache-dir", cache_dir)
+    code, out = run_cli(capsys, "cache", "info", "S:3", "--cache-dir", cache_dir)
+    assert json.loads(out)["cached"]
+    code, out = run_cli(capsys, "cache", "clear", "--cache-dir", cache_dir)
+    assert code == 0 and json.loads(out)["cleared"] == 1
+    assert not cache_path(cache_dir, "S:3").exists()
 
 
 def test_corrupt_cache_exits_2(capsys, tmp_cache):

@@ -1,10 +1,10 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from helpers import (brute_quotient_generable, class_by, closure_mask, group, lattice,
-                     omega_inclusion_exclusion, poset, subgroups_of_order)
+from helpers import (brute_lift_scan, brute_quotient_generable, brute_relative_counts,
+                     class_by, closure_mask, group, lattice, omega_inclusion_exclusion,
+                     poset, subgroups_of_order)
 from moebius import counting
 from moebius.automorphisms import full_automorphism_group
 from moebius.catalog import family_specs
@@ -141,17 +141,6 @@ def test_phi_exact_of_whole_group_is_phi():
 
 # -- relative counts ----------------------------------------------------------
 
-def brute_lift_scan(lat, N, lifts, t):
-    G = lat.group
-    full = G.full_mask()
-    count = 0
-    for ns in itertools.product(N.elements(), repeat=t):
-        gens = [G.mul(g, x) for g, x in zip(lifts, ns)]
-        if closure_mask(G, gens) == full:
-            count += 1
-    return count
-
-
 def test_phi_relative_s3():
     lat = lattice("S:3")
     c3 = subgroups_of_order("S:3", 3)[0]
@@ -162,7 +151,7 @@ def test_phi_relative_s3():
     assert counting.phi_relative(lat, c3, 2) == 6
     lifts = counting.generating_lift(lat, c3, 2)
     assert brute_lift_scan(lat, c3, lifts, 2) == 6
-    assert counting.phi_relative_via_classes(poset("S:3"), c3, lifts, 2) == 6
+    assert counting.phi_relative_via_classes(poset("S:3"), c3, 2) == 6
 
 
 def test_phi_relative_endpoints():
@@ -200,12 +189,11 @@ def test_phi_relative_via_classes_s4_v4():
     lifts = counting.generating_lift(lat, v4, 2)
     assert brute_lift_scan(lat, v4, lifts, 2) == expected
     for aut in ("1", "inn"):
-        assert counting.phi_relative_via_classes(poset("S:4", aut), v4,
-                                                 lifts, 2) == expected
+        assert counting.phi_relative_via_classes(poset("S:4", aut), v4, 2) == expected
     # independence of the chosen lift over the same quotient tuple
     shifts = v4.elements()[1:3]
     lifts2 = tuple(G.mul(g, n) for g, n in zip(lifts, shifts))
-    assert counting.phi_relative_via_classes(poset("S:4"), v4, lifts2, 2) == expected
+    assert brute_lift_scan(lat, v4, lifts2, 2) == expected
 
 
 def test_phi_relative_via_classes_errors():
@@ -214,8 +202,11 @@ def test_phi_relative_via_classes_errors():
     v4 = next(s for s in subgroups_of_order("S:4", 4)
               if is_normal_mask(G, s.mask))
     pos = poset("S:4")
+    # S4/V4 = S3 needs two generators
     with pytest.raises(LiftNotGenerating):
-        counting.phi_relative_via_classes(pos, v4, (G.identity, G.identity), 2)
+        counting.phi_relative_via_classes(pos, v4, 1)
+    with pytest.raises(NotNormal):
+        counting.phi_relative_via_classes(pos, subgroups_of_order("S:4", 2)[0], 2)
     # an action moving a normal subgroup is rejected
     lat2 = lattice("C:2xC:4")
     A = full_automorphism_group(lat2.group)
@@ -223,9 +214,10 @@ def test_phi_relative_via_classes_errors():
     moved = next(s for s in lat2.subgroups
                  if s.order == 2 and any(a.apply_mask(s.mask) != s.mask
                                          for a in A.maps))
-    lifts = counting.generating_lift(lat2, moved, 2)
     with pytest.raises(NotInvariant):
-        counting.phi_relative_via_classes(pos2, moved, lifts, 2)
+        counting.phi_relative_via_classes(pos2, moved, 2)
+    with pytest.raises(NotInvariant):
+        counting.omega_relative(pos2, pos2.top, moved, 2)
 
 
 def normal_subgroup_cases(max_order):
@@ -234,6 +226,50 @@ def normal_subgroup_cases(max_order):
         for N in lat.subgroups:
             if is_normal_mask(lat.group, N.mask):
                 yield spec, lat, N
+
+
+def test_relative_counts_match_the_lift_scan():
+    # for every invariant normal N with a lift: per class, the literal
+    # scan over g_1N x .. x g_tN counts |orbit(c)| * relative_exact[rep_c]
+    # tuples generating an orbit member of c, omega_relative sums it over
+    # the classes below c, and the class-poset sum is the Hall sum
+    for spec, lat, N in normal_subgroup_cases(24):
+        for t in (1, 2):
+            try:
+                lifts = counting.generating_lift(lat, N, t)
+            except LiftNotGenerating:
+                continue
+            scan = brute_relative_counts(lat, N, lifts, t)
+            exact = lat.relative_exact(N, t)
+            value = counting.phi_relative(lat, N, t)
+            for aut in ("1", "inn", "aut"):
+                pos = poset(spec, aut)
+                if len(pos.orbit(pos.class_of_subgroup(N))) != 1:
+                    continue
+                per_class = [0] * len(pos.classes)
+                for mask, count in scan.items():
+                    per_class[pos.class_of[lat.index[mask]]] += count
+                for c, (rep, orbit) in enumerate(pos.classes):
+                    assert len(orbit) * exact[rep] == per_class[c], (spec, N.order, t, aut)
+                    below = sum(per_class[d] for d in range(len(pos.classes)) if pos.leq(d, c))
+                    assert counting.omega_relative(pos, c, N, t) == below
+                assert counting.phi_relative_via_classes(pos, N, t) == value
+
+
+def test_relative_errors_come_in_the_cli_order():
+    # NotNormal, then LiftNotGenerating, then NotInvariant
+    lat = lattice("C:2xC:2xC:2")
+    pos = poset("C:2xC:2xC:2", "aut")
+    c2 = subgroups_of_order("C:2xC:2xC:2", 2)[0]
+    # (C2)^3/C2 needs two generators, and Aut moves every C2
+    with pytest.raises(LiftNotGenerating):
+        counting.phi_relative_via_classes(pos, c2, 1)
+    with pytest.raises(NotInvariant):
+        counting.phi_relative_via_classes(pos, c2, 2)
+    with pytest.raises(NotNormal):
+        counting.phi_relative_via_classes(poset("S:3", "1"), subgroups_of_order("S:3", 2)[0], 1)
+    assert counting.phi_relative(lat, c2, 2) == counting.phi_relative_via_classes(
+        poset("C:2xC:2xC:2", "1"), c2, 2)
 
 
 def test_generation_modulo_n_builds_no_quotient_group(monkeypatch):
@@ -246,13 +282,13 @@ def test_generation_modulo_n_builds_no_quotient_group(monkeypatch):
     for spec, lat, N in normal_subgroup_cases(24):
         for t in (1, 2):
             try:
-                lifts = counting.generating_lift(lat, N, t)
+                counting.generating_lift(lat, N, t)
             except LiftNotGenerating:
                 with pytest.raises(LiftNotGenerating):
                     counting.phi_relative(lat, N, t)
                 continue
             value = counting.phi_relative(lat, N, t)
-            assert counting.phi_relative_via_classes(poset(spec), N, lifts, t) == value
+            assert counting.phi_relative_via_classes(poset(spec), N, t) == value
 
 
 def test_generating_lift_matches_a_quotient_tuple_scan():
@@ -331,10 +367,9 @@ def test_omega_relative_supported_on_covering_classes():
     v4 = next(s for s in subgroups_of_order("S:4", 4)
               if is_normal_mask(G, s.mask))
     pos = poset("S:4")
-    lifts = counting.generating_lift(lat, v4, 2)
     gorder = G.order
     for c in range(len(pos.classes)):
-        om = counting.omega_relative(pos, c, v4, lifts, 2)
+        om = counting.omega_relative(pos, c, v4, 2)
         covers = pos.rep(c).order * v4.order == \
             gorder * (pos.rep(c).mask & v4.mask).bit_count()
         assert (om > 0) == covers
