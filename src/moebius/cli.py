@@ -213,7 +213,7 @@ def cmd_prob(args) -> int:
 
 def cmd_check_mu_lambda(args) -> int:
     from .mulambda import MuLambdaAnalyzer
-    from .tables import name_subgroup, render
+    from .tables import display_key, name_subgroup, render
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     report = an.report()
@@ -233,10 +233,10 @@ def cmd_check_mu_lambda(args) -> int:
         })
     else:
         cols = ["class", "order", "mu", "lambda", "mu_star", "|N_G(H)|", "ok"]
+        shown = sorted(report.rows, key=lambda r: display_key(lattice.subgroups[r.rep_id]))
         rows = [[name_subgroup(lattice, r.rep_id), str(r.order), str(r.mu),
                  str(r.lam), str(r.mu_star), str(r.normalizer_order),
-                 "yes" if r.ok else "NO"]
-                for r in sorted(report.rows, key=lambda r: (-r.order,))]
+                 "yes" if r.ok else "NO"] for r in shown]
         _print(render(cols, rows, args.format))
         _print(f"verdict: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
@@ -267,15 +267,16 @@ def cmd_tau(args) -> int:
     from .tables import name_subgroup
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
+    report = an.report()
     spectrum = an.tau_spectrum()
     # the trailing fields are the experimental-evidence hook: whether a
     # nonempty violation set can still have an identically zero spectrum
     _json_out({
         "group": args.spec,
-        "violating_classes": [name_subgroup(lattice, an.poset.classes[c][0])
-                              for c in an.t_set()],
+        "violating_classes": [name_subgroup(lattice, report.rows[c].rep_id)
+                              for c in report.violations],
         "tau": {str(n): _frac_str(v) for n, v in spectrum.items()},
-        "t_set_size": len(an.t_set()),
+        "t_set_size": len(report.violations),
         "tau_all_zero": all(v == 0 for v in spectrum.values()),
     })
     return 0

@@ -32,24 +32,6 @@ def _require_t(t: int):
         raise ValueError("t must be a positive integer")
 
 
-class _ExtendMemo:
-    """Memoized subgroup-extension transitions (mask, element) -> mask."""
-
-    def __init__(self, G: FiniteGroup):
-        self.G = G
-        self.witness = {1 << G.identity: ()}
-        self.memo: dict[tuple[int, int], int] = {}
-
-    def step(self, mask: int, g: int) -> int:
-        key = (mask, g)
-        out = self.memo.get(key)
-        if out is None:
-            out, gens = closure(self.G, (g,), mask, self.witness[mask])
-            self.witness.setdefault(out, tuple(gens))
-            self.memo[key] = out
-        return out
-
-
 def phi_bruteforce(G: FiniteGroup, t: int,
                    budget: int = DEFAULT_TUPLE_BUDGET) -> int:
     """Literal scan over all |G|^t element tuples."""
@@ -58,13 +40,22 @@ def phi_bruteforce(G: FiniteGroup, t: int,
     if n ** t > budget:
         raise BudgetExceeded(n ** t, budget, "tuple scan")
     full = G.full_mask()
-    ext = _ExtendMemo(G)
     triv = 1 << G.identity
+    # (closure, element) -> closure of the two, and a witness per closure
+    memo: dict[tuple[int, int], int] = {}
+    witness = {triv: ()}
+
+    def step(mask: int, g: int) -> int:
+        out = memo.get((mask, g))
+        if out is None:
+            out, gens = closure(G, (g,), mask, witness[mask])
+            witness.setdefault(out, tuple(gens))
+            memo[mask, g] = out
+        return out
 
     def rec(mask: int, depth: int) -> int:
         if depth == t:
             return 1 if mask == full else 0
-        step = ext.step
         return sum(rec(step(mask, g), depth + 1) for g in range(n))
 
     return rec(triv, 0)
@@ -112,20 +103,15 @@ def phi_via_classes(poset: ClassPoset, t: int) -> int:
 # -- relative (lift-counting) versions ---------------------------------------
 
 def phi_relative(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
-    """Generating t-tuples over a fixed generating tuple of G/N.
+    """Generating t-tuples over a fixed generating tuple of G/N: the sum
+    of mu(H,G)|H meet N|^t over the H with HN = G (P. Hall), the same for
+    every such tuple (Gaschuetz's lemma).
 
-    Raises LiftNotGenerating when G/N cannot be generated by t elements
-    (`generating_lift` finds no lift): there is no such tuple to lift.
+    Raises NotNormal for a non-normal N, and LiftNotGenerating when G/N
+    cannot be generated by t elements (`generating_lift` finds no lift):
+    there is no such tuple to lift.
     """
     generating_lift(lattice, N, t)
-    return hall_relative_sum(lattice, N, t)
-
-
-def hall_relative_sum(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
-    """The sum of mu(H,G)|H meet N|^t over the H with HN = G (P. Hall):
-    the number of lifts that generate G of a t-tuple that generates G
-    modulo N, the same for every such tuple (Gaschuetz's lemma).  The
-    caller knows that one exists (`generating_lift`)."""
     G = lattice.group
     return sum(m * (s.mask & N.mask).bit_count() ** t
                for m, s in zip(lattice.mu_top, lattice.subgroups)

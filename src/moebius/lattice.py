@@ -402,8 +402,11 @@ class SubgroupLattice:
         generating exactly K, for a normal N and any g with <g>N = G.
         Such tuples lie in K in number |K meet N|^t when KN = G and 0
         otherwise (if each g_iN meets K, then KN >= <g>N = G), whatever g
-        is; conjugation fixes N, so that size is constant on classes."""
+        is; conjugation fixes N, so that size is constant on classes.
+        Raises NotNormal for a non-normal N, before any count."""
         G, n_mask = self.group, N.mask
+        if not is_normal_mask(G, n_mask):
+            raise NotNormal("relative count needs a normal subgroup")
 
         def size(i):
             mask = self.subgroups[i].mask

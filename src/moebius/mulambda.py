@@ -12,6 +12,7 @@ holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import counting
@@ -19,6 +20,7 @@ from .classposet import lambda_poset, minimal_normal_subgroup_ids
 from .errors import EngineError
 from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
 from .lattice import SubgroupLattice, enumerate_subgroups
+from .tables import display_key
 
 
 class ClassRow(NamedTuple):
@@ -82,99 +84,61 @@ class MuLambdaAnalyzer:
         self.lattice = lattice if lattice is not None else enumerate_subgroups(G)
         self.poset = lambda_poset(G, self.lattice)
         self.derived = commutator_subgroup(G)
-        self._rows = None
-
-    # -- per-class data ---------------------------------------------------
-
-    def mu(self, c: int) -> int:
-        """Lattice Moebius value at the class representative."""
-        return self.lattice.mu_top[self.poset.classes[c][0]]
-
-    def lam(self, c: int) -> int:
-        return self.poset.mu_top[c]
-
-    def index_factor(self, c: int) -> int:
-        """|N_{G'}(H) : G' meet H| at the representative."""
-        rep_id = self.poset.classes[c][0]
-        nmask = self.lattice.normalizer_mask(rep_id)
-        dmask = self.derived.mask
-        hmask = self.lattice.subgroups[rep_id].mask
-        return (nmask & dmask).bit_count() // (hmask & dmask).bit_count()
-
-    def mu_star(self, c: int) -> int:
-        return self.index_factor(c) * self.lam(c)
-
-    def normalizer_order(self, c: int) -> int:
-        return self.lattice.normalizer_mask(self.poset.classes[c][0]).bit_count()
 
     # -- report -------------------------------------------------------------
 
-    @property
+    @cached_property
     def rows(self) -> tuple[ClassRow, ...]:
-        if self._rows is None:
-            rows = []
-            for c in range(len(self.poset.classes)):
-                rep_id = self.poset.classes[c][0]
-                lam = self.lam(c)
-                factor = self.index_factor(c)
-                rows.append(ClassRow(
-                    class_id=c,
-                    rep_id=rep_id,
-                    order=self.lattice.subgroups[rep_id].order,
-                    mu=self.mu(c),
-                    lam=lam,
-                    index_factor=factor,
-                    mu_star=factor * lam,
-                    normalizer_order=self.normalizer_order(c),
-                ))
-            self._rows = tuple(rows)
-        return self._rows
+        """One row per class, read at its representative H: mu(H, G),
+        lambda(H, G), f = |N_{G'}(H) : G' meet H|, mu* = f * lambda and
+        |N_G(H)|.  Every per-class value is read off these rows."""
+        lat, dmask, lam = self.lattice, self.derived.mask, self.poset.mu_top
+        rows = []
+        for c, (rep_id, _) in enumerate(self.poset.classes):
+            h = lat.subgroups[rep_id]
+            nmask = lat.normalizer_mask(rep_id)
+            factor = (nmask & dmask).bit_count() // (h.mask & dmask).bit_count()
+            rows.append(ClassRow(c, rep_id, h.order, lat.mu_top[rep_id], lam[c],
+                                 factor, factor * lam[c], nmask.bit_count()))
+        return tuple(rows)
 
     def report(self) -> MuLambdaReport:
         violations = tuple(r.class_id for r in self.rows if not r.ok)
         return MuLambdaReport(group=self.group.spec or repr(self.group),
                               rows=self.rows, violations=violations)
 
-    def t_set(self) -> list[int]:
-        """Classes where mu and mu* disagree."""
-        return [r.class_id for r in self.rows if not r.ok]
-
-    def tau(self, n: int) -> Fraction:
-        """Order-n slice of the violation spectrum."""
-        total = Fraction(0)
-        for r in self.rows:
-            if r.order == n and not r.ok:
-                total += Fraction(r.mu - r.mu_star, r.normalizer_order)
-        return total
-
     def tau_spectrum(self) -> dict[int, Fraction]:
-        orders = sorted({r.order for r in self.rows if not r.ok})
-        return {n: self.tau(n) for n in orders}
+        """tau(n), the sum of (mu - mu*) / |N_G(H)| over the violating
+        classes of order n, for each order n of a violating class,
+        ascending."""
+        tau: dict[int, Fraction] = {}
+        for r in self.rows:
+            if not r.ok:
+                tau[r.order] = tau.get(r.order, 0) + Fraction(r.mu - r.mu_star,
+                                                               r.normalizer_order)
+        return dict(sorted(tau.items()))
 
     # -- alpha / beta ---------------------------------------------------------
 
     def alpha(self, c: int, t: int) -> Fraction:
-        """|H|^(t-1) |G| |G'H| / |G'N_G(H)| at the representative."""
+        """|H|^(t-1) |G| |G'H| / |G'N_G(H)| at the representative, read off
+        its row as |H|^t |G| f / |N_G(H)|, since |G'H| / |G'N_G(H)| =
+        |H| f / |N_G(H)|."""
         if t < 1:
             raise ValueError("t must be a positive integer")
-        rep_id = self.poset.classes[c][0]
-        h = self.lattice.subgroups[rep_id]
-        G = self.group
-        d = self.derived.mask
-        dh = self.derived.order * h.order // (d & h.mask).bit_count()
-        nmask = self.lattice.normalizer_mask(rep_id)
-        dn = self.derived.order * nmask.bit_count() // (d & nmask).bit_count()
-        return Fraction(h.order ** (t - 1) * G.order * dh, dn)
+        r = self.rows[c]
+        return Fraction(r.order ** t * self.group.order * r.index_factor,
+                        r.normalizer_order)
 
     def beta(self, c: int, t: int) -> Fraction:
         return self.alpha(c, t) - counting.omega(self.poset, c, t)
 
     def cstar_classes(self) -> list[int]:
         """Proper classes with nonzero lambda, largest representatives first."""
-        ids = [c for c in range(len(self.poset.classes))
-               if c != self.poset.top and self.lam(c) != 0]
-        ids.sort(key=lambda c: (-self.poset.rep_order(c), self.poset.rep(c).mask))
-        return ids
+        subs, top = self.lattice.subgroups, self.poset.top
+        rows = sorted((r for r in self.rows if r.class_id != top and r.lam),
+                      key=lambda r: display_key(subs[r.rep_id]))
+        return [r.class_id for r in rows]
 
     def beta_vector(self, t: int) -> BetaVector:
         ids = self.cstar_classes()
@@ -197,16 +161,10 @@ class MuLambdaAnalyzer:
     # -- the consequence identities -------------------------------------------
 
     def zero_sum_check(self, t: int) -> ZeroSumResult:
-        full = Fraction(0)
-        for c in range(len(self.poset.classes)):
-            lam = self.lam(c)
-            if lam:
-                full += lam * self.beta(c, t)
-        viol = Fraction(0)
-        for r in self.rows:
-            if not r.ok:
-                viol += Fraction((r.mu - r.mu_star) * r.order ** t,
-                                 r.normalizer_order)
+        full = sum((r.lam * self.beta(r.class_id, t) for r in self.rows if r.lam),
+                   Fraction(0))
+        viol = sum((Fraction((r.mu - r.mu_star) * r.order ** t, r.normalizer_order)
+                    for r in self.rows if not r.ok), Fraction(0))
         consistent = full == -self.group.order * viol
         return ZeroSumResult(t=t, full_sum=full, violation_sum=viol,
                              consistent=consistent)

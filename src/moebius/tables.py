@@ -75,10 +75,10 @@ def _min_generators(G: FiniteGroup, s: Subgroup, witness) -> int:
     return best
 
 
-def display_order(poset: ClassPoset) -> list[int]:
-    """Class ids sorted by representative order descending, then bitset."""
-    return sorted(range(len(poset.classes)),
-                  key=lambda c: (-poset.rep_order(c), poset.rep(c).mask))
+def display_key(sub: Subgroup) -> tuple[int, int]:
+    """The sort key of the order every table lists classes in, at their
+    representatives: order descending, then bitset."""
+    return -sub.order, sub.mask
 
 
 def class_table(poset: ClassPoset, include_omega2: bool = False) -> tuple[list[str], list[list[str]]]:
@@ -89,7 +89,7 @@ def class_table(poset: ClassPoset, include_omega2: bool = False) -> tuple[list[s
         cols.append("omega2")
     cols += ["kappa", "sigma"]
     rows = []
-    for c in display_order(poset):
+    for c in sorted(range(len(poset.classes)), key=lambda c: display_key(poset.rep(c))):
         rep_id = poset.classes[c][0]
         row = [name_subgroup(lat, rep_id),
                str(poset.mu_top[c]),
@@ -105,7 +105,7 @@ def class_table(poset: ClassPoset, include_omega2: bool = False) -> tuple[list[s
 def lattice_mu_table(lattice: SubgroupLattice) -> tuple[list[str], list[list[str]]]:
     """Per-conjugacy-class mu / kappa / sigma table (plain lattice Moebius)."""
     entries = lattice.class_representatives()
-    entries.sort(key=lambda i: (-lattice.subgroups[i].order, lattice.subgroups[i].mask))
+    entries.sort(key=lambda i: display_key(lattice.subgroups[i]))
     cols = ["class", "mu", "kappa", "sigma"]
     rows = []
     for i in entries:

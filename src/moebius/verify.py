@@ -219,7 +219,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
             via = counting.phi_relative_via_classes(inn_poset, n_sub, t)
         except LiftNotGenerating:
             continue
-        direct = counting.hall_relative_sum(lattice, n_sub, t)
+        direct = counting.phi_relative(lattice, n_sub, t)
         record(f"phi-relative-N{n_sub.order}-t{t}", via == direct,
                f"{via} vs {direct}")
 
@@ -240,7 +240,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
     if report.passed:
         for t in range(1, t_max + 1):
             vec = an.beta_vector(t)
-            total = sum(an.lam(c) * b for c, b in zip(vec.class_ids, vec.entries))
+            total = sum(an.rows[c].lam * b for c, b in zip(vec.class_ids, vec.entries))
             record(f"beta-solves-equation-t{t}", total == 0, str(total))
     dmask = an.derived.mask
     betas_ok = True

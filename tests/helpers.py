@@ -12,6 +12,16 @@ from moebius.errors import NotAHomomorphism, NotBijective
 from moebius.groups import conjugate_mask, find_witness, quotient_group
 from moebius.mulambda import MuLambdaAnalyzer
 
+# PSU(3,3) on the 28 isotropic points of the hermitian form over GF(9):
+# a base-swapping involution and an order-7 element (derived from unitary
+# matrices; the pair generates the full group of order 6048)
+PSU33_SPEC = (
+    "perm:["
+    "(1,8)(2,7)(3,6)(4,5)(9,16)(10,15)(11,13)(12,14)(17,18)(19,20)(21,27)(22,28);"
+    "(1,18,22,3,16,20,21)(2,11,14,13,10,19,28)(4,23,8,24,5,17,27)"
+    "(6,12,9,26,7,15,25)]"
+)
+
 _groups = {}
 _lattices = {}
 _posets = {}

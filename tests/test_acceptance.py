@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import moebius.lattice as lattice_module
-from helpers import class_by, group, lattice, poset
+from helpers import PSU33_SPEC, class_by, group, lattice, poset
 from moebius import counting
 from moebius.automorphisms import (full_automorphism_group, inner_automorphisms,
                                    trivial_automorphisms)
@@ -305,17 +305,6 @@ def test_criterion_10_probability_closed_forms():
 
 
 # -- criterion 11 (stretch): PSU(3,3) ----------------------------------------------
-
-# PSU(3,3) on the 28 isotropic points of the hermitian form over GF(9):
-# a base-swapping involution and an order-7 element (derived from unitary
-# matrices; the pair generates the full group of order 6048)
-PSU33_SPEC = (
-    "perm:["
-    "(1,8)(2,7)(3,6)(4,5)(9,16)(10,15)(11,13)(12,14)(17,18)(19,20)(21,27)(22,28);"
-    "(1,18,22,3,16,20,21)(2,11,14,13,10,19,28)(4,23,8,24,5,17,27)"
-    "(6,12,9,26,7,15,25)]"
-)
-
 
 @pytest.mark.stretch
 def test_criterion_11_psu33():

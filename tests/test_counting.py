@@ -11,6 +11,7 @@ from moebius.catalog import family_specs
 from moebius.classposet import build_class_poset
 from moebius.errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
 from moebius.groups import is_normal_mask, quotient_group
+from moebius.lattice import enumerate_subgroups
 
 
 def test_phi_paper_values():
@@ -178,6 +179,18 @@ def test_phi_relative_not_normal():
     # checked before the search, which finds no lift of length 1 here
     with pytest.raises(NotNormal, match="relative count needs a normal subgroup"):
         counting.generating_lift(lat, c2, 1)
+
+
+def test_both_relative_routes_reject_a_non_normal_subgroup():
+    # a lattice of its own, so that no relative count is memoized yet
+    lat = enumerate_subgroups(group("S:3"))
+    c2 = next(s for s in lat.subgroups if s.order == 2)
+    with pytest.raises(NotNormal, match="relative count needs a normal subgroup"):
+        lat.relative_exact(c2, 1)
+    with pytest.raises(NotNormal, match="relative count needs a normal subgroup"):
+        counting.phi_relative(lat, c2, 1)
+    # and the refusal came before any count of N was kept
+    assert not lat._relative_exact
 
 
 def test_phi_relative_via_classes_s4_v4():

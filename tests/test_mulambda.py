@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import analyzer, group, lattice
+from helpers import PSU33_SPEC, analyzer, group, lattice
 from moebius import cli
 from moebius.errors import EngineError
 from moebius.groups import is_solvable
@@ -37,15 +37,15 @@ def test_minimal_nonsolvable_pass(spec):
 
 def test_mu_star_abelian_equals_mu():
     an = analyzer("C:12")
-    for c in range(len(an.poset.classes)):
-        assert an.mu_star(c) == an.mu(c) == an.lam(c)
+    for r in an.rows:
+        assert r.mu_star == r.mu == r.lam
 
 
 def test_mu_star_function_wrapper():
     lat = lattice("S:4")
     an = MuLambdaAnalyzer(group("S:4"), lat)
     c = an.poset.class_of_subgroup(lat.subgroups[lat.trivial_id])
-    assert an.mu_star(c) == -12  # |A4| * lambda(1,G) = 12 * -1
+    assert an.rows[c].mu_star == -12  # |A4| * lambda(1,G) = 12 * -1
 
 
 def test_report_rows_s4():
@@ -61,9 +61,25 @@ def test_report_rows_s4():
 def test_t_set_and_tau_empty_for_passing_groups():
     for spec in ("S:4", "A:5", "Q:8"):
         an = analyzer(spec)
-        assert an.t_set() == []
+        assert an.report().violations == ()
         assert an.tau_spectrum() == {}
-        assert an.tau(2) == 0
+
+
+def test_psu33_fails_in_four_classes(capsys):
+    """PSU(3,3), the one group here that fails the property: the violating
+    rows, their tau spectrum, the restricted zero sum and the CLI verdict."""
+    an = analyzer(PSU33_SPEC)
+    report = an.report()
+    assert {(r.mu, r.mu_star, r.order, r.normalizer_order)
+            for r in report.rows if not r.ok} == \
+        {(0, -48, 2, 96), (0, 3, 6, 18), (-4, 0, 8, 32), (2, 1, 24, 24)}
+    assert report.violations == tuple(r.class_id for r in report.rows if not r.ok)
+    assert an.tau_spectrum() == {2: Fraction(1, 2), 6: Fraction(-1, 6),
+                                 8: Fraction(-1, 8), 24: Fraction(1, 24)}
+    assert an.zero_sum_check(1).violation_sum == 0
+    assert an.zero_sum_check(2).violation_sum == 12
+    assert cli.main(["check-mu-lambda", PSU33_SPEC]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: FAIL"
 
 
 def test_beta_vectors_a5():
@@ -130,7 +146,7 @@ def test_beta_solves_the_lambda_equation():
         an = analyzer(spec)
         for t in (1, 2, 3):
             vec = an.beta_vector(t)
-            assert sum(an.lam(c) * b for c, b in zip(vec.class_ids, vec.entries)) == 0
+            assert sum(an.rows[c].lam * b for c, b in zip(vec.class_ids, vec.entries)) == 0
 
 
 def test_classifier_verdicts():
