@@ -67,10 +67,6 @@ class AutomorphismGroup:
     def __len__(self):
         return len(self.maps)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.gens
-
     def mask_orbit(self, mask: int) -> set[int]:
         """Bitsets of the orbit of one bitset, one `orbit` walk over the
         generators; orbits on subgroup ids are `SubgroupLattice.orbits`."""

@@ -7,11 +7,11 @@ orbit member of [H] is contained in the representative of [K], that
 is, iff the representative of [H] lies in some orbit member of [K].  So
 the classes above [H] are read off the upeq row of its representative
 (`SubgroupLattice.class_rows`).
-The lattice itself is the special case of a trivial action.  Every
-Moebius value is read from a column, mu(., y) for one class y, which
-`mu_column` sweeps over the class rows; the column at the top class is
-what the counting formulas consume, and the closure-theorem checks read
-the sum of the columns over a closure group off one seeded sweep.
+The lattice itself is the special case of a trivial action.  The rows
+are the only relation the engine reads, and every Moebius value is read
+off one `mu_column` sweep over them: the column at the top class is
+what the counting formulas consume, and the closure-theorem and
+conjunctive checks read a sum of columns off one seeded sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class ClassPoset:
         self._rows = None
         self._downs = None
         self._mu_top = None
-        self._columns: dict[int, list[int]] = {}
+        # (N mask, t) whose relative counts passed counting's checks
+        self.relative_checked: set[tuple[int, int]] = set()
 
     def __len__(self):
         return len(self.classes)
@@ -47,9 +48,6 @@ class ClassPoset:
 
     def orbit(self, c: int) -> tuple[int, ...]:
         return self.classes[c][1]
-
-    def rep_order(self, c: int) -> int:
-        return self.rep(c).order
 
     # -- order relation ----------------------------------------------------
 
@@ -61,7 +59,8 @@ class ClassPoset:
 
     @property
     def up(self) -> list[list[int]]:
-        """up[c] = class ids strictly above c, ascending."""
+        """up[c] = class ids strictly above c, ascending: `rows` decoded.
+        No engine path reads it; the tests and the perfbench spans do."""
         if self._up is None:
             self._up = [list(bits(row & ~(1 << c)))
                         for c, row in enumerate(self.rows())]
@@ -87,9 +86,6 @@ class ClassPoset:
                 self._downs = transposed(self.rows())
         return self._downs
 
-    def leq(self, c: int, d: int) -> bool:
-        return (self.rows()[c] >> d) & 1 == 1
-
     def class_of_subgroup(self, sub: Subgroup) -> int:
         return self.class_of[self.lattice.index[sub.mask]]
 
@@ -105,20 +101,6 @@ class ClassPoset:
             else:
                 self._mu_top = mu_column(self.rows(), [self.top])
         return self._mu_top
-
-    def column(self, y: int) -> list[int]:
-        """mu_A(x, y) for every class id x, one `mu_column` sweep over the
-        class rows, memoized per y; the top column is `mu_top`."""
-        if y == self.top:
-            return self.mu_top
-        col = self._columns.get(y)
-        if col is None:
-            col = self._columns[y] = mu_column(self.rows(), [y])
-        return col
-
-    def mu(self, x: int, y: int) -> int:
-        """mu_A on an arbitrary pair of classes, read off the column at y."""
-        return self.column(y)[x]
 
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
@@ -165,33 +147,30 @@ def maximal_closure_map(poset: ClassPoset) -> list[int]:
 
 
 def validate_closure_map(poset: ClassPoset, cl: list[int]) -> None:
-    n = len(poset.classes)
-    for x in range(n):
-        if not poset.leq(x, cl[x]):
+    """Raise NotAClosureMap unless cl is extensive, monotone and
+    idempotent, reading the order as bits of the class rows."""
+    rows = poset.rows()
+    for x, row in enumerate(rows):
+        if not (row >> cl[x]) & 1:
             raise NotAClosureMap("a", f"class {x} not below its closure")
-    for x in range(n):
-        for y in poset.up[x]:
-            if not poset.leq(cl[x], cl[y]):
+    for x, row in enumerate(rows):
+        for y in bits(row & ~(1 << x)):
+            if not (rows[cl[x]] >> cl[y]) & 1:
                 raise NotAClosureMap("b", f"not monotone at {x} <= {y}")
-    for x in range(n):
+    for x in range(len(rows)):
         if cl[cl[x]] != cl[x]:
             raise NotAClosureMap("c", f"not idempotent at {x}")
 
 
 def crapo_check_all(poset: ClassPoset, cl: list[int]) -> list[tuple[int, int]]:
-    """All (x, y) pairs violating the closure-theorem identity (none expected)."""
+    """All pairs (x, y) violating the closure-theorem identity (none
+    expected), once cl is checked to be a closure map: y closed and x any
+    class, where the sum of mu(x, z) over the classes z with closure y
+    differs from mu(x, y) in the subposet of closed classes when x is
+    closed, and from 0 otherwise.  The left side at y is one `mu_column`
+    sweep seeded with y's closure group; the right side is one sweep over
+    the closed classes' rows alone, cut to the closed classes."""
     validate_closure_map(poset, cl)
-    return _crapo_violations(poset, cl, [y for y, c in enumerate(cl) if c == y])
-
-
-def _crapo_violations(poset: ClassPoset, cl: list[int],
-                      ys: list[int]) -> list[tuple[int, int]]:
-    """The pairs (x, y), y in ys (closed) and x any class, where the sum of
-    mu(x, z) over the classes z with closure y differs from mu(x, y) in the
-    subposet of closed classes when x is closed, and from 0 otherwise.
-    The left side at y is one `mu_column` sweep seeded with y's closure
-    group; the right side is one sweep over the closed classes' rows
-    alone, cut to the closed classes."""
     group: dict[int, list[int]] = {}
     for z, c in enumerate(cl):
         group.setdefault(c, []).append(z)
@@ -200,19 +179,19 @@ def _crapo_violations(poset: ClassPoset, cl: list[int],
     keep = sum(blocks)
     rows = poset.rows()
     closed_rows = [rows[c] & keep for c in closed]
-    position = {c: i for i, c in enumerate(closed)}
     bad = []
-    for y in ys:
+    for i, y in enumerate(closed):
         lhs = mu_column(rows, group[y])
-        rhs = dict(zip(closed, mu_column(closed_rows, [position[y]], blocks)))
+        rhs = dict(zip(closed, mu_column(closed_rows, [i], blocks)))
         bad.extend((x, y) for x, left in enumerate(lhs) if left != rhs.get(x, 0))
     return bad
 
 
-def nonzero_implies_closed(poset: ClassPoset) -> list[int]:
-    """Classes below the top with nonzero Moebius value that are not
-    intersections of maximal subgroups (the returned list should be empty)."""
-    cl = maximal_closure_map(poset)
+def nonzero_implies_closed(poset: ClassPoset, cl: list[int]) -> list[int]:
+    """Classes below the top with nonzero Moebius value that the closure
+    map cl (`maximal_closure_map`) moves: classes that are not
+    intersections of maximal subgroups (the returned list should be
+    empty)."""
     mu = poset.mu_top
     return [c for c in range(len(poset.classes))
             if c != poset.top and mu[c] != 0 and cl[c] != c]
@@ -227,16 +206,18 @@ def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[
     lat = poset.lattice
     G = lat.group
     full = G.full_mask()
-    bad = []
-    over = [d for d in range(len(poset.classes))
+    n = len(poset.classes)
+    over = [d for d in range(n)
             if d != poset.top and product_covers(G, poset.rep(d).mask, n_sub.mask)]
-    for c in range(len(poset.classes)):
+    # sum of mu_A(x, d) over d in over, for every x, in one seeded sweep
+    summed = mu_column(poset.rows(), over) if over else [0] * n
+    bad = []
+    for c in range(n):
         h = poset.rep(c)
         hn = product_mask(G, h.mask, n_sub.mask)
         if hn == h.mask or hn == full:
             continue
-        rhs = -sum(poset.mu(c, d) for d in over)
-        if poset.mu_top[c] != rhs:
+        if poset.mu_top[c] != -summed[c]:
             bad.append(c)
     return bad
 

@@ -206,10 +206,14 @@ def _relative_exact(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
     """`relative_exact(N, t)` of the poset's lattice, once N is known to
     be normal (NotNormal), G/N to be generated by t elements
     (LiftNotGenerating) and N to be invariant under the acting group
-    (NotInvariant), in that order."""
-    generating_lift(poset.lattice, N, t)
-    if len(poset.orbit(poset.class_of_subgroup(N))) != 1:
-        raise NotInvariant("N is not invariant under the acting subgroup")
+    (NotInvariant), in that order.  The checks run once per (poset, N,
+    t); a pair is kept only after all three pass."""
+    key = (N.mask, t)
+    if key not in poset.relative_checked:
+        generating_lift(poset.lattice, N, t)
+        if len(poset.orbit(poset.class_of_subgroup(N))) != 1:
+            raise NotInvariant("N is not invariant under the acting subgroup")
+        poset.relative_checked.add(key)
     return poset.lattice.relative_exact(N, t)
 
 

@@ -339,17 +339,9 @@ class SubgroupLattice:
             self._normalizer[i] = out
         return out
 
-    def normalizer(self, sub: Subgroup) -> Subgroup:
-        i = self.index[sub.mask]
-        mask = self.normalizer_mask(i)
-        return self.subgroups[self.index[mask]]
-
     def sigma(self, i: int) -> int:
         """Number of subgroups of subgroup i (including 1 and itself)."""
         return sum(self.incidence[self.conjugacy_classes[1][i]][1])
-
-    def intersect(self, h: Subgroup, k: Subgroup) -> Subgroup:
-        return self.subgroups[self.index[h.mask & k.mask]]
 
     def join(self, h: Subgroup, k: Subgroup) -> Subgroup:
         """<H, K>: H's witness extended by K's, memoized by id pair."""
@@ -403,16 +395,20 @@ class SubgroupLattice:
         Such tuples lie in K in number |K meet N|^t when KN = G and 0
         otherwise (if each g_iN meets K, then KN >= <g>N = G), whatever g
         is; conjugation fixes N, so that size is constant on classes.
-        Raises NotNormal for a non-normal N, before any count."""
+        Raises NotNormal for a non-normal N, before any count; N is tested
+        once, and only a normal N gets a memo."""
         G, n_mask = self.group, N.mask
-        if not is_normal_mask(G, n_mask):
-            raise NotNormal("relative count needs a normal subgroup")
+        memo = self._relative_exact.get(n_mask)
+        if memo is None:
+            if not is_normal_mask(G, n_mask):
+                raise NotNormal("relative count needs a normal subgroup")
+            memo = self._relative_exact[n_mask] = {}
 
         def size(i):
             mask = self.subgroups[i].mask
             return (mask & n_mask).bit_count() if product_covers(G, mask, n_mask) else 0
 
-        return self._exact_counts(self._relative_exact.setdefault(n_mask, {}), t, size)
+        return self._exact_counts(memo, t, size)
 
     def _exact_counts(self, memo: dict[int, list[int]], t: int, size) -> list[int]:
         """Moebius inversion of size(K)^t up the conjugacy classes, memoized

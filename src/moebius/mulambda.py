@@ -84,6 +84,7 @@ class MuLambdaAnalyzer:
         self.lattice = lattice if lattice is not None else enumerate_subgroups(G)
         self.poset = lambda_poset(G, self.lattice)
         self.derived = commutator_subgroup(G)
+        self._beta_vectors: dict[int, BetaVector] = {}
 
     # -- report -------------------------------------------------------------
 
@@ -141,14 +142,20 @@ class MuLambdaAnalyzer:
         return [r.class_id for r in rows]
 
     def beta_vector(self, t: int) -> BetaVector:
-        ids = self.cstar_classes()
-        entries = []
-        for c in ids:
-            b = self.beta(c, t)
-            if b.denominator != 1:
-                raise EngineError(f"beta of class {c} at t={t} is {b}, not an integer")
-            entries.append(int(b))
-        return BetaVector(t=t, class_ids=tuple(ids), entries=tuple(entries))
+        """beta(c, t) over `cstar_classes`, built once per t; a non-integer
+        entry raises EngineError and keeps nothing."""
+        vec = self._beta_vectors.get(t)
+        if vec is None:
+            ids = self.cstar_classes()
+            entries = []
+            for c in ids:
+                b = self.beta(c, t)
+                if b.denominator != 1:
+                    raise EngineError(f"beta of class {c} at t={t} is {b}, not an integer")
+                entries.append(int(b))
+            vec = self._beta_vectors[t] = BetaVector(t=t, class_ids=tuple(ids),
+                                                     entries=tuple(entries))
+        return vec
 
     def beta_span_rank(self, t_max: int) -> int:
         """Rank over the rationals of {beta_1 .. beta_t_max}."""

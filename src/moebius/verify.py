@@ -82,11 +82,11 @@ def poset_axiom_violations(poset: ClassPoset) -> list[str]:
 def mobius_equation_violations(poset: ClassPoset) -> list[int]:
     """Classes x below the top where the top column breaks its defining
     equation against the order: mu(x, top) + sum of mu(z, top) over the
-    classes z above x is 0."""
+    classes z above x, the other bits of x's class row, is 0."""
     mu = poset.mu_top
     top = poset.top
-    return [x for x, up in enumerate(poset.up)
-            if x != top and mu[x] + sum(mu[z] for z in up) != 0]
+    return [x for x, row in enumerate(poset.rows())
+            if x != top and mu[x] + sum(mu[z] for z in bits(row & ~(1 << x))) != 0]
 
 
 def independent_small_lattice(G: FiniteGroup) -> set[int]:
@@ -209,7 +209,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
         cl = maximal_closure_map(poset)
         record(f"crapo[{label}]", not crapo_check_all(poset, cl))
         record(f"nonzero-implies-closed[{label}]",
-               not nonzero_implies_closed(poset))
+               not nonzero_implies_closed(poset, cl))
 
     inn_poset = conjugation_poset(lattice)
     for n_id in minimal_normal_subgroup_ids(lattice)[:2]:

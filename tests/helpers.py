@@ -10,6 +10,7 @@ from moebius.automorphisms import (Automorphism, _extend_images, full_automorphi
 from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
 from moebius.groups import conjugate_mask, find_witness, quotient_group
+from moebius.lattice import mu_column
 from moebius.mulambda import MuLambdaAnalyzer
 
 # PSU(3,3) on the 28 isotropic points of the hermitian form over GF(9):
@@ -173,8 +174,10 @@ def recursive_mu(pos, x, y, within=None):
 
 def summed_columns(pos, zs):
     """The sum of the columns mu(., z) of a class poset over the classes z
-    in zs, added up column by column."""
-    return [sum(vals) for vals in zip(*(pos.column(z) for z in zs))]
+    in zs, added up column by column: one single-seed sweep per z, and
+    `mu_top` at the top class."""
+    cols = (pos.mu_top if z == pos.top else mu_column(pos.rows(), [z]) for z in zs)
+    return [sum(vals) for vals in zip(*cols)]
 
 
 def brute_relative_counts(lat, N, lifts, t):

@@ -47,7 +47,7 @@ def test_criterion_1_s4_table():
     ok = pairs - expected == Counter({(0, 10): 1}) and not expected - pairs
     G = pos.lattice.group
     four_groups = [c for c in range(len(pos.classes))
-                   if pos.rep_order(c) == 4
+                   if pos.rep(c).order == 4
                    and all(G.element_orders[x] == 2 for x in pos.rep(c).elements()
                            if x != G.identity)]
     nonnormal_v4 = [c for c in four_groups
@@ -127,7 +127,7 @@ def _criteria_3_9_data():
             cl = maximal_closure_map(pos)
             if crapo_check_all(pos, cl):
                 crapo_bad.append((spec, aut.origin))
-            if nonzero_implies_closed(pos):
+            if nonzero_implies_closed(pos, cl):
                 closed_bad.append((spec, aut.origin))
     _sweep_cache.update(zero_sums=zero_sums, crapo_bad=crapo_bad,
                         closed_bad=closed_bad, pairs=pairs)
@@ -223,7 +223,7 @@ def test_criterion_6_inner_by_k_matches_lambda():
     latA4 = lattice("A:4")
     v4 = latA4.subgroups[latA4.by_order[4][0]]
     posA = build_class_poset(latA4, inner_automorphisms(latA4.group, v4))
-    split = len([c for c in range(len(posA.classes)) if posA.rep_order(c) == 2])
+    split = len([c for c in range(len(posA.classes)) if posA.rep(c).order == 2])
     ok = not bad and split == 3
     _verdict(6, ok, f"lambda = mu_(inner-by-K) over {checked} (G, K) pairs",
              t0, 600)
@@ -265,7 +265,7 @@ def test_criterion_8_beta_vectors():
     for t in range(1, 7):
         vec = an.beta_vector(t)
         for c, entry in zip(vec.class_ids, vec.entries):
-            ok = ok and entry == by_order[an.poset.rep_order(c)][t - 1]
+            ok = ok and entry == by_order[an.poset.rep(c).order][t - 1]
     ok = ok and an.beta_span_rank(6) == 3
     an3 = MuLambdaAnalyzer(group("S:3"), lattice("S:3"))
     for t in range(1, 6):

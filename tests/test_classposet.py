@@ -79,7 +79,7 @@ def test_s4_lambda_table():
     # two lambda = 0 classes of order 4 (C4 and the non-normal four-group),
     # both with union size 10
     zeros = [c for c in range(len(pos.classes))
-             if pos.rep_order(c) == 4 and pos.mu_top[c] == 0]
+             if pos.rep(c).order == 4 and pos.mu_top[c] == 0]
     assert len(zeros) == 2
     assert all(counting.omega(pos, c, 1) == 10 for c in zeros)
     # the displayed zero-sum
@@ -160,8 +160,8 @@ def test_intro_example_a4_inner_by_v4():
     pos_a = poset("A:4", ("inn", 4, 0))
     pos_l = poset("A:4")
     # three subgroups of order 2, conjugate in G but not A-conjugate
-    assert len([c for c in range(len(pos_a.classes)) if pos_a.rep_order(c) == 2]) == 3
-    assert len([c for c in range(len(pos_l.classes)) if pos_l.rep_order(c) == 2]) == 1
+    assert len([c for c in range(len(pos_a.classes)) if pos_a.rep(c).order == 2]) == 3
+    assert len([c for c in range(len(pos_l.classes)) if pos_l.rep(c).order == 2]) == 1
     # yet lambda(H, G) = mu_A(H, G) for every subgroup
     for i in range(len(lat.subgroups)):
         assert pos_l.mu_top[pos_l.class_of[i]] == pos_a.mu_top[pos_a.class_of[i]]
@@ -279,11 +279,11 @@ def test_automorphism_choices_close_no_map_list(spec, monkeypatch):
 def test_mu_pairs_match_column():
     pos = poset("A:5")
     for c in range(len(pos.classes)):
-        assert pos.mu(c, pos.top) == pos.mu_top[c]
+        assert mu_column(pos.rows(), [pos.top])[c] == pos.mu_top[c]
     # mu is zero off the order relation
     c6 = class_by(pos, order=6)
     c10 = class_by(pos, order=10)
-    assert pos.mu(c6, c10) == 0 and pos.mu(c10, c6) == 0
+    assert mu_column(pos.rows(), [c10])[c6] == 0 and mu_column(pos.rows(), [c6])[c10] == 0
 
 
 @pytest.mark.parametrize("spec,aut", [
@@ -291,14 +291,14 @@ def test_mu_pairs_match_column():
     ("D:12xC:2", "inn"), ("Q:8xS:3", ("inn", 4, 0)), ("C:2xC:2xC:2xC:2", "1"),
 ])
 def test_columns_match_pair_recursion(spec, aut):
-    """mu on every pair, read off `column`, and every column of the
+    """mu on every pair, read off a `mu_column` sweep, and every column of the
     subposet of closed classes, one `mu_column` sweep over the closed
     classes' rows cut to them as the Crapo check runs it, equal the
     defining recursion along the strict up-sets."""
     pos = poset(spec, aut)
     n = len(pos.classes)
     for y in range(n):
-        assert [pos.mu(x, y) for x in range(n)] == \
+        assert mu_column(pos.rows(), [y]) == \
             [recursive_mu(pos, x, y) for x in range(n)], y
     cl = maximal_closure_map(pos)
     closed = [c for c in range(n) if cl[c] == c]
@@ -320,8 +320,7 @@ def test_top_column_reads_the_lattice_column():
     lat._mu_top = tampered
     pos = build_class_poset(lat, trivial_automorphisms(G))
     assert pos.singletons
-    assert pos.column(pos.top) == tampered
-    assert all(pos.mu(x, pos.top) == 7 for x in range(len(pos.classes)))
+    assert pos.mu_top == tampered
 
 
 def test_refinement_between_actions():
@@ -407,7 +406,8 @@ def test_crapo_rejects_non_closure():
     ("S:4", "inn"), ("A:5", "1"), ("C:7", "1"), ("Q:8", "inn"),
 ])
 def test_nonzero_implies_closed(spec, aut):
-    assert nonzero_implies_closed(poset(spec, aut)) == []
+    pos = poset(spec, aut)
+    assert nonzero_implies_closed(pos, maximal_closure_map(pos)) == []
 
 
 def test_s4_c4_is_open_with_zero_lambda():
@@ -415,7 +415,7 @@ def test_s4_c4_is_open_with_zero_lambda():
     lat = pos.lattice
     cl = maximal_closure_map(pos)
     c4 = next(c for c in range(len(pos.classes))
-              if pos.rep_order(c) == 4
+              if pos.rep(c).order == 4
               and any(lat.group.element_orders[x] == 4
                       for x in pos.rep(c).elements()))
     assert cl[c4] != c4

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -648,3 +651,16 @@ def test_cached_lattice_finds_one_witness_per_class(capsys, monkeypatch, tmp_cac
         assert calls[0] <= classes, argv
         _assert_class_rows_only(loaded[-1])
     assert len(loaded) == len(RELATION_COMMANDS)
+
+
+def test_perfbench_spans_find_every_name_they_wrap():
+    # perfbench/spans.py wraps engine functions, methods and lazy properties
+    # by name; installing its wrappers in a child process (the rebinding
+    # stays out of this one) fails on any name the engine no longer has
+    root = Path(__file__).resolve().parents[1]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(src)]))
+    code = "import spans; spans.install(spans.Tracer(''))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

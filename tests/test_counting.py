@@ -11,7 +11,7 @@ from moebius.catalog import family_specs
 from moebius.classposet import build_class_poset
 from moebius.errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
 from moebius.groups import is_normal_mask, quotient_group
-from moebius.lattice import enumerate_subgroups
+from moebius.lattice import enumerate_subgroups, mu_column
 
 
 def test_phi_paper_values():
@@ -71,7 +71,7 @@ def test_omega_examples():
 def test_omega_trivial_action_is_power():
     pos = poset("S:4", "1")
     for c in range(len(pos.classes)):
-        assert counting.omega(pos, c, 2) == pos.rep_order(c) ** 2
+        assert counting.omega(pos, c, 2) == pos.rep(c).order ** 2
 
 
 @pytest.mark.parametrize("spec,aut", [("S:4", "inn"), ("A:5", "inn"),
@@ -90,9 +90,9 @@ def test_omega_singleton_orbit_equality():
     for c in range(len(pos.classes)):
         om = counting.omega(pos, c, 2)
         if len(pos.orbit(c)) == 1:
-            assert om == pos.rep_order(c) ** 2
+            assert om == pos.rep(c).order ** 2
         else:
-            assert om > pos.rep_order(c) ** 2
+            assert om > pos.rep(c).order ** 2
 
 
 @pytest.mark.parametrize("spec", ["S:4", "D:12xC:2", "Q:8xS:3"])
@@ -120,7 +120,7 @@ def test_psi_inversion_relation():
         for t in (1, 2):
             for c in range(len(pos.classes)):
                 total = sum(counting.psi(pos, k, t)
-                            for k in range(len(pos.classes)) if pos.leq(k, c))
+                            for k in range(len(pos.classes)) if pos.rows()[k] >> c & 1)
                 assert total == counting.omega(pos, c, t)
 
 
@@ -129,7 +129,8 @@ def test_phi_exact_against_interval_moebius():
     pos = poset("S:4", "1")
     phi2 = lat.phi_exact(2)
     for i, s in enumerate(lat.subgroups):
-        direct = s.order ** 2 + sum(pos.mu(j, i) * lat.subgroups[j].order ** 2
+        col = mu_column(pos.rows(), [i])
+        direct = s.order ** 2 + sum(col[j] * lat.subgroups[j].order ** 2
                                     for j in lat.down[i])
         assert phi2[i] == direct
 
@@ -262,11 +263,42 @@ def test_relative_counts_match_the_lift_scan():
                 per_class = [0] * len(pos.classes)
                 for mask, count in scan.items():
                     per_class[pos.class_of[lat.index[mask]]] += count
+                rows = pos.rows()
                 for c, (rep, orbit) in enumerate(pos.classes):
                     assert len(orbit) * exact[rep] == per_class[c], (spec, N.order, t, aut)
-                    below = sum(per_class[d] for d in range(len(pos.classes)) if pos.leq(d, c))
+                    below = sum(per_class[d] for d in range(len(pos.classes))
+                                if rows[d] >> c & 1)
                     assert counting.omega_relative(pos, c, N, t) == below
                 assert counting.phi_relative_via_classes(pos, N, t) == value
+
+
+def test_relative_checks_run_once_per_poset_and_subgroup(monkeypatch):
+    # omega_relative over every class checks N once per (poset, N, t), and a
+    # refused N is never kept as checked
+    lifts = []
+    original = counting.generating_lift
+
+    def counted(lat, N, t):
+        lifts.append(t)
+        return original(lat, N, t)
+
+    monkeypatch.setattr(counting, "generating_lift", counted)
+    lat = lattice("S:4")
+    v4 = next(s for s in subgroups_of_order("S:4", 4) if is_normal_mask(lat.group, s.mask))
+    pos = build_class_poset(lat, full_automorphism_group(lat.group))
+    for t in (1, 2, 2):
+        try:
+            [counting.omega_relative(pos, c, v4, t) for c in range(len(pos.classes))]
+        except LiftNotGenerating:
+            assert t == 1
+    assert lifts == [1, 2]
+    assert pos.relative_checked == {(v4.mask, 2)}
+    c2 = subgroups_of_order("C:2xC:2xC:2", 2)[0]
+    moved = poset("C:2xC:2xC:2", "aut")
+    for _ in range(2):
+        with pytest.raises(NotInvariant):
+            counting.phi_relative_via_classes(moved, c2, 2)
+    assert (c2.mask, 2) not in moved.relative_checked
 
 
 def test_relative_errors_come_in_the_cli_order():
@@ -367,7 +399,7 @@ def test_gamma_tuples_inversion():
         for t in (1, 2):
             for c in range(len(pos.classes)):
                 total = sum(counting.gamma_tuples(pos, k, t)
-                            for k in range(len(pos.classes)) if pos.leq(k, c))
+                            for k in range(len(pos.classes)) if pos.rows()[k] >> c & 1)
                 assert total == counting.sigma_tuples(pos, c, t)
             assert counting.gamma_tuples(pos, pos.top, t) == \
                 counting.phi_star(pos, t)

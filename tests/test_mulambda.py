@@ -85,13 +85,13 @@ def test_psu33_fails_in_four_classes(capsys):
 def test_beta_vectors_a5():
     an = analyzer("A:5")
     ids = an.cstar_classes()
-    orders = [an.poset.rep_order(c) for c in ids]
+    orders = [an.poset.rep(c).order for c in ids]
     assert sorted(orders, reverse=True) == orders  # descending class order
     assert set(orders) == set(A5_BETA_BY_ORDER)
     for t in range(1, 7):
         vec = an.beta_vector(t)
         for c, entry in zip(vec.class_ids, vec.entries):
-            assert entry == A5_BETA_BY_ORDER[an.poset.rep_order(c)][t - 1]
+            assert entry == A5_BETA_BY_ORDER[an.poset.rep(c).order][t - 1]
 
 
 def test_beta_rank_values():
@@ -111,6 +111,26 @@ def test_beta_vector_rejects_a_fraction(monkeypatch):
     monkeypatch.setattr(an, "beta", lambda c, t: Fraction(1, 2))
     with pytest.raises(EngineError, match="not an integer"):
         an.beta_vector(1)
+    # and the refused vector was not kept
+    monkeypatch.undo()
+    assert an.beta_vector(1).entries == (0, 2, 2)
+
+
+def test_beta_vectors_are_built_once_per_t(monkeypatch, capsys):
+    # beta --rank prints the vectors and their rank, and builds each once
+    built = []
+    original = MuLambdaAnalyzer.beta
+
+    def counted(self, c, t):
+        built.append(t)
+        return original(self, c, t)
+
+    monkeypatch.setattr(MuLambdaAnalyzer, "beta", counted)
+    assert cli.main(["beta", "A:5", "--t-max", "3", "--rank"]) == 0
+    ranked = json.loads(capsys.readouterr().out)
+    n = len(ranked["classes"])
+    assert sorted(built) == [t for t in (1, 2, 3) for _ in range(n)]
+    assert ranked["rank"] == 3
 
 
 @pytest.mark.parametrize("spec", ["C:12", "Q:8", "C:2xC:2xC:2", "C:9"])
