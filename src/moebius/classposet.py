@@ -210,7 +210,7 @@ def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[
     over = [d for d in range(n)
             if d != poset.top and product_covers(G, poset.rep(d).mask, n_sub.mask)]
     # sum of mu_A(x, d) over d in over, for every x, in one seeded sweep
-    summed = mu_column(poset.rows(), over) if over else [0] * n
+    summed = mu_column(poset.rows(), over)
     bad = []
     for c in range(n):
         h = poset.rep(c)

@@ -9,16 +9,16 @@ Products come only from this module's primitives: `FiniteGroup.mul`,
 `products` (x*y for zipped pairs), `powers` (x, x^2, ...), `coset` and
 `cosets` (r*h for each h), `conjugates` (g^-1*x*g for each x),
 `conjugation_map`, and `product_mask` (the product set AB), read off
-the multiplication table up to 256 elements and composed from image
-words above, one comprehension per call.  The hot loops here call one
-primitive per coset, wave of cosets, power walk or orbit member.
+the multiplication table (one byte per entry) up to 256 elements and
+composed from image words above, one comprehension per call.  The hot
+loops here call one primitive per coset, wave of cosets, power walk or
+orbit member.  One walk of each cyclic subgroup's powers gives the
+element orders, the inverses and the zuppos (`FiniteGroup.zuppos`).
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
@@ -51,13 +51,13 @@ class FiniteGroup:
 
     Elements are image tuples; `index` inverts the element list.  The
     multiplication table (at most 256 elements) or the image words
-    (above), the inverses and the element orders are built lazily and
-    cached.  Instances are immutable after construction.
+    (above), the inverses, the element orders and the zuppos are built
+    lazily and cached.  Instances are immutable after construction.
     """
 
     __slots__ = ("degree", "elements", "index", "order", "identity", "gens",
-                 "spec", "_rights", "_table", "_words", "_inv", "_elt_orders", "_center",
-                 "_conjugations")
+                 "spec", "_rights", "_table", "_words", "_inv", "_elt_orders", "_zuppos",
+                 "_center", "_conjugations")
 
     def __init__(self, elements, gens, spec=None, rights=None, index=None):
         self.elements = list(elements)
@@ -81,25 +81,26 @@ class FiniteGroup:
         self._words = None
         self._inv = None
         self._elt_orders = None
+        self._zuppos = None
         self._center = None
         self._conjugations = None
 
     # -- lazy tables ---------------------------------------------------
 
     @property
-    def table(self) -> array:
+    def table(self) -> bytes:
         """Flat multiplication table of a group of at most 256 elements:
-        index of x*y at [x*order + y], one 2-byte unsigned entry each, so
-        2*|G|^2 bytes in all.  A larger group has none (ValueError); its
-        primitives compose image words instead (`_composer`).
+        index of x*y at [x*order + y], one byte each, so |G|^2 bytes in
+        all.  A larger group has none (ValueError); its primitives compose
+        image words instead (`_composer`).
 
-        An index fits in one byte, so a column is a `bytes` of length |G|
-        and a right-multiplication map R_g[x] = x*g is a `bytes.translate`
-        table: the column of y*g is the column of y translated through
-        R_g, as x*(y*g) = (x*y)*g.  The columns are walked from the
-        identity's, bytes(range(n)), along the generators and stored in
-        the entries' low bytes, one strided store each; ValueError when
-        they miss an element.  The BFS's right maps are then dropped."""
+        A column is a `bytes` of length |G|, and a right-multiplication
+        map R_g[x] = x*g is a `bytes.translate` table: the column of y*g
+        is the column of y translated through R_g, as x*(y*g) = (x*y)*g.
+        The columns are walked from the identity's, bytes(range(n)), along
+        the generators and stored with one strided store each; ValueError
+        when they miss an element.  The BFS's right maps are then
+        dropped."""
         if self._table is None:
             if self.order > TABLE_ORDER:
                 raise ValueError(f"no multiplication table above {TABLE_ORDER} elements")
@@ -107,7 +108,7 @@ class FiniteGroup:
             self._rights = None
         return self._table
 
-    def _fill_columns(self) -> array:
+    def _fill_columns(self) -> bytes:
         n = self.order
         e = self.identity
         rights = self._rights
@@ -118,24 +119,21 @@ class FiniteGroup:
                       for g in self.gens}
         pad = bytes(256 - n)
         steps = [(r_g, bytes(r_g) + pad) for g, r_g in rights.items() if g != e]
-        mt = array("H", bytes(2 * n * n))
-        stride = 2 * n
-        low = 0 if sys.byteorder == "little" else 1
+        mt = bytearray(n * n)
         cols = [None] * n
         cols[e] = bytes(range(n))
         todo = [e]
-        with memoryview(mt).cast("B") as raw:
-            for y in todo:
-                col = cols[y]
-                raw[low + 2 * y::stride] = col
-                for r_g, through_g in steps:
-                    z = r_g[y]          # y*g
-                    if cols[z] is None:
-                        cols[z] = col.translate(through_g)
-                        todo.append(z)
+        for y in todo:
+            col = cols[y]
+            mt[y::n] = col
+            for r_g, through_g in steps:
+                z = r_g[y]          # y*g
+                if cols[z] is None:
+                    cols[z] = col.translate(through_g)
+                    todo.append(z)
         if len(todo) != n:
             raise ValueError("the generators do not generate the elements")
-        return mt
+        return bytes(mt)
 
     @property
     def _composer(self) -> tuple:
@@ -173,26 +171,58 @@ class FiniteGroup:
             self._walk_powers()
         return self._elt_orders
 
+    @property
+    def zuppos(self) -> tuple[list[int], list[int], list[list[int]], dict[int, int]]:
+        """(zuppo_of, zgens, zpowers, power_cands) for the zuppos, the
+        cyclic subgroups of prime-power order, numbered by their least
+        generators: zuppo_of[x] is the id of the zuppo x generates (-2 when
+        x is 1 or its order is not a prime power), zgens[id] its least
+        generator, ascending with the id, and zpowers[id] that generator's
+        powers (`powers`); power_cands[y] is the bitset of the zgens x of
+        the zuppos Z with x^p = y, so that Z^p = <y> (y = 1 when |Z| = p).
+        A subgroup holds Z^p exactly when it holds y."""
+        if self._zuppos is None:
+            self._walk_powers()
+        return self._zuppos
+
     def _walk_powers(self):
-        """Inverses and element orders: the powers of each element x not
-        yet met are walked once, and for x of order k, x^j has order
-        k/gcd(j, k) and inverse x^(k-j)."""
+        """Element orders, inverses and zuppos: each nontrivial cyclic
+        subgroup is walked once, from its least generator x, the first
+        element, in index order, that no walk has reached.  For x of order
+        k, each generator x^j of <x> (j prime to k) has order k and inverse
+        x^(k-j), and when k is a prime power each is recorded under the
+        zuppo <x>."""
         n = self.order
         e = self.identity
         orders = [0] * n
         inv = [0] * n
         orders[e] = 1
         inv[e] = e
+        zuppo_of = [-2] * n
+        zgens: list[int] = []
+        zpowers: list[list[int]] = []
+        power_cands: dict[int, int] = {}
         for x in range(n):
             if orders[x]:
                 continue
             powers = self.powers(x)
             k = len(powers) + 1
+            p = _prime_of_power(k)
+            z = -2
+            if p:
+                z = len(zgens)
+                zgens.append(x)
+                zpowers.append(powers)
+                y = powers[p - 1] if p < k else e
+                power_cands[y] = power_cands.get(y, 0) | 1 << x
             for j, y in enumerate(powers, 1):
-                orders[y] = k // gcd(j, k)
-                inv[y] = powers[k - j - 1]
+                if gcd(j, k) == 1:
+                    orders[y] = k
+                    inv[y] = powers[k - j - 1]
+                    zuppo_of[y] = z
         self._elt_orders = orders
         self._inv = inv
+        self._zuppos = zuppo_of, zgens, zpowers, power_cands
 
     # -- element arithmetic --------------------------------------------
 
@@ -609,6 +639,15 @@ def extend_closure(G: FiniteGroup, h_mask: int, h_elems, h_gens, x: int,
             reps = [r for r in reps if not member[r]]
         wave = G.cosets(step_gens, filled)
     return flags_to_mask(member)
+
+
+@lru_cache(maxsize=None)
+def _prime_of_power(n: int) -> int:
+    """p when n is a power of the prime p, else 0."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else 0
 
 
 @lru_cache(maxsize=None)

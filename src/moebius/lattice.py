@@ -30,7 +30,8 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
 
 Each join outside R is by an element z that normalizes H with z^p in
 H, so `groups.fill_cosets` fills the p cosets z^i*H, with z's powers
-kept from the zuppo walk and no closure search, and lists the elements;
+read off the group's one power walk (`FiniteGroup.zuppos`) and no
+closure search, and lists the elements;
 a new subgroup's class walk starts from that list.  Any other join lies
 inside R and goes through `extend_closure`, which stops at R.  The
 enumerator carries each representative's element list from its orbit
@@ -76,12 +77,10 @@ singleton.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from math import gcd
 
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, closure, conjugate_mask, derived_series,
-                     extend_closure, fill_cosets, find_witness, flags_to_mask,
+from .groups import (FiniteGroup, Subgroup, _prime_of_power, bits, closure, conjugate_mask,
+                     derived_series, extend_closure, fill_cosets, find_witness, flags_to_mask,
                      is_normal_mask, orbit_and_normalizer, product_covers,
                      subgroup_image_mask)
 from .perm import orbit
@@ -460,61 +459,25 @@ def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[i
     mu(y, z) over x < y <= z over Z).  Items must extend the order (x
     below y implies x < y), so one descending sweep values every item
     above x before x; with S_v the ids of the items already valued v,
-    f(x) is [x in Z] - sum over v of v * popcount(rows[x] & S_v).  No
-    item x > max(Z) lies below a seed, so the sweep starts there."""
+    f(x) is [x in Z] - sum over v of v * popcount(rows[x] & S_v).  Only
+    items below a seed can be nonzero: no item x > max(Z) is, so the sweep
+    starts there (no seeds give all zeros), and an x whose row holds no id
+    of a seed is skipped (a top column skips nothing)."""
     seeds = set(seeds)
+    reach = 0   # the ids the seeds own
+    for z in seeds:
+        reach |= 1 << z if blocks is None else blocks[z]
     mu = [0] * len(rows)
     valued: dict[int, int] = {}   # v -> S_v, v != 0
-    for x in range(max(seeds), -1, -1):
+    for x in range(max(seeds, default=-1), -1, -1):
         row = rows[x]
+        if not row & reach:
+            continue
         v = (x in seeds) - sum([v * (row & ids).bit_count() for v, ids in valued.items()])
         if v:
             mu[x] = v
             valued[v] = valued.get(v, 0) | (1 << x if blocks is None else blocks[x])
     return mu
-
-
-def _zuppos(G: FiniteGroup) -> tuple[list[int], list[int], list[list[int]],
-                                     dict[int, list[int]]]:
-    """(zuppo_of, zgens, zpowers, by_power): zuppo_of[x] is the id of the
-    cyclic prime-power subgroup that x generates (negative when x is 1 or
-    its order is not a prime power), zgens[id] is one generator of that
-    zuppo and zpowers[id] its powers (`G.powers`), and by_power[y] lists,
-    ascending, the zuppos Z of order p^a whose index-p subgroup Z^p is
-    generated by y (y = 1 when a = 1)."""
-    n = G.order
-    e = G.identity
-    zuppo_of = [-1] * n     # -1 until the powers of x are walked
-    zuppo_of[e] = -2
-    zgens: list[int] = []
-    zpowers: list[list[int]] = []
-    by_power: dict[int, list[int]] = {}
-    for x in range(n):
-        if zuppo_of[x] != -1:
-            continue
-        powers = G.powers(x)
-        k = len(powers) + 1
-        p = _prime_of_power(k)
-        z = -2
-        if p:
-            z = len(zgens)
-            zgens.append(x)
-            zpowers.append(powers)
-            by_power.setdefault(powers[p - 1] if p < k else e, []).append(z)
-        # the generators of <x> are its powers prime to its order
-        for j, y in enumerate(powers, 1):
-            if gcd(j, k) == 1:
-                zuppo_of[y] = z
-    return zuppo_of, zgens, zpowers, by_power
-
-
-@lru_cache(maxsize=None)
-def _prime_of_power(n: int) -> int:
-    """p when n is a power of the prime p, else 0."""
-    p = next(d for d in range(2, n + 1) if n % d == 0)
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else 0
 
 
 def _dropped_primes(primes) -> set[int]:
@@ -608,8 +571,8 @@ def enumerate_subgroups(G: FiniteGroup,
     enumeration; those of G's non-central generators are read off the
     conjugation maps the group keeps.
 
-    Bitsets: each zuppo is designated by one generator, zgens[id], and
-    zgens ascends, so an int bitset over elements whose bits are such
+    Bitsets: each zuppo is designated by its least generator, zgens[id],
+    and zgens ascends, so an int bitset over elements whose bits are such
     generators lists zuppos in id order by its low bits.  H's candidates
     are one: the zuppos Z with Z^p in H (an OR over the elements of H),
     ANDed with N_G(H), ORed with the pi'-zuppos when the second test
@@ -659,14 +622,10 @@ def enumerate_subgroups(G: FiniteGroup,
         normalizers[least] = norm
         worklist.append((least, least_elems, norm, norm_gens))
 
-    zuppo_of, zgens, zpowers, by_power = _zuppos(G)
+    zuppo_of, zgens, zpowers, power_cands = G.zuppos
     zbit = [1 << zx for zx in zgens]
-    # y -> the designated generators of the zuppos Z with Z^p = <y>
-    power_cands = {}
-    powers = 0
-    for y, zs in by_power.items():
-        powers |= 1 << y
-        power_cands[y] = sum(zbit[z] for z in zs)
+    # the elements keying power_cands, as one bitset
+    powers = sum(1 << y for y in power_cands)
     # designated generators of the pi'-zuppos: those in R whose prime is
     # not one of the two, pi, with the most zuppos in R
     pi_zuppos = 0

@@ -172,12 +172,14 @@ def recursive_mu(pos, x, y, within=None):
     return mu(x, y)
 
 
-def summed_columns(pos, zs):
-    """The sum of the columns mu(., z) of a class poset over the classes z
-    in zs, added up column by column: one single-seed sweep per z, and
-    `mu_top` at the top class."""
-    cols = (pos.mu_top if z == pos.top else mu_column(pos.rows(), [z]) for z in zs)
-    return [sum(vals) for vals in zip(*cols)]
+def summed_columns(rows, zs, blocks=None):
+    """The sum of the columns mu(., z) of a poset given by `mu_column`'s
+    rows (and blocks) over the items z in zs, added up column by column:
+    one single-seed sweep per z, all zeros for no z."""
+    total = [0] * len(rows)
+    for z in zs:
+        total = [a + b for a, b in zip(total, mu_column(rows, [z], blocks))]
+    return total
 
 
 def brute_relative_counts(lat, N, lifts, t):

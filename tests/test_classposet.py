@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import moebius.verify as verify_module
@@ -357,14 +359,20 @@ def test_crapo_all_pairs(spec, aut):
 def test_seeded_sweep_sums_columns(spec, aut):
     """One `mu_column` sweep seeded with a set Z of classes gives the sum
     of the columns mu(., z) over Z: on every closure group of the closure
-    by maximal subgroups, which the Crapo check reads, and on all classes."""
+    by maximal subgroups, which the Crapo check reads, on all classes, on
+    random sets of classes, and (all zeros) on none."""
     pos = poset(spec, aut)
+    rows = pos.rows()
+    n = len(rows)
     groups = {}
     for z, c in enumerate(maximal_closure_map(pos)):
         groups.setdefault(c, []).append(z)
     assert any(len(zs) > 1 for zs in groups.values())
-    for zs in list(groups.values()) + [list(range(len(pos.classes)))]:
-        assert mu_column(pos.rows(), zs) == summed_columns(pos, zs), zs
+    rng = random.Random(spec)
+    drawn = [rng.sample(range(n), rng.randint(1, min(n, 6))) for _ in range(8)]
+    for zs in list(groups.values()) + [list(range(n))] + drawn:
+        assert mu_column(rows, zs) == summed_columns(rows, zs), zs
+    assert mu_column(rows, []) == [0] * n
 
 
 def test_battery_builds_each_class_poset_once(monkeypatch):

@@ -141,13 +141,66 @@ def test_table_matches_composed_images(spec):
     # composes them from its elements and gives the same products
     H = FiniteGroup(els, G.gens)
     if n <= 256:
-        assert G.table.tolist() == [y for row in rows for y in row]
+        assert list(G.table) == [y for row in rows for y in row]
         assert H.table == G.table
     else:
         assert [H.coset(a, range(n)) for a in range(0, n, 7)] == rows[::7]
         with pytest.raises(ValueError, match="no multiplication table"):
             G.table
         assert G._table is None and H._table is None
+
+
+def _prime_of_power(n):
+    """p when n = p^a for a prime p and a >= 1, else 0, by trial division."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    return primes[0] if len(primes) == 1 else 0
+
+
+@pytest.mark.parametrize("spec", ["S:4", "Q:8xS:3", "C:2xC:2xC:2xC:2xC:2xC:2", "C:1",
+                                  "perm:[(1)]", "D:129", "C:257"])
+def test_zuppos_match_element_oracle(spec):
+    # the one power walk against element orders from the permutations and
+    # cyclic subgroups from a BFS closure, with a table and (D:129, C:257)
+    # without: each cyclic subgroup of prime-power order once, under its
+    # least generator, with that generator's powers; every generator of a
+    # zuppo under its id and every other element under -2; and
+    # power_cands[y], keyed by y = x^p for each zuppo Z = <x> of order p^a,
+    # x its least generator, with <y> the unique subgroup of index p in Z
+    G = build_from_spec(spec, cap=400)
+    n = G.order
+    orders = [G.permutation(x).order() for x in range(n)]
+    assert G.element_orders == orders
+    one = G.permutation(G.identity)
+    assert all(G.permutation(x) * G.permutation(G.inverse[x]) == one for x in range(n))
+    # <x> for each x, one closure per cyclic subgroup: the elements of <x>
+    # of the same order as x generate it
+    cyclic = [0] * n
+    for x in range(n):
+        if not cyclic[x]:
+            c = closure_mask(G, [x])
+            for y in bits(c):
+                if orders[y] == orders[x]:
+                    cyclic[y] = c
+    prime = {k: _prime_of_power(k) for k in set(orders)}
+    least = {}
+    for x in range(n):
+        if prime[orders[x]]:
+            least.setdefault(cyclic[x], x)
+    zuppo_of, zgens, zpowers, power_cands = G.zuppos
+    assert zgens == sorted(least.values())
+    assert zpowers == [G.powers(zx) for zx in zgens]
+    assert zuppo_of == [zgens.index(least[cyclic[x]]) if cyclic[x] in least else -2
+                        for x in range(n)]
+    expected = {}
+    for zx in zgens:
+        k = orders[zx]
+        x_p = G.permutation(zx)
+        for _ in range(prime[k] - 1):
+            x_p *= G.permutation(zx)
+        y = G.index[x_p.images]
+        assert cyclic[y] & ~cyclic[zx] == 0 and cyclic[y].bit_count() == k // prime[k]
+        expected[y] = expected.get(y, 0) | 1 << zx
+    assert power_cands == expected
 
 
 def test_table_rejects_generators_that_miss_elements():

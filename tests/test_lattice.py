@@ -5,7 +5,8 @@ import pytest
 
 import moebius.lattice as lattice_module
 from helpers import (brute_class_up, brute_exact_counts, brute_mu_top, brute_normalizer,
-                     brute_relation, closure_mask, group, lattice, subgroups_of_order)
+                     brute_relation, closure_mask, group, lattice, subgroups_of_order,
+                     summed_columns)
 from moebius import build_from_spec
 from moebius.cache import load_lattice, save_lattice
 from moebius.catalog import family_specs
@@ -13,7 +14,7 @@ from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
 from moebius.groups import (bits, commutator_closure, conjugate_mask, derived_series,
                             is_normal_mask, orbit_and_normalizer)
-from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness
+from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness, mu_column
 from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
 
 RELATION_SPECS = ["S:4", "D:12xC:2", "Q:8xS:3", "S:5", "A:6", "C:2xC:2xC:2xC:2"]
@@ -519,6 +520,23 @@ def test_mu_columns_match_defining_sums(spec, source, tmp_path):
         save_lattice(lat, tmp_path)
         lat = load_lattice(lat.group, tmp_path)
         assert all(s.gens is None for s in lat.subgroups) and not lat._conj_orbit
-    assert lat.mu_top == brute_mu_top(brute_relation(lat)[0], lat.top_id)
+    up = brute_relation(lat)[0]
+    assert lat.mu_top == brute_mu_top(up, lat.top_id)
     pos = conjugation_poset(lat)
     assert pos.mu_top == brute_mu_top(brute_class_up(pos), pos.top)
+    # sweeps seeded with random sets of conjugacy classes over the
+    # lattice's blocked rows (one row per class, each class owning its
+    # orbit's ids): the sum over the seeds' members z of mu(rep, z), as
+    # single-seed sweeps and as defining sums over the pairwise relation
+    classes, _ = lat.conjugacy_classes
+    rows = lat.upeq([r for r, _ in classes])
+    blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
+    rng = random.Random(spec)
+    for size in (1, 2, 4):
+        zs = rng.sample(range(len(classes)), min(size, len(classes)))
+        brute = [0] * len(classes)
+        for z in (j for c in zs for j in classes[c][1]):
+            col = brute_mu_top(up, z)
+            brute = [v + col[r] for v, (r, _) in zip(brute, classes)]
+        assert mu_column(rows, zs, blocks) == summed_columns(rows, zs, blocks) == brute, zs
+    assert mu_column(rows, [], blocks) == [0] * len(classes)
