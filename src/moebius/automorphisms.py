@@ -191,7 +191,8 @@ def full_automorphism_group(G: FiniteGroup,
 def induced_quotient_action(A: AutomorphismGroup, N: Subgroup,
                             quotient: FiniteGroup, projection: list[int]) -> AutomorphismGroup:
     """The automorphisms of G/N induced by A (N must be A-invariant, which
-    holds exactly when every generator of A fixes N)."""
+    holds exactly when every generator of A fixes N).
+    No engine caller: exported API for the quotient identity mu_A(HN, G)."""
     for a in A.gens:
         if a.apply_mask(N.mask) != N.mask:
             raise NotInvariant("the normal subgroup is moved by the action")

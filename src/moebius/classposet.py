@@ -124,7 +124,8 @@ def conjugation_poset(lattice: SubgroupLattice) -> ClassPoset:
 
 
 def lambda_poset(G: FiniteGroup, lattice: SubgroupLattice) -> ClassPoset:
-    """The poset of ordinary conjugacy classes: mu of this poset is lambda."""
+    """The poset of ordinary conjugacy classes: mu of this poset is lambda.
+    No engine caller: the tests and perfbench's spans name it."""
     return conjugation_poset(lattice)
 
 
@@ -168,22 +169,21 @@ def crapo_check_all(poset: ClassPoset, cl: list[int]) -> list[tuple[int, int]]:
     class, where the sum of mu(x, z) over the classes z with closure y
     differs from mu(x, y) in the subposet of closed classes when x is
     closed, and from 0 otherwise.  The left side at y is one `mu_column`
-    sweep seeded with y's closure group; the right side is one sweep over
-    the closed classes' rows alone, cut to the closed classes."""
+    sweep seeded with y's closure group; the right side is one sweep seeded
+    with y over the rows emptied at the classes that are not closed: it
+    values none of them, so it is the closed subposet's column, 0 off it."""
     validate_closure_map(poset, cl)
     group: dict[int, list[int]] = {}
     for z, c in enumerate(cl):
         group.setdefault(c, []).append(z)
-    closed = sorted(group)      # the closure values: the closed classes
-    blocks = [1 << c for c in closed]
-    keep = sum(blocks)
     rows = poset.rows()
-    closed_rows = [rows[c] & keep for c in closed]
+    closed_rows = [row if cl[x] == x else 0 for x, row in enumerate(rows)]
     bad = []
-    for i, y in enumerate(closed):
+    for y in sorted(group):     # the closure values: the closed classes
         lhs = mu_column(rows, group[y])
-        rhs = dict(zip(closed, mu_column(closed_rows, [i], blocks)))
-        bad.extend((x, y) for x, left in enumerate(lhs) if left != rhs.get(x, 0))
+        rhs = mu_column(closed_rows, [y])
+        if lhs != rhs:
+            bad.extend((x, y) for x in range(len(lhs)) if lhs[x] != rhs[x])
     return bad
 
 
@@ -202,7 +202,8 @@ def nonzero_implies_closed(poset: ClassPoset, cl: list[int]) -> list[int]:
 def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[int]:
     """For an A-invariant normal N, check on every class [H] with
     H < HN < G that mu_A(H,G) = -sum of mu_A(H,Y) over classes [Y] with
-    [H] <= [Y] < [G] and YN = G.  Returns offending class ids."""
+    [H] <= [Y] < [G] and YN = G.  Returns offending class ids.
+    No engine caller: public API for this identity, which `verify` lacks."""
     lat = poset.lattice
     G = lat.group
     full = G.full_mask()
@@ -224,7 +225,8 @@ def conjunctive_identity_violations(poset: ClassPoset, n_sub: Subgroup) -> list[
 
 def complement_class_count(poset: ClassPoset, n_sub: Subgroup,
                            h: Subgroup) -> int:
-    """Number of A-classes of complements of N in G containing H."""
+    """Number of A-classes of complements of N in G containing H.
+    No engine caller: public API for the complement identity."""
     return len({poset.class_of_subgroup(k)
                 for k in poset.lattice.complements(n_sub, h)})
 

@@ -80,7 +80,8 @@ def _downset_sum(poset: ClassPoset, c: int, exact: list[int]) -> int:
 
 
 def psi(poset: ClassPoset, c: int, t: int) -> int:
-    """Number of t-tuples generating exactly some orbit member of class c."""
+    """Number of t-tuples generating exactly some orbit member of class c.
+    No engine caller: public API, the exact count `omega` sums up."""
     _require_t(t)
     phi_exact = poset.lattice.phi_exact(t)
     return sum(phi_exact[k] for k in poset.orbit(c))
@@ -219,7 +220,8 @@ def _relative_exact(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
 
 def omega_relative(poset: ClassPoset, c: int, N: Subgroup, t: int) -> int:
     """Number of t-tuples in g_1N x .. x g_tN, for any g with <g>N = G,
-    whose closure lies inside some orbit member of class c."""
+    whose closure lies inside some orbit member of class c.
+    No engine caller: public API, the per-class relative `omega`."""
     return _downset_sum(poset, c, _relative_exact(poset, N, t))
 
 
@@ -232,13 +234,15 @@ def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, t: int) -> int:
 # -- subgroup-tuple counts ---------------------------------------------------
 
 def sigma_tuples(poset: ClassPoset, c: int, t: int) -> int:
-    """Number of subgroup t-tuples whose join lies in some orbit member."""
+    """Number of subgroup t-tuples whose join lies in some orbit member.
+    No engine caller: public API, `omega` for subgroup tuples."""
     _require_t(t)
     return _downset_sum(poset, c, poset.lattice.gamma_exact(t))
 
 
 def gamma_tuples(poset: ClassPoset, c: int, t: int) -> int:
-    """Number of subgroup t-tuples whose join is exactly some orbit member."""
+    """Number of subgroup t-tuples whose join is exactly some orbit member.
+    No engine caller: public API, `psi` for subgroup tuples."""
     _require_t(t)
     gamma_exact = poset.lattice.gamma_exact(t)
     return sum(gamma_exact[k] for k in poset.orbit(c))
@@ -289,7 +293,8 @@ def gen_probabilities(lattice: SubgroupLattice, t: int) -> tuple[Fraction, Fract
 
 
 def frattini_quotient_lattice(lattice: SubgroupLattice):
-    """Lattice of G/Frattini(G), for the P(G,t) = P(G/Phi,t) identity."""
+    """Lattice of G/Frattini(G), for the P(G,t) = P(G/Phi,t) identity.
+    No engine caller: public API for that identity, which `verify` lacks."""
     G = lattice.group
     phi_sub = lattice.frattini()
     Q, _ = quotient_group(G, phi_sub)

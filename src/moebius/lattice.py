@@ -49,7 +49,7 @@ N_G(H)-orbits of zuppos, and, in `SubgroupLattice.orbits`, the orbits on
 subgroup ids of generator maps for the class posets.  The conjugacy
 classes are the enumerator's orbits or, on a lattice read from the
 cache, one `orbit_and_normalizer` walk per class, the one walk that also
-builds a stabilizer, the normalizer of each member.
+builds a stabilizer: either way one normalizer per class, its representative's.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
@@ -117,7 +117,6 @@ class SubgroupLattice:
         self._normalizer = dict(normalizers)
         self._classes = _partition(orbits, len(subgroups)) if orbits else None
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
-        self._walked: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
         self._relative_exact: dict[int, dict[int, list[int]]] = {}
@@ -286,12 +285,23 @@ class SubgroupLattice:
     def conjugacy_classes(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
         """`orbits` of conjugation: those enumeration kept, singletons when
         G is abelian (no generator moves anything), else each class walked
-        once from its smallest id by `_class_walk`."""
+        once from its smallest id, whose normalizer is kept."""
         if self._classes is None:
             n = len(self.subgroups)
             if self.group.conjugations:
-                orbits = [self._class_walk(i)[2] for i in range(n)]
-                orbits = [o for i, o in enumerate(orbits) if o[0] == i]
+                orbits, met = [], set()
+                for i in range(n):
+                    if i in met:
+                        continue
+                    members, norm, _ = orbit_and_normalizer(
+                        self.group, self.subgroups[i].mask, self.witness(i))
+                    try:
+                        ids = [self.index[c] for c, _, _, _ in members]
+                    except KeyError as exc:
+                        raise ImageNotInLattice("a conjugate is missing from the lattice") from exc
+                    self._normalizer[i] = norm
+                    met.update(ids)
+                    orbits.append(tuple(sorted(ids)))
             else:
                 orbits = [(i,) for i in range(n)]
             self._classes = _partition(orbits, n)
@@ -309,33 +319,14 @@ class SubgroupLattice:
             orbit = self._conj_orbit[i] = classes[class_of[i]][1]
         return orbit
 
-    def _class_walk(self, i: int) -> tuple[int, int, tuple[int, ...]]:
-        """(N_G(H), a, class ids ascending) for subgroup i = H^a: the class
-        of the first subgroup H asked for is walked once by
-        `orbit_and_normalizer`, and this is kept for each member."""
-        walked = self._walked.get(i)
-        if walked is None:
-            members, norm, _ = orbit_and_normalizer(
-                self.group, self.subgroups[i].mask, self.witness(i))
-            try:
-                ids = [self.index[c] for c, _, _, _ in members]
-            except KeyError as exc:
-                raise ImageNotInLattice("a conjugate is missing from the lattice") from exc
-            orbit = tuple(sorted(ids))
-            for j, (_, _, _, a) in zip(ids, members):
-                self._walked[j] = (norm, a, orbit)
-            walked = self._walked[i]
-        return walked
-
     # -- classical primitives ---------------------------------------------
 
     def normalizer_mask(self, i: int) -> int:
-        """N_G(H^a) = N_G(H)^a, off i's class walk."""
+        """N_G(H) for subgroup i: kept at class representatives, else walked."""
         out = self._normalizer.get(i)
         if out is None:
-            norm, a, _ = self._class_walk(i)
-            out = norm if a == self.group.identity else conjugate_mask(self.group, norm, a)
-            self._normalizer[i] = out
+            out = self._normalizer[i] = orbit_and_normalizer(
+                self.group, self.subgroups[i].mask, self.witness(i))[1]
         return out
 
     def sigma(self, i: int) -> int:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import counting
-from .classposet import lambda_poset, minimal_normal_subgroup_ids
+from .classposet import conjugation_poset, minimal_normal_subgroup_ids
 from .errors import EngineError
 from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
 from .lattice import SubgroupLattice, enumerate_subgroups
@@ -82,7 +82,7 @@ class MuLambdaAnalyzer:
     def __init__(self, G: FiniteGroup, lattice: SubgroupLattice | None = None):
         self.group = G
         self.lattice = lattice if lattice is not None else enumerate_subgroups(G)
-        self.poset = lambda_poset(G, self.lattice)
+        self.poset = conjugation_poset(self.lattice)
         self.derived = commutator_subgroup(G)
         self._beta_vectors: dict[int, BetaVector] = {}
 
@@ -179,6 +179,7 @@ class MuLambdaAnalyzer:
     # -- structural classifier --------------------------------------------------
 
     def frobenius_beta_classifier(self, t_max: int = 6) -> BetaSweepVerdict:
+        """No engine caller: public API, the paper's beta-constancy classifier."""
         vectors = {self.beta_vector(t).entries for t in range(1, t_max + 1)}
         constant = len(vectors) == 1
         return BetaSweepVerdict(

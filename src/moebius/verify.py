@@ -11,9 +11,9 @@ from __future__ import annotations
 from . import counting
 from .automorphisms import (FULL_AUT_DEFAULT_BOUND, full_automorphism_group,
                             inner_automorphisms, trivial_automorphisms)
-from .classposet import (ClassPoset, build_class_poset, conjugation_poset,
-                         crapo_check_all, maximal_closure_map,
-                         minimal_normal_subgroup_ids, nonzero_implies_closed)
+from .classposet import (ClassPoset, build_class_poset, crapo_check_all,
+                         maximal_closure_map, minimal_normal_subgroup_ids,
+                         nonzero_implies_closed)
 from .errors import ImageNotInLattice, LiftNotGenerating
 from .groups import (FiniteGroup, bits, closure, commutator_subgroup, find_witness,
                      is_solvable, product_mask)
@@ -211,19 +211,18 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
         record(f"nonzero-implies-closed[{label}]",
                not nonzero_implies_closed(poset, cl))
 
-    inn_poset = conjugation_poset(lattice)
+    an = MuLambdaAnalyzer(G, lattice)
     for n_id in minimal_normal_subgroup_ids(lattice)[:2]:
         n_sub = lattice.subgroups[n_id]
         t = min(t_max, 2)
         try:
-            via = counting.phi_relative_via_classes(inn_poset, n_sub, t)
+            via = counting.phi_relative_via_classes(an.poset, n_sub, t)
         except LiftNotGenerating:
             continue
         direct = counting.phi_relative(lattice, n_sub, t)
         record(f"phi-relative-N{n_sub.order}-t{t}", via == direct,
                f"{via} vs {direct}")
 
-    an = MuLambdaAnalyzer(G, lattice)
     report = an.report()
     solvable = is_solvable(G)
     if solvable:
@@ -253,11 +252,10 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
     record("beta-nonnegative-zero-iff-derived", betas_ok)
 
     if solvable:
-        lam_col = an.poset
         for label, poset in choices:
             if not label.startswith("A=inn:"):
                 continue
-            agrees = all(lam_col.mu_top[lam_col.class_of[i]]
+            agrees = all(an.poset.mu_top[an.poset.class_of[i]]
                          == poset.mu_top[poset.class_of[i]]
                          for i in range(len(lattice.subgroups)))
             record(f"lambda-equals-mu[{label}]", agrees)

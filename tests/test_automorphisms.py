@@ -193,8 +193,9 @@ def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
     lat = enumerate_subgroups(G)
     seeded = dict(lat._normalizer)
     assert sorted(seeded) == lat.class_representatives()
+    brute = {m: brute_normalizer(G, m) for m in (lat.subgroups[i].mask for i in seeded)}
     for i, mask in seeded.items():
-        assert mask == brute_normalizer(G, lat.subgroups[i].mask)
+        assert mask == brute[lat.subgroups[i].mask]
     classes, class_of = lat.orbits([a.map for a in inner_automorphisms(G).gens])
     for i, s in enumerate(lat.subgroups):
         orbit = classes[class_of[i]][1]
@@ -208,6 +209,10 @@ def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
     cached = load_lattice(G, tmp_path)
     assert cached._classes is None and not cached._normalizer
     assert cached.class_representatives() == lat.class_representatives()
+    # walking the classes kept one normalizer per class, at its representative
+    assert sorted(cached._normalizer) == cached.class_representatives()
+    for i, mask in cached._normalizer.items():
+        assert mask == brute[cached.subgroups[i].mask]
     assert cached.mu_top == lat.mu_top
     assert lambda_poset(G, cached).mu_top == lambda_poset(G, lat).mu_top
 

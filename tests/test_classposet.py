@@ -10,7 +10,7 @@ from moebius import counting, enumerate_subgroups
 from moebius.automorphisms import (AutomorphismGroup, full_automorphism_group,
                                    inner_automorphisms, trivial_automorphisms)
 from moebius.cache import load_lattice, save_lattice
-from moebius.classposet import (build_class_poset, complement_class_count,
+from moebius.classposet import (ClassPoset, build_class_poset, complement_class_count,
                                 conjunctive_identity_violations, crapo_check_all,
                                 divisibility_scan, kappa,
                                 maximal_closure_map, minimal_normal_subgroup_ids,
@@ -294,23 +294,24 @@ def test_mu_pairs_match_column():
 ])
 def test_columns_match_pair_recursion(spec, aut):
     """mu on every pair, read off a `mu_column` sweep, and every column of the
-    subposet of closed classes, one `mu_column` sweep over the closed
-    classes' rows cut to them as the Crapo check runs it, equal the
-    defining recursion along the strict up-sets."""
+    subposet of closed classes, one `mu_column` sweep over the poset's rows
+    with an empty row at each class that is not closed, as the Crapo check
+    runs it, equal the defining recursion along the strict up-sets; the
+    closed subposet's columns are 0 at the classes that are not closed."""
     pos = poset(spec, aut)
     n = len(pos.classes)
     for y in range(n):
         assert mu_column(pos.rows(), [y]) == \
             [recursive_mu(pos, x, y) for x in range(n)], y
     cl = maximal_closure_map(pos)
+    closed_rows = [row if cl[x] == x else 0 for x, row in enumerate(pos.rows())]
     closed = [c for c in range(n) if cl[c] == c]
-    blocks = [1 << c for c in closed]
-    keep = sum(blocks)
-    closed_rows = [pos.rows()[c] & keep for c in closed]
     within = frozenset(closed)
-    for i, y in enumerate(closed):
-        assert mu_column(closed_rows, [i], blocks) == \
+    for y in closed:
+        column = mu_column(closed_rows, [y])
+        assert [column[x] for x in closed] == \
             [recursive_mu(pos, x, y, within) for x in closed], y
+        assert all(column[x] == 0 for x in range(n) if x not in within), y
 
 
 def test_top_column_reads_the_lattice_column():
@@ -378,7 +379,8 @@ def test_seeded_sweep_sums_columns(spec, aut):
 def test_battery_builds_each_class_poset_once(monkeypatch):
     """`run_battery` reuses the class poset `automorphism_choices` built
     for each action, in its main loop and in lambda-equals-mu: it builds
-    no more posets than choosing the actions does."""
+    no more posets than choosing the actions does, plus the (mu, lambda)
+    analyzer's conjugation poset, which the relative-count checks read."""
     builds = [0]
     build = verify_module.build_class_poset
 
@@ -386,21 +388,33 @@ def test_battery_builds_each_class_poset_once(monkeypatch):
         builds[0] += 1
         return build(*args)
 
+    constructed = [0]
+    init = ClassPoset.__init__
+
+    def counted_init(self, *args):
+        constructed[0] += 1
+        init(self, *args)
+
     monkeypatch.setattr(verify_module, "build_class_poset", counted)
+    monkeypatch.setattr(ClassPoset, "__init__", counted_init)
     spec = "D:12xC:2"
     choices = automorphism_choices(group(spec), lattice(spec))
-    chosen, builds[0] = builds[0], 0
+    chosen, builds[0], constructed[0] = builds[0], 0, 0
     checks = verify_module.run_battery(group(spec), t_max=1, lattice=lattice(spec))
     actions = [c["name"] for c in checks if c["name"].startswith("poset-axioms[")]
     assert len(actions) == len(choices) > 2
     assert any(c["name"].startswith("lambda-equals-mu[") for c in checks)
     assert builds[0] == chosen
+    assert constructed[0] == chosen + 1
 
 
 def test_crapo_identity_closure():
     pos = poset("S:4")
     ident = list(range(len(pos.classes)))
     assert crapo_check_all(pos, ident) == []
+    # every class sent to the top: only the top is closed, so the right
+    # side sweeps rows that are all empty but the top's
+    assert crapo_check_all(pos, [pos.top] * len(pos.classes)) == []
 
 
 def test_crapo_rejects_non_closure():

@@ -292,8 +292,9 @@ def test_orbit_walk_takes_the_elements_in_any_order(spec):
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3"])
 @pytest.mark.parametrize("source", ["enumerated", "cached"])
 def test_normalizer_masks_match_brute_scan(spec, source, tmp_path):
-    # a cache-loaded lattice walks each class from the first id asked for,
-    # here the largest, so most answers are conjugated off a non-representative;
+    # a cache-loaded lattice whose classes are not yet walked walks each id
+    # asked for on its own, here from the largest down, so most walks start
+    # at a non-representative;
     # D:12xC:2 has a central generator, which starts every normalizer
     lat = lattice(spec)
     if source == "cached":
