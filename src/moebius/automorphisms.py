@@ -85,9 +85,8 @@ def inner_automorphisms(G: FiniteGroup, K: Subgroup | None = None) -> Automorphi
     generators; for all of G (K is None), G's kept conjugation maps."""
     if K is None:
         return AutomorphismGroup(G, [Automorphism(m) for _, m in G.conjugations], "inner")
-    gens = K.gens if K.gens is not None else find_witness(G, K.mask)
     origin = "inner" if K.order == G.order else f"inner-by-{K.order}"
-    return AutomorphismGroup(G, [Automorphism(G.conjugation_map(k)) for k in gens], origin)
+    return AutomorphismGroup(G, [Automorphism(G.conjugation_map(k)) for k in K.gens], origin)
 
 
 def close_automorphisms(G: FiniteGroup, seeds) -> AutomorphismGroup:

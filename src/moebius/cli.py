@@ -313,9 +313,11 @@ def cmd_cache(args) -> int:
         raise ValueError("cache commands need --cache-dir or MOEBIUS_CACHE_DIR")
     if args.action == "clear":
         removed = 0
-        for f in Path(args.cache_dir).glob("lattice_*.json"):
-            f.unlink()
-            removed += 1
+        # and the temporary files of writes killed before their rename
+        for pattern in ("lattice_*.json", "lattice_*.json.*.tmp"):
+            for f in Path(args.cache_dir).glob(pattern):
+                f.unlink()
+                removed += 1
         _json_out({"cleared": removed})
         return 0
     if not args.spec:

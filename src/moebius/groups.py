@@ -525,18 +525,14 @@ def build_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 # -- subgroups as bitsets ------------------------------------------------
 
 class Subgroup:
-    """A subgroup as an element-index bitset with a generator witness.
-
-    `gens` may be None for deserialized subgroups; callers needing a
-    witness go through SubgroupLattice.witness().
-    """
+    """A subgroup as an element-index bitset with a generator witness."""
 
     __slots__ = ("mask", "order", "gens")
 
-    def __init__(self, mask: int, gens=None):
+    def __init__(self, mask: int, gens):
         self.mask = mask
         self.order = mask.bit_count()
-        self.gens = tuple(gens) if gens is not None else None
+        self.gens = tuple(gens)
 
     def elements(self) -> list[int]:
         return list(bits(self.mask))

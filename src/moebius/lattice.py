@@ -46,10 +46,10 @@ oracle re-derives the same lattice independently.
 
 Every orbit is walked by one routine, `perm.orbit`: the enumerator's
 N_G(H)-orbits of zuppos, and, in `SubgroupLattice.orbits`, the orbits on
-subgroup ids of generator maps for the class posets.  The conjugacy
-classes are the enumerator's orbits or, on a lattice read from the
-cache, one `orbit_and_normalizer` walk per class, the one walk that also
-builds a stabilizer: either way one normalizer per class, its representative's.
+subgroup ids of generator maps for the class posets.  Every lattice,
+fresh or cached, is built by `LatticeBuilder`, one `orbit_and_normalizer`
+walk per conjugacy class, the one walk that also builds a stabilizer:
+each member's witness and one normalizer per class, its representative's.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
@@ -80,7 +80,7 @@ from collections import Counter
 
 from .errors import BudgetExceeded, ImageNotInLattice, NotNormal
 from .groups import (FiniteGroup, Subgroup, _prime_of_power, bits, closure, conjugate_mask,
-                     derived_series, extend_closure, fill_cosets, find_witness, flags_to_mask,
+                     derived_series, extend_closure, fill_cosets, flags_to_mask,
                      is_normal_mask, orbit_and_normalizer, product_covers,
                      subgroup_image_mask)
 from .perm import orbit
@@ -89,17 +89,17 @@ DEFAULT_SUBGROUP_BUDGET = 200000
 
 
 class SubgroupLattice:
-    """All subgroups of a group, ordered by (order, bitset).
+    """All subgroups of a group, each with its witness, ordered by (order,
+    bitset), as `LatticeBuilder` builds them.
 
-    Subgroup ids index the `subgroups` list.  Inclusion structure, the
-    Moebius column at the top, normalizers and per-subgroup counting data
-    are computed lazily and cached; the lattice itself is immutable.
-    `orbits` (ascending id tuples of all conjugacy orbits) and `normalizers`
-    (id -> N_G bitset) seed those caches with what enumeration found.
+    Subgroup ids index the `subgroups` list.  `orbits` (ascending id tuples)
+    are the conjugacy classes and `normalizers` (id -> N_G bitset) hold N_G
+    at each class representative.  Inclusion structure, the Moebius column
+    at the top, other normalizers and per-subgroup counting data are
+    computed lazily and cached; the lattice itself is immutable.
     """
 
-    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup],
-                 orbits=(), normalizers=()):
+    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], orbits, normalizers):
         self.group = group
         self.subgroups = subgroups
         self.index = {s.mask: i for i, s in enumerate(subgroups)}
@@ -115,7 +115,13 @@ class SubgroupLattice:
         self._maximals = None
         self._mu_top = None
         self._normalizer = dict(normalizers)
-        self._classes = _partition(orbits, len(subgroups)) if orbits else None
+        # (classes, class_of) of conjugation, as `orbits` gives them, and
+        # the bitset over subgroup ids of each class (None when every class
+        # is a singleton, its id the class id)
+        self.conjugacy_classes = _partition(orbits, len(subgroups))
+        classes = self.conjugacy_classes[0]
+        self.class_blocks = (None if len(classes) == len(subgroups)
+                             else [sum(1 << j for j in orbit) for _, orbit in classes])
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
@@ -124,14 +130,6 @@ class SubgroupLattice:
 
     def __len__(self):
         return len(self.subgroups)
-
-    def witness(self, i: int) -> tuple[int, ...]:
-        """Generator witness for subgroup i, recomputed if absent."""
-        s = self.subgroups[i]
-        if s.gens is None:
-            s = Subgroup(s.mask, gens=find_witness(self.group, s.mask))
-            self.subgroups[i] = s
-        return s.gens
 
     # -- inclusion structure --------------------------------------------
 
@@ -152,7 +150,7 @@ class SubgroupLattice:
         rows = [(1 << len(subs)) - 1] * len(ids)
         wanted: dict[int, list[int]] = {}   # element -> rows whose witness has it
         for k, i in enumerate(ids):
-            for x in self.witness(i):
+            for x in self.subgroups[i].gens:
                 wanted.setdefault(x, []).append(k)
         used = 0
         for x in wanted:
@@ -197,7 +195,8 @@ class SubgroupLattice:
         strikes all its ids off; singleton classes' rows are upeq rows."""
         rows = self.upeq([r for r, _ in classes])
         if len(classes) < len(self.subgroups):
-            blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
+            blocks = (self.class_blocks if classes is self.conjugacy_classes[0]
+                      else [sum(1 << j for j in orbit) for _, orbit in classes])
             for k, u in enumerate(rows):
                 rows[k] = 0
                 while u:
@@ -218,7 +217,7 @@ class SubgroupLattice:
             if len(classes) == len(self.subgroups):
                 marks = [[1] * len(ds) for ds in below]
             else:
-                blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
+                blocks = self.class_blocks
                 size = [len(orbit) for _, orbit in classes]
                 upeq = self.upeq([r for r, _ in classes])
                 marks = [[size[d] * (upeq[d] & blocks[c]).bit_count() // size[c] for d in ds]
@@ -249,8 +248,8 @@ class SubgroupLattice:
         if self._mu_top is None:
             classes, class_of = self.conjugacy_classes
             # G's class, a singleton, comes last
-            blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
-            mu = mu_column(self.upeq([r for r, _ in classes]), [len(classes) - 1], blocks)
+            mu = mu_column(self.upeq([r for r, _ in classes]), [len(classes) - 1],
+                           self.class_blocks)
             self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
@@ -281,32 +280,6 @@ class SubgroupLattice:
                 "an automorphism image is missing from the lattice") from exc
         return _partition(orbits, len(subs))
 
-    @property
-    def conjugacy_classes(self) -> tuple[list[tuple[int, tuple[int, ...]]], list[int]]:
-        """`orbits` of conjugation: those enumeration kept, singletons when
-        G is abelian (no generator moves anything), else each class walked
-        once from its smallest id, whose normalizer is kept."""
-        if self._classes is None:
-            n = len(self.subgroups)
-            if self.group.conjugations:
-                orbits, met = [], set()
-                for i in range(n):
-                    if i in met:
-                        continue
-                    members, norm, _ = orbit_and_normalizer(
-                        self.group, self.subgroups[i].mask, self.witness(i))
-                    try:
-                        ids = [self.index[c] for c, _, _, _ in members]
-                    except KeyError as exc:
-                        raise ImageNotInLattice("a conjugate is missing from the lattice") from exc
-                    self._normalizer[i] = norm
-                    met.update(ids)
-                    orbits.append(tuple(sorted(ids)))
-            else:
-                orbits = [(i,) for i in range(n)]
-            self._classes = _partition(orbits, n)
-        return self._classes
-
     def class_representatives(self) -> list[int]:
         """One subgroup id per conjugacy class (the smallest in each orbit)."""
         return [r for r, _ in self.conjugacy_classes[0]]
@@ -325,8 +298,8 @@ class SubgroupLattice:
         """N_G(H) for subgroup i: kept at class representatives, else walked."""
         out = self._normalizer.get(i)
         if out is None:
-            out = self._normalizer[i] = orbit_and_normalizer(
-                self.group, self.subgroups[i].mask, self.witness(i))[1]
+            s = self.subgroups[i]
+            out = self._normalizer[i] = orbit_and_normalizer(self.group, s.mask, s.gens)[1]
         return out
 
     def sigma(self, i: int) -> int:
@@ -338,7 +311,7 @@ class SubgroupLattice:
         key = (self.index[h.mask], self.index[k.mask])
         j = self._join.get(key)
         if j is None:
-            mask, _ = closure(self.group, self.witness(key[1]), h.mask, self.witness(key[0]))
+            mask, _ = closure(self.group, k.gens, h.mask, h.gens)
             j = self._join[key] = self.index[mask]
         return self.subgroups[j]
 
@@ -471,6 +444,52 @@ def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[i
     return mu
 
 
+class LatticeBuilder:
+    """A lattice built one conjugacy class at a time, the one way both
+    `enumerate_subgroups` and `cache.load_lattice` build one: `add` walks
+    a class with `orbit_and_normalizer` and keeps each member's witness
+    (`witnesses`), the class and N_G at its least member; `lattice` sorts
+    the members by (order, bitset).  A class met before raises ValueError,
+    and passing `budget` subgroups raises BudgetExceeded."""
+
+    def __init__(self, G: FiniteGroup, budget: int | None = None):
+        self.group = G
+        self.budget = budget
+        self.witnesses: dict[int, tuple[int, ...]] = {}
+        self.orbits: list[list[int]] = []
+        self.normalizers: dict[int, int] = {}   # least member's bitset -> N_G
+
+    def add(self, mask: int, witness: tuple[int, ...], elems=None):
+        """Keep the class of H = <witness>, given its elements when known;
+        return its least member H^a, its elements, N_G(H^a) = N_G(H)^a and
+        the conjugated generators."""
+        G, seen = self.group, self.witnesses
+        members, norm, norm_gens = orbit_and_normalizer(G, mask, witness, elems)
+        count = len(seen)
+        seen.update((c, w) for c, _, w, _ in members)
+        if len(seen) < count + len(members):
+            raise ValueError("duplicate subgroups")
+        if self.budget is not None and len(seen) > self.budget:
+            # the count at the first subgroup past the budget
+            raise BudgetExceeded(self.budget + 1, self.budget, "subgroup enumeration")
+        self.orbits.append([c for c, _, _, _ in members])
+        least, least_elems, _, carrier = min(members)
+        if carrier != G.identity:
+            norm = conjugate_mask(G, norm, carrier)
+            norm_gens = tuple(G.conjugates(norm_gens, carrier))
+        self.normalizers[least] = norm
+        return least, least_elems, norm, norm_gens
+
+    def lattice(self) -> SubgroupLattice:
+        subs = [Subgroup(m, w) for m, w in self.witnesses.items()]
+        subs.sort(key=lambda s: (s.order, s.mask))
+        position = {s.mask: i for i, s in enumerate(subs)}
+        return SubgroupLattice(
+            self.group, subs,
+            [tuple(sorted(position[m] for m in orbit)) for orbit in self.orbits],
+            {position[m]: norm for m, norm in self.normalizers.items()})
+
+
 def _dropped_primes(primes) -> set[int]:
     """pi, the two primes that occur most often in `primes`, the prime of
     each zuppo of R (ties go to the smaller prime); second-test joins
@@ -587,31 +606,8 @@ def enumerate_subgroups(G: FiniteGroup,
     full = G.full_mask()
     triv = 1 << G.identity
     residue = derived_series(G)[-1]
-    seen: dict[int, tuple[int, ...]] = {}
-    orbits: list[list[int]] = []
-    normalizers: dict[int, int] = {}
-    worklist: list[tuple[int, list[int], int, tuple[int, ...]]] = []
-
-    def insert(mask: int, witness: tuple[int, ...]):
-        seen[mask] = witness
-        if len(seen) > budget:
-            raise BudgetExceeded(len(seen), budget, "subgroup enumeration")
-
-    def expand_orbit(mask: int, witness: tuple[int, ...], elems=None):
-        """Insert the conjugacy class of a new subgroup H, given its
-        elements when known, and queue its smallest member H^a with its
-        elements and N_G(H^a) = N_G(H)^a, generated by the conjugated
-        generators."""
-        members, norm, norm_gens = orbit_and_normalizer(G, mask, witness, elems)
-        for c, _, w, _ in members:
-            insert(c, w)
-        orbits.append([c for c, _, _, _ in members])
-        least, least_elems, _, carrier = min(members)
-        if carrier != G.identity:
-            norm = conjugate_mask(G, norm, carrier)
-            norm_gens = tuple(G.conjugates(norm_gens, carrier))
-        normalizers[least] = norm
-        worklist.append((least, least_elems, norm, norm_gens))
+    build = LatticeBuilder(G, budget)
+    seen = build.witnesses
 
     zuppo_of, zgens, zpowers, power_cands = G.zuppos
     zbit = [1 << zx for zx in zgens]
@@ -642,7 +638,7 @@ def enumerate_subgroups(G: FiniteGroup,
         """The orbit of zuppo_of[zx] under `steps`, as designated generators."""
         return sum(zbit[k] for k in orbit(zuppo_of[zx], steps))
 
-    expand_orbit(triv, ())
+    worklist = [build.add(triv, ())]
     while worklist:
         h, h_elems, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
@@ -703,11 +699,5 @@ def enumerate_subgroups(G: FiniteGroup,
             # candidates need no walk
             cands &= ~known
             if t not in seen:
-                expand_orbit(t, h_gens + (zx,), t_elems)
-    subs = [Subgroup(m, gens=g) for m, g in seen.items()]
-    subs.sort(key=lambda s: (s.order, s.mask))
-    position = {s.mask: i for i, s in enumerate(subs)}
-    return SubgroupLattice(
-        G, subs,
-        orbits=[tuple(sorted(position[m] for m in orbit)) for orbit in orbits],
-        normalizers={position[m]: norm for m, norm in normalizers.items()})
+                worklist.append(build.add(t, h_gens + (zx,), t_elems))
+    return build.lattice()

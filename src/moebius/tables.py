@@ -41,7 +41,7 @@ def name_subgroup(lattice: SubgroupLattice, i: int) -> str:
     orders = G.element_orders
     gens = next(((x,) for x in s.elements() if orders[x] == s.order), None)
     if gens is None and s.order <= WORD_ORDER_LIMIT:
-        least = _min_generators(G, s, lattice.witness(i))
+        least = _min_generators(G, s, lattice.subgroups[i].gens)
         for k in range(max(2, least), 4):
             gens = counting.first_generating_tuple(G, s.mask, k)
             if gens is not None:

@@ -53,7 +53,7 @@ def automorphism_choices(G: FiniteGroup,
     for i, s in enumerate(lattice.subgroups):
         if dmask & ~s.mask == 0:
             add(f"A=inn:order={s.order}#{lattice.by_order[s.order].index(i)}",
-                closure(G, lattice.witness(i), center, center_gens)[0],
+                closure(G, s.gens, center, center_gens)[0],
                 lambda: inner_automorphisms(G, lattice.subgroups[i]))
     if G.order <= FULL_AUT_DEFAULT_BOUND:
         full = full_automorphism_group(G)
@@ -145,7 +145,7 @@ def completeness_gaps(G: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
             zuppos.setdefault(closure(G, (x,))[0], x)
     gaps = []
     for r, _ in classes:
-        mask, witness = lattice.subgroups[r].mask, lattice.witness(r)
+        mask, witness = lattice.subgroups[r].mask, lattice.subgroups[r].gens
         for z in zuppos.values():
             if not (mask >> z) & 1 and closure(G, (z,), mask, witness)[0] not in lattice.index:
                 gaps.append(f"<{r}, {z}>")

@@ -10,7 +10,7 @@ from moebius.automorphisms import (Automorphism, _extend_images, full_automorphi
 from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
 from moebius.groups import conjugate_mask, find_witness, quotient_group
-from moebius.lattice import mu_column
+from moebius.lattice import SubgroupLattice, mu_column
 from moebius.mulambda import MuLambdaAnalyzer
 
 # PSU(3,3) on the 28 isotropic points of the hermitian form over GF(9):
@@ -39,6 +39,19 @@ def lattice(spec):
     if spec not in _lattices:
         _lattices[spec] = enumerate_subgroups(group(spec))
     return _lattices[spec]
+
+
+def sublattice(lat, keep=lambda i: True):
+    """A new lattice of lat's subgroups whose ids pass `keep`: lat's
+    conjugacy orbits cut to them, with the normalizers lat keeps at its
+    representatives, and none of its lazily computed data."""
+    ids = [i for i in range(len(lat)) if keep(i)]
+    new = {i: k for k, i in enumerate(ids)}
+    orbits = [[new[j] for j in orbit if j in new] for _, orbit in lat.conjugacy_classes[0]]
+    return SubgroupLattice(lat.group, [lat.subgroups[i] for i in ids],
+                           [tuple(orbit) for orbit in orbits if orbit],
+                           {new[r]: lat.normalizer_mask(r) for r in lat.class_representatives()
+                            if r in new})
 
 
 def poset(spec, aut="inn"):

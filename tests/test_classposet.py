@@ -27,7 +27,7 @@ from moebius.verify import (automorphism_choices, mobius_equation_violations,
 @pytest.mark.parametrize("spec", ["S:5", "A:6", "D:12xC:2", "Q:8xS:3", "C:2xC:4xC:4"])
 def test_inner_poset_reads_the_conjugacy_classes(spec, source, tmp_path):
     # under all of Inn(G) the classes are read from the lattice, kept by
-    # the enumerator, or on a cached lattice walked (singletons when G is
+    # the class walks that built it, fresh or cached (singletons when G is
     # abelian, as C:2xC:4xC:4 is); they equal the orbits walked over the
     # generators' conjugation maps, and any other origin still walks the
     # orbits of its generators

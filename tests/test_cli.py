@@ -3,17 +3,16 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
-import moebius.lattice as lattice_module
-from helpers import lattice
+import moebius.groups as groups_module
+from helpers import lattice, sublattice
 from moebius import __version__, cli
-from moebius.cache import cache_path, file_lines, load_lattice, mask_to_hex, save_lattice
-from moebius.lattice import SubgroupLattice
+from moebius.cache import (cache_path, class_line, file_lines, load_lattice, mask_to_hex,
+                           save_lattice)
 
 
 def run_cli(capsys, *argv):
@@ -290,17 +289,30 @@ def test_normal_order_selector(capsys):
 # -- cache ---------------------------------------------------------------
 
 def read_cache(path) -> dict:
-    """A cache file's head fields, plus a "subgroups" list of its hex lines."""
-    head, *hexes, seal = path.read_text().splitlines()
+    """A cache file's head fields, plus a "classes" list of its class lines."""
+    head, *classes, seal = path.read_text().splitlines()
     assert seal.startswith("sha256 ")
-    return {**json.loads(head), "subgroups": hexes}
+    return {**json.loads(head), "classes": classes}
 
 
 def cache_lines(payload: dict) -> list[bytes]:
     """The lines `file_lines` gives for a payload as `read_cache` returns
     it, the seal line last."""
-    head = {k: v for k, v in payload.items() if k != "subgroups"}
-    return list(file_lines(head, payload["subgroups"]))
+    head = {k: v for k, v in payload.items() if k != "classes"}
+    return list(file_lines(head, payload["classes"]))
+
+
+def s4_class(order: int) -> int:
+    """The representative of S:4's class of more than three subgroups of
+    the given order (order 2: the six transpositions; order 6: the four
+    S_3)."""
+    lat = lattice("S:4")
+    return next(r for r in lat.class_representatives()
+                if lat.subgroups[r].order == order and len(lat.conjugacy_orbit(r)) > 3)
+
+
+def s4_class_line(order: int) -> str:
+    return class_line(lattice("S:4").subgroups[s4_class(order)], 24)
 
 
 def test_cache_build_rebuild_identical(capsys, tmp_cache):
@@ -317,45 +329,44 @@ def test_cache_build_rebuild_identical(capsys, tmp_cache):
                                   "C:2xC:2xC:2xC:2xC:2xC:2"])
 def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
     # the file is streamed through `file_lines`: the canonical JSON head,
-    # one hex bitset per subgroup in lattice order, and a seal line
-    # holding the SHA-256 of every byte before it
+    # one line per conjugacy class in lattice order, the representative's
+    # hex bitset and its witness ids, and a seal line holding the SHA-256
+    # of every byte before it
     lat = lattice(spec)
     order = lat.group.order
     head = {"element_count": order, "engine_version": __version__, "spec": spec}
     data = save_lattice(lat, tmp_cache).read_bytes()
-    assert data == b"".join(file_lines(head, (mask_to_hex(s.mask, order)
-                                              for s in lat.subgroups)))
+    reps = lat.class_representatives()
+    assert data == b"".join(file_lines(head, (class_line(lat.subgroups[r], order)
+                                              for r in reps)))
     *body, last = data.splitlines(keepends=True)
     assert body[0] == json.dumps(head, separators=(",", ":")).encode() + b"\n"
-    assert len(body) == 1 + len(lat)
+    assert len(body) == 1 + len(reps)
+    for r, line in zip(reps, body[1:]):
+        assert line.split() == [mask_to_hex(lat.subgroups[r].mask, order).encode(),
+                                *(str(x).encode() for x in lat.subgroups[r].gens)]
     assert last == f"sha256 {hashlib.sha256(b''.join(body)).hexdigest()}\n".encode()
 
 
 def test_cache_load_is_streamed(tmp_cache, monkeypatch):
-    # the load reads one line at a time: never the file whole, and at its
-    # peak it holds less than the file (A:7's is 2.4 MB)
+    # the load reads one line at a time, never the file whole
     lat = lattice("A:7")
-    size = save_lattice(lat, tmp_cache).stat().st_size
+    save_lattice(lat, tmp_cache)
 
     def whole(path, *args, **kwargs):
         raise AssertionError(f"{path} read whole")
     monkeypatch.setattr(Path, "read_text", whole)
     monkeypatch.setattr(Path, "read_bytes", whole)
-    tracemalloc.start()
-    try:
-        loaded = load_lattice(lat.group, tmp_cache)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded = load_lattice(lat.group, tmp_cache)
     assert loaded is not None
     assert [s.mask for s in loaded.subgroups] == [s.mask for s in lat.subgroups]
-    assert peak < size
 
 
 def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
-    # a file in the earlier format, one JSON line holding the subgroups
-    # and its own "sha256" field, has no seal line: one seal warning, the
-    # output of a cold run, and the file rewritten in the line format
+    # a file in the earlier format, one JSON line holding the subgroups'
+    # hex bitsets and its own "sha256" field, has no seal line: one seal
+    # warning, the output of a cold run, and the file rewritten in the
+    # line format
     argv = ["table", "S:4", "--aut", "inn"]
     cold_dir, cache_dir = tmp_path / "cold", tmp_path / "cache"
     code, cold = run_cli(capsys, *argv, "--cache-dir", str(cold_dir))
@@ -363,7 +374,9 @@ def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
 
     def canonical(payload):
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    payload = read_cache(cache_path(cold_dir, "S:4"))
+    payload = {k: v for k, v in read_cache(cache_path(cold_dir, "S:4")).items()
+               if k != "classes"}
+    payload["subgroups"] = [mask_to_hex(s.mask, 24) for s in lattice("S:4").subgroups]
     payload["sha256"] = hashlib.sha256(canonical(payload).encode()).hexdigest()
     cache_dir.mkdir()
     path = cache_path(cache_dir, "S:4")
@@ -425,6 +438,20 @@ def test_cache_clear(capsys, tmp_cache):
     assert json.loads(out)["cleared"] == 2
 
 
+def test_cache_clear_removes_the_files_of_killed_writes(capsys, tmp_cache):
+    # a write killed before its rename (SIGKILL runs no cleanup) leaves
+    # its temporary file, named after the cache file and the writer's pid
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    path = cache_path(tmp_cache, "S:4")
+    partial = path.with_name(f"{path.name}.4242.tmp")
+    partial.write_bytes(path.read_bytes()[:100])
+    other = tmp_cache / "notes.txt"
+    other.write_text("kept")
+    code, out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_cache))
+    assert code == 0 and json.loads(out)["cleared"] == 2
+    assert list(tmp_cache.iterdir()) == [other]
+
+
 def test_cache_clear_in_a_dir_named_like_a_glob(capsys, tmp_path):
     # "[1]" is a glob character class: the path is matched literally
     cache_dir = str(tmp_path / "d[1]")
@@ -436,60 +463,42 @@ def test_cache_clear_in_a_dir_named_like_a_glob(capsys, tmp_path):
     assert not cache_path(cache_dir, "S:3").exists()
 
 
-def test_corrupt_cache_exits_2(capsys, tmp_cache):
-    # a cache missing one non-normal subgroup of order 2 breaks the orbits
-    from helpers import group, lattice
-    from moebius.groups import is_normal_mask
-    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
-    path = cache_path(tmp_cache, "S:4")
+@pytest.mark.parametrize("order", [2, 6])
+def test_dropped_class_line_is_caught_by_the_seal(capsys, tmp_path, order):
+    # a class line deleted by hand, seal left as it was: a lattice without
+    # the class would pass every other rule, as each line is a whole class,
+    # so the seal refuses it; every command warns and prints what a cold
+    # run prints, and the first rewrites the file
+    cache_dir = tmp_path / "cache"
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(cache_dir))
+    path = cache_path(cache_dir, "S:4")
+    sealed = path.read_bytes()
     payload = read_cache(path)
-    G, lat = group("S:4"), lattice("S:4")
-    drop = next(s for s in lat.subgroups
-                if s.order == 2 and not is_normal_mask(G, s.mask))
-    payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
-    path.write_bytes(b"".join(cache_lines(payload)))   # re-sealed: reaches the orbit walk
+    payload["classes"].remove(s4_class_line(order))
+    edited = b"".join(cache_lines(payload)[:-1] + [sealed.splitlines(keepends=True)[-1]])
     for argv in (["table", "S:4"],
+                 ["table", "S:4", "--aut", "inn"],
+                 ["phi", "S:4", "--t", "2"],
                  ["phi", "S:4", "--t", "2", "--via", "classes", "--aut", "inn"],
                  ["check-mu-lambda", "S:4"],
                  ["sigma-table", "S:4"]):
-        code = cli.main(argv + ["--cache-dir", str(tmp_cache)])
-        err = capsys.readouterr().err
-        assert code == 2 and err.startswith("error:"), argv
-
-
-def test_cache_missing_a_conjugate_exits_2(capsys, tmp_cache):
-    # a cache missing one of the four S_3 of S:4: the orbit walk meets a
-    # conjugate outside the lattice before anything is printed
-    from helpers import group, lattice
-    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
-    path = cache_path(tmp_cache, "S:4")
-    payload = read_cache(path)
-    G, lat = group("S:4"), lattice("S:4")
-    drop = lat.subgroups[lat.by_order[6][0]]
-    payload["subgroups"].remove(mask_to_hex(drop.mask, G.order))
-    path.write_bytes(b"".join(cache_lines(payload)))   # re-sealed: reaches the orbit walk
-    for argv in (["table", "S:4", "--aut", "inn"],
-                 ["check-mu-lambda", "S:4"],
-                 ["phi", "S:4", "--t", "2"]):
-        code = cli.main(argv + ["--cache-dir", str(tmp_cache)])
-        captured = capsys.readouterr()
-        assert code == 2, argv
-        assert "missing from the lattice" in captured.err, argv
-        assert captured.out == "", argv
+        cold = cli.main(argv), capsys.readouterr()
+        path.write_bytes(edited)
+        with pytest.warns(UserWarning, match="sha256 seal"):
+            code = cli.main(argv + ["--cache-dir", str(cache_dir)])
+        assert (code, capsys.readouterr()) == cold, argv
+        assert path.read_bytes() == sealed, argv
 
 
 def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
-    # the four S_3 of S:4 deleted by hand, seal left as it was: a whole
-    # conjugacy class gone passes every cheap check, so only the seal tells;
-    # phi(S_4, 2) is 216, not the 288 of the edited lattice
-    from helpers import lattice
+    # the line of the four S_3 of S:4 deleted by hand, seal left as it
+    # was: a whole conjugacy class gone passes every other rule, so only
+    # the seal tells; phi(S_4, 2) is 216, not the 288 of the edited lattice
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
     sealed = path.read_bytes()
     payload = read_cache(path)
-    lat = lattice("S:4")
-    for i in lat.by_order[6]:
-        payload["subgroups"].remove(mask_to_hex(lat.subgroups[i].mask, 24))
+    payload["classes"].remove(s4_class_line(6))
     old_seal = sealed.splitlines(keepends=True)[-1]
     path.write_bytes(b"".join(cache_lines(payload)[:-1] + [old_seal]))
     with warnings.catch_warnings(record=True) as caught:
@@ -506,7 +515,7 @@ def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
     lambda lines: lines.append(lines[-1]),
 ], ids=["unsealed", "wrong seal", "line after the seal"])
 def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, mutate):
-    # masks intact, seal missing or wrong, or a line after it: ignored with
+    # class lines intact, seal missing or wrong, or a line after it: ignored with
     # a warning, and the next query rewrites the sealed file
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
@@ -526,24 +535,51 @@ def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, mutate
     assert [p.name for p in tmp_cache.iterdir()] == [path.name]
 
 
-# one mutation per cheap rule of `load_lattice`, each re-sealed, so only
-# the rule itself can refuse the file
+def _conjugate_line(p):
+    """A second line of the transpositions' class: another member, with
+    its own witness."""
+    lat = lattice("S:4")
+    j = lat.conjugacy_orbit(s4_class(2))[1]
+    p["classes"].append(class_line(lat.subgroups[j], 24))
+
+
+def _other_witness(p):
+    """The first order-2 line given the second one's witness."""
+    first, second = p["classes"][1].split(), p["classes"][2].split()
+    p["classes"][1] = " ".join([first[0], *second[1:]])
+
+
+# one mutation per rule of `load_lattice`, each re-sealed, so only the rule
+# itself can refuse the file
 CHEAP_RULE_MUTATIONS = {
     "spec": ("spec mismatch", lambda p: p.update(spec="S:5")),
     "element count": ("element count mismatch", lambda p: p.update(element_count=25)),
-    "duplicate": ("duplicate subgroups",
-                  lambda p: p["subgroups"].append(p["subgroups"][1])),
-    # S:4's identity is element 0, so its trivial subgroup is the mask 1
+    "unparsable line": ("invalid literal for int() with base 10: b'x'",
+                        lambda p: p["classes"].append(f"{mask_to_hex(1, 24)} x")),
+    "duplicate": ("duplicate subgroups", _conjugate_line),
+    # S:4's identity is element 0, so its trivial subgroup is the mask 1,
+    # with an empty witness
     "no trivial": ("missing trivial or full subgroup",
-                   lambda p: p["subgroups"].remove(mask_to_hex(1, 24))),
+                   lambda p: p["classes"].remove(mask_to_hex(1, 24))),
     "no full": ("missing trivial or full subgroup",
-                lambda p: p["subgroups"].remove(mask_to_hex((1 << 24) - 1, 24))),
-    # 3 elements, a divisor of 24, two of them past the last element
+                lambda p: p["classes"].remove(next(
+                    line for line in p["classes"]
+                    if line.startswith(mask_to_hex((1 << 24) - 1, 24))))),
+    # 3 elements, two of them past the last element
     "bit outside G": ("invalid subgroup bitset",
-                      lambda p: p["subgroups"].append(mask_to_hex(1 | 3 << 24, 24))),
-    # elements 0..4, inside G, but 5 does not divide 24
-    "size": ("invalid subgroup bitset",
-             lambda p: p["subgroups"].append(mask_to_hex((1 << 5) - 1, 24))),
+                      lambda p: p["classes"].append(f"{mask_to_hex(1 | 3 << 24, 24)} 24")),
+    "witness outside G": ("witness outside the group",
+                          lambda p: p["classes"].append(f"{mask_to_hex(3, 24)} 24")),
+    # elements 0..4, inside G, with themselves as witness: 5 does not
+    # divide 24, so they generate more
+    "size": ("witness does not generate its subgroup",
+             lambda p: p["classes"].append(f"{mask_to_hex((1 << 5) - 1, 24)} 0 1 2 3 4")),
+    "witness closure": ("witness does not generate its subgroup", _other_witness),
+    # the earlier format: one bare hex bitset per subgroup, no witnesses;
+    # the trivial subgroup's line passes, the next one fails
+    "old format": ("witness does not generate its subgroup",
+                   lambda p: p.update(classes=[mask_to_hex(s.mask, 24)
+                                               for s in lattice("S:4").subgroups])),
 }
 
 
@@ -612,8 +648,7 @@ def test_commands_read_only_class_representative_rows(capsys, monkeypatch, argv)
     loaded = []
 
     def load(args):
-        lat = SubgroupLattice(G, list(enumerated.subgroups),
-                              [orbit for _, orbit in enumerated.conjugacy_classes[0]])
+        lat = sublattice(enumerated)
         loaded.append(lat)
         return G, lat
 
@@ -624,15 +659,14 @@ def test_commands_read_only_class_representative_rows(capsys, monkeypatch, argv)
     _assert_class_rows_only(lat)
 
 
-def test_cached_lattice_finds_one_witness_per_class(capsys, monkeypatch, tmp_cache):
-    """A lattice read from the cache has no witnesses; the commands search
-    one for each class representative and for no other subgroup."""
+def test_warm_query_searches_no_witness(capsys, monkeypatch, tmp_cache):
+    """A lattice read from the cache holds every witness from its class
+    walks, as a fresh one does: no command searches one."""
     enumerated = lattice("A:7")
     save_lattice(enumerated, tmp_cache)
-    classes = len(enumerated.conjugacy_classes[0])
     calls = [0]
     loaded = []
-    find_witness, load = lattice_module.find_witness, cli.load_lattice
+    find_witness, load = groups_module.find_witness, cli.load_lattice
 
     def counted(*args):
         calls[0] += 1
@@ -642,13 +676,15 @@ def test_cached_lattice_finds_one_witness_per_class(capsys, monkeypatch, tmp_cac
         loaded.append(load(*args))
         return loaded[-1]
 
-    monkeypatch.setattr(lattice_module, "find_witness", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("moebius") and getattr(module, "find_witness", None) is find_witness:
+            monkeypatch.setattr(module, "find_witness", counted)
     monkeypatch.setattr(cli, "load_lattice", kept)
     for argv in RELATION_COMMANDS:
         calls[0] = 0
         code, _ = run_cli(capsys, argv[0], "A:7", *argv[1:], "--cache-dir", str(tmp_cache))
         assert code == 0
-        assert calls[0] <= classes, argv
+        assert calls[0] == 0, argv
         _assert_class_rows_only(loaded[-1])
     assert len(loaded) == len(RELATION_COMMANDS)
 

@@ -254,7 +254,7 @@ def test_extend_closure_matches_generator_closure(spec):
     ids = range(len(lat)) if G.order <= 120 else lat.class_representatives()
     for i in ids:
         H = lat.subgroups[i]
-        w = lat.witness(i)
+        w = H.gens
         h_elems = list(bits(H.mask))
         joins = {}
         for x in range(G.order):
@@ -289,8 +289,8 @@ def test_fill_cosets_lists_the_join(spec):
     G = group(spec)
     lat = lattice(spec)
     filled = 0
-    for i, H in enumerate(lat.subgroups):
-        w = lat.witness(i)
+    for H in lat.subgroups:
+        w = H.gens
         h_elems = list(bits(H.mask))
         for x in range(G.order):
             if (H.mask >> x) & 1 or conjugate_mask(G, H.mask, x) != H.mask:
@@ -323,8 +323,8 @@ def test_closure_folds_elements_into_a_subgroup(spec):
     lat = lattice(spec)
     pairs = [(x, (7 * x + 3) % G.order) for x in range(G.order)]
     assert closure(G, ()) == (1 << G.identity, [])
-    for i, H in enumerate(lat.subgroups):
-        w = lat.witness(i)
+    for H in lat.subgroups:
+        w = H.gens
         for xs in pairs:
             mask, gens = closure(G, xs, H.mask, w)
             assert mask == closure_mask(G, w + xs)

@@ -6,15 +6,15 @@ import pytest
 import moebius.lattice as lattice_module
 from helpers import (brute_class_up, brute_exact_counts, brute_mu_top, brute_normalizer,
                      brute_relation, closure_mask, group, lattice, subgroups_of_order,
-                     summed_columns)
+                     sublattice, summed_columns)
 from moebius import build_from_spec
 from moebius.cache import load_lattice, save_lattice
 from moebius.catalog import family_specs
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
 from moebius.groups import (bits, commutator_closure, conjugate_mask, derived_series,
-                            is_normal_mask, orbit_and_normalizer)
-from moebius.lattice import SubgroupLattice, enumerate_subgroups, find_witness, mu_column
+                            find_witness, is_normal_mask, orbit_and_normalizer)
+from moebius.lattice import enumerate_subgroups, mu_column
 from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
 
 RELATION_SPECS = ["S:4", "D:12xC:2", "Q:8xS:3", "S:5", "A:6", "C:2xC:2xC:2xC:2"]
@@ -53,12 +53,12 @@ def test_battery_reports_a_missing_conjugacy_class():
     # check of the battery still passes, the zuppo joins do not
     G, lat = group("S:5"), lattice("S:5")
     (orbit,) = {lat.conjugacy_orbit(i) for i in lat.by_order[20]}
-    broken = SubgroupLattice(G, [s for i, s in enumerate(lat.subgroups) if i not in orbit])
+    broken = sublattice(lat, lambda i: i not in orbit)
     checks = {c["name"]: c for c in run_battery(G, t_max=1, lattice=broken)}
     assert not checks["lattice-completeness-zuppos"]["ok"]
     assert [name for name, c in checks.items() if not c["ok"]] == ["lattice-completeness-zuppos"]
     # a conjugate left out breaks closure under conjugation instead
-    one_short = SubgroupLattice(G, [s for i, s in enumerate(lat.subgroups) if i != orbit[0]])
+    one_short = sublattice(lat, lambda i: i != orbit[0])
     assert completeness_gaps(G, one_short) == ["not closed under conjugation"]
 
 
@@ -76,16 +76,18 @@ def test_lagrange_and_ordering(spec):
 @pytest.mark.parametrize("spec", ["S:4", "A:4", "D:7"])
 def test_witnesses_generate(spec):
     lat = lattice(spec)
-    for i, s in enumerate(lat.subgroups):
-        assert closure_mask(lat.group, lat.witness(i)) == s.mask
+    for s in lat.subgroups:
+        assert closure_mask(lat.group, s.gens) == s.mask
         assert closure_mask(lat.group, find_witness(lat.group, s.mask)) == s.mask
 
 
 @pytest.mark.parametrize("spec", ["S:4", "C:2xC:2xC:2", "C:2xC:2xC:120"])
 def test_budget_exceeded(spec):
-    # in an abelian group every subgroup is its own conjugacy orbit
-    with pytest.raises(BudgetExceeded):
+    # in an abelian group every subgroup is its own conjugacy orbit; the
+    # count is the first one past the budget, whichever class passes it
+    with pytest.raises(BudgetExceeded) as info:
         enumerate_subgroups(group(spec), budget=5)
+    assert (info.value.count, info.value.budget) == (6, 5)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -144,7 +146,7 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
         index = k.bit_count() // h.bit_count()
         assert h & ~k == 0 and index > 1
         assert all(index % d for d in range(2, index))
-        gens = lat.witness(lat.index[k])
+        gens = lat.subgroups[lat.index[k]].gens
         assert all(conjugate_mask(G, h, g) == h for g in gens)
 
 
@@ -215,9 +217,9 @@ def test_perfect_subgroups_are_generated_by_their_pi_prime_zuppos(spec):
     G = lat.group
     residue = derived_series(G)[-1]
     perfect = []
-    for i, s in enumerate(lat.subgroups):
+    for s in lat.subgroups:
         if s.mask & ~residue == 0 and (s.order == 1 or len(_prime_divisors(s.order)) >= 3):
-            w = lat.witness(i)
+            w = s.gens
             if commutator_closure(G, w, w, w)[0] == s.mask:
                 perfect.append(s.mask)
     assert {1 << G.identity, residue} <= set(perfect)
@@ -255,7 +257,7 @@ def test_normalizer_generators_generate_the_normalizer(spec):
     lat = lattice(spec)
     G = lat.group
     for i, s in enumerate(lat.subgroups):
-        w = lat.witness(i)
+        w = s.gens
         members, mask, gens = orbit_and_normalizer(G, s.mask, w)
         assert mask == brute_normalizer(G, s.mask)
         assert closure_mask(G, gens) == mask
@@ -275,8 +277,8 @@ def test_orbit_walk_takes_the_elements_in_any_order(spec):
     lat = lattice(spec)
     G = lat.group
     rng = random.Random(spec)
-    for i, s in enumerate(lat.subgroups):
-        w = lat.witness(i)
+    for s in lat.subgroups:
+        w = s.gens
         elems = list(bits(s.mask))
         rng.shuffle(elems)
         members, norm, gens = orbit_and_normalizer(G, s.mask, w, elems)
@@ -292,9 +294,9 @@ def test_orbit_walk_takes_the_elements_in_any_order(spec):
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "S:5", "D:12xC:2", "Q:8xS:3"])
 @pytest.mark.parametrize("source", ["enumerated", "cached"])
 def test_normalizer_masks_match_brute_scan(spec, source, tmp_path):
-    # a cache-loaded lattice whose classes are not yet walked walks each id
-    # asked for on its own, here from the largest down, so most walks start
-    # at a non-representative;
+    # a lattice, fresh or cache-loaded, keeps its representatives'
+    # normalizers and walks any other id asked for on its own, here from
+    # the largest down, so most walks start at a non-representative;
     # D:12xC:2 has a central generator, which starts every normalizer
     lat = lattice(spec)
     if source == "cached":
@@ -450,14 +452,15 @@ def test_lattice_mu_column():
 @pytest.mark.parametrize("spec", RELATION_SPECS)
 def test_relation_matches_pairwise_scan(spec, source, tmp_path):
     """The inclusion bitsets give what testing every pair of masks gives,
-    also on a lattice read back from the cache, which has no witnesses."""
+    also on a lattice read back from the cache, whose witnesses other than
+    the representatives' come from its own class walks."""
     enumerated = lattice(spec)
     if source == "cached":
         save_lattice(enumerated, tmp_path)
         lat = load_lattice(enumerated.group, tmp_path)
-        assert all(s.gens is None for s in lat.subgroups)
+        assert all(closure_mask(lat.group, s.gens) == s.mask for s in lat.subgroups)
     else:
-        lat = SubgroupLattice(enumerated.group, list(enumerated.subgroups))
+        lat = sublattice(enumerated)
     up, down = brute_relation(lat)
     assert lat.up == up
     assert lat.down == down
@@ -492,15 +495,13 @@ def _check_class_incidence(lat):
 @pytest.mark.parametrize("spec", ["S:5", "A:6"])
 def test_class_incidence_matches_mask_scan(spec, source, tmp_path):
     """The class-incidence table and what the engine reads off it, also on
-    a lattice read back from the cache, which has no orbits and no
-    witnesses."""
+    a lattice read back from the cache."""
     enumerated = lattice(spec)
     if source == "cached":
         save_lattice(enumerated, tmp_path)
         lat = load_lattice(enumerated.group, tmp_path)
     else:
-        lat = SubgroupLattice(enumerated.group, list(enumerated.subgroups),
-                              [orbit for _, orbit in enumerated.conjugacy_classes[0]])
+        lat = sublattice(enumerated)
     _check_class_incidence(lat)
 
 
@@ -509,18 +510,45 @@ def test_class_incidence_matches_mask_scan_up_to_order_24():
         _check_class_incidence(enumerate_subgroups(build_from_spec(spec)))
 
 
+def _check_cached_matches_fresh(spec, cache_dir):
+    """A lattice read back from the cache is the fresh one as built: the
+    same subgroups in the same order, the same conjugacy classes, one
+    normalizer per class, at its representative, and the same
+    representatives' witnesses."""
+    fresh = enumerate_subgroups(build_from_spec(spec))
+    save_lattice(fresh, cache_dir)
+    cached = load_lattice(fresh.group, cache_dir)
+    assert [s.mask for s in cached.subgroups] == [s.mask for s in fresh.subgroups], spec
+    assert cached.conjugacy_classes == fresh.conjugacy_classes, spec
+    reps = fresh.class_representatives()
+    assert sorted(fresh._normalizer) == reps, spec
+    assert cached._normalizer == fresh._normalizer, spec
+    assert [cached.subgroups[r].gens for r in reps] == \
+        [fresh.subgroups[r].gens for r in reps], spec
+
+
+@pytest.mark.parametrize("spec", ["S:6", "A:7"])
+def test_cached_lattice_matches_the_fresh_one(spec, tmp_path):
+    _check_cached_matches_fresh(spec, tmp_path)
+
+
+def test_cached_lattice_matches_the_fresh_one_up_to_order_24(tmp_path):
+    for spec in family_specs(24):
+        _check_cached_matches_fresh(spec, tmp_path)
+
+
 @pytest.mark.parametrize("source", ["enumerated", "cached"])
 @pytest.mark.parametrize("spec", ["C:2xC:2xC:2xC:2xC:2", "Q:8xC:2", "S:4", "D:12xC:2", "A:5"])
 def test_mu_columns_match_defining_sums(spec, source, tmp_path):
     """Both Moebius columns against the defining sums over the pairwise
     relations: abelian and Hamiltonian groups (every class a singleton)
     and groups with larger classes, also on a lattice read back from the
-    cache, which has no orbits and no witnesses."""
+    cache, with nothing computed yet."""
     lat = enumerate_subgroups(group(spec))
     if source == "cached":
         save_lattice(lat, tmp_path)
         lat = load_lattice(lat.group, tmp_path)
-        assert all(s.gens is None for s in lat.subgroups) and not lat._conj_orbit
+        assert not lat._upeq and lat._mu_top is None and not lat._conj_orbit
     up = brute_relation(lat)[0]
     assert lat.mu_top == brute_mu_top(up, lat.top_id)
     pos = conjugation_poset(lat)
