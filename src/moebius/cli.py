@@ -435,10 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_limits(args):
+    """A cap or budget below 1 is a usage error, named by its flag, raised
+    before any group is built."""
+    for flag in ("--order-cap", "--subgroup-budget", "--tuple-budget"):
+        value = getattr(args, flag[2:].replace("-", "_"), 1)
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except (EngineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

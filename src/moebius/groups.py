@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import itemgetter
 
@@ -172,15 +172,15 @@ class FiniteGroup:
         return self._elt_orders
 
     @property
-    def zuppos(self) -> tuple[list[int], list[int], list[list[int]], dict[int, int]]:
-        """(zuppo_of, zgens, zpowers, power_cands) for the zuppos, the
-        cyclic subgroups of prime-power order, numbered by their least
-        generators: zuppo_of[x] is the id of the zuppo x generates (-2 when
-        x is 1 or its order is not a prime power), zgens[id] its least
-        generator, ascending with the id, and zpowers[id] that generator's
-        powers (`powers`); power_cands[y] is the bitset of the zgens x of
-        the zuppos Z with x^p = y, so that Z^p = <y> (y = 1 when |Z| = p).
-        A subgroup holds Z^p exactly when it holds y."""
+    def zuppos(self) -> tuple[list[int], dict[int, list[int]], dict[int, int]]:
+        """(zuppo_of, zpowers, power_cands) for the zuppos, the cyclic
+        subgroups of prime-power order, each named by its least generator:
+        zuppo_of[x] is the least generator of <x> when <x> is a zuppo (-1
+        when x is 1 or its order is not a prime power), zpowers[x] that
+        generator's powers (`powers`), keyed by the least generators in
+        ascending order, and power_cands[y] the bitset of the least
+        generators x of the zuppos Z with x^p = y, so that Z^p = <y> (y = 1
+        when |Z| = p).  A subgroup holds Z^p exactly when it holds y."""
         if self._zuppos is None:
             self._walk_powers()
         return self._zuppos
@@ -190,17 +190,15 @@ class FiniteGroup:
         subgroup is walked once, from its least generator x, the first
         element, in index order, that no walk has reached.  For x of order
         k, each generator x^j of <x> (j prime to k) has order k and inverse
-        x^(k-j), and when k is a prime power each is recorded under the
-        zuppo <x>."""
+        x^(k-j), and when k is a prime power each is recorded under x."""
         n = self.order
         e = self.identity
         orders = [0] * n
         inv = [0] * n
         orders[e] = 1
         inv[e] = e
-        zuppo_of = [-2] * n
-        zgens: list[int] = []
-        zpowers: list[list[int]] = []
+        zuppo_of = [-1] * n
+        zpowers: dict[int, list[int]] = {}
         power_cands: dict[int, int] = {}
         for x in range(n):
             if orders[x]:
@@ -208,13 +206,11 @@ class FiniteGroup:
             powers = self.powers(x)
             k = len(powers) + 1
             p = _prime_of_power(k)
-            z = -2
             if p:
-                z = len(zgens)
-                zgens.append(x)
-                zpowers.append(powers)
+                zpowers[x] = powers
                 y = powers[p - 1] if p < k else e
                 power_cands[y] = power_cands.get(y, 0) | 1 << x
+            z = x if p else -1
             for j, y in enumerate(powers, 1):
                 if gcd(j, k) == 1:
                     orders[y] = k
@@ -222,7 +218,7 @@ class FiniteGroup:
                     zuppo_of[y] = z
         self._elt_orders = orders
         self._inv = inv
-        self._zuppos = zuppo_of, zgens, zpowers, power_cands
+        self._zuppos = zuppo_of, zpowers, power_cands
 
     # -- element arithmetic --------------------------------------------
 
@@ -342,8 +338,7 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     (default 1).  Raises ClosureExceedsCap when the closure passes `cap`,
     and BudgetExceeded as soon as it passes MAX_GROUP_ORDER elements.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    limit = _order_limit(cap)
     if gens:
         degs = {g.degree for g in gens}
         if len(degs) != 1:
@@ -358,7 +353,6 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     # one index would return a point, not a tuple)
     steps = [(g.images, []) for g in gens] if degree > 1 else []
     add = index.setdefault
-    limit = min(cap, MAX_GROUP_ORDER)
     n = 1
     for x in elements:
         compose = itemgetter(*x)    # image tuple of g -> that of x*g
@@ -369,12 +363,25 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
                 elements.append(y)
                 n += 1
                 if n > limit:
-                    raise ClosureExceedsCap(cap) if n > cap else \
-                        BudgetExceeded(n, MAX_GROUP_ORDER, "group order")
+                    raise _past_limit(cap)
             right.append(j)
     gen_ids = [index[g.images] for g in gens]
     rights = {g: right for g, (_, right) in zip(gen_ids, steps)} if n <= TABLE_ORDER else None
     return FiniteGroup(elements, gen_ids, spec=spec, rights=rights, index=index)
+
+
+def _order_limit(cap: int) -> int:
+    """The most elements a group built under the order cap may have."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    return min(cap, MAX_GROUP_ORDER)
+
+
+def _past_limit(cap: int) -> Exception:
+    """What a group of more than `_order_limit(cap)` elements raises."""
+    if cap <= MAX_GROUP_ORDER:
+        return ClosureExceedsCap(cap)
+    return BudgetExceeded(MAX_GROUP_ORDER + 1, MAX_GROUP_ORDER, "group order")
 
 
 def _sym_gens(n):
@@ -451,7 +458,16 @@ def _split_atoms(text):
     return parts
 
 
-def _parse_atom(atom: str, pos: int) -> list[Permutation]:
+# the order of each named atom, as factors whose product it is:
+# |S_n| = n!, |A_n| = max(1, n!/2), |C_n| = n, |D_n| = 2n, |Q_8| = 8
+_ORDER_FACTORS = {"S": lambda n: range(2, n + 1), "A": lambda n: range(3, n + 1),
+                  "C": lambda n: (n,), "D": lambda n: (2, n), "Q": lambda n: (8,)}
+
+
+def _parse_atom(atom: str, pos: int) -> tuple:
+    """(factors, make) for one atom: make() builds its generators, and the
+    product of `factors` is its order; a perm atom has none, as its order
+    is known only once its group is built."""
     atom = atom.strip()
     if not atom:
         raise ParseError("empty atom", pos)
@@ -469,7 +485,8 @@ def _parse_atom(atom: str, pos: int) -> list[Permutation]:
                 degree = max(degree, int(m.group(0)))
         if degree == 0:
             raise ParseError("perm atom mentions no points", pos)
-        return [parse_cycles(w, degree=degree, offset=pos) for w in words]
+        gens = [parse_cycles(w, degree=degree, offset=pos) for w in words]
+        return (), lambda: gens
     if ":" not in atom:
         raise ParseError(f"unknown atom {atom!r}", pos)
     head, _, tail = atom.partition(":")
@@ -480,6 +497,14 @@ def _parse_atom(atom: str, pos: int) -> list[Permutation]:
         raise ParseError(f"atom parameter {tail!r} is not an integer", pos) from None
     if n < 1:
         raise ParseError("atom parameter must be positive", pos)
+    if head not in _ORDER_FACTORS:
+        raise ParseError(f"unknown atom kind {head!r}", pos)
+    if head == "Q" and n != 8:
+        raise ParseError("only Q:8 is supported", pos)
+    return _ORDER_FACTORS[head](n), lambda: _named_gens(head, n)
+
+
+def _named_gens(head: str, n: int) -> list[Permutation]:
     if head == "S":
         return _sym_gens(n)
     if head == "A":
@@ -488,11 +513,7 @@ def _parse_atom(atom: str, pos: int) -> list[Permutation]:
         return _cyc_gens(n)
     if head == "D":
         return _dih_gens(n)
-    if head == "Q":
-        if n != 8:
-            raise ParseError("only Q:8 is supported", pos)
-        return list(_QUAT_GENS)
-    raise ParseError(f"unknown atom kind {head!r}", pos)
+    return list(_QUAT_GENS)
 
 
 def _atom_degree(gens: list[Permutation]) -> int:
@@ -507,16 +528,28 @@ def build_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
     Cycles in perm atoms are 1-based.  Direct product factors act on
     disjoint point sets.
+
+    Size rule: once every atom has parsed, the named atoms' orders, which
+    bound |G| from below, are multiplied factor by factor, and a product
+    past min(cap, MAX_GROUP_ORDER) raises what the BFS would raise there,
+    before any generator is built.
     """
     text = spec.strip()
     if not text:
         raise ParseError("empty spec", 0)
-    atom_gens = [(_parse_atom(a, p), p) for a, p in _split_atoms(text)]
-    degrees = [_atom_degree(g) for g, _ in atom_gens]
+    atoms = [_parse_atom(a, p) for a, p in _split_atoms(text)]
+    limit = _order_limit(cap)
+    order = 1
+    for factor in chain.from_iterable(factors for factors, _ in atoms):
+        order *= factor
+        if order > limit:
+            raise _past_limit(cap)
+    atom_gens = [make() for _, make in atoms]
+    degrees = [_atom_degree(g) for g in atom_gens]
     total = sum(degrees)
     gens = []
     before = 0
-    for (agens, _), deg in zip(atom_gens, degrees):
+    for agens, deg in zip(atom_gens, degrees):
         gens.extend(_shift(g, before, total) for g in agens)
         before += deg
     return generate_group(gens, cap=cap, degree=total, spec=text)

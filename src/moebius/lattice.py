@@ -35,14 +35,16 @@ closure search, and lists the elements;
 a new subgroup's class walk starts from that list.  Any other join lies
 inside R and goes through `extend_closure`, which stops at R.  The
 enumerator carries each representative's element list from its orbit
-walk to its joins, and walks N_G(H)-orbits of zuppos as permutations of zuppo ids, one per
-conjugating element, built once per enumeration.  A representative's
-candidates, and the zuppos its joins have decided, are int bitsets over
-the elements that designate the zuppos, so an orbit, or every zuppo a
-join has decided, is struck off in one AND-NOT; for a normal H the
-orbits are G-classes, walked once per enumeration.  It keeps the conjugacy orbits and the
-normalizers of the representatives it has built.  The small-order test
-oracle re-derives the same lattice independently.
+walk to its joins.  Each zuppo is named by its least generator, and an
+N_G(H)-orbit of zuppos is walked over those names, each step conjugating
+one member by one generator of N_G(H), so only the orbit's members are
+conjugated.  A representative's candidates, and the zuppos its joins
+have decided, are int bitsets over the least generators, so an orbit,
+or every zuppo a join has decided, is struck off in one AND-NOT; for a
+normal H the orbits are G-classes, walked through the group's kept
+conjugation maps once per enumeration.  It keeps the conjugacy orbits
+and the normalizers of the representatives it has built.  The
+small-order test oracle re-derives the same lattice independently.
 
 Every orbit is walked by one routine, `perm.orbit`: the enumerator's
 N_G(H)-orbits of zuppos, and, in `SubgroupLattice.orbits`, the orbits on
@@ -576,19 +578,21 @@ def enumerate_subgroups(G: FiniteGroup,
     second test go through `extend_closure`, with R as the top.  The
     extended member's element list comes from its orbit walk and serves
     its joins and the coset rule.
-    N_G(H)-orbits of zuppos are walked as permutations of zuppo ids, one
-    per conjugating element, built on first use and kept for the whole
-    enumeration; those of G's non-central generators are read off the
-    conjugation maps the group keeps.
 
-    Bitsets: each zuppo is designated by its least generator, zgens[id],
-    and zgens ascends, so an int bitset over elements whose bits are such
-    generators lists zuppos in id order by its low bits.  H's candidates
-    are one: the zuppos Z with Z^p in H (an OR over the elements of H),
-    ANDed with N_G(H), ORed with the pi'-zuppos when the second test
-    holds, with H's own cleared.  The lowest candidate is joined, its
-    orbit is cleared with one AND-NOT, and the known zuppos are a bitset
-    too, so an orbit meets them in one AND.  After each join the known
+    Orbits: each zuppo is named by its least generator (`G.zuppos`), and
+    the N_G(H)-orbit of a zuppo is one `perm.orbit` walk over those names,
+    a step taking x to the least generator of <g^-1 x g> for each
+    non-central generator g of N_G(H), conjugated by `G.conjugates` as the
+    walk meets x; for a normal H the steps read the conjugation maps the
+    group keeps for its own non-central generators.
+
+    Bitsets: an int bitset over elements whose bits are least generators
+    lists zuppos by their names, lowest first.  H's candidates are one:
+    the zuppos Z with Z^p in H (an OR over the elements of H), ANDed with
+    N_G(H), ORed with the pi'-zuppos when the second test holds, with H's
+    own cleared.  The lowest candidate is joined, its orbit is cleared
+    with one AND-NOT, and the known zuppos are a bitset too, so an orbit
+    meets them in one AND.  After each join the known
     zuppos are struck from the candidates in bulk: a known candidate
     would only be walked to an orbit that meets them and skipped, so the
     joins, their order and the witnesses do not change, and the loop
@@ -601,49 +605,35 @@ def enumerate_subgroups(G: FiniteGroup,
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
     center = G.center_mask
-    # x -> g^-1 x g for each non-central generator g
-    conjugations = G.conjugations
     full = G.full_mask()
     triv = 1 << G.identity
     residue = derived_series(G)[-1]
     build = LatticeBuilder(G, budget)
     seen = build.witnesses
 
-    zuppo_of, zgens, zpowers, power_cands = G.zuppos
-    zbit = [1 << zx for zx in zgens]
+    zuppo_of, zpowers, power_cands = G.zuppos
     # the elements keying power_cands, as one bitset
     powers = sum(1 << y for y in power_cands)
-    # designated generators of the pi'-zuppos: those in R whose prime is
-    # not one of the two, pi, with the most zuppos in R
+    # least generators of the pi'-zuppos: those in R whose prime is not
+    # one of the two, pi, with the most zuppos in R
     pi_zuppos = 0
     if residue != triv:
-        prime = {zx: _prime_of_power(len(zpowers[zuppo_of[zx]]) + 1)
-                 for zx in bits(residue & sum(zbit))}
+        prime = {zx: _prime_of_power(len(zx_powers) + 1)
+                 for zx, zx_powers in zpowers.items() if (residue >> zx) & 1}
         pi = _dropped_primes(prime.values())
         pi_zuppos = sum(1 << zx for zx, p in prime.items() if p not in pi)
-    # g -> the permutation of zuppo ids by conjugation with g, built on
-    # first use; those of the non-central generators from the group's maps
-    zuppo_maps = {g: [zuppo_of[x_to_xg[zx]] for zx in zgens] for g, x_to_xg in conjugations}
-    mover_steps = [z_to_zg.__getitem__ for z_to_zg in zuppo_maps.values()]
-    # designated generator -> its zuppo's G-class, kept once walked
+    # x -> the least generator of <g^-1 x g>, for each non-central
+    # generator g of G, read off the group's kept conjugation maps
+    mover_steps = [lambda x, m=x_to_xg: zuppo_of[m[x]] for _, x_to_xg in G.conjugations]
+    # least generator -> its zuppo's G-class, kept once walked
     g_classes: dict[int, int] = {}
-
-    def zuppo_map(g: int) -> list[int]:
-        z_to_zg = zuppo_maps.get(g)
-        if z_to_zg is None:
-            z_to_zg = zuppo_maps[g] = [zuppo_of[y] for y in G.conjugates(zgens, g)]
-        return z_to_zg
-
-    def zuppo_orbit(zx: int, steps) -> int:
-        """The orbit of zuppo_of[zx] under `steps`, as designated generators."""
-        return sum(zbit[k] for k in orbit(zuppo_of[zx], steps))
 
     worklist = [build.add(triv, ())]
     while worklist:
         h, h_elems, norm, norm_gens = worklist.pop()
         h_gens = seen[h]
-        # designated generators of the zuppos Z with Z^p in H, then of
-        # those normalizing H (the first test)
+        # least generators of the zuppos Z with Z^p in H, then of those
+        # normalizing H (the first test)
         first = 0
         for y in bits(h & powers):
             first |= power_cands[y]
@@ -651,7 +641,10 @@ def enumerate_subgroups(G: FiniteGroup,
         if normal:
             n_steps = mover_steps
         else:
-            n_steps = [zuppo_map(g).__getitem__ for g in norm_gens if not (center >> g) & 1]
+            # conjugation by each non-central generator of N_G(H), applied
+            # only to the zuppos the walk meets
+            n_steps = [lambda x, g=g: zuppo_of[G.conjugates((x,), g)[0]]
+                       for g in norm_gens if not (center >> g) & 1]
             first &= norm
         first &= ~h
         cands = first
@@ -661,28 +654,26 @@ def enumerate_subgroups(G: FiniteGroup,
             second = pi_zuppos & ~h
             if second and closure(G, bits(h & pi_zuppos))[0] == h:
                 cands |= second
-        known = 0   # designated generators of zuppos whose join with H is found
+        known = 0   # least generators of zuppos whose join with H is found
         while cands:
             # the N_G(H)-orbit of the lowest candidate; only that zuppo is
             # joined, and none is when the orbit meets a known zuppo
             zx = (cands & -cands).bit_length() - 1
             if not n_steps:
                 z_orbit = 1 << zx
-            elif normal:
-                z_orbit = g_classes.get(zx)
-                if z_orbit is None:
-                    z_orbit = zuppo_orbit(zx, mover_steps)
-                    for y in bits(z_orbit):
-                        g_classes[y] = z_orbit
-            else:
-                z_orbit = zuppo_orbit(zx, n_steps)
+            elif not normal:
+                z_orbit = sum(1 << y for y in orbit(zx, n_steps))
+            elif (z_orbit := g_classes.get(zx)) is None:
+                z_orbit = sum(1 << y for y in orbit(zx, n_steps))
+                for y in bits(z_orbit):
+                    g_classes[y] = z_orbit
             cands &= ~z_orbit
             if z_orbit & known:
                 continue
             if (first >> zx) & 1:
                 # z normalizes H and z^p lies in H: [<H, z> : H] = p, and
                 # <H, y> = <H, z> for every y in <H, z> outside H
-                t, t_elems = fill_cosets(G, h, h_elems, zpowers[zuppo_of[zx]])
+                t, t_elems = fill_cosets(G, h, h_elems, zpowers[zx])
                 known |= t
             else:
                 t = extend_closure(G, h, h_elems, h_gens, zx, residue)
@@ -692,9 +683,8 @@ def enumerate_subgroups(G: FiniteGroup,
                     known |= t
                 else:
                     for y in G.coset(zx, h_elems):
-                        k = zuppo_of[y]
-                        if k >= 0:
-                            known |= zbit[k]
+                        if (z := zuppo_of[y]) >= 0:
+                            known |= 1 << z
             # an orbit that meets a known zuppo is skipped, so the known
             # candidates need no walk
             cands &= ~known

@@ -411,3 +411,19 @@ def test_criterion_13_a8():
     _verdict(13, ok, "A:8: 48337 subgroups in 137 classes, maximal indices "
              "8, 15, 15, 28, 35, 56, phi(G,2) = 300303360 by Hall and by classes",
              t0, 600)
+
+
+# -- criterion 14 (stretch): S:8 -----------------------------------------------
+
+@pytest.mark.stretch
+def test_criterion_14_s8():
+    t0 = time.time()
+    # over the default order cap, so with the cap raised to |S_8|
+    G = build_from_spec("S:8", cap=40320)
+    assert G.order == 40320
+    lat = enumerate_subgroups(G)
+    # 151221 subgroups in 296 conjugacy classes (OEIS A005432, A000638)
+    ok = len(lat) == 151221 and len(lat.conjugacy_classes[0]) == 296
+    ok = ok and sum(m * lat.sigma(i) for i, m in enumerate(lat.mu_top) if m) == 1
+    _verdict(14, ok, "S:8: 151221 subgroups in 296 classes, sum mu(H,G) sigma(H) = 1",
+             t0, 300)

@@ -171,6 +171,25 @@ def test_t_max_below_one_is_a_usage_error(capsys, argv):
     assert "t_max must be a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["table", "S:4", "--subgroup-budget", "-1"], "--subgroup-budget"),
+    (["table", "S:4", "--subgroup-budget", "0"], "--subgroup-budget"),
+    (["phi", "S:4", "--t", "2", "--via", "brute", "--tuple-budget", "-5"], "--tuple-budget"),
+    (["verify", "S:4", "--tuple-budget", "0"], "--tuple-budget"),
+    (["table", "S:4", "--order-cap", "0"], "--order-cap"),
+    (["cache", "build", "S:4", "--order-cap", "-3"], "--order-cap"),
+])
+def test_cap_or_budget_below_one_is_a_usage_error(capsys, monkeypatch, argv, flag):
+    # refused before any group is built, with one line naming the flag: a
+    # budget of -1 was taken as a budget, and the run reported "0 > -1"
+    built = []
+    monkeypatch.setattr(cli, "build_from_spec", lambda *a, **k: built.append(a))
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and built == []
+    assert captured.err == f"error: {flag} must be at least 1, got {argv[-1]}\n"
+
+
 # each subcommand's required arguments, with whether its handler reads
 # --format and --tuple-budget
 SUBCOMMAND_FLAGS = {

@@ -163,9 +163,10 @@ def test_zuppos_match_element_oracle(spec):
     # cyclic subgroups from a BFS closure, with a table and (D:129, C:257)
     # without: each cyclic subgroup of prime-power order once, under its
     # least generator, with that generator's powers; every generator of a
-    # zuppo under its id and every other element under -2; and
-    # power_cands[y], keyed by y = x^p for each zuppo Z = <x> of order p^a,
-    # x its least generator, with <y> the unique subgroup of index p in Z
+    # zuppo mapped to that least generator and every other element to -1;
+    # and power_cands[y], keyed by y = x^p for each zuppo Z = <x> of order
+    # p^a, x its least generator, with <y> the unique subgroup of index p
+    # in Z
     G = build_from_spec(spec, cap=400)
     n = G.order
     orders = [G.permutation(x).order() for x in range(n)]
@@ -186,13 +187,12 @@ def test_zuppos_match_element_oracle(spec):
     for x in range(n):
         if prime[orders[x]]:
             least.setdefault(cyclic[x], x)
-    zuppo_of, zgens, zpowers, power_cands = G.zuppos
-    assert zgens == sorted(least.values())
-    assert zpowers == [G.powers(zx) for zx in zgens]
-    assert zuppo_of == [zgens.index(least[cyclic[x]]) if cyclic[x] in least else -2
-                        for x in range(n)]
+    zuppo_of, zpowers, power_cands = G.zuppos
+    assert list(zpowers) == sorted(least.values())
+    assert zpowers == {zx: G.powers(zx) for zx in least.values()}
+    assert zuppo_of == [least.get(cyclic[x], -1) for x in range(n)]
     expected = {}
-    for zx in zgens:
+    for zx in zpowers:
         k = orders[zx]
         x_p = G.permutation(zx)
         for _ in range(prime[k] - 1):
@@ -239,6 +239,53 @@ def test_order_limit_stops_the_bfs(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "24 > 23" in captured.err
+
+
+def test_size_rule_refuses_a_spec_before_building_generators(monkeypatch, capsys):
+    # the named atoms' orders multiply past the cap, so the spec is refused
+    # before any generator tuple is built: C:3000000 built generators of
+    # 3 * 10^6 points each and ran out of memory in the BFS
+    def refuse(n):
+        raise AssertionError(f"C:{n} generators built")
+
+    monkeypatch.setattr(groups, "_cyc_gens", refuse)
+    for spec in ["C:3000000", "C:2xC:3000000", "C:99999999999"]:
+        with pytest.raises(ClosureExceedsCap, match="order cap 20160"):
+            build_from_spec(spec)
+        assert cli.main(["table", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: group closure exceeds the order cap 20160\n"
+    # a parse error anywhere in the spec comes first
+    with pytest.raises(ParseError):
+        build_from_spec("C:3000000xC:0")
+
+
+@pytest.mark.parametrize("spec", ["S:1", "S:2", "S:5", "A:1", "A:2", "A:3", "A:6", "C:1",
+                                  "C:7", "D:1", "D:2", "D:6", "Q:8"])
+def test_size_rule_orders_are_the_built_orders(spec):
+    factors, _ = groups._parse_atom(spec, 0)
+    order = 1
+    for f in factors:
+        order *= f
+    assert order == build_from_spec(spec).order
+    # exactly at the cap the group is built; one below, it is refused
+    assert build_from_spec(spec, cap=order).order == order
+    if order > 1:
+        with pytest.raises(ClosureExceedsCap):
+            build_from_spec(spec, cap=order - 1)
+
+
+def test_bfs_still_caps_a_perm_atom(monkeypatch):
+    # a perm atom's order is known only from its BFS, which raises what
+    # the size rule raises for a named atom: S_5 and S_4 on their points
+    with pytest.raises(ClosureExceedsCap, match="order cap 100"):
+        build_from_spec("perm:[(1,2);(1,2,3,4,5)]", cap=100)
+    assert build_from_spec("perm:[(1,2);(1,2,3,4,5)]", cap=120).order == 120
+    monkeypatch.setattr(groups, "MAX_GROUP_ORDER", 23)
+    for spec in ["perm:[(1,2);(1,2,3,4)]", "S:4"]:
+        with pytest.raises(BudgetExceeded, match="group order exceeded budget: 24 > 23"):
+            build_from_spec(spec, cap=1000)
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3", "S:5", "A:6"])
