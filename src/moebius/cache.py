@@ -8,10 +8,10 @@ then the representative's witness as decimal element ids, space-separated.
 The last line is ``sha256 <digest>``, the SHA-256 of every byte before
 it, so a truncated, bit-flipped or hand-edited file is recomputed instead
 of trusted; the prefix tells it from a mask, which is also 64 hex digits
-for orders 193-256.  `file_lines` gives every line of a file: a write
-streams them into place, a load reads and hashes one line at a time, so
-neither holds a file whole.  Writes are deterministic, so rebuilding a
-cache yields byte-identical files.
+for orders 193-256.  `file_lines` gives every line of a file, and a write
+streams them into place; a load reads the file in one go and checks the
+seal over its bytes before it parses a class line.  Writes are
+deterministic, so rebuilding a cache yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .groups import FiniteGroup, Subgroup, closure
 from .lattice import LatticeBuilder, SubgroupLattice
 
 ENV_CACHE_DIR = "MOEBIUS_CACHE_DIR"
-SEAL_PREFIX = b"sha256 "
 
 
 def mask_to_hex(mask: int, order: int) -> str:
@@ -46,6 +45,11 @@ def class_line(sub: Subgroup, order: int) -> str:
     return " ".join([mask_to_hex(sub.mask, order), *map(str, sub.gens)])
 
 
+def _seal_line(digest) -> bytes:
+    """The seal line of a file whose bytes before it hash to `digest`."""
+    return f"sha256 {digest.hexdigest()}\n".encode()
+
+
 def file_lines(head: dict, classes: Iterable[str]) -> Iterator[bytes]:
     """The lines of a cache file: the head's canonical JSON, the class
     lines, and the seal line over all the bytes before it."""
@@ -54,7 +58,7 @@ def file_lines(head: dict, classes: Iterable[str]) -> Iterator[bytes]:
         line = f"{text}\n".encode()
         digest.update(line)
         yield line
-    yield SEAL_PREFIX + f"{digest.hexdigest()}\n".encode()
+    yield _seal_line(digest)
 
 
 def cache_path(cache_dir: str | Path, spec: str) -> Path:
@@ -83,46 +87,37 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
 
 
 def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | None:
-    """Load a cached lattice, one line at a time, walking each class with
-    `LatticeBuilder`: each bitset and witness must lie in G, the witness
-    must generate the bitset, no two lines may give one class, and the
-    trivial and full subgroups must be there.  Any mismatch or corruption
-    (a wrong seal, an earlier format's bare bitset) warns and returns None."""
+    """Load a cached lattice in one read.  The head must name G's spec and
+    this engine's version, the last line must seal every byte before it,
+    and the element count must be |G|; then every class line must parse,
+    and each class is walked with `LatticeBuilder`: its bitset and witness
+    must lie in G, the witness must generate the bitset, and no two lines
+    may give one class.  The trivial and full subgroups must be there.
+    Any mismatch or corruption (a wrong seal, an earlier format's bare
+    bitset) warns and returns None."""
     if G.spec is None:
         return None
     path = cache_path(cache_dir, G.spec)
     if not path.exists():
         return None
     try:
-        with open(path, "rb") as fh:
-            line = fh.readline()
-            head = json.loads(line)
-            if head["spec"] != G.spec:
-                raise ValueError("spec mismatch")
-            if head["engine_version"] != __version__:
-                warnings.warn(f"cache {path} was written by engine "
-                              f"{head['engine_version']}; recomputing", stacklevel=2)
-                return None
-            digest, classes, unparsed, seal = hashlib.sha256(line), [], None, None
-            for line in fh:
-                if seal is not None:        # nothing may follow the seal line
-                    seal = None
-                    break
-                if line.startswith(SEAL_PREFIX):
-                    seal = line
-                    continue
-                digest.update(line)
-                try:
-                    text, *ids = line.split()
-                    classes.append((hex_to_mask(text.decode()), tuple(map(int, ids))))
-                except ValueError as exc:   # raised in its turn, after the seal
-                    unparsed = unparsed or exc
-        if seal != SEAL_PREFIX + f"{digest.hexdigest()}\n".encode():
+        data = path.read_bytes()
+        # the head line with its newline, or the whole file if it has none
+        head = json.loads(data[:data.find(b"\n") + 1] or data)
+        if head["spec"] != G.spec:
+            raise ValueError("spec mismatch")
+        if head["engine_version"] != __version__:
+            warnings.warn(f"cache {path} was written by engine "
+                          f"{head['engine_version']}; recomputing", stacklevel=2)
+            return None
+        seal = data.rfind(b"\n", 0, -1) + 1     # where the last line starts
+        if data[seal:] != _seal_line(hashlib.sha256(data[:seal])):
             raise ValueError("missing or wrong sha256 seal")
         if head["element_count"] != G.order:
             raise ValueError("element count mismatch")
-        if unparsed is not None:
-            raise unparsed
+        classes = [(hex_to_mask(text.decode()), tuple(map(int, ids)))
+                   for text, *ids in map(bytes.split, data[:seal].split(b"\n")[1:-1])]
+        del data        # not held while the class walks below reach their peak
         full = G.full_mask()
         build = LatticeBuilder(G)
         for mask, witness in classes:

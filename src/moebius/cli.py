@@ -447,6 +447,11 @@ def _check_limits(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # CPython refuses to print an int of more than 4300 digits by
+        # default; exact counts are printed whatever their length (the
+        # flags are parsed first, so a --t of more digits is still refused)
+        sys.set_int_max_str_digits(0)
     try:
         _check_limits(args)
         return args.func(args)

@@ -33,6 +33,9 @@ DEFAULT_ORDER_CAP = 20160
 # The BFS stops past this many elements whatever the order cap allows:
 # the subgroup lattice of a larger group is out of reach.
 MAX_GROUP_ORDER = 1 << 16
+# The most points the BFS may hold, |G| elements of `degree` points each,
+# whatever the order cap allows: S:8 holds 322 560, C:8192 all 2^26.
+MAX_GROUP_POINTS = 1 << 26
 # The most elements a group with a multiplication table has; its indices
 # fit in one byte, so the table's columns are filled by `bytes.translate`.
 TABLE_ORDER = 256
@@ -336,7 +339,8 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
 
     An empty generator list yields the trivial group on `degree` points
     (default 1).  Raises ClosureExceedsCap when the closure passes `cap`,
-    and BudgetExceeded as soon as it passes MAX_GROUP_ORDER elements.
+    and BudgetExceeded as soon as it passes MAX_GROUP_ORDER elements or
+    its elements hold more than MAX_GROUP_POINTS points.
     """
     limit = _order_limit(cap)
     if gens:
@@ -353,6 +357,7 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
     # one index would return a point, not a tuple)
     steps = [(g.images, []) for g in gens] if degree > 1 else []
     add = index.setdefault
+    most = min(limit, MAX_GROUP_POINTS // degree)
     n = 1
     for x in elements:
         compose = itemgetter(*x)    # image tuple of g -> that of x*g
@@ -362,8 +367,8 @@ def generate_group(gens, cap: int = DEFAULT_ORDER_CAP, degree: int | None = None
             if j == n:
                 elements.append(y)
                 n += 1
-                if n > limit:
-                    raise _past_limit(cap)
+                if n > most:
+                    raise _past_limit(cap) if n > limit else _past_points(n * degree)
             right.append(j)
     gen_ids = [index[g.images] for g in gens]
     rights = {g: right for g, (_, right) in zip(gen_ids, steps)} if n <= TABLE_ORDER else None
@@ -382,6 +387,11 @@ def _past_limit(cap: int) -> Exception:
     if cap <= MAX_GROUP_ORDER:
         return ClosureExceedsCap(cap)
     return BudgetExceeded(MAX_GROUP_ORDER + 1, MAX_GROUP_ORDER, "group order")
+
+
+def _past_points(points: int) -> Exception:
+    """What elements holding more than MAX_GROUP_POINTS points raise."""
+    return BudgetExceeded(points, MAX_GROUP_POINTS, "group points (order x degree)")
 
 
 def _sym_gens(n):
@@ -532,7 +542,9 @@ def build_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     Size rule: once every atom has parsed, the named atoms' orders, which
     bound |G| from below, are multiplied factor by factor, and a product
     past min(cap, MAX_GROUP_ORDER) raises what the BFS would raise there,
-    before any generator is built.
+    before any generator is built.  Then the product times the spec's
+    degree bounds the points the BFS would hold, and one past
+    MAX_GROUP_POINTS raises BudgetExceeded before the BFS starts.
     """
     text = spec.strip()
     if not text:
@@ -547,6 +559,8 @@ def build_from_spec(spec: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     atom_gens = [make() for _, make in atoms]
     degrees = [_atom_degree(g) for g in atom_gens]
     total = sum(degrees)
+    if order * total > MAX_GROUP_POINTS:
+        raise _past_points(order * total)
     gens = []
     before = 0
     for agens, deg in zip(atom_gens, degrees):

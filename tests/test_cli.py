@@ -4,15 +4,15 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import moebius.groups as groups_module
 from helpers import lattice, sublattice
-from moebius import __version__, cli
-from moebius.cache import (cache_path, class_line, file_lines, load_lattice, mask_to_hex,
-                           save_lattice)
+from moebius import __version__, cli, counting
+from moebius.cache import cache_path, class_line, file_lines, mask_to_hex, save_lattice
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +73,33 @@ def test_phi_star_and_prob(capsys):
     code, out = run_cli(capsys, "prob", "C:8", "--t", "2")
     payload = json.loads(out)
     assert payload["P"] == "3/4" and payload["P_star"] == "7/16"
+
+
+@pytest.fixture
+def default_int_digits():
+    """CPython's default bound on int-to-str conversion for the test, as a
+    fresh process has it; the bound found is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints to str at any length")
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(found)
+
+
+def test_exact_counts_print_whatever_their_length(capsys, default_int_digits):
+    # phi(S_4, 4000) has 5521 digits, past the 4300 that CPython converts
+    # by default: the CLI lifts the bound, and prints the exact values
+    outs = {cmd: run_cli(capsys, cmd, "S:4", "--t", "4000") for cmd in ("phi", "phi-star", "prob")}
+    assert [code for code, _ in outs.values()] == [0, 0, 0]
+    sys.set_int_max_str_digits(0)           # to read them back here
+    lat = lattice("S:4")
+    assert json.loads(outs["phi"][1])["value"] == str(counting.phi_hall(lat, 4000))
+    assert json.loads(outs["phi-star"][1])["value"] == str(counting.phi_star_hall(lat, 4000))
+    payload = json.loads(outs["prob"][1])
+    assert (Fraction(payload["P"]), Fraction(payload["P_star"])) == \
+        counting.gen_probabilities(lat, 4000)
+    assert len(payload["P"]) > 4300
 
 
 def test_phi_rel(capsys):
@@ -367,20 +394,6 @@ def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
     assert last == f"sha256 {hashlib.sha256(b''.join(body)).hexdigest()}\n".encode()
 
 
-def test_cache_load_is_streamed(tmp_cache, monkeypatch):
-    # the load reads one line at a time, never the file whole
-    lat = lattice("A:7")
-    save_lattice(lat, tmp_cache)
-
-    def whole(path, *args, **kwargs):
-        raise AssertionError(f"{path} read whole")
-    monkeypatch.setattr(Path, "read_text", whole)
-    monkeypatch.setattr(Path, "read_bytes", whole)
-    loaded = load_lattice(lat.group, tmp_cache)
-    assert loaded is not None
-    assert [s.mask for s in loaded.subgroups] == [s.mask for s in lat.subgroups]
-
-
 def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
     # a file in the earlier format, one JSON line holding the subgroups'
     # hex bitsets and its own "sha256" field, has no seal line: one seal
@@ -626,6 +639,42 @@ def test_resealed_cache_failing_a_cheap_rule_is_recomputed(capsys, tmp_path, rul
         [f"ignoring unusable cache {path}: {message}"]
     assert path.read_bytes() == sealed
     assert path.read_bytes() == cache_path(cold_dir, "S:4").read_bytes()
+
+
+# files no writer gives, each broken before its class lines are read: the
+# seal is checked over every byte before the last line, so a cut or an
+# unparsable line under a stale seal fails the seal, not the line
+MALFORMED_FILES = {
+    "empty": ("Expecting value: line 1 column 1 (char 0)", lambda lines: []),
+    "head alone": ("missing or wrong sha256 seal", lambda lines: lines[:1]),
+    "cut in a class line": ("missing or wrong sha256 seal",
+                            lambda lines: [*lines[:3], lines[3][:len(lines[3]) // 2]]),
+    "wrong seal, unparsable line": ("missing or wrong sha256 seal",
+                                    lambda lines: [*lines[:2],
+                                                   f"{mask_to_hex(3, 24)} x\n".encode(),
+                                                   *lines[3:]]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_cache_file_is_rewritten(capsys, tmp_path, case):
+    # one warning with the loader's text, the output of a cold run, and
+    # the file rewritten as freshly sealed
+    argv = ["table", "S:4", "--aut", "inn"]
+    cold = cli.main(argv), capsys.readouterr()
+    cache_dir = tmp_path / "cache"
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(cache_dir))
+    path = cache_path(cache_dir, "S:4")
+    sealed = path.read_bytes()
+    message, mutate = MALFORMED_FILES[case]
+    path.write_bytes(b"".join(mutate(sealed.splitlines(keepends=True))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([*argv, "--cache-dir", str(cache_dir)])
+    assert (code, capsys.readouterr()) == cold
+    assert [str(w.message) for w in caught] == \
+        [f"ignoring unusable cache {path}: {message}"]
+    assert path.read_bytes() == sealed
 
 
 def test_unexpected_error_exits_2(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import re
 from operator import itemgetter
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from moebius.catalog import family_specs
 from moebius.errors import BudgetExceeded, ClosureExceedsCap, NotNormal, ParseError
 from moebius.groups import (FiniteGroup, _room, bits, build_from_spec, closure,
                             commutator_subgroup, conjugate_mask, derived_series, extend_closure,
-                            fill_cosets, generate_group, is_nilpotent, is_solvable,
+                            fill_cosets, generate_group, is_nilpotent, is_normal_mask, is_solvable,
                             product_mask, quotient_group)
 from moebius.perm import Permutation, parse_cycles
 
@@ -286,6 +287,42 @@ def test_bfs_still_caps_a_perm_atom(monkeypatch):
     for spec in ["perm:[(1,2);(1,2,3,4)]", "S:4"]:
         with pytest.raises(BudgetExceeded, match="group order exceeded budget: 24 > 23"):
             build_from_spec(spec, cap=1000)
+
+
+def test_point_budget_refuses_a_spec_before_the_bfs(monkeypatch, capsys):
+    # C:20000 passes the order rule (20 000 <= 20 160), but its BFS would
+    # hold 20 000 elements of 20 000 points each, and ran out of memory:
+    # the named atoms' order times the spec's degree is refused first
+    def refuse(*args, **kwargs):
+        raise AssertionError("BFS started")
+
+    monkeypatch.setattr(groups, "generate_group", refuse)
+    for spec, points in [("C:20000", 20000 * 20000), ("C:20160", 20160 * 20160),
+                         ("D:10000", 20000 * 10000)]:
+        line = f"group points (order x degree) exceeded budget: {points} > {2 ** 26}"
+        with pytest.raises(BudgetExceeded, match=re.escape(line)):
+            build_from_spec(spec)
+        assert cli.main(["table", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
+
+def test_bfs_applies_the_point_budget(monkeypatch):
+    # a perm atom counts as order 1 in the spec rule, so its BFS stops it,
+    # as it stops a quotient: C_6 on 6 points holds 36 > 25 points
+    G = group("S:4")
+    v4 = next(s for s in lattice("S:4").subgroups if s.order == 4 and is_normal_mask(G, s.mask))
+    monkeypatch.setattr(groups, "MAX_GROUP_POINTS", 25)
+    assert build_from_spec("C:5").order == 5
+    with pytest.raises(BudgetExceeded, match="36 > 25"):
+        build_from_spec("C:6")
+    with pytest.raises(BudgetExceeded, match="30 > 25"):
+        build_from_spec("perm:[(1,2,3,4,5,6)]")
+    with pytest.raises(BudgetExceeded, match="30 > 25"):
+        quotient_group(G, v4)
+    monkeypatch.setattr(groups, "MAX_GROUP_POINTS", 36)
+    assert quotient_group(G, v4)[0].order == 6
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "D:12xC:2", "Q:8xS:3", "S:5", "A:6"])
