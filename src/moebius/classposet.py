@@ -1,12 +1,14 @@
 """Posets of A-conjugacy classes of subgroups and their Moebius functions.
 
 Classes are A-orbits of lattice subgroups, as `SubgroupLattice.orbits`
-walks them over the generator maps of A; a poset under all of Inn(G)
-reads the lattice's own conjugacy classes instead.  [H] <= [K] iff some
-orbit member of [H] is contained in the representative of [K], that
-is, iff the representative of [H] lies in some orbit member of [K].  So
-the classes above [H] are read off the upeq row of its representative
-(`SubgroupLattice.class_rows`).
+walks them over the generator maps of A, and a `lattice.ClassPoset`
+orders them; under all of Inn(G) the poset is the lattice's own
+conjugation poset (`SubgroupLattice.conjugation`), built once over the
+conjugacy classes the lattice keeps.  A class poset holds no action,
+only its partition.  [H] <= [K] iff some orbit member of [H] is
+contained in the representative of [K], that is, iff the representative
+of [H] lies in some orbit member of [K].  So the classes above [H] are
+read off the upeq row of its representative (`ClassPoset.rows`).
 The lattice itself is the special case of a trivial action.  The rows
 are the only relation the engine reads, and every Moebius value is read
 off one `mu_column` sweep over them: the column at the top class is
@@ -16,111 +18,25 @@ conjunctive checks read a sum of columns off one seeded sweep.
 
 from __future__ import annotations
 
-from .automorphisms import Automorphism, AutomorphismGroup
+from .automorphisms import AutomorphismGroup
 from .errors import NotAClosureMap
 from .groups import FiniteGroup, Subgroup, bits, product_covers, product_mask
-from .lattice import SubgroupLattice, mu_column, transposed
-
-
-class ClassPoset:
-    """The poset of A-orbits of subgroups of one group."""
-
-    def __init__(self, lattice: SubgroupLattice, aut: AutomorphismGroup,
-                 classes: list[tuple[int, tuple[int, ...]]], class_of: list[int]):
-        self.lattice = lattice
-        self.aut = aut
-        self.classes = classes          # (representative id, orbit ids) per class
-        self.class_of = class_of        # subgroup id -> class id
-        self.top = class_of[lattice.top_id]
-        self.bottom = class_of[lattice.trivial_id]
-        self._up = None
-        self._rows = None
-        self._downs = None
-        self._mu_top = None
-        # (N mask, t) whose relative counts passed counting's checks
-        self.relative_checked: set[tuple[int, int]] = set()
-
-    def __len__(self):
-        return len(self.classes)
-
-    def rep(self, c: int) -> Subgroup:
-        return self.lattice.subgroups[self.classes[c][0]]
-
-    def orbit(self, c: int) -> tuple[int, ...]:
-        return self.classes[c][1]
-
-    # -- order relation ----------------------------------------------------
-
-    @property
-    def singletons(self) -> bool:
-        """Every orbit is a singleton: the poset is the lattice, and class
-        ids are subgroup ids."""
-        return len(self.classes) == len(self.lattice.subgroups)
-
-    @property
-    def up(self) -> list[list[int]]:
-        """up[c] = class ids strictly above c, ascending: `rows` decoded.
-        No engine path reads it; the tests and the perfbench spans do."""
-        if self._up is None:
-            self._up = [list(bits(row & ~(1 << c)))
-                        for c, row in enumerate(self.rows())]
-        return self._up
-
-    def rows(self) -> list[int]:
-        """The bitset over class ids of the classes at or above c, for each
-        class c, read from the lattice inclusion bitsets.
-
-        H^a <= K iff H <= K^(a^-1): the classes above [H] are the classes
-        of the supergroups of its representative."""
-        if self._rows is None:
-            self._rows = self.lattice.class_rows(self.classes, self.class_of)
-        return self._rows
-
-    def downs(self) -> list[list[int]]:
-        """downs[c] = the class ids at or below c, ascending: `rows`
-        transposed, built once, or the lattice's `incidence` lists."""
-        if self._downs is None:
-            if self.aut.origin == "inner":
-                self._downs = [below for below, _ in self.lattice.incidence]
-            else:
-                self._downs = transposed(self.rows())
-        return self._downs
-
-    def class_of_subgroup(self, sub: Subgroup) -> int:
-        return self.class_of[self.lattice.index[sub.mask]]
-
-    # -- Moebius -------------------------------------------------------------
-
-    @property
-    def mu_top(self) -> list[int]:
-        """mu_A(H, G) for every class id, computed in one descending sweep;
-        a poset of singleton classes reads the lattice column."""
-        if self._mu_top is None:
-            if self.singletons:
-                self._mu_top = list(self.lattice.mu_top)
-            else:
-                self._mu_top = mu_column(self.rows(), [self.top])
-        return self._mu_top
+from .lattice import ClassPoset, SubgroupLattice, mu_column
 
 
 def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> ClassPoset:
     """Partition the lattice into A-orbits and order the orbit classes.
     The orbits of all of Inn(G) (origin "inner") are the lattice's
-    conjugacy classes, read as kept; any other action's are walked."""
+    conjugacy classes, whose poset the lattice keeps; any other action's
+    are walked."""
     if aut.origin == "inner":
-        return ClassPoset(lattice, aut, *lattice.conjugacy_classes)
-    return ClassPoset(lattice, aut, *lattice.orbits([a.map for a in aut.gens]))
+        return lattice.conjugation
+    return ClassPoset(lattice, *lattice.orbits([a.map for a in aut.gens]))
 
 
 def conjugation_poset(lattice: SubgroupLattice) -> ClassPoset:
-    """The class poset under conjugation: the lattice's conjugacy classes,
-    acted on by Inn(G) held as G's kept conjugation maps."""
-    G = lattice.group
-    # the same Inn(G) as inner_automorphisms(G), built here because
-    # perfbench's traced runs close every map list that function returns
-    # (about 1.2 s on A:7)
-    inner = AutomorphismGroup(G, [Automorphism(m) for _, m in G.conjugations], "inner")
-    return ClassPoset(lattice, inner, *lattice.conjugacy_classes)
+    """The class poset under conjugation: the lattice's own."""
+    return lattice.conjugation
 
 
 def lambda_poset(G: FiniteGroup, lattice: SubgroupLattice) -> ClassPoset:

@@ -32,14 +32,35 @@ def _require_t(t: int):
         raise ValueError("t must be a positive integer")
 
 
+def tuples_exceed(n: int, t: int, budget: int) -> bool:
+    """Whether n^t > budget, for n >= 1 and t >= 1, with no power past
+    n^L built, L the budget's bit length: for n >= 2 and t >= L, n^t and
+    n^L both pass 2^L > budget."""
+    return n ** min(t, budget.bit_length()) > budget
+
+
+def _literal_scan(start, items, step, t: int, done) -> int:
+    """The number of t-tuples of items whose fold from start by step
+    passes done, one tuple at a time, depth first from an explicit stack
+    of (fold of a prefix, items left to choose)."""
+    count = 0
+    stack = [(start, t)]
+    while stack:
+        x, left = stack.pop()
+        if left == 1:
+            count += sum([done(step(x, y)) for y in items])
+        else:
+            stack.extend([(step(x, y), left - 1) for y in items])
+    return count
+
+
 def phi_bruteforce(G: FiniteGroup, t: int,
                    budget: int = DEFAULT_TUPLE_BUDGET) -> int:
     """Literal scan over all |G|^t element tuples."""
     _require_t(t)
     n = G.order
-    if n ** t > budget:
-        raise BudgetExceeded(n ** t, budget, "tuple scan")
-    full = G.full_mask()
+    if tuples_exceed(n, t, budget):
+        raise BudgetExceeded(f"{n}^{t}", budget, "tuple scan")
     triv = 1 << G.identity
     # (closure, element) -> closure of the two, and a witness per closure
     memo: dict[tuple[int, int], int] = {}
@@ -53,12 +74,7 @@ def phi_bruteforce(G: FiniteGroup, t: int,
             memo[mask, g] = out
         return out
 
-    def rec(mask: int, depth: int) -> int:
-        if depth == t:
-            return 1 if mask == full else 0
-        return sum(rec(step(mask, g), depth + 1) for g in range(n))
-
-    return rec(triv, 0)
+    return _literal_scan(triv, range(n), step, t, G.full_mask().__eq__)
 
 
 # -- class-poset counts ----------------------------------------------------
@@ -266,18 +282,11 @@ def phi_star_bruteforce(lattice: SubgroupLattice, t: int,
     """Literal scan over all sigma(G)^t subgroup tuples."""
     _require_t(t)
     nsub = len(lattice.subgroups)
-    if nsub ** t > budget:
-        raise BudgetExceeded(nsub ** t, budget, "subgroup tuple scan")
+    if tuples_exceed(nsub, t, budget):
+        raise BudgetExceeded(f"{nsub}^{t}", budget, "subgroup tuple scan")
     order = lattice.group.order
-    subs = lattice.subgroups
-    join = lattice.join
-
-    def rec(h, depth):
-        if depth == t:
-            return 1 if h.order == order else 0
-        return sum(rec(join(h, k), depth + 1) for k in subs)
-
-    return rec(subs[lattice.trivial_id], 0)
+    return _literal_scan(lattice.subgroups[lattice.trivial_id], lattice.subgroups,
+                         lattice.join, t, lambda h: h.order == order)
 
 
 # -- probabilities -----------------------------------------------------------

@@ -55,13 +55,17 @@ each member's witness and one normalizer per class, its representative's.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
-of the bitsets of the subgroups holding each witness element.  Only
+of the bitsets of the subgroups holding each witness element.  Every
+relation over a partition of the subgroups into classes is one
+`ClassPoset`, whose rows strike the classes met by a representative's
+upeq row: the lattice's conjugacy classes make its `conjugation` poset,
+built once, and the class poset of any other action is one more.  Only
 class representatives' rows are read: every relation number comes from
 the class form of Burnside's table of marks (Theory of Groups of Finite
 Order, 1911; G. Pfeiffer, Experiment. Math. 6, 1997), m(c, d) = the
 members of class d inside rep_c = |d| * popcount(upeq(rep_d) & block_c)
 / |c| (count the pairs D <= C, D in d, C in c, both ways), with its
-support the conjugation poset's rows.  sigma(c) is the sum of m(c, d),
+support the conjugation poset's down-sets.  sigma(c) is the sum of m(c, d),
 a class is maximal when its rep's row is {rep, top}, and the exact
 counts are swept up the classes.
 
@@ -71,9 +75,9 @@ valued v, so mu(x) = -sum over v of v * popcount(row_x & S_v); seeded
 with a set Z instead of the top, one sweep gives the sum of mu(x, z)
 over z in Z.  The
 lattice column runs over classes, with the upeq rows of their
-representatives, so no up-set is decoded; a class poset runs over rows
-of class ids, or reads the lattice column when every class is a
-singleton.
+representatives and the conjugation poset's blocks, so no up-set is
+decoded; a class poset runs over rows of class ids, or reads the
+lattice column when every class is a singleton.
 """
 
 from __future__ import annotations
@@ -96,8 +100,8 @@ class SubgroupLattice:
 
     Subgroup ids index the `subgroups` list.  `orbits` (ascending id tuples)
     are the conjugacy classes and `normalizers` (id -> N_G bitset) hold N_G
-    at each class representative.  Inclusion structure, the Moebius column
-    at the top, other normalizers and per-subgroup counting data are
+    at each class representative.  Inclusion structure, the conjugation
+    poset, the Moebius column at the top, other normalizers and per-subgroup counting data are
     computed lazily and cached; the lattice itself is immutable.
     """
 
@@ -117,13 +121,9 @@ class SubgroupLattice:
         self._maximals = None
         self._mu_top = None
         self._normalizer = dict(normalizers)
-        # (classes, class_of) of conjugation, as `orbits` gives them, and
-        # the bitset over subgroup ids of each class (None when every class
-        # is a singleton, its id the class id)
+        # (classes, class_of) of conjugation, as `orbits` gives them
         self.conjugacy_classes = _partition(orbits, len(subgroups))
-        classes = self.conjugacy_classes[0]
-        self.class_blocks = (None if len(classes) == len(subgroups)
-                             else [sum(1 << j for j in orbit) for _, orbit in classes])
+        self._conjugation = None
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
@@ -189,41 +189,29 @@ class SubgroupLattice:
             self._down = [ids[:-1] for ids in below]    # i itself comes last
         return self._down
 
-    def class_rows(self, classes, class_of) -> list[int]:
-        """The rows of the poset of orbits (classes, class_of) of a group
-        acting on the lattice, as `orbits` gives them: for each class, the
-        bitset over class ids of the classes meeting its representative's
-        upeq row.  Each step takes the class of the lowest id left and
-        strikes all its ids off; singleton classes' rows are upeq rows."""
-        rows = self.upeq([r for r, _ in classes])
-        if len(classes) < len(self.subgroups):
-            blocks = (self.class_blocks if classes is self.conjugacy_classes[0]
-                      else [sum(1 << j for j in orbit) for _, orbit in classes])
-            for k, u in enumerate(rows):
-                rows[k] = 0
-                while u:
-                    c = class_of[(u & -u).bit_length() - 1]
-                    rows[k] |= 1 << c
-                    u &= ~blocks[c]
-        return rows
+    @property
+    def conjugation(self) -> ClassPoset:
+        """The poset of conjugacy classes, the case A = Inn(G), built once:
+        its rows give the class relation and its blocks the classes' ids."""
+        if self._conjugation is None:
+            self._conjugation = ClassPoset(self, *self.conjugacy_classes)
+        return self._conjugation
 
     @property
     def incidence(self) -> list[tuple[list[int], list[int]]]:
         """The class-incidence table: for each conjugacy class c, the
-        classes d <= c ascending, the conjugation poset's `class_rows`
-        transposed, and m(c, d) for each (1 when every class is a
-        singleton)."""
+        classes d <= c ascending, the conjugation poset's `downs`, and
+        m(c, d) for each (1 when every class is a singleton)."""
         if self._incidence is None:
-            classes, class_of = self.conjugacy_classes
-            below = transposed(self.class_rows(classes, class_of))
-            if len(classes) == len(self.subgroups):
+            conj = self.conjugation
+            below = conj.downs()
+            if conj.blocks is None:
                 marks = [[1] * len(ds) for ds in below]
             else:
-                blocks = self.class_blocks
-                size = [len(orbit) for _, orbit in classes]
-                upeq = self.upeq([r for r, _ in classes])
-                marks = [[size[d] * (upeq[d] & blocks[c]).bit_count() // size[c] for d in ds]
-                         for c, ds in enumerate(below)]
+                size = [len(orbit) for _, orbit in conj.classes]
+                upeq = self.upeq([r for r, _ in conj.classes])
+                marks = [[size[d] * (upeq[d] & conj.blocks[c]).bit_count() // size[c]
+                          for d in ds] for c, ds in enumerate(below)]
             self._incidence = list(zip(below, marks))
         return self._incidence
 
@@ -251,7 +239,7 @@ class SubgroupLattice:
             classes, class_of = self.conjugacy_classes
             # G's class, a singleton, comes last
             mu = mu_column(self.upeq([r for r, _ in classes]), [len(classes) - 1],
-                           self.class_blocks)
+                           self.conjugation.blocks)
             self._mu_top = [mu[c] for c in class_of]
         return self._mu_top
 
@@ -444,6 +432,91 @@ def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[i
             mu[x] = v
             valued[v] = valued.get(v, 0) | (1 << x if blocks is None else blocks[x])
     return mu
+
+
+class ClassPoset:
+    """The poset of the classes of a partition of a lattice's subgroups
+    into orbits of a group acting on it: (classes, class_of) as
+    `SubgroupLattice.orbits` gives them."""
+
+    def __init__(self, lattice: SubgroupLattice,
+                 classes: list[tuple[int, tuple[int, ...]]], class_of: list[int]):
+        self.lattice = lattice
+        self.classes = classes          # (representative id, orbit ids) per class
+        self.class_of = class_of        # subgroup id -> class id
+        # the bitset over subgroup ids of each class, or None when every
+        # class is a singleton and class ids are subgroup ids
+        self.blocks = (None if len(classes) == len(lattice.subgroups)
+                       else [sum(1 << j for j in orbit) for _, orbit in classes])
+        self.top = class_of[lattice.top_id]
+        self.bottom = class_of[lattice.trivial_id]
+        self._up = None
+        self._rows = None
+        self._downs = None
+        self._mu_top = None
+        # (N mask, t) whose relative counts passed counting's checks
+        self.relative_checked: set[tuple[int, int]] = set()
+
+    def __len__(self):
+        return len(self.classes)
+
+    def rep(self, c: int) -> Subgroup:
+        return self.lattice.subgroups[self.classes[c][0]]
+
+    def orbit(self, c: int) -> tuple[int, ...]:
+        return self.classes[c][1]
+
+    def class_of_subgroup(self, sub: Subgroup) -> int:
+        return self.class_of[self.lattice.index[sub.mask]]
+
+    # -- order relation ----------------------------------------------------
+
+    @property
+    def up(self) -> list[list[int]]:
+        """up[c] = class ids strictly above c, ascending: `rows` decoded.
+        No engine path reads it; the tests and the perfbench spans do."""
+        if self._up is None:
+            self._up = [list(bits(row & ~(1 << c)))
+                        for c, row in enumerate(self.rows())]
+        return self._up
+
+    def rows(self) -> list[int]:
+        """The bitset over class ids of the classes at or above c, for each
+        class c: the classes meeting its representative's upeq row, since
+        H^a <= K iff H <= K^(a^-1).  Each step takes the class of the lowest
+        id left and strikes all its ids off; singleton classes' rows are
+        upeq rows."""
+        if self._rows is None:
+            rows = self.lattice.upeq([r for r, _ in self.classes])
+            if self.blocks is not None:
+                for k, u in enumerate(rows):
+                    rows[k] = 0
+                    while u:
+                        c = self.class_of[(u & -u).bit_length() - 1]
+                        rows[k] |= 1 << c
+                        u &= ~self.blocks[c]
+            self._rows = rows
+        return self._rows
+
+    def downs(self) -> list[list[int]]:
+        """downs[c] = the class ids at or below c, ascending: `rows`
+        transposed, built once."""
+        if self._downs is None:
+            self._downs = transposed(self.rows())
+        return self._downs
+
+    # -- Moebius -------------------------------------------------------------
+
+    @property
+    def mu_top(self) -> list[int]:
+        """mu_A(H, G) for every class id, computed in one descending sweep;
+        a poset of singleton classes reads the lattice column."""
+        if self._mu_top is None:
+            if self.blocks is None:
+                self._mu_top = list(self.lattice.mu_top)
+            else:
+                self._mu_top = mu_column(self.rows(), [self.top])
+        return self._mu_top
 
 
 class LatticeBuilder:

@@ -24,7 +24,7 @@ from .mulambda import MuLambdaAnalyzer
 def automorphism_choices(G: FiniteGroup,
                          lattice: SubgroupLattice) -> list[tuple[str, ClassPoset]]:
     """The acting subgroups exercised by the battery, as (label, class
-    poset) pairs, the group being the poset's `aut`: trivial, inner,
+    poset) pairs: trivial, inner (the lattice's own conjugation poset),
     inner-by-K for every K containing G', and (small groups) full Aut.
     Equal groups are listed once, under the first label: each candidate
     has an exact key, and a class poset is built only for a new key.
@@ -182,7 +182,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
 
     phis = {t: counting.phi_hall(lattice, t) for t in range(1, t_max + 1)}
     for t in range(1, t_max + 1):
-        if n ** t <= tuple_budget:
+        if not counting.tuples_exceed(n, t, tuple_budget):
             brute = counting.phi_bruteforce(G, t, budget=tuple_budget)
             record(f"phi-brute-t{t}", brute == phis[t],
                    f"{brute} vs {phis[t]}")

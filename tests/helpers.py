@@ -25,6 +25,7 @@ PSU33_SPEC = (
 
 _groups = {}
 _lattices = {}
+_actions = {}
 _posets = {}
 _analyzers = {}
 
@@ -54,12 +55,11 @@ def sublattice(lat, keep=lambda i: True):
                             if r in new})
 
 
-def poset(spec, aut="inn"):
+def action(spec, aut="inn"):
     """aut: 'inn' | '1' | 'aut' | ('inn', K_subgroup_order, k)"""
     key = (spec, aut)
-    if key not in _posets:
+    if key not in _actions:
         G = group(spec)
-        lat = lattice(spec)
         if aut == "1":
             A = trivial_automorphisms(G)
         elif aut == "inn":
@@ -68,9 +68,17 @@ def poset(spec, aut="inn"):
             A = full_automorphism_group(G)
         else:
             _, order, k = aut
-            K = lat.subgroups[lat.by_order[order][k]]
-            A = inner_automorphisms(G, K)
-        _posets[key] = build_class_poset(lat, A)
+            lat = lattice(spec)
+            A = inner_automorphisms(G, lat.subgroups[lat.by_order[order][k]])
+        _actions[key] = A
+    return _actions[key]
+
+
+def poset(spec, aut="inn"):
+    """The class poset of lattice(spec) under action(spec, aut)."""
+    key = (spec, aut)
+    if key not in _posets:
+        _posets[key] = build_class_poset(lattice(spec), action(spec, aut))
     return _posets[key]
 
 

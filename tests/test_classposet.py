@@ -4,15 +4,16 @@ import pytest
 
 import moebius.verify as verify_module
 
-from helpers import (brute_class_up, brute_mu_top, class_by, group, lattice, poset,
+from helpers import (action, brute_class_up, brute_mu_top, class_by, group, lattice, poset,
                      recursive_mu, subgroups_of_order, summed_columns)
 from moebius import counting, enumerate_subgroups
 from moebius.automorphisms import (AutomorphismGroup, full_automorphism_group,
                                    inner_automorphisms, trivial_automorphisms)
 from moebius.cache import load_lattice, save_lattice
+from moebius.catalog import family_specs
 from moebius.classposet import (ClassPoset, build_class_poset, complement_class_count,
-                                conjunctive_identity_violations, crapo_check_all,
-                                divisibility_scan, kappa,
+                                conjugation_poset, conjunctive_identity_violations,
+                                crapo_check_all, divisibility_scan, kappa,
                                 maximal_closure_map, minimal_normal_subgroup_ids,
                                 nonzero_implies_closed, validate_closure_map)
 from moebius.errors import NotAClosureMap
@@ -45,6 +46,26 @@ def test_inner_poset_reads_the_conjugacy_classes(spec, source, tmp_path):
     other = build_class_poset(lat, same_gens)
     assert (other.classes, other.class_of) == walked
     assert other.classes is not lat.conjugacy_classes[0]
+
+
+@pytest.mark.parametrize("spec", family_specs(24) + ["S:6", "A:7"])
+def test_lattice_keeps_one_conjugation_poset(spec):
+    # the lattice's class relation is its conjugation poset: every route to
+    # the poset under Inn(G) returns that one object, the class-incidence
+    # table's down-sets are its downs, and a poset walked over the same
+    # generator maps under another origin orders the same classes alike
+    lat = lattice(spec)
+    G = lat.group
+    inner = inner_automorphisms(G)
+    conj = lat.conjugation
+    assert conjugation_poset(lat) is build_class_poset(lat, inner) is conj
+    assert [below for below, _ in lat.incidence] == conj.downs()
+    walked = build_class_poset(lat, AutomorphismGroup(G, inner.gens, "explicit-generated"))
+    assert walked is not conj
+    assert walked.classes == conj.classes and walked.blocks == conj.blocks
+    assert walked.rows() == conj.rows()
+    assert walked.downs() == conj.downs()
+    assert walked.mu_top == conj.mu_top
 
 
 def test_trivial_action_poset_mirrors_lattice():
@@ -225,14 +246,22 @@ def test_full_aut_classes_of_elementary_abelian(n):
     assert A._maps is None
 
 
-def test_automorphism_choices_leave_full_aut_unclosed():
+def test_automorphism_choices_leave_full_aut_unclosed(monkeypatch):
     # GL(5,2) has about 1e7 maps; on the abelian C:2^5 every inner action
     # is trivial, and full Aut, having a generator that is no conjugation,
     # gets a key of its own without its list of maps being closed
+    closed = []
+    maps = AutomorphismGroup.maps
+
+    def spy(self):
+        closed.append(self.origin)
+        return maps.fget(self)
+
+    monkeypatch.setattr(AutomorphismGroup, "maps", property(spy))
     spec = "x".join(["C:2"] * 5)
     choices = automorphism_choices(group(spec), lattice(spec))
     assert [label for label, _ in choices] == ["A=1", "A=aut"]
-    assert dict(choices)["A=aut"].aut._maps is None
+    assert closed == []
 
 
 def test_automorphism_choices_skip_equal_generator_sets(monkeypatch):
@@ -322,7 +351,7 @@ def test_top_column_reads_the_lattice_column():
     tampered = [7] * len(lat)
     lat._mu_top = tampered
     pos = build_class_poset(lat, trivial_automorphisms(G))
-    assert pos.singletons
+    assert pos.blocks is None
     assert pos.mu_top == tampered
 
 
@@ -378,9 +407,10 @@ def test_seeded_sweep_sums_columns(spec, aut):
 
 def test_battery_builds_each_class_poset_once(monkeypatch):
     """`run_battery` reuses the class poset `automorphism_choices` built
-    for each action, in its main loop and in lambda-equals-mu: it builds
-    no more posets than choosing the actions does, plus the (mu, lambda)
-    analyzer's conjugation poset, which the relative-count checks read."""
+    for each action, in its main loop and in lambda-equals-mu, and the
+    (mu, lambda) analyzer, which the relative-count checks read, reads
+    the lattice's conjugation poset, the one A=inn chose: on a fresh
+    lattice it constructs exactly one poset per chosen action."""
     builds = [0]
     build = verify_module.build_class_poset
 
@@ -395,17 +425,17 @@ def test_battery_builds_each_class_poset_once(monkeypatch):
         constructed[0] += 1
         init(self, *args)
 
+    spec = "D:12xC:2"
+    G = group(spec)
+    choices = automorphism_choices(G, lattice(spec))
+    fresh = enumerate_subgroups(G)
     monkeypatch.setattr(verify_module, "build_class_poset", counted)
     monkeypatch.setattr(ClassPoset, "__init__", counted_init)
-    spec = "D:12xC:2"
-    choices = automorphism_choices(group(spec), lattice(spec))
-    chosen, builds[0], constructed[0] = builds[0], 0, 0
-    checks = verify_module.run_battery(group(spec), t_max=1, lattice=lattice(spec))
+    checks = verify_module.run_battery(G, t_max=1, lattice=fresh)
     actions = [c["name"] for c in checks if c["name"].startswith("poset-axioms[")]
     assert len(actions) == len(choices) > 2
     assert any(c["name"].startswith("lambda-equals-mu[") for c in checks)
-    assert builds[0] == chosen
-    assert constructed[0] == chosen + 1
+    assert builds[0] == constructed[0] == len(choices)
 
 
 def test_crapo_identity_closure():
@@ -458,7 +488,7 @@ def test_conjunctive_identity(spec, aut):
         n_sub = lat.subgroups[i]
         if i == lat.trivial_id or not is_normal_mask(G, n_sub.mask):
             continue
-        if any(a.apply_mask(n_sub.mask) != n_sub.mask for a in pos.aut.maps):
+        if any(a.apply_mask(n_sub.mask) != n_sub.mask for a in action(spec, aut).maps):
             continue
         assert conjunctive_identity_violations(pos, n_sub) == []
 
@@ -502,12 +532,12 @@ def test_quotient_identity(spec, aut):
         n_sub = lat.subgroups[i]
         if not is_normal_mask(G, n_sub.mask):
             continue
-        if any(a.apply_mask(n_sub.mask) != n_sub.mask for a in pos.aut.maps):
+        if any(a.apply_mask(n_sub.mask) != n_sub.mask for a in action(spec, aut).maps):
             continue
         Q, proj = quotient_group(G, n_sub)
         from moebius.lattice import enumerate_subgroups
         qlat = enumerate_subgroups(Q)
-        abar = induced_quotient_action(pos.aut, n_sub, Q, proj)
+        abar = induced_quotient_action(action(spec, aut), n_sub, Q, proj)
         qpos = build_class_poset(qlat, abar)
         for c in range(len(pos.classes)):
             h = pos.rep(c)

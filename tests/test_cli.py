@@ -59,6 +59,28 @@ def test_phi_json_roundtrip(capsys):
         assert json.loads(out)["value"] == "2280"
 
 
+@pytest.mark.parametrize("command,count", [("phi", "24^20000"), ("phi-star", "30^20000")])
+def test_brute_scan_past_its_budget_names_the_power(capsys, command, count):
+    # the count is named as a power, never printed in full (24^20000 has
+    # 27 605 digits)
+    code = cli.main([command, "S:4", "--t", "20000", "--via", "brute"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
+    assert captured.err.startswith("error: ")
+    assert f"exceeded budget: {count} > 100000000" in captured.err
+
+
+@pytest.mark.parametrize("command", ["phi", "phi-star"])
+def test_brute_scan_is_no_recursion_as_deep_as_t(capsys, command):
+    values = {}
+    for via in ("brute", "hall"):
+        code, out = run_cli(capsys, command, "C:1", "--t", "5000", "--via", via)
+        assert code == 0
+        values[via] = json.loads(out)["value"]
+    assert values == {"brute": "1", "hall": "1"}
+
+
 def test_output_determinism(capsys):
     _, out1 = run_cli(capsys, "table", "S:4", "--format", "markdown")
     _, out2 = run_cli(capsys, "table", "S:4", "--format", "markdown")

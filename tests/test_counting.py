@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,21 @@ def test_triple_agreement_small(spec, t):
 def test_phi_bruteforce_budget():
     with pytest.raises(BudgetExceeded):
         counting.phi_bruteforce(group("A:5"), 8)
+
+
+def test_tuples_exceed_matches_the_power():
+    for n in range(1, 7):
+        for t in range(1, 40):
+            for budget in (1, 2, 7, 8, 9, 63, 64, 65, 10 ** 3, 10 ** 8):
+                assert counting.tuples_exceed(n, t, budget) == (n ** t > budget), (n, t, budget)
+
+
+def test_phi_bruteforce_refuses_a_huge_t_at_once():
+    # 24^(10^9) has about 1.4e9 digits: the budget check never builds it
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"tuple scan exceeded budget: 24\^1000000000 > 100000000"):
+        counting.phi_bruteforce(group("S:4"), 10 ** 9)
+    assert time.perf_counter() - start < 1
 
 
 def test_omega_examples():
