@@ -13,13 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__, counting
 from .automorphisms import (close_automorphisms, automorphism_from_images,
                             full_automorphism_group, inner_automorphisms,
                             trivial_automorphisms)
-from .cache import cache_path, default_cache_dir, load_lattice, save_lattice
+from .cache import cache_path, clear_cache, default_cache_dir, load_lattice, save_lattice
 from .classposet import build_class_poset
 from .errors import EngineError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, build_from_spec,
@@ -312,13 +311,7 @@ def cmd_cache(args) -> int:
     if not args.cache_dir:
         raise ValueError("cache commands need --cache-dir or MOEBIUS_CACHE_DIR")
     if args.action == "clear":
-        removed = 0
-        # and the temporary files of writes killed before their rename
-        for pattern in ("lattice_*.json", "lattice_*.json.*.tmp"):
-            for f in Path(args.cache_dir).glob(pattern):
-                f.unlink()
-                removed += 1
-        _json_out({"cleared": removed})
+        _json_out({"cleared": clear_cache(args.cache_dir)})
         return 0
     if not args.spec:
         raise ValueError(f"cache {args.action} needs a group spec")

@@ -54,13 +54,14 @@ class FiniteGroup:
 
     Elements are image tuples; `index` inverts the element list.  The
     multiplication table (at most 256 elements) or the image words
-    (above), the inverses, the element orders and the zuppos are built
-    lazily and cached.  Instances are immutable after construction.
+    (above), the inverses, the element orders, the zuppos and the
+    elements' cycle strings are built lazily and cached.  Instances are
+    immutable after construction.
     """
 
     __slots__ = ("degree", "elements", "index", "order", "identity", "gens",
                  "spec", "_rights", "_table", "_words", "_inv", "_elt_orders", "_zuppos",
-                 "_center", "_conjugations")
+                 "_center", "_conjugations", "_cycle_strings")
 
     def __init__(self, elements, gens, spec=None, rights=None, index=None):
         self.elements = list(elements)
@@ -87,6 +88,7 @@ class FiniteGroup:
         self._zuppos = None
         self._center = None
         self._conjugations = None
+        self._cycle_strings: dict[int, str] = {}
 
     # -- lazy tables ---------------------------------------------------
 
@@ -299,6 +301,13 @@ class FiniteGroup:
 
     def permutation(self, a: int) -> Permutation:
         return Permutation(self.elements[a])
+
+    def cycle_string(self, a: int) -> str:
+        """Element a in 1-based cycle notation, each string made once."""
+        text = self._cycle_strings.get(a)
+        if text is None:
+            text = self._cycle_strings[a] = self.permutation(a).cycle_string()
+        return text
 
     @property
     def center_mask(self) -> int:

@@ -65,9 +65,10 @@ the class form of Burnside's table of marks (Theory of Groups of Finite
 Order, 1911; G. Pfeiffer, Experiment. Math. 6, 1997), m(c, d) = the
 members of class d inside rep_c = |d| * popcount(upeq(rep_d) & block_c)
 / |c| (count the pairs D <= C, D in d, C in c, both ways), with its
-support the conjugation poset's down-sets.  sigma(c) is the sum of m(c, d),
-a class is maximal when its rep's row is {rep, top}, and the exact
-counts are swept up the classes.
+support the conjugation poset's down-sets; when every class is a
+singleton every m(c, d) is 1 and none is kept.  sigma(c) is the sum of
+m(c, d), a class is maximal when its rep's row is {rep, top}, and the
+exact counts are swept up the classes.
 
 One Moebius routine, `mu_column`, serves the lattice and every class
 poset.  It sweeps down bitset rows and keeps S_v, the ids already
@@ -198,21 +199,22 @@ class SubgroupLattice:
         return self._conjugation
 
     @property
-    def incidence(self) -> list[tuple[list[int], list[int]]]:
+    def incidence(self) -> list[tuple[list[int], list[int] | None]]:
         """The class-incidence table: for each conjugacy class c, the
         classes d <= c ascending, the conjugation poset's `downs`, and
-        m(c, d) for each (1 when every class is a singleton)."""
+        m(c, d) for each, or None when every class is a singleton and so
+        every m(c, d) is 1."""
         if self._incidence is None:
             conj = self.conjugation
             below = conj.downs()
             if conj.blocks is None:
-                marks = [[1] * len(ds) for ds in below]
+                self._incidence = [(ds, None) for ds in below]
             else:
                 size = [len(orbit) for _, orbit in conj.classes]
                 upeq = self.upeq([r for r, _ in conj.classes])
-                marks = [[size[d] * (upeq[d] & conj.blocks[c]).bit_count() // size[c]
-                          for d in ds] for c, ds in enumerate(below)]
-            self._incidence = list(zip(below, marks))
+                self._incidence = [
+                    (ds, [size[d] * (upeq[d] & conj.blocks[c]).bit_count() // size[c]
+                          for d in ds]) for c, ds in enumerate(below)]
         return self._incidence
 
     @property
@@ -294,7 +296,8 @@ class SubgroupLattice:
 
     def sigma(self, i: int) -> int:
         """Number of subgroups of subgroup i (including 1 and itself)."""
-        return sum(self.incidence[self.conjugacy_classes[1][i]][1])
+        below, marks = self.incidence[self.conjugacy_classes[1][i]]
+        return len(below) if marks is None else sum(marks)
 
     def join(self, h: Subgroup, k: Subgroup) -> Subgroup:
         """<H, K>: H's witness extended by K's, memoized by id pair."""
@@ -366,14 +369,18 @@ class SubgroupLattice:
     def _exact_counts(self, memo: dict[int, list[int]], t: int, size) -> list[int]:
         """Moebius inversion of size(K)^t up the conjugacy classes, memoized
         per t: vals[c] = size(rep_c)^t - the sum of m(c, d) * vals[d] over
-        the d < c (c's own term reads vals[c] while it is still 0)."""
+        the d < c (c's own term reads vals[c] while it is still 0), an
+        unweighted sum when every m(c, d) is 1."""
         out = memo.get(t)
         if out is None:
             classes, class_of = self.conjugacy_classes
             vals = [0] * len(classes)
             for c, (below, marks) in enumerate(self.incidence):
-                vals[c] = size(classes[c][0]) ** t - sum(
-                    [m * vals[d] for d, m in zip(below, marks)])
+                if marks is None:
+                    below_sum = sum([vals[d] for d in below])
+                else:
+                    below_sum = sum([m * vals[d] for d, m in zip(below, marks)])
+                vals[c] = size(classes[c][0]) ** t - below_sum
             out = memo[t] = [vals[c] for c in class_of]
         return out
 

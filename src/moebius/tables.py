@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from . import counting
 from .classposet import ClassPoset, kappa
@@ -47,8 +49,9 @@ def name_subgroup(lattice: SubgroupLattice, i: int) -> str:
             if gens is not None:
                 break
     if gens is not None:
-        return "<" + ",".join(G.permutation(x).cycle_string() for x in gens) + ">"
-    k = lattice.by_order[s.order].index(i)
+        return "<" + ",".join(G.cycle_string(x) for x in gens) + ">"
+    # ids of one order are contiguous, as subgroups are sorted by order
+    k = i - lattice.by_order[s.order][0]
     return f"order={s.order}#{k}"
 
 
@@ -81,47 +84,52 @@ def display_key(sub: Subgroup) -> tuple[int, int]:
     return -sub.order, sub.mask
 
 
-def class_table(poset: ClassPoset, include_omega2: bool = False) -> tuple[list[str], list[list[str]]]:
-    """The mu_A / omega / kappa / sigma table over all classes."""
-    lat = poset.lattice
+def class_table(poset: ClassPoset,
+                include_omega2: bool = False) -> tuple[list[str], Iterator[list[str]]]:
+    """The mu_A / omega / kappa / sigma table over all classes; each row is
+    named and counted as it is read."""
     cols = ["class", "mu_A", "omega1"]
     if include_omega2:
         cols.append("omega2")
     cols += ["kappa", "sigma"]
-    rows = []
-    for c in sorted(range(len(poset.classes)), key=lambda c: display_key(poset.rep(c))):
-        rep_id = poset.classes[c][0]
-        row = [name_subgroup(lat, rep_id),
-               str(poset.mu_top[c]),
-               str(counting.omega(poset, c, 1))]
-        if include_omega2:
-            row.append(str(counting.omega(poset, c, 2)))
-        row.append(str(kappa(lat, lat.subgroups[rep_id])))
-        row.append(str(lat.sigma(rep_id)))
-        rows.append(row)
-    return cols, rows
+
+    def rows():
+        lat = poset.lattice
+        for c in sorted(range(len(poset.classes)), key=lambda c: display_key(poset.rep(c))):
+            rep_id = poset.classes[c][0]
+            row = [name_subgroup(lat, rep_id),
+                   str(poset.mu_top[c]),
+                   str(counting.omega(poset, c, 1))]
+            if include_omega2:
+                row.append(str(counting.omega(poset, c, 2)))
+            row.append(str(kappa(lat, lat.subgroups[rep_id])))
+            row.append(str(lat.sigma(rep_id)))
+            yield row
+
+    return cols, rows()
 
 
-def lattice_mu_table(lattice: SubgroupLattice) -> tuple[list[str], list[list[str]]]:
-    """Per-conjugacy-class mu / kappa / sigma table (plain lattice Moebius)."""
+def lattice_mu_table(lattice: SubgroupLattice) -> tuple[list[str], Iterator[list[str]]]:
+    """Per-conjugacy-class mu / kappa / sigma table (plain lattice Moebius);
+    each row is named and counted as it is read."""
     entries = lattice.class_representatives()
     entries.sort(key=lambda i: display_key(lattice.subgroups[i]))
     cols = ["class", "mu", "kappa", "sigma"]
-    rows = []
-    for i in entries:
-        rows.append([name_subgroup(lattice, i),
-                     str(lattice.mu_top[i]),
-                     str(kappa(lattice, lattice.subgroups[i])),
-                     str(lattice.sigma(i))])
+    rows = ([name_subgroup(lattice, i),
+             str(lattice.mu_top[i]),
+             str(kappa(lattice, lattice.subgroups[i])),
+             str(lattice.sigma(i))] for i in entries)
     return cols, rows
 
 
-def render(cols: list[str], rows: list[list[str]], fmt: str) -> str:
+def render(cols: list[str], rows: Iterable[list[str]], fmt: str) -> str:
+    """The table in one format.  Markdown and csv lines are made one row at
+    a time, so a lazy `rows` never has every row's cells at once."""
     if fmt == "markdown":
         head = "| " + " | ".join(cols) + " |"
         sep = "|" + "|".join("---" for _ in cols) + "|"
-        body = ["| " + " | ".join(r) + " |" for r in rows]
-        return "\n".join([head, sep] + body)
+        body = ("| " + " | ".join(r) + " |" for r in rows)
+        return "\n".join(chain([head, sep], body))
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

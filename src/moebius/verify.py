@@ -52,7 +52,7 @@ def automorphism_choices(G: FiniteGroup,
     dmask = commutator_subgroup(G).mask
     for i, s in enumerate(lattice.subgroups):
         if dmask & ~s.mask == 0:
-            add(f"A=inn:order={s.order}#{lattice.by_order[s.order].index(i)}",
+            add(f"A=inn:order={s.order}#{i - lattice.by_order[s.order][0]}",
                 closure(G, s.gens, center, center_gens)[0],
                 lambda: inner_automorphisms(G, lattice.subgroups[i]))
     if G.order <= FULL_AUT_DEFAULT_BOUND:

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 import moebius.groups as groups_module
 from helpers import lattice, sublattice
 from moebius import __version__, cli, counting
-from moebius.cache import cache_path, class_line, file_lines, mask_to_hex, save_lattice
+from moebius.cache import (KEY_FILE, cache_path, class_line, file_lines, load_lattice,
+                           mask_to_hex, read_key, save_lattice)
 
 
 def run_cli(capsys, *argv):
@@ -363,11 +365,11 @@ def read_cache(path) -> dict:
     return {**json.loads(head), "classes": classes}
 
 
-def cache_lines(payload: dict) -> list[bytes]:
+def cache_lines(payload: dict, cache_dir) -> list[bytes]:
     """The lines `file_lines` gives for a payload as `read_cache` returns
-    it, the seal line last."""
+    it, sealed with the key of `cache_dir`, the seal line last."""
     head = {k: v for k, v in payload.items() if k != "classes"}
-    return list(file_lines(head, payload["classes"]))
+    return list(file_lines(head, payload["classes"], read_key(cache_dir)))
 
 
 def s4_class(order: int) -> int:
@@ -398,22 +400,25 @@ def test_cache_build_rebuild_identical(capsys, tmp_cache):
 def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
     # the file is streamed through `file_lines`: the canonical JSON head,
     # one line per conjugacy class in lattice order, the representative's
-    # hex bitset and its witness ids, and a seal line holding the SHA-256
-    # of every byte before it
+    # hex bitset and its witness ids, and a seal line holding the
+    # HMAC-SHA256 of every byte before it under the directory's key
     lat = lattice(spec)
     order = lat.group.order
     head = {"element_count": order, "engine_version": __version__, "spec": spec}
     data = save_lattice(lat, tmp_cache).read_bytes()
+    key = read_key(tmp_cache)
+    assert len(key) == 32
     reps = lat.class_representatives()
     assert data == b"".join(file_lines(head, (class_line(lat.subgroups[r], order)
-                                              for r in reps)))
+                                              for r in reps), key))
     *body, last = data.splitlines(keepends=True)
     assert body[0] == json.dumps(head, separators=(",", ":")).encode() + b"\n"
     assert len(body) == 1 + len(reps)
     for r, line in zip(reps, body[1:]):
         assert line.split() == [mask_to_hex(lat.subgroups[r].mask, order).encode(),
                                 *(str(x).encode() for x in lat.subgroups[r].gens)]
-    assert last == f"sha256 {hashlib.sha256(b''.join(body)).hexdigest()}\n".encode()
+    mac = hmac.new(key, b"".join(body), hashlib.sha256)
+    assert last == f"sha256 {mac.hexdigest()}\n".encode()
 
 
 def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
@@ -441,7 +446,8 @@ def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
     assert code == 0 and out == cold
     assert [str(w.message) for w in caught] == \
         [f"ignoring unusable cache {path}: missing or wrong sha256 seal"]
-    assert path.read_bytes() == cache_path(cold_dir, "S:4").read_bytes()
+    cold_file = cache_path(cold_dir, "S:4")
+    assert path.read_bytes() == b"".join(cache_lines(read_cache(cold_file), cache_dir))
 
 
 def test_cache_info_and_use(capsys, tmp_cache):
@@ -477,7 +483,7 @@ def test_cache_version_mismatch(capsys, tmp_cache):
     path = cache_path(tmp_cache, "S:4")
     payload = read_cache(path)
     payload["engine_version"] = "0.0.0"
-    path.write_bytes(b"".join(cache_lines(payload)))
+    path.write_bytes(b"".join(cache_lines(payload, tmp_cache)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_cli(capsys, "table", "S:4", "--cache-dir", str(tmp_cache))
@@ -494,11 +500,14 @@ def test_cache_clear(capsys, tmp_cache):
 
 def test_cache_clear_removes_the_files_of_killed_writes(capsys, tmp_cache):
     # a write killed before its rename (SIGKILL runs no cleanup) leaves
-    # its temporary file, named after the cache file and the writer's pid
+    # its temporary file, named after the cache file and the writer's pid;
+    # the key and a killed key write's file go too, and are not counted
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
     partial = path.with_name(f"{path.name}.4242.tmp")
     partial.write_bytes(path.read_bytes()[:100])
+    (tmp_cache / f"{KEY_FILE}.4242.tmp").write_bytes(b"part")
+    assert (tmp_cache / KEY_FILE).exists()
     other = tmp_cache / "notes.txt"
     other.write_text("kept")
     code, out = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_cache))
@@ -529,7 +538,8 @@ def test_dropped_class_line_is_caught_by_the_seal(capsys, tmp_path, order):
     sealed = path.read_bytes()
     payload = read_cache(path)
     payload["classes"].remove(s4_class_line(order))
-    edited = b"".join(cache_lines(payload)[:-1] + [sealed.splitlines(keepends=True)[-1]])
+    edited = b"".join(cache_lines(payload, cache_dir)[:-1]
+                      + [sealed.splitlines(keepends=True)[-1]])
     for argv in (["table", "S:4"],
                  ["table", "S:4", "--aut", "inn"],
                  ["phi", "S:4", "--t", "2"],
@@ -554,13 +564,129 @@ def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
     payload = read_cache(path)
     payload["classes"].remove(s4_class_line(6))
     old_seal = sealed.splitlines(keepends=True)[-1]
-    path.write_bytes(b"".join(cache_lines(payload)[:-1] + [old_seal]))
+    path.write_bytes(b"".join(cache_lines(payload, tmp_cache)[:-1] + [old_seal]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(capsys, "phi", "S:4", "--t", "2", "--cache-dir", str(tmp_cache))
     assert code == 0 and json.loads(out)["value"] == "216"
     assert any("sha256 seal" in str(w.message) for w in caught)
     assert path.read_bytes() == sealed      # recomputed and rewritten
+
+
+def s4_class_lines() -> list[str]:
+    """The class lines of S:4, one per conjugacy class, in lattice order."""
+    lat = lattice("S:4")
+    return [class_line(lat.subgroups[r], 24) for r in lat.class_representatives()]
+
+
+# seals a forger can make without the directory's key: the unkeyed SHA-256
+# of an earlier format, and an HMAC under some other key
+FORGED_SEALS = {
+    "unkeyed": lambda body: hashlib.sha256(body),
+    "other key": lambda body: hmac.new(bytes(32), body, hashlib.sha256),
+}
+
+
+@pytest.mark.parametrize("seal", list(FORGED_SEALS))
+@pytest.mark.parametrize("dropped", range(11))
+def test_dropped_class_line_resealed_without_the_key_is_recomputed(capsys, tmp_path,
+                                                                     dropped, seal):
+    # each class line of S:4 dropped in turn and the file sealed again
+    # without the key: every line left is a whole class, so only the keyed
+    # seal tells; the load warns once, the query prints what an uncached
+    # run prints, and the file is rewritten as freshly sealed
+    argv = ["phi", "S:4", "--t", "2"]
+    cold = cli.main(argv), capsys.readouterr()
+    cache_dir = tmp_path / "cache"
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(cache_dir))
+    path = cache_path(cache_dir, "S:4")
+    sealed = path.read_bytes()
+    payload = read_cache(path)
+    assert payload["classes"] == s4_class_lines() and len(payload["classes"]) == 11
+    del payload["classes"][dropped]
+    body = b"".join(cache_lines(payload, cache_dir)[:-1])
+    path.write_bytes(body + f"sha256 {FORGED_SEALS[seal](body).hexdigest()}\n".encode())
+    with pytest.warns(UserWarning, match="sha256 seal"):
+        assert load_lattice(lattice("S:4").group, cache_dir) is None
+    assert path.read_bytes() != sealed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv + ["--cache-dir", str(cache_dir)])
+    assert (code, capsys.readouterr()) == cold
+    assert [str(w.message) for w in caught] == \
+        [f"ignoring unusable cache {path}: missing or wrong sha256 seal"]
+    assert path.read_bytes() == sealed
+
+
+def test_cache_without_its_key_is_recomputed(capsys, tmp_cache):
+    # the key file gone: no file of the directory can be trusted, so the
+    # load warns once, the query prints what a cold run prints, and the
+    # rewrite makes a new key that the next query reads without a warning
+    argv = ["table", "S:4", "--aut", "inn"]
+    cold = cli.main(argv), capsys.readouterr()
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    path = cache_path(tmp_cache, "S:4")
+    old_key = read_key(tmp_cache)
+    (tmp_cache / KEY_FILE).unlink()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv + ["--cache-dir", str(tmp_cache)])
+    assert (code, capsys.readouterr()) == cold
+    assert [str(w.message) for w in caught] == \
+        [f"ignoring unusable cache {path}: missing or wrong sha256 seal"]
+    key = read_key(tmp_cache)
+    assert key is not None and key != old_key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (cli.main(argv + ["--cache-dir", str(tmp_cache)]), capsys.readouterr()) == cold
+
+
+def test_cache_key_is_private_and_made_once(tmp_cache):
+    # the key is 32 bytes of mode 0600 made at the first write, and later
+    # writes into the directory seal with it
+    save_lattice(lattice("S:4"), tmp_cache)
+    key_path = tmp_cache / KEY_FILE
+    key = key_path.read_bytes()
+    assert len(key) == 32 and key_path.stat().st_mode & 0o777 == 0o600
+    save_lattice(lattice("S:3"), tmp_cache)
+    assert key_path.read_bytes() == key
+    assert sorted(p.name for p in tmp_cache.iterdir()) == sorted(
+        [KEY_FILE, cache_path(tmp_cache, "S:4").name, cache_path(tmp_cache, "S:3").name])
+
+
+def test_concurrent_writers_seal_with_the_first_key_linked(monkeypatch, tmp_cache):
+    # another writer links its key into place between this writer's read
+    # and its own link: this writer seals with the other's key, and its
+    # temporary key file is gone
+    tmp_cache.mkdir()
+    theirs = bytes(range(32))
+    link = os.link
+
+    def raced(src, dst):
+        Path(dst).write_bytes(theirs)
+        return link(src, dst)
+
+    monkeypatch.setattr(os, "link", raced)
+    path = save_lattice(lattice("S:4"), tmp_cache)
+    assert read_key(tmp_cache) == theirs
+    assert sorted(p.name for p in tmp_cache.iterdir()) == sorted([KEY_FILE, path.name])
+    monkeypatch.undo()
+    assert load_lattice(lattice("S:4").group, tmp_cache) is not None
+
+
+def test_damaged_cache_key_is_replaced(capsys, tmp_cache):
+    # a key file of the wrong length is no key: the load fails the seal,
+    # and the rewrite replaces the key whole
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
+    (tmp_cache / KEY_FILE).write_bytes(b"short")
+    with pytest.warns(UserWarning, match="sha256 seal"):
+        code, out = run_cli(capsys, "cache", "info", "S:4", "--cache-dir", str(tmp_cache))
+    assert json.loads(out)["cached"] is False
+    with pytest.warns(UserWarning, match="sha256 seal"):
+        run_cli(capsys, "table", "S:4", "--cache-dir", str(tmp_cache))
+    assert len(read_key(tmp_cache)) == 32
+    code, out = run_cli(capsys, "cache", "info", "S:4", "--cache-dir", str(tmp_cache))
+    assert json.loads(out)["cached"] is True
 
 
 @pytest.mark.parametrize("mutate", [
@@ -574,7 +700,7 @@ def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, mutate
     run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(tmp_cache))
     path = cache_path(tmp_cache, "S:4")
     sealed = path.read_bytes()
-    lines = cache_lines(read_cache(path))
+    lines = cache_lines(read_cache(path), tmp_cache)
     assert b"".join(lines) == sealed
     mutate(lines)
     path.write_bytes(b"".join(lines))
@@ -586,7 +712,7 @@ def test_unsealed_or_wrongly_sealed_cache_is_rewritten(capsys, tmp_cache, mutate
     with pytest.warns(UserWarning, match="sha256 seal"):
         code, _ = run_cli(capsys, "table", "S:4", "--cache-dir", str(tmp_cache))
     assert code == 0 and path.read_bytes() == sealed
-    assert [p.name for p in tmp_cache.iterdir()] == [path.name]
+    assert sorted(p.name for p in tmp_cache.iterdir()) == sorted([path.name, KEY_FILE])
 
 
 def _conjugate_line(p):
@@ -652,7 +778,7 @@ def test_resealed_cache_failing_a_cheap_rule_is_recomputed(capsys, tmp_path, rul
     message, mutate = CHEAP_RULE_MUTATIONS[rule]
     payload = read_cache(path)
     mutate(payload)
-    path.write_bytes(b"".join(cache_lines(payload)))
+    path.write_bytes(b"".join(cache_lines(payload, cache_dir)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
@@ -660,7 +786,8 @@ def test_resealed_cache_failing_a_cheap_rule_is_recomputed(capsys, tmp_path, rul
     assert [str(w.message) for w in caught] == \
         [f"ignoring unusable cache {path}: {message}"]
     assert path.read_bytes() == sealed
-    assert path.read_bytes() == cache_path(cold_dir, "S:4").read_bytes()
+    cold_file = cache_path(cold_dir, "S:4")
+    assert sealed == b"".join(cache_lines(read_cache(cold_file), cache_dir))
 
 
 # files no writer gives, each broken before its class lines are read: the

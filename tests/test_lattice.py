@@ -471,13 +471,15 @@ def test_relation_matches_pairwise_scan(spec, source, tmp_path):
 
 def _check_class_incidence(lat):
     """Every m(c, d) of `incidence` against a mask scan, #{K in orbit(d) :
-    K <= rep_c}, zeros included; then sigma, the maximals and the exact
-    counts it gives against the pairwise relation."""
+    K <= rep_c}, zeros included (no weight list means every weight is 1);
+    then sigma, the maximals and the exact counts it gives against the
+    pairwise relation."""
     classes, _ = lat.conjugacy_classes
     subs = lat.subgroups
     for c, (below, marks) in enumerate(lat.incidence):
+        assert (marks is None) == (lat.conjugation.blocks is None)
         rep_mask = subs[classes[c][0]].mask
-        table = dict(zip(below, marks))
+        table = dict(zip(below, [1] * len(below) if marks is None else marks))
         for d, (_, orbit) in enumerate(classes):
             scan = sum(1 for k in orbit if subs[k].mask & ~rep_mask == 0)
             assert table.get(d, 0) == scan, (c, d)

@@ -1,13 +1,17 @@
 """Subgroup names and the tables built on them."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from helpers import closure_mask, lattice
 from moebius import cli, counting
-from moebius.tables import name_subgroup
+from moebius.groups import build_from_spec
+from moebius.lattice import enumerate_subgroups
+from moebius.perm import Permutation
+from moebius.tables import class_table, name_subgroup, render
 
 
 def exhaustive_name(lat, i, pair_limit=72):
@@ -96,6 +100,9 @@ GOLDEN = {
         "93318d24e441541ed416439a0b67b27c2ac662ffa4594838f2fbbda632212460",
     ("table", "C:2xC:2xC:2xC:2", "--aut", "inn", "--omega2"):
         "a2829b6366c82a7ba125a2e2c8405ac3d589c4954e1d2743673f3518d8cc87fa",
+    # recorded before rows were rendered as they are built
+    ("table", "C:2xC:2xC:2xC:2", "--aut", "inn", "--format", "csv"):
+        "9677db3872123f5a3b86d491ba253e5237d88d43df57dddee1f623f5017721d7",
 }
 
 
@@ -104,3 +111,41 @@ def test_table_output_is_unchanged(capsys, argv):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+C2_6 = "C:2xC:2xC:2xC:2xC:2xC:2"
+
+
+def test_class_table_renders_one_row_at_a_time():
+    # on C:2^6 (2825 singleton classes), once mu_top and the class rows are
+    # built, naming, counting and rendering every row peaks under 2.9 MB:
+    # no unit-weight incidence lists, and no row's cells kept past its line
+    lat = enumerate_subgroups(build_from_spec(C2_6))
+    poset = lat.conjugation
+    poset.mu_top
+    poset.rows()
+    tracemalloc.start()
+    try:
+        text = render(*class_table(poset), "markdown")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + len(poset.classes)
+    assert peak < 2.9e6, peak
+
+
+def test_names_make_one_cycle_string_per_element(monkeypatch):
+    # naming every subgroup of C:2^6 writes each element's cycles once
+    made = Counter()
+    cycle_string = Permutation.cycle_string
+
+    def counted(p):
+        made[p.images] += 1
+        return cycle_string(p)
+
+    monkeypatch.setattr(Permutation, "cycle_string", counted)
+    lat = enumerate_subgroups(build_from_spec(C2_6))
+    names = [name_subgroup(lat, i) for i in range(len(lat))]
+    assert len(names) == 2825
+    assert made and set(made.values()) == {1} and len(made) < lat.group.order
+
