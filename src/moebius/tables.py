@@ -123,8 +123,10 @@ def lattice_mu_table(lattice: SubgroupLattice) -> tuple[list[str], Iterator[list
 
 
 def render(cols: list[str], rows: Iterable[list[str]], fmt: str) -> str:
-    """The table in one format.  Markdown and csv lines are made one row at
-    a time, so a lazy `rows` never has every row's cells at once."""
+    """The table in one format.  Every format is made one row at a time,
+    so a lazy `rows` never has every row's cells at once; json is the text
+    of `json.dumps({"columns": cols, "rows": [one dict per row]},
+    indent=2)`, with no payload built."""
     if fmt == "markdown":
         head = "| " + " | ".join(cols) + " |"
         sep = "|" + "|".join("---" for _ in cols) + "|"
@@ -137,7 +139,20 @@ def render(cols: list[str], rows: Iterable[list[str]], fmt: str) -> str:
         w.writerows(rows)
         return buf.getvalue().rstrip("\n")
     if fmt == "json":
-        return json.dumps({"columns": cols,
-                           "rows": [dict(zip(cols, r)) for r in rows]},
-                          indent=2, sort_keys=False)
+        return "".join(_json_pieces(cols, rows))
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json_pieces(cols: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    """The text of `json.dumps({"columns": cols, "rows": [dict(zip(cols,
+    r)) for r in rows]}, indent=2)` in pieces, one per row: each row's
+    dict is dumped alone and indented two levels deeper, which a json
+    string, holding no raw newline, leaves intact."""
+    # the head, less its closing "\n}"
+    yield json.dumps({"columns": cols}, indent=2)[:-2] + ',\n  "rows": ['
+    sep = "\n    "
+    for r in rows:
+        yield sep + json.dumps(dict(zip(cols, r)), indent=2).replace("\n", "\n    ")
+        sep = ",\n    "
+    # json.dumps writes an empty list as []
+    yield "]\n}" if sep == "\n    " else "\n  ]\n}"

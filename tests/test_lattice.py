@@ -90,36 +90,10 @@ def test_budget_exceeded(spec):
     assert (info.value.count, info.value.budget) == (6, 5)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_joins_match_covering_pairs(n, monkeypatch):
-    # In C:2^n every zuppo is its own N_G(H)-orbit and <H, x> covers H for
-    # x outside H, so the coset rule leaves one join per coset xH other
-    # than H, that is one per cover of H.  In a 2-group H < K is a cover
-    # exactly when [K : H] = 2.
-    calls = [0]
-    # the enumerator joins through the coset fill (first test) and the
-    # general closure step (second test)
-    for name in ("fill_cosets", "extend_closure"):
-        join = getattr(lattice_module, name)
-
-        def counted(*args, join=join):
-            calls[0] += 1
-            return join(*args)
-
-        monkeypatch.setattr(lattice_module, name, counted)
-    lat = enumerate_subgroups(group("x".join(["C:2"] * n)))
-    subs = lat.subgroups
-    covers = sum(1 for i, above in enumerate(lat.up) for j in above
-                 if subs[j].order == 2 * subs[i].order)
-    assert calls[0] == covers
-
-
-@pytest.mark.parametrize("spec", ["S:4", "S:5", "S:6", "D:12xC:2", "Q:8xS:3",
-                                  "C:2xC:2xC:2xC:2"])
-def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch):
-    # a join <H, z> with H outside R, the last term of the derived series,
-    # is made only when z normalizes H and z^p lies in H: H is normal of
-    # prime index in the result
+def _record_joins(monkeypatch) -> list[tuple[int, int]]:
+    """(H's bitset, <H, z>'s bitset) for each join the enumerator makes,
+    through the coset fill (first test) or the general closure step
+    (second test), in the order made."""
     joins = []
     closure = lattice_module.extend_closure
     fill = lattice_module.fill_cosets
@@ -136,6 +110,46 @@ def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch)
 
     monkeypatch.setattr(lattice_module, "extend_closure", recorded)
     monkeypatch.setattr(lattice_module, "fill_cosets", recorded_fill)
+    return joins
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_one_join_per_nontrivial_subgroup(n, monkeypatch):
+    # In C:2^n every subgroup is normal and every join <H, x> has index 2
+    # over H.  A K found before H is extended is struck off by the
+    # known-supergroup rule, and one found by an earlier join of H by the
+    # prime-index coset rule, so each join finds a new subgroup: one join
+    # per nontrivial subgroup
+    joins = _record_joins(monkeypatch)
+    lat = enumerate_subgroups(group("x".join(["C:2"] * n)))
+    assert len(joins) == len(lat) - 1 == {4: 66, 5: 373, 6: 2824}[n]
+    assert len({k for _, k in joins}) == len(joins)
+
+
+@pytest.mark.parametrize("spec", ["C:2xC:2xC:2xC:2xC:2xC:2", "D:4xC:2xC:2xC:2", "Q:8xS:3"])
+def test_no_join_returns_a_normal_subgroup_found_before(spec, monkeypatch):
+    # every zuppo of a normal K found before, holding H with [K : H]
+    # prime, is known before H's first join, and every join of these
+    # solvable groups has prime index, so a normal K is returned once
+    count = len(lattice(spec))
+    joins = _record_joins(monkeypatch)
+    G = group(spec)
+    assert len(enumerate_subgroups(G)) == count
+    returned, repeated = set(), []
+    for _, k in joins:
+        if k in returned and is_normal_mask(G, k):
+            repeated.append(k)
+        returned.add(k)
+    assert joins and not repeated
+
+
+@pytest.mark.parametrize("spec", ["S:4", "S:5", "S:6", "D:12xC:2", "Q:8xS:3",
+                                  "C:2xC:2xC:2xC:2"])
+def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch):
+    # a join <H, z> with H outside R, the last term of the derived series,
+    # is made only when z normalizes H and z^p lies in H: H is normal of
+    # prime index in the result
+    joins = _record_joins(monkeypatch)
     G = group(spec)
     residue = derived_series(G)[-1]
     lat = enumerate_subgroups(G)

@@ -1,6 +1,7 @@
 """Subgroup names and the tables built on them."""
 
 import hashlib
+import json
 import tracemalloc
 from collections import Counter
 
@@ -11,7 +12,7 @@ from moebius import cli, counting
 from moebius.groups import build_from_spec
 from moebius.lattice import enumerate_subgroups
 from moebius.perm import Permutation
-from moebius.tables import class_table, name_subgroup, render
+from moebius.tables import class_table, lattice_mu_table, name_subgroup, render
 
 
 def exhaustive_name(lat, i, pair_limit=72):
@@ -116,22 +117,49 @@ def test_table_output_is_unchanged(capsys, argv):
 C2_6 = "C:2xC:2xC:2xC:2xC:2xC:2"
 
 
-def test_class_table_renders_one_row_at_a_time():
-    # on C:2^6 (2825 singleton classes), once mu_top and the class rows are
-    # built, naming, counting and rendering every row peaks under 2.9 MB:
-    # no unit-weight incidence lists, and no row's cells kept past its line
+def _class_table_peak(fmt):
+    """(text, classes, tracemalloc peak) of naming, counting and rendering
+    every row of C:2^6's class table in `fmt`, once `mu_top` and the class
+    rows are built."""
     lat = enumerate_subgroups(build_from_spec(C2_6))
     poset = lat.conjugation
     poset.mu_top
     poset.rows()
     tracemalloc.start()
     try:
-        text = render(*class_table(poset), "markdown")
+        text = render(*class_table(poset), fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == 1 + len(poset.classes)
+    return text, len(poset.classes), peak
+
+
+def test_class_table_renders_one_row_at_a_time():
+    # on C:2^6 (2825 singleton classes) the peak stays under 2.9 MB: no
+    # unit-weight incidence lists, and no row's cells kept past its line
+    text, classes, peak = _class_table_peak("markdown")
+    assert text.count("\n") == 1 + classes
     assert peak < 2.9e6, peak
+
+
+def test_json_class_table_renders_one_row_at_a_time():
+    # json too is written one row at a time, with no dict per row kept and
+    # no payload dumped whole: its peak stays under 3.5 MB
+    text, classes, peak = _class_table_peak("json")
+    assert text.count("\n    {") == classes
+    assert peak < 3.5e6, peak
+
+
+@pytest.mark.parametrize("spec,table", [("S:4", "class"), (C2_6, "class"), ("S:5", "sigma")])
+def test_json_is_the_dumped_payload_written_row_by_row(spec, table):
+    # json is rendered one row at a time, byte for byte what json.dumps
+    # makes of the whole payload; the class tables are under Inn(G), as
+    # `table --aut inn` prints them, and the sigma table is `sigma-table`'s
+    lat = lattice(spec)
+    cols, rows = class_table(lat.conjugation) if table == "class" else lattice_mu_table(lat)
+    rows = list(rows)
+    payload = {"columns": cols, "rows": [dict(zip(cols, r)) for r in rows]}
+    assert render(cols, iter(rows), "json") == json.dumps(payload, indent=2)
 
 
 def test_names_make_one_cycle_string_per_element(monkeypatch):
