@@ -3,9 +3,9 @@
 Classes are A-orbits of lattice subgroups, as `SubgroupLattice.orbits`
 walks them over the generator maps of A, and a `lattice.ClassPoset`
 orders them; under all of Inn(G) the poset is the lattice's own
-conjugation poset (`SubgroupLattice.conjugation`), built once over the
-conjugacy classes the lattice keeps.  A class poset holds no action,
-only its partition.  [H] <= [K] iff some orbit member of [H] is
+conjugation poset (`SubgroupLattice.conjugation`), built with the
+lattice and the only holder of its conjugacy classes.  A class poset
+holds no action, only its partition.  [H] <= [K] iff some orbit member of [H] is
 contained in the representative of [K], that is, iff the representative
 of [H] lies in some orbit member of [K].  So the classes above [H] are
 read off the upeq row of its representative (`ClassPoset.rows`).
@@ -151,7 +151,7 @@ def minimal_normal_subgroup_ids(lattice: SubgroupLattice) -> list[int]:
     """Ids of the minimal normal subgroups, ascending.  The nontrivial
     normal subgroups are the singleton conjugacy classes but 1, and one is
     minimal when the upeq row of no other one holds it."""
-    normal = [r for r, orbit in lattice.conjugacy_classes[0]
+    normal = [r for r, orbit in lattice.conjugation.classes
               if len(orbit) == 1 and r != lattice.trivial_id]
     above = 0
     for i, row in zip(normal, lattice.upeq(normal)):

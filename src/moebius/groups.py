@@ -792,9 +792,10 @@ def orbit_and_normalizer(G: FiniteGroup, mask: int, gens,
     inv = G.inverse
     movers = [g for g, _ in conjugations]
     norm, norm_gens = closure(G, [g for g in G.gens if g not in movers], mask, gens)
+    size = norm.bit_count()     # |N|, counted again only when N grows
     carrier = {mask: e}    # member bitset -> a with member = H^a
     queue = members[:]
-    while len(members) * norm.bit_count() < n:
+    while len(members) * size < n:
         _, m_elems, w, a = queue.pop()
         met, met_inv = [], []   # a*g and b^-1 for each H^(a*g) = H^b met before
         for (_, x_to_xg), ag in zip(conjugations, G.cosets((a,), movers) if a != e else movers):
@@ -808,7 +809,7 @@ def orbit_and_normalizer(G: FiniteGroup, mask: int, gens,
                 member = (c, c_elems, tuple(x_to_xg[x] for x in w), ag)
                 members.append(member)
                 queue.append(member)
-                if len(members) * norm.bit_count() == n:
+                if len(members) * size == n:
                     break
             else:
                 met.append(ag)
@@ -817,6 +818,7 @@ def orbit_and_normalizer(G: FiniteGroup, mask: int, gens,
         for s in G.products(met, met_inv) if met else ():
             if not (norm >> s) & 1:
                 norm, norm_gens = closure(G, (s,), norm, norm_gens)
+                size = norm.bit_count()
     return members, norm, tuple(norm_gens)
 
 

@@ -42,20 +42,21 @@ enumerator carries each representative's element list from its orbit
 walk to its joins.  Each zuppo is named by its least generator, and an
 N_G(H)-orbit of zuppos is walked over those names, each step conjugating
 one member by one generator of N_G(H), so only the orbit's members are
-conjugated.  A representative's candidates, and the zuppos its joins
-have decided, are int bitsets over the least generators, so an orbit,
-or every zuppo a join has decided, is struck off in one AND-NOT; for a
-normal H the orbits are G-classes, walked through the group's kept
-conjugation maps once per enumeration.  It keeps the conjugacy orbits
-and the normalizers of the representatives it has built.  The
-small-order test oracle re-derives the same lattice independently.
+conjugated; the orbits depend on N_G(H) alone, so each is walked once
+per normalizer and kept for every representative with that normalizer.
+A representative's candidates, and the zuppos its joins have decided,
+are int bitsets over the least generators, so an orbit, or every zuppo
+a join has decided, is struck off in one AND-NOT.  The small-order test
+oracle re-derives the same lattice independently.
 
 Every orbit is walked by one routine, `perm.orbit`: the enumerator's
 N_G(H)-orbits of zuppos, and, in `SubgroupLattice.orbits`, the orbits on
 subgroup ids of generator maps for the class posets.  Every lattice,
 fresh or cached, is built by `LatticeBuilder`, one `orbit_and_normalizer`
 walk per conjugacy class, the one walk that also builds a stabilizer:
-each member's witness and one normalizer per class, its representative's.
+each member's witness and one normalizer per class, its representative's,
+both keyed by bitset until the lattice maps them to ids through its one
+`index`.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
 holds every element of H's witness, so the subgroups above H are the AND
@@ -63,7 +64,8 @@ of the bitsets of the subgroups holding each witness element.  Every
 relation over a partition of the subgroups into classes is one
 `ClassPoset`, whose rows strike the classes met by a representative's
 upeq row: the lattice's conjugacy classes make its `conjugation` poset,
-built once, and the class poset of any other action is one more.  Only
+built with the lattice and the only holder of that partition, and the
+class poset of any other action is one more.  Only
 class representatives' rows are read: every relation number comes from
 the class form of Burnside's table of marks (Theory of Groups of Finite
 Order, 1911; G. Pfeiffer, Experiment. Math. 6, 1997), m(c, d) = the
@@ -103,37 +105,40 @@ class SubgroupLattice:
     """All subgroups of a group, each with its witness, ordered by (order,
     bitset), as `LatticeBuilder` builds them.
 
-    Subgroup ids index the `subgroups` list.  `orbits` (ascending id tuples)
-    are the conjugacy classes and `normalizers` (id -> N_G bitset) hold N_G
-    at each class representative.  Inclusion structure, the conjugation
-    poset, the Moebius column at the top, other normalizers and per-subgroup counting data are
-    computed lazily and cached; the lattice itself is immutable.
+    Subgroup ids index the `subgroups` list, and `index` maps each bitset
+    to its id.  `orbits` (lists of member bitsets) are the conjugacy
+    classes, kept as the `conjugation` poset, and `normalizers` (bitset ->
+    N_G bitset) hold N_G at each class representative.  Inclusion
+    structure, the Moebius column at the top, other normalizers and
+    per-subgroup counting data are computed lazily and cached; the lattice
+    itself is immutable.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], orbits, normalizers):
         self.group = group
         self.subgroups = subgroups
-        self.index = {s.mask: i for i, s in enumerate(subgroups)}
+        self.index = index = {s.mask: i for i, s in enumerate(subgroups)}
         self.by_order: dict[int, list[int]] = {}
         for i, s in enumerate(subgroups):
             self.by_order.setdefault(s.order, []).append(i)
-        self.trivial_id = self.index[1 << group.identity]
-        self.top_id = self.index[group.full_mask()]
+        self.trivial_id = index[1 << group.identity]
+        self.top_id = index[group.full_mask()]
         self._upeq: dict[int, int] = {}
         self._up = None
         self._down = None
         self._incidence = None
         self._maximals = None
         self._mu_top = None
-        self._normalizer = dict(normalizers)
-        # (classes, class_of) of conjugation, as `orbits` gives them
-        self.conjugacy_classes = _partition(orbits, len(subgroups))
-        self._conjugation = None
+        self._normalizer = {index[m]: norm for m, norm in normalizers.items()}
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
         self._phi_exact: dict[int, list[int]] = {}
         self._gamma_exact: dict[int, list[int]] = {}
         self._relative_exact: dict[int, dict[int, list[int]]] = {}
         self._join: dict[tuple[int, int], int] = {}
+        # the poset of conjugacy classes, the case A = Inn(G): its classes
+        # are the partition, its rows the class relation
+        self.conjugation = ClassPoset(self, *_partition(
+            [tuple(sorted(index[m] for m in orbit)) for orbit in orbits], len(subgroups)))
 
     def __len__(self):
         return len(self.subgroups)
@@ -195,14 +200,6 @@ class SubgroupLattice:
         return self._down
 
     @property
-    def conjugation(self) -> ClassPoset:
-        """The poset of conjugacy classes, the case A = Inn(G), built once:
-        its rows give the class relation and its blocks the classes' ids."""
-        if self._conjugation is None:
-            self._conjugation = ClassPoset(self, *self.conjugacy_classes)
-        return self._conjugation
-
-    @property
     def incidence(self) -> list[tuple[list[int], list[int] | None]]:
         """The class-incidence table: for each conjugacy class c, the
         classes d <= c ascending, the conjugation poset's `downs`, and
@@ -225,7 +222,7 @@ class SubgroupLattice:
     def maximals(self) -> list[int]:
         """Ids of the maximal subgroups, ascending."""
         if self._maximals is None:
-            classes, _ = self.conjugacy_classes
+            classes = self.conjugation.classes
             top = self.top_id
             upeq = self.upeq([r for r, _ in classes])
             self._maximals = sorted(j for (r, orbit), u in zip(classes, upeq)
@@ -242,11 +239,11 @@ class SubgroupLattice:
         classes: the row of a class is the upeq bitset of its
         representative, and a valued class stands for its whole orbit."""
         if self._mu_top is None:
-            classes, class_of = self.conjugacy_classes
+            conj = self.conjugation
             # G's class, a singleton, comes last
-            mu = mu_column(self.upeq([r for r, _ in classes]), [len(classes) - 1],
-                           self.conjugation.blocks)
-            self._mu_top = [mu[c] for c in class_of]
+            mu = mu_column(self.upeq([r for r, _ in conj.classes]), [len(conj.classes) - 1],
+                           conj.blocks)
+            self._mu_top = [mu[c] for c in conj.class_of]
         return self._mu_top
 
     # -- orbits on subgroup ids -------------------------------------------
@@ -278,14 +275,14 @@ class SubgroupLattice:
 
     def class_representatives(self) -> list[int]:
         """One subgroup id per conjugacy class (the smallest in each orbit)."""
-        return [r for r, _ in self.conjugacy_classes[0]]
+        return [r for r, _ in self.conjugation.classes]
 
     def conjugacy_orbit(self, i: int) -> tuple[int, ...]:
         """Ids of all conjugates of subgroup i, ascending."""
         orbit = self._conj_orbit.get(i)
         if orbit is None:
-            classes, class_of = self.conjugacy_classes
-            orbit = self._conj_orbit[i] = classes[class_of[i]][1]
+            conj = self.conjugation
+            orbit = self._conj_orbit[i] = conj.orbit(conj.class_of[i])
         return orbit
 
     # -- classical primitives ---------------------------------------------
@@ -300,7 +297,7 @@ class SubgroupLattice:
 
     def sigma(self, i: int) -> int:
         """Number of subgroups of subgroup i (including 1 and itself)."""
-        below, marks = self.incidence[self.conjugacy_classes[1][i]]
+        below, marks = self.incidence[self.conjugation.class_of[i]]
         return len(below) if marks is None else sum(marks)
 
     def join(self, h: Subgroup, k: Subgroup) -> Subgroup:
@@ -377,15 +374,15 @@ class SubgroupLattice:
         unweighted sum when every m(c, d) is 1."""
         out = memo.get(t)
         if out is None:
-            classes, class_of = self.conjugacy_classes
-            vals = [0] * len(classes)
+            conj = self.conjugation
+            vals = [0] * len(conj)
             for c, (below, marks) in enumerate(self.incidence):
                 if marks is None:
                     below_sum = sum([vals[d] for d in below])
                 else:
                     below_sum = sum([m * vals[d] for d, m in zip(below, marks)])
-                vals[c] = size(classes[c][0]) ** t - below_sum
-            out = memo[t] = [vals[c] for c in class_of]
+                vals[c] = size(conj.classes[c][0]) ** t - below_sum
+            out = memo[t] = [vals[c] for c in conj.class_of]
         return out
 
 
@@ -535,7 +532,8 @@ class LatticeBuilder:
     `enumerate_subgroups` and `cache.load_lattice` build one: `add` walks
     a class with `orbit_and_normalizer` and keeps each member's witness
     (`witnesses`), the class and N_G at its least member; `lattice` sorts
-    the members by (order, bitset).  A class met before raises ValueError,
+    the members by (order, bitset) and hands it the classes and
+    normalizers, keyed by bitset.  A class met before raises ValueError,
     and passing `budget` subgroups raises BudgetExceeded."""
 
     def __init__(self, G: FiniteGroup, budget: int | None = None):
@@ -569,11 +567,7 @@ class LatticeBuilder:
     def lattice(self) -> SubgroupLattice:
         subs = [Subgroup(m, w) for m, w in self.witnesses.items()]
         subs.sort(key=lambda s: (s.order, s.mask))
-        position = {s.mask: i for i, s in enumerate(subs)}
-        return SubgroupLattice(
-            self.group, subs,
-            [tuple(sorted(position[m] for m in orbit)) for orbit in self.orbits],
-            {position[m]: norm for m, norm in self.normalizers.items()})
+        return SubgroupLattice(self.group, subs, self.orbits, self.normalizers)
 
 
 def _dropped_primes(primes) -> set[int]:
@@ -689,8 +683,11 @@ def enumerate_subgroups(G: FiniteGroup,
     the N_G(H)-orbit of a zuppo is one `perm.orbit` walk over those names,
     a step taking x to the least generator of <g^-1 x g> for each
     non-central generator g of N_G(H), conjugated by `G.conjugates` as the
-    walk meets x; for a normal H the steps read the conjugation maps the
-    group keeps for its own non-central generators.
+    walk meets x.  The orbit depends on the group N_G(H) alone, not on H
+    or on the generators its class walk found, so it is kept under each of
+    its members in a memo per normalizer bitset and walked once per
+    normalizer: the G-classes once for every normal H, and any other
+    N_G(H)-orbit once for every representative with that normalizer.
 
     Bitsets: an int bitset over elements whose bits are least generators
     lists zuppos by their names, lowest first.  H's candidates are one:
@@ -702,11 +699,7 @@ def enumerate_subgroups(G: FiniteGroup,
     zuppos are struck from the candidates in bulk: a known candidate
     would only be walked to an orbit that meets them and skipped, so the
     joins, their order and the witnesses do not change, and the loop
-    runs about once per join instead of once per candidate.  For a
-    normal H, N_G(H) = G and the orbit of a zuppo is its G-class, which
-    does not depend on H: each G-class is walked once per enumeration
-    and kept under each of its members.  For any other H the
-    N_G(H)-orbit is walked anew.
+    runs about once per join instead of once per candidate.
 
     Witnesses depend on which members are extended, but the subgroups,
     their order and the conjugacy orbits do not."""
@@ -728,11 +721,9 @@ def enumerate_subgroups(G: FiniteGroup,
                  for zx, zx_powers in zpowers.items() if (residue >> zx) & 1}
         pi = _dropped_primes(prime.values())
         pi_zuppos = sum(1 << zx for zx, p in prime.items() if p not in pi)
-    # x -> the least generator of <g^-1 x g>, for each non-central
-    # generator g of G, read off the group's kept conjugation maps
-    mover_steps = [lambda x, m=x_to_xg: zuppo_of[m[x]] for _, x_to_xg in G.conjugations]
-    # least generator -> its zuppo's G-class, kept once walked
-    g_classes: dict[int, int] = {}
+    # N_G(H) bitset -> (least generator -> its zuppo's N_G(H)-orbit), kept
+    # once walked, for every H with that normalizer
+    n_orbits: dict[int, dict[int, int]] = {}
     # the primes dividing |G|, each the prime of some zuppo (Cauchy)
     primes = sorted({_prime_of_power(len(zx_powers) + 1) for zx_powers in zpowers.values()})
     # order -> (the normal subgroups found of that order, least generator
@@ -761,16 +752,7 @@ def enumerate_subgroups(G: FiniteGroup,
         first = 0
         for y in bits(h & powers):
             first |= power_cands[y]
-        normal = norm == full
-        if normal:
-            n_steps = mover_steps
-        else:
-            # conjugation by each non-central generator of N_G(H), applied
-            # only to the zuppos the walk meets
-            n_steps = [lambda x, g=g: zuppo_of[G.conjugates((x,), g)[0]]
-                       for g in norm_gens if not (center >> g) & 1]
-            first &= norm
-        first &= ~h
+        first &= norm & ~h
         cands = first
         if h & ~residue == 0:
             # the second test: pi'-zuppos, when H lies in R and is
@@ -792,18 +774,19 @@ def enumerate_subgroups(G: FiniteGroup,
                 for i in bits(above):
                     known |= masks[i]
             cands &= ~known
+        orbits = n_orbits.setdefault(norm, {})
         while cands:
             # the N_G(H)-orbit of the lowest candidate; only that zuppo is
             # joined, and none is when the orbit meets a known zuppo
             zx = (cands & -cands).bit_length() - 1
-            if not n_steps:
-                z_orbit = 1 << zx
-            elif not normal:
-                z_orbit = sum(1 << y for y in orbit(zx, n_steps))
-            elif (z_orbit := g_classes.get(zx)) is None:
-                z_orbit = sum(1 << y for y in orbit(zx, n_steps))
+            if (z_orbit := orbits.get(zx)) is None:
+                # conjugation by each non-central generator of N_G(H),
+                # applied only to the zuppos the walk meets
+                steps = [lambda x, g=g: zuppo_of[G.conjugates((x,), g)[0]]
+                         for g in norm_gens if not (center >> g) & 1]
+                z_orbit = sum(1 << y for y in orbit(zx, steps))
                 for y in bits(z_orbit):
-                    g_classes[y] = z_orbit
+                    orbits[y] = z_orbit
             cands &= ~z_orbit
             if z_orbit & known:
                 continue

@@ -120,7 +120,7 @@ def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permu
         return Permutation.identity(degree if degree else 1)
     pos = 0
     cycles = []
-    maxpt = 0
+    used = set()
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
@@ -133,13 +133,14 @@ def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permu
             raise ParseError("cycle points are 1-based", offset + pos)
         if len(set(pts)) != len(pts):
             raise ParseError("repeated point inside a cycle", offset + pos)
+        for p in pts:
+            if p in used:
+                raise ParseError(f"point {p} appears in two cycles", offset)
+        used.update(pts)
         cycles.append(tuple(p - 1 for p in pts))
-        maxpt = max(maxpt, *pts)
         pos = m.end()
+    maxpt = max(used, default=0)
     deg = degree if degree is not None else maxpt
     if deg < maxpt:
         raise ParseError(f"point {maxpt} exceeds degree {deg}", offset)
-    try:
-        return Permutation.from_cycles(cycles, deg)
-    except ValueError as exc:
-        raise ParseError(str(exc), offset) from exc
+    return Permutation.from_cycles(cycles, deg)

@@ -46,13 +46,12 @@ def sublattice(lat, keep=lambda i: True):
     """A new lattice of lat's subgroups whose ids pass `keep`: lat's
     conjugacy orbits cut to them, with the normalizers lat keeps at its
     representatives, and none of its lazily computed data."""
-    ids = [i for i in range(len(lat)) if keep(i)]
-    new = {i: k for k, i in enumerate(ids)}
-    orbits = [[new[j] for j in orbit if j in new] for _, orbit in lat.conjugacy_classes[0]]
-    return SubgroupLattice(lat.group, [lat.subgroups[i] for i in ids],
-                           [tuple(orbit) for orbit in orbits if orbit],
-                           {new[r]: lat.normalizer_mask(r) for r in lat.class_representatives()
-                            if r in new})
+    subs = lat.subgroups
+    orbits = [[subs[j].mask for j in orbit if keep(j)] for _, orbit in lat.conjugation.classes]
+    return SubgroupLattice(lat.group, [s for i, s in enumerate(subs) if keep(i)],
+                           [orbit for orbit in orbits if orbit],
+                           {subs[r].mask: lat.normalizer_mask(r)
+                            for r in lat.class_representatives() if keep(r)})
 
 
 def action(spec, aut="inn"):

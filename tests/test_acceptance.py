@@ -423,7 +423,7 @@ def test_criterion_14_s8():
     assert G.order == 40320
     lat = enumerate_subgroups(G)
     # 151221 subgroups in 296 conjugacy classes (OEIS A005432, A000638)
-    ok = len(lat) == 151221 and len(lat.conjugacy_classes[0]) == 296
+    ok = len(lat) == 151221 and len(lat.conjugation.classes) == 296
     ok = ok and sum(m * lat.sigma(i) for i, m in enumerate(lat.mu_top) if m) == 1
     _verdict(14, ok, "S:8: 151221 subgroups in 296 classes, sum mu(H,G) sigma(H) = 1",
              t0, 300)

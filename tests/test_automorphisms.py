@@ -208,7 +208,8 @@ def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
     # the same classes, and one normalizer per class, at its representative
     save_lattice(lat, tmp_path)
     cached = load_lattice(G, tmp_path)
-    assert cached.conjugacy_classes == lat.conjugacy_classes
+    assert cached.conjugation.classes == lat.conjugation.classes
+    assert cached.conjugation.class_of == lat.conjugation.class_of
     assert sorted(cached._normalizer) == cached.class_representatives()
     for i, mask in cached._normalizer.items():
         assert mask == brute[cached.subgroups[i].mask]

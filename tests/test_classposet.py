@@ -41,11 +41,11 @@ def test_inner_poset_reads_the_conjugacy_classes(spec, source, tmp_path):
     walked = lat.orbits([a.map for a in inner.gens])
     pos = build_class_poset(lat, inner)
     assert (pos.classes, pos.class_of) == walked
-    assert pos.classes is lat.conjugacy_classes[0]
+    assert pos is lat.conjugation
     same_gens = AutomorphismGroup(G, inner.gens, "explicit-generated")
     other = build_class_poset(lat, same_gens)
     assert (other.classes, other.class_of) == walked
-    assert other.classes is not lat.conjugacy_classes[0]
+    assert other.classes is not lat.conjugation.classes
 
 
 @pytest.mark.parametrize("spec", family_specs(24) + ["S:6", "A:7"])
@@ -409,8 +409,9 @@ def test_battery_builds_each_class_poset_once(monkeypatch):
     """`run_battery` reuses the class poset `automorphism_choices` built
     for each action, in its main loop and in lambda-equals-mu, and the
     (mu, lambda) analyzer, which the relative-count checks read, reads
-    the lattice's conjugation poset, the one A=inn chose: on a fresh
-    lattice it constructs exactly one poset per chosen action."""
+    the lattice's conjugation poset, the one A=inn chose: with a fresh
+    lattice, which builds that one, exactly one poset per chosen action
+    is constructed."""
     builds = [0]
     build = verify_module.build_class_poset
 
@@ -428,9 +429,9 @@ def test_battery_builds_each_class_poset_once(monkeypatch):
     spec = "D:12xC:2"
     G = group(spec)
     choices = automorphism_choices(G, lattice(spec))
+    monkeypatch.setattr(ClassPoset, "__init__", counted_init)
     fresh = enumerate_subgroups(G)
     monkeypatch.setattr(verify_module, "build_class_poset", counted)
-    monkeypatch.setattr(ClassPoset, "__init__", counted_init)
     checks = verify_module.run_battery(G, t_max=1, lattice=fresh)
     actions = [c["name"] for c in checks if c["name"].startswith("poset-axioms[")]
     assert len(actions) == len(choices) > 2

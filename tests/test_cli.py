@@ -145,6 +145,18 @@ def test_phi_rel_reports_no_lift_one_way(capsys):
         assert captured.err == "error: no t-tuple generates the group modulo N\n"
 
 
+@pytest.mark.parametrize("argv,point", [
+    (["table", "perm:[(2,3)(3,4)]"], 3),
+    (["table", "S:4", "--aut", "inn:gens=[(1,2)(2,3)]"], 2),
+])
+def test_a_point_in_two_cycles_is_named_as_written(capsys, argv, point):
+    # cycle points are 1-based in a spec and in gens=, and so in the error
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: point {point} appears in two cycles (at position 0)\n"
+
+
 def test_check_mu_lambda_exit_code(capsys):
     code, out = run_cli(capsys, "check-mu-lambda", "S:4", "--format", "json")
     assert code == 0

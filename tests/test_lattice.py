@@ -143,6 +143,24 @@ def test_no_join_returns_a_normal_subgroup_found_before(spec, monkeypatch):
     assert joins and not repeated
 
 
+@pytest.mark.parametrize("spec,count,walks", [
+    ("S:6", 1455, 84), ("A:7", 3786, 93), ("C:2xC:2xS:4", 420, 73)])
+def test_zuppo_orbits_are_walked_once_per_normalizer(spec, count, walks, monkeypatch):
+    # an N_G(H)-orbit of zuppos depends on N_G(H) alone, so it is walked
+    # once per normalizer and kept for every H with that normalizer;
+    # orbits under a central N need no walk
+    walked = [0]
+    walk = lattice_module.orbit
+
+    def counted(x, steps):
+        walked[0] += bool(steps)
+        return walk(x, steps)
+
+    monkeypatch.setattr(lattice_module, "orbit", counted)
+    assert len(enumerate_subgroups(group(spec))) == count
+    assert walked[0] == walks
+
+
 @pytest.mark.parametrize("spec", ["S:4", "S:5", "S:6", "D:12xC:2", "Q:8xS:3",
                                   "C:2xC:2xC:2xC:2"])
 def test_joins_outside_the_residue_are_prime_index_extensions(spec, monkeypatch):
@@ -488,7 +506,7 @@ def _check_class_incidence(lat):
     K <= rep_c}, zeros included (no weight list means every weight is 1);
     then sigma, the maximals and the exact counts it gives against the
     pairwise relation."""
-    classes, _ = lat.conjugacy_classes
+    classes = lat.conjugation.classes
     subs = lat.subgroups
     for c, (below, marks) in enumerate(lat.incidence):
         assert (marks is None) == (lat.conjugation.blocks is None)
@@ -535,7 +553,8 @@ def _check_cached_matches_fresh(spec, cache_dir):
     save_lattice(fresh, cache_dir)
     cached = load_lattice(fresh.group, cache_dir)
     assert [s.mask for s in cached.subgroups] == [s.mask for s in fresh.subgroups], spec
-    assert cached.conjugacy_classes == fresh.conjugacy_classes, spec
+    assert cached.conjugation.classes == fresh.conjugation.classes, spec
+    assert cached.conjugation.class_of == fresh.conjugation.class_of, spec
     reps = fresh.class_representatives()
     assert sorted(fresh._normalizer) == reps, spec
     assert cached._normalizer == fresh._normalizer, spec
@@ -573,7 +592,7 @@ def test_mu_columns_match_defining_sums(spec, source, tmp_path):
     # lattice's blocked rows (one row per class, each class owning its
     # orbit's ids): the sum over the seeds' members z of mu(rep, z), as
     # single-seed sweeps and as defining sums over the pairwise relation
-    classes, _ = lat.conjugacy_classes
+    classes = lat.conjugation.classes
     rows = lat.upeq([r for r, _ in classes])
     blocks = [sum(1 << j for j in orbit) for _, orbit in classes]
     rng = random.Random(spec)
