@@ -8,7 +8,11 @@ lattice and the only holder of its conjugacy classes.  A class poset
 holds no action, only its partition.  [H] <= [K] iff some orbit member of [H] is
 contained in the representative of [K], that is, iff the representative
 of [H] lies in some orbit member of [K].  So the classes above [H] are
-read off the upeq row of its representative (`ClassPoset.rows`).
+read off the upeq row of its representative (`ClassPoset.rows`), kept
+as class rows when some class holds more than one subgroup.  When every
+class is a singleton the rows are upeq rows, made from the lattice's
+element columns as they are read, and a reader that walks them more
+than once lists them once per call.
 The lattice itself is the special case of a trivial action.  The rows
 are the only relation the engine reads, and every Moebius value is read
 off one `mu_column` sweep over them: the column at the top class is
@@ -55,7 +59,7 @@ def kappa(lattice: SubgroupLattice, sub: Subgroup) -> int:
 def maximal_closure_map(poset: ClassPoset) -> list[int]:
     """Class-level map [H] -> [intersection of maximals over H]."""
     lat = poset.lattice
-    lat.upeq([r for r, _ in poset.classes])     # every row in one pass
+    lat.upeq([r for r, _ in poset.classes])     # every column in one pass
     out = []
     for c in range(len(poset.classes)):
         closed = lat.closure_in_maximals(poset.rep(c))
@@ -66,7 +70,7 @@ def maximal_closure_map(poset: ClassPoset) -> list[int]:
 def validate_closure_map(poset: ClassPoset, cl: list[int]) -> None:
     """Raise NotAClosureMap unless cl is extensive, monotone and
     idempotent, reading the order as bits of the class rows."""
-    rows = poset.rows()
+    rows = list(poset.rows())
     for x, row in enumerate(rows):
         if not (row >> cl[x]) & 1:
             raise NotAClosureMap("a", f"class {x} not below its closure")
@@ -92,7 +96,7 @@ def crapo_check_all(poset: ClassPoset, cl: list[int]) -> list[tuple[int, int]]:
     group: dict[int, list[int]] = {}
     for z, c in enumerate(cl):
         group.setdefault(c, []).append(z)
-    rows = poset.rows()
+    rows = list(poset.rows())
     closed_rows = [row if cl[x] == x else 0 for x, row in enumerate(rows)]
     bad = []
     for y in sorted(group):     # the closure values: the closed classes

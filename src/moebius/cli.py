@@ -129,6 +129,13 @@ def _print(text: str):
     sys.stdout.write(text + "\n")
 
 
+def _write_table(cols: list[str], rows, fmt: str):
+    """The table written piece by piece as `tables.render` makes it."""
+    from .tables import render
+    sys.stdout.writelines(render(cols, rows, fmt))
+    sys.stdout.write("\n")
+
+
 def _json_out(payload: dict):
     _print(json.dumps(payload, indent=2, sort_keys=False))
 
@@ -140,20 +147,18 @@ def _frac_str(f: Fraction) -> str:
 # -- subcommands ---------------------------------------------------------
 
 def cmd_table(args) -> int:
-    from .tables import class_table, render
+    from .tables import class_table
     G, lattice = _load_group_and_lattice(args)
     aut = parse_aut_spec(G, lattice, args.aut)
     poset = build_class_poset(lattice, aut)
-    cols, rows = class_table(poset, include_omega2=args.omega2)
-    _print(render(cols, rows, args.format))
+    _write_table(*class_table(poset, include_omega2=args.omega2), args.format)
     return 0
 
 
 def cmd_sigma_table(args) -> int:
-    from .tables import lattice_mu_table, render
+    from .tables import lattice_mu_table
     _, lattice = _load_group_and_lattice(args)
-    cols, rows = lattice_mu_table(lattice)
-    _print(render(cols, rows, args.format))
+    _write_table(*lattice_mu_table(lattice), args.format)
     return 0
 
 
@@ -212,7 +217,7 @@ def cmd_prob(args) -> int:
 
 def cmd_check_mu_lambda(args) -> int:
     from .mulambda import MuLambdaAnalyzer
-    from .tables import display_key, name_subgroup, render
+    from .tables import display_key, name_subgroup
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     report = an.report()
@@ -236,7 +241,7 @@ def cmd_check_mu_lambda(args) -> int:
         rows = [[name_subgroup(lattice, r.rep_id), str(r.order), str(r.mu),
                  str(r.lam), str(r.mu_star), str(r.normalizer_order),
                  "yes" if r.ok else "NO"] for r in shown]
-        _print(render(cols, rows, args.format))
+        _write_table(cols, rows, args.format)
         _print(f"verdict: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 

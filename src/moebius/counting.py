@@ -3,7 +3,10 @@
 Generating-tuple counts (direct Moebius sum, class-poset sum, literal
 scan), their relative versions over a normal subgroup, subgroup-tuple
 counts, and the two generation probabilities.  Everything returns exact
-ints or Fractions.
+ints or Fractions.  A sum over the class down-sets, behind omega, the
+subgroup-tuple sigma, the relative omega and the class-poset Moebius
+sums, is one `lattice.push_up` sweep up the class rows, kept on the
+poset as one entry per class.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .classposet import ClassPoset
 from .errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, closure, coset_map, extend_closure,
                      is_normal_mask, product_covers, quotient_group, subgroup_image_mask)
-from .lattice import SubgroupLattice, enumerate_subgroups
+from .lattice import SubgroupLattice, enumerate_subgroups, push_up
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
 
@@ -82,17 +85,23 @@ def phi_bruteforce(G: FiniteGroup, t: int,
 def omega(poset: ClassPoset, c: int, t: int) -> int:
     """Size of the union over the orbit of H of the t-th cartesian powers."""
     _require_t(t)
-    return _downset_sum(poset, c, poset.lattice.phi_exact(t))
+    return _downset_sums(poset, ("phi", t), poset.lattice.phi_exact(t))[c]
 
 
-def _downset_sum(poset: ClassPoset, c: int, exact: list[int]) -> int:
-    """The sum of exact[K] over the subgroups K inside some orbit member
-    of class c: over the classes d <= c, |orbit(d)| times the value at d's
-    representative.  Exact counts are invariant under Aut(G), relative
-    ones under the automorphisms fixing N, so they are constant on the
-    orbits of any A (of any A fixing N, for relative ones)."""
-    classes = poset.classes
-    return sum([len(classes[d][1]) * exact[classes[d][0]] for d in poset.downs()[c]])
+def _downset_sums(poset: ClassPoset, key: tuple, exact: list[int]) -> list[int]:
+    """For every class c, the sum of exact[K] over the subgroups K inside
+    some orbit member of c: over the classes d <= c, |orbit(d)| times the
+    value at d's representative, pushed up the class rows in one
+    `push_up` sweep and kept on the poset under key.  Exact counts are
+    invariant under Aut(G), relative ones under the automorphisms fixing
+    N, so they are constant on the orbits of any A (of any A fixing N,
+    for relative ones)."""
+    sums = poset.downset_sums.get(key)
+    if sums is None:
+        own = [len(orbit) * exact[r] for r, orbit in poset.classes]
+        below = push_up(poset.rows(), lambda d, _: own[d])
+        sums = poset.downset_sums[key] = [v + b for v, b in zip(own, below)]
+    return sums
 
 
 def psi(poset: ClassPoset, c: int, t: int) -> int:
@@ -103,18 +112,17 @@ def psi(poset: ClassPoset, c: int, t: int) -> int:
     return sum(phi_exact[k] for k in poset.orbit(c))
 
 
-def _class_sum(poset: ClassPoset, exact: list[int]) -> int:
-    """The sum over the classes c of mu_A(c, G) times the down-set sum of
-    exact at c: exact at G, by Moebius inversion over the class poset."""
-    mu = poset.mu_top
-    return sum(mu[c] * _downset_sum(poset, c, exact)
-               for c in range(len(poset.classes)) if mu[c])
+def _class_sum(poset: ClassPoset, sums: list[int]) -> int:
+    """The sum over the classes c of mu_A(c, G) times the down-set sum
+    sums[c] of some exact counts: those counts at G, by Moebius inversion
+    over the class poset."""
+    return sum(m * s for m, s in zip(poset.mu_top, sums) if m)
 
 
 def phi_via_classes(poset: ClassPoset, t: int) -> int:
     """Generating t-tuples via the class-poset Moebius sum."""
     _require_t(t)
-    return _class_sum(poset, poset.lattice.phi_exact(t))
+    return _class_sum(poset, _downset_sums(poset, ("phi", t), poset.lattice.phi_exact(t)))
 
 
 # -- relative (lift-counting) versions ---------------------------------------
@@ -219,32 +227,31 @@ def first_generating_tuple(G: FiniteGroup, target: int, t: int,
     return search(start, (), image)
 
 
-def _relative_exact(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
-    """`relative_exact(N, t)` of the poset's lattice, once N is known to
-    be normal (NotNormal), G/N to be generated by t elements
-    (LiftNotGenerating) and N to be invariant under the acting group
-    (NotInvariant), in that order.  The checks run once per (poset, N,
-    t); a pair is kept only after all three pass."""
-    key = (N.mask, t)
-    if key not in poset.relative_checked:
+def _relative_sums(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
+    """The down-set sums of `relative_exact(N, t)` of the poset's lattice,
+    once N is known to be normal (NotNormal), G/N to be generated by t
+    elements (LiftNotGenerating) and N to be invariant under the acting
+    group (NotInvariant), in that order.  The checks run once per (poset,
+    N, t): the sums are kept only after all three pass."""
+    key = ("relative", N.mask, t)
+    if key not in poset.downset_sums:
         generating_lift(poset.lattice, N, t)
         if len(poset.orbit(poset.class_of_subgroup(N))) != 1:
             raise NotInvariant("N is not invariant under the acting subgroup")
-        poset.relative_checked.add(key)
-    return poset.lattice.relative_exact(N, t)
+    return _downset_sums(poset, key, poset.lattice.relative_exact(N, t))
 
 
 def omega_relative(poset: ClassPoset, c: int, N: Subgroup, t: int) -> int:
     """Number of t-tuples in g_1N x .. x g_tN, for any g with <g>N = G,
     whose closure lies inside some orbit member of class c.
     No engine caller: public API, the per-class relative `omega`."""
-    return _downset_sum(poset, c, _relative_exact(poset, N, t))
+    return _relative_sums(poset, N, t)[c]
 
 
 def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, t: int) -> int:
     """Relative count through the class-poset Moebius sum (the classes
     with HN != G add 0)."""
-    return _class_sum(poset, _relative_exact(poset, N, t))
+    return _class_sum(poset, _relative_sums(poset, N, t))
 
 
 # -- subgroup-tuple counts ---------------------------------------------------
@@ -253,7 +260,7 @@ def sigma_tuples(poset: ClassPoset, c: int, t: int) -> int:
     """Number of subgroup t-tuples whose join lies in some orbit member.
     No engine caller: public API, `omega` for subgroup tuples."""
     _require_t(t)
-    return _downset_sum(poset, c, poset.lattice.gamma_exact(t))
+    return _downset_sums(poset, ("gamma", t), poset.lattice.gamma_exact(t))[c]
 
 
 def gamma_tuples(poset: ClassPoset, c: int, t: int) -> int:
@@ -267,7 +274,7 @@ def gamma_tuples(poset: ClassPoset, c: int, t: int) -> int:
 def phi_star(poset: ClassPoset, t: int) -> int:
     """Subgroup t-tuples generating G, via the class-poset Moebius sum."""
     _require_t(t)
-    return _class_sum(poset, poset.lattice.gamma_exact(t))
+    return _class_sum(poset, _downset_sums(poset, ("gamma", t), poset.lattice.gamma_exact(t)))
 
 
 def phi_star_hall(lattice: SubgroupLattice, t: int) -> int:

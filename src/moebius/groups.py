@@ -487,6 +487,7 @@ def _parse_atom(atom: str, pos: int) -> tuple:
     """(factors, make) for one atom: make() builds its generators, and the
     product of `factors` is its order; a perm atom has none, as its order
     is known only once its group is built."""
+    lead = len(atom) - len(atom.lstrip())
     atom = atom.strip()
     if not atom:
         raise ParseError("empty atom", pos)
@@ -495,16 +496,17 @@ def _parse_atom(atom: str, pos: int) -> tuple:
         body = atom[len("perm:"):].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ParseError("perm atom needs [ ... ]", pos)
-        words = [w for w in body[1:-1].split(";") if w.strip()]
+        # each word with its offset in the spec, past "perm:[" and the
+        # words before it
+        start = pos + lead + atom.index("[") + 1
+        words = [(m.group(), start + m.start()) for m in re.finditer(r"[^;]+", body[1:-1])
+                 if m.group().strip()]
         if not words:
             raise ParseError("perm atom lists no generators", pos)
-        degree = 0
-        for w in words:
-            for m in _CYCLE_POINTS.finditer(w):
-                degree = max(degree, int(m.group(0)))
+        degree = max((int(p) for w, _ in words for p in _CYCLE_POINTS.findall(w)), default=0)
         if degree == 0:
             raise ParseError("perm atom mentions no points", pos)
-        gens = [parse_cycles(w, degree=degree, offset=pos) for w in words]
+        gens = [parse_cycles(w, degree=degree, offset=at) for w, at in words]
         return (), lambda: gens
     if ":" not in atom:
         raise ParseError(f"unknown atom {atom!r}", pos)

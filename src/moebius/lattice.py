@@ -59,22 +59,31 @@ both keyed by bitset until the lattice maps them to ids through its one
 `index`.
 
 Inclusion is read off int bitsets over subgroup ids: K contains H iff K
-holds every element of H's witness, so the subgroups above H are the AND
-of the bitsets of the subgroups holding each witness element.  Every
+holds every element of H's witness, so the subgroups above H, H's upeq
+row, are the AND of the columns of its witness elements, a column being
+the bitset of the subgroups holding one element.  The lattice keeps the
+column of each element of a witness whose row was asked for, and no
+row: a row is made from the columns when it is read (`UpRows`).  Every
 relation over a partition of the subgroups into classes is one
 `ClassPoset`, whose rows strike the classes met by a representative's
 upeq row: the lattice's conjugacy classes make its `conjugation` poset,
 built with the lattice and the only holder of that partition, and the
-class poset of any other action is one more.  Only
-class representatives' rows are read: every relation number comes from
-the class form of Burnside's table of marks (Theory of Groups of Finite
-Order, 1911; G. Pfeiffer, Experiment. Math. 6, 1997), m(c, d) = the
-members of class d inside rep_c = |d| * popcount(upeq(rep_d) & block_c)
-/ |c| (count the pairs D <= C, D in d, C in c, both ways), with its
-support the conjugation poset's down-sets; when every class is a
-singleton every m(c, d) is 1 and none is kept.  sigma(c) is the sum of
-m(c, d), a class is maximal when its rep's row is {rep, top}, and the
-exact counts are swept up the classes.
+class poset of any other action is one more.  A poset of singleton
+classes makes its rows, the upeq rows, when they are read; one with
+larger classes keeps its class rows.  Only class representatives' rows
+are read.
+
+No down-set is listed.  Whatever is summed over down-sets comes from
+one ascending sweep, `push_up`, that pushes each class's value into the
+classes above it, read off the class's row.  Over the conjugation poset
+a push from class d into class c counts m(c, d) times, the class form of
+Burnside's table of marks (Theory of Groups of Finite Order, 1911; G.
+Pfeiffer, Experiment. Math. 6, 1997): m(c, d) = the members of class d
+inside rep_c = |d| * popcount(upeq(rep_d) & block_c) / |c| (count the
+pairs D <= C, D in d, C in c, both ways), 1 when every class is a
+singleton.  sigma(c) is the sum of m(c, d), the exact counts are
+inverted in one such sweep each, and a class is maximal when its rep's
+row is {rep, top}.
 
 One Moebius routine, `mu_column`, serves the lattice and every class
 poset.  It sweeps down bitset rows and keeps S_v, the ids already
@@ -108,10 +117,11 @@ class SubgroupLattice:
     Subgroup ids index the `subgroups` list, and `index` maps each bitset
     to its id.  `orbits` (lists of member bitsets) are the conjugacy
     classes, kept as the `conjugation` poset, and `normalizers` (bitset ->
-    N_G bitset) hold N_G at each class representative.  Inclusion
-    structure, the Moebius column at the top, other normalizers and
-    per-subgroup counting data are computed lazily and cached; the lattice
-    itself is immutable.
+    N_G bitset) hold N_G at each class representative.  The element
+    columns behind inclusion, the Moebius column at the top, other
+    normalizers and the counting data (one entry per subgroup or class)
+    are computed lazily and kept, and no row of the relation is; the
+    lattice itself is immutable.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], orbits, normalizers):
@@ -123,17 +133,18 @@ class SubgroupLattice:
             self.by_order.setdefault(s.order, []).append(i)
         self.trivial_id = index[1 << group.identity]
         self.top_id = index[group.full_mask()]
-        self._upeq: dict[int, int] = {}
+        # element -> bitset over subgroup ids of the subgroups holding it,
+        # for the elements of the witnesses whose rows were asked for
+        self._columns: dict[int, int] = {}
         self._up = None
         self._down = None
-        self._incidence = None
         self._maximals = None
+        self._sigma = None
         self._mu_top = None
         self._normalizer = {index[m]: norm for m, norm in normalizers.items()}
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
-        self._phi_exact: dict[int, list[int]] = {}
-        self._gamma_exact: dict[int, list[int]] = {}
-        self._relative_exact: dict[int, dict[int, list[int]]] = {}
+        # the exact counts, by what they count
+        self._exact: dict[tuple, list[int]] = {}
         self._join: dict[tuple[int, int], int] = {}
         # the poset of conjugacy classes, the case A = Inn(G): its classes
         # are the partition, its rows the class relation
@@ -145,46 +156,33 @@ class SubgroupLattice:
 
     # -- inclusion structure --------------------------------------------
 
-    def upeq(self, ids) -> list[int]:
+    def upeq(self, ids) -> "UpRows":
         """The bitset over subgroup ids of the subgroups containing i, i
-        included, for each i in ids, cached."""
-        rows = self._upeq
-        missing = [i for i in ids if i not in rows]
+        included, for each i in ids, made when read: the AND, over the
+        witness of i, of the columns of the witness elements.  The columns
+        of the elements met for the first time are built here, in one pass
+        over the lattice, and kept."""
+        subs, cols = self.subgroups, self._columns
+        missing = {x for i in ids for x in subs[i].gens} - cols.keys()
         if missing:
-            rows.update(zip(missing, self._containing(missing)))
-        return [rows[i] for i in ids]
-
-    def _containing(self, ids) -> list[int]:
-        """upeq rows, uncached, in one pass over the lattice: the AND, over
-        the witness of i, of the bitsets of the subgroups holding each
-        witness element."""
-        subs = self.subgroups
-        rows = [(1 << len(subs)) - 1] * len(ids)
-        wanted: dict[int, list[int]] = {}   # element -> rows whose witness has it
-        for k, i in enumerate(ids):
-            for x in self.subgroups[i].gens:
-                wanted.setdefault(x, []).append(k)
-        used = 0
-        for x in wanted:
-            used |= 1 << x
-        holding: dict[int, list[int]] = {x: [] for x in wanted}
-        for j, s in enumerate(subs):
-            for x in bits(s.mask & used):
-                holding[x].append(j)
-        while holding:
-            # one column at a time: the subgroups holding x, as a bitset
-            x, holders = holding.popitem()
-            column = bytearray(len(subs))
-            for j in holders:
-                column[j] = 1
-            holders_x = flags_to_mask(column)
-            for k in wanted[x]:
-                rows[k] &= holders_x
-        return rows
+            used = sum(1 << x for x in missing)
+            holding: dict[int, list[int]] = {x: [] for x in missing}
+            for j, s in enumerate(subs):
+                for x in bits(s.mask & used):
+                    holding[x].append(j)
+            while holding:
+                # one column at a time: the subgroups holding x, as a bitset
+                x, holders = holding.popitem()
+                column = bytearray(len(subs))
+                for j in holders:
+                    column[j] = 1
+                cols[x] = flags_to_mask(column)
+        return UpRows(self, ids)
 
     @property
     def up(self) -> list[list[int]]:
-        """up[i] = ids of proper supergroups of i, ascending."""
+        """up[i] = ids of proper supergroups of i, ascending.  No engine
+        path reads it or `down`; the tests and the perfbench spans do."""
         if self._up is None:
             ids = list(range(len(self.subgroups)))   # one int object per id
             self._up = [[ids[j] for j in bits(u) if j != i]
@@ -193,30 +191,13 @@ class SubgroupLattice:
 
     @property
     def down(self) -> list[list[int]]:
-        """down[i] = ids of proper subgroups of i, ascending."""
+        """down[i] = ids of proper subgroups of i, ascending: `up` transposed."""
         if self._down is None:
-            below = transposed(self.upeq(range(len(self.subgroups))))
-            self._down = [ids[:-1] for ids in below]    # i itself comes last
+            self._down = [[] for _ in self.subgroups]
+            for i, above in enumerate(self.up):
+                for j in above:
+                    self._down[j].append(i)
         return self._down
-
-    @property
-    def incidence(self) -> list[tuple[list[int], list[int] | None]]:
-        """The class-incidence table: for each conjugacy class c, the
-        classes d <= c ascending, the conjugation poset's `downs`, and
-        m(c, d) for each, or None when every class is a singleton and so
-        every m(c, d) is 1."""
-        if self._incidence is None:
-            conj = self.conjugation
-            below = conj.downs()
-            if conj.blocks is None:
-                self._incidence = [(ds, None) for ds in below]
-            else:
-                size = [len(orbit) for _, orbit in conj.classes]
-                upeq = self.upeq([r for r, _ in conj.classes])
-                self._incidence = [
-                    (ds, [size[d] * (upeq[d] & conj.blocks[c]).bit_count() // size[c]
-                          for d in ds]) for c, ds in enumerate(below)]
-        return self._incidence
 
     @property
     def maximals(self) -> list[int]:
@@ -228,6 +209,22 @@ class SubgroupLattice:
             self._maximals = sorted(j for (r, orbit), u in zip(classes, upeq)
                                     if r != top and u == (1 << r) | (1 << top) for j in orbit)
         return self._maximals
+
+    def _push_classes(self, own) -> list[int]:
+        """`push_up` over the conjugation poset, a push from class d into
+        a class c above it counted m(c, d) times, m(c, d) the members of d
+        inside rep_c (for singleton classes, once)."""
+        conj = self.conjugation
+        if conj.blocks is None:
+            return push_up(conj.rows(), own)
+        size = [len(orbit) for _, orbit in conj.classes]
+        upeq = self.upeq([r for r, _ in conj.classes])
+
+        def marks(d):
+            row = upeq[d]
+            return lambda c: size[d] * (row & conj.blocks[c]).bit_count() // size[c]
+
+        return push_up(conj.rows(), own, marks)
 
     # -- Moebius column ---------------------------------------------------
 
@@ -296,9 +293,11 @@ class SubgroupLattice:
         return out
 
     def sigma(self, i: int) -> int:
-        """Number of subgroups of subgroup i (including 1 and itself)."""
-        below, marks = self.incidence[self.conjugation.class_of[i]]
-        return len(below) if marks is None else sum(marks)
+        """Number of subgroups of subgroup i (including 1 and itself): one
+        push of 1 from every class, kept per class."""
+        if self._sigma is None:
+            self._sigma = [below + 1 for below in self._push_classes(lambda c, below: 1)]
+        return self._sigma[self.conjugation.class_of[i]]
 
     def join(self, h: Subgroup, k: Subgroup) -> Subgroup:
         """<H, K>: H's witness extended by K's, memoized by id pair."""
@@ -340,11 +339,11 @@ class SubgroupLattice:
 
     def phi_exact(self, t: int) -> list[int]:
         """phi_exact[K] = number of t-tuples of elements generating exactly K."""
-        return self._exact_counts(self._phi_exact, t, lambda i: self.subgroups[i].order)
+        return self._exact_counts(("phi", t), t, lambda i: self.subgroups[i].order)
 
     def gamma_exact(self, t: int) -> list[int]:
         """gamma_exact[K] = number of t-tuples of subgroups joining exactly to K."""
-        return self._exact_counts(self._gamma_exact, t, self.sigma)
+        return self._exact_counts(("gamma", t), t, self.sigma)
 
     def relative_exact(self, N: Subgroup, t: int) -> list[int]:
         """relative_exact[K] = number of t-tuples in g_1N x .. x g_tN
@@ -352,37 +351,30 @@ class SubgroupLattice:
         Such tuples lie in K in number |K meet N|^t when KN = G and 0
         otherwise (if each g_iN meets K, then KN >= <g>N = G), whatever g
         is; conjugation fixes N, so that size is constant on classes.
-        Raises NotNormal for a non-normal N, before any count; N is tested
-        once, and only a normal N gets a memo."""
+        Raises NotNormal for a non-normal N, before any count; only a
+        normal N gets a memo."""
         G, n_mask = self.group, N.mask
-        memo = self._relative_exact.get(n_mask)
-        if memo is None:
-            if not is_normal_mask(G, n_mask):
-                raise NotNormal("relative count needs a normal subgroup")
-            memo = self._relative_exact[n_mask] = {}
+        key = ("relative", n_mask, t)
+        if key not in self._exact and not is_normal_mask(G, n_mask):
+            raise NotNormal("relative count needs a normal subgroup")
 
         def size(i):
             mask = self.subgroups[i].mask
             return (mask & n_mask).bit_count() if product_covers(G, mask, n_mask) else 0
 
-        return self._exact_counts(memo, t, size)
+        return self._exact_counts(key, t, size)
 
-    def _exact_counts(self, memo: dict[int, list[int]], t: int, size) -> list[int]:
-        """Moebius inversion of size(K)^t up the conjugacy classes, memoized
-        per t: vals[c] = size(rep_c)^t - the sum of m(c, d) * vals[d] over
-        the d < c (c's own term reads vals[c] while it is still 0), an
-        unweighted sum when every m(c, d) is 1."""
-        out = memo.get(t)
+    def _exact_counts(self, key: tuple, t: int, size) -> list[int]:
+        """Moebius inversion of size(K)^t up the conjugacy classes, kept
+        under key: vals[c] = size(rep_c)^t - the sum of m(c, d) * vals[d]
+        over the d < c, which one `_push_classes` sweep has pushed into c
+        by the time it reaches c."""
+        out = self._exact.get(key)
         if out is None:
             conj = self.conjugation
-            vals = [0] * len(conj)
-            for c, (below, marks) in enumerate(self.incidence):
-                if marks is None:
-                    below_sum = sum([vals[d] for d in below])
-                else:
-                    below_sum = sum([m * vals[d] for d, m in zip(below, marks)])
-                vals[c] = size(conj.classes[c][0]) ** t - below_sum
-            out = memo[t] = [vals[c] for c in conj.class_of]
+            tops = [size(r) ** t for r, _ in conj.classes]
+            below = self._push_classes(lambda c, below: tops[c] - below)
+            out = self._exact[key] = [tops[c] - below[c] for c in conj.class_of]
         return out
 
 
@@ -398,17 +390,55 @@ def _partition(orbits, count: int) -> tuple[list[tuple[int, tuple[int, ...]]], l
     return [(orbit[0], orbit) for orbit in orbits], class_of
 
 
-def transposed(rows: list[int]) -> list[list[int]]:
-    """The transpose of bitset rows over the row ids: for each id c, the
-    ids of the rows holding c, ascending."""
-    cols = [[] for _ in rows]
-    for d, row in enumerate(rows):
-        for c in bits(row):
-            cols[c].append(d)
-    return cols
+def push_up(rows, own, marks=None) -> list[int]:
+    """below[c] for every item c of a finite poset given by bitset rows
+    (rows[c] holds the items at or above c): the sum, over the items d
+    below c, of own(d, below[d]), counted marks(d)(c) times (once when
+    marks is None).  Items must extend the order, so one ascending sweep
+    has pushed every such d into c when it reaches c; there own(c,
+    below[c]) is pushed into every item above c, and a zero is not, nor
+    is its row read.  The items above c are read off one binary string of
+    the row, with no big-int operation per item."""
+    below = [0] * len(rows)
+    for c in range(len(rows)):
+        v = own(c, below[c])
+        if v:
+            m = marks(c) if marks else None
+            # the digit at i stands for the item top - i
+            digits = bin(rows[c] >> (c + 1))
+            top = len(digits) + c
+            i = digits.find("1", 2)
+            while i >= 0:
+                below[top - i] += v if m is None else v * m(top - i)
+                i = digits.find("1", i + 1)
+    return below
 
 
-def mu_column(rows: list[int], seeds, blocks: list[int] | None = None) -> list[int]:
+class UpRows:
+    """The upeq rows of a list of subgroup ids, each made from the
+    lattice's element columns when it is read and held only by its
+    reader."""
+
+    def __init__(self, lattice: SubgroupLattice, ids: list[int]):
+        self.ids = ids
+        self.subgroups = lattice.subgroups
+        self.columns = lattice._columns
+        self.full = (1 << len(lattice.subgroups)) - 1
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> int:
+        row = self.full
+        for x in self.subgroups[self.ids[k]].gens:
+            row &= self.columns[x]
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.ids)))
+
+
+def mu_column(rows: list[int] | UpRows, seeds, blocks: list[int] | None = None) -> list[int]:
     """The sum of mu(x, z) over the items z in `seeds`, for every item x of
     a finite poset, from bitset rows; seeds [top] give the column mu(x, top).
 
@@ -460,10 +490,10 @@ class ClassPoset:
         self.bottom = class_of[lattice.trivial_id]
         self._up = None
         self._rows = None
-        self._downs = None
         self._mu_top = None
-        # (N mask, t) whose relative counts passed counting's checks
-        self.relative_checked: set[tuple[int, int]] = set()
+        # counting's down-set sums, one entry per class, by what they sum;
+        # relative ones are kept only once counting's checks pass
+        self.downset_sums: dict[tuple, list[int]] = {}
 
     def __len__(self):
         return len(self.classes)
@@ -488,30 +518,25 @@ class ClassPoset:
                         for c, row in enumerate(self.rows())]
         return self._up
 
-    def rows(self) -> list[int]:
+    def rows(self) -> list[int] | UpRows:
         """The bitset over class ids of the classes at or above c, for each
         class c: the classes meeting its representative's upeq row, since
         H^a <= K iff H <= K^(a^-1).  Each step takes the class of the lowest
-        id left and strikes all its ids off; singleton classes' rows are
-        upeq rows."""
+        id left and strikes all its ids off; these rows are kept.  Singleton
+        classes' rows are upeq rows, made when read (`UpRows`), so a reader
+        that walks them more than once lists them once per call."""
         if self._rows is None:
             rows = self.lattice.upeq([r for r, _ in self.classes])
-            if self.blocks is not None:
-                for k, u in enumerate(rows):
-                    rows[k] = 0
-                    while u:
-                        c = self.class_of[(u & -u).bit_length() - 1]
-                        rows[k] |= 1 << c
-                        u &= ~self.blocks[c]
-            self._rows = rows
+            if self.blocks is None:
+                return rows
+            self._rows = rows = list(rows)
+            for k, u in enumerate(rows):
+                rows[k] = 0
+                while u:
+                    c = self.class_of[(u & -u).bit_length() - 1]
+                    rows[k] |= 1 << c
+                    u &= ~self.blocks[c]
         return self._rows
-
-    def downs(self) -> list[list[int]]:
-        """downs[c] = the class ids at or below c, ascending: `rows`
-        transposed, built once."""
-        if self._downs is None:
-            self._downs = transposed(self.rows())
-        return self._downs
 
     # -- Moebius -------------------------------------------------------------
 

@@ -112,9 +112,10 @@ def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permu
     """Parse 1-based cycle words like '(1,2)(3,4)'.
 
     The degree defaults to the largest point mentioned; '()' needs an
-    explicit degree. `offset` shifts reported error positions inside a
-    larger spec string.
+    explicit degree.  An error names the position of the faulty cycle;
+    `offset` is the position of `text` inside a larger spec string.
     """
+    offset += len(text) - len(text.lstrip())
     text = text.strip()
     if text in ("()", "e", "id"):
         return Permutation.identity(degree if degree else 1)
@@ -135,7 +136,7 @@ def parse_cycles(text: str, degree: int | None = None, offset: int = 0) -> Permu
             raise ParseError("repeated point inside a cycle", offset + pos)
         for p in pts:
             if p in used:
-                raise ParseError(f"point {p} appears in two cycles", offset)
+                raise ParseError(f"point {p} appears in two cycles", offset + pos)
         used.update(pts)
         cycles.append(tuple(p - 1 for p in pts))
         pos = m.end()

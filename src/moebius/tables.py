@@ -2,7 +2,10 @@
 
 Classes are listed by representative order descending, ties by bitset.
 Numeric cells are decimal strings so arbitrary-precision values survive
-every format.
+every format.  A table computes every numeric column before its first
+row, and `render` gives its text one piece per row, which the CLI writes
+as it is made: an error leaves stdout empty, and no format holds the
+whole text.
 """
 
 from __future__ import annotations
@@ -86,61 +89,57 @@ def display_key(sub: Subgroup) -> tuple[int, int]:
 
 def class_table(poset: ClassPoset,
                 include_omega2: bool = False) -> tuple[list[str], Iterator[list[str]]]:
-    """The mu_A / omega / kappa / sigma table over all classes; each row is
-    named and counted as it is read."""
-    cols = ["class", "mu_A", "omega1"]
-    if include_omega2:
-        cols.append("omega2")
-    cols += ["kappa", "sigma"]
-
-    def rows():
-        lat = poset.lattice
-        for c in sorted(range(len(poset.classes)), key=lambda c: display_key(poset.rep(c))):
-            rep_id = poset.classes[c][0]
-            row = [name_subgroup(lat, rep_id),
-                   str(poset.mu_top[c]),
-                   str(counting.omega(poset, c, 1))]
-            if include_omega2:
-                row.append(str(counting.omega(poset, c, 2)))
-            row.append(str(kappa(lat, lat.subgroups[rep_id])))
-            row.append(str(lat.sigma(rep_id)))
-            yield row
-
-    return cols, rows()
+    """The mu_A / omega / kappa / sigma table over all classes.  Every
+    column is computed here, so an error is raised before any row is
+    made; each row is named as it is read."""
+    ts = (1, 2) if include_omega2 else (1,)
+    cols = ["class", "mu_A", *(f"omega{t}" for t in ts), "kappa", "sigma"]
+    lat = poset.lattice
+    classes = range(len(poset.classes))
+    columns = [poset.mu_top, *([counting.omega(poset, c, t) for c in classes] for t in ts),
+               [kappa(lat, poset.rep(c)) for c in classes],
+               [lat.sigma(r) for r, _ in poset.classes]]
+    shown = sorted(classes, key=lambda c: display_key(poset.rep(c)))
+    return cols, ([name_subgroup(lat, poset.classes[c][0]), *(str(col[c]) for col in columns)]
+                  for c in shown)
 
 
 def lattice_mu_table(lattice: SubgroupLattice) -> tuple[list[str], Iterator[list[str]]]:
-    """Per-conjugacy-class mu / kappa / sigma table (plain lattice Moebius);
-    each row is named and counted as it is read."""
+    """Per-conjugacy-class mu / kappa / sigma table (plain lattice Moebius).
+    Every column is computed here; each row is named as it is read."""
     entries = lattice.class_representatives()
     entries.sort(key=lambda i: display_key(lattice.subgroups[i]))
     cols = ["class", "mu", "kappa", "sigma"]
-    rows = ([name_subgroup(lattice, i),
-             str(lattice.mu_top[i]),
-             str(kappa(lattice, lattice.subgroups[i])),
-             str(lattice.sigma(i))] for i in entries)
-    return cols, rows
+    columns = [[lattice.mu_top[i], kappa(lattice, lattice.subgroups[i]), lattice.sigma(i)]
+               for i in entries]
+    return cols, ([name_subgroup(lattice, i), *map(str, col)]
+                  for i, col in zip(entries, columns))
 
 
-def render(cols: list[str], rows: Iterable[list[str]], fmt: str) -> str:
-    """The table in one format.  Every format is made one row at a time,
-    so a lazy `rows` never has every row's cells at once; json is the text
-    of `json.dumps({"columns": cols, "rows": [one dict per row]},
-    indent=2)`, with no payload built."""
+def render(cols: list[str], rows: Iterable[list[str]], fmt: str) -> Iterator[str]:
+    """The table in one format, in pieces: the head, then one piece per
+    row, each made as it is asked for, so a lazy `rows` never has every
+    row's cells at once.  The pieces joined are the table's text, with no
+    final newline; json is the text of `json.dumps({"columns": cols,
+    "rows": [one dict per row]}, indent=2)`, with no payload built."""
     if fmt == "markdown":
-        head = "| " + " | ".join(cols) + " |"
-        sep = "|" + "|".join("---" for _ in cols) + "|"
-        body = ("| " + " | ".join(r) + " |" for r in rows)
-        return "\n".join(chain([head, sep], body))
-    if fmt == "csv":
+        yield "| " + " | ".join(cols) + " |\n|" + "|".join("---" for _ in cols) + "|"
+        for r in rows:
+            yield "\n| " + " | ".join(r) + " |"
+    elif fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(cols)
-        w.writerows(rows)
-        return buf.getvalue().rstrip("\n")
-    if fmt == "json":
-        return "".join(_json_pieces(cols, rows))
-    raise ValueError(f"unknown format {fmt!r}")
+        sep = ""
+        for r in chain([cols], rows):
+            buf.seek(0)
+            buf.truncate()
+            w.writerow(r)
+            yield sep + buf.getvalue()[:-1]
+            sep = "\n"
+    elif fmt == "json":
+        yield from _json_pieces(cols, rows)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _json_pieces(cols: list[str], rows: Iterable[list[str]]) -> Iterator[str]:

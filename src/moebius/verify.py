@@ -67,7 +67,7 @@ def poset_axiom_violations(poset: ClassPoset) -> list[str]:
     """Reflexivity, antisymmetry and transitivity of the class order, read
     as bits of the class rows (row c holds the classes at or above c)."""
     out = []
-    rows = poset.rows()
+    rows = list(poset.rows())
     for c, row in enumerate(rows):
         if not (row >> c) & 1:
             out.append(f"reflexivity broken at {c}")

@@ -51,21 +51,26 @@ def test_inner_poset_reads_the_conjugacy_classes(spec, source, tmp_path):
 @pytest.mark.parametrize("spec", family_specs(24) + ["S:6", "A:7"])
 def test_lattice_keeps_one_conjugation_poset(spec):
     # the lattice's class relation is its conjugation poset: every route to
-    # the poset under Inn(G) returns that one object, the class-incidence
-    # table's down-sets are its downs, and a poset walked over the same
-    # generator maps under another origin orders the same classes alike
+    # the poset under Inn(G) returns that one object, the down-set sums it
+    # keeps hold one entry per class, and a poset walked over the same
+    # generator maps under another origin orders the same classes alike and
+    # sums the same down-sets
     lat = lattice(spec)
     G = lat.group
     inner = inner_automorphisms(G)
     conj = lat.conjugation
     assert conjugation_poset(lat) is build_class_poset(lat, inner) is conj
-    assert [below for below, _ in lat.incidence] == conj.downs()
     walked = build_class_poset(lat, AutomorphismGroup(G, inner.gens, "explicit-generated"))
     assert walked is not conj
     assert walked.classes == conj.classes and walked.blocks == conj.blocks
-    assert walked.rows() == conj.rows()
-    assert walked.downs() == conj.downs()
+    assert list(walked.rows()) == list(conj.rows())
     assert walked.mu_top == conj.mu_top
+    classes = range(len(conj))
+    for t in (1, 2):
+        assert [counting.omega(walked, c, t) for c in classes] == \
+            [counting.omega(conj, c, t) for c in classes]
+    assert {("phi", 1), ("phi", 2)} <= set(conj.downset_sums)
+    assert all(len(sums) == len(conj) for sums in conj.downset_sums.values())
 
 
 def test_trivial_action_poset_mirrors_lattice():

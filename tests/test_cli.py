@@ -150,11 +150,27 @@ def test_phi_rel_reports_no_lift_one_way(capsys):
     (["table", "S:4", "--aut", "inn:gens=[(1,2)(2,3)]"], 2),
 ])
 def test_a_point_in_two_cycles_is_named_as_written(capsys, argv, point):
-    # cycle points are 1-based in a spec and in gens=, and so in the error
+    # cycle points are 1-based in a spec and in gens=, and so in the error;
+    # the position is the second cycle's, in the spec or in the gens= word
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: point {point} appears in two cycles (at position 0)\n"
+    position = 11 if argv[1].startswith("perm:") else 5
+    assert captured.err == f"error: point {point} appears in two cycles (at position {position})\n"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("perm:[(1,2)(3,3)]", "repeated point inside a cycle (at position 11)"),
+    ("C:2xperm:[(1,2);(1,2)(x)]", "expected a cycle '(a,b,...)' (at position 21)"),
+    ("perm:[(2,3)(3,4)]", "point 3 appears in two cycles (at position 11)"),
+    ("C:2x perm: [ (1,2) ; (1,1)]", "repeated point inside a cycle (at position 21)"),
+])
+def test_perm_errors_name_the_faulty_cycle_in_the_spec(capsys, spec, message):
+    # the position counts the whole spec: the atoms before, "perm:[", the
+    # words before and the blanks
+    code = cli.main(["table", spec])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 def test_check_mu_lambda_exit_code(capsys):
@@ -863,15 +879,17 @@ RELATION_COMMANDS = [
 
 
 def _assert_class_rows_only(lat):
+    # only the elements of the representatives' witnesses get columns
     assert lat._up is None and lat._down is None
-    assert set(lat._upeq) <= set(lat.class_representatives())
+    witnesses = {x for r in lat.class_representatives() for x in lat.subgroups[r].gens}
+    assert set(lat._columns) <= witnesses
 
 
 @pytest.mark.parametrize("argv", RELATION_COMMANDS, ids=" ".join)
 def test_commands_read_only_class_representative_rows(capsys, monkeypatch, argv):
     """No engine path decodes the relation of every subgroup: after each
-    command on A:7 the lattice has built neither `up` nor `down`, and upeq
-    rows of class representatives alone."""
+    command on A:7 the lattice has built neither `up` nor `down`, and
+    element columns for the class representatives' witnesses alone."""
     enumerated = lattice("A:7")
     G = enumerated.group
     loaded = []

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (brute_lift_scan, brute_quotient_generable, brute_relative_counts,
+from helpers import (brute_class_up, brute_exact_counts, brute_lift_scan,
+                     brute_quotient_generable, brute_relative_counts,
                      class_by, closure_mask, group, lattice, omega_inclusion_exclusion,
                      poset, subgroups_of_order)
 from moebius import counting
@@ -11,7 +12,7 @@ from moebius.automorphisms import full_automorphism_group
 from moebius.catalog import family_specs
 from moebius.classposet import build_class_poset
 from moebius.errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from moebius.groups import is_normal_mask, quotient_group
+from moebius.groups import commutator_subgroup, is_normal_mask, product_covers, quotient_group
 from moebius.lattice import enumerate_subgroups, mu_column
 
 
@@ -207,7 +208,7 @@ def test_both_relative_routes_reject_a_non_normal_subgroup():
     with pytest.raises(NotNormal, match="relative count needs a normal subgroup"):
         counting.phi_relative(lat, c2, 1)
     # and the refusal came before any count of N was kept
-    assert not lat._relative_exact
+    assert not lat._exact
 
 
 def test_phi_relative_via_classes_s4_v4():
@@ -308,13 +309,13 @@ def test_relative_checks_run_once_per_poset_and_subgroup(monkeypatch):
         except LiftNotGenerating:
             assert t == 1
     assert lifts == [1, 2]
-    assert pos.relative_checked == {(v4.mask, 2)}
+    assert list(pos.downset_sums) == [("relative", v4.mask, 2)]
     c2 = subgroups_of_order("C:2xC:2xC:2", 2)[0]
     moved = poset("C:2xC:2xC:2", "aut")
     for _ in range(2):
         with pytest.raises(NotInvariant):
             counting.phi_relative_via_classes(moved, c2, 2)
-    assert (c2.mask, 2) not in moved.relative_checked
+    assert ("relative", c2.mask, 2) not in moved.downset_sums
 
 
 def test_relative_errors_come_in_the_cli_order():
@@ -503,3 +504,74 @@ def test_pstar_differs_from_frattini_quotient(p, a):
     qlat = counting.frattini_quotient_lattice(lat)
     assert counting.gen_probabilities(lat, 1)[1] != \
         counting.gen_probabilities(qlat, 1)[1]
+
+
+# -- the sweeps against the brute oracles --------------------------------------
+
+def _check_sweeps(spec, auts):
+    """sigma, phi_exact (t <= 3), gamma_exact, relative_exact and the
+    down-set sums behind omega, sigma_tuples, psi and omega_relative equal
+    `brute_exact_counts` over the pairwise relation, summed over the
+    classes `brute_class_up` puts at or below each class, on the posets of
+    spec under each action in auts (a poset of singleton classes is the
+    pairwise relation itself)."""
+    lat = lattice(spec)
+    G = lat.group
+    subs = lat.subgroups
+    masks = [s.mask for s in subs]
+    # the pairwise relation: the proper subgroups of each subgroup
+    down = [[i for i in range(k) if not masks[i] & ~mask] for k, mask in enumerate(masks)]
+    sigma = [len(below) + 1 for below in down]
+    assert [lat.sigma(i) for i in range(len(lat))] == sigma, spec
+    exact = {("phi", t): brute_exact_counts(down, [s.order for s in subs], t) for t in (1, 2, 3)}
+    exact["gamma", 2] = brute_exact_counts(down, sigma, 2)
+    for t in (1, 2, 3):
+        assert lat.phi_exact(t) == exact["phi", t], (spec, t)
+    assert lat.gamma_exact(2) == exact["gamma", 2], spec
+    # characteristic N, so invariant under every action
+    normals = {lat.index[commutator_subgroup(G).mask], lat.index[G.center_mask]}
+    for n in normals:
+        N = subs[n]
+        sizes = [(mask & N.mask).bit_count() if product_covers(G, mask, N.mask) else 0
+                 for mask in masks]
+        exact["relative", n] = brute_exact_counts(down, sizes, 2)
+        assert lat.relative_exact(N, 2) == exact["relative", n], spec
+    for aut in auts:
+        pos = poset(spec, aut)
+        if pos.blocks is None:
+            below = [[*ids, c] for c, ids in enumerate(down)]
+        else:
+            below = [[c] for c in range(len(pos))]
+            for d, up in enumerate(brute_class_up(pos)):
+                for c in up:
+                    below[c].append(d)
+
+        def summed(vals, c):
+            return sum(len(pos.orbit(d)) * vals[pos.classes[d][0]] for d in below[c])
+
+        lifted = []     # the N with a 2-tuple generating G modulo N
+        for n in normals:
+            try:
+                counting.omega_relative(pos, pos.top, subs[n], 2)
+                lifted.append(n)
+            except LiftNotGenerating:
+                pass
+        for c in range(len(pos)):
+            for t in (1, 2, 3):
+                assert counting.omega(pos, c, t) == summed(exact["phi", t], c), (spec, aut, c)
+            assert counting.sigma_tuples(pos, c, 2) == summed(exact["gamma", 2], c)
+            assert sum(counting.psi(pos, d, 2) for d in below[c]) == summed(exact["phi", 2], c)
+            for n in lifted:
+                assert counting.omega_relative(pos, c, subs[n], 2) == \
+                    summed(exact["relative", n], c), (spec, aut, c, n)
+
+
+def test_sweeps_match_brute_oracles_up_to_order_24():
+    for spec in family_specs(24):
+        _check_sweeps(spec, ("inn", "1", "aut"))
+
+
+def test_sweeps_match_brute_oracles_on_c2_6():
+    # 2825 singleton classes, whose rows are made when read, and the seven
+    # classes of subspaces of one dimension under full Aut
+    _check_sweeps("C:2xC:2xC:2xC:2xC:2xC:2", ("inn", "aut"))

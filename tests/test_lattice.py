@@ -502,19 +502,17 @@ def test_relation_matches_pairwise_scan(spec, source, tmp_path):
 
 
 def _check_class_incidence(lat):
-    """Every m(c, d) of `incidence` against a mask scan, #{K in orbit(d) :
-    K <= rep_c}, zeros included (no weight list means every weight is 1);
-    then sigma, the maximals and the exact counts it gives against the
-    pairwise relation."""
+    """Every m(c, d) the class sweeps push, read off a sweep that pushes 1
+    from class d alone, against a mask scan, #{K in orbit(d) : K <= rep_c},
+    zeros included; then sigma, the maximals and the exact counts the
+    sweeps give against the pairwise relation."""
     classes = lat.conjugation.classes
     subs = lat.subgroups
-    for c, (below, marks) in enumerate(lat.incidence):
-        assert (marks is None) == (lat.conjugation.blocks is None)
-        rep_mask = subs[classes[c][0]].mask
-        table = dict(zip(below, [1] * len(below) if marks is None else marks))
-        for d, (_, orbit) in enumerate(classes):
-            scan = sum(1 for k in orbit if subs[k].mask & ~rep_mask == 0)
-            assert table.get(d, 0) == scan, (c, d)
+    for d, (_, orbit) in enumerate(classes):
+        pushed = lat._push_classes(lambda c, _: int(c == d))
+        for c, (rep, _) in enumerate(classes):
+            scan = sum(1 for k in orbit if subs[k].mask & ~subs[rep].mask == 0)
+            assert pushed[c] + (c == d) == scan, (c, d)
     up, down = brute_relation(lat)
     sigma = [len(below) + 1 for below in down]
     assert [lat.sigma(i) for i in range(len(lat))] == sigma
@@ -583,7 +581,7 @@ def test_mu_columns_match_defining_sums(spec, source, tmp_path):
     if source == "cached":
         save_lattice(lat, tmp_path)
         lat = load_lattice(lat.group, tmp_path)
-        assert not lat._upeq and lat._mu_top is None and not lat._conj_orbit
+        assert not lat._columns and lat._mu_top is None and not lat._conj_orbit
     up = brute_relation(lat)[0]
     assert lat.mu_top == brute_mu_top(up, lat.top_id)
     pos = conjugation_poset(lat)

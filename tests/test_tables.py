@@ -1,16 +1,18 @@
 """Subgroup names and the tables built on them."""
 
 import hashlib
+import io
 import json
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
 
 from helpers import closure_mask, lattice
-from moebius import cli, counting
+from moebius import cli, counting, tables
 from moebius.groups import build_from_spec
-from moebius.lattice import enumerate_subgroups
+from moebius.lattice import SubgroupLattice, enumerate_subgroups
 from moebius.perm import Permutation
 from moebius.tables import class_table, lattice_mu_table, name_subgroup, render
 
@@ -127,7 +129,7 @@ def _class_table_peak(fmt):
     poset.rows()
     tracemalloc.start()
     try:
-        text = render(*class_table(poset), fmt)
+        text = "".join(render(*class_table(poset), fmt))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,7 +161,7 @@ def test_json_is_the_dumped_payload_written_row_by_row(spec, table):
     cols, rows = class_table(lat.conjugation) if table == "class" else lattice_mu_table(lat)
     rows = list(rows)
     payload = {"columns": cols, "rows": [dict(zip(cols, r)) for r in rows]}
-    assert render(cols, iter(rows), "json") == json.dumps(payload, indent=2)
+    assert "".join(render(cols, iter(rows), "json")) == json.dumps(payload, indent=2)
 
 
 def test_names_make_one_cycle_string_per_element(monkeypatch):
@@ -177,3 +179,63 @@ def test_names_make_one_cycle_string_per_element(monkeypatch):
     assert len(names) == 2825
     assert made and set(made.values()) == {1} and len(made) < lat.group.order
 
+
+def test_class_columns_hold_no_relation():
+    # on C:2^6 (2825 singleton classes), once mu_A, omega at t = 1, 2 and
+    # sigma are computed for every class, the memory held above the
+    # enumerated lattice stays under 0.5 MB: no row of the relation, no
+    # down-set and no incidence list outlives the sweep that read it
+    lat = enumerate_subgroups(build_from_spec(C2_6))
+    poset = lat.conjugation
+    classes = range(len(poset.classes))
+    tracemalloc.start()
+    try:
+        poset.mu_top
+        for t in (1, 2):
+            for c in classes:
+                counting.omega(poset, c, t)
+        for r, _ in poset.classes:
+            lat.sigma(r)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5e6, held
+
+
+class _Writes(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_table_writes_render_text_as_it_is_made(monkeypatch, fmt):
+    # `table C:2^6 --aut inn` writes exactly render's text and a newline, in
+    # one write per piece, so no format holds the whole text (the classes are
+    # named by id: the names are not what is tested)
+    lat = lattice(C2_6)
+    monkeypatch.setattr(cli, "_load_group_and_lattice", lambda args: (lat.group, lat))
+    monkeypatch.setattr(tables, "name_subgroup", lambda lat, i: f"H{i}")
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["table", C2_6, "--aut", "inn", "--format", fmt]) == 0
+    assert out.getvalue() == "".join(render(*class_table(lat.conjugation), fmt)) + "\n"
+    assert out.writes > len(lat)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+@pytest.mark.parametrize("argv", [("table", "S:4", "--aut", "inn"), ("sigma-table", "S:4")])
+def test_an_error_before_the_head_leaves_stdout_empty(capsys, monkeypatch, argv, fmt):
+    # every column is computed before the first piece is written, so an
+    # error in the last one, sigma, exits 2 with nothing on stdout
+    def fail(self, i):
+        raise ValueError("no sigma")
+
+    monkeypatch.setattr(SubgroupLattice, "sigma", fail)
+    code = cli.main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: no sigma\n")
