@@ -2,21 +2,19 @@
 
 Line 1, the head, is the canonical JSON (sorted keys, no spaces) of the
 spec, the engine version and the element count.  Then comes one line per
-conjugacy class, in lattice order: the lowercase hex of its
-representative's bitset's little-endian bytes (padded to 8-byte words),
-then the representative's witness as decimal element ids, space-separated.
-The last line is ``sha256 <digest>``, the HMAC-SHA256 of every byte
-before it under the directory's key, so a truncated, bit-flipped or
-hand-edited file is recomputed instead of trusted, even one re-sealed
-without the key (a class line dropped, say, which every other rule
-passes); the prefix tells it from a mask, which is also 64 hex digits
-for orders 193-256.  The key is 32 random bytes in the file `cache.key`
-of the directory, made with mode 0600 at the first write; a load with no
-key fails the seal.  `file_lines` gives every line of a file, and a
-write streams them into place; a load reads the file in one go and
-checks the seal over its bytes before it parses a class line.  Writes
-are deterministic, so rebuilding a cache in one directory yields
-byte-identical files.
+conjugacy class, in lattice order: its representative's witness, the
+decimal element ids that generate it, separated by single spaces (the
+trivial subgroup's line is empty).  The last line is
+``sha256 <digest>``, the HMAC-SHA256 of every byte before it under the
+directory's key, so a truncated, bit-flipped or hand-edited file is
+recomputed instead of trusted, even one re-sealed without the key (a
+class line dropped, say, which every other rule passes).  The key is 32
+random bytes in the file `cache.key` of the directory, made with mode
+0600 at the first write; a load with no key fails the seal.
+`file_lines` gives every line of a file, and a write streams them into
+place; a load reads the file in one go and checks the seal over its
+bytes before it parses a class line.  Writes are deterministic, so
+rebuilding a cache in one directory yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -39,18 +37,9 @@ KEY_FILE = "cache.key"
 KEY_BYTES = 32
 
 
-def mask_to_hex(mask: int, order: int) -> str:
-    nbytes = ((order + 63) // 64) * 8
-    return mask.to_bytes(nbytes, "little").hex()
-
-
-def hex_to_mask(text: str) -> int:
-    return int.from_bytes(bytes.fromhex(text), "little")
-
-
-def class_line(sub: Subgroup, order: int) -> str:
-    """A class line: the hex bitset of a representative, then its witness."""
-    return " ".join([mask_to_hex(sub.mask, order), *map(str, sub.gens)])
+def class_line(sub: Subgroup) -> str:
+    """A class line: the witness of a representative."""
+    return " ".join(map(str, sub.gens))
 
 
 def _seal_line(mac) -> bytes:
@@ -121,7 +110,7 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
     head = {"spec": G.spec, "engine_version": __version__, "element_count": G.order}
     try:
         with open(tmp, "wb") as fh:
-            fh.writelines(file_lines(head, (class_line(lattice.subgroups[r], G.order)
+            fh.writelines(file_lines(head, (class_line(lattice.subgroups[r])
                                             for r in lattice.class_representatives()),
                                      key))
         os.replace(tmp, path)
@@ -133,13 +122,13 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
 def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | None:
     """Load a cached lattice in one read.  The head must name G's spec and
     this engine's version, the last line must seal every byte before it
-    under the directory's key, and the element count must be |G|; then
-    every class line must parse, and each class is walked with
-    `LatticeBuilder`: its bitset and witness must lie in G, the witness
-    must generate the bitset, and no two lines may give one class.  The
-    trivial and full subgroups must be there.  Any mismatch or corruption
-    (a wrong seal, a seal made without the key, no key, an earlier
-    format's bare bitset) warns and returns None."""
+    under the directory's key, and the element count must be |G|; then,
+    line by line, each class line must parse as a witness inside G, and
+    its class is walked with `LatticeBuilder` from the witness's closure;
+    no two lines may give one class.  The trivial and full subgroups must
+    be there.  Any mismatch or corruption (a wrong seal, a seal made
+    without the key, no key, an earlier format's hex bitset, which does
+    not parse or reads as an id past G) warns and returns None."""
     if G.spec is None:
         return None
     path = cache_path(cache_dir, G.spec)
@@ -162,20 +151,13 @@ def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | Non
             raise ValueError("missing or wrong sha256 seal")
         if head["element_count"] != G.order:
             raise ValueError("element count mismatch")
-        classes = [(hex_to_mask(text.decode()), tuple(map(int, ids)))
-                   for text, *ids in map(bytes.split, data[:seal].split(b"\n")[1:-1])]
-        del data        # not held while the class walks below reach their peak
-        full = G.full_mask()
         build = LatticeBuilder(G)
-        for mask, witness in classes:
-            if mask & ~full:
-                raise ValueError("invalid subgroup bitset")
+        for line in data[:seal].split(b"\n")[1:-1]:
+            witness = tuple(map(int, line.split()))
             if any(not 0 <= x < G.order for x in witness):
                 raise ValueError("witness outside the group")
-            if closure(G, witness)[0] != mask:
-                raise ValueError("witness does not generate its subgroup")
-            build.add(mask, witness)
-        if (1 << G.identity) not in build.witnesses or full not in build.witnesses:
+            build.add(closure(G, witness)[0], witness)
+        if (1 << G.identity) not in build.witnesses or G.full_mask() not in build.witnesses:
             raise ValueError("missing trivial or full subgroup")
         return build.lattice()
     except Exception as exc:  # noqa: BLE001 - any corruption falls back

@@ -148,17 +148,22 @@ def generating_lift(lattice: SubgroupLattice, N: Subgroup, t: int) -> tuple[int,
     first tuple `first_generating_tuple` finds over the cosets of N,
     padded with the identity.  Any lift serves the relative count, which
     does not depend on the lifted tuple of G/N (Gaschuetz's lemma).
-    Raises LiftNotGenerating when no t-tuple generates G modulo N.
+    Raises LiftNotGenerating when no t-tuple generates G modulo N.  The
+    search runs once per (lattice, N, t): its lift or refusal is kept in
+    `lattice.lifts`.
     """
     _require_t(t)
     G = lattice.group
     if not is_normal_mask(G, N.mask):
         raise NotNormal("relative count needs a normal subgroup")
-    cosets = coset_map(G, N)
-    got = first_generating_tuple(G, (1 << len(cosets[1])) - 1, t, cosets)
-    if got is None:
+    key = (N.mask, t)
+    if key not in lattice.lifts:
+        cosets = coset_map(G, N)
+        got = first_generating_tuple(G, (1 << len(cosets[1])) - 1, t, cosets)
+        lattice.lifts[key] = None if got is None else got + (G.identity,) * (t - len(got))
+    if lattice.lifts[key] is None:
         raise LiftNotGenerating("no t-tuple generates the group modulo N")
-    return got + (G.identity,) * (t - len(got))
+    return lattice.lifts[key]
 
 
 def first_generating_tuple(G: FiniteGroup, target: int, t: int,

@@ -146,6 +146,8 @@ class SubgroupLattice:
         # the exact counts, by what they count
         self._exact: dict[tuple, list[int]] = {}
         self._join: dict[tuple[int, int], int] = {}
+        # counting's generating lifts by (N, t), None for a refused one
+        self.lifts: dict[tuple[int, int], tuple[int, ...] | None] = {}
         # the poset of conjugacy classes, the case A = Inn(G): its classes
         # are the partition, its rows the class relation
         self.conjugation = ClassPoset(self, *_partition(

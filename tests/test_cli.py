@@ -14,7 +14,7 @@ import moebius.groups as groups_module
 from helpers import lattice, sublattice
 from moebius import __version__, cli, counting
 from moebius.cache import (KEY_FILE, cache_path, class_line, file_lines, load_lattice,
-                           mask_to_hex, read_key, save_lattice)
+                           read_key, save_lattice)
 
 
 def run_cli(capsys, *argv):
@@ -410,7 +410,13 @@ def s4_class(order: int) -> int:
 
 
 def s4_class_line(order: int) -> str:
-    return class_line(lattice("S:4").subgroups[s4_class(order)], 24)
+    return class_line(lattice("S:4").subgroups[s4_class(order)])
+
+
+def hex_bitset(sub) -> str:
+    """A subgroup's bitset as earlier formats wrote it: the lowercase hex
+    of its little-endian bytes, padded to 8-byte words (8 bytes for S:4)."""
+    return sub.mask.to_bytes(8, "little").hex()
 
 
 def test_cache_build_rebuild_identical(capsys, tmp_cache):
@@ -428,8 +434,9 @@ def test_cache_build_rebuild_identical(capsys, tmp_cache):
 def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
     # the file is streamed through `file_lines`: the canonical JSON head,
     # one line per conjugacy class in lattice order, the representative's
-    # hex bitset and its witness ids, and a seal line holding the
-    # HMAC-SHA256 of every byte before it under the directory's key
+    # witness ids in decimal and single spaces (the trivial subgroup's line
+    # is empty), and a seal line holding the HMAC-SHA256 of every byte
+    # before it under the directory's key
     lat = lattice(spec)
     order = lat.group.order
     head = {"element_count": order, "engine_version": __version__, "spec": spec}
@@ -437,14 +444,14 @@ def test_cache_file_is_the_sealed_canonical_payload(spec, tmp_cache):
     key = read_key(tmp_cache)
     assert len(key) == 32
     reps = lat.class_representatives()
-    assert data == b"".join(file_lines(head, (class_line(lat.subgroups[r], order)
-                                              for r in reps), key))
+    assert data == b"".join(file_lines(head, (class_line(lat.subgroups[r]) for r in reps),
+                                       key))
     *body, last = data.splitlines(keepends=True)
     assert body[0] == json.dumps(head, separators=(",", ":")).encode() + b"\n"
     assert len(body) == 1 + len(reps)
+    assert body[1] == b"\n"
     for r, line in zip(reps, body[1:]):
-        assert line.split() == [mask_to_hex(lat.subgroups[r].mask, order).encode(),
-                                *(str(x).encode() for x in lat.subgroups[r].gens)]
+        assert line == " ".join(map(str, lat.subgroups[r].gens)).encode() + b"\n"
     mac = hmac.new(key, b"".join(body), hashlib.sha256)
     assert last == f"sha256 {mac.hexdigest()}\n".encode()
 
@@ -463,7 +470,7 @@ def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     payload = {k: v for k, v in read_cache(cache_path(cold_dir, "S:4")).items()
                if k != "classes"}
-    payload["subgroups"] = [mask_to_hex(s.mask, 24) for s in lattice("S:4").subgroups]
+    payload["subgroups"] = [hex_bitset(s) for s in lattice("S:4").subgroups]
     payload["sha256"] = hashlib.sha256(canonical(payload).encode()).hexdigest()
     cache_dir.mkdir()
     path = cache_path(cache_dir, "S:4")
@@ -474,6 +481,34 @@ def test_one_line_cache_file_is_rewritten(capsys, tmp_path):
     assert code == 0 and out == cold
     assert [str(w.message) for w in caught] == \
         [f"ignoring unusable cache {path}: missing or wrong sha256 seal"]
+    cold_file = cache_path(cold_dir, "S:4")
+    assert path.read_bytes() == b"".join(cache_lines(read_cache(cold_file), cache_dir))
+
+
+def test_bitset_line_cache_file_is_rewritten(capsys, tmp_path):
+    # a file in the earlier line format, each class line a hex bitset and
+    # then the witness, sealed under the directory's key: its first class
+    # line, the trivial subgroup's 0100000000000000, reads as an id past G,
+    # so one warning, the output of a cold run, and the file rewritten as
+    # witness lines
+    argv = ["table", "S:4", "--aut", "inn"]
+    cold_dir, cache_dir = tmp_path / "cold", tmp_path / "cache"
+    code, cold = run_cli(capsys, *argv, "--cache-dir", str(cold_dir))
+    assert code == 0
+    run_cli(capsys, "cache", "build", "S:4", "--cache-dir", str(cache_dir))
+    path = cache_path(cache_dir, "S:4")
+    payload = read_cache(path)
+    lat = lattice("S:4")
+    reps = [lat.subgroups[r] for r in lat.class_representatives()]
+    payload["classes"] = [" ".join([hex_bitset(s), *map(str, s.gens)]) for s in reps]
+    path.write_bytes(b"".join(cache_lines(payload, cache_dir)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 0 and out == cold
+    assert [str(w.message) for w in caught] == \
+        [f"ignoring unusable cache {path}: witness outside the group"]
+    assert read_cache(path)["classes"] == s4_class_lines()
     cold_file = cache_path(cold_dir, "S:4")
     assert path.read_bytes() == b"".join(cache_lines(read_cache(cold_file), cache_dir))
 
@@ -604,7 +639,7 @@ def test_hand_edited_cache_is_recomputed(capsys, tmp_cache):
 def s4_class_lines() -> list[str]:
     """The class lines of S:4, one per conjugacy class, in lattice order."""
     lat = lattice("S:4")
-    return [class_line(lat.subgroups[r], 24) for r in lat.class_representatives()]
+    return [class_line(lat.subgroups[r]) for r in lat.class_representatives()]
 
 
 # seals a forger can make without the directory's key: the unkeyed SHA-256
@@ -748,13 +783,7 @@ def _conjugate_line(p):
     its own witness."""
     lat = lattice("S:4")
     j = lat.conjugacy_orbit(s4_class(2))[1]
-    p["classes"].append(class_line(lat.subgroups[j], 24))
-
-
-def _other_witness(p):
-    """The first order-2 line given the second one's witness."""
-    first, second = p["classes"][1].split(), p["classes"][2].split()
-    p["classes"][1] = " ".join([first[0], *second[1:]])
+    p["classes"].append(class_line(lat.subgroups[j]))
 
 
 # one mutation per rule of `load_lattice`, each re-sealed, so only the rule
@@ -763,31 +792,18 @@ CHEAP_RULE_MUTATIONS = {
     "spec": ("spec mismatch", lambda p: p.update(spec="S:5")),
     "element count": ("element count mismatch", lambda p: p.update(element_count=25)),
     "unparsable line": ("invalid literal for int() with base 10: b'x'",
-                        lambda p: p["classes"].append(f"{mask_to_hex(1, 24)} x")),
+                        lambda p: p["classes"].append("1 x")),
     "duplicate": ("duplicate subgroups", _conjugate_line),
-    # S:4's identity is element 0, so its trivial subgroup is the mask 1,
-    # with an empty witness
-    "no trivial": ("missing trivial or full subgroup",
-                   lambda p: p["classes"].remove(mask_to_hex(1, 24))),
+    # the trivial subgroup's witness is empty, and so is its line
+    "no trivial": ("missing trivial or full subgroup", lambda p: p["classes"].remove("")),
     "no full": ("missing trivial or full subgroup",
-                lambda p: p["classes"].remove(next(
-                    line for line in p["classes"]
-                    if line.startswith(mask_to_hex((1 << 24) - 1, 24))))),
-    # 3 elements, two of them past the last element
-    "bit outside G": ("invalid subgroup bitset",
-                      lambda p: p["classes"].append(f"{mask_to_hex(1 | 3 << 24, 24)} 24")),
+                lambda p: p["classes"].remove(s4_class_lines()[-1])),
     "witness outside G": ("witness outside the group",
-                          lambda p: p["classes"].append(f"{mask_to_hex(3, 24)} 24")),
-    # elements 0..4, inside G, with themselves as witness: 5 does not
-    # divide 24, so they generate more
-    "size": ("witness does not generate its subgroup",
-             lambda p: p["classes"].append(f"{mask_to_hex((1 << 5) - 1, 24)} 0 1 2 3 4")),
-    "witness closure": ("witness does not generate its subgroup", _other_witness),
-    # the earlier format: one bare hex bitset per subgroup, no witnesses;
-    # the trivial subgroup's line passes, the next one fails
-    "old format": ("witness does not generate its subgroup",
-                   lambda p: p.update(classes=[mask_to_hex(s.mask, 24)
-                                               for s in lattice("S:4").subgroups])),
+                          lambda p: p["classes"].append("3 24")),
+    # an earlier format: one bare hex bitset per subgroup, no witnesses;
+    # the trivial subgroup's line, 0100000000000000, reads as the id 10^14
+    "old format": ("witness outside the group",
+                   lambda p: p.update(classes=[hex_bitset(s) for s in lattice("S:4").subgroups])),
 }
 
 
@@ -827,9 +843,7 @@ MALFORMED_FILES = {
     "cut in a class line": ("missing or wrong sha256 seal",
                             lambda lines: [*lines[:3], lines[3][:len(lines[3]) // 2]]),
     "wrong seal, unparsable line": ("missing or wrong sha256 seal",
-                                    lambda lines: [*lines[:2],
-                                                   f"{mask_to_hex(3, 24)} x\n".encode(),
-                                                   *lines[3:]]),
+                                    lambda lines: [*lines[:2], b"1 x\n", *lines[3:]]),
 }
 
 

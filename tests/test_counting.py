@@ -14,6 +14,7 @@ from moebius.classposet import build_class_poset
 from moebius.errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
 from moebius.groups import commutator_subgroup, is_normal_mask, product_covers, quotient_group
 from moebius.lattice import enumerate_subgroups, mu_column
+from moebius.verify import run_battery
 
 
 def test_phi_paper_values():
@@ -318,6 +319,43 @@ def test_relative_checks_run_once_per_poset_and_subgroup(monkeypatch):
     assert ("relative", c2.mask, 2) not in moved.downset_sums
 
 
+def _counted_searches(monkeypatch) -> list:
+    """The `cosets` argument of every `first_generating_tuple` call from
+    here on."""
+    searches = []
+    search = counting.first_generating_tuple
+
+    def counted(G, target, t, cosets=None):
+        searches.append(cosets)
+        return search(G, target, t, cosets)
+
+    monkeypatch.setattr(counting, "first_generating_tuple", counted)
+    return searches
+
+
+def test_a_refused_lift_is_searched_once(monkeypatch):
+    # C2^3 needs three generators, so with N = 1 and t = 2 every class's
+    # relative omega is refused: the lattice keeps the refusal, and the
+    # search runs once for the 16 classes
+    lat = enumerate_subgroups(group("C:2xC:2xC:2"))
+    triv = lat.subgroups[lat.trivial_id]
+    searches = _counted_searches(monkeypatch)
+    for c in range(len(lat.conjugation)):
+        with pytest.raises(LiftNotGenerating):
+            counting.omega_relative(lat.conjugation, c, triv, 2)
+    assert len(lat.conjugation) == 16 and len(searches) == 1
+
+
+def test_battery_searches_one_lift_per_normal_subgroup(monkeypatch):
+    # verify checks both relative routes on S5's one minimal normal
+    # subgroup, A5: one lift search serves the two
+    searches = _counted_searches(monkeypatch)
+    checks = run_battery(group("S:5"), t_max=2)
+    assert [c["name"] for c in checks if c["name"].startswith("phi-relative")] == \
+        ["phi-relative-N60-t2"]
+    assert len(searches) == 1 and searches[0] is not None
+
+
 def test_relative_errors_come_in_the_cli_order():
     # NotNormal, then LiftNotGenerating, then NotInvariant
     lat = lattice("C:2xC:2xC:2")
@@ -382,8 +420,9 @@ def test_failed_lift_search_walks_only_quotient_states(monkeypatch):
         return extend(*args)
 
     monkeypatch.setattr(counting, "extend_closure", counted)
-    lat = lattice("A:5xC:2xC:2xC:2")
-    a5 = subgroups_of_order("A:5xC:2xC:2xC:2", 60)
+    # a lattice of its own, so that no search is kept on it yet
+    lat = enumerate_subgroups(group("A:5xC:2xC:2xC:2"))
+    a5 = [s for s in lat.subgroups if s.order == 60]
     assert len(a5) == 1 and is_normal_mask(lat.group, a5[0].mask)
     with pytest.raises(LiftNotGenerating):
         counting.generating_lift(lat, a5[0], 2)
