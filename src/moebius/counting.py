@@ -1,12 +1,14 @@
 """Exact counting formulas over subgroup lattices and class posets.
 
 Generating-tuple counts (direct Moebius sum, class-poset sum, literal
-scan), their relative versions over a normal subgroup, subgroup-tuple
-counts, and the two generation probabilities.  Everything returns exact
-ints or Fractions.  A sum over the class down-sets, behind omega, the
-subgroup-tuple sigma, the relative omega and the class-poset Moebius
-sums, is one `lattice.push_up` sweep up the class rows, kept on the
-poset as one entry per class.
+scan), their relative versions over a normal subgroup N, the count for
+G/N read off G's own lattice (which decides whether t elements generate
+G modulo N), subgroup-tuple counts, the two generation probabilities and
+the one search for a generating tuple, behind subgroup names.
+Everything returns exact ints or Fractions.  A sum over the class
+down-sets, behind omega, the subgroup-tuple sigma, the relative omega
+and the class-poset Moebius sums, is one `lattice.push_up` sweep up the
+class rows, kept on the poset as one entry per class.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 
 from .classposet import ClassPoset
 from .errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
-from .groups import (FiniteGroup, Subgroup, bits, closure, coset_map, extend_closure,
-                     is_normal_mask, product_covers, quotient_group, subgroup_image_mask)
+from .groups import (FiniteGroup, Subgroup, bits, closure, extend_closure, is_normal_mask,
+                     product_covers, quotient_group)
 from .lattice import SubgroupLattice, enumerate_subgroups, push_up
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
@@ -127,109 +129,49 @@ def phi_via_classes(poset: ClassPoset, t: int) -> int:
 
 # -- relative (lift-counting) versions ---------------------------------------
 
+def phi_quotient(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
+    """phi(G/N, t), the number of generating t-tuples of G/N, for a normal
+    N: the sum of mu(K, G)|K : N|^t over the K holding N.  Each interval
+    [K, G] with N <= K is an interval of L(G/N), so this is P. Hall's sum
+    for G/N read off G's own Moebius column, with no quotient group built.
+
+    Raises NotNormal for a non-normal N, after the check on t.  The value
+    is kept in the lattice's exact-count memo, only for a normal N, so
+    each (lattice, N, t) is summed once.
+    """
+    _require_t(t)
+    key = ("quotient", N.mask, t)
+    value = lattice._exact.get(key)
+    if value is None:
+        if not is_normal_mask(lattice.group, N.mask):
+            raise NotNormal("relative count needs a normal subgroup")
+        value = lattice._exact[key] = sum(
+            m * (s.order // N.order) ** t for m, s in zip(lattice.mu_top, lattice.subgroups)
+            if m and N.mask & ~s.mask == 0)
+    return value
+
+
+def _require_quotient_generated(lattice: SubgroupLattice, N: Subgroup, t: int):
+    """Raises LiftNotGenerating when phi(G/N, t) = 0: no t-tuple of G
+    generates G modulo N, so there is no tuple to lift."""
+    if not phi_quotient(lattice, N, t):
+        raise LiftNotGenerating("no t-tuple generates the group modulo N")
+
+
 def phi_relative(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     """Generating t-tuples over a fixed generating tuple of G/N: the sum
     of mu(H,G)|H meet N|^t over the H with HN = G (P. Hall), the same for
     every such tuple (Gaschuetz's lemma).
 
     Raises NotNormal for a non-normal N, and LiftNotGenerating when G/N
-    cannot be generated by t elements (`generating_lift` finds no lift):
-    there is no such tuple to lift.
+    cannot be generated by t elements (`phi_quotient` is 0): there is no
+    such tuple to lift.
     """
-    generating_lift(lattice, N, t)
+    _require_quotient_generated(lattice, N, t)
     G = lattice.group
     return sum(m * (s.mask & N.mask).bit_count() ** t
                for m, s in zip(lattice.mu_top, lattice.subgroups)
                if m and product_covers(G, s.mask, N.mask))
-
-
-def generating_lift(lattice: SubgroupLattice, N: Subgroup, t: int) -> tuple[int, ...]:
-    """Some t-tuple of elements with <tuple> N = G, for a normal N: the
-    first tuple `first_generating_tuple` finds over the cosets of N,
-    padded with the identity.  Any lift serves the relative count, which
-    does not depend on the lifted tuple of G/N (Gaschuetz's lemma).
-    Raises LiftNotGenerating when no t-tuple generates G modulo N.  The
-    search runs once per (lattice, N, t): its lift or refusal is kept in
-    `lattice.lifts`.
-    """
-    _require_t(t)
-    G = lattice.group
-    if not is_normal_mask(G, N.mask):
-        raise NotNormal("relative count needs a normal subgroup")
-    key = (N.mask, t)
-    if key not in lattice.lifts:
-        cosets = coset_map(G, N)
-        got = first_generating_tuple(G, (1 << len(cosets[1])) - 1, t, cosets)
-        lattice.lifts[key] = None if got is None else got + (G.identity,) * (t - len(got))
-    if lattice.lifts[key] is None:
-        raise LiftNotGenerating("no t-tuple generates the group modulo N")
-    return lattice.lifts[key]
-
-
-def first_generating_tuple(G: FiniteGroup, target: int, t: int,
-                           cosets: tuple[list[int], list[int]] | None = None):
-    """The first tuple of at most t elements, in the order of a
-    depth-first search, whose closure has image `target`, or None: the
-    engine's one search for a generating tuple.
-
-    Given `cosets` = `coset_map(G, N)` for a normal N, the image of a
-    closure is the bitset of the ids of the cosets of N it meets, and a
-    target of every coset asks for a tuple that generates G modulo N; no
-    quotient group is built.  With no cosets (N = 1) the image is the
-    closure itself, and the target is the bitset of a subgroup H.  A
-    state is the closure S of the tuple so far.  It branches, in
-    increasing order, over the least element of each coset in the target
-    that its skip set misses, joined to S by `extend_closure`, and the
-    search returns as soon as a join's image is the target.  A state's
-    element list is built only when the state is expanded.  Whether S
-    can be completed with r more elements depends only on its image,
-    since the image of <S, y> is <image(S), yN>.  Two prunes cut only
-    branches that fail, so the tuple found is the one a search without
-    them finds first:
-
-    - dead states: a state that failed is marked dead by (image, depth),
-      and a later state with the same image and depth is not expanded;
-    - skip sets: a state's skip set holds its own image, the images of
-      the sibling joins that already failed, and its parent's skip set.
-      If J = <S, c1> cannot be completed with r more elements, then for
-      y with its coset in J's image, <S, c2, y> has its image inside
-      that of <J, c2>, which cannot be completed with r - 1 more; so
-      neither can <S, c2, y>, nor any state below <S, c2> that takes y
-      (nor <S, y>, which lies in J).
-
-    For N = 1 and t the least number of generators of H, the tuple found
-    is increasing: were x_i > x_(i+1), swapping them would give an
-    earlier tuple that generates H, since x_i lies outside
-    <x_1, .., x_(i-1), x_(i+1)> (else t - 1 elements would generate H).
-    So it is the lexicographically first generating t-subset of H.
-    """
-    coset_of, reps = cosets if cosets is not None else (None, None)
-    dead: set[tuple[int, int]] = set()
-
-    def search(mask, chosen, skip):
-        elems = list(bits(mask))
-        depth = len(chosen) + 1
-        for c in bits(target & ~skip):
-            if (skip >> c) & 1:         # in a sibling join that failed
-                continue
-            x = c if reps is None else reps[c]
-            join = extend_closure(G, mask, elems, chosen, x)
-            image = join if coset_of is None else subgroup_image_mask(coset_of, join)
-            if image == target:
-                return chosen + (x,)
-            if depth < t and (image, depth) not in dead:
-                found = search(join, chosen + (x,), skip | image)
-                if found is not None:
-                    return found
-                dead.add((image, depth))
-            skip |= image
-        return None
-
-    start = 1 << G.identity
-    image = start if coset_of is None else subgroup_image_mask(coset_of, start)
-    if image == target:
-        return ()
-    return search(start, (), image)
 
 
 def _relative_sums(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
@@ -240,7 +182,7 @@ def _relative_sums(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
     N, t): the sums are kept only after all three pass."""
     key = ("relative", N.mask, t)
     if key not in poset.downset_sums:
-        generating_lift(poset.lattice, N, t)
+        _require_quotient_generated(poset.lattice, N, t)
         if len(poset.orbit(poset.class_of_subgroup(N))) != 1:
             raise NotInvariant("N is not invariant under the acting subgroup")
     return _downset_sums(poset, key, poset.lattice.relative_exact(N, t))
@@ -257,6 +199,64 @@ def phi_relative_via_classes(poset: ClassPoset, N: Subgroup, t: int) -> int:
     """Relative count through the class-poset Moebius sum (the classes
     with HN != G add 0)."""
     return _class_sum(poset, _relative_sums(poset, N, t))
+
+
+# -- the search for a generating tuple ----------------------------------------
+
+def first_generating_tuple(G: FiniteGroup, target: int, t: int):
+    """The first tuple of at most t elements, in the order of a
+    depth-first search, whose closure is the subgroup with bitset
+    `target`, or None: the engine's one search for a generating tuple,
+    behind subgroup names.
+
+    A state is the closure S of the tuple so far.  It branches, in
+    increasing order, over the elements of the target that its skip set
+    misses, each joined to S by `extend_closure`, and the search returns
+    as soon as a join is the target.  A state's element list is built
+    only when the state is expanded.  Whether S can be completed with r
+    more elements depends only on S.  Two prunes cut only branches that
+    fail, so the tuple found is the one a search without them finds
+    first:
+
+    - dead states: a state that failed is marked dead by (closure,
+      depth), and a later state with the same closure and depth is not
+      expanded;
+    - skip sets: a state's skip set holds its own closure, the closures
+      of the sibling joins that already failed, and its parent's skip
+      set.  If J = <S, c1> cannot be completed with r more elements,
+      then for y in J, <S, c2, y> lies inside <J, c2>, which cannot be
+      completed with r - 1 more; so neither can <S, c2, y>, nor any
+      state below <S, c2> that takes y (nor <S, y>, which lies in J).
+
+    For t the least number of generators of the target H, the tuple
+    found is increasing: were x_i > x_(i+1), swapping them would give an
+    earlier tuple that generates H, since x_i lies outside
+    <x_1, .., x_(i-1), x_(i+1)> (else t - 1 elements would generate H).
+    So it is the lexicographically first generating t-subset of H.
+    """
+    dead: set[tuple[int, int]] = set()
+
+    def search(mask, chosen, skip):
+        elems = list(bits(mask))
+        depth = len(chosen) + 1
+        for x in bits(target & ~skip):
+            if (skip >> x) & 1:         # in a sibling join that failed
+                continue
+            join = extend_closure(G, mask, elems, chosen, x)
+            if join == target:
+                return chosen + (x,)
+            if depth < t and (join, depth) not in dead:
+                found = search(join, chosen + (x,), skip | join)
+                if found is not None:
+                    return found
+                dead.add((join, depth))
+            skip |= join
+        return None
+
+    start = 1 << G.identity
+    if start == target:
+        return ()
+    return search(start, (), start)
 
 
 # -- subgroup-tuple counts ---------------------------------------------------

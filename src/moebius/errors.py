@@ -51,7 +51,8 @@ class NotBijective(EngineError):
 
 
 class LiftNotGenerating(EngineError):
-    """The fixed lift tuple does not generate the group modulo N."""
+    """No t-tuple generates the group modulo N: phi(G/N, t) = 0, so there
+    is no generating tuple of G/N to lift."""
 
 
 class NotAClosureMap(EngineError):

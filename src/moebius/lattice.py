@@ -143,11 +143,10 @@ class SubgroupLattice:
         self._mu_top = None
         self._normalizer = {index[m]: norm for m, norm in normalizers.items()}
         self._conj_orbit: dict[int, tuple[int, ...]] = {}
-        # the exact counts, by what they count
-        self._exact: dict[tuple, list[int]] = {}
+        # the exact counts, by what they count, and counting's phi(G/N, t)
+        # by ("quotient", N, t)
+        self._exact: dict[tuple, list[int] | int] = {}
         self._join: dict[tuple[int, int], int] = {}
-        # counting's generating lifts by (N, t), None for a refused one
-        self.lifts: dict[tuple[int, int], tuple[int, ...] | None] = {}
         # the poset of conjugacy classes, the case A = Inn(G): its classes
         # are the partition, its rows the class relation
         self.conjugation = ClassPoset(self, *_partition(

@@ -218,12 +218,20 @@ def brute_lift_scan(lat, N, lifts, t):
 
 # -- reference BFS for subgroup closure -----------------------------------------
 
-def brute_quotient_generable(G, N, t):
-    """Whether some t-tuple generates G/N: a scan of every t-tuple of
-    elements of `quotient_group`'s Q, each closed by `closure_mask`."""
-    Q, _ = quotient_group(G, N)
+def brute_lift(G, N, t):
+    """A t-tuple of G that generates G modulo N, or None when there is
+    none: the first t-tuple of elements of `quotient_group`'s Q, in
+    `product` order, that `closure_mask` closes to Q, each element lifted
+    to the least element of G that projects to it."""
+    Q, proj = quotient_group(G, N)
     full = Q.full_mask()
-    return any(closure_mask(Q, gens) == full for gens in product(range(Q.order), repeat=t))
+    least = {}
+    for g in reversed(range(G.order)):
+        least[proj[g]] = g
+    for gens in product(range(Q.order), repeat=t):
+        if closure_mask(Q, gens) == full:
+            return tuple(least[q] for q in gens)
+    return None
 
 
 def closure_mask(G, gen_idxs):

@@ -17,7 +17,8 @@ from moebius.classposet import (ClassPoset, build_class_poset, complement_class_
                                 maximal_closure_map, minimal_normal_subgroup_ids,
                                 nonzero_implies_closed, validate_closure_map)
 from moebius.errors import NotAClosureMap
-from moebius.groups import is_normal_mask, product_mask, quotient_group, subgroup_image_mask
+from moebius.groups import (bits, is_normal_mask, product_mask, quotient_group,
+                            subgroup_image_mask)
 from moebius.lattice import mu_column
 from moebius.automorphisms import induced_quotient_action
 from moebius.verify import (automorphism_choices, mobius_equation_violations,
@@ -215,14 +216,38 @@ def test_poset_axioms_and_mobius_equations(spec, aut):
     assert mobius_equation_violations(pos) == []
 
 
+def _fresh_s4_poset():
+    """S4's conjugation poset on a lattice of its own, so that a planted
+    row or map reaches no other test.  Its classes: 0 = 1, 4 = C4,
+    7 = S3, 8 = D8, 10 = S4, with C4 < D8 < S4 the only chain from C4."""
+    lat = enumerate_subgroups(group("S:4"))
+    return build_class_poset(lat, inner_automorphisms(lat.group))
+
+
 def test_poset_axioms_catch_a_missing_diagonal():
     # a class row that lacks its own class breaks reflexivity; the strict
-    # up-sets read off the rows cannot show it (a fresh lattice, so the
-    # planted row reaches no other test)
-    lat = enumerate_subgroups(group("S:4"))
-    pos = build_class_poset(lat, inner_automorphisms(lat.group))
+    # up-sets read off the rows cannot show it
+    pos = _fresh_s4_poset()
     pos.rows()[3] &= ~(1 << 3)
     assert poset_axiom_violations(pos) == ["reflexivity broken at 3"]
+
+
+def test_poset_axioms_catch_a_broken_antisymmetry():
+    # S4 planted at or below S3 makes the two classes each lie below the other
+    pos = _fresh_s4_poset()
+    assert (pos.rep(7).order, pos.top) == (6, 10)
+    pos.rows()[10] |= 1 << 7
+    bad = poset_axiom_violations(pos)
+    assert [v for v in bad if v.startswith("antisymmetry")] == \
+        ["antisymmetry broken at (7,10)", "antisymmetry broken at (10,7)"]
+
+
+def test_poset_axioms_catch_a_broken_transitivity():
+    # C4 <= D8 <= S4 with S4 struck from C4's row
+    pos = _fresh_s4_poset()
+    assert [pos.rep(c).order for c in bits(pos.rows()[4])] == [4, 8, 24]
+    pos.rows()[4] &= ~(1 << 10)
+    assert poset_axiom_violations(pos) == ["transitivity broken at (4,8,10)"]
 
 
 # Full Aut is built only for |G| <= 64.
@@ -458,6 +483,27 @@ def test_crapo_rejects_non_closure():
     bad = [pos.bottom] * len(pos.classes)  # sends top below itself
     with pytest.raises(NotAClosureMap):
         validate_closure_map(pos, bad)
+
+
+def test_closure_map_checks_catch_a_map_that_is_not_monotone():
+    # extensive and idempotent, but C2 (class 1) goes to S4 while the V4
+    # above it (class 5) stays put
+    pos = _fresh_s4_poset()
+    cl = list(range(len(pos.classes)))
+    cl[1] = pos.top
+    with pytest.raises(NotAClosureMap, match="not monotone at 1 <= 5") as exc:
+        validate_closure_map(pos, cl)
+    assert exc.value.axiom == "b"
+
+
+def test_closure_map_checks_catch_a_map_that_is_not_idempotent():
+    # extensive and monotone, but C4 goes to D8 and D8 to S4
+    pos = _fresh_s4_poset()
+    cl = list(range(len(pos.classes)))
+    cl[4], cl[8] = 8, pos.top
+    with pytest.raises(NotAClosureMap, match="not idempotent at 4") as exc:
+        validate_closure_map(pos, cl)
+    assert exc.value.axiom == "c"
 
 
 @pytest.mark.parametrize("spec,aut", [

@@ -313,6 +313,34 @@ def test_error_exit_code(capsys):
     assert cli.main(["phi-rel", "S:4", "--normal", "normal-order=4#-1", "--t", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["table", ""], "empty spec (at position 0)"),
+    (["table", "S:4x"], "empty atom (at position 4)"),
+    (["table", "S:4]"], "unbalanced ']' (at position 3)"),
+    (["table", "perm:[(1,2)"], "unbalanced '[' (at position 10)"),
+    (["table", "perm:(1,2)"], "perm atom needs [ ... ] (at position 0)"),
+    (["table", "perm:[;]"], "perm atom lists no generators (at position 0)"),
+    (["table", "perm:[()]"], "perm atom mentions no points (at position 0)"),
+    (["table", "Z:4"], "unknown atom kind 'Z' (at position 0)"),
+    (["table", "foo"], "unknown atom 'foo' (at position 0)"),
+    (["table", "Q:4"], "only Q:8 is supported (at position 0)"),
+    (["table", "C:0"], "atom parameter must be positive (at position 0)"),
+    (["table", "S:4xC:"], "atom parameter '' is not an integer (at position 4)"),
+    (["phi-rel", "S:4", "--normal", "bogus", "--t", "2"], "unknown subgroup selector 'bogus'"),
+    (["phi-rel", "S:4", "--normal", "order=5", "--t", "2"],
+     "no subgroup matches selector 'order=5'"),
+    (["table", "S:4", "--aut", "bogus"], "unknown automorphism spec 'bogus'"),
+    (["cache", "info", "S:4"], "cache commands need --cache-dir or MOEBIUS_CACHE_DIR"),
+    (["cache", "info", "--cache-dir", "DIR"], "cache info needs a group spec"),
+])
+def test_refused_inputs_print_one_error_line(capsys, monkeypatch, tmp_path, argv, message):
+    # each refusal exits 2 with an empty stdout and exactly one line
+    monkeypatch.delenv("MOEBIUS_CACHE_DIR", raising=False)
+    code = cli.main([str(tmp_path) if a == "DIR" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_aut_selector_variants(capsys):
     code, out = run_cli(capsys, "phi", "A:4", "--t", "2", "--via", "classes",
                         "--aut", "A=inn:order=4")

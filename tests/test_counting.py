@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (brute_class_up, brute_exact_counts, brute_lift_scan,
-                     brute_quotient_generable, brute_relative_counts,
+from helpers import (brute_class_up, brute_exact_counts, brute_lift, brute_lift_scan,
+                     brute_relative_counts,
                      class_by, closure_mask, group, lattice, omega_inclusion_exclusion,
                      poset, subgroups_of_order)
 from moebius import counting
@@ -166,10 +166,10 @@ def test_phi_relative_s3():
     c3 = subgroups_of_order("S:3", 3)[0]
     # a single element never generates S3: the relative count at t=1 is 0
     assert counting.phi_relative(lat, c3, 1) == 0
-    lifts = counting.generating_lift(lat, c3, 1)
+    lifts = brute_lift(lat.group, c3, 1)
     assert brute_lift_scan(lat, c3, lifts, 1) == 0
     assert counting.phi_relative(lat, c3, 2) == 6
-    lifts = counting.generating_lift(lat, c3, 2)
+    lifts = brute_lift(lat.group, c3, 2)
     assert brute_lift_scan(lat, c3, lifts, 2) == 6
     assert counting.phi_relative_via_classes(poset("S:3"), c3, 2) == 6
 
@@ -195,9 +195,9 @@ def test_phi_relative_not_normal():
     c2 = subgroups_of_order("S:3", 2)[0]
     with pytest.raises(NotNormal):
         counting.phi_relative(lat, c2, 2)
-    # checked before the search, which finds no lift of length 1 here
+    # checked before generation modulo N, which fails at length 1 here
     with pytest.raises(NotNormal, match="relative count needs a normal subgroup"):
-        counting.generating_lift(lat, c2, 1)
+        counting.phi_quotient(lat, c2, 1)
 
 
 def test_both_relative_routes_reject_a_non_normal_subgroup():
@@ -218,7 +218,7 @@ def test_phi_relative_via_classes_s4_v4():
     v4 = next(s for s in subgroups_of_order("S:4", 4)
               if is_normal_mask(G, s.mask))
     expected = counting.phi_relative(lat, v4, 2)
-    lifts = counting.generating_lift(lat, v4, 2)
+    lifts = brute_lift(G, v4, 2)
     assert brute_lift_scan(lat, v4, lifts, 2) == expected
     for aut in ("1", "inn"):
         assert counting.phi_relative_via_classes(poset("S:4", aut), v4, 2) == expected
@@ -267,9 +267,9 @@ def test_relative_counts_match_the_lift_scan():
     # the classes below c, and the class-poset sum is the Hall sum
     for spec, lat, N in normal_subgroup_cases(24):
         for t in (1, 2):
-            try:
-                lifts = counting.generating_lift(lat, N, t)
-            except LiftNotGenerating:
+            lifts = brute_lift(lat.group, N, t)
+            assert (lifts is None) == (counting.phi_quotient(lat, N, t) == 0)
+            if lifts is None:
                 continue
             scan = brute_relative_counts(lat, N, lifts, t)
             exact = lat.relative_exact(N, t)
@@ -294,13 +294,13 @@ def test_relative_checks_run_once_per_poset_and_subgroup(monkeypatch):
     # omega_relative over every class checks N once per (poset, N, t), and a
     # refused N is never kept as checked
     lifts = []
-    original = counting.generating_lift
+    original = counting.phi_quotient
 
     def counted(lat, N, t):
         lifts.append(t)
         return original(lat, N, t)
 
-    monkeypatch.setattr(counting, "generating_lift", counted)
+    monkeypatch.setattr(counting, "phi_quotient", counted)
     lat = lattice("S:4")
     v4 = next(s for s in subgroups_of_order("S:4", 4) if is_normal_mask(lat.group, s.mask))
     pos = build_class_poset(lat, full_automorphism_group(lat.group))
@@ -319,41 +319,60 @@ def test_relative_checks_run_once_per_poset_and_subgroup(monkeypatch):
     assert ("relative", c2.mask, 2) not in moved.downset_sums
 
 
-def _counted_searches(monkeypatch) -> list:
-    """The `cosets` argument of every `first_generating_tuple` call from
-    here on."""
-    searches = []
-    search = counting.first_generating_tuple
+def _counted_work(monkeypatch) -> dict:
+    """From here on: the targets of every `first_generating_tuple` call,
+    the number of `extend_closure` calls counting makes, and the
+    (lattice, N, t) of every `phi_quotient` call that sums, one not yet
+    in the lattice's memo."""
+    work = {"searches": [], "steps": 0, "sums": []}
+    search, extend, quotient = (counting.first_generating_tuple, counting.extend_closure,
+                                counting.phi_quotient)
 
-    def counted(G, target, t, cosets=None):
-        searches.append(cosets)
-        return search(G, target, t, cosets)
+    def searched(G, target, t):
+        work["searches"].append(target)
+        return search(G, target, t)
 
-    monkeypatch.setattr(counting, "first_generating_tuple", counted)
-    return searches
+    def stepped(*args):
+        work["steps"] += 1
+        return extend(*args)
+
+    def summed(lat, N, t):
+        if ("quotient", N.mask, t) not in lat._exact:
+            work["sums"].append((lat, N.mask, t))
+        return quotient(lat, N, t)
+
+    monkeypatch.setattr(counting, "first_generating_tuple", searched)
+    monkeypatch.setattr(counting, "extend_closure", stepped)
+    monkeypatch.setattr(counting, "phi_quotient", summed)
+    return work
 
 
 def test_a_refused_lift_is_searched_once(monkeypatch):
     # C2^3 needs three generators, so with N = 1 and t = 2 every class's
-    # relative omega is refused: the lattice keeps the refusal, and the
-    # search runs once for the 16 classes
+    # relative omega is refused: the lattice keeps phi(G/N, 2) = 0, summed
+    # once for the 16 classes, and no tuple is searched
     lat = enumerate_subgroups(group("C:2xC:2xC:2"))
     triv = lat.subgroups[lat.trivial_id]
-    searches = _counted_searches(monkeypatch)
+    work = _counted_work(monkeypatch)
     for c in range(len(lat.conjugation)):
         with pytest.raises(LiftNotGenerating):
             counting.omega_relative(lat.conjugation, c, triv, 2)
-    assert len(lat.conjugation) == 16 and len(searches) == 1
+    with pytest.raises(LiftNotGenerating):
+        counting.phi_relative(lat, triv, 2)
+    assert len(lat.conjugation) == 16 and work["sums"] == [(lat, triv.mask, 2)]
+    assert work["searches"] == [] and work["steps"] == 0
 
 
 def test_battery_searches_one_lift_per_normal_subgroup(monkeypatch):
     # verify checks both relative routes on S5's one minimal normal
-    # subgroup, A5: one lift search serves the two
-    searches = _counted_searches(monkeypatch)
+    # subgroup, A5: one phi_quotient sum serves the two, and neither
+    # searches a tuple
+    work = _counted_work(monkeypatch)
     checks = run_battery(group("S:5"), t_max=2)
     assert [c["name"] for c in checks if c["name"].startswith("phi-relative")] == \
         ["phi-relative-N60-t2"]
-    assert len(searches) == 1 and searches[0] is not None
+    assert len(work["sums"]) == 1 and work["sums"][0][2] == 2
+    assert work["searches"] == [] and work["steps"] == 0
 
 
 def test_relative_errors_come_in_the_cli_order():
@@ -373,17 +392,16 @@ def test_relative_errors_come_in_the_cli_order():
 
 
 def test_generation_modulo_n_builds_no_quotient_group(monkeypatch):
-    # phi_relative and generating_lift decide generation modulo N by one
-    # search in G over coset representatives
+    # phi_quotient decides generation modulo N by one sum over G's own
+    # Moebius column, and both relative routes ask it; neither searches
     def refuse(*args):
         raise AssertionError("a quotient group was built")
 
     monkeypatch.setattr(counting, "quotient_group", refuse)
+    work = _counted_work(monkeypatch)
     for spec, lat, N in normal_subgroup_cases(24):
         for t in (1, 2):
-            try:
-                counting.generating_lift(lat, N, t)
-            except LiftNotGenerating:
+            if not counting.phi_quotient(lat, N, t):
                 with pytest.raises(LiftNotGenerating):
                     counting.phi_relative(lat, N, t)
                 continue
@@ -391,42 +409,53 @@ def test_generation_modulo_n_builds_no_quotient_group(monkeypatch):
             assert counting.phi_relative_via_classes(poset(spec), N, t) == value
 
 
-def test_generating_lift_matches_a_quotient_tuple_scan():
+    assert work["searches"] == [] and work["steps"] == 0
+    assert len(set(work["sums"])) == len(work["sums"])
+
+
+def test_phi_quotient_matches_a_quotient_tuple_scan():
     for spec, lat, N in normal_subgroup_cases(24):
         G = lat.group
         Q, proj = quotient_group(G, N)
         for t in (1, 2):
-            generable = brute_quotient_generable(G, N, t)
-            if not generable:
+            lifts = brute_lift(G, N, t)
+            if lifts is None:
+                assert counting.phi_quotient(lat, N, t) == 0
                 with pytest.raises(LiftNotGenerating):
-                    counting.generating_lift(lat, N, t)
+                    counting.phi_relative(lat, N, t)
                 continue
-            lifts = counting.generating_lift(lat, N, t)
+            assert counting.phi_quotient(lat, N, t) > 0
             assert len(lifts) == t
             assert closure_mask(Q, [proj[g] for g in lifts]) == Q.full_mask(), (spec, N.order, t)
 
 
-def test_failed_lift_search_walks_only_quotient_states(monkeypatch):
-    # (A5 x C2^3)/A5 = C2^3 needs three generators; a dead state is keyed
-    # by its image in G/N, so at most |G/N| * (|G/N| + 1) = 72 closure
-    # steps are taken, and skip sets strike the joins inside an image
-    # that failed: fewer than the 49 steps dead states alone take
-    calls = 0
-    extend = counting.extend_closure
+def test_phi_quotient_is_phi_of_the_quotient_lattice():
+    # P. Hall's sum over G's Moebius column from N up equals the Hall sum
+    # of G/N's own, independently enumerated lattice; and the generating
+    # t-tuples of G are those of G/N times their lifts (Gaschuetz)
+    for spec, lat, N in normal_subgroup_cases(24):
+        quotient = enumerate_subgroups(quotient_group(lat.group, N)[0])
+        for t in (1, 2, 3):
+            value = counting.phi_quotient(lat, N, t)
+            assert value == counting.phi_hall(quotient, t), (spec, N.order, t)
+            if value:
+                assert counting.phi_hall(lat, t) == value * counting.phi_relative(lat, N, t)
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return extend(*args)
 
-    monkeypatch.setattr(counting, "extend_closure", counted)
-    # a lattice of its own, so that no search is kept on it yet
+def test_a_refused_quotient_takes_no_closure_step(monkeypatch):
+    # (A5 x C2^3)/A5 = C2^3 needs three generators: phi(C2^3, 2) = 0 is
+    # read off G's Moebius column with no closure step, and
+    # phi(C2^3, 3) = |GL(3, 2)| = 168
+    work = _counted_work(monkeypatch)
+    # a lattice of its own, so that nothing is kept on it yet
     lat = enumerate_subgroups(group("A:5xC:2xC:2xC:2"))
     a5 = [s for s in lat.subgroups if s.order == 60]
     assert len(a5) == 1 and is_normal_mask(lat.group, a5[0].mask)
     with pytest.raises(LiftNotGenerating):
-        counting.generating_lift(lat, a5[0], 2)
-    assert 0 < calls < 49
+        counting.phi_relative(lat, a5[0], 2)
+    assert counting.phi_quotient(lat, a5[0], 3) == 168
+    assert work["sums"] == [(lat, a5[0].mask, 2), (lat, a5[0].mask, 3)]
+    assert work["searches"] == [] and work["steps"] == 0
 
 
 # -- subgroup tuples -----------------------------------------------------------

@@ -56,17 +56,18 @@ def test_names_match_exhaustive_search(spec):
 
 
 def test_names_go_through_the_one_search(monkeypatch):
-    # every word longer than one generator comes from the search that also
-    # lifts tuples modulo N; in A6 that is every non-cyclic proper subgroup
+    # every word longer than one generator comes from the engine's one
+    # search for a generating tuple, which takes a subgroup's bitset and
+    # nothing else; in A6 that is every non-cyclic proper subgroup
     lat = lattice("A:6")
     expected = [name_subgroup(lat, i) for i in range(len(lat))]
     search = counting.first_generating_tuple
     targets = set()
 
-    def recorded(G, target, t, cosets=None):
-        assert cosets is None
+    def recorded(G, target, t):
+        assert target in lat.index
         targets.add(target)
-        return search(G, target, t, cosets)
+        return search(G, target, t)
 
     monkeypatch.setattr(counting, "first_generating_tuple", recorded)
     assert [name_subgroup(lat, i) for i in range(len(lat))] == expected
