@@ -57,12 +57,11 @@ def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
     if sel == "frattini":
         return lattice.frattini()
     if sel.startswith("order=") or sel.startswith("normal-order="):
-        body = sel.split("=", 1)[1]
-        k = 0
-        if "#" in body:
-            body, ks = body.split("#", 1)
-            k = int(ks)
-        order = int(body)
+        body, hash_, ks = sel.split("=", 1)[1].partition("#")
+        try:
+            order, k = int(body), int(ks) if hash_ else 0
+        except ValueError:
+            raise ValueError(f"unknown subgroup selector {selector!r}") from None
         ids = lattice.by_order.get(order, [])
         if sel.startswith("normal-order="):
             ids = [i for i in ids if is_normal_mask(G, lattice.subgroups[i].mask)]
@@ -423,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the identity battery on one group")
     common(sp, tuples=True)
     sp.add_argument("--t-max", type=int, default=2)
-    sp.set_defaults(func=cmd_verify, tuple_budget=10 ** 6)
+    sp.set_defaults(func=cmd_verify, tuple_budget=counting.VERIFY_TUPLE_BUDGET)
 
     sp = sub.add_parser("cache", help="build/inspect/clear lattice caches")
     sp.add_argument("action", choices=["build", "info", "clear"])

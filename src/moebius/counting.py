@@ -5,10 +5,12 @@ scan), their relative versions over a normal subgroup N, the count for
 G/N read off G's own lattice (which decides whether t elements generate
 G modulo N), subgroup-tuple counts, the two generation probabilities and
 the one search for a generating tuple, behind subgroup names.
-Everything returns exact ints or Fractions.  A sum over the class
-down-sets, behind omega, the subgroup-tuple sigma, the relative omega
-and the class-poset Moebius sums, is one `lattice.push_up` sweep up the
-class rows, kept on the poset as one entry per class.
+Everything returns exact ints or Fractions.  The lattice route is one
+Hall sum over the conjugacy classes (`_hall_sum`) and the brute route
+one literal scan (`_literal_scan`).  A sum over the class down-sets,
+behind omega, the subgroup-tuple sigma, the relative omega and the
+class-poset Moebius sums, is one `lattice.push_up` sweep up the class
+rows, kept on the poset as one entry per class.
 """
 
 from __future__ import annotations
@@ -18,23 +20,38 @@ from fractions import Fraction
 from .classposet import ClassPoset
 from .errors import BudgetExceeded, LiftNotGenerating, NotInvariant, NotNormal
 from .groups import (FiniteGroup, Subgroup, bits, closure, extend_closure, is_normal_mask,
-                     product_covers, quotient_group)
+                     quotient_group)
 from .lattice import SubgroupLattice, enumerate_subgroups, push_up
 
 DEFAULT_TUPLE_BUDGET = 10 ** 8
+# verify's, which runs each brute-force count only when it fits
+VERIFY_TUPLE_BUDGET = 10 ** 6
 
 
 def phi_hall(lattice: SubgroupLattice, t: int) -> int:
     """Number of generating t-tuples of elements: sum of mu(H,G)|H|^t."""
     _require_t(t)
-    mu = lattice.mu_top
-    return sum(m * s.order ** t
-               for m, s in zip(mu, lattice.subgroups) if m)
+    return _hall_sum(lattice, lambda i: lattice.subgroups[i].order, t)
 
 
 def _require_t(t: int):
+    """Refuses a t below 1, and one past 2^16 before any power is built:
+    with |G| <= 2^16 and sigma(G) < 2^18 every count then stays under
+    about 2^20 bits."""
     if t < 1:
         raise ValueError("t must be a positive integer")
+    if t > 1 << 16:
+        raise ValueError("t must be at most 65536")
+
+
+def _hall_sum(lattice: SubgroupLattice, size, t: int) -> int:
+    """P. Hall's sum of mu(K, G) size(K)^t over the subgroups K, for a
+    size(K) given by subgroup id and constant on conjugacy classes: one
+    term per class of the conjugation poset with mu != 0, its
+    representative's, counted once per member."""
+    mu = lattice.mu_top
+    return sum(len(orbit) * mu[r] * size(r) ** t
+               for r, orbit in lattice.conjugation.classes if mu[r])
 
 
 def tuples_exceed(n: int, t: int, budget: int) -> bool:
@@ -44,42 +61,47 @@ def tuples_exceed(n: int, t: int, budget: int) -> bool:
     return n ** min(t, budget.bit_length()) > budget
 
 
-def _literal_scan(start, items, step, t: int, done) -> int:
-    """The number of t-tuples of items whose fold from start by step
-    passes done, one tuple at a time, depth first from an explicit stack
-    of (fold of a prefix, items left to choose)."""
+def _literal_scan(G: FiniteGroup, items, t: int) -> int:
+    """The number of t-tuples of items, each a tuple of elements of G,
+    whose joint closure is G, one tuple at a time, depth first from an
+    explicit stack of (closure of a prefix, items left to choose).  The
+    closure of a closure and an item is kept by (closure, item index),
+    and each closure keeps the first witness it is reached by."""
+    full = G.full_mask()
+    triv = 1 << G.identity
+    memo: dict[tuple[int, int], int] = {}
+    witness = {triv: ()}
+
+    def step(mask: int, k: int) -> int:
+        out = memo.get((mask, k))
+        if out is None:
+            out, gens = closure(G, items[k], mask, witness[mask])
+            witness.setdefault(out, tuple(gens))
+            memo[mask, k] = out
+        return out
+
+    ks = range(len(items))
     count = 0
-    stack = [(start, t)]
+    stack = [(triv, t)]
     while stack:
-        x, left = stack.pop()
+        mask, left = stack.pop()
         if left == 1:
-            count += sum([done(step(x, y)) for y in items])
+            count += sum([step(mask, k) == full for k in ks])
         else:
-            stack.extend([(step(x, y), left - 1) for y in items])
+            stack.extend([(step(mask, k), left - 1) for k in ks])
     return count
 
 
 def phi_bruteforce(G: FiniteGroup, t: int,
                    budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Literal scan over all |G|^t element tuples."""
-    _require_t(t)
+    """Literal scan over all |G|^t element tuples, each element a
+    one-element item of `_literal_scan`.  The budget is tested before t,
+    so a scan past it is refused by its count whatever t is."""
     n = G.order
     if tuples_exceed(n, t, budget):
         raise BudgetExceeded(f"{n}^{t}", budget, "tuple scan")
-    triv = 1 << G.identity
-    # (closure, element) -> closure of the two, and a witness per closure
-    memo: dict[tuple[int, int], int] = {}
-    witness = {triv: ()}
-
-    def step(mask: int, g: int) -> int:
-        out = memo.get((mask, g))
-        if out is None:
-            out, gens = closure(G, (g,), mask, witness[mask])
-            witness.setdefault(out, tuple(gens))
-            memo[mask, g] = out
-        return out
-
-    return _literal_scan(triv, range(n), step, t, G.full_mask().__eq__)
+    _require_t(t)
+    return _literal_scan(G, [(g,) for g in range(n)], t)
 
 
 # -- class-poset counts ----------------------------------------------------
@@ -131,9 +153,11 @@ def phi_via_classes(poset: ClassPoset, t: int) -> int:
 
 def phi_quotient(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     """phi(G/N, t), the number of generating t-tuples of G/N, for a normal
-    N: the sum of mu(K, G)|K : N|^t over the K holding N.  Each interval
-    [K, G] with N <= K is an interval of L(G/N), so this is P. Hall's sum
-    for G/N read off G's own Moebius column, with no quotient group built.
+    N: the sum of mu(K, G)|K : N|^t over the K holding N, one `_hall_sum`
+    with size |K : N| there and 0 elsewhere (both constant on classes, N
+    being normal).  Each interval [K, G] with N <= K is an interval of
+    L(G/N), so this is P. Hall's sum for G/N read off G's own Moebius
+    column, with no quotient group built.
 
     Raises NotNormal for a non-normal N, after the check on t.  The value
     is kept in the lattice's exact-count memo, only for a normal N, so
@@ -145,9 +169,9 @@ def phi_quotient(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     if value is None:
         if not is_normal_mask(lattice.group, N.mask):
             raise NotNormal("relative count needs a normal subgroup")
-        value = lattice._exact[key] = sum(
-            m * (s.order // N.order) ** t for m, s in zip(lattice.mu_top, lattice.subgroups)
-            if m and N.mask & ~s.mask == 0)
+        subs = lattice.subgroups
+        value = lattice._exact[key] = _hall_sum(
+            lattice, lambda i: subs[i].order // N.order if N.mask & ~subs[i].mask == 0 else 0, t)
     return value
 
 
@@ -161,17 +185,15 @@ def _require_quotient_generated(lattice: SubgroupLattice, N: Subgroup, t: int):
 def phi_relative(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     """Generating t-tuples over a fixed generating tuple of G/N: the sum
     of mu(H,G)|H meet N|^t over the H with HN = G (P. Hall), the same for
-    every such tuple (Gaschuetz's lemma).
+    every such tuple (Gaschuetz's lemma), one `_hall_sum` over the
+    lattice's `relative_size(N)`, the size the class route inverts too.
 
     Raises NotNormal for a non-normal N, and LiftNotGenerating when G/N
     cannot be generated by t elements (`phi_quotient` is 0): there is no
-    such tuple to lift.
+    such tuple to lift.  Only then is the sum taken, N being normal.
     """
     _require_quotient_generated(lattice, N, t)
-    G = lattice.group
-    return sum(m * (s.mask & N.mask).bit_count() ** t
-               for m, s in zip(lattice.mu_top, lattice.subgroups)
-               if m and product_covers(G, s.mask, N.mask))
+    return _hall_sum(lattice, lattice.relative_size(N), t)
 
 
 def _relative_sums(poset: ClassPoset, N: Subgroup, t: int) -> list[int]:
@@ -283,22 +305,23 @@ def phi_star(poset: ClassPoset, t: int) -> int:
 
 
 def phi_star_hall(lattice: SubgroupLattice, t: int) -> int:
-    """Subgroup t-tuples generating G, via the plain lattice sum."""
+    """Subgroup t-tuples generating G, via the plain lattice sum: the
+    `_hall_sum` of sigma(K)^t.  At t = 1 it is 1, the count of G alone."""
     _require_t(t)
-    mu = lattice.mu_top
-    return sum(m * lattice.sigma(i) ** t for i, m in enumerate(mu) if m)
+    return _hall_sum(lattice, lattice.sigma, t)
 
 
 def phi_star_bruteforce(lattice: SubgroupLattice, t: int,
                         budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Literal scan over all sigma(G)^t subgroup tuples."""
-    _require_t(t)
+    """Literal scan over all sigma(G)^t subgroup tuples, each subgroup
+    the `_literal_scan` item of its witness, since <H, K> is the closure
+    of H's witness and K's.  The budget is tested before t, as in
+    `phi_bruteforce`."""
     nsub = len(lattice.subgroups)
     if tuples_exceed(nsub, t, budget):
         raise BudgetExceeded(f"{nsub}^{t}", budget, "subgroup tuple scan")
-    order = lattice.group.order
-    return _literal_scan(lattice.subgroups[lattice.trivial_id], lattice.subgroups,
-                         lattice.join, t, lambda h: h.order == order)
+    _require_t(t)
+    return _literal_scan(lattice.group, [s.gens for s in lattice.subgroups], t)
 
 
 # -- probabilities -----------------------------------------------------------

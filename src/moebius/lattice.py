@@ -146,7 +146,6 @@ class SubgroupLattice:
         # the exact counts, by what they count, and counting's phi(G/N, t)
         # by ("quotient", N, t)
         self._exact: dict[tuple, list[int] | int] = {}
-        self._join: dict[tuple[int, int], int] = {}
         # the poset of conjugacy classes, the case A = Inn(G): its classes
         # are the partition, its rows the class relation
         self.conjugation = ClassPoset(self, *_partition(
@@ -300,15 +299,6 @@ class SubgroupLattice:
             self._sigma = [below + 1 for below in self._push_classes(lambda c, below: 1)]
         return self._sigma[self.conjugation.class_of[i]]
 
-    def join(self, h: Subgroup, k: Subgroup) -> Subgroup:
-        """<H, K>: H's witness extended by K's, memoized by id pair."""
-        key = (self.index[h.mask], self.index[k.mask])
-        j = self._join.get(key)
-        if j is None:
-            mask, _ = closure(self.group, k.gens, h.mask, h.gens)
-            j = self._join[key] = self.index[mask]
-        return self.subgroups[j]
-
     def closure_in_maximals(self, h: Subgroup) -> Subgroup:
         """Intersection of the maximal subgroups containing h (G if none)."""
         row = self.upeq([self.index[h.mask]])[0]
@@ -354,16 +344,21 @@ class SubgroupLattice:
         is; conjugation fixes N, so that size is constant on classes.
         Raises NotNormal for a non-normal N, before any count; only a
         normal N gets a memo."""
-        G, n_mask = self.group, N.mask
-        key = ("relative", n_mask, t)
-        if key not in self._exact and not is_normal_mask(G, n_mask):
+        key = ("relative", N.mask, t)
+        if key not in self._exact and not is_normal_mask(self.group, N.mask):
             raise NotNormal("relative count needs a normal subgroup")
+        return self._exact_counts(key, t, self.relative_size(N))
+
+    def relative_size(self, N: Subgroup):
+        """The size, by subgroup id, of the relative counts over N: |K meet
+        N| when KN = G, else 0, constant on classes for a normal N."""
+        G, n_mask, subs = self.group, N.mask, self.subgroups
 
         def size(i):
-            mask = self.subgroups[i].mask
+            mask = subs[i].mask
             return (mask & n_mask).bit_count() if product_covers(G, mask, n_mask) else 0
 
-        return self._exact_counts(key, t, size)
+        return size
 
     def _exact_counts(self, key: tuple, t: int, size) -> list[int]:
         """Moebius inversion of size(K)^t up the conjugacy classes, kept

@@ -125,8 +125,7 @@ class MuLambdaAnalyzer:
         """|H|^(t-1) |G| |G'H| / |G'N_G(H)| at the representative, read off
         its row as |H|^t |G| f / |N_G(H)|, since |G'H| / |G'N_G(H)| =
         |H| f / |N_G(H)|."""
-        if t < 1:
-            raise ValueError("t must be a positive integer")
+        counting._require_t(t)
         r = self.rows[c]
         return Fraction(r.order ** t * self.group.order * r.index_factor,
                         r.normalizer_order)

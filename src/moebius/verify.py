@@ -154,7 +154,7 @@ def completeness_gaps(G: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
 
 def run_battery(G: FiniteGroup, t_max: int = 2,
                 lattice: SubgroupLattice | None = None,
-                tuple_budget: int = 10 ** 6) -> list[dict]:
+                tuple_budget: int = counting.VERIFY_TUPLE_BUDGET) -> list[dict]:
     """All identity checks on one group; returns [{name, ok, detail}, ...]."""
     if t_max < 1:
         raise ValueError("t_max must be a positive integer")
@@ -187,8 +187,7 @@ def run_battery(G: FiniteGroup, t_max: int = 2,
             record(f"phi-brute-t{t}", brute == phis[t],
                    f"{brute} vs {phis[t]}")
 
-    sum_mu_sigma = sum(m * lattice.sigma(i)
-                       for i, m in enumerate(lattice.mu_top) if m)
+    sum_mu_sigma = counting.phi_star_hall(lattice, 1)
     record("sum-mu-sigma-is-1", sum_mu_sigma == 1, str(sum_mu_sigma))
 
     noncyclic = not G.is_cyclic()

@@ -138,6 +138,12 @@ def brute_exact_counts(down, sizes, t):
     return vals
 
 
+def brute_hall_sum(lat, size, t):
+    """P. Hall's sum of mu(K, G) size(K)^t over every subgroup id K, with
+    no use of the conjugacy classes."""
+    return sum(m * size(i) ** t for i, m in enumerate(lat.mu_top) if m)
+
+
 def brute_class_up(pos):
     """up of a class poset: d is above c when some orbit member of c lies
     in the representative of d, tested mask against mask."""

@@ -332,6 +332,18 @@ def test_error_exit_code(capsys):
     (["table", "S:4", "--aut", "bogus"], "unknown automorphism spec 'bogus'"),
     (["cache", "info", "S:4"], "cache commands need --cache-dir or MOEBIUS_CACHE_DIR"),
     (["cache", "info", "--cache-dir", "DIR"], "cache info needs a group spec"),
+    (["phi", "S:3", "--t", "65537"], "t must be at most 65536"),
+    (["phi", "S:3", "--t", "65537", "--via", "classes", "--aut", "inn"],
+     "t must be at most 65536"),
+    (["phi-star", "S:3", "--t", "65537"], "t must be at most 65536"),
+    (["phi-rel", "S:3", "--normal", "order=3", "--t", "65537"], "t must be at most 65536"),
+    (["prob", "S:3", "--t", "65537"], "t must be at most 65536"),
+    (["strana", "S:3", "--t", "65537"], "t must be at most 65536"),
+    (["phi-rel", "S:4", "--normal", "order=12#", "--t", "2"],
+     "unknown subgroup selector 'order=12#'"),
+    (["phi-rel", "S:4", "--normal", "normal-order=2#y", "--t", "2"],
+     "unknown subgroup selector 'normal-order=2#y'"),
+    (["table", "S:3", "--aut", "inn:order=x"], "unknown subgroup selector 'order=x'"),
 ])
 def test_refused_inputs_print_one_error_line(capsys, monkeypatch, tmp_path, argv, message):
     # each refusal exits 2 with an empty stdout and exactly one line

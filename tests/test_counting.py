@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (brute_class_up, brute_exact_counts, brute_lift, brute_lift_scan,
-                     brute_relative_counts,
+from helpers import (brute_class_up, brute_exact_counts, brute_hall_sum, brute_lift,
+                     brute_lift_scan, brute_relative_counts,
                      class_by, closure_mask, group, lattice, omega_inclusion_exclusion,
                      poset, subgroups_of_order)
 from moebius import counting
@@ -29,6 +29,60 @@ def test_phi_trivial_values():
     assert counting.phi_hall(lattice("C:2"), 1) == 1
     assert counting.phi_bruteforce(group("S:3"), 2) == 18
     assert counting.phi_hall(lattice("S:3"), 2) == 18
+
+
+@pytest.mark.parametrize("spec, t, phi, phi_star", [
+    ("A:5", 2, 2280, 2497),         # phi(A5, 2): P. Hall, 1936
+    ("S:4", 2, 216, 483),
+    ("D:4xC:2", 2, None, 503),
+    ("D:4xC:2", 3, 1344, None),
+])
+def test_pinned_counts_on_every_route(spec, t, phi, phi_star):
+    # the Hall sum over classes, the class-poset sum under Inn(G) and the
+    # literal scan give each pinned value
+    lat, pos = lattice(spec), poset(spec)
+    if phi is not None:
+        assert counting.phi_hall(lat, t) == phi
+        assert counting.phi_via_classes(pos, t) == phi
+        assert counting.phi_bruteforce(lat.group, t) == phi
+    if phi_star is not None:
+        assert counting.phi_star_hall(lat, t) == phi_star
+        assert counting.phi_star(pos, t) == phi_star
+        assert counting.phi_star_bruteforce(lat, t) == phi_star
+
+
+C26 = "C:2xC:2xC:2xC:2xC:2xC:2"
+
+
+@pytest.mark.parametrize("spec", family_specs(24) + ["A:5", "S:5", "D:12xC:2", C26])
+def test_hall_sums_over_classes_match_the_sum_over_every_subgroup(spec):
+    # one term per conjugacy class, counted once per member, is the sum
+    # over every subgroup, for |K|, sigma(K), |K : N| over the K holding N
+    # and |K meet N| over the K with KN = G, here by orders
+    lat = lattice(spec)
+    G, subs = lat.group, lat.subgroups
+    for t in (1, 2, 3):
+        assert counting.phi_hall(lat, t) == brute_hall_sum(lat, lambda i: subs[i].order, t)
+        assert counting.phi_star_hall(lat, t) == brute_hall_sum(lat, lat.sigma, t)
+    normals = [N for N in subs if is_normal_mask(G, N.mask)]
+    if spec == C26:
+        # every class a singleton, so the class sum is the subgroup sum
+        # term by term: the first N of each order, not all 2825
+        normals = [subs[ids[0]] for ids in lat.by_order.values()]
+    for N in normals:
+        def quotient_size(i):
+            return subs[i].order // N.order if N.mask & ~subs[i].mask == 0 else 0
+
+        def relative_size(i):
+            meet = (subs[i].mask & N.mask).bit_count()
+            return meet if subs[i].order * N.order == G.order * meet else 0
+
+        for t in (1, 2, 3):
+            value = counting.phi_quotient(lat, N, t)
+            assert value == brute_hall_sum(lat, quotient_size, t), (N.order, t)
+            if value:
+                assert counting.phi_relative(lat, N, t) == \
+                    brute_hall_sum(lat, relative_size, t), (N.order, t)
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:4", "C:2xC:2", "D:6", "Q:8"])
@@ -533,6 +587,11 @@ def test_phi_star_bruteforce():
     lat4 = lattice("A:4")
     assert counting.phi_star_bruteforce(lat4, 2) == \
         counting.phi_star_hall(lat4, 2)
+    for spec in family_specs(12):
+        lat = lattice(spec)
+        for t in (1, 2):
+            assert counting.phi_star_bruteforce(lat, t) == counting.phi_star_hall(lat, t), \
+                (spec, t)
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:4", "C:12", "Q:8", "D:7", "S:3xC:2"])

@@ -12,8 +12,9 @@ from moebius.cache import load_lattice, save_lattice
 from moebius.catalog import family_specs
 from moebius.classposet import conjugation_poset
 from moebius.errors import BudgetExceeded, NotNormal
-from moebius.groups import (bits, commutator_closure, conjugate_mask, derived_series,
-                            find_witness, is_normal_mask, orbit_and_normalizer)
+from moebius.groups import (bits, closure, commutator_closure, conjugate_mask,
+                            derived_series, find_witness, is_normal_mask,
+                            orbit_and_normalizer)
 from moebius.lattice import enumerate_subgroups, mu_column
 from moebius.verify import completeness_gaps, independent_small_lattice, run_battery
 
@@ -364,21 +365,25 @@ def test_normalizer_against_conjugation_scan():
         assert len(orbit) * lat.normalizer_mask(lat.index[s.mask]).bit_count() == G.order
 
 
-def test_intersect_and_join():
+def test_join_is_the_witness_closure():
+    # <H, K> is the closure of K's witness over H's
     lat = lattice("S:4")
+    G = lat.group
+
+    def join(h, k):
+        return lat.subgroups[lat.index[closure(G, k.gens, h.mask, h.gens)[0]]]
+
     h = subgroups_of_order("S:4", 6)[0]
     triv = lat.subgroups[lat.trivial_id]
-    assert lat.subgroups[lat.index[h.mask & h.mask]] == h
-    assert lat.join(h, triv) == h
+    assert join(h, triv) == h
     # two disjoint transpositions join to a four-group
-    G = lat.group
     t1 = next(s for s in subgroups_of_order("S:4", 2)
               if G.permutation(s.elements()[0] if s.elements()[0] != G.identity
                                else s.elements()[1]).cycle_string() == "(1,2)")
     t2 = next(s for s in subgroups_of_order("S:4", 2)
               if G.permutation([x for x in s.elements() if x != G.identity][0])
               .cycle_string() == "(3,4)")
-    assert lat.join(t1, t2).order == 4
+    assert join(t1, t2).order == 4
 
 
 def test_point_stabilizer_intersections_in_a5():
