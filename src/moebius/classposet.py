@@ -39,7 +39,8 @@ def build_class_poset(lattice: SubgroupLattice, aut: AutomorphismGroup) -> Class
 
 
 def conjugation_poset(lattice: SubgroupLattice) -> ClassPoset:
-    """The class poset under conjugation: the lattice's own."""
+    """The class poset under conjugation: the lattice's own.  No engine
+    caller: the tests and perfbench's spans name it."""
     return lattice.conjugation
 
 

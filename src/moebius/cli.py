@@ -248,8 +248,7 @@ def cmd_check_mu_lambda(args) -> int:
 def cmd_beta(args) -> int:
     from .mulambda import MuLambdaAnalyzer
     from .tables import name_subgroup
-    if args.t_max < 1:
-        raise ValueError("t_max must be a positive integer")
+    counting._require_t_max(args.t_max)
     G, lattice = _load_group_and_lattice(args)
     an = MuLambdaAnalyzer(G, lattice)
     vectors = {t: an.beta_vector(t) for t in range(1, args.t_max + 1)}

@@ -44,6 +44,16 @@ def _require_t(t: int):
         raise ValueError("t must be at most 65536")
 
 
+def _require_t_max(t_max: int):
+    """Refuses a t_max below 1, and one whose loop over t = 1 .. t_max
+    would raise more than one t's bound in all: the sum of those t,
+    t_max (t_max + 1) / 2, is at most 2^16, so t_max <= 361."""
+    if t_max < 1:
+        raise ValueError("t_max must be a positive integer")
+    if t_max * (t_max + 1) > 1 << 17:
+        raise ValueError("t_max must be at most 361")
+
+
 def _hall_sum(lattice: SubgroupLattice, size, t: int) -> int:
     """P. Hall's sum of mu(K, G) size(K)^t over the subgroups K, for a
     size(K) given by subgroup id and constant on conjugacy classes: one

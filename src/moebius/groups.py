@@ -506,6 +506,9 @@ def _parse_atom(atom: str, pos: int) -> tuple:
         degree = max((int(p) for w, _ in words for p in _CYCLE_POINTS.findall(w)), default=0)
         if degree == 0:
             raise ParseError("perm atom mentions no points", pos)
+        if degree > MAX_GROUP_ORDER:
+            # a group within the order limit acts faithfully on |G| points
+            raise ParseError(f"perm atom degree {degree} exceeds {MAX_GROUP_ORDER}", pos)
         gens = [parse_cycles(w, degree=degree, offset=at) for w, at in words]
         return (), lambda: gens
     if ":" not in atom:

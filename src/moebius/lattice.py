@@ -11,8 +11,8 @@ changes the subgroups found (`enumerate_subgroups` gives the proofs):
 
 - coset rule: <H, z*h> = <H, z> for h in H, so once H is joined with z,
   an N_G(H)-orbit holding a zuppo generated by an element of z*H is
-  skipped; when [<H, z> : H] is prime, so is one holding a zuppo
-  generated by any element of <H, z>;
+  skipped; after a join by the first test below, of prime index, so is
+  one holding a zuppo generated by any element of <H, z>;
 - known supergroups: before H's first join, every zuppo of a normal
   subgroup K found before, with H < K of prime index, is known, as
   <H, z> = K for each z in K outside H; the normal subgroups found are
@@ -118,10 +118,10 @@ class SubgroupLattice:
     to its id.  `orbits` (lists of member bitsets) are the conjugacy
     classes, kept as the `conjugation` poset, and `normalizers` (bitset ->
     N_G bitset) hold N_G at each class representative.  The element
-    columns behind inclusion, the Moebius column at the top, other
-    normalizers and the counting data (one entry per subgroup or class)
-    are computed lazily and kept, and no row of the relation is; the
-    lattice itself is immutable.
+    columns behind inclusion, the Moebius column at the top and the
+    counting data (one entry per subgroup or class) are computed lazily
+    and kept, and no row of the relation is; no other normalizer is
+    walked, and the lattice itself is immutable.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup], orbits, normalizers):
@@ -285,12 +285,9 @@ class SubgroupLattice:
     # -- classical primitives ---------------------------------------------
 
     def normalizer_mask(self, i: int) -> int:
-        """N_G(H) for subgroup i: kept at class representatives, else walked."""
-        out = self._normalizer.get(i)
-        if out is None:
-            s = self.subgroups[i]
-            out = self._normalizer[i] = orbit_and_normalizer(self.group, s.mask, s.gens)[1]
-        return out
+        """N_G(H) for a class representative i, as its class walk kept it;
+        no other normalizer is walked."""
+        return self._normalizer[i]
 
     def sigma(self, i: int) -> int:
         """Number of subgroups of subgroup i (including 1 and itself): one
@@ -613,12 +610,14 @@ def enumerate_subgroups(G: FiniteGroup,
     Coset rule: y in z*H gives <H, y> = <H, z>, since y and z differ by
     an element of H.  So after H is joined with z, every zuppo generated
     by an element of z*H (`G.coset` of z at H's elements) is
-    known.  When T = <H, z> has prime index over H, more is known: for y
-    in T outside H, H < <H, y> <= T and [<H, y> : H] divides the prime
-    [T : H], so <H, y> = T, and every zuppo generated by an element of T
-    is known (those inside H are never candidates).  A join by the first
-    test below has index p, as z normalizes H and z^p lies in H; one by
-    the second may have composite index, and then marks z*H only.  An
+    known.  A join T = <H, z> by the first test below has prime index p
+    over H, as z normalizes H and z^p lies in H, and more is known: for y
+    in T outside H, H < <H, y> <= T and [<H, y> : H] divides p, so
+    <H, y> = T, and every zuppo generated by an element of T is known
+    (those inside H are never candidates).  A join by the second test
+    marks z*H only, whatever its index; marking all of T at a prime
+    index saved no join on any of nine non-solvable groups up to A_8,
+    and a solvable group makes no second-test join.  An
     N_G(H)-orbit that meets a known zuppo joins to conjugates of a
     subgroup whose orbit is already inserted; its walk is finished, so
     none of its members is joined, and no closure is made.
@@ -819,13 +818,10 @@ def enumerate_subgroups(G: FiniteGroup,
             else:
                 t = extend_closure(G, h, h_elems, h_gens, zx, residue)
                 t_elems = None
-                index = t.bit_count() // len(h_elems)
-                if _prime_of_power(index) == index:     # as above
-                    known |= t
-                else:
-                    for y in G.coset(zx, h_elems):
-                        if (z := zuppo_of[y]) >= 0:
-                            known |= 1 << z
+                # a second-test join: the zuppos of z*H
+                for y in G.coset(zx, h_elems):
+                    if (z := zuppo_of[y]) >= 0:
+                        known |= 1 << z
             # an orbit that meets a known zuppo is skipped, so the known
             # candidates need no walk
             cands &= ~known

@@ -16,10 +16,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import counting
-from .classposet import conjugation_poset, minimal_normal_subgroup_ids
+from .classposet import minimal_normal_subgroup_ids
 from .errors import EngineError
 from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
-from .lattice import SubgroupLattice, enumerate_subgroups
+from .lattice import SubgroupLattice
 from .tables import display_key
 
 
@@ -77,12 +77,14 @@ class BetaSweepVerdict(NamedTuple):
 
 
 class MuLambdaAnalyzer:
-    """Shared context: lattice, conjugacy-class poset, derived subgroup."""
+    """Shared context: the caller's lattice of G, its conjugation poset
+    (`lattice.conjugation`, whose Moebius column is lambda) and the
+    derived subgroup."""
 
-    def __init__(self, G: FiniteGroup, lattice: SubgroupLattice | None = None):
+    def __init__(self, G: FiniteGroup, lattice: SubgroupLattice):
         self.group = G
-        self.lattice = lattice if lattice is not None else enumerate_subgroups(G)
-        self.poset = conjugation_poset(self.lattice)
+        self.lattice = lattice
+        self.poset = lattice.conjugation
         self.derived = commutator_subgroup(G)
         self._beta_vectors: dict[int, BetaVector] = {}
 
@@ -158,8 +160,7 @@ class MuLambdaAnalyzer:
 
     def beta_span_rank(self, t_max: int) -> int:
         """Rank over the rationals of {beta_1 .. beta_t_max}."""
-        if t_max < 1:
-            raise ValueError("t_max must be a positive integer")
+        counting._require_t_max(t_max)
         rows = [[Fraction(x) for x in self.beta_vector(t).entries]
                 for t in range(1, t_max + 1)]
         return _rank(rows)
@@ -179,6 +180,7 @@ class MuLambdaAnalyzer:
 
     def frobenius_beta_classifier(self, t_max: int = 6) -> BetaSweepVerdict:
         """No engine caller: public API, the paper's beta-constancy classifier."""
+        counting._require_t_max(t_max)
         vectors = {self.beta_vector(t).entries for t in range(1, t_max + 1)}
         constant = len(vectors) == 1
         return BetaSweepVerdict(

@@ -17,7 +17,7 @@ from .classposet import (ClassPoset, build_class_poset, crapo_check_all,
 from .errors import ImageNotInLattice, LiftNotGenerating
 from .groups import (FiniteGroup, bits, closure, commutator_subgroup, find_witness,
                      is_solvable, product_mask)
-from .lattice import SubgroupLattice, enumerate_subgroups
+from .lattice import SubgroupLattice
 from .mulambda import MuLambdaAnalyzer
 
 
@@ -152,18 +152,16 @@ def completeness_gaps(G: FiniteGroup, lattice: SubgroupLattice) -> list[str]:
     return gaps
 
 
-def run_battery(G: FiniteGroup, t_max: int = 2,
-                lattice: SubgroupLattice | None = None,
+def run_battery(G: FiniteGroup, t_max: int, lattice: SubgroupLattice,
                 tuple_budget: int = counting.VERIFY_TUPLE_BUDGET) -> list[dict]:
-    """All identity checks on one group; returns [{name, ok, detail}, ...]."""
-    if t_max < 1:
-        raise ValueError("t_max must be a positive integer")
+    """All identity checks on one group, over the caller's lattice of G;
+    returns [{name, ok, detail}, ...]."""
+    counting._require_t_max(t_max)
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str = ""):
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    lattice = lattice if lattice is not None else enumerate_subgroups(G)
     n = G.order
 
     inv = G.inverse

@@ -9,7 +9,7 @@ from moebius.automorphisms import (Automorphism, _extend_images, full_automorphi
                                    inner_automorphisms, trivial_automorphisms)
 from moebius.classposet import build_class_poset
 from moebius.errors import NotAHomomorphism, NotBijective
-from moebius.groups import conjugate_mask, find_witness, quotient_group
+from moebius.groups import conjugate_mask, find_witness, orbit_and_normalizer, quotient_group
 from moebius.lattice import SubgroupLattice, mu_column
 from moebius.mulambda import MuLambdaAnalyzer
 
@@ -52,6 +52,16 @@ def sublattice(lat, keep=lambda i: True):
                            [orbit for orbit in orbits if orbit],
                            {subs[r].mask: lat.normalizer_mask(r)
                             for r in lat.class_representatives() if keep(r)})
+
+
+def member_normalizer(lat, i):
+    """N_G(H) for any subgroup id i: the lattice's at a class
+    representative, and otherwise the class walk from H that the lattice
+    is built by, which the lattice keeps only at representatives."""
+    if i == lat.conjugation.classes[lat.conjugation.class_of[i]][0]:
+        return lat.normalizer_mask(i)
+    s = lat.subgroups[i]
+    return orbit_and_normalizer(lat.group, s.mask, s.gens)[1]
 
 
 def action(spec, aut="inn"):

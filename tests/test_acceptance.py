@@ -240,7 +240,7 @@ def test_criterion_7_property_sweep():
         if not is_solvable(G):
             continue
         count += 1
-        if not MuLambdaAnalyzer(G).report().passed:
+        if not MuLambdaAnalyzer(G, enumerate_subgroups(G)).report().passed:
             bad.append(spec)
     for spec in ("A:5", "S:5", "A:6"):
         count += 1
@@ -273,7 +273,7 @@ def test_criterion_8_beta_vectors():
     for spec in ("C:12", "Q:8", "C:2xC:2xC:2", "C:16", "Q:8xC:3"):
         G = build_from_spec(spec)
         assert is_nilpotent(G)
-        an_n = MuLambdaAnalyzer(G)
+        an_n = MuLambdaAnalyzer(G, enumerate_subgroups(G))
         for t in (1, 2, 3):
             ok = ok and set(an_n.beta_vector(t).entries) <= {0}
     _verdict(8, ok, "A5 beta vectors (t=1..6, rank 3), S3 constant (0,2,2), "
@@ -311,7 +311,7 @@ def test_criterion_11_psu33():
     t0 = time.time()
     G = build_from_spec(PSU33_SPEC)
     assert G.order == 6048
-    an = MuLambdaAnalyzer(G)
+    an = MuLambdaAnalyzer(G, enumerate_subgroups(G))
     lat = an.lattice
     # lattice sanity: 5150 subgroups in 36 classes, maximal subgroups of
     # index 28, 36, 63, 63, and the whole-lattice identities
@@ -371,7 +371,7 @@ def test_criterion_12_m11(monkeypatch):
     drop = lattice_module._dropped_primes
     monkeypatch.setattr(lattice_module, "_dropped_primes",
                         lambda primes: dropped.append(drop(primes)) or dropped[-1])
-    an = MuLambdaAnalyzer(G)
+    an = MuLambdaAnalyzer(G, enumerate_subgroups(G))
     lat = an.lattice
     assert dropped == [{2, 5}]
     # the published counts: 8651 subgroups in 39 conjugacy classes, and the
@@ -396,7 +396,7 @@ def test_criterion_13_a8():
     # at the default order cap, with no multiplication table
     G = build_from_spec("A:8")
     assert G.order == 20160
-    an = MuLambdaAnalyzer(G)
+    an = MuLambdaAnalyzer(G, enumerate_subgroups(G))
     lat = an.lattice
     # 48337 subgroups in 137 classes; the maximal subgroups A7, two classes
     # of 2^3:L3(2), S6, 2^4:(S3xS3) and (A5x3):2, of index 8, 15, 15, 28,

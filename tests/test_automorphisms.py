@@ -2,7 +2,8 @@ from math import gcd
 
 import pytest
 
-from helpers import brute_automorphisms, brute_normalizer, group, lattice, subgroups_of_order
+from helpers import (brute_automorphisms, brute_normalizer, group, lattice, member_normalizer,
+                     subgroups_of_order)
 from moebius.automorphisms import (automorphism_from_images, close_automorphisms,
                                    full_automorphism_group, induced_quotient_action,
                                    inner_automorphisms, trivial_automorphisms)
@@ -201,7 +202,7 @@ def test_inner_orbits_match_conjugacy_classes(spec, tmp_path):
         orbit = classes[class_of[i]][1]
         assert orbit == lat.conjugacy_orbit(i)
         # N_G(H) is the subgroup of order |G : class| whose generators normalize H
-        norm = lat.normalizer_mask(i)
+        norm = member_normalizer(lat, i)
         assert norm.bit_count() * len(orbit) == G.order
         assert all(conjugate_mask(G, s.mask, x) == s.mask for x in find_witness(G, norm))
     # a lattice read back from the cache is built by the same class walk:

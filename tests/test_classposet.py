@@ -250,6 +250,27 @@ def test_poset_axioms_catch_a_broken_transitivity():
     assert poset_axiom_violations(pos) == ["transitivity broken at (4,8,10)"]
 
 
+def test_crapo_check_reports_a_broken_identity():
+    # D8 (class 8) struck from the row of class 2, a C2, after its closure
+    # map is taken: the closure sums at D8 and S4 break for classes 0 and 2
+    pos = _fresh_s4_poset()
+    cl = maximal_closure_map(pos)
+    assert crapo_check_all(pos, cl) == []
+    pos.rows()[2] &= ~(1 << 8)
+    assert crapo_check_all(pos, cl) == [(0, 8), (2, 8), (0, 10), (2, 10)]
+
+
+def test_conjunctive_identity_reports_a_planted_mu():
+    # mu_A of class 1, a C2, flipped from 1 to -1 breaks the identity over
+    # N = V4 at class 1 alone
+    pos = _fresh_s4_poset()
+    G = pos.lattice.group
+    v4 = next(s for s in pos.lattice.subgroups if s.order == 4 and is_normal_mask(G, s.mask))
+    assert conjunctive_identity_violations(pos, v4) == [] and pos.mu_top[1] == 1
+    pos.mu_top[1] = -1
+    assert conjunctive_identity_violations(pos, v4) == [1]
+
+
 # Full Aut is built only for |G| <= 64.
 @pytest.mark.parametrize("spec,aut", [
     (spec, aut)

@@ -344,6 +344,10 @@ def test_error_exit_code(capsys):
     (["phi-rel", "S:4", "--normal", "normal-order=2#y", "--t", "2"],
      "unknown subgroup selector 'normal-order=2#y'"),
     (["table", "S:3", "--aut", "inn:order=x"], "unknown subgroup selector 'order=x'"),
+    (["beta", "S:4", "--t-max", "362"], "t_max must be at most 361"),
+    (["verify", "S:4", "--t-max", "362"], "t_max must be at most 361"),
+    (["beta", "S:4", "--t-max", "65536"], "t_max must be at most 361"),
+    (["table", "perm:[(1,1000000)]"], "perm atom degree 1000000 exceeds 65536 (at position 0)"),
 ])
 def test_refused_inputs_print_one_error_line(capsys, monkeypatch, tmp_path, argv, message):
     # each refusal exits 2 with an empty stdout and exactly one line

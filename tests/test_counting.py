@@ -422,7 +422,8 @@ def test_battery_searches_one_lift_per_normal_subgroup(monkeypatch):
     # subgroup, A5: one phi_quotient sum serves the two, and neither
     # searches a tuple
     work = _counted_work(monkeypatch)
-    checks = run_battery(group("S:5"), t_max=2)
+    G = group("S:5")
+    checks = run_battery(G, t_max=2, lattice=enumerate_subgroups(G))
     assert [c["name"] for c in checks if c["name"].startswith("phi-relative")] == \
         ["phi-relative-N60-t2"]
     assert len(work["sums"]) == 1 and work["sums"][0][2] == 2

@@ -4,9 +4,10 @@ from itertools import combinations
 import pytest
 
 import moebius.lattice as lattice_module
+import moebius.verify as verify_module
 from helpers import (brute_class_up, brute_exact_counts, brute_mu_top, brute_normalizer,
-                     brute_relation, closure_mask, group, lattice, subgroups_of_order,
-                     sublattice, summed_columns)
+                     brute_relation, closure_mask, group, lattice, member_normalizer,
+                     subgroups_of_order, sublattice, summed_columns)
 from moebius import build_from_spec
 from moebius.cache import load_lattice, save_lattice
 from moebius.catalog import family_specs
@@ -61,6 +62,22 @@ def test_battery_reports_a_missing_conjugacy_class():
     # a conjugate left out breaks closure under conjugation instead
     one_short = sublattice(lat, lambda i: i != orbit[0])
     assert completeness_gaps(G, one_short) == ["not closed under conjugation"]
+
+
+def test_battery_reports_the_missing_class_of_the_first_zuppo(monkeypatch):
+    # C:2^5 without <z0>, z0 = element 1, the first zuppo the check
+    # meets: only the join <1, z0> finds it, so a check that skipped one
+    # zuppo would pass this lattice.  Full Aut, GL(5, 2), moves <z0> out
+    # of the lattice, so the battery runs without it
+    spec = "C:2xC:2xC:2xC:2xC:2"
+    G, lat = group(spec), lattice(spec)
+    z0 = closure(G, (1,))[0]
+    broken = sublattice(lat, lambda i: lat.subgroups[i].mask != z0)
+    assert completeness_gaps(G, broken) == ["<0, 1>"]
+    monkeypatch.setattr(verify_module, "FULL_AUT_DEFAULT_BOUND", G.order - 1)
+    checks = {c["name"]: c for c in run_battery(G, t_max=1, lattice=broken)}
+    assert checks["lattice-completeness-zuppos"] == \
+        {"name": "lattice-completeness-zuppos", "ok": False, "detail": "<0, 1>"}
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:5", "Q:8", "C:12"])
@@ -125,6 +142,22 @@ def test_one_join_per_nontrivial_subgroup(n, monkeypatch):
     lat = enumerate_subgroups(group("x".join(["C:2"] * n)))
     assert len(joins) == len(lat) - 1 == {4: 66, 5: 373, 6: 2824}[n]
     assert len({k for _, k in joins}) == len(joins)
+
+
+@pytest.mark.parametrize("spec,first,second", [
+    ("A:5", 7, 1), ("S:5", 23, 1), ("A:6", 21, 7), ("S:6", 95, 6), ("A:7", 44, 25)])
+def test_join_counts_by_test(spec, first, second, monkeypatch):
+    # first-test joins fill cosets and second-test joins close inside R;
+    # a second-test join marks the zuppos of z*H alone, and the counts
+    # equal those made when one of prime index marked all of <H, z>
+    count = len(lattice(spec))
+    joins = _record_joins(monkeypatch)
+    fills = []
+    fill = lattice_module.fill_cosets
+    monkeypatch.setattr(lattice_module, "fill_cosets",
+                        lambda G, *args: fills.append(args[0]) or fill(G, *args))
+    assert len(enumerate_subgroups(group(spec))) == count
+    assert (len(fills), len(joins) - len(fills)) == (first, second)
 
 
 @pytest.mark.parametrize("spec", ["C:2xC:2xC:2xC:2xC:2xC:2", "D:4xC:2xC:2xC:2", "Q:8xS:3"])
@@ -328,16 +361,18 @@ def test_orbit_walk_takes_the_elements_in_any_order(spec):
 @pytest.mark.parametrize("source", ["enumerated", "cached"])
 def test_normalizer_masks_match_brute_scan(spec, source, tmp_path):
     # a lattice, fresh or cache-loaded, keeps its representatives'
-    # normalizers and walks any other id asked for on its own, here from
-    # the largest down, so most walks start at a non-representative;
-    # D:12xC:2 has a central generator, which starts every normalizer
+    # normalizers and no other; any other member's is the class walk from
+    # it, here from the largest down, so most walks start at a
+    # non-representative; D:12xC:2 has a central generator, which starts
+    # every normalizer
     lat = lattice(spec)
     if source == "cached":
         save_lattice(lat, tmp_path)
         lat = load_lattice(group(spec), tmp_path)
     G = lat.group
     for i in reversed(range(len(lat))):
-        assert lat.normalizer_mask(i) == brute_normalizer(G, lat.subgroups[i].mask)
+        assert member_normalizer(lat, i) == brute_normalizer(G, lat.subgroups[i].mask)
+    assert sorted(lat._normalizer) == lat.class_representatives()
 
 
 def test_normalizer_examples():
@@ -358,11 +393,11 @@ def test_normalizer_against_conjugation_scan():
     G = lat.group
     for s in lat.subgroups:
         brute = brute_normalizer(G, s.mask)
-        assert lat.normalizer_mask(lat.index[s.mask]) == brute
+        assert member_normalizer(lat, lat.index[s.mask]) == brute
         assert s.mask & ~brute == 0  # N_G(H) contains H
         # |G : N| equals the number of distinct conjugates
         orbit = lat.conjugacy_orbit(lat.index[s.mask])
-        assert len(orbit) * lat.normalizer_mask(lat.index[s.mask]).bit_count() == G.order
+        assert len(orbit) * member_normalizer(lat, lat.index[s.mask]).bit_count() == G.order
 
 
 def test_join_is_the_witness_closure():

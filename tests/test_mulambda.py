@@ -7,7 +7,9 @@ from helpers import PSU33_SPEC, analyzer, group, lattice
 from moebius import cli
 from moebius.errors import EngineError
 from moebius.groups import is_solvable
+from moebius.lattice import enumerate_subgroups
 from moebius.mulambda import MuLambdaAnalyzer
+from moebius.verify import run_battery
 
 # the six A5 beta vectors, keyed by representative order of the C* class
 A5_BETA_BY_ORDER = {
@@ -202,3 +204,20 @@ def test_tau_question_scan_shape(capsys):
     assert cli.main(["tau", "S:4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["t_set_size"] == 0 and out["tau_all_zero"]
+
+
+def test_battery_reports_a_negative_beta(monkeypatch):
+    # the first nonzero entry of each beta vector planted negative: S3's
+    # (0, 2, 2) reads (0, -2, 2), nonzero where the derived C3 is not held,
+    # so only the sign breaks the check
+    vector = MuLambdaAnalyzer.beta_vector
+
+    def planted(self, t):
+        vec = vector(self, t)
+        k = next(k for k, b in enumerate(vec.entries) if b)
+        return vec._replace(entries=vec.entries[:k] + (-vec.entries[k],) + vec.entries[k + 1:])
+
+    G = group("S:3")
+    monkeypatch.setattr(MuLambdaAnalyzer, "beta_vector", planted)
+    checks = {c["name"]: c["ok"] for c in run_battery(G, 1, enumerate_subgroups(G))}
+    assert checks["beta-nonnegative-zero-iff-derived"] is False
