@@ -139,9 +139,10 @@ def automorphism_from_images(G: FiniteGroup, gens, images) -> Automorphism:
     return Automorphism(tuple(known[i] for i in range(n)))
 
 
-def full_automorphism_group(G: FiniteGroup,
-                            bound: int = FULL_AUT_DEFAULT_BOUND) -> AutomorphismGroup:
-    """Generators of Aut(G), found level by level down a stabilizer chain.
+def full_automorphism_group(G: FiniteGroup) -> AutomorphismGroup:
+    """Generators of Aut(G), found level by level down a stabilizer chain,
+    for |G| up to FULL_AUT_DEFAULT_BOUND, read when called (BoundExceeded
+    past it).
 
     With gens = g_0, ..., g_{r-1} generating G, level k looks for maps
     that fix gens[:k].  For each image c of g_k of the same order that is
@@ -152,8 +153,9 @@ def full_automorphism_group(G: FiniteGroup,
     so by orbit-stabilizer, once level k is done the kept maps generate
     the pointwise stabilizer of gens[:k], and after level 0 all of Aut(G).
     """
-    if G.order > bound:
-        raise BoundExceeded(f"|G| = {G.order} exceeds the full-Aut bound {bound}")
+    if G.order > FULL_AUT_DEFAULT_BOUND:
+        raise BoundExceeded(f"|G| = {G.order} exceeds the full-Aut bound "
+                            f"{FULL_AUT_DEFAULT_BOUND}")
     if G.order == 1:
         return trivial_automorphisms(G)
     gens = find_witness(G, G.full_mask())

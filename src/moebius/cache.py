@@ -29,8 +29,9 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
+from .errors import BudgetExceeded
 from .groups import FiniteGroup, Subgroup, closure
-from .lattice import LatticeBuilder, SubgroupLattice
+from .lattice import DEFAULT_SUBGROUP_BUDGET, LatticeBuilder, SubgroupLattice
 
 ENV_CACHE_DIR = "MOEBIUS_CACHE_DIR"
 KEY_FILE = "cache.key"
@@ -119,16 +120,20 @@ def save_lattice(lattice: SubgroupLattice, cache_dir: str | Path) -> Path:
     return path
 
 
-def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | None:
+def load_lattice(G: FiniteGroup, cache_dir: str | Path,
+                 budget: int = DEFAULT_SUBGROUP_BUDGET) -> SubgroupLattice | None:
     """Load a cached lattice in one read.  The head must name G's spec and
     this engine's version, the last line must seal every byte before it
     under the directory's key, and the element count must be |G|; then,
     line by line, each class line must parse as a witness inside G, and
-    its class is walked with `LatticeBuilder` from the witness's closure;
-    no two lines may give one class.  The trivial and full subgroups must
-    be there.  Any mismatch or corruption (a wrong seal, a seal made
-    without the key, no key, an earlier format's hex bitset, which does
-    not parse or reads as an id past G) warns and returns None."""
+    its class is walked with `LatticeBuilder` from the witness's closure,
+    under the subgroup budget a fresh enumeration has; no two lines may
+    give one class.  The trivial and full subgroups must be there.  Any
+    mismatch or corruption (a wrong seal, a seal made without the key, no
+    key, an earlier format's hex bitset, which does not parse or reads as
+    an id past G) warns and returns None.  A lattice past the budget
+    raises BudgetExceeded, with no warning, as `enumerate_subgroups` does,
+    and the file is left as it is."""
     if G.spec is None:
         return None
     path = cache_path(cache_dir, G.spec)
@@ -151,7 +156,7 @@ def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | Non
             raise ValueError("missing or wrong sha256 seal")
         if head["element_count"] != G.order:
             raise ValueError("element count mismatch")
-        build = LatticeBuilder(G)
+        build = LatticeBuilder(G, budget)
         for line in data[:seal].split(b"\n")[1:-1]:
             witness = tuple(map(int, line.split()))
             if any(not 0 <= x < G.order for x in witness):
@@ -160,6 +165,8 @@ def load_lattice(G: FiniteGroup, cache_dir: str | Path) -> SubgroupLattice | Non
         if (1 << G.identity) not in build.witnesses or G.full_mask() not in build.witnesses:
             raise ValueError("missing trivial or full subgroup")
         return build.lattice()
+    except BudgetExceeded:
+        raise
     except Exception as exc:  # noqa: BLE001 - any corruption falls back
         warnings.warn(f"ignoring unusable cache {path}: {exc}", stacklevel=2)
         return None

@@ -10,6 +10,7 @@ violated, 2 usage or computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .cache import cache_path, clear_cache, default_cache_dir, load_lattice, sav
 from .classposet import build_class_poset
 from .errors import EngineError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, build_from_spec,
-                     closure, commutator_subgroup, is_normal_mask)
+                     closure, commutator_subgroup)
 from .lattice import DEFAULT_SUBGROUP_BUDGET, SubgroupLattice, enumerate_subgroups
 from .perm import parse_cycles
 
@@ -42,6 +43,10 @@ def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
 
     Grammar: trivial | full | derived | center | frattini |
     order=N[#K] | normal-order=N[#K] | gens=[cycles;cycles;...]
+
+    order=N#K is the K-th subgroup of order N by id, from 0;
+    normal-order=N#K the K-th of those whose conjugacy class is a
+    singleton, read off the lattice's conjugation poset.
     """
     G = lattice.group
     sel = selector.strip()
@@ -64,7 +69,7 @@ def select_subgroup(lattice: SubgroupLattice, selector: str) -> Subgroup:
             raise ValueError(f"unknown subgroup selector {selector!r}") from None
         ids = lattice.by_order.get(order, [])
         if sel.startswith("normal-order="):
-            ids = [i for i in ids if is_normal_mask(G, lattice.subgroups[i].mask)]
+            ids = [i for i in ids if len(lattice.conjugacy_orbit(i)) == 1]
         if not 0 <= k < len(ids):
             raise ValueError(f"no subgroup matches selector {selector!r}")
         return lattice.subgroups[ids[k]]
@@ -116,7 +121,7 @@ def _load_group_and_lattice(args):
     G = build_from_spec(args.spec, cap=args.order_cap)
     lattice = None
     if args.cache_dir:
-        lattice = load_lattice(G, args.cache_dir)
+        lattice = load_lattice(G, args.cache_dir, args.subgroup_budget)
     if lattice is None:
         lattice = enumerate_subgroups(G, budget=args.subgroup_budget)
         if args.cache_dir:
@@ -326,7 +331,7 @@ def cmd_cache(args) -> int:
                    "subgroups": len(lattice)})
         return 0
     if args.action == "info":
-        lattice = load_lattice(G, args.cache_dir)
+        lattice = load_lattice(G, args.cache_dir, args.subgroup_budget)
         if lattice is None:
             _json_out({"group": args.spec, "cached": False})
         else:
@@ -337,7 +342,11 @@ def cmd_cache(args) -> int:
     raise ValueError(f"unknown cache action {args.action!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  It holds nothing
+    read at run time: `main` looks up each handler by its command's name
+    and reads --cache-dir's default from MOEBIUS_CACHE_DIR on each call."""
     p = argparse.ArgumentParser(
         prog="moebius",
         description="Exact Moebius-function engine on posets of subgroup classes")
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tables:
             sp.add_argument("--format", choices=["markdown", "csv", "json"],
                             default="markdown")
-        sp.add_argument("--cache-dir", default=default_cache_dir())
+        sp.add_argument("--cache-dir")
         sp.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
         sp.add_argument("--subgroup-budget", type=int,
                         default=DEFAULT_SUBGROUP_BUDGET)
@@ -366,18 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--aut", default="inn")
     sp.add_argument("--omega2", action="store_true",
                     help="include the omega(H,2) column")
-    sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("sigma-table", help="lattice mu / kappa / sigma table")
     common(sp, tables=True)
-    sp.set_defaults(func=cmd_sigma_table)
 
     sp = sub.add_parser("phi", help="number of generating t-tuples of elements")
     common(sp, tuples=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes", "brute"], default="hall")
     sp.add_argument("--aut", default="1")
-    sp.set_defaults(func=cmd_phi)
 
     sp = sub.add_parser("phi-rel", help="generating tuples over a quotient tuple")
     common(sp)
@@ -385,48 +391,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes"], default="hall")
     sp.add_argument("--aut", default="1")
-    sp.set_defaults(func=cmd_phi_rel)
 
     sp = sub.add_parser("phi-star", help="number of generating t-tuples of subgroups")
     common(sp, tuples=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--via", choices=["hall", "classes", "brute"], default="hall")
     sp.add_argument("--aut", default="1")
-    sp.set_defaults(func=cmd_phi_star)
 
     sp = sub.add_parser("prob", help="generation probabilities P and P*")
     common(sp)
     sp.add_argument("--t", type=int, required=True)
-    sp.set_defaults(func=cmd_prob)
 
     sp = sub.add_parser("check-mu-lambda", help="(mu,lambda)-property report")
     common(sp, tables=True)
-    sp.set_defaults(func=cmd_check_mu_lambda)
 
     sp = sub.add_parser("beta", help="beta vectors over C*(G)")
     common(sp)
     sp.add_argument("--t-max", type=int, default=6)
     sp.add_argument("--rank", action="store_true")
-    sp.set_defaults(func=cmd_beta)
 
     sp = sub.add_parser("tau", help="violation spectrum tau(n)")
     common(sp)
-    sp.set_defaults(func=cmd_tau)
 
     sp = sub.add_parser("strana", help="zero-sum consequence identity at one t")
     common(sp)
     sp.add_argument("--t", type=int, required=True)
-    sp.set_defaults(func=cmd_strana)
 
     sp = sub.add_parser("verify", help="run the identity battery on one group")
     common(sp, tuples=True)
     sp.add_argument("--t-max", type=int, default=2)
-    sp.set_defaults(func=cmd_verify, tuple_budget=counting.VERIFY_TUPLE_BUDGET)
+    sp.set_defaults(tuple_budget=counting.VERIFY_TUPLE_BUDGET)
 
     sp = sub.add_parser("cache", help="build/inspect/clear lattice caches")
     sp.add_argument("action", choices=["build", "info", "clear"])
     common(sp, spec_nargs="?")
-    sp.set_defaults(func=cmd_cache)
 
     return p
 
@@ -441,8 +439,12 @@ def _check_limits(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: `cmd_<command>` (dashes as underscores) on the
+    parsed flags, with --cache-dir, when not given, read from
+    MOEBIUS_CACHE_DIR now.  Returns the exit code."""
+    args = build_parser().parse_args(argv)
+    if args.cache_dir is None:
+        args.cache_dir = default_cache_dir()
     if hasattr(sys, "set_int_max_str_digits"):
         # CPython refuses to print an int of more than 4300 digits by
         # default; exact counts are printed whatever their length (the
@@ -450,7 +452,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         _check_limits(args)
-        return args.func(args)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (EngineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

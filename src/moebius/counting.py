@@ -163,9 +163,11 @@ def phi_via_classes(poset: ClassPoset, t: int) -> int:
 
 def phi_quotient(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
     """phi(G/N, t), the number of generating t-tuples of G/N, for a normal
-    N: the sum of mu(K, G)|K : N|^t over the K holding N, one `_hall_sum`
-    with size |K : N| there and 0 elsewhere (both constant on classes, N
-    being normal).  Each interval [K, G] with N <= K is an interval of
+    N: the sum of mu(K, G)|K : N|^t over the K holding N, the bits of N's
+    upeq row, one `_hall_sum` with size |K : N| there and 0 elsewhere
+    (both constant on classes, N being normal; a normal N is its own
+    class, so its row reads columns of a representative's witness only).
+    Each interval [K, G] with N <= K is an interval of
     L(G/N), so this is P. Hall's sum for G/N read off G's own Moebius
     column, with no quotient group built.
 
@@ -180,8 +182,9 @@ def phi_quotient(lattice: SubgroupLattice, N: Subgroup, t: int) -> int:
         if not is_normal_mask(lattice.group, N.mask):
             raise NotNormal("relative count needs a normal subgroup")
         subs = lattice.subgroups
+        above = lattice.upeq([lattice.index[N.mask]])[0]
         value = lattice._exact[key] = _hall_sum(
-            lattice, lambda i: subs[i].order // N.order if N.mask & ~subs[i].mask == 0 else 0, t)
+            lattice, lambda i: subs[i].order // N.order if above >> i & 1 else 0, t)
     return value
 
 

@@ -309,19 +309,14 @@ class SubgroupLattice:
         return self.closure_in_maximals(self.subgroups[self.trivial_id])
 
     def complements(self, n_sub: Subgroup, h: Subgroup | None = None) -> list[Subgroup]:
-        """All K with KN = G, K meet N = 1, and (optionally) H <= K."""
-        G = self.group
-        if not is_normal_mask(G, n_sub.mask):
+        """All K with KN = G, K meet N = 1, and (optionally) H <= K,
+        ascending: the K in H's upeq row (1's when no H is given) whose
+        `relative_size(N)` is 1.  Raises NotNormal for a non-normal N."""
+        if not is_normal_mask(self.group, n_sub.mask):
             raise NotNormal("complements need a normal subgroup")
-        triv = 1 << G.identity
-        need = G.order
-        h_mask = h.mask if h is not None else triv
-        out = []
-        for s in self.subgroups:
-            if s.order * n_sub.order == need and s.mask & n_sub.mask == triv \
-                    and h_mask & ~s.mask == 0:
-                out.append(s)
-        return out
+        size = self.relative_size(n_sub)
+        row = self.upeq([self.trivial_id if h is None else self.index[h.mask]])[0]
+        return [self.subgroups[k] for k in bits(row) if size(k) == 1]
 
     # -- exact generation counts (shared by the counting module) ----------
 
@@ -552,9 +547,10 @@ class LatticeBuilder:
     (`witnesses`), the class and N_G at its least member; `lattice` sorts
     the members by (order, bitset) and hands it the classes and
     normalizers, keyed by bitset.  A class met before raises ValueError,
-    and passing `budget` subgroups raises BudgetExceeded."""
+    and passing `budget` subgroups raises BudgetExceeded; every build,
+    fresh or from a cache file, has a budget."""
 
-    def __init__(self, G: FiniteGroup, budget: int | None = None):
+    def __init__(self, G: FiniteGroup, budget: int):
         self.group = G
         self.budget = budget
         self.witnesses: dict[int, tuple[int, ...]] = {}
@@ -571,7 +567,7 @@ class LatticeBuilder:
         seen.update((c, w) for c, _, w, _ in members)
         if len(seen) < count + len(members):
             raise ValueError("duplicate subgroups")
-        if self.budget is not None and len(seen) > self.budget:
+        if len(seen) > self.budget:
             # the count at the first subgroup past the budget
             raise BudgetExceeded(self.budget + 1, self.budget, "subgroup enumeration")
         self.orbits.append([c for c, _, _, _ in members])

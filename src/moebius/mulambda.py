@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import counting
 from .classposet import minimal_normal_subgroup_ids
 from .errors import EngineError
-from .groups import FiniteGroup, commutator_subgroup, is_nilpotent, is_normal_mask
+from .groups import FiniteGroup, commutator_subgroup, is_nilpotent
 from .lattice import SubgroupLattice
 from .tables import display_key
 
@@ -200,11 +200,11 @@ class MuLambdaAnalyzer:
         minimal = set(minimal_normal_subgroup_ids(lat))
         for m in lat.maximals:
             msub = lat.subgroups[m]
-            if is_normal_mask(G, msub.mask):
+            orbit = lat.conjugacy_orbit(m)
+            if len(orbit) == 1:     # normal
                 continue
             if not any(orders[x] == msub.order for x in msub.elements()):
                 continue
-            orbit = lat.conjugacy_orbit(m)
             if any(lat.subgroups[j].mask & msub.mask != triv
                    for j in orbit if j != m):
                 continue

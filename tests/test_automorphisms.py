@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import moebius.automorphisms as automorphisms_module
 from helpers import (brute_automorphisms, brute_normalizer, group, lattice, member_normalizer,
                      subgroups_of_order)
 from moebius.automorphisms import (automorphism_from_images, close_automorphisms,
@@ -105,10 +106,11 @@ def test_full_aut_s3_all_inner():
     assert set(full_automorphism_group(G).maps) == set(inner_automorphisms(G).maps)
 
 
-def test_full_aut_bound():
+def test_full_aut_bound(monkeypatch):
     with pytest.raises(BoundExceeded):
         full_automorphism_group(group("C:100"))
-    assert len(full_automorphism_group(group("C:100"), bound=128)) == 40
+    monkeypatch.setattr(automorphisms_module, "FULL_AUT_DEFAULT_BOUND", 128)
+    assert len(full_automorphism_group(group("C:100"))) == 40
 
 
 def test_full_aut_small_generating_set():

@@ -348,6 +348,8 @@ def test_error_exit_code(capsys):
     (["verify", "S:4", "--t-max", "362"], "t_max must be at most 361"),
     (["beta", "S:4", "--t-max", "65536"], "t_max must be at most 361"),
     (["table", "perm:[(1,1000000)]"], "perm atom degree 1000000 exceeds 65536 (at position 0)"),
+    (["phi", "S:3", "--t", "0"], "t must be a positive integer"),
+    (["phi", "S:3", "--t", "0", "--via", "brute"], "t must be a positive integer"),
 ])
 def test_refused_inputs_print_one_error_line(capsys, monkeypatch, tmp_path, argv, message):
     # each refusal exits 2 with an empty stdout and exactly one line
@@ -415,6 +417,16 @@ def test_gens_selector(capsys):
                         "gens=[(1,2)(3,4);(1,3)(2,4)]", "--t", "2")
     assert code == 0
     assert json.loads(out)["value"] == "12"
+
+
+@pytest.mark.parametrize("spec,orders", [("D:4", [1, 8, 8, 2, 2]), ("S:4", [1, 24, 24, 1, 1])])
+def test_named_selectors(spec, orders):
+    lat = lattice(spec)
+    G = lat.group
+    picked = [cli.select_subgroup(lat, s) for s in ("trivial", "full", "G", "center", "frattini")]
+    assert [s.order for s in picked] == orders
+    assert [s.mask for s in picked[:4]] == [1 << G.identity, G.full_mask(), G.full_mask(),
+                                            G.center_mask]
 
 
 def test_normal_order_selector(capsys):
@@ -571,6 +583,34 @@ def test_cache_info_and_use(capsys, tmp_cache):
     _, cached = run_cli(capsys, "table", "S:4", "--format", "json",
                         "--cache-dir", str(tmp_cache))
     assert direct == cached
+
+
+def test_warm_query_obeys_the_subgroup_budget(capsys, tmp_cache):
+    """A cached lattice is rebuilt under the query's --subgroup-budget, as
+    a fresh one is: past it, the cold run, the warm run and `cache info`
+    each print the same one error line, with no warning, and the file is
+    left as it is.  S:4 has 30 subgroups."""
+    cache = ["--cache-dir", str(tmp_cache)]
+    path = cache_path(tmp_cache, "S:4")
+
+    def run(*argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, *cache])
+        assert caught == []
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    refused = (2, "", "error: subgroup enumeration exceeded budget: 6 > 5\n")
+    assert run("table", "S:4", "--subgroup-budget", "5") == refused
+    assert not path.exists()
+    cold = run("table", "S:4", "--subgroup-budget", "30")
+    assert cold[0] == 0
+    sealed = path.read_bytes()
+    assert run("table", "S:4", "--subgroup-budget", "5") == refused
+    assert run("cache", "info", "S:4", "--subgroup-budget", "5") == refused
+    assert path.read_bytes() == sealed
+    assert run("table", "S:4", "--subgroup-budget", "30") == cold
 
 
 def test_cache_corruption_recovers(capsys, tmp_cache):
@@ -910,6 +950,25 @@ def test_malformed_cache_file_is_rewritten(capsys, tmp_path, case):
     assert [str(w.message) for w in caught] == \
         [f"ignoring unusable cache {path}: {message}"]
     assert path.read_bytes() == sealed
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_cache):
+    """The parser is built once per process, and --cache-dir's default is
+    read from MOEBIUS_CACHE_DIR at each call, not when it was built."""
+    def info():
+        code = cli.main(["cache", "info", "S:4"])
+        return code, capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("MOEBIUS_CACHE_DIR", str(tmp_cache))
+    code, out = run_cli(capsys, "cache", "build", "S:4")
+    assert code == 0 and json.loads(out)["path"] == str(cache_path(tmp_cache, "S:4"))
+    monkeypatch.delenv("MOEBIUS_CACHE_DIR")
+    assert info() == (2, ("", "error: cache commands need --cache-dir or MOEBIUS_CACHE_DIR\n"))
+    monkeypatch.setenv("MOEBIUS_CACHE_DIR", str(tmp_cache))
+    code, (out, err) = info()
+    assert (code, json.loads(out)["cached"], err) == (0, True, "")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_unexpected_error_exits_2(capsys, monkeypatch):

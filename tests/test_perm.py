@@ -49,6 +49,16 @@ def test_parse_errors_carry_position():
         parse_cycles("(1,2)(2,3)", degree=4)  # point reused across cycles
 
 
+def test_parse_identity_words_blanks_and_degree():
+    # the identity words take the stated degree; blanks between cycles are
+    # skipped; a point past an explicit degree is refused
+    for word in ("()", "e", "id"):
+        assert parse_cycles(word, degree=4) == Permutation.identity(4)
+    assert parse_cycles(" (1,2) (3,4) ", degree=4) == parse_cycles("(1,2)(3,4)", degree=4)
+    with pytest.raises(ParseError, match="point 5 exceeds degree 4"):
+        parse_cycles("(1,5)", degree=4)
+
+
 def test_orbit_lists_points_in_the_order_met():
     # x first, then the new images of each point met, step by step
     assert orbit(0, [lambda y: (y + 1) % 5]) == [0, 1, 2, 3, 4]
